@@ -17,6 +17,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"dynaddr/internal/atlasapi"
 	"dynaddr/internal/atlasdata"
@@ -342,6 +343,45 @@ func BenchmarkAnalyzeParallel(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkLoadDataset loads a saved seed-77 scale-0.5 world, the size
+// every cmd/benchrun workload serves with atlasd -data. B/op is what one
+// load allocates; record-B is the loaded records' own in-memory size,
+// the floor a load cannot go below.
+func BenchmarkLoadDataset(b *testing.B) {
+	cfg := DefaultConfig()
+	cfg.Seed = 77
+	cfg.Scale = 0.5
+	w, err := Generate(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	dir := b.TempDir()
+	if err := SaveDataset(w.Dataset, dir); err != nil {
+		b.Fatal(err)
+	}
+	var records int
+	for _, es := range w.Dataset.ConnLogs {
+		records += len(es) * int(unsafe.Sizeof(atlasdata.ConnLogEntry{}))
+		for _, e := range es {
+			records += len(e.V6Addr)
+		}
+	}
+	for _, ks := range w.Dataset.KRoot {
+		records += len(ks) * int(unsafe.Sizeof(atlasdata.KRootRound{}))
+	}
+	for _, us := range w.Dataset.Uptime {
+		records += len(us) * int(unsafe.Sizeof(atlasdata.UptimeRecord{}))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := LoadDataset(dir); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(records), "record-B")
 }
 
 // benchRecord / benchRecorder capture a dataset's record stream in

@@ -157,27 +157,15 @@ func (s *Server) pfx2as(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// parseSnapshotName accepts exactly the form YYYYMM.txt — six digits
-// with a month part of 01-12 — rejecting trailing or leading garbage
-// that fmt.Sscanf-style parsing would let through.
+// parseSnapshotName accepts exactly the form YYYYMM.txt, the month as
+// pfx2as.ParseMonth reads it.
 func parseSnapshotName(name string) (int, bool) {
 	base, ok := strings.CutSuffix(name, ".txt")
-	if !ok || len(base) != 6 {
+	if !ok {
 		return 0, false
 	}
-	for _, c := range base {
-		if c < '0' || c > '9' {
-			return 0, false
-		}
-	}
-	m, err := strconv.Atoi(base)
-	if err != nil {
-		return 0, false
-	}
-	if mm := m % 100; mm < 1 || mm > 12 {
-		return 0, false
-	}
-	return m, true
+	m, ok := pfx2as.ParseMonth(base)
+	return int(m), ok
 }
 
 // Months lists the snapshot months the server exposes, for clients.

@@ -2,12 +2,15 @@ package atlasdata
 
 import (
 	"bufio"
+	"bytes"
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
 	"strconv"
-	"strings"
+	"unicode"
+	"unicode/utf8"
 
 	"dynaddr/internal/ip4"
 	"dynaddr/internal/simclock"
@@ -21,33 +24,21 @@ import (
 //
 // IPv6 addresses are recognised by containing ':'.
 
-// formatConnLog renders one entry as its text-format line (no newline).
-func formatConnLog(e ConnLogEntry) string {
-	addr := e.V6Addr
-	if e.Family == V4 {
-		addr = e.Addr.String()
-	}
-	return fmt.Sprintf("%d\t%d\t%d\t%s", e.Probe, int64(e.Start), int64(e.End), addr)
-}
-
-// parseConnLogFields assembles and validates an entry from the four
+// parseConnLog assembles and validates an entry from the four
 // text-format fields.
-func parseConnLogFields(f []string) (ConnLogEntry, error) {
-	probe, start, end, err := parseCommonHead(f)
-	if err != nil {
+func parseConnLog(f fields) (ConnLogEntry, error) {
+	probe, err1 := parseProbeID(f[0])
+	start, err2 := parseInt(f[1], "start time")
+	end, err3 := parseInt(f[2], "end time")
+	if err := cmp.Or(err1, err2, err3); err != nil {
 		return ConnLogEntry{}, err
 	}
-	e := ConnLogEntry{Probe: probe, Start: start, End: end}
-	if strings.Contains(f[3], ":") {
-		e.Family = V6
-		e.V6Addr = f[3]
-	} else {
-		addr, err := ip4.ParseAddr(f[3])
-		if err != nil {
-			return ConnLogEntry{}, err
-		}
-		e.Family = V4
-		e.Addr = addr
+	e := ConnLogEntry{Probe: probe, Start: simclock.Time(start), End: simclock.Time(end), Family: V4}
+	var err error
+	if bytes.IndexByte(f[3], ':') >= 0 {
+		e.Family, e.V6Addr = V6, string(f[3])
+	} else if e.Addr, err = ip4.ParseAddr(string(f[3])); err != nil {
+		return ConnLogEntry{}, err
 	}
 	return e, e.Validate()
 }
@@ -58,67 +49,41 @@ func MarshalConnLog(e ConnLogEntry) ([]byte, error) {
 	if err := e.Validate(); err != nil {
 		return nil, err
 	}
-	return []byte(formatConnLog(e)), nil
+	addr := e.V6Addr
+	if e.Family == V4 {
+		addr = e.Addr.String()
+	}
+	return fmt.Appendf(nil, "%d\t%d\t%d\t%s", e.Probe, int64(e.Start), int64(e.End), addr), nil
 }
 
 // UnmarshalConnLog parses a record written by MarshalConnLog.
 func UnmarshalConnLog(b []byte) (ConnLogEntry, error) {
-	f := strings.Fields(string(b))
-	if len(f) != 4 {
-		return ConnLogEntry{}, fmt.Errorf("atlasdata: connlog record: want 4 fields, got %d", len(f))
-	}
-	return parseConnLogFields(f)
+	return unmarshalRecord(b, "connlog", 4, parseConnLog)
 }
 
 // WriteConnLogs serialises connection-log entries.
 func WriteConnLogs(w io.Writer, entries []ConnLogEntry) error {
-	bw := bufio.NewWriter(w)
-	for _, e := range entries {
-		if err := e.Validate(); err != nil {
-			return err
-		}
-		if _, err := fmt.Fprintf(bw, "%s\n", formatConnLog(e)); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
+	return writeText(w, entries, MarshalConnLog)
 }
 
 // ParseConnLogs parses connection-log entries in the text format.
 func ParseConnLogs(r io.Reader) ([]ConnLogEntry, error) {
-	var out []ConnLogEntry
-	err := scanLines(r, 4, func(lineno int, f []string) error {
-		e, err := parseConnLogFields(f)
-		if err != nil {
-			return err
-		}
-		out = append(out, e)
-		return nil
-	})
-	return out, err
+	return parseText(r, 4, parseConnLog, nil)
 }
 
-// formatKRoot renders one round as its text-format line (no newline).
-func formatKRoot(k KRootRound) string {
-	return fmt.Sprintf("%d\t%d\t%d\t%d\t%d", k.Probe, int64(k.Timestamp), k.Sent, k.Success, k.LTS)
-}
-
-// parseKRootFields assembles and validates a round from the five
-// text-format fields.
-func parseKRootFields(f []string) (KRootRound, error) {
-	probe, err := parseProbeID(f[0])
-	if err != nil {
+// parseKRoot assembles and validates a round from the five text-format
+// fields.
+func parseKRoot(f fields) (KRootRound, error) {
+	probe, err1 := parseProbeID(f[0])
+	ts, err2 := parseInt(f[1], "timestamp")
+	if err := cmp.Or(err1, err2); err != nil {
 		return KRootRound{}, err
 	}
-	ts, err := strconv.ParseInt(f[1], 10, 64)
-	if err != nil {
-		return KRootRound{}, fmt.Errorf("bad timestamp %q", f[1])
-	}
-	sent, err1 := strconv.Atoi(f[2])
-	success, err2 := strconv.Atoi(f[3])
-	lts, err3 := strconv.ParseInt(f[4], 10, 64)
-	if err1 != nil || err2 != nil || err3 != nil {
-		return KRootRound{}, fmt.Errorf("bad numeric field in %v", f)
+	sent, err3 := strconv.Atoi(string(f[2]))
+	success, err4 := strconv.Atoi(string(f[3]))
+	lts, err5 := strconv.ParseInt(string(f[4]), 10, 64)
+	if err3 != nil || err4 != nil || err5 != nil {
+		return KRootRound{}, fmt.Errorf("bad numeric field in [%s %s %s %s %s]", f[0], f[1], f[2], f[3], f[4])
 	}
 	k := KRootRound{Probe: probe, Timestamp: simclock.Time(ts), Sent: sent, Success: success, LTS: lts}
 	return k, k.Validate()
@@ -129,65 +94,32 @@ func MarshalKRoot(k KRootRound) ([]byte, error) {
 	if err := k.Validate(); err != nil {
 		return nil, err
 	}
-	return []byte(formatKRoot(k)), nil
+	return fmt.Appendf(nil, "%d\t%d\t%d\t%d\t%d", k.Probe, int64(k.Timestamp), k.Sent, k.Success, k.LTS), nil
 }
 
 // UnmarshalKRoot parses a record written by MarshalKRoot.
 func UnmarshalKRoot(b []byte) (KRootRound, error) {
-	f := strings.Fields(string(b))
-	if len(f) != 5 {
-		return KRootRound{}, fmt.Errorf("atlasdata: kroot record: want 5 fields, got %d", len(f))
-	}
-	return parseKRootFields(f)
+	return unmarshalRecord(b, "kroot", 5, parseKRoot)
 }
 
 // WriteKRoot serialises k-root rounds.
 func WriteKRoot(w io.Writer, rounds []KRootRound) error {
-	bw := bufio.NewWriter(w)
-	for _, k := range rounds {
-		if err := k.Validate(); err != nil {
-			return err
-		}
-		if _, err := fmt.Fprintf(bw, "%s\n", formatKRoot(k)); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
+	return writeText(w, rounds, MarshalKRoot)
 }
 
 // ParseKRoot parses k-root rounds in the text format.
 func ParseKRoot(r io.Reader) ([]KRootRound, error) {
-	var out []KRootRound
-	err := scanLines(r, 5, func(lineno int, f []string) error {
-		k, err := parseKRootFields(f)
-		if err != nil {
-			return err
-		}
-		out = append(out, k)
-		return nil
-	})
-	return out, err
+	return parseText(r, 5, parseKRoot, nil)
 }
 
-// formatUptime renders one record as its text-format line (no newline).
-func formatUptime(u UptimeRecord) string {
-	return fmt.Sprintf("%d\t%d\t%d", u.Probe, int64(u.Timestamp), u.Uptime)
-}
-
-// parseUptimeFields assembles and validates a record from the three
+// parseUptime assembles and validates a record from the three
 // text-format fields.
-func parseUptimeFields(f []string) (UptimeRecord, error) {
-	probe, err := parseProbeID(f[0])
-	if err != nil {
+func parseUptime(f fields) (UptimeRecord, error) {
+	probe, err1 := parseProbeID(f[0])
+	ts, err2 := parseInt(f[1], "timestamp")
+	up, err3 := parseInt(f[2], "uptime")
+	if err := cmp.Or(err1, err2, err3); err != nil {
 		return UptimeRecord{}, err
-	}
-	ts, err := strconv.ParseInt(f[1], 10, 64)
-	if err != nil {
-		return UptimeRecord{}, fmt.Errorf("bad timestamp %q", f[1])
-	}
-	up, err := strconv.ParseInt(f[2], 10, 64)
-	if err != nil {
-		return UptimeRecord{}, fmt.Errorf("bad uptime %q", f[2])
 	}
 	u := UptimeRecord{Probe: probe, Timestamp: simclock.Time(ts), Uptime: up}
 	return u, u.Validate()
@@ -198,44 +130,22 @@ func MarshalUptime(u UptimeRecord) ([]byte, error) {
 	if err := u.Validate(); err != nil {
 		return nil, err
 	}
-	return []byte(formatUptime(u)), nil
+	return fmt.Appendf(nil, "%d\t%d\t%d", u.Probe, int64(u.Timestamp), u.Uptime), nil
 }
 
 // UnmarshalUptime parses a record written by MarshalUptime.
 func UnmarshalUptime(b []byte) (UptimeRecord, error) {
-	f := strings.Fields(string(b))
-	if len(f) != 3 {
-		return UptimeRecord{}, fmt.Errorf("atlasdata: uptime record: want 3 fields, got %d", len(f))
-	}
-	return parseUptimeFields(f)
+	return unmarshalRecord(b, "uptime", 3, parseUptime)
 }
 
 // WriteUptime serialises uptime records.
 func WriteUptime(w io.Writer, recs []UptimeRecord) error {
-	bw := bufio.NewWriter(w)
-	for _, u := range recs {
-		if err := u.Validate(); err != nil {
-			return err
-		}
-		if _, err := fmt.Fprintf(bw, "%s\n", formatUptime(u)); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
+	return writeText(w, recs, MarshalUptime)
 }
 
 // ParseUptime parses uptime records in the text format.
 func ParseUptime(r io.Reader) ([]UptimeRecord, error) {
-	var out []UptimeRecord
-	err := scanLines(r, 3, func(lineno int, f []string) error {
-		u, err := parseUptimeFields(f)
-		if err != nil {
-			return err
-		}
-		out = append(out, u)
-		return nil
-	})
-	return out, err
+	return parseText(r, 3, parseUptime, nil)
 }
 
 // WriteProbeArchive serialises probe metadata as a JSON array, sorted by
@@ -286,49 +196,108 @@ func ParseProbeArchive(r io.Reader) ([]ProbeMeta, error) {
 	return probes, nil
 }
 
-func parseProbeID(s string) (ProbeID, error) {
-	id, err := strconv.Atoi(s)
+func parseProbeID(b []byte) (ProbeID, error) {
+	id, err := strconv.Atoi(string(b))
 	if err != nil || id <= 0 {
-		return 0, fmt.Errorf("bad probe ID %q", s)
+		return 0, fmt.Errorf("bad probe ID %q", b)
 	}
 	return ProbeID(id), nil
 }
 
-func parseCommonHead(f []string) (ProbeID, simclock.Time, simclock.Time, error) {
-	probe, err := parseProbeID(f[0])
+func parseInt(b []byte, what string) (int64, error) {
+	v, err := strconv.ParseInt(string(b), 10, 64)
 	if err != nil {
-		return 0, 0, 0, err
+		return 0, fmt.Errorf("bad %s %q", what, b)
 	}
-	start, err := strconv.ParseInt(f[1], 10, 64)
-	if err != nil {
-		return 0, 0, 0, fmt.Errorf("bad start time %q", f[1])
-	}
-	end, err := strconv.ParseInt(f[2], 10, 64)
-	if err != nil {
-		return 0, 0, 0, fmt.Errorf("bad end time %q", f[2])
-	}
-	return probe, simclock.Time(start), simclock.Time(end), nil
+	return v, nil
 }
 
-// scanLines runs fn over every non-blank, non-comment line split into
-// exactly nFields tab-or-space separated fields.
-func scanLines(r io.Reader, nFields int, fn func(lineno int, fields []string) error) error {
+// maxFields is the widest record line: a k-root round's five fields.
+const maxFields = 5
+
+// fields holds a line's first fields; taken by value, it stays off the heap.
+type fields [maxFields][]byte
+
+// asciiSpace marks the ASCII bytes unicode.IsSpace accepts.
+var asciiSpace = [256]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
+
+// splitFields splits b around runs of unicode.IsSpace, exactly as
+// strings.Fields does, without allocating: the first maxFields fields
+// land in f, and the result counts every field.
+func splitFields(b []byte, f *fields) int {
+	n, start := 0, -1
+	for i := 0; i < len(b); {
+		c, size := b[i], 1
+		space := asciiSpace[c]
+		if c >= utf8.RuneSelf {
+			var r rune
+			r, size = utf8.DecodeRune(b[i:])
+			space = unicode.IsSpace(r)
+		}
+		if space && start >= 0 {
+			if n < maxFields {
+				f[n] = b[start:i]
+			}
+			n++
+			start = -1
+		} else if !space && start < 0 {
+			start = i
+		}
+		i += size
+	}
+	if start >= 0 {
+		if n < maxFields {
+			f[n] = b[start:]
+		}
+		n++
+	}
+	return n
+}
+
+// parseText appends to out one record per line of r. Blank lines and
+// lines whose first field starts with '#' are skipped; every other line
+// must hold exactly nFields fields. Errors name the 1-based line.
+func parseText[T any](r io.Reader, nFields int, parse func(fields) (T, error), out []T) ([]T, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	lineno := 0
-	for sc.Scan() {
-		lineno++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
+	var f fields
+	for lineno := 1; sc.Scan(); lineno++ {
+		n := splitFields(sc.Bytes(), &f)
+		if n == 0 || f[0][0] == '#' {
 			continue
 		}
-		fields := strings.Fields(line)
-		if len(fields) != nFields {
-			return fmt.Errorf("atlasdata: line %d: want %d fields, got %d", lineno, nFields, len(fields))
+		if n != nFields {
+			return out, fmt.Errorf("atlasdata: line %d: want %d fields, got %d", lineno, nFields, n)
 		}
-		if err := fn(lineno, fields); err != nil {
-			return fmt.Errorf("atlasdata: line %d: %v", lineno, err)
+		rec, err := parse(f)
+		if err != nil {
+			return out, fmt.Errorf("atlasdata: line %d: %v", lineno, err)
+		}
+		out = append(out, rec)
+	}
+	return out, sc.Err()
+}
+
+// unmarshalRecord parses one self-contained record of nFields fields.
+func unmarshalRecord[T any](b []byte, kind string, nFields int, parse func(fields) (T, error)) (T, error) {
+	var f fields
+	if n := splitFields(b, &f); n != nFields {
+		return *new(T), fmt.Errorf("atlasdata: %s record: want %d fields, got %d", kind, nFields, n)
+	}
+	return parse(f)
+}
+
+// writeText writes one marshalled record per line.
+func writeText[T any](w io.Writer, recs []T, marshal func(T) ([]byte, error)) error {
+	bw := bufio.NewWriter(w)
+	for _, r := range recs {
+		b, err := marshal(r)
+		if err != nil {
+			return err
+		}
+		if _, err := bw.Write(append(b, '\n')); err != nil {
+			return err
 		}
 	}
-	return sc.Err()
+	return bw.Flush()
 }

@@ -105,6 +105,26 @@ func TestLoadRejectsMisnamedPfx2asFile(t *testing.T) {
 	}
 }
 
+// TestLoadRejectsMalformedPfx2asNames: a snapshot file name must carry
+// exactly six digits YYYYMM with a real month, or the month it claims is
+// one the HTTP API refuses, or it silently replaces a real month's table.
+func TestLoadRejectsMalformedPfx2asNames(t *testing.T) {
+	for _, name := range []string{
+		"pfx2as-201513.txt",
+		"pfx2as-2015.txt",
+		"pfx2as-+201501.txt",
+		"pfx2as-201501.txt.txt",
+	} {
+		dir := savedSample(t)
+		if err := os.WriteFile(filepath.Join(dir, name), []byte("10.0.0.0\t8\t701\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Load(dir); err == nil {
+			t.Errorf("Load accepted a dataset holding %s", name)
+		}
+	}
+}
+
 func TestLoadToleratesUnsortedRecords(t *testing.T) {
 	// Out-of-order lines are legitimate (the paper's scrapes arrived in
 	// page order); Load must sort, then validate.

@@ -1,11 +1,15 @@
 package atlasdata
 
 import (
+	"bufio"
+	"cmp"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
+	"strings"
 
 	"dynaddr/internal/pfx2as"
 )
@@ -123,7 +127,7 @@ const (
 	probesFile   = "probes.json"
 )
 
-func pfx2asFile(m pfx2as.Month) string { return fmt.Sprintf("pfx2as-%d.txt", int(m)) }
+func pfx2asFile(m pfx2as.Month) string { return fmt.Sprintf("pfx2as-%06d.txt", int(m)) }
 
 // Save writes the dataset to a directory, creating it if needed. Records
 // are flattened in probe-ID order so output is deterministic.
@@ -189,28 +193,17 @@ func Load(dir string) (*Dataset, error) {
 		d.Probes[p.ID] = p
 	}
 
-	conns, err := loadWith(filepath.Join(dir, connLogsFile), ParseConnLogs)
-	if err != nil {
+	if err := loadRecords(filepath.Join(dir, connLogsFile), 4, parseConnLog,
+		func(e ConnLogEntry) ProbeID { return e.Probe }, d.ConnLogs); err != nil {
 		return nil, err
 	}
-	for _, e := range conns {
-		d.ConnLogs[e.Probe] = append(d.ConnLogs[e.Probe], e)
-	}
-
-	kroot, err := loadWith(filepath.Join(dir, kRootFile), ParseKRoot)
-	if err != nil {
+	if err := loadRecords(filepath.Join(dir, kRootFile), 5, parseKRoot,
+		func(k KRootRound) ProbeID { return k.Probe }, d.KRoot); err != nil {
 		return nil, err
 	}
-	for _, k := range kroot {
-		d.KRoot[k.Probe] = append(d.KRoot[k.Probe], k)
-	}
-
-	uptime, err := loadWith(filepath.Join(dir, uptimeFile), ParseUptime)
-	if err != nil {
+	if err := loadRecords(filepath.Join(dir, uptimeFile), 3, parseUptime,
+		func(u UptimeRecord) ProbeID { return u.Probe }, d.Uptime); err != nil {
 		return nil, err
-	}
-	for _, u := range uptime {
-		d.Uptime[u.Probe] = append(d.Uptime[u.Probe], u)
 	}
 
 	matches, err := filepath.Glob(filepath.Join(dir, "pfx2as-*.txt"))
@@ -219,9 +212,9 @@ func Load(dir string) (*Dataset, error) {
 	}
 	sort.Strings(matches)
 	for _, path := range matches {
-		var m pfx2as.Month
 		base := filepath.Base(path)
-		if _, err := fmt.Sscanf(base, "pfx2as-%d.txt", &m); err != nil {
+		m, ok := pfx2as.ParseMonth(strings.TrimSuffix(strings.TrimPrefix(base, "pfx2as-"), ".txt"))
+		if !ok {
 			return nil, fmt.Errorf("atlasdata: unrecognised pfx2as file %q", base)
 		}
 		entries, err := loadWith(path, pfx2as.ParseText)
@@ -262,6 +255,44 @@ func writeFileWith(path string, fn func(*os.File) error) error {
 		return err
 	}
 	return os.Rename(tmp, path)
+}
+
+// loadRecords reads one record file into a single slice sized by the
+// file's line count and files each probe's records under its ID as the
+// cap-limited window flat[lo:hi:hi], so appending to one probe's records
+// copies them instead of overwriting the next probe's.
+func loadRecords[T any](path string, nFields int, parse func(fields) (T, error),
+	probeOf func(T) ProbeID, into map[ProbeID][]T) error {
+	f, err := os.Open(path)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	lines := 0 // each record sits on a line of its own
+	for sc := bufio.NewScanner(f); sc.Scan(); lines++ {
+	}
+	if _, err := f.Seek(0, io.SeekStart); err != nil {
+		return err
+	}
+	flat, err := parseText(f, nFields, parse, make([]T, 0, lines))
+	if err != nil {
+		return err
+	}
+	// Save writes probe-ID order. Any other order is grouped by a stable
+	// sort, which keeps each probe's records in file order.
+	byProbe := func(a, b T) int { return cmp.Compare(probeOf(a), probeOf(b)) }
+	if !slices.IsSortedFunc(flat, byProbe) {
+		slices.SortStableFunc(flat, byProbe)
+	}
+	for lo := 0; lo < len(flat); {
+		id, hi := probeOf(flat[lo]), lo+1
+		for hi < len(flat) && probeOf(flat[hi]) == id {
+			hi++
+		}
+		into[id] = flat[lo:hi:hi]
+		lo = hi
+	}
+	return nil
 }
 
 func loadWith[T any](path string, parse func(io.Reader) (T, error)) (T, error) {

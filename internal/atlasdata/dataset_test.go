@@ -1,13 +1,17 @@
 package atlasdata
 
 import (
+	"fmt"
+	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"dynaddr/internal/asdb"
 	"dynaddr/internal/ip4"
 	"dynaddr/internal/pfx2as"
+	"dynaddr/internal/simclock"
 )
 
 func sampleDataset(t *testing.T) *Dataset {
@@ -133,6 +137,36 @@ func TestProbeIDsSorted(t *testing.T) {
 	want := []ProbeID{10, 20, 30}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("ProbeIDs = %v, want %v", got, want)
+	}
+}
+
+// TestLoadKeepsFileOrderAcrossProbes: records of one probe scattered
+// through a file reach SortRecords in file order, so same-timestamp
+// records keep the order a per-probe append of each line would give.
+func TestLoadKeepsFileOrderAcrossProbes(t *testing.T) {
+	want := NewDataset()
+	var src strings.Builder
+	for i := 0; i < 64; i++ {
+		id := ProbeID(1 + (i*7)%3)
+		want.Probes[id] = ProbeMeta{ID: id, Version: V3}
+		u := UptimeRecord{Probe: id, Timestamp: simclock.Time(100 * (i % 2)), Uptime: int64(i)}
+		want.Uptime[id] = append(want.Uptime[id], u)
+		fmt.Fprintf(&src, "%d\t%d\t%d\n", u.Probe, int64(u.Timestamp), u.Uptime)
+	}
+	want.SortRecords()
+	dir := filepath.Join(t.TempDir(), "ds")
+	if err := want.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, uptimeFile), []byte(src.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, err := Load(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Uptime, want.Uptime) {
+		t.Errorf("uptime records:\n got %v\nwant %v", got.Uptime, want.Uptime)
 	}
 }
 

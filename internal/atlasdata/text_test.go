@@ -1,0 +1,269 @@
+package atlasdata
+
+import (
+	"bufio"
+	"bytes"
+	"fmt"
+	"io"
+	"reflect"
+	"strconv"
+	"strings"
+	"testing"
+
+	"dynaddr/internal/ip4"
+	"dynaddr/internal/simclock"
+)
+
+// The reference text parsers: the strings.Fields-based implementation
+// the byte-level scanner replaced, kept verbatim so FuzzTextRecords can
+// hold the two to the same records and the same error text.
+
+func refScanLines(r io.Reader, nFields int, fn func(lineno int, fields []string) error) error {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
+	lineno := 0
+	for sc.Scan() {
+		lineno++
+		line := strings.TrimSpace(sc.Text())
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		fields := strings.Fields(line)
+		if len(fields) != nFields {
+			return fmt.Errorf("atlasdata: line %d: want %d fields, got %d", lineno, nFields, len(fields))
+		}
+		if err := fn(lineno, fields); err != nil {
+			return fmt.Errorf("atlasdata: line %d: %v", lineno, err)
+		}
+	}
+	return sc.Err()
+}
+
+func refParseProbeID(s string) (ProbeID, error) {
+	id, err := strconv.Atoi(s)
+	if err != nil || id <= 0 {
+		return 0, fmt.Errorf("bad probe ID %q", s)
+	}
+	return ProbeID(id), nil
+}
+
+func refParseConnLogFields(f []string) (ConnLogEntry, error) {
+	probe, err := refParseProbeID(f[0])
+	if err != nil {
+		return ConnLogEntry{}, err
+	}
+	start, err := strconv.ParseInt(f[1], 10, 64)
+	if err != nil {
+		return ConnLogEntry{}, fmt.Errorf("bad start time %q", f[1])
+	}
+	end, err := strconv.ParseInt(f[2], 10, 64)
+	if err != nil {
+		return ConnLogEntry{}, fmt.Errorf("bad end time %q", f[2])
+	}
+	e := ConnLogEntry{Probe: probe, Start: simclock.Time(start), End: simclock.Time(end)}
+	if strings.Contains(f[3], ":") {
+		e.Family = V6
+		e.V6Addr = f[3]
+	} else {
+		addr, err := ip4.ParseAddr(f[3])
+		if err != nil {
+			return ConnLogEntry{}, err
+		}
+		e.Family = V4
+		e.Addr = addr
+	}
+	return e, e.Validate()
+}
+
+func refParseKRootFields(f []string) (KRootRound, error) {
+	probe, err := refParseProbeID(f[0])
+	if err != nil {
+		return KRootRound{}, err
+	}
+	ts, err := strconv.ParseInt(f[1], 10, 64)
+	if err != nil {
+		return KRootRound{}, fmt.Errorf("bad timestamp %q", f[1])
+	}
+	sent, err1 := strconv.Atoi(f[2])
+	success, err2 := strconv.Atoi(f[3])
+	lts, err3 := strconv.ParseInt(f[4], 10, 64)
+	if err1 != nil || err2 != nil || err3 != nil {
+		return KRootRound{}, fmt.Errorf("bad numeric field in %v", f)
+	}
+	k := KRootRound{Probe: probe, Timestamp: simclock.Time(ts), Sent: sent, Success: success, LTS: lts}
+	return k, k.Validate()
+}
+
+func refParseUptimeFields(f []string) (UptimeRecord, error) {
+	probe, err := refParseProbeID(f[0])
+	if err != nil {
+		return UptimeRecord{}, err
+	}
+	ts, err := strconv.ParseInt(f[1], 10, 64)
+	if err != nil {
+		return UptimeRecord{}, fmt.Errorf("bad timestamp %q", f[1])
+	}
+	up, err := strconv.ParseInt(f[2], 10, 64)
+	if err != nil {
+		return UptimeRecord{}, fmt.Errorf("bad uptime %q", f[2])
+	}
+	u := UptimeRecord{Probe: probe, Timestamp: simclock.Time(ts), Uptime: up}
+	return u, u.Validate()
+}
+
+func refUnmarshal[T any](b []byte, kind string, nFields int, parse func([]string) (T, error)) (T, error) {
+	f := strings.Fields(string(b))
+	if len(f) != nFields {
+		var zero T
+		return zero, fmt.Errorf("atlasdata: %s record: want %d fields, got %d", kind, nFields, len(f))
+	}
+	return parse(f)
+}
+
+func refParse[T any](r io.Reader, nFields int, parse func([]string) (T, error)) ([]T, error) {
+	var out []T
+	err := refScanLines(r, nFields, func(lineno int, f []string) error {
+		rec, err := parse(f)
+		if err != nil {
+			return err
+		}
+		out = append(out, rec)
+		return nil
+	})
+	return out, err
+}
+
+// sameAsReference fails unless got and want both succeed with equal
+// values or both fail with the same message.
+func sameAsReference[T any](t *testing.T, name string, data []byte, got T, err error, want T, wantErr error) {
+	t.Helper()
+	switch {
+	case (err == nil) != (wantErr == nil):
+		t.Fatalf("%s(%q): error %v, reference error %v", name, data, err, wantErr)
+	case err != nil && err.Error() != wantErr.Error():
+		t.Fatalf("%s(%q): error %q, reference error %q", name, data, err, wantErr)
+	case err == nil && !reflect.DeepEqual(got, want):
+		t.Fatalf("%s(%q) = %+v, reference %+v", name, data, got, want)
+	}
+}
+
+// FuzzTextRecords holds the single-record codecs the WAL replays and the
+// batch text parsers to the reference implementation on arbitrary
+// bytes: blank and comment lines, CRLF, Unicode spaces, invalid UTF-8,
+// wrong field counts and malformed numbers alike.
+func FuzzTextRecords(f *testing.F) {
+	for _, seed := range []string{
+		"206\t1420082494\t1420167457\t91.55.174.103\n",
+		"207 100 200 2001:db8::1\r\n# header\n\n208\t1\t2\t10.0.0.1",
+		"16893\t1422349302\t3\t3\t86\n16893\t1422349548\t3\t0\t151\n",
+		"206\t100\t5000\n  # indented comment\n206\t300\t20",
+		"206\u00a0100\u0085 5000\u2003",
+		"\xff206\t100\t5000\n206\t1\t2\t\xc2",
+		"206\t1\t2\t3\t4\t5\t6\t7",
+		"0\t1\t2\n+5\t-1\t+2\n-3\t0\t0",
+		"1\t2\t3\t4\tx",
+		"1\t2\t3\t4\t5\n1\t2\t9\t4\t5",
+		"206\t200\t100\t1.2.3.4",
+		"206\t100\t200\t1.2.3.999",
+		"206\t100\t200\t1..3.4",
+		"99999999999999999999\t1\t2",
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		c, err := UnmarshalConnLog(data)
+		rc, rerr := refUnmarshal(data, "connlog", 4, refParseConnLogFields)
+		sameAsReference(t, "UnmarshalConnLog", data, c, err, rc, rerr)
+		k, err := UnmarshalKRoot(data)
+		rk, rerr := refUnmarshal(data, "kroot", 5, refParseKRootFields)
+		sameAsReference(t, "UnmarshalKRoot", data, k, err, rk, rerr)
+		u, err := UnmarshalUptime(data)
+		ru, rerr := refUnmarshal(data, "uptime", 3, refParseUptimeFields)
+		sameAsReference(t, "UnmarshalUptime", data, u, err, ru, rerr)
+
+		cs, err := ParseConnLogs(bytes.NewReader(data))
+		rcs, rerr := refParse(bytes.NewReader(data), 4, refParseConnLogFields)
+		sameAsReference(t, "ParseConnLogs", data, cs, err, rcs, rerr)
+		ks, err := ParseKRoot(bytes.NewReader(data))
+		rks, rerr := refParse(bytes.NewReader(data), 5, refParseKRootFields)
+		sameAsReference(t, "ParseKRoot", data, ks, err, rks, rerr)
+		us, err := ParseUptime(bytes.NewReader(data))
+		rus, rerr := refParse(bytes.NewReader(data), 3, refParseUptimeFields)
+		sameAsReference(t, "ParseUptime", data, us, err, rus, rerr)
+	})
+}
+
+// appendGrowths counts the allocations append makes growing a nil []T
+// to n elements.
+func appendGrowths[T any](n int) int {
+	var s []T
+	growths := 0
+	for i := 0; i < n; i++ {
+		if len(s) == cap(s) {
+			growths++
+		}
+		s = append(s, *new(T))
+	}
+	return growths
+}
+
+// parseAllocs reports the allocations of one parse call over lines
+// generated by line.
+func parseAllocs[T any](t *testing.T, lines int, line func(i int) string, parse func(io.Reader, int) ([]T, error)) float64 {
+	t.Helper()
+	var b strings.Builder
+	for i := 0; i < lines; i++ {
+		b.WriteString(line(i))
+	}
+	src := b.String()
+	return testing.AllocsPerRun(5, func() {
+		if got, err := parse(strings.NewReader(src), lines); err != nil || len(got) != lines {
+			t.Fatalf("parsed %d of %d lines: %v", len(got), lines, err)
+		}
+	})
+}
+
+// checkParseAllocs fails if parsing allocates per line: ParseX may grow
+// its result as append does and nothing more, and parsing into a slice
+// sized up front, as Load does, allocates the same at any line count.
+func checkParseAllocs[T any](t *testing.T, name string, line func(i int) string, public func(io.Reader) ([]T, error), nFields int, parse func(fields) (T, error)) {
+	t.Helper()
+	const small, big = 16, 16384
+	viaPublic := func(r io.Reader, _ int) ([]T, error) { return public(r) }
+	if d, growth := parseAllocs(t, big, line, viaPublic)-parseAllocs(t, small, line, viaPublic),
+		appendGrowths[T](big)-appendGrowths[T](small); d > float64(growth) {
+		t.Errorf("%s: %d lines cost %.0f more allocations than %d lines; result growth accounts for %d",
+			name, big, d, small, growth)
+	}
+	presized := func(r io.Reader, n int) ([]T, error) { return parseText(r, nFields, parse, make([]T, 0, n)) }
+	if a, b := parseAllocs(t, small, line, presized), parseAllocs(t, big, line, presized); a != b {
+		t.Errorf("%s into a pre-sized slice: %.0f allocations at %d lines, %.0f at %d", name, a, small, b, big)
+	}
+}
+
+func TestTextParseAllocs(t *testing.T) {
+	checkParseAllocs(t, "ParseKRoot", func(i int) string {
+		return fmt.Sprintf("%d\t%d\t3\t2\t%d\n", 1+i%50, 1420070400+240*i, i%300)
+	}, ParseKRoot, 5, parseKRoot)
+	checkParseAllocs(t, "ParseUptime", func(i int) string {
+		return fmt.Sprintf("%d\t%d\t%d\n", 1+i%50, 1420070400+3600*i, 3600*i)
+	}, ParseUptime, 3, parseUptime)
+	checkParseAllocs(t, "ParseConnLogs (v4)", func(i int) string {
+		return fmt.Sprintf("%d\t%d\t%d\t10.%d.%d.1\n", 1+i, 1420070400, 1420070400+3600, i%250, i/250%250)
+	}, ParseConnLogs, 4, parseConnLog)
+
+	// The WAL replays one record at a time: kroot, uptime and v4 connlog
+	// records must decode without allocating.
+	conn, kroot, uptime := []byte("7\t1420070400\t1420074000\t192.0.2.7"),
+		[]byte("7\t1420070400\t3\t3\t60"), []byte("7\t1420070400\t3600")
+	if allocs := testing.AllocsPerRun(100, func() {
+		_, err1 := UnmarshalConnLog(conn)
+		_, err2 := UnmarshalKRoot(kroot)
+		_, err3 := UnmarshalUptime(uptime)
+		if err1 != nil || err2 != nil || err3 != nil {
+			t.Fatal(err1, err2, err3)
+		}
+	}); allocs != 0 {
+		t.Errorf("single-record decode allocated %.1f times per run, want 0", allocs)
+	}
+}

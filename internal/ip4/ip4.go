@@ -23,6 +23,8 @@ func FromOctets(a, b, c, d byte) Addr {
 }
 
 // ParseAddr parses a dotted-quad IPv4 address such as "192.0.2.7".
+// Errors quote a copy of s, so s does not escape: ParseAddr(string(b))
+// does not allocate.
 func ParseAddr(s string) (Addr, error) {
 	var parts [4]uint64
 	rest := s
@@ -31,18 +33,18 @@ func ParseAddr(s string) (Addr, error) {
 		if i < 3 {
 			dot := strings.IndexByte(rest, '.')
 			if dot < 0 {
-				return 0, fmt.Errorf("ip4: invalid address %q: want 4 octets", s)
+				return 0, fmt.Errorf("ip4: invalid address %q: want 4 octets", strings.Clone(s))
 			}
 			tok, rest = rest[:dot], rest[dot+1:]
 		} else {
 			tok = rest
 		}
 		if tok == "" {
-			return 0, fmt.Errorf("ip4: invalid address %q: empty octet", s)
+			return 0, fmt.Errorf("ip4: invalid address %q: empty octet", strings.Clone(s))
 		}
 		v, err := strconv.ParseUint(tok, 10, 8)
 		if err != nil {
-			return 0, fmt.Errorf("ip4: invalid address %q: %v", s, err)
+			return 0, fmt.Errorf("ip4: invalid address %q: %v", strings.Clone(s), err)
 		}
 		parts[i] = v
 	}

@@ -190,6 +190,25 @@ func MonthOf(t simclock.Time) Month {
 	return Month(std.Year()*100 + int(std.Month()))
 }
 
+// ParseMonth parses a month written as CAIDA names its snapshot files:
+// exactly six digits YYYYMM with MM from 01 to 12.
+func ParseMonth(s string) (Month, bool) {
+	if len(s) != 6 {
+		return 0, false
+	}
+	m := 0
+	for i := 0; i < len(s); i++ {
+		if s[i] < '0' || s[i] > '9' {
+			return 0, false
+		}
+		m = m*10 + int(s[i]-'0')
+	}
+	if mm := m % 100; mm < 1 || mm > 12 {
+		return 0, false
+	}
+	return Month(m), true
+}
+
 // String formats the month as "2015-03".
 func (m Month) String() string { return fmt.Sprintf("%04d-%02d", int(m)/100, int(m)%100) }
 

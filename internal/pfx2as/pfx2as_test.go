@@ -211,6 +211,32 @@ func TestMonthOf(t *testing.T) {
 	}
 }
 
+func TestParseMonth(t *testing.T) {
+	cases := []struct {
+		in   string
+		want Month
+		ok   bool
+	}{
+		{"201501", 201501, true},
+		{"201512", 201512, true},
+		{"000101", 101, true},
+		{"201513", 0, false}, // month 13
+		{"201500", 0, false}, // month 00
+		{"2015", 0, false},
+		{"+201501", 0, false},
+		{"-20151", 0, false},
+		{"201501.txt", 0, false},
+		{"20a501", 0, false},
+		{"2015011", 0, false},
+		{"", 0, false},
+	}
+	for _, c := range cases {
+		if got, ok := ParseMonth(c.in); got != c.want || ok != c.ok {
+			t.Errorf("ParseMonth(%q) = %v, %v; want %v, %v", c.in, got, ok, c.want, c.ok)
+		}
+	}
+}
+
 func TestSnapshotStorePerMonthLookup(t *testing.T) {
 	// The same address can move origin between months; the store must
 	// answer with the snapshot matching the observation time.
