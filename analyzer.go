@@ -38,8 +38,7 @@ func Stages() []Stage {
 func ParseStages(s string) ([]Stage, error) { return engine.ParseStages(s) }
 
 // RunMetrics describes how a report was computed: worker-pool size and
-// per-stage wall time and record counts. Filled by the Analyzer; nil on
-// reports from the deprecated sequential Analyze.
+// per-stage wall time and record counts. Filled by the Analyzer.
 type RunMetrics = core.RunMetrics
 
 // StageMetric is one stage's entry in RunMetrics.
@@ -96,13 +95,6 @@ func WithFigure3MinYears(years float64) AnalyzerOption {
 // highest- and lowest-renumbering ASes from Table 6 automatically.
 func WithFigure9ASNs(asns ...uint32) AnalyzerOption {
 	return func(a *Analyzer) { a.cfg.Options.Figure9ASNs = asns }
-}
-
-// WithOptions replaces every analysis option at once — the migration
-// path for callers holding an Options struct for the deprecated
-// Analyze.
-func WithOptions(o Options) AnalyzerOption {
-	return func(a *Analyzer) { a.cfg.Options = o }
 }
 
 // WithStages restricts the run to the given stages plus their

@@ -4,6 +4,8 @@ import (
 	"context"
 	"reflect"
 	"testing"
+
+	"dynaddr/internal/core"
 )
 
 // TestAnalyzerGoldenEquality is the acceptance gate for the staged
@@ -16,7 +18,7 @@ func TestAnalyzerGoldenEquality(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := Analyze(world.Dataset, Options{})
+		want := core.Run(world.Dataset, Options{})
 		for _, workers := range []int{1, 4} {
 			got, err := NewAnalyzer(WithParallelism(workers)).Analyze(world.Dataset)
 			if err != nil {
@@ -39,7 +41,7 @@ func TestAnalyzerOptions(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := Options{TopASes: 3, Figure3Country: "FR", Figure3MinYears: 1}
-	want := Analyze(world.Dataset, opts)
+	want := core.Run(world.Dataset, opts)
 
 	fields, err := NewAnalyzer(
 		WithTopASes(3),
@@ -49,15 +51,9 @@ func TestAnalyzerOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bulk, err := NewAnalyzer(WithOptions(opts)).Analyze(world.Dataset)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, got := range map[string]*Report{"field options": fields, "WithOptions": bulk} {
-		got.Metrics = nil
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: report differs from sequential with same options", name)
-		}
+	fields.Metrics = nil
+	if !reflect.DeepEqual(fields, want) {
+		t.Error("report differs from sequential with same options")
 	}
 	if len(fields.Figure2) > 3 {
 		t.Errorf("TopASes(3) ignored: %d Figure 2 curves", len(fields.Figure2))

@@ -8,7 +8,6 @@ package dynaddr
 // reproduction record.
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"net/http"
@@ -311,17 +310,17 @@ func BenchmarkFullReport(b *testing.B) {
 	w, _, _ := benchSetup(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = Analyze(w.Dataset, Options{})
+		_ = core.Run(w.Dataset, Options{})
 	}
 }
 
 // BenchmarkAnalyzeSequential is the staged engine's baseline: the
-// deprecated sequential pipeline over the paper-scale world.
+// sequential core.Run pipeline over the paper-scale world.
 func BenchmarkAnalyzeSequential(b *testing.B) {
 	w, _, _ := benchSetup(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = Analyze(w.Dataset, Options{})
+		_ = core.Run(w.Dataset, Options{})
 	}
 }
 
@@ -414,79 +413,7 @@ func (r *benchRecorder) Uptime(u atlasdata.UptimeRecord) error {
 	return nil
 }
 
-// v1Run is one pre-encoded v1 body: the longest prefix of the stream
-// sharing a kind (and, for sessions, a probe — the v1 route is
-// per-probe), capped at benchBatch records, exactly the producer's
-// batching.
-type v1Run struct {
-	kind  int
-	probe atlasdata.ProbeID
-	body  []byte
-}
-
 const benchBatch = 1024
-
-func encodeV1Runs(b *testing.B, recs []benchRecord) []v1Run {
-	b.Helper()
-	var runs []v1Run
-	for off := 0; off < len(recs); {
-		kind := recs[off].kind
-		n := 1
-		for off+n < len(recs) && n < benchBatch && recs[off+n].kind == kind {
-			if kind == 1 && recs[off+n].conn.Probe != recs[off].conn.Probe {
-				break
-			}
-			n++
-		}
-		run := recs[off : off+n]
-		var buf bytes.Buffer
-		var err error
-		switch kind {
-		case 0:
-			probes := make([]atlasdata.ProbeMeta, n)
-			for i, r := range run {
-				probes[i] = r.meta
-			}
-			err = atlasapi.WriteProbeArchive(&buf, probes)
-		case 1:
-			entries := make([]atlasdata.ConnLogEntry, n)
-			for i, r := range run {
-				entries[i] = r.conn
-			}
-			err = atlasapi.WriteConnectionHistory(&buf, run[0].conn.Probe, entries)
-		case 2:
-			rounds := make([]atlasdata.KRootRound, n)
-			for i, r := range run {
-				rounds[i] = r.kroot
-			}
-			err = atlasapi.WriteKRootResults(&buf, rounds)
-		case 3:
-			ups := make([]atlasdata.UptimeRecord, n)
-			for i, r := range run {
-				ups[i] = r.uptime
-			}
-			err = atlasapi.WriteUptimeResults(&buf, ups)
-		}
-		if err != nil {
-			b.Fatal(err)
-		}
-		runs = append(runs, v1Run{kind: kind, probe: recs[off].probeID(), body: buf.Bytes()})
-		off += n
-	}
-	return runs
-}
-
-func (r benchRecord) probeID() atlasdata.ProbeID {
-	switch r.kind {
-	case 0:
-		return r.meta.ID
-	case 1:
-		return r.conn.Probe
-	case 2:
-		return r.kroot.Probe
-	}
-	return r.uptime.Probe
-}
 
 func encodeWireBatches(b *testing.B, recs []benchRecord) [][]byte {
 	b.Helper()
@@ -521,69 +448,12 @@ func encodeWireBatches(b *testing.B, recs []benchRecord) [][]byte {
 	return batches
 }
 
-// ingestV1Runs replays pre-encoded v1 bodies through the v1 decode
-// core (the batch tier's text/JSON parsers feeding the typed ingester
-// entry points) — the server-side work of the deprecated per-kind
-// routes, minus HTTP.
-func ingestV1Runs(b *testing.B, ing *stream.Ingester, runs []v1Run) {
-	b.Helper()
-	for _, run := range runs {
-		var err error
-		switch run.kind {
-		case 0:
-			var probes []atlasdata.ProbeMeta
-			if probes, err = atlasapi.ParseProbeArchive(bytes.NewReader(run.body)); err == nil {
-				for _, m := range probes {
-					if err = ing.Meta(m); err != nil {
-						break
-					}
-				}
-			}
-		case 1:
-			var entries []atlasdata.ConnLogEntry
-			if entries, err = atlasapi.ParseConnectionHistory(bytes.NewReader(run.body), run.probe); err == nil {
-				for _, e := range entries {
-					if err = ing.ConnLog(e); err != nil {
-						break
-					}
-				}
-			}
-		case 2:
-			var rounds []atlasdata.KRootRound
-			if rounds, err = atlasapi.ParseKRootResults(bytes.NewReader(run.body)); err == nil {
-				for _, k := range rounds {
-					if err = ing.KRoot(k); err != nil {
-						break
-					}
-				}
-			}
-		case 3:
-			var ups []atlasdata.UptimeRecord
-			if ups, err = atlasapi.ParseUptimeResults(bytes.NewReader(run.body)); err == nil {
-				for _, u := range ups {
-					if err = ing.Uptime(u); err != nil {
-						break
-					}
-				}
-			}
-		}
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkStreamIngest measures the live-ingest subsystem at several
 // shard counts, reporting sustained records/sec:
 //
 //   - direct: typed in-process replay (no codec — the apply ceiling)
-//   - codec=json: the v1 path's decode core over pre-encoded text/JSON
-//     bodies, batched exactly like the producer
 //   - codec=binary: stream.IngestWire over pre-encoded wire batches —
 //     the v2 binary path's decode core
-//
-// The json/binary pair is the before/after for the wire-format
-// redesign (EXPERIMENTS.md); CI asserts binary stays ahead.
 func BenchmarkStreamIngest(b *testing.B) {
 	w, _, _ := benchSetup(b)
 	ds := w.Dataset
@@ -596,7 +466,6 @@ func BenchmarkStreamIngest(b *testing.B) {
 	if err := ReplayDataset(ds, &rec); err != nil {
 		b.Fatal(err)
 	}
-	v1Runs := encodeV1Runs(b, rec.recs)
 	wireBatches := encodeWireBatches(b, rec.recs)
 
 	check := func(b *testing.B, ing *stream.Ingester) {
@@ -616,15 +485,6 @@ func BenchmarkStreamIngest(b *testing.B) {
 				if err := ReplayDataset(ds, ing); err != nil {
 					b.Fatal(err)
 				}
-				check(b, ing)
-			}
-			b.ReportMetric(float64(records)*float64(b.N)/b.Elapsed().Seconds(), "records/sec")
-		})
-		b.Run(fmt.Sprintf("codec=json/shards=%d", shards), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				ing := stream.NewIngester(stream.Config{Shards: shards, Pfx2AS: ds.Pfx2AS})
-				ingestV1Runs(b, ing, v1Runs)
 				check(b, ing)
 			}
 			b.ReportMetric(float64(records)*float64(b.N)/b.Elapsed().Seconds(), "records/sec")

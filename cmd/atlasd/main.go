@@ -5,8 +5,9 @@
 // -live it additionally mounts the streaming ingest and incremental
 // query endpoints backed by a stream.Ingester: the negotiated v2 batch
 // endpoint (POST /api/v2/stream/records, binary or NDJSON by
-// Content-Type; body size bounded by -wire-max-batch) plus the
-// deprecated v1 per-kind routes, which -wire-v1=false retires with 410.
+// Content-Type; body size bounded by -wire-max-batch). cmd/wirepack
+// converts the batch endpoints' text formats into binary batches for
+// shell pipelines.
 //
 // Usage:
 //
@@ -86,7 +87,6 @@ func main() {
 	metricsOn := flag.Bool("metrics", true, "expose GET /metrics (Prometheus text format) and instrument the hot paths")
 	pprofOn := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 	wireMaxBatch := flag.Int64("wire-max-batch", atlasapi.DefaultMaxBatchBytes, "largest POST /api/v2/stream/records body accepted, in bytes")
-	wireV1 := flag.Bool("wire-v1", true, "keep the deprecated /api/v1/stream/* routes mounted (false answers them with 410 Gone)")
 	serveCache := flag.Bool("serve-cache", true, "serve live GETs from materialized snapshot generations with ETag caching (requires -live)")
 	serveMaxStale := flag.Duration("serve-max-stale", serve.DefaultMaxStaleness, "oldest generation -serve-cache may answer with before refreshing at a barrier")
 	ingestMaxInflight := flag.Int("ingest-max-inflight", atlasapi.DefaultMaxInFlight, "admission control: concurrent ingest requests before shedding 429 (negative disables the gate)")
@@ -328,7 +328,6 @@ func main() {
 		lsOpts := []atlasapi.LiveOption{
 			atlasapi.WithLiveMetrics(reg),
 			atlasapi.WithMaxBatchBytes(*wireMaxBatch),
-			atlasapi.WithV1Routes(*wireV1),
 			atlasapi.WithAdmission(adm),
 		}
 		if *serveCache {
@@ -341,15 +340,14 @@ func main() {
 		}
 		ls := atlasapi.NewLiveServer(ing, lsOpts...)
 		mux.Handle(atlasapi.RouteStreamRecords, ls)
-		mux.Handle("/api/v1/stream/", ls)
 		mux.Handle("/api/v1/live/", ls)
 		if *nodeID != "" {
 			mux.Handle("/api/v1/cluster/", ls)
 			fmt.Printf("atlasd: cluster peer %s owns partitions %v of %d\n",
 				*nodeID, ing.OwnedPartitions(), ing.TotalPartitions())
 		}
-		fmt.Printf("atlasd: live ingest on %s (%d shards, analysis=%v, v1 routes=%v, serve cache=%v max-stale=%v, max-inflight=%d)\n",
-			*addr, ing.Shards(), *analysis, *wireV1, *serveCache, *serveMaxStale, *ingestMaxInflight)
+		fmt.Printf("atlasd: live ingest on %s (%d shards, analysis=%v, serve cache=%v max-stale=%v, max-inflight=%d)\n",
+			*addr, ing.Shards(), *analysis, *serveCache, *serveMaxStale, *ingestMaxInflight)
 	}
 	health.SetReady(true)
 

@@ -12,6 +12,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 
 	"dynaddr"
 	"dynaddr/internal/core"
@@ -40,7 +41,11 @@ func main() {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(1)
 	}
-	rep := dynaddr.Analyze(world.Dataset, dynaddr.Options{})
+	rep, err := dynaddr.NewAnalyzer().Analyze(world.Dataset)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "experiments:", err)
+		os.Exit(1)
+	}
 	names := dynaddr.Names(world)
 
 	checks := runChecks(rep)
@@ -366,7 +371,11 @@ func runChecks(rep *dynaddr.Report) []check {
 	wireCfg.Scale = 0.3
 	wireCfg.WireBackends = true
 	if wireWorld, err := dynaddr.Generate(wireCfg); err == nil {
-		wireRep := dynaddr.Analyze(wireWorld.Dataset, dynaddr.Options{})
+		wireRep, err := dynaddr.NewAnalyzer().Analyze(wireWorld.Dataset)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "experiments:", err)
+			os.Exit(1)
+		}
 		found := false
 		for _, row := range wireRep.Table5 {
 			if row.ASN == 3320 && row.D == 24 {
@@ -402,11 +411,14 @@ func cdfAt(cdf []stats.Point, hours float64) float64 {
 	return y
 }
 
+// keysOf returns m's keys in ascending order, so the report does not
+// depend on map iteration order.
 func keysOf(m map[uint32]bool) []uint32 {
 	var out []uint32
 	for k := range m {
 		out = append(out, k)
 	}
+	slices.Sort(out)
 	return out
 }
 

@@ -2,8 +2,8 @@
 // wire formats into a framed binary batch for POST
 // /api/v2/stream/records (Content-Type application/x-atlas-binary).
 // It exists so shell pipelines — CI smoke tests, operators replaying a
-// captured v1 payload — can exercise the binary ingest path without a
-// Go client:
+// payload captured from the batch endpoints — can feed the ingest
+// route without a Go client:
 //
 //	wirepack -kind probes   < archive.json    > batch.bin
 //	wirepack -kind connlogs -probe 206 < history.txt > batch.bin

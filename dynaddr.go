@@ -89,19 +89,6 @@ func GenerateTo(cfg Config, sink RecordSink) (*World, error) { return sim.Genera
 // order (probes ascending, records per probe merged by time).
 func ReplayDataset(ds *Dataset, sink RecordSink) error { return sim.ReplayDataset(ds, sink) }
 
-// Analyze runs the full analysis pipeline over a dataset, sequentially
-// on the calling goroutine.
-//
-// Deprecated: use NewAnalyzer with functional options instead; it runs
-// the staged parallel engine, supports context cancellation and stage
-// selection, and produces a byte-identical Report. Analyze remains so
-// existing callers keep compiling:
-//
-//	rep := dynaddr.Analyze(ds, opts)              // before
-//	rep, err := dynaddr.NewAnalyzer(              // after
-//		dynaddr.WithOptions(opts)).Analyze(ds)
-func Analyze(ds *Dataset, opts Options) *Report { return core.Run(ds, opts) }
-
 // SaveDataset writes a dataset to a directory.
 func SaveDataset(ds *Dataset, dir string) error { return ds.Save(dir) }
 

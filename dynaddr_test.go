@@ -20,7 +20,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := Analyze(world.Dataset, Options{})
+	rep := core.Run(world.Dataset, Options{})
 	if len(rep.Filter.GeoProbes) == 0 {
 		t.Fatal("no analyzable probes")
 	}
@@ -46,8 +46,8 @@ func TestFacadeSaveLoadRoundTrip(t *testing.T) {
 		t.Error("probe metadata did not round-trip")
 	}
 	// The analysis over the loaded dataset must match the in-memory one.
-	repA := Analyze(world.Dataset, Options{})
-	repB := Analyze(loaded, Options{})
+	repA := core.Run(world.Dataset, Options{})
+	repB := core.Run(loaded, Options{})
 	if repA.Table7All != repB.Table7All {
 		t.Errorf("Table 7 differs after round trip: %+v vs %+v", repA.Table7All, repB.Table7All)
 	}

@@ -21,7 +21,10 @@ func Example() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	report := dynaddr.Analyze(world.Dataset, dynaddr.Options{})
+	report, err := dynaddr.NewAnalyzer().Analyze(world.Dataset)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	// Ground truth says DTAG (AS3320) renumbers daily; the pipeline
 	// must find a Table 5 row saying exactly that.

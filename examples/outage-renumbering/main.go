@@ -52,7 +52,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	report := dynaddr.Analyze(world.Dataset, dynaddr.Options{})
+	report, err := dynaddr.NewAnalyzer().Analyze(world.Dataset)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	for _, asn := range []uint32{64001, 64002} {
 		ids := core.ByAS(report.Filter)[asn]

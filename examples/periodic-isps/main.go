@@ -24,7 +24,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	report := dynaddr.Analyze(world.Dataset, dynaddr.Options{})
+	report, err := dynaddr.NewAnalyzer().Analyze(world.Dataset)
+	if err != nil {
+		log.Fatal(err)
+	}
 	names := dynaddr.Names(world)
 
 	profiles := dynaddr.PaperProfiles()

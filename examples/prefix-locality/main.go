@@ -26,7 +26,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	report := dynaddr.Analyze(world.Dataset, dynaddr.Options{})
+	report, err := dynaddr.NewAnalyzer().Analyze(world.Dataset)
+	if err != nil {
+		log.Fatal(err)
+	}
 	names := dynaddr.Names(world)
 
 	fmt.Println("Prefix escape rates per ISP (share of address changes that leave the old prefix):")

@@ -24,7 +24,10 @@ func main() {
 	fmt.Printf("generated %d probes across %d ISPs\n\n",
 		len(world.Dataset.Probes), len(dynaddr.PaperProfiles()))
 
-	report := dynaddr.Analyze(world.Dataset, dynaddr.Options{})
+	report, err := dynaddr.NewAnalyzer().Analyze(world.Dataset)
+	if err != nil {
+		log.Fatal(err)
+	}
 	names := dynaddr.Names(world)
 
 	if err := report.RenderTable2().Render(os.Stdout); err != nil {

@@ -180,17 +180,15 @@ func TestMetricsEndToEnd(t *testing.T) {
 	}
 
 	// HTTP middleware: the producer's POSTs and our summary GET must all
-	// be on the books as 2xx. The producer flushes each kind's batches
-	// to its stream route; at minimum one request per kind plus the
-	// summary request exist.
-	for _, route := range []string{
-		"/api/v1/stream/probes", "/api/v1/stream/connlogs",
-		"/api/v1/stream/kroot", "/api/v1/stream/uptime",
-	} {
-		got := promSum(samples, "http_requests_total", map[string]string{"route": route, "class": "2xx"})
-		if got == 0 {
-			t.Errorf("http_requests_total{route=%q,class=2xx} = 0, want > 0", route)
-		}
+	// be on the books as 2xx. Every producer batch is one request to the
+	// ingest route, accepted as one binary batch.
+	posts := promSum(samples, "http_requests_total",
+		map[string]string{"route": atlasapi.RouteStreamRecords, "class": "2xx"})
+	if posts == 0 {
+		t.Errorf("http_requests_total{route=%q,class=2xx} = 0, want > 0", atlasapi.RouteStreamRecords)
+	}
+	if batches := promSum(samples, "ingest_batches_total", map[string]string{"codec": "binary"}); batches != posts {
+		t.Errorf("ingest_batches_total{codec=binary} = %v, want one per ingest request (%v)", batches, posts)
 	}
 	if got := promSum(samples, "http_requests_total",
 		map[string]string{"route": "/api/v1/live/summary", "class": "2xx"}); got != 1 {

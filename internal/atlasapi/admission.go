@@ -18,9 +18,8 @@ const (
 
 // AdmissionConfig parameterises the ingest admission controller.
 type AdmissionConfig struct {
-	// MaxInFlight bounds concurrent ingest requests across all ingest
-	// routes; zero means DefaultMaxInFlight, negative disables the
-	// global gate.
+	// MaxInFlight bounds concurrent ingest requests; zero means
+	// DefaultMaxInFlight, negative disables the gate.
 	MaxInFlight int
 	// MaxWait bounds how long an arriving request queues for a slot
 	// before being shed — the bounded-queue part of the gate. Zero means
@@ -36,11 +35,6 @@ type AdmissionConfig struct {
 	// RetryAfter is the pacing hint sent with shed responses (and with
 	// degraded-shard 503s). Zero means DefaultRetryAfter.
 	RetryAfter time.Duration
-	// PerRoute optionally caps concurrent requests per ingest route
-	// (route labels: "v2", "probes", "connlogs", "kroot", "uptime"), so
-	// one chatty deprecated shim cannot starve the v2 path. Routes
-	// absent from the map share only the global gate.
-	PerRoute map[string]int
 }
 
 func (c AdmissionConfig) withDefaults() AdmissionConfig {
@@ -59,18 +53,17 @@ func (c AdmissionConfig) withDefaults() AdmissionConfig {
 	return c
 }
 
-// Admission is the ingest overload gate: a global (and optionally
-// per-route) slot pool with a bounded queue wait, plus a shard-queue
-// pressure valve. Requests that cannot be admitted are shed with 429
-// and a Retry-After pacing hint instead of piling onto the shard
-// channels. It also remembers that it recently shed — the serving tier
-// uses Hot to keep answering reads from the last published generation
-// while ingest is fighting for its life.
+// Admission is the ingest overload gate: a slot pool with a bounded
+// queue wait, plus a shard-queue pressure valve. Requests that cannot
+// be admitted are shed with 429 and a Retry-After pacing hint instead
+// of piling onto the shard channels. It also remembers that it
+// recently shed — the serving tier uses Hot to keep answering reads
+// from the last published generation while ingest is fighting for its
+// life.
 type Admission struct {
 	cfg      AdmissionConfig
-	slots    chan struct{}            // nil when the global gate is off
-	routes   map[string]chan struct{} // per-route gates
-	pressure func() float64           // shard-queue fill fraction; nil = none
+	slots    chan struct{}  // nil when the gate is off
+	pressure func() float64 // shard-queue fill fraction; nil = none
 
 	reg     *obs.Registry
 	lastHot atomic.Int64 // unix nanos of the last shed
@@ -86,25 +79,17 @@ func NewAdmission(cfg AdmissionConfig, pressure func() float64, reg *obs.Registr
 	if cfg.MaxInFlight > 0 {
 		a.slots = make(chan struct{}, cfg.MaxInFlight)
 	}
-	if len(cfg.PerRoute) > 0 {
-		a.routes = make(map[string]chan struct{}, len(cfg.PerRoute))
-		for route, n := range cfg.PerRoute {
-			if n > 0 {
-				a.routes[route] = make(chan struct{}, n)
-			}
-		}
-	}
 	return a
 }
 
 // RetryAfter is the pacing hint shed responses carry.
 func (a *Admission) RetryAfter() time.Duration { return a.cfg.RetryAfter }
 
-// Admit tries to claim an ingest slot for route. On success it returns
-// a release func the caller must invoke when the request finishes. On
-// refusal ok is false and reason says why: "pressure" (shard queues
-// over the high-watermark) or "saturated" (no slot freed within the
-// queue wait).
+// Admit tries to claim an ingest slot; route labels the shed counter.
+// On success it returns a release func the caller must invoke when the
+// request finishes. On refusal ok is false and reason says why:
+// "pressure" (shard queues over the high-watermark) or "saturated" (no
+// slot freed within the queue wait).
 func (a *Admission) Admit(route string) (release func(), reason string, ok bool) {
 	if a.pressure != nil && a.cfg.HighWater > 0 {
 		if p := a.pressure(); p >= a.cfg.HighWater {
@@ -114,28 +99,19 @@ func (a *Admission) Admit(route string) (release func(), reason string, ok bool)
 	}
 	release = func() {}
 	if a.slots != nil {
-		if !a.acquire(a.slots) {
+		if !a.acquire() {
 			a.shed(route, "saturated")
 			return nil, "saturated", false
 		}
 		release = func() { <-a.slots }
 	}
-	if rs := a.routes[route]; rs != nil {
-		if !a.acquire(rs) {
-			release()
-			a.shed(route, "saturated")
-			return nil, "saturated", false
-		}
-		global := release
-		release = func() { <-rs; global() }
-	}
 	return release, "", true
 }
 
 // acquire claims one slot, waiting up to the bounded queue wait.
-func (a *Admission) acquire(slots chan struct{}) bool {
+func (a *Admission) acquire() bool {
 	select {
-	case slots <- struct{}{}:
+	case a.slots <- struct{}{}:
 		return true
 	default:
 	}
@@ -145,7 +121,7 @@ func (a *Admission) acquire(slots chan struct{}) bool {
 	t := time.NewTimer(a.cfg.MaxWait)
 	defer t.Stop()
 	select {
-	case slots <- struct{}{}:
+	case a.slots <- struct{}{}:
 		return true
 	case <-t.C:
 		return false

@@ -78,41 +78,6 @@ func TestAdmissionBoundedQueueWait(t *testing.T) {
 	rel()
 }
 
-func TestAdmissionPerRouteGate(t *testing.T) {
-	a := NewAdmission(AdmissionConfig{
-		MaxInFlight: 10,
-		MaxWait:     -1,
-		PerRoute:    map[string]int{"probes": 1},
-	}, nil, nil)
-
-	rel, _, ok := a.Admit("probes")
-	if !ok {
-		t.Fatal("first shim request must be admitted")
-	}
-	// The shim's own lane is full; the v2 lane is untouched.
-	if _, reason, ok := a.Admit("probes"); ok || reason != "saturated" {
-		t.Fatalf("second shim request: ok=%v reason=%q, want shed", ok, reason)
-	}
-	rel2, _, ok := a.Admit("v2")
-	if !ok {
-		t.Fatal("v2 must not be starved by a saturated shim route")
-	}
-	rel2()
-	rel()
-	// The per-route shed released its global slot: all 10 still usable.
-	var rels []func()
-	for i := 0; i < 10; i++ {
-		r, _, ok := a.Admit("v2")
-		if !ok {
-			t.Fatalf("global slot %d unavailable: per-route shed leaked a global slot", i)
-		}
-		rels = append(rels, r)
-	}
-	for _, r := range rels {
-		r()
-	}
-}
-
 func TestAdmissionPressureValve(t *testing.T) {
 	pressure := 0.0
 	a := NewAdmission(AdmissionConfig{MaxInFlight: 4}, func() float64 { return pressure }, nil)

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log"
 	"net/http"
 	"strconv"
@@ -26,10 +25,6 @@ import (
 //	                                      Content-Type (framed binary via
 //	                                      application/x-atlas-binary, or the
 //	                                      NDJSON envelope fallback)
-//	POST /api/v1/stream/probes            deprecated: probe metadata (archive JSON)
-//	POST /api/v1/stream/connlogs?probe=N  deprecated: sessions (connection-history text)
-//	POST /api/v1/stream/kroot             deprecated: ping results (NDJSON)
-//	POST /api/v1/stream/uptime            deprecated: uptime reports (NDJSON)
 //	GET  /api/v1/live/summary             stream-wide snapshot (JSON)
 //	GET  /api/v1/live/as/{asn}            one AS's aggregates (JSON)
 //	GET  /api/v1/live/continents          per-continent aggregates, Figure 1 (JSON)
@@ -50,11 +45,6 @@ import (
 // 4xx/503 bodies describe the client or capacity condition; 500 bodies
 // are generic, with the real error logged server-side (WithErrorLog).
 //
-// The v1 stream routes are shims over the v2 dispatch core, kept for
-// producers that still speak the batch tier's per-kind wire formats;
-// they answer with a Deprecation header and can be disabled entirely
-// with WithV1Routes(false).
-//
 // LiveServer is an http.Handler; mount it on any mux.
 type LiveServer struct {
 	ing *stream.Ingester
@@ -65,7 +55,6 @@ type LiveServer struct {
 	adm      *Admission
 	logf     func(format string, args ...any)
 	maxBatch int64
-	v1       bool
 
 	// Cluster peer mode (WithClusterNode): the inter-peer endpoints are
 	// mounted and labelled with this node ID.
@@ -76,15 +65,11 @@ type LiveServer struct {
 // NewLiveServer wraps an ingester. The caller owns the ingester's
 // lifecycle; closing it makes ingest endpoints return 503.
 func NewLiveServer(ing *stream.Ingester, opts ...LiveOption) *LiveServer {
-	s := &LiveServer{ing: ing, mux: http.NewServeMux(), maxBatch: DefaultMaxBatchBytes, v1: true, logf: log.Printf}
+	s := &LiveServer{ing: ing, mux: http.NewServeMux(), maxBatch: DefaultMaxBatchBytes, logf: log.Printf}
 	for _, opt := range opts {
 		opt(s)
 	}
 	s.mux.HandleFunc(RouteStreamRecords, s.postRecords)
-	s.mux.HandleFunc("/api/v1/stream/probes", s.postProbes)
-	s.mux.HandleFunc("/api/v1/stream/connlogs", s.postConnLogs)
-	s.mux.HandleFunc("/api/v1/stream/kroot", s.postKRoot)
-	s.mux.HandleFunc("/api/v1/stream/uptime", s.postUptime)
 	s.mux.HandleFunc("/api/v1/live/summary", s.summary)
 	s.mux.HandleFunc("/api/v1/live/as/", s.asDetail)
 	s.mux.HandleFunc("/api/v1/live/continents", s.continents)
@@ -180,71 +165,6 @@ func respondAccepted(w http.ResponseWriter, st stream.WireStats) {
 		return
 	}
 	fmt.Fprintf(w, "{\"accepted\": %d}\n", st.Accepted)
-}
-
-func (s *LiveServer) postProbes(w http.ResponseWriter, r *http.Request) {
-	s.v1Shim(w, r, "probes", func(ctx context.Context, body io.Reader) (int, error) {
-		probes, err := ParseProbeArchive(body)
-		if err != nil {
-			return 0, err
-		}
-		for i, m := range probes {
-			if err := s.ing.MetaContext(ctx, m); err != nil {
-				return i, fmt.Errorf("probe %d of %d: %w", i+1, len(probes), err)
-			}
-		}
-		return len(probes), nil
-	})
-}
-
-func (s *LiveServer) postConnLogs(w http.ResponseWriter, r *http.Request) {
-	s.v1Shim(w, r, "connlogs", func(ctx context.Context, body io.Reader) (int, error) {
-		idStr := r.URL.Query().Get("probe")
-		id, err := strconv.Atoi(idStr)
-		if err != nil || id <= 0 {
-			return 0, fmt.Errorf("bad probe id %q", idStr)
-		}
-		entries, err := ParseConnectionHistory(body, atlasdata.ProbeID(id))
-		if err != nil {
-			return 0, err
-		}
-		for i, e := range entries {
-			if err := s.ing.ConnLogContext(ctx, e); err != nil {
-				return i, fmt.Errorf("entry %d of %d: %w", i+1, len(entries), err)
-			}
-		}
-		return len(entries), nil
-	})
-}
-
-func (s *LiveServer) postKRoot(w http.ResponseWriter, r *http.Request) {
-	s.v1Shim(w, r, "kroot", func(ctx context.Context, body io.Reader) (int, error) {
-		rounds, err := ParseKRootResults(body)
-		if err != nil {
-			return 0, err
-		}
-		for i, k := range rounds {
-			if err := s.ing.KRootContext(ctx, k); err != nil {
-				return i, fmt.Errorf("round %d of %d: %w", i+1, len(rounds), err)
-			}
-		}
-		return len(rounds), nil
-	})
-}
-
-func (s *LiveServer) postUptime(w http.ResponseWriter, r *http.Request) {
-	s.v1Shim(w, r, "uptime", func(ctx context.Context, body io.Reader) (int, error) {
-		recs, err := ParseUptimeResults(body)
-		if err != nil {
-			return 0, err
-		}
-		for i, u := range recs {
-			if err := s.ing.UptimeContext(ctx, u); err != nil {
-				return i, fmt.Errorf("record %d of %d: %w", i+1, len(recs), err)
-			}
-		}
-		return len(recs), nil
-	})
 }
 
 // writeJSON answers a fully rendered artifact under conditional-GET

@@ -1,7 +1,6 @@
 package atlasapi
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -20,6 +19,7 @@ import (
 	"dynaddr/internal/serve"
 	"dynaddr/internal/simclock"
 	"dynaddr/internal/stream"
+	"dynaddr/internal/wire"
 )
 
 // liveStore maps 10.0.0.0/16 to AS64500 for the study's first month, so
@@ -41,35 +41,50 @@ func liveHour(h int) simclock.Time {
 	return simclock.StudyStart.Add(simclock.Duration(h) * simclock.Hour)
 }
 
-func postBody(t *testing.T, url, body string) (int, string) {
+// wireBatch frames records (ProbeMeta, ConnLogEntry, KRootRound or
+// UptimeRecord values) as one binary wire batch, in argument order.
+func wireBatch(t *testing.T, recs ...any) []byte {
 	t.Helper()
-	resp, err := http.Post(url, "text/plain", strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
+	var w wire.BatchWriter
+	for _, r := range recs {
+		var err error
+		switch r := r.(type) {
+		case atlasdata.ProbeMeta:
+			err = w.Meta(r)
+		case atlasdata.ConnLogEntry:
+			err = w.ConnLog(r)
+		case atlasdata.KRootRound:
+			err = w.KRoot(r)
+		case atlasdata.UptimeRecord:
+			err = w.Uptime(r)
+		default:
+			t.Fatalf("wireBatch: unsupported record %T", r)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
-	defer resp.Body.Close()
-	var buf bytes.Buffer
-	buf.ReadFrom(resp.Body)
-	return resp.StatusCode, buf.String()
+	return append([]byte(nil), w.Bytes()...)
+}
+
+// postWire POSTs records as one binary batch to the ingest route.
+func postWire(t *testing.T, base string, recs ...any) (int, string) {
+	t.Helper()
+	return postRaw(t, base+RouteStreamRecords, ContentTypeBinary, wireBatch(t, recs...))
 }
 
 // TestLiveServerEndToEnd drives one probe's records through the HTTP
-// ingest endpoints in the batch wire formats and reads the analysis back
-// through the live query endpoints.
+// ingest endpoint and reads the analysis back through the live query
+// endpoints.
 func TestLiveServerEndToEnd(t *testing.T) {
 	ing := stream.NewIngester(stream.Config{Shards: 2, Pfx2AS: liveStore(t)})
 	defer ing.Close()
 	srv := httptest.NewServer(NewLiveServer(ing))
 	defer srv.Close()
 
-	// Probe metadata in the archive shape.
-	var archive bytes.Buffer
-	meta := []atlasdata.ProbeMeta{{ID: 206, Country: "DE", Version: atlasdata.V3, ConnectedDays: 200}}
-	if err := WriteProbeArchive(&archive, meta); err != nil {
-		t.Fatal(err)
-	}
-	if code, body := postBody(t, srv.URL+"/api/v1/stream/probes", archive.String()); code != 200 || !strings.Contains(body, `"accepted": 1`) {
-		t.Fatalf("probes ingest: %d %q", code, body)
+	meta := atlasdata.ProbeMeta{ID: 206, Country: "DE", Version: atlasdata.V3, ConnectedDays: 200}
+	if code, body := postWire(t, srv.URL, meta); code != 200 || !strings.Contains(body, `"accepted": 1`) {
+		t.Fatalf("meta ingest: %d %q", code, body)
 	}
 
 	// Three sessions on two addresses of AS64500: two address changes,
@@ -79,34 +94,22 @@ func TestLiveServerEndToEnd(t *testing.T) {
 		{Probe: 206, Start: liveHour(25), End: liveHour(49), Family: atlasdata.V4, Addr: ip4.MustParseAddr("10.0.0.2")},
 		{Probe: 206, Start: liveHour(50), End: liveHour(80), Family: atlasdata.V4, Addr: ip4.MustParseAddr("10.0.0.3")},
 	}
-	var history bytes.Buffer
-	if err := WriteConnectionHistory(&history, 206, entries); err != nil {
-		t.Fatal(err)
-	}
-	if code, body := postBody(t, srv.URL+"/api/v1/stream/connlogs?probe=206", history.String()); code != 200 || !strings.Contains(body, `"accepted": 3`) {
-		t.Fatalf("connlogs ingest: %d %q", code, body)
+	if code, body := postWire(t, srv.URL, entries[0], entries[1], entries[2]); code != 200 || !strings.Contains(body, `"accepted": 3`) {
+		t.Fatalf("connlog ingest: %d %q", code, body)
 	}
 
 	// Two good ping rounds and an uptime reset (one reboot).
-	var kroot bytes.Buffer
-	if err := WriteKRootResults(&kroot, []atlasdata.KRootRound{
-		{Probe: 206, Timestamp: liveHour(1), Sent: 3, Success: 3, LTS: 60},
-		{Probe: 206, Timestamp: liveHour(2), Sent: 3, Success: 3, LTS: 55},
-	}); err != nil {
-		t.Fatal(err)
+	if code, body := postWire(t, srv.URL,
+		atlasdata.KRootRound{Probe: 206, Timestamp: liveHour(1), Sent: 3, Success: 3, LTS: 60},
+		atlasdata.KRootRound{Probe: 206, Timestamp: liveHour(2), Sent: 3, Success: 3, LTS: 55},
+	); code != 200 {
+		t.Fatalf("kroot ingest: %d %q", code, body)
 	}
-	if code, _ := postBody(t, srv.URL+"/api/v1/stream/kroot", kroot.String()); code != 200 {
-		t.Fatalf("kroot ingest: %d", code)
-	}
-	var uptime bytes.Buffer
-	if err := WriteUptimeResults(&uptime, []atlasdata.UptimeRecord{
-		{Probe: 206, Timestamp: liveHour(10), Uptime: 10 * 3600},
-		{Probe: 206, Timestamp: liveHour(20), Uptime: 600},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if code, _ := postBody(t, srv.URL+"/api/v1/stream/uptime", uptime.String()); code != 200 {
-		t.Fatalf("uptime ingest: %d", code)
+	if code, body := postWire(t, srv.URL,
+		atlasdata.UptimeRecord{Probe: 206, Timestamp: liveHour(10), Uptime: 10 * 3600},
+		atlasdata.UptimeRecord{Probe: 206, Timestamp: liveHour(20), Uptime: 600},
+	); code != 200 {
+		t.Fatalf("uptime ingest: %d %q", code, body)
 	}
 
 	// Summary reflects everything ingested so far.
@@ -197,25 +200,12 @@ func TestLiveAnalysisEndpoint(t *testing.T) {
 	srv := httptest.NewServer(NewLiveServer(ing))
 	defer srv.Close()
 
-	var archive bytes.Buffer
-	if err := WriteProbeArchive(&archive, []atlasdata.ProbeMeta{
-		{ID: 206, Country: "DE", Version: atlasdata.V3, ConnectedDays: 200},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if code, _ := postBody(t, srv.URL+"/api/v1/stream/probes", archive.String()); code != 200 {
-		t.Fatalf("probes ingest: %d", code)
-	}
-	entries := []atlasdata.ConnLogEntry{
-		{Probe: 206, Start: liveHour(0), End: liveHour(24), Family: atlasdata.V4, Addr: ip4.MustParseAddr("10.0.0.1")},
-		{Probe: 206, Start: liveHour(25), End: liveHour(49), Family: atlasdata.V4, Addr: ip4.MustParseAddr("10.0.0.2")},
-	}
-	var history bytes.Buffer
-	if err := WriteConnectionHistory(&history, 206, entries); err != nil {
-		t.Fatal(err)
-	}
-	if code, _ := postBody(t, srv.URL+"/api/v1/stream/connlogs?probe=206", history.String()); code != 200 {
-		t.Fatalf("connlogs ingest: %d", code)
+	if code, body := postWire(t, srv.URL,
+		atlasdata.ProbeMeta{ID: 206, Country: "DE", Version: atlasdata.V3, ConnectedDays: 200},
+		atlasdata.ConnLogEntry{Probe: 206, Start: liveHour(0), End: liveHour(24), Family: atlasdata.V4, Addr: ip4.MustParseAddr("10.0.0.1")},
+		atlasdata.ConnLogEntry{Probe: 206, Start: liveHour(25), End: liveHour(49), Family: atlasdata.V4, Addr: ip4.MustParseAddr("10.0.0.2")},
+	); code != 200 {
+		t.Fatalf("ingest: %d %q", code, body)
 	}
 
 	resp, err := http.Get(srv.URL + "/api/v1/live/analysis")
@@ -294,32 +284,41 @@ func TestLiveServerErrors(t *testing.T) {
 	srv := httptest.NewServer(NewLiveServer(ing))
 	defer srv.Close()
 
-	// GET on an ingest endpoint: method not allowed.
-	for _, path := range []string{"/api/v1/stream/probes", "/api/v1/stream/connlogs",
-		"/api/v1/stream/kroot", "/api/v1/stream/uptime"} {
-		resp, err := http.Get(srv.URL + path)
+	// Non-POST methods on the ingest endpoint: method not allowed.
+	for _, method := range []string{http.MethodGet, http.MethodPut, http.MethodDelete} {
+		req, err := http.NewRequest(method, srv.URL+RouteStreamRecords, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusMethodNotAllowed {
-			t.Errorf("GET %s = %d, want 405", path, resp.StatusCode)
+			t.Errorf("%s %s = %d, want 405", method, RouteStreamRecords, resp.StatusCode)
 		}
 	}
 
-	// Malformed bodies and query parameters.
-	badPosts := []struct{ path, body string }{
-		{"/api/v1/stream/probes", "not json"},
-		{"/api/v1/stream/connlogs?probe=206", "one\tfield-short"},
-		{"/api/v1/stream/connlogs", "# empty, but no probe id"},
-		{"/api/v1/stream/connlogs?probe=abc", ""},
-		{"/api/v1/stream/connlogs?probe=-2", ""},
-		{"/api/v1/stream/kroot", "{not ndjson"},
-		{"/api/v1/stream/uptime", `{"prb_id": 1, "timestamp": 10, "uptime": -5}`},
+	// Malformed batches: framing defects fail the batch with 400 (a
+	// defective record inside a well-framed batch is quarantined
+	// instead), and an unknown or unparseable Content-Type is a 415.
+	good := wireBatch(t, atlasdata.UptimeRecord{Probe: 1, Timestamp: 10, Uptime: 60})
+	flipped := append([]byte(nil), good...)
+	flipped[len(flipped)-1] ^= 0x01
+	badPosts := []struct {
+		name, contentType string
+		body              []byte
+		want              int
+	}{
+		{"torn frame", ContentTypeBinary, good[:len(good)-1], http.StatusBadRequest},
+		{"checksum mismatch", ContentTypeBinary, flipped, http.StatusBadRequest},
+		{"unknown content type", "text/plain", good, http.StatusUnsupportedMediaType},
+		{"unparseable content type", "a/b; =", good, http.StatusUnsupportedMediaType},
 	}
 	for _, bp := range badPosts {
-		if code, _ := postBody(t, srv.URL+bp.path, bp.body); code != http.StatusBadRequest {
-			t.Errorf("POST %s with bad body = %d, want 400", bp.path, code)
+		if code, body := postRaw(t, srv.URL+RouteStreamRecords, bp.contentType, bp.body); code != bp.want {
+			t.Errorf("POST %s = %d %q, want %d", bp.name, code, body, bp.want)
 		}
 	}
 
@@ -343,14 +342,13 @@ func TestLiveServerErrors(t *testing.T) {
 	if err := ing.Close(); err != nil {
 		t.Fatal(err)
 	}
-	var archive bytes.Buffer
-	if err := WriteProbeArchive(&archive, []atlasdata.ProbeMeta{
-		{ID: 5, Country: "NL", Version: atlasdata.V3, ConnectedDays: 100},
-	}); err != nil {
-		t.Fatal(err)
+	meta := atlasdata.ProbeMeta{ID: 5, Country: "NL", Version: atlasdata.V3, ConnectedDays: 100}
+	if code, body := postWire(t, srv.URL, meta); code != http.StatusServiceUnavailable {
+		t.Errorf("binary ingest after close = %d %q, want 503", code, body)
 	}
-	if code, _ := postBody(t, srv.URL+"/api/v1/stream/probes", archive.String()); code != http.StatusServiceUnavailable {
-		t.Errorf("ingest after close = %d, want 503", code)
+	if code, body := postRaw(t, srv.URL+RouteStreamRecords, ContentTypeNDJSON,
+		[]byte(`{"kind":"meta","probe":5,"country":"NL","version":3,"connected_days":100}`)); code != http.StatusServiceUnavailable {
+		t.Errorf("NDJSON ingest after close = %d %q, want 503", code, body)
 	}
 	resp, err := http.Get(srv.URL + "/api/v1/live/summary")
 	if err != nil {

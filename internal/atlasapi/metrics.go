@@ -30,11 +30,7 @@ func routeLabel(path string) string {
 		path == "/api/v1/live/summary",
 		path == "/api/v1/live/continents",
 		path == "/api/v1/live/analysis",
-		path == "/api/v1/live/cursor",
-		path == "/api/v1/stream/probes",
-		path == "/api/v1/stream/connlogs",
-		path == "/api/v1/stream/kroot",
-		path == "/api/v1/stream/uptime":
+		path == "/api/v1/live/cursor":
 		return path
 	default:
 		return "other"

@@ -44,7 +44,7 @@ func TestInstrumentHTTP(t *testing.T) {
 	mux.HandleFunc("/api/v1/analysis", func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusOK)
 	})
-	mux.HandleFunc("/api/v1/stream/uptime", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc(RouteStreamRecords, func(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "nope", http.StatusBadRequest)
 	})
 	srv := httptest.NewServer(InstrumentHTTP(reg, mux))
@@ -57,7 +57,7 @@ func TestInstrumentHTTP(t *testing.T) {
 		}
 		resp.Body.Close()
 	}
-	resp, err := http.Get(srv.URL + "/api/v1/stream/uptime")
+	resp, err := http.Get(srv.URL + RouteStreamRecords)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestInstrumentHTTP(t *testing.T) {
 		want         float64
 	}{
 		{"/api/v1/analysis", "2xx", 3},
-		{"/api/v1/stream/uptime", "4xx", 1},
+		{RouteStreamRecords, "4xx", 1},
 		{"other", "4xx", 1}, // the mux 404s unknown paths
 	}
 	for _, c := range checks {
@@ -158,7 +158,7 @@ func TestRouteLabel(t *testing.T) {
 		"/api/v1/measurements/uptime/7/":  "/api/v1/measurements/uptime/{id}/",
 		"/caida/pfx2as/201507.txt":        "/caida/pfx2as/{snapshot}",
 		"/api/v1/live/as/3320":            "/api/v1/live/as/{asn}",
-		"/api/v1/stream/connlogs":         "/api/v1/stream/connlogs",
+		"/api/v1/stream/connlogs":         "other",
 		"/api/v2/stream/records":          "/api/v2/stream/records",
 		"/api/v1/analysis":                "/api/v1/analysis",
 		"/api/v1/probe-archive/":          "/api/v1/probe-archive/{date}",

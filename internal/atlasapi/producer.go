@@ -15,22 +15,19 @@ import (
 	"dynaddr/internal/wire"
 )
 
-// StreamProducer pushes records into a LiveServer's ingest endpoints
+// StreamProducer pushes records into a LiveServer's ingest endpoint
 // over HTTP. It implements the generator's RecordSink shape (Meta,
 // ConnLog, KRoot, Uptime), so sim.GenerateTo and sim.ReplayDataset can
 // drive a remote ingester directly — the producer side of the live
-// collection pipeline. Records are buffered in arrival order; how a
-// flush leaves the process depends on the codec:
+// collection pipeline. Records are buffered in arrival order and each
+// flush POSTs the buffer — cross-kind order intact — to
+// /api/v2/stream/records, framed as one internal/wire batch
+// (CodecBinary, the default) or as NDJSON envelope lines
+// (CodecNDJSON).
 //
-//   - CodecJSON (default) POSTs runs of consecutive same-kind records
-//     to the deprecated v1 per-kind routes in their text/JSON formats.
-//   - CodecBinary frames the whole buffer — cross-kind order intact —
-//     as one internal/wire batch POSTed to /api/v2/stream/records.
-//   - CodecNDJSON does the same over the v2 NDJSON envelope.
-//
-// All three preserve the cross-stream interleaving the ingester's
+// Both codecs preserve the cross-stream interleaving the ingester's
 // per-probe state machines observe, so streaming through the producer
-// is equivalent to feeding the ingester in process under any codec.
+// is equivalent to feeding the ingester in process.
 // Transient failures (transport errors, 429, 5xx) are retried with the
 // same jittered exponential backoff the scrape client uses, honouring
 // server Retry-After pacing hints (capped at the policy maximum);
@@ -74,8 +71,8 @@ type StreamProducer struct {
 // ProducerOption configures a StreamProducer.
 type ProducerOption func(*StreamProducer)
 
-// WithCodec selects the flush encoding (default CodecJSON, the v1
-// routes). CodecBinary is the high-throughput path.
+// WithCodec selects the flush encoding: CodecBinary (the default) or
+// CodecNDJSON.
 func WithCodec(c Codec) ProducerOption {
 	return func(p *StreamProducer) { p.codec = c }
 }
@@ -152,7 +149,7 @@ type streamRecord struct {
 // NewStreamProducer returns a producer that POSTs to baseURL under ctx:
 // cancelling the context aborts in-flight POSTs and backoff sleeps.
 func NewStreamProducer(ctx context.Context, baseURL string, opts ...ProducerOption) *StreamProducer {
-	p := &StreamProducer{BaseURL: baseURL, ctx: ctx, codec: CodecJSON}
+	p := &StreamProducer{BaseURL: baseURL, ctx: ctx, codec: CodecBinary}
 	for _, opt := range opts {
 		opt(p)
 	}
@@ -233,22 +230,15 @@ func (p *StreamProducer) growBatch() {
 	}
 }
 
-// Flush delivers the buffer under the configured codec. The v2 codecs
-// send adaptive-size batches; CodecJSON POSTs consecutive same-kind
-// runs (connection-log runs additionally break on probe changes — the
-// v1 endpoint is per-probe). Call it when the stream ends; a failed
-// flush leaves the undelivered records buffered, so it is safe to
-// retry, and a partially accepted batch is trimmed so nothing already
-// consumed by the server is re-sent.
+// Flush delivers the buffer in adaptive-size batches under the
+// configured codec. Call it when the stream ends; a failed flush leaves
+// the undelivered records buffered, so it is safe to retry, and a
+// partially accepted batch is trimmed so nothing already consumed by
+// the server is re-sent.
 func (p *StreamProducer) Flush() error {
-	var encode func([]streamRecord) (encodedBatch, error)
-	switch p.codec {
-	case CodecBinary:
-		encode = p.encodeBinary
-	case CodecNDJSON:
+	encode := p.encodeBinary
+	if p.codec == CodecNDJSON {
 		encode = p.encodeNDJSON
-	default:
-		encode = p.encodeRun
 	}
 	for len(p.buf) > 0 {
 		if err := p.deliverOne(encode); err != nil {
@@ -259,10 +249,9 @@ func (p *StreamProducer) Flush() error {
 	return nil
 }
 
-// encodedBatch is one POST-able prefix of the buffer: where it goes,
-// how it is framed, and how many buffered records it carries.
+// encodedBatch is one POST-able prefix of the buffer: how it is
+// framed and how many buffered records it carries.
 type encodedBatch struct {
-	path        string
 	contentType string
 	body        []byte
 	n           int
@@ -289,7 +278,7 @@ func (p *StreamProducer) encodeBinary(recs []streamRecord) (encodedBatch, error)
 			return encodedBatch{}, err
 		}
 	}
-	return encodedBatch{path: RouteStreamRecords, contentType: ContentTypeBinary, body: p.wire.Bytes(), n: len(recs)}, nil
+	return encodedBatch{contentType: ContentTypeBinary, body: p.wire.Bytes(), n: len(recs)}, nil
 }
 
 // envelope converts a buffered record to its NDJSON line shape.
@@ -344,63 +333,7 @@ func (p *StreamProducer) encodeNDJSON(recs []streamRecord) (encodedBatch, error)
 			return encodedBatch{}, err
 		}
 	}
-	return encodedBatch{path: RouteStreamRecords, contentType: ContentTypeNDJSON, body: body.Bytes(), n: len(recs)}, nil
-}
-
-// encodeRun frames the longest prefix of recs that shares one v1
-// endpoint.
-func (p *StreamProducer) encodeRun(recs []streamRecord) (encodedBatch, error) {
-	kind := recs[0].kind
-	n := 1
-	for n < len(recs) && recs[n].kind == kind {
-		if kind == kindConn && recs[n].conn.Probe != recs[0].conn.Probe {
-			break
-		}
-		n++
-	}
-	run := recs[:n]
-	var buf bytes.Buffer
-	var path, contentType string
-	switch kind {
-	case kindMeta:
-		probes := make([]atlasdata.ProbeMeta, n)
-		for i, r := range run {
-			probes[i] = r.meta
-		}
-		if err := WriteProbeArchive(&buf, probes); err != nil {
-			return encodedBatch{}, err
-		}
-		path, contentType = "/api/v1/stream/probes", "application/json"
-	case kindConn:
-		entries := make([]atlasdata.ConnLogEntry, n)
-		for i, r := range run {
-			entries[i] = r.conn
-		}
-		if err := WriteConnectionHistory(&buf, run[0].conn.Probe, entries); err != nil {
-			return encodedBatch{}, err
-		}
-		path = fmt.Sprintf("/api/v1/stream/connlogs?probe=%d", run[0].conn.Probe)
-		contentType = "text/plain; charset=utf-8"
-	case kindKRoot:
-		rounds := make([]atlasdata.KRootRound, n)
-		for i, r := range run {
-			rounds[i] = r.kroot
-		}
-		if err := WriteKRootResults(&buf, rounds); err != nil {
-			return encodedBatch{}, err
-		}
-		path, contentType = "/api/v1/stream/kroot", "application/x-ndjson"
-	case kindUptime:
-		recs := make([]atlasdata.UptimeRecord, n)
-		for i, r := range run {
-			recs[i] = r.uptime
-		}
-		if err := WriteUptimeResults(&buf, recs); err != nil {
-			return encodedBatch{}, err
-		}
-		path, contentType = "/api/v1/stream/uptime", "application/x-ndjson"
-	}
-	return encodedBatch{path: path, contentType: contentType, body: buf.Bytes(), n: n}, nil
+	return encodedBatch{contentType: ContentTypeNDJSON, body: body.Bytes(), n: len(recs)}, nil
 }
 
 // postResult is what one POST attempt came back with.
@@ -422,7 +355,7 @@ func (p *StreamProducer) postOnce(ctx context.Context, eb encodedBatch) (postRes
 	if client == nil {
 		client = http.DefaultClient
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, p.BaseURL+eb.path, bytes.NewReader(eb.body))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, p.BaseURL+RouteStreamRecords, bytes.NewReader(eb.body))
 	if err != nil {
 		return postResult{}, err
 	}
@@ -517,7 +450,7 @@ func (p *StreamProducer) deliverOne(encode func([]streamRecord) (encodedBatch, e
 			p.growBatch()
 			return nil
 		}
-		lastErr = fmt.Errorf("atlasapi: POST %s: %s: %s", eb.path, res.statusLine, res.msg)
+		lastErr = fmt.Errorf("atlasapi: POST %s: %s: %s", RouteStreamRecords, res.statusLine, res.msg)
 		if res.status != http.StatusTooManyRequests && res.status < 500 {
 			return lastErr // permanent: the payload or the request is wrong
 		}

@@ -7,7 +7,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"mime"
 	"net/http"
 	"strings"
@@ -21,9 +20,8 @@ import (
 	"dynaddr/internal/stream"
 )
 
-// RouteStreamRecords is the v2 ingest endpoint: one POST route for all
-// four record kinds, codec negotiated via Content-Type. The v1
-// per-kind routes are deprecated shims over the same dispatch core.
+// RouteStreamRecords is the ingest endpoint: one POST route for all
+// four record kinds, codec negotiated via Content-Type.
 const RouteStreamRecords = "/api/v2/stream/records"
 
 // Content types the v2 endpoint negotiates.
@@ -46,9 +44,6 @@ type Codec string
 
 // Ingest codecs, most compatible first.
 const (
-	// CodecJSON is the v1 surface: per-kind routes speaking the batch
-	// tier's text/JSON wire formats.
-	CodecJSON Codec = "json"
 	// CodecNDJSON is the v2 NDJSON envelope.
 	CodecNDJSON Codec = "ndjson"
 	// CodecBinary is the v2 framed binary codec.
@@ -73,13 +68,6 @@ func WithMaxBatchBytes(n int64) LiveOption {
 			s.maxBatch = n
 		}
 	}
-}
-
-// WithV1Routes toggles the deprecated v1 per-kind stream routes
-// (default on). When off they answer 410 Gone, pointing at the v2
-// endpoint.
-func WithV1Routes(on bool) LiveOption {
-	return func(s *LiveServer) { s.v1 = on }
 }
 
 // WithServeTier serves the snapshot-derived live GETs (summary,
@@ -173,34 +161,24 @@ func (s *LiveServer) batchRejected(codec Codec) {
 		"Ingest batches rejected, by codec.", obs.L("codec", string(codec))).Inc()
 }
 
-// admit claims an ingest slot for route, answering 429 with a
-// Retry-After pacing hint when admission refuses. The returned release
-// must be deferred when ok.
-func (s *LiveServer) admit(w http.ResponseWriter, route string) (release func(), ok bool) {
-	if s.adm == nil {
-		return func() {}, true
-	}
-	release, reason, ok := s.adm.Admit(route)
-	if !ok {
-		w.Header().Set("Retry-After", retryAfterHeader(s.adm.RetryAfter()))
-		apiError(w, http.StatusTooManyRequests, "ingest overloaded ("+reason+"); retry after the indicated delay")
-		return nil, false
-	}
-	return release, true
-}
-
-// postRecords is the v2 dispatch core: admission, codec negotiation,
-// decode straight into the shards, answer {"accepted": n}.
+// postRecords is the ingest dispatch core: admission, codec
+// negotiation, decode straight into the shards, answer
+// {"accepted": n}. A request admission refuses gets 429 with a
+// Retry-After pacing hint.
 func (s *LiveServer) postRecords(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		apiError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
-	release, ok := s.admit(w, "v2")
-	if !ok {
-		return
+	if s.adm != nil {
+		release, reason, ok := s.adm.Admit("v2")
+		if !ok {
+			w.Header().Set("Retry-After", retryAfterHeader(s.adm.RetryAfter()))
+			apiError(w, http.StatusTooManyRequests, "ingest overloaded ("+reason+"); retry after the indicated delay")
+			return
+		}
+		defer release()
 	}
-	defer release()
 	codec, err := negotiateCodec(r.Header.Get("Content-Type"))
 	if err != nil {
 		s.batchRejected(Codec("unknown"))
@@ -309,12 +287,13 @@ func (e *recordEnvelope) ingest(ctx context.Context, ing *stream.Ingester) error
 	return fmt.Errorf("unknown record kind %q", e.Kind)
 }
 
-// ingestAbort reports whether an ingest failure is a capacity or
-// lifecycle condition that must fail the batch (closed or degraded
-// ingester, cancelled request) rather than a per-record defect the
-// dead-letter queue absorbs.
+// ingestAbort reports whether an ingest failure is a capacity,
+// lifecycle or routing condition that must fail the batch (closed or
+// degraded ingester, cancelled request, a record for a partition this
+// peer does not own) rather than a per-record defect the dead-letter
+// queue absorbs.
 func ingestAbort(err error) bool {
-	return errors.Is(err, stream.ErrClosed) || errors.Is(err, stream.ErrDegraded) ||
+	return errors.Is(err, stream.ErrClosed) || errors.Is(err, stream.ErrDegraded) || errors.Is(err, stream.ErrNotOwner) ||
 		errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
@@ -379,34 +358,4 @@ func (s *LiveServer) ingestNDJSON(w http.ResponseWriter, r *http.Request) (strea
 		return st, fmt.Errorf("reading batch: %w", err)
 	}
 	return st, nil
-}
-
-// v1Shim frames a deprecated per-kind route over the shared
-// accept/reject core: admission, deprecation headers, method check,
-// per-codec counters, and the common {"accepted": n} response. route is
-// the admission label ("probes", "connlogs", "kroot", "uptime").
-func (s *LiveServer) v1Shim(w http.ResponseWriter, r *http.Request, route string, ingest func(ctx context.Context, body io.Reader) (int, error)) {
-	if !s.v1 {
-		apiError(w, http.StatusGone, "v1 stream routes disabled; POST "+RouteStreamRecords)
-		return
-	}
-	w.Header().Set("Deprecation", "true")
-	w.Header().Set("Link", "<"+RouteStreamRecords+`>; rel="successor-version"`)
-	if r.Method != http.MethodPost {
-		apiError(w, http.StatusMethodNotAllowed, "POST only")
-		return
-	}
-	release, ok := s.admit(w, route)
-	if !ok {
-		return
-	}
-	defer release()
-	n, err := ingest(r.Context(), r.Body)
-	if err != nil {
-		s.batchRejected(CodecJSON)
-		s.ingestError(w, err, n)
-		return
-	}
-	s.batchAccepted(CodecJSON, n)
-	respondAccepted(w, stream.WireStats{Accepted: n})
 }

@@ -15,27 +15,20 @@ import (
 	"dynaddr/internal/obs"
 	"dynaddr/internal/sim"
 	"dynaddr/internal/stream"
-	"dynaddr/internal/wire"
 )
 
 // testWireBatch frames one probe's meta + session + round + report.
 func testWireBatch(t *testing.T) []byte {
 	t.Helper()
-	var w wire.BatchWriter
-	must := func(err error) {
-		t.Helper()
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	must(w.Meta(atlasdata.ProbeMeta{ID: 206, Country: "DE", Version: atlasdata.V3, ConnectedDays: 200}))
-	must(w.ConnLog(atlasdata.ConnLogEntry{
-		Probe: 206, Start: liveHour(0), End: liveHour(24),
-		Family: atlasdata.V4, Addr: ip4.MustParseAddr("10.0.0.1"),
-	}))
-	must(w.KRoot(atlasdata.KRootRound{Probe: 206, Timestamp: liveHour(12), Sent: 3, Success: 3, LTS: 30}))
-	must(w.Uptime(atlasdata.UptimeRecord{Probe: 206, Timestamp: liveHour(12), Uptime: 3600}))
-	return append([]byte(nil), w.Bytes()...)
+	return wireBatch(t,
+		atlasdata.ProbeMeta{ID: 206, Country: "DE", Version: atlasdata.V3, ConnectedDays: 200},
+		atlasdata.ConnLogEntry{
+			Probe: 206, Start: liveHour(0), End: liveHour(24),
+			Family: atlasdata.V4, Addr: ip4.MustParseAddr("10.0.0.1"),
+		},
+		atlasdata.KRootRound{Probe: 206, Timestamp: liveHour(12), Sent: 3, Success: 3, LTS: 30},
+		atlasdata.UptimeRecord{Probe: 206, Timestamp: liveHour(12), Uptime: 3600},
+	)
 }
 
 func postRaw(t *testing.T, url, contentType string, body []byte) (int, string) {
@@ -153,55 +146,6 @@ func TestV2ContentTypeNegotiation(t *testing.T) {
 	}
 }
 
-// TestV1DeprecationHeaders: the v1 shims must advertise their successor.
-func TestV1DeprecationHeaders(t *testing.T) {
-	ing := stream.NewIngester(stream.Config{Shards: 1})
-	defer ing.Close()
-	srv := httptest.NewServer(NewLiveServer(ing))
-	defer srv.Close()
-
-	resp, err := http.Post(srv.URL+"/api/v1/stream/uptime", "application/x-ndjson", strings.NewReader(""))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != 200 {
-		t.Fatalf("empty uptime POST: %d", resp.StatusCode)
-	}
-	if got := resp.Header.Get("Deprecation"); got != "true" {
-		t.Errorf("Deprecation header = %q, want \"true\"", got)
-	}
-	if got := resp.Header.Get("Link"); !strings.Contains(got, RouteStreamRecords) || !strings.Contains(got, "successor-version") {
-		t.Errorf("Link header = %q, want successor-version pointing at %s", got, RouteStreamRecords)
-	}
-}
-
-// TestV1RoutesDisabled: WithV1Routes(false) retires the shims with 410.
-func TestV1RoutesDisabled(t *testing.T) {
-	ing := stream.NewIngester(stream.Config{Shards: 1})
-	defer ing.Close()
-	srv := httptest.NewServer(NewLiveServer(ing, WithV1Routes(false)))
-	defer srv.Close()
-
-	for _, path := range []string{"/api/v1/stream/probes", "/api/v1/stream/connlogs", "/api/v1/stream/kroot", "/api/v1/stream/uptime"} {
-		if code, body := postBody(t, srv.URL+path, ""); code != http.StatusGone || !strings.Contains(body, RouteStreamRecords) {
-			t.Errorf("POST %s with v1 off: %d %q, want 410 pointing at v2", path, code, body)
-		}
-	}
-	// v2 and the read side stay up.
-	if code, body := postRaw(t, srv.URL+RouteStreamRecords, ContentTypeBinary, testWireBatch(t)); code != 200 {
-		t.Fatalf("v2 POST with v1 off: %d %q", code, body)
-	}
-	resp, err := http.Get(srv.URL + "/api/v1/live/summary")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != 200 {
-		t.Fatalf("summary with v1 off: %d", resp.StatusCode)
-	}
-}
-
 func getBody(t *testing.T, url string) string {
 	t.Helper()
 	resp, err := http.Get(url)
@@ -220,18 +164,28 @@ func getBody(t *testing.T, url string) string {
 }
 
 // TestWireReplayEquivalence is the cross-codec oracle: the same dataset
-// delivered via the v1 JSON routes, the v2 NDJSON envelope, and the v2
-// binary codec must produce byte-identical live summaries and analysis
-// artefacts, across shard counts.
+// delivered over the v2 NDJSON envelope and the v2 binary codec must
+// produce live summaries and analysis artefacts byte-identical to an
+// in-process replay into an ingester with the same shard count.
 func TestWireReplayEquivalence(t *testing.T) {
 	world := smallWorld(t, 23, 0.02)
 	ds := world.Dataset
 
 	for _, shards := range []int{1, 3} {
-		var wantSummary, wantAnalysis string
-		for _, codec := range []Codec{CodecJSON, CodecNDJSON, CodecBinary} {
+		cfg := stream.Config{Shards: shards, Pfx2AS: ds.Pfx2AS, Analysis: true}
+		ref := stream.NewIngester(cfg)
+		if err := sim.ReplayDataset(ds, ref); err != nil {
+			t.Fatal(err)
+		}
+		refSrv := httptest.NewServer(NewLiveServer(ref))
+		wantSummary := getBody(t, refSrv.URL+"/api/v1/live/summary")
+		wantAnalysis := getBody(t, refSrv.URL+"/api/v1/live/analysis")
+		refSrv.Close()
+		ref.Close()
+
+		for _, codec := range []Codec{CodecNDJSON, CodecBinary} {
 			t.Run(fmt.Sprintf("shards=%d/codec=%s", shards, codec), func(t *testing.T) {
-				ing := stream.NewIngester(stream.Config{Shards: shards, Pfx2AS: ds.Pfx2AS, Analysis: true})
+				ing := stream.NewIngester(cfg)
 				defer ing.Close()
 				srv := httptest.NewServer(NewLiveServer(ing))
 				defer srv.Close()
@@ -245,19 +199,49 @@ func TestWireReplayEquivalence(t *testing.T) {
 					t.Fatalf("flush via %s: %v", codec, err)
 				}
 
-				summary := getBody(t, srv.URL+"/api/v1/live/summary")
-				analysis := getBody(t, srv.URL+"/api/v1/live/analysis")
-				if codec == CodecJSON {
-					wantSummary, wantAnalysis = summary, analysis
-					return
+				if summary := getBody(t, srv.URL+"/api/v1/live/summary"); summary != wantSummary {
+					t.Errorf("summary differs from in-process replay:\n%s\nvs\n%s", summary, wantSummary)
 				}
-				if summary != wantSummary {
-					t.Errorf("summary differs from v1 JSON path:\n%s\nvs\n%s", summary, wantSummary)
-				}
-				if analysis != wantAnalysis {
-					t.Errorf("analysis differs from v1 JSON path (lengths %d vs %d)", len(analysis), len(wantAnalysis))
+				if analysis := getBody(t, srv.URL+"/api/v1/live/analysis"); analysis != wantAnalysis {
+					t.Errorf("analysis differs from in-process replay (lengths %d vs %d)", len(analysis), len(wantAnalysis))
 				}
 			})
 		}
+	}
+}
+
+// TestPeerMisrouteVersusPoison: on a cluster peer, a valid record for a
+// partition the peer does not own fails its batch with 421 under both
+// codecs, while a record whose probe cannot be read is quarantined on
+// the peer's own shard even though probe 0's partition lives elsewhere.
+func TestPeerMisrouteVersusPoison(t *testing.T) {
+	const total = 4
+	ing := stream.NewIngester(stream.Config{TotalPartitions: total, OwnedPartitions: []int{1}})
+	defer ing.Close()
+	srv := httptest.NewServer(NewLiveServer(ing))
+	defer srv.Close()
+	if stream.PartitionOf(0, total) == 1 {
+		t.Fatal("probe 0 must map outside the owned partition")
+	}
+	foreign := atlasdata.ProbeID(1)
+	for stream.PartitionOf(foreign, total) == 1 {
+		foreign++
+	}
+
+	rec := atlasdata.UptimeRecord{Probe: foreign, Timestamp: liveHour(1), Uptime: 60}
+	if code, body := postWire(t, srv.URL, rec); code != http.StatusMisdirectedRequest {
+		t.Errorf("misrouted binary record: %d %q, want 421", code, body)
+	}
+	line := fmt.Sprintf(`{"kind":"uptime","probe":%d,"timestamp":%d,"uptime":60}`, foreign, int64(liveHour(1)))
+	if code, body := postRaw(t, srv.URL+RouteStreamRecords, ContentTypeNDJSON, []byte(line)); code != http.StatusMisdirectedRequest {
+		t.Errorf("misrouted NDJSON record: %d %q, want 421", code, body)
+	}
+
+	if code, body := postRaw(t, srv.URL+RouteStreamRecords, ContentTypeNDJSON, []byte("not json\n")); code != 200 || !strings.Contains(body, `"quarantined": 1`) {
+		t.Fatalf("poison line: %d %q, want 200 with one record quarantined", code, body)
+	}
+	ing.Snapshot() // barrier: the quarantine record rides the shard channel
+	if dl := ing.DeadLetter(); dl.Total != 1 || dl.ByReason["decode"] != 1 {
+		t.Fatalf("dead letter status = %+v, want 1 decode entry", dl)
 	}
 }

@@ -298,9 +298,11 @@ func (c *Coordinator) postRecords(w http.ResponseWriter, r *http.Request) {
 		c.shed(w, "forwarding failed ("+strings.Join(parts, "; ")+")", prefix)
 		return
 	}
+	// A fully consumed batch answers like a single node: routed records
+	// in "accepted", dead-lettered ones in "quarantined".
 	w.Header().Set("Content-Type", "application/json")
 	if quarantined > 0 {
-		fmt.Fprintf(w, "{\"accepted\": %d, \"quarantined\": %d}\n", prefix, quarantined)
+		fmt.Fprintf(w, "{\"accepted\": %d, \"quarantined\": %d}\n", prefix-quarantined, quarantined)
 		return
 	}
 	fmt.Fprintf(w, "{\"accepted\": %d}\n", prefix)
@@ -315,8 +317,10 @@ type subBatch struct {
 // splitBinary partitions a framed binary batch by probe owner. Frames
 // are copied verbatim (header + checksum included) into per-owner
 // buffers; only the 5-byte kind+probe prefix of each payload is read.
-// Returns the owner list in sorted order and, per original frame, the
-// index into that list.
+// A frame whose probe cannot be read goes to the owner of probe 0's
+// partition, where a single node would quarantine it. Returns the owner
+// list in sorted order and, per original frame, the index into that
+// list.
 func splitBinary(body []byte, assign []string) (map[string]*subBatch, []string, []int, error) {
 	split := map[string]*subBatch{}
 	var ownerOf []string
@@ -329,10 +333,7 @@ func splitBinary(body []byte, assign []string) (map[string]*subBatch, []string, 
 		if err != nil {
 			return nil, nil, nil, fmt.Errorf("frame %d: %v", len(ownerOf), err)
 		}
-		probe, err := wire.PayloadProbe(payload)
-		if err != nil {
-			return nil, nil, nil, fmt.Errorf("frame %d: %v", len(ownerOf), err)
-		}
+		probe, _ := wire.PayloadProbe(payload) // 0 when unreadable
 		owner := assign[stream.PartitionOf(probe, len(assign))]
 		sb := split[owner]
 		if sb == nil {
@@ -348,15 +349,14 @@ func splitBinary(body []byte, assign []string) (map[string]*subBatch, []string, 
 }
 
 // splitNDJSON partitions an NDJSON batch by probe owner, reading only
-// the "probe" field of each line.
+// the "probe" field of each line. Like splitBinary it routes a line
+// whose probe cannot be read by probe 0.
 func splitNDJSON(body []byte, assign []string) (map[string]*subBatch, []string, []int, error) {
 	split := map[string]*subBatch{}
 	var ownerOf []string
 	sc := bufio.NewScanner(bytes.NewReader(body))
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	line := 0
 	for sc.Scan() {
-		line++
 		raw := bytes.TrimSpace(sc.Bytes())
 		if len(raw) == 0 {
 			continue
@@ -364,11 +364,8 @@ func splitNDJSON(body []byte, assign []string) (map[string]*subBatch, []string, 
 		var probe struct {
 			Probe atlasdata.ProbeID `json:"probe"`
 		}
-		if err := json.Unmarshal(raw, &probe); err != nil {
-			return nil, nil, nil, fmt.Errorf("line %d: %v", line, err)
-		}
-		if probe.Probe <= 0 {
-			return nil, nil, nil, fmt.Errorf("line %d: missing or bad probe id", line)
+		if json.Unmarshal(raw, &probe) != nil {
+			probe.Probe = 0
 		}
 		owner := assign[stream.PartitionOf(probe.Probe, len(assign))]
 		sb := split[owner]
@@ -465,10 +462,11 @@ func (c *Coordinator) forward(ctx context.Context, pc *peerConn, ct string, body
 			if jerr := json.Unmarshal(rb, &acc); jerr != nil {
 				return 0, 0, fmt.Errorf("peer %s: bad accept envelope: %v", pc.peer.ID, jerr)
 			}
-			if acc.Accepted > records {
-				acc.Accepted = records
+			consumed = acc.Accepted + acc.Quarantined
+			if consumed > records {
+				consumed = records
 			}
-			return acc.Accepted, acc.Quarantined, nil
+			return consumed, acc.Quarantined, nil
 		}
 		// Partial accept: the peer consumed a prefix before failing.
 		var env envelope
@@ -497,22 +495,23 @@ func (c *Coordinator) jitterWord() uint64 { return c.jitter.Uint64() }
 
 // ---- scatter-gather reads ----
 
-// fanoutViews fetches every peer's mergeable snapshot view and
-// validates exact partition coverage: each partition owned by exactly
-// one responding peer, every peer agreeing on the partition count.
-func (c *Coordinator) fanoutViews(ctx context.Context) ([]*stream.PeerView, error) {
+// fanout fetches path from every peer as a T and validates exact
+// partition coverage: each partition owned by exactly one responding
+// peer, every peer agreeing on the partition count. coverage reads a
+// view's partition count and owned partitions.
+func fanout[T any](ctx context.Context, c *Coordinator, path string, coverage func(*T) (total int, parts []int)) ([]*T, error) {
 	peers, _, err := c.snapshotPeers()
 	if err != nil {
 		return nil, err
 	}
-	views := make([]*stream.PeerView, len(peers))
+	views := make([]*T, len(peers))
 	errs := make([]error, len(peers))
 	var wg sync.WaitGroup
 	for i, pc := range peers {
 		wg.Add(1)
 		go func(i int, pc *peerConn) {
 			defer wg.Done()
-			views[i], errs[i] = fetchJSON[stream.PeerView](ctx, c, pc, atlasapi.RouteClusterView)
+			views[i], errs[i] = fetchJSON[T](ctx, c, pc, path)
 		}(i, pc)
 	}
 	wg.Wait()
@@ -524,58 +523,16 @@ func (c *Coordinator) fanoutViews(ctx context.Context) ([]*stream.PeerView, erro
 	covered := make([]string, c.cfg.TotalPartitions)
 	for i, v := range views {
 		id := peers[i].peer.ID
-		if v.TotalPartitions != c.cfg.TotalPartitions {
-			return nil, fmt.Errorf("peer %s runs %d partitions, cluster runs %d", id, v.TotalPartitions, c.cfg.TotalPartitions)
+		total, parts := coverage(v)
+		if total != c.cfg.TotalPartitions {
+			return nil, fmt.Errorf("peer %s runs %d partitions, cluster runs %d", id, total, c.cfg.TotalPartitions)
 		}
-		for _, p := range v.Partitions {
+		for _, p := range parts {
 			if p < 0 || p >= len(covered) {
 				return nil, fmt.Errorf("peer %s claims partition %d outside [0, %d)", id, p, len(covered))
 			}
 			if covered[p] != "" {
 				return nil, fmt.Errorf("partition %d claimed by both %s and %s", p, covered[p], id)
-			}
-			covered[p] = id
-		}
-	}
-	for p, id := range covered {
-		if id == "" {
-			return nil, fmt.Errorf("partition %d unowned", p)
-		}
-	}
-	return views, nil
-}
-
-// fanoutAnalysis is fanoutViews for the analysis contribution.
-func (c *Coordinator) fanoutAnalysis(ctx context.Context) ([]*stream.AnalysisPeerView, error) {
-	peers, _, err := c.snapshotPeers()
-	if err != nil {
-		return nil, err
-	}
-	views := make([]*stream.AnalysisPeerView, len(peers))
-	errs := make([]error, len(peers))
-	var wg sync.WaitGroup
-	for i, pc := range peers {
-		wg.Add(1)
-		go func(i int, pc *peerConn) {
-			defer wg.Done()
-			views[i], errs[i] = fetchJSON[stream.AnalysisPeerView](ctx, c, pc, atlasapi.RouteClusterAnalysisView)
-		}(i, pc)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("peer %s: %w", peers[i].peer.ID, err)
-		}
-	}
-	covered := make([]string, c.cfg.TotalPartitions)
-	for i, v := range views {
-		id := peers[i].peer.ID
-		if v.TotalPartitions != c.cfg.TotalPartitions {
-			return nil, fmt.Errorf("peer %s runs %d partitions, cluster runs %d", id, v.TotalPartitions, c.cfg.TotalPartitions)
-		}
-		for _, p := range v.Partitions {
-			if p < 0 || p >= len(covered) || covered[p] != "" {
-				return nil, fmt.Errorf("inconsistent partition coverage at %d", p)
 			}
 			covered[p] = id
 		}
@@ -629,7 +586,9 @@ func fetchJSON[T any](ctx context.Context, c *Coordinator, pc *peerConn, path st
 
 // merged produces the cluster-wide snapshot, or sheds.
 func (c *Coordinator) merged(w http.ResponseWriter, r *http.Request) *stream.Snapshot {
-	views, err := c.fanoutViews(r.Context())
+	views, err := fanout(r.Context(), c, atlasapi.RouteClusterView, func(v *stream.PeerView) (int, []int) {
+		return v.TotalPartitions, v.Partitions
+	})
 	if err != nil {
 		c.shed(w, "cluster snapshot unavailable: "+err.Error(), 0)
 		return nil
@@ -680,7 +639,9 @@ func (c *Coordinator) continents(w http.ResponseWriter, r *http.Request) {
 }
 
 func (c *Coordinator) analysis(w http.ResponseWriter, r *http.Request) {
-	views, err := c.fanoutAnalysis(r.Context())
+	views, err := fanout(r.Context(), c, atlasapi.RouteClusterAnalysisView, func(v *stream.AnalysisPeerView) (int, []int) {
+		return v.TotalPartitions, v.Partitions
+	})
 	if err != nil {
 		var ps *errPeerStatus
 		if errors.As(err, &ps) && ps.code == http.StatusNotFound {

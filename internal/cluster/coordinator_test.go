@@ -18,7 +18,9 @@ import (
 	"dynaddr/internal/cluster"
 	"dynaddr/internal/faultinject"
 	"dynaddr/internal/sim"
+	"dynaddr/internal/simclock"
 	"dynaddr/internal/stream"
+	"dynaddr/internal/wire"
 )
 
 var fastBackoff = backoff.Policy{Base: time.Millisecond, Max: 4 * time.Millisecond}
@@ -451,5 +453,85 @@ func TestCoordinatorCursorProxy(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotModified {
 		t.Errorf("proxied conditional cursor GET: %d, want 304", resp.StatusCode)
+	}
+}
+
+// TestCoordinatorPoisonMatchesSingleNode: a batch carrying one record
+// the ingest path cannot read — an unparseable NDJSON line, a binary
+// frame of unknown kind, a known-kind frame with a truncated body — is
+// answered by the coordinator exactly as by a single node: 200, the
+// good records accepted, the poison record quarantined.
+func TestCoordinatorPoisonMatchesSingleNode(t *testing.T) {
+	const total = 12
+	world := smallWorld(t, 23, 0.02)
+	ts := simclock.StudyStart
+	uptime := func(probe atlasdata.ProbeID) atlasdata.UptimeRecord {
+		ts = ts.Add(simclock.Hour)
+		return atlasdata.UptimeRecord{Probe: probe, Timestamp: ts, Uptime: 3600}
+	}
+	frame := func(payload []byte) []byte { return wire.AppendFrame(nil, payload) }
+	uptimeFrame := func(probe atlasdata.ProbeID) []byte {
+		payload, err := wire.AppendUptime(nil, uptime(probe))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return payload
+	}
+	ndjson := func(probe atlasdata.ProbeID) string {
+		u := uptime(probe)
+		return fmt.Sprintf("{\"kind\":\"uptime\",\"probe\":%d,\"timestamp\":%d,\"uptime\":%d}\n", u.Probe, u.Timestamp, u.Uptime)
+	}
+
+	type batch struct {
+		name, contentType string
+		body              []byte
+	}
+	var batches []batch
+	batches = append(batches, batch{"ndjson/not-json", atlasapi.ContentTypeNDJSON,
+		[]byte(ndjson(1) + "not json\n" + ndjson(2))})
+	unknown := append(frame(uptimeFrame(1)), frame([]byte{0xff, 3, 0, 0, 0})...)
+	batches = append(batches, batch{"binary/unknown-kind", atlasapi.ContentTypeBinary,
+		append(unknown, frame(uptimeFrame(2))...)})
+	for probe := atlasdata.ProbeID(1); probe <= 6; probe++ {
+		good := uptimeFrame(probe)
+		truncated := uptimeFrame(probe)
+		body := append(frame(good), frame(truncated[:len(truncated)-1])...)
+		body = append(body, frame(uptimeFrame(probe+1))...)
+		batches = append(batches, batch{fmt.Sprintf("binary/truncated-uptime/probe=%d", probe), atlasapi.ContentTypeBinary, body})
+	}
+
+	post := func(url string, b batch) (int, string) {
+		t.Helper()
+		resp, err := http.Post(url+atlasapi.RouteStreamRecords, b.contentType, bytes.NewReader(b.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, string(body)
+	}
+
+	ing := stream.NewIngester(stream.Config{Shards: total, Pfx2AS: world.Dataset.Pfx2AS, Analysis: true})
+	single := httptest.NewServer(atlasapi.NewLiveServer(ing))
+	t.Cleanup(func() {
+		single.Close()
+		ing.Close()
+	})
+	for _, n := range []int{1, 3} {
+		_, coord := startCluster(t, world, n, total, nil)
+		for _, b := range batches {
+			t.Run(fmt.Sprintf("peers=%d/%s", n, b.name), func(t *testing.T) {
+				wantCode, wantBody := post(single.URL, b)
+				if wantCode != http.StatusOK || !strings.Contains(wantBody, `"quarantined": 1`) {
+					t.Fatalf("single node: %d %q, want 200 with one record quarantined", wantCode, wantBody)
+				}
+				if code, body := post(coord.URL, b); code != wantCode || body != wantBody {
+					t.Errorf("coordinator: %d %q, single node: %d %q", code, body, wantCode, wantBody)
+				}
+			})
+		}
 	}
 }

@@ -264,10 +264,13 @@ func (in *Ingester) DeadLetter() DeadLetterStatus {
 }
 
 // Quarantine routes a record that failed decode or validation at the
-// API layer into the dead-letter queue of the probe's shard (shard 0
-// when the probe is unknown). The payload is copied; callers may reuse
-// their buffer. It fails only the way an ordinary ingest send does —
-// closed, cancelled, or degraded shard.
+// API layer into the dead-letter queue of the probe's shard (probe 0's
+// when the probe is unknown). When that partition is not owned here —
+// a cluster coordinator cannot route a record whose probe it cannot
+// read — the shard of the lowest owned partition takes it instead. The
+// payload is copied; callers may reuse their buffer. It fails only the
+// way an ordinary ingest send does — closed, cancelled, or degraded
+// shard.
 func (in *Ingester) Quarantine(ctx context.Context, kind string, probe atlasdata.ProbeID, reason, detail string, payload []byte) error {
 	e := DeadLetterEntry{Kind: kind, Reason: reason, Detail: detail, Probe: probe}
 	if len(payload) > 0 {

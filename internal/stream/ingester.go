@@ -412,6 +412,17 @@ func (in *Ingester) shardFor(id atlasdata.ProbeID) *shard {
 	return nil
 }
 
+// lowestShard is the local shard of the lowest owned partition, or nil
+// when none is owned. Caller holds mu (read side).
+func (in *Ingester) lowestShard() *shard {
+	for _, li := range in.table {
+		if li >= 0 {
+			return in.shards[li]
+		}
+	}
+	return nil
+}
+
 // send routes one record, blocking while the target shard's buffer is
 // full — the backpressure that keeps a slow shard from being buried.
 // Cancelling ctx releases a blocked producer instead of leaving it
@@ -423,6 +434,9 @@ func (in *Ingester) send(ctx context.Context, id atlasdata.ProbeID, rec record) 
 		return ErrClosed
 	}
 	s := in.shardFor(id)
+	if s == nil && rec.kind == kindQuarantine {
+		s = in.lowestShard()
+	}
 	if s == nil {
 		return ErrNotOwner
 	}
