@@ -17,6 +17,14 @@
 //	atlasd -live                          # live ingest only (no AS mapping)
 //	atlasd -live -wal-dir DIR -fsync 64   # durable ingest, crash-recoverable
 //
+// -data validates the whole directory at startup, then keeps only the
+// probe archive, the pfx2as snapshots and an index of each probe's
+// lines in memory: every batch GET reads and parses that probe's lines
+// from disk, and GET /api/v1/analysis reads the whole archive for the
+// length of the request (overlapping requests share one copy). The record files must not be rewritten in
+// place while atlasd runs (a read whose bytes changed fails with 500);
+// replacing them by rename, as atlasgen does, is safe.
+//
 // With -wal-dir the ingest tier is durable: every record is appended to
 // a per-shard write-ahead log before being applied, shards checkpoint
 // their state every -checkpoint-every records, and on boot the state is
@@ -59,6 +67,7 @@ import (
 
 	"dynaddr"
 	"dynaddr/internal/atlasapi"
+	"dynaddr/internal/atlasdata"
 	"dynaddr/internal/faultinject"
 	"dynaddr/internal/obs"
 	"dynaddr/internal/serve"
@@ -134,17 +143,19 @@ func main() {
 		}
 	})
 
-	var ds *dynaddr.Dataset
+	// src stays nil with neither -data nor -seed. A -data archive is
+	// validated up front and then read from disk per request.
+	var src atlasapi.Source
 	switch {
 	case *data != "" && seedSet:
 		fmt.Fprintln(os.Stderr, "atlasd: -data and -seed are mutually exclusive")
 		os.Exit(2)
 	case *data != "":
-		loaded, err := dynaddr.LoadDataset(*data)
+		archive, err := atlasdata.Open(*data)
 		if err != nil {
 			fatal(err)
 		}
-		ds = loaded
+		src = archive
 	case seedSet:
 		cfg := dynaddr.DefaultConfig()
 		cfg.Seed = *seed
@@ -153,7 +164,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		ds = world.Dataset
+		src = world.Dataset
 	case !*live:
 		fmt.Fprintln(os.Stderr, "atlasd: one of -data, -seed or -live is required")
 		flag.Usage()
@@ -180,8 +191,8 @@ func main() {
 	}
 
 	scfg := stream.Config{Shards: *shards, CheckpointEvery: *ckptEvery, Metrics: reg, Analysis: *analysis}
-	if ds != nil {
-		scfg.Pfx2AS = ds.Pfx2AS
+	if src != nil {
+		scfg.Pfx2AS = src.Snapshots()
 	}
 	if *partsTotal > 0 {
 		scfg.TotalPartitions = *partsTotal
@@ -240,11 +251,11 @@ func main() {
 	}
 
 	mux := http.NewServeMux()
-	if ds != nil {
-		as := atlasapi.NewServer(ds)
+	if src != nil {
+		as := atlasapi.NewServer(src)
 		as.SetMetrics(reg)
 		mux.Handle("/", as)
-		fmt.Printf("atlasd: serving %d probes on %s\n", len(ds.Probes), *addr)
+		fmt.Printf("atlasd: serving %d probes on %s\n", len(src.ProbeIDs()), *addr)
 	}
 
 	var handler http.Handler = mux

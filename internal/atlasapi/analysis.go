@@ -6,8 +6,10 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"runtime/debug"
 	"strconv"
 
+	"dynaddr/internal/atlasdata"
 	"dynaddr/internal/core"
 	"dynaddr/internal/engine"
 )
@@ -57,7 +59,17 @@ func (s *Server) analysis(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	rep, err := engine.Run(r.Context(), s.ds, engine.Config{
+	// An archive on disk is read into memory while requests use it.
+	ds, err := s.shared.acquire(r.Context(), s.src)
+	if err != nil {
+		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+			return
+		}
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
+	defer s.shared.release()
+	rep, err := engine.Run(r.Context(), ds, engine.Config{
 		Parallelism: workers,
 		Stages:      stages,
 	})
@@ -91,5 +103,53 @@ func (s *Server) analysis(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	if err := json.NewEncoder(w).Encode(out); err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
+	}
+}
+
+// sharedDataset lets overlapping analysis requests share one dataset
+// materialised from the Source: N concurrent requests over an archive on
+// disk hold one copy of its records, not N, and the copy is freed when
+// the last of them is done.
+type sharedDataset struct {
+	lock   chan struct{} // a mutex that a waiting request can give up on
+	ds     *atlasdata.Dataset
+	copied bool // ds was read for the requests, not the Source itself
+	refs   int  // requests holding ds
+}
+
+// acquire returns the shared dataset, reading it from src if no request
+// holds one. Each successful acquire must be paired with a release.
+// While one request reads, the others wait for its copy; if ctx is done
+// first, acquire returns ctx's error.
+func (sh *sharedDataset) acquire(ctx context.Context, src Source) (*atlasdata.Dataset, error) {
+	select {
+	case sh.lock <- struct{}{}:
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
+	defer func() { <-sh.lock }()
+	if sh.ds == nil {
+		ds, err := src.Dataset(ctx)
+		if err != nil {
+			return nil, err
+		}
+		sh.ds, sh.copied = ds, any(ds) != any(src)
+	}
+	sh.refs++
+	return sh.ds, nil
+}
+
+func (sh *sharedDataset) release() {
+	sh.lock <- struct{}{}
+	sh.refs--
+	free := sh.refs == 0 && sh.copied
+	if sh.refs == 0 {
+		sh.ds = nil
+	}
+	<-sh.lock
+	if free {
+		// Collect the copy now: left to the next GC cycle, it would still
+		// be in the heap when the next request reads its own.
+		debug.FreeOSMemory()
 	}
 }

@@ -1,6 +1,7 @@
 package atlasapi
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -23,9 +24,25 @@ import (
 //
 // Server is an http.Handler; mount it on any mux or serve it directly.
 type Server struct {
-	ds      *atlasdata.Dataset
+	src     Source
 	mux     *http.ServeMux
 	metrics *obs.Registry
+	shared  sharedDataset
+}
+
+// Source is the dataset a Server publishes: an in-memory
+// *atlasdata.Dataset, or an *atlasdata.Archive that reads each probe's
+// records from disk per request.
+type Source interface {
+	ProbeIDs() []atlasdata.ProbeID
+	Meta(atlasdata.ProbeID) (atlasdata.ProbeMeta, bool)
+	ReadConnLogs(atlasdata.ProbeID) ([]atlasdata.ConnLogEntry, error)
+	ReadKRoot(atlasdata.ProbeID) ([]atlasdata.KRootRound, error)
+	ReadUptime(atlasdata.ProbeID) ([]atlasdata.UptimeRecord, error)
+	Snapshots() *pfx2as.SnapshotStore
+	// Dataset returns the whole dataset in memory, for the analysis
+	// route. It gives up with ctx's error once ctx is done.
+	Dataset(ctx context.Context) (*atlasdata.Dataset, error)
 }
 
 // SetMetrics attaches a registry; engine runs triggered through
@@ -35,8 +52,8 @@ func (s *Server) SetMetrics(reg *obs.Registry) { s.metrics = reg }
 
 // NewServer wraps a dataset. The dataset must not be mutated while the
 // server is live.
-func NewServer(ds *atlasdata.Dataset) *Server {
-	s := &Server{ds: ds, mux: http.NewServeMux()}
+func NewServer(src Source) *Server {
+	s := &Server{src: src, mux: http.NewServeMux(), shared: sharedDataset{lock: make(chan struct{}, 1)}}
 	s.mux.HandleFunc("/api/v1/probe-archive/", s.probeArchive)
 	s.mux.HandleFunc("/probes/", s.connectionHistory)
 	s.mux.HandleFunc("/api/v1/measurements/kroot/", s.kroot)
@@ -50,9 +67,11 @@ func NewServer(ds *atlasdata.Dataset) *Server {
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
 func (s *Server) probeArchive(w http.ResponseWriter, r *http.Request) {
-	probes := make([]atlasdata.ProbeMeta, 0, len(s.ds.Probes))
-	for _, id := range s.ds.ProbeIDs() {
-		probes = append(probes, s.ds.Probes[id])
+	ids := s.src.ProbeIDs()
+	probes := make([]atlasdata.ProbeMeta, 0, len(ids))
+	for _, id := range ids {
+		p, _ := s.src.Meta(id)
+		probes = append(probes, p)
 	}
 	w.Header().Set("Content-Type", "application/json")
 	if err := WriteProbeArchive(w, probes); err != nil {
@@ -82,7 +101,7 @@ func (s *Server) lookupProbe(w http.ResponseWriter, r *http.Request, prefix stri
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return 0, false
 	}
-	if _, ok := s.ds.Probes[id]; !ok {
+	if _, ok := s.src.Meta(id); !ok {
 		http.Error(w, fmt.Sprintf("probe %d not found", id), http.StatusNotFound)
 		return 0, false
 	}
@@ -98,8 +117,13 @@ func (s *Server) connectionHistory(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
+	conns, err := s.src.ReadConnLogs(id)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	if err := WriteConnectionHistory(w, id, s.ds.ConnLogs[id]); err != nil {
+	if err := WriteConnectionHistory(w, id, conns); err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 	}
 }
@@ -109,8 +133,13 @@ func (s *Server) kroot(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
+	rounds, err := s.src.ReadKRoot(id)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	if err := WriteKRootResults(w, s.ds.KRoot[id]); err != nil {
+	if err := WriteKRootResults(w, rounds); err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 	}
 }
@@ -120,8 +149,13 @@ func (s *Server) uptime(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
+	recs, err := s.src.ReadUptime(id)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	if err := WriteUptimeResults(w, s.ds.Uptime[id]); err != nil {
+	if err := WriteUptimeResults(w, recs); err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 	}
 }
@@ -131,7 +165,7 @@ func (s *Server) pfx2as(w http.ResponseWriter, r *http.Request) {
 	if name == "" {
 		// Month index, for clients discovering what to fetch.
 		w.Header().Set("Content-Type", "application/json")
-		months := s.ds.Pfx2AS.Months()
+		months := s.src.Snapshots().Months()
 		out := make([]int, len(months))
 		for i, m := range months {
 			out[i] = int(m)
@@ -146,7 +180,7 @@ func (s *Server) pfx2as(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "want /caida/pfx2as/YYYYMM.txt", http.StatusBadRequest)
 		return
 	}
-	tbl, ok := s.ds.Pfx2AS.Table(pfx2as.Month(m))
+	tbl, ok := s.src.Snapshots().Table(pfx2as.Month(m))
 	if !ok {
 		http.Error(w, fmt.Sprintf("no snapshot for %d", m), http.StatusNotFound)
 		return
@@ -169,4 +203,4 @@ func parseSnapshotName(name string) (int, bool) {
 }
 
 // Months lists the snapshot months the server exposes, for clients.
-func (s *Server) Months() []pfx2as.Month { return s.ds.Pfx2AS.Months() }
+func (s *Server) Months() []pfx2as.Month { return s.src.Snapshots().Months() }

@@ -258,24 +258,77 @@ func splitFields(b []byte, f *fields) int {
 // lines whose first field starts with '#' are skipped; every other line
 // must hold exactly nFields fields. Errors name the 1-based line.
 func parseText[T any](r io.Reader, nFields int, parse func(fields) (T, error), out []T) ([]T, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
+	sc := newRecordScanner(r, nil, nFields, parse)
+	for sc.Scan() {
+		out = append(out, sc.rec)
+	}
+	return out, sc.Err()
+}
+
+// recordScanner reads one record per line, as parseText describes, and
+// reports where each record's line sits in the input.
+type recordScanner[T any] struct {
+	sc      *bufio.Scanner
+	nFields int
+	parse   func(fields) (T, error)
+	lineno  int
+	err     error
+
+	rec T      // the record the last Scan parsed
+	raw []byte // its line's bytes, terminator included; valid until the next Scan
+	off int64  // the line's offset in the input
+	end int64  // the offset just past the line
+}
+
+// newRecordScanner scans r. buf, whose capacity is the scanner's first
+// line buffer, may be nil for a 64 KiB one; longer lines grow it.
+func newRecordScanner[T any](r io.Reader, buf []byte, nFields int, parse func(fields) (T, error)) *recordScanner[T] {
+	s := &recordScanner[T]{sc: bufio.NewScanner(r), nFields: nFields, parse: parse}
+	if buf == nil {
+		buf = make([]byte, 0, 64*1024)
+	}
+	s.sc.Buffer(buf, 1<<20)
+	s.sc.Split(func(data []byte, atEOF bool) (int, []byte, error) {
+		advance, token, err := bufio.ScanLines(data, atEOF)
+		if token != nil {
+			s.raw, s.off, s.end = data[:advance], s.end, s.end+int64(advance)
+		}
+		return advance, token, err
+	})
+	return s
+}
+
+// Scan advances to the next record, skipping blank and comment lines.
+// It returns false at the end of the input or at the first error.
+func (s *recordScanner[T]) Scan() bool {
 	var f fields
-	for lineno := 1; sc.Scan(); lineno++ {
-		n := splitFields(sc.Bytes(), &f)
+	for s.err == nil && s.sc.Scan() {
+		s.lineno++
+		n := splitFields(s.sc.Bytes(), &f)
 		if n == 0 || f[0][0] == '#' {
 			continue
 		}
-		if n != nFields {
-			return out, fmt.Errorf("atlasdata: line %d: want %d fields, got %d", lineno, nFields, n)
+		if n != s.nFields {
+			s.err = fmt.Errorf("atlasdata: line %d: want %d fields, got %d", s.lineno, s.nFields, n)
+			return false
 		}
-		rec, err := parse(f)
+		rec, err := s.parse(f)
 		if err != nil {
-			return out, fmt.Errorf("atlasdata: line %d: %v", lineno, err)
+			s.err = fmt.Errorf("atlasdata: line %d: %v", s.lineno, err)
+			return false
 		}
-		out = append(out, rec)
+		s.rec = rec
+		return true
 	}
-	return out, sc.Err()
+	return false
+}
+
+// Err returns the first parse or read error.
+func (s *recordScanner[T]) Err() error {
+	if s.err != nil {
+		return s.err
+	}
+	return s.sc.Err()
 }
 
 // unmarshalRecord parses one self-contained record of nFields fields.

@@ -1,6 +1,7 @@
 package atlasdata
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"testing"
@@ -8,7 +9,7 @@ import (
 
 // Failure injection: a dataset directory that has been truncated,
 // corrupted or shuffled must fail to load with an error — never load
-// silently wrong.
+// silently wrong. Load and Open must agree on every such directory.
 
 func savedSample(t *testing.T) string {
 	t.Helper()
@@ -32,15 +33,38 @@ func corrupt(t *testing.T, dir, file string, mutate func([]byte) []byte) {
 	}
 }
 
+// openDataset reads dir through an Archive.
+func openDataset(dir string) (*Dataset, error) {
+	a, err := Open(dir)
+	if err != nil {
+		return nil, err
+	}
+	defer a.Close()
+	return a.Dataset(context.Background())
+}
+
+// rejects checks that Load and Open both refuse dir, with the same error.
+func rejects(t *testing.T, dir, what string) {
+	t.Helper()
+	_, lerr := Load(dir)
+	_, oerr := openDataset(dir)
+	switch {
+	case lerr == nil:
+		t.Errorf("Load accepted %s", what)
+	case oerr == nil:
+		t.Errorf("Open accepted %s", what)
+	case lerr.Error() != oerr.Error():
+		t.Errorf("%s: Load and Open disagree:\n Load: %v\n Open: %v", what, lerr, oerr)
+	}
+}
+
 func TestLoadRejectsTruncatedConnLogs(t *testing.T) {
 	dir := savedSample(t)
 	corrupt(t, dir, "connlogs.tsv", func(b []byte) []byte {
 		// Chop mid-line: the tail line has too few fields.
 		return b[:len(b)-10]
 	})
-	if _, err := Load(dir); err == nil {
-		t.Error("truncated connlogs should fail to load")
-	}
+	rejects(t, dir, "truncated connlogs")
 }
 
 func TestLoadRejectsGarbageProbeArchive(t *testing.T) {
@@ -48,9 +72,7 @@ func TestLoadRejectsGarbageProbeArchive(t *testing.T) {
 	corrupt(t, dir, "probes.json", func([]byte) []byte {
 		return []byte("{not json")
 	})
-	if _, err := Load(dir); err == nil {
-		t.Error("garbage probe archive should fail to load")
-	}
+	rejects(t, dir, "a garbage probe archive")
 }
 
 func TestLoadRejectsNegativeUptime(t *testing.T) {
@@ -58,9 +80,7 @@ func TestLoadRejectsNegativeUptime(t *testing.T) {
 	corrupt(t, dir, "uptime.tsv", func(b []byte) []byte {
 		return append(b, []byte("206\t1000\t-5\n")...)
 	})
-	if _, err := Load(dir); err == nil {
-		t.Error("negative uptime should fail to load")
-	}
+	rejects(t, dir, "a negative uptime")
 }
 
 func TestLoadRejectsOverlappingConnections(t *testing.T) {
@@ -70,9 +90,7 @@ func TestLoadRejectsOverlappingConnections(t *testing.T) {
 		// inject one overlapping the second.
 		return append(b, []byte("206\t350\t500\t91.55.9.9\n")...)
 	})
-	if _, err := Load(dir); err == nil {
-		t.Error("overlapping connections should fail validation on load")
-	}
+	rejects(t, dir, "overlapping connections")
 }
 
 func TestLoadRejectsOrphanRecords(t *testing.T) {
@@ -80,9 +98,7 @@ func TestLoadRejectsOrphanRecords(t *testing.T) {
 	corrupt(t, dir, "kroot.tsv", func(b []byte) []byte {
 		return append(b, []byte("99999\t1000\t3\t3\t60\n")...)
 	})
-	if _, err := Load(dir); err == nil {
-		t.Error("records for unknown probes should fail validation")
-	}
+	rejects(t, dir, "records for an unknown probe")
 }
 
 func TestLoadRejectsBadPfx2asFile(t *testing.T) {
@@ -90,9 +106,7 @@ func TestLoadRejectsBadPfx2asFile(t *testing.T) {
 	corrupt(t, dir, "pfx2as-201501.txt", func([]byte) []byte {
 		return []byte("91.55.0.0\tnotalength\t3320\n")
 	})
-	if _, err := Load(dir); err == nil {
-		t.Error("corrupt pfx2as snapshot should fail to load")
-	}
+	rejects(t, dir, "a corrupt pfx2as snapshot")
 }
 
 func TestLoadRejectsMisnamedPfx2asFile(t *testing.T) {
@@ -100,9 +114,7 @@ func TestLoadRejectsMisnamedPfx2asFile(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "pfx2as-janvier.txt"), []byte(""), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Load(dir); err == nil {
-		t.Error("unparseable pfx2as filename should fail to load")
-	}
+	rejects(t, dir, "an unparseable pfx2as filename")
 }
 
 // TestLoadRejectsMalformedPfx2asNames: a snapshot file name must carry
@@ -119,9 +131,7 @@ func TestLoadRejectsMalformedPfx2asNames(t *testing.T) {
 		if err := os.WriteFile(filepath.Join(dir, name), []byte("10.0.0.0\t8\t701\n"), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := Load(dir); err == nil {
-			t.Errorf("Load accepted a dataset holding %s", name)
-		}
+		rejects(t, dir, "a dataset holding "+name)
 	}
 }
 
@@ -139,12 +149,14 @@ func TestLoadToleratesUnsortedRecords(t *testing.T) {
 	if err := os.WriteFile(path, []byte("206\t300\t20\n206\t100\t5000\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	ds, err := Load(dir)
-	if err != nil {
-		t.Fatalf("unsorted records should load: %v", err)
-	}
-	recs := ds.Uptime[206]
-	if len(recs) != 2 || recs[0].Timestamp != 100 {
-		t.Errorf("records not sorted on load: %+v", recs)
+	for name, load := range map[string]func(string) (*Dataset, error){"Load": Load, "Open": openDataset} {
+		ds, err := load(dir)
+		if err != nil {
+			t.Fatalf("%s: unsorted records should load: %v", name, err)
+		}
+		recs := ds.Uptime[206]
+		if len(recs) != 2 || recs[0].Timestamp != 100 {
+			t.Errorf("%s: records not sorted on load: %+v", name, recs)
+		}
 	}
 }

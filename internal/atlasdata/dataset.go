@@ -1,8 +1,8 @@
 package atlasdata
 
 import (
-	"bufio"
-	"cmp"
+	"bytes"
+	"context"
 	"fmt"
 	"io"
 	"os"
@@ -12,6 +12,7 @@ import (
 	"strings"
 
 	"dynaddr/internal/pfx2as"
+	"dynaddr/internal/simclock"
 )
 
 // Dataset bundles everything the analysis pipeline consumes: the three
@@ -37,86 +38,174 @@ func NewDataset() *Dataset {
 }
 
 // ProbeIDs returns all probe IDs with metadata, sorted.
-func (d *Dataset) ProbeIDs() []ProbeID {
-	out := make([]ProbeID, 0, len(d.Probes))
-	for id := range d.Probes {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
+func (d *Dataset) ProbeIDs() []ProbeID { return sortedIDs(d.Probes) }
 
 // SortRecords sorts every per-probe record slice by time. Generators
 // emit in order, but datasets loaded from disk or assembled by hand may
 // not be.
 func (d *Dataset) SortRecords() {
-	for id := range d.ConnLogs {
-		s := d.ConnLogs[id]
-		sort.Slice(s, func(i, j int) bool { return s[i].Start < s[j].Start })
+	for _, s := range d.ConnLogs {
+		connLogKind.sort(s)
 	}
-	for id := range d.KRoot {
-		s := d.KRoot[id]
-		sort.Slice(s, func(i, j int) bool { return s[i].Timestamp < s[j].Timestamp })
+	for _, s := range d.KRoot {
+		kRootKind.sort(s)
 	}
-	for id := range d.Uptime {
-		s := d.Uptime[id]
-		sort.Slice(s, func(i, j int) bool { return s[i].Timestamp < s[j].Timestamp })
+	for _, s := range d.Uptime {
+		uptimeKind.sort(s)
 	}
 }
 
 // Validate checks cross-record invariants: metadata exists for every
 // probe with records, records are sorted, and connections per probe do
-// not overlap in time.
+// not overlap in time. Probes are checked in ID order, connection logs
+// first, so the error names the same record every time.
 func (d *Dataset) Validate() error {
-	for id, entries := range d.ConnLogs {
-		if _, ok := d.Probes[id]; !ok {
-			return fmt.Errorf("atlasdata: connection logs for probe %d without metadata", id)
+	if err := validateEach(d.Probes, connLogKind, d.ConnLogs); err != nil {
+		return err
+	}
+	if err := validateEach(d.Probes, kRootKind, d.KRoot); err != nil {
+		return err
+	}
+	return validateEach(d.Probes, uptimeKind, d.Uptime)
+}
+
+// validateEach runs Validate's checks over one record kind.
+func validateEach[T validator](probes map[ProbeID]ProbeMeta, k *recordKind[T], byProbe map[ProbeID][]T) error {
+	return k.validateProbes(probes, sortedIDs(byProbe), func(id ProbeID) error {
+		return k.validate(id, byProbe[id])
+	})
+}
+
+// Meta returns a probe's metadata.
+func (d *Dataset) Meta(id ProbeID) (ProbeMeta, bool) {
+	p, ok := d.Probes[id]
+	return p, ok
+}
+
+// ReadConnLogs returns a probe's connection logs.
+func (d *Dataset) ReadConnLogs(id ProbeID) ([]ConnLogEntry, error) { return d.ConnLogs[id], nil }
+
+// ReadKRoot returns a probe's k-root rounds.
+func (d *Dataset) ReadKRoot(id ProbeID) ([]KRootRound, error) { return d.KRoot[id], nil }
+
+// ReadUptime returns a probe's uptime records.
+func (d *Dataset) ReadUptime(id ProbeID) ([]UptimeRecord, error) { return d.Uptime[id], nil }
+
+// Snapshots returns the monthly pfx2as snapshots.
+func (d *Dataset) Snapshots() *pfx2as.SnapshotStore { return d.Pfx2AS }
+
+// Dataset returns d itself, so that a Dataset and an Archive answer the
+// same calls.
+func (d *Dataset) Dataset(context.Context) (*Dataset, error) { return d, nil }
+
+// validator is what the per-probe checks ask of every record kind.
+type validator interface{ Validate() error }
+
+// recordKind describes one record file: its line format, how its records
+// key and order, and the words its errors use.
+type recordKind[T validator] struct {
+	file    string
+	what    string // "connection logs"
+	nFields int
+	parse   func(fields) (T, error)
+	probe   func(*T) ProbeID
+	time    func(*T) simclock.Time
+	// sort orders one probe's records by time, the one sort Load, Open
+	// and SortRecords apply. It compares the time field directly: a
+	// call through time per comparison made Load measurably slower.
+	sort func([]T)
+	// overlap, when set, checks a record against its time-ordered
+	// predecessor beyond their order.
+	overlap func(id ProbeID, i int, prev, cur *T) error
+}
+
+var (
+	connLogKind = &recordKind[ConnLogEntry]{
+		file: connLogsFile, what: "connection logs", nFields: 4, parse: parseConnLog,
+		probe: func(e *ConnLogEntry) ProbeID { return e.Probe },
+		time:  func(e *ConnLogEntry) simclock.Time { return e.Start },
+		sort: func(s []ConnLogEntry) {
+			sort.Slice(s, func(i, j int) bool { return s[i].Start < s[j].Start })
+		},
+		overlap: func(id ProbeID, i int, prev, e *ConnLogEntry) error {
+			if e.Start < prev.End {
+				return fmt.Errorf("atlasdata: probe %d has overlapping connections at %d (%v < %v)", id, i, e.Start, prev.End)
+			}
+			return nil
+		},
+	}
+	kRootKind = &recordKind[KRootRound]{
+		file: kRootFile, what: "k-root rounds", nFields: 5, parse: parseKRoot,
+		probe: func(k *KRootRound) ProbeID { return k.Probe },
+		time:  func(k *KRootRound) simclock.Time { return k.Timestamp },
+		sort: func(s []KRootRound) {
+			sort.Slice(s, func(i, j int) bool { return s[i].Timestamp < s[j].Timestamp })
+		},
+	}
+	uptimeKind = &recordKind[UptimeRecord]{
+		file: uptimeFile, what: "uptime records", nFields: 3, parse: parseUptime,
+		probe: func(u *UptimeRecord) ProbeID { return u.Probe },
+		time:  func(u *UptimeRecord) simclock.Time { return u.Timestamp },
+		sort: func(s []UptimeRecord) {
+			sort.Slice(s, func(i, j int) bool { return s[i].Timestamp < s[j].Timestamp })
+		},
+	}
+)
+
+// validateProbes checks the probes in ids, in that order: each must have
+// metadata, and then pass check.
+func (k *recordKind[T]) validateProbes(probes map[ProbeID]ProbeMeta, ids []ProbeID, check func(ProbeID) error) error {
+	for _, id := range ids {
+		if _, ok := probes[id]; !ok {
+			return fmt.Errorf("atlasdata: %s for probe %d without metadata", k.what, id)
 		}
-		for i, e := range entries {
-			if err := e.Validate(); err != nil {
-				return err
-			}
-			if e.Probe != id {
-				return fmt.Errorf("atlasdata: probe %d log contains entry for probe %d", id, e.Probe)
-			}
-			if i > 0 {
-				prev := entries[i-1]
-				if e.Start < prev.Start {
-					return fmt.Errorf("atlasdata: probe %d connection logs unsorted at %d", id, i)
-				}
-				if e.Start < prev.End {
-					return fmt.Errorf("atlasdata: probe %d has overlapping connections at %d (%v < %v)", id, i, e.Start, prev.End)
-				}
-			}
+		if err := check(id); err != nil {
+			return err
 		}
 	}
-	for id, rounds := range d.KRoot {
-		if _, ok := d.Probes[id]; !ok {
-			return fmt.Errorf("atlasdata: k-root rounds for probe %d without metadata", id)
+	return nil
+}
+
+// validate checks one probe's sorted records: each is valid, belongs to
+// the probe, and follows its predecessor.
+func (k *recordKind[T]) validate(id ProbeID, recs []T) error {
+	for i := range recs {
+		r := &recs[i]
+		if err := (*r).Validate(); err != nil {
+			return err
 		}
-		for i, k := range rounds {
-			if err := k.Validate(); err != nil {
+		if p := k.probe(r); p != id {
+			return fmt.Errorf("atlasdata: probe %d %s contain a record for probe %d", id, k.what, p)
+		}
+		if i > 0 {
+			if err := k.follows(id, i, &recs[i-1], r); err != nil {
 				return err
-			}
-			if i > 0 && k.Timestamp < rounds[i-1].Timestamp {
-				return fmt.Errorf("atlasdata: probe %d k-root rounds unsorted at %d", id, i)
-			}
-		}
-	}
-	for id, recs := range d.Uptime {
-		if _, ok := d.Probes[id]; !ok {
-			return fmt.Errorf("atlasdata: uptime records for probe %d without metadata", id)
-		}
-		for i, u := range recs {
-			if err := u.Validate(); err != nil {
-				return err
-			}
-			if i > 0 && u.Timestamp < recs[i-1].Timestamp {
-				return fmt.Errorf("atlasdata: probe %d uptime records unsorted at %d", id, i)
 			}
 		}
 	}
 	return nil
+}
+
+// follows checks cur, the probe's ith record, against the record before
+// it.
+func (k *recordKind[T]) follows(id ProbeID, i int, prev, cur *T) error {
+	if k.time(cur) < k.time(prev) {
+		return fmt.Errorf("atlasdata: probe %d %s unsorted at %d", id, k.what, i)
+	}
+	if k.overlap != nil {
+		return k.overlap(id, i, prev, cur)
+	}
+	return nil
+}
+
+// sortedIDs returns a map's probe IDs in ascending order.
+func sortedIDs[V any](m map[ProbeID]V) []ProbeID {
+	ids := make([]ProbeID, 0, len(m))
+	for id := range m {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	return ids
 }
 
 // File names inside a dataset directory.
@@ -184,55 +273,67 @@ func (d *Dataset) Save(dir string) error {
 // Load reads a dataset previously written by Save.
 func Load(dir string) (*Dataset, error) {
 	d := NewDataset()
+	probes, err := loadProbes(dir)
+	if err != nil {
+		return nil, err
+	}
+	d.Probes = probes
+	if err := loadRecords(dir, connLogKind, d.ConnLogs); err != nil {
+		return nil, err
+	}
+	if err := loadRecords(dir, kRootKind, d.KRoot); err != nil {
+		return nil, err
+	}
+	if err := loadRecords(dir, uptimeKind, d.Uptime); err != nil {
+		return nil, err
+	}
+	if err := loadPfx2AS(dir, d.Pfx2AS); err != nil {
+		return nil, err
+	}
+	d.SortRecords()
+	if err := d.Validate(); err != nil {
+		return nil, err
+	}
+	return d, nil
+}
 
+// loadProbes reads a dataset directory's probe archive.
+func loadProbes(dir string) (map[ProbeID]ProbeMeta, error) {
 	probes, err := loadWith(filepath.Join(dir, probesFile), ParseProbeArchive)
 	if err != nil {
 		return nil, err
 	}
+	out := make(map[ProbeID]ProbeMeta, len(probes))
 	for _, p := range probes {
-		d.Probes[p.ID] = p
+		out[p.ID] = p
 	}
+	return out, nil
+}
 
-	if err := loadRecords(filepath.Join(dir, connLogsFile), 4, parseConnLog,
-		func(e ConnLogEntry) ProbeID { return e.Probe }, d.ConnLogs); err != nil {
-		return nil, err
-	}
-	if err := loadRecords(filepath.Join(dir, kRootFile), 5, parseKRoot,
-		func(k KRootRound) ProbeID { return k.Probe }, d.KRoot); err != nil {
-		return nil, err
-	}
-	if err := loadRecords(filepath.Join(dir, uptimeFile), 3, parseUptime,
-		func(u UptimeRecord) ProbeID { return u.Probe }, d.Uptime); err != nil {
-		return nil, err
-	}
-
+// loadPfx2AS reads a dataset directory's pfx2as snapshots into store.
+func loadPfx2AS(dir string, store *pfx2as.SnapshotStore) error {
 	matches, err := filepath.Glob(filepath.Join(dir, "pfx2as-*.txt"))
 	if err != nil {
-		return nil, err
+		return err
 	}
 	sort.Strings(matches)
 	for _, path := range matches {
 		base := filepath.Base(path)
 		m, ok := pfx2as.ParseMonth(strings.TrimSuffix(strings.TrimPrefix(base, "pfx2as-"), ".txt"))
 		if !ok {
-			return nil, fmt.Errorf("atlasdata: unrecognised pfx2as file %q", base)
+			return fmt.Errorf("atlasdata: unrecognised pfx2as file %q", base)
 		}
 		entries, err := loadWith(path, pfx2as.ParseText)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		tbl, err := pfx2as.NewTable(entries)
 		if err != nil {
-			return nil, fmt.Errorf("atlasdata: %s: %v", base, err)
+			return fmt.Errorf("atlasdata: %s: %v", base, err)
 		}
-		d.Pfx2AS.Put(m, tbl)
+		store.Put(m, tbl)
 	}
-
-	d.SortRecords()
-	if err := d.Validate(); err != nil {
-		return nil, err
-	}
-	return d, nil
+	return nil
 }
 
 // writeFileWith writes atomically: content goes to a .tmp sibling that
@@ -261,38 +362,64 @@ func writeFileWith(path string, fn func(*os.File) error) error {
 // file's line count and files each probe's records under its ID as the
 // cap-limited window flat[lo:hi:hi], so appending to one probe's records
 // copies them instead of overwriting the next probe's.
-func loadRecords[T any](path string, nFields int, parse func(fields) (T, error),
-	probeOf func(T) ProbeID, into map[ProbeID][]T) error {
-	f, err := os.Open(path)
+func loadRecords[T validator](dir string, k *recordKind[T], into map[ProbeID][]T) error {
+	f, err := os.Open(filepath.Join(dir, k.file))
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	lines := 0 // each record sits on a line of its own
-	for sc := bufio.NewScanner(f); sc.Scan(); lines++ {
+	lines, err := countLines(f) // each record sits on a line of its own
+	if err != nil {
+		return err
 	}
 	if _, err := f.Seek(0, io.SeekStart); err != nil {
 		return err
 	}
-	flat, err := parseText(f, nFields, parse, make([]T, 0, lines))
+	flat, err := parseText(f, k.nFields, k.parse, make([]T, 0, lines))
 	if err != nil {
 		return err
 	}
 	// Save writes probe-ID order. Any other order is grouped by a stable
-	// sort, which keeps each probe's records in file order.
-	byProbe := func(a, b T) int { return cmp.Compare(probeOf(a), probeOf(b)) }
-	if !slices.IsSortedFunc(flat, byProbe) {
-		slices.SortStableFunc(flat, byProbe)
+	// sort, which keeps each probe's records in file order. (Comparing by
+	// index keeps the records off the heap: k.probe takes a pointer.)
+	byProbe := func(i, j int) bool { return k.probe(&flat[i]) < k.probe(&flat[j]) }
+	for i := 1; i < len(flat); i++ {
+		if byProbe(i, i-1) {
+			sort.SliceStable(flat, byProbe)
+			break
+		}
 	}
 	for lo := 0; lo < len(flat); {
-		id, hi := probeOf(flat[lo]), lo+1
-		for hi < len(flat) && probeOf(flat[hi]) == id {
+		id, hi := k.probe(&flat[lo]), lo+1
+		for hi < len(flat) && k.probe(&flat[hi]) == id {
 			hi++
 		}
 		into[id] = flat[lo:hi:hi]
 		lo = hi
 	}
 	return nil
+}
+
+// countLines counts r's lines, a final line without a newline included.
+func countLines(r io.Reader) (int, error) {
+	buf := make([]byte, 64*1024)
+	lines, last := 0, byte('\n')
+	for {
+		n, err := r.Read(buf)
+		if n > 0 {
+			lines += bytes.Count(buf[:n], []byte{'\n'})
+			last = buf[n-1]
+		}
+		if err == io.EOF {
+			break
+		} else if err != nil {
+			return 0, err
+		}
+	}
+	if last != '\n' {
+		lines++
+	}
+	return lines, nil
 }
 
 func loadWith[T any](path string, parse func(io.Reader) (T, error)) (T, error) {

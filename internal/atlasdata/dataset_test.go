@@ -175,3 +175,30 @@ func TestLoadMissingDirFails(t *testing.T) {
 		t.Error("loading a missing directory should fail")
 	}
 }
+
+// TestValidateNamesLowestProbe: with two probes' records invalid, Load
+// and Open name the lower probe ID every time.
+func TestValidateNamesLowestProbe(t *testing.T) {
+	d := NewDataset()
+	for _, id := range []ProbeID{3, 7} {
+		d.Probes[id] = ProbeMeta{ID: id, Version: V3}
+		d.ConnLogs[id] = []ConnLogEntry{
+			{Probe: id, Start: 100, End: 300, Family: V4, Addr: 1},
+			{Probe: id, Start: 200, End: 400, Family: V4, Addr: 2},
+		}
+	}
+	dir := filepath.Join(t.TempDir(), "ds")
+	if err := d.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	const want = "atlasdata: probe 3 has overlapping connections at 1"
+	for i := 0; i < 40; i++ {
+		_, lerr := Load(dir)
+		_, oerr := openDataset(dir)
+		for name, err := range map[string]error{"Load": lerr, "Open": oerr} {
+			if err == nil || !strings.HasPrefix(err.Error(), want) {
+				t.Fatalf("%s attempt %d: error %v, want %q", name, i, err, want)
+			}
+		}
+	}
+}

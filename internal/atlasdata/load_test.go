@@ -1,12 +1,18 @@
 package atlasdata_test
 
 import (
+	"bytes"
+	"context"
+	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"slices"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"dynaddr/internal/atlasdata"
@@ -18,18 +24,7 @@ import (
 // same dataset, and hands out per-probe slices that an append cannot
 // overflow into the next probe's records.
 func TestLoadEquivalence(t *testing.T) {
-	cfg := sim.DefaultConfig()
-	cfg.Seed = 11
-	cfg.Scale = 0.02
-	w, err := sim.Generate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ds := w.Dataset
-	dir := filepath.Join(t.TempDir(), "ds")
-	if err := ds.Save(dir); err != nil {
-		t.Fatal(err)
-	}
+	ds, dir := savedWorld(t)
 	loaded, err := atlasdata.Load(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -38,19 +33,7 @@ func TestLoadEquivalence(t *testing.T) {
 		t.Fatal("Load(Save(ds)) differs from ds")
 	}
 
-	rng := rand.New(rand.NewSource(5))
-	for _, name := range []string{"connlogs.tsv", "kroot.tsv", "uptime.tsv"} {
-		path := filepath.Join(dir, name)
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		lines := strings.SplitAfter(string(data), "\n")
-		rng.Shuffle(len(lines), func(i, j int) { lines[i], lines[j] = lines[j], lines[i] })
-		if err := os.WriteFile(path, []byte(strings.Join(lines, "")), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
+	shuffleLines(t, dir)
 	shuffled, err := atlasdata.Load(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -75,4 +58,205 @@ func TestLoadEquivalence(t *testing.T) {
 	if !reflect.DeepEqual(loaded.KRoot[b], before) {
 		t.Errorf("appending to probe %d's rounds overwrote probe %d's", a, b)
 	}
+}
+
+// savedWorld generates a small world and saves it.
+func savedWorld(t *testing.T) (*atlasdata.Dataset, string) {
+	t.Helper()
+	cfg := sim.DefaultConfig()
+	cfg.Seed = 11
+	cfg.Scale = 0.02
+	w, err := sim.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join(t.TempDir(), "ds")
+	if err := w.Dataset.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	return w.Dataset, dir
+}
+
+// shuffleLines rewrites each record file of dir with its lines in a
+// random order.
+func shuffleLines(t *testing.T, dir string) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(5))
+	for _, name := range []string{"connlogs.tsv", "kroot.tsv", "uptime.tsv"} {
+		path := filepath.Join(dir, name)
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.SplitAfter(string(data), "\n")
+		rng.Shuffle(len(lines), func(i, j int) { lines[i], lines[j] = lines[j], lines[i] })
+		if err := os.WriteFile(path, []byte(strings.Join(lines, "")), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestArchiveEquivalence: every read from an Archive equals Load's slice
+// for that probe, and the materialised archive equals Load's dataset,
+// for files as Save wrote them and with their lines shuffled.
+func TestArchiveEquivalence(t *testing.T) {
+	_, dir := savedWorld(t)
+	archiveMatchesLoad(t, dir)
+	shuffleLines(t, dir)
+	archiveMatchesLoad(t, dir)
+}
+
+func archiveMatchesLoad(t *testing.T, dir string) {
+	t.Helper()
+	want, err := atlasdata.Load(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := atlasdata.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	if got := a.ProbeIDs(); !reflect.DeepEqual(got, want.ProbeIDs()) {
+		t.Fatalf("ProbeIDs = %v, want %v", got, want.ProbeIDs())
+	}
+	for _, id := range want.ProbeIDs() {
+		if m, ok := a.Meta(id); !ok || !reflect.DeepEqual(m, want.Probes[id]) {
+			t.Errorf("probe %d: Meta = %+v, %v", id, m, ok)
+		}
+		conns, err1 := a.ReadConnLogs(id)
+		kroot, err2 := a.ReadKRoot(id)
+		uptime, err3 := a.ReadUptime(id)
+		if err := errors.Join(err1, err2, err3); err != nil {
+			t.Fatalf("probe %d: %v", id, err)
+		}
+		if !reflect.DeepEqual(conns, want.ConnLogs[id]) || !reflect.DeepEqual(kroot, want.KRoot[id]) ||
+			!reflect.DeepEqual(uptime, want.Uptime[id]) {
+			t.Fatalf("probe %d: archive reads differ from Load", id)
+		}
+	}
+	got, err := a.Dataset(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("Archive.Dataset() differs from Load")
+	}
+}
+
+// TestArchiveDetectsRewrite: a record file rewritten in place after Open
+// fails the reads of the probes whose lines changed, and only theirs.
+func TestArchiveDetectsRewrite(t *testing.T) {
+	_, dir := savedWorld(t)
+	a, err := atlasdata.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	path := filepath.Join(dir, "kroot.tsv")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Change the last digit of the first line's LTS field.
+	line := data[:bytes.IndexByte(data, '\n')]
+	victim, err := strconv.Atoi(string(line[:bytes.IndexByte(line, '\t')]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := int64(len(line) - 1)
+	digit := []byte{'0' + (line[at]-'0'+1)%10}
+	f, err := os.OpenFile(path, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt(digit, at); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	if recs, err := a.ReadKRoot(atlasdata.ProbeID(victim)); err == nil || !strings.Contains(err.Error(), "changed on disk") {
+		t.Errorf("probe %d: read after rewrite = %d records, %v; want a changed-on-disk error", victim, len(recs), err)
+	}
+	if _, err := a.Dataset(context.Background()); err == nil {
+		t.Error("Dataset() served a rewritten file")
+	}
+	for _, id := range a.ProbeIDs() {
+		if _, err := a.ReadKRoot(id); err != nil && id != atlasdata.ProbeID(victim) {
+			t.Errorf("probe %d: %v", id, err)
+		}
+	}
+}
+
+// TestOpenRetainsNoRecords: on the world size the benchmark serves, the
+// heap an Archive keeps is under a tenth of what a loaded Dataset keeps.
+func TestOpenRetainsNoRecords(t *testing.T) {
+	cfg := sim.DefaultConfig()
+	cfg.Seed = 77
+	cfg.Scale = 0.5
+	w, err := sim.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join(t.TempDir(), "ds")
+	if err := w.Dataset.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	w = nil
+
+	loaded, loadHeap := retainedHeap(t, func() (any, error) { return atlasdata.Load(dir) })
+	opened, openHeap := retainedHeap(t, func() (any, error) { return atlasdata.Open(dir) })
+	defer opened.(*atlasdata.Archive).Close()
+	t.Logf("retained heap: Load %d KiB, Open %d KiB", loadHeap>>10, openHeap>>10)
+	if loaded == nil || openHeap*10 >= loadHeap {
+		t.Errorf("Open retains %d bytes, Load %d: want under a tenth", openHeap, loadHeap)
+	}
+}
+
+// retainedHeap reports how much live heap the value open returns holds
+// once garbage is collected.
+func retainedHeap(t *testing.T, open func() (any, error)) (any, int64) {
+	t.Helper()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	v, err := open()
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(v)
+	return v, int64(after.HeapAlloc) - int64(before.HeapAlloc)
+}
+
+// TestArchiveConcurrentReads: an Archive serves reads from several
+// goroutines at once, as atlasd's handlers make them.
+func TestArchiveConcurrentReads(t *testing.T) {
+	want, dir := savedWorld(t)
+	a, err := atlasdata.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, id := range a.ProbeIDs() {
+				kroot, err := a.ReadKRoot(id)
+				if err != nil || !reflect.DeepEqual(kroot, want.KRoot[id]) {
+					t.Errorf("probe %d: k-root read differs from the saved world: %v", id, err)
+					return
+				}
+			}
+			if _, err := a.Dataset(context.Background()); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
 }
