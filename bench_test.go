@@ -349,17 +349,7 @@ func BenchmarkAnalyzeParallel(b *testing.B) {
 // load allocates; record-B is the loaded records' own in-memory size,
 // the floor a load cannot go below.
 func BenchmarkLoadDataset(b *testing.B) {
-	cfg := DefaultConfig()
-	cfg.Seed = 77
-	cfg.Scale = 0.5
-	w, err := Generate(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	dir := b.TempDir()
-	if err := SaveDataset(w.Dataset, dir); err != nil {
-		b.Fatal(err)
-	}
+	w, dir := savedBenchWorld(b)
 	var records int
 	for _, es := range w.Dataset.ConnLogs {
 		records += len(es) * int(unsafe.Sizeof(atlasdata.ConnLogEntry{}))
@@ -381,6 +371,40 @@ func BenchmarkLoadDataset(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(records), "record-B")
+}
+
+// BenchmarkOpenArchive opens the world BenchmarkLoadDataset loads as an
+// archive, the way atlasd -data does before it serves: one validating
+// pass over the record files that keeps only their index.
+func BenchmarkOpenArchive(b *testing.B) {
+	_, dir := savedBenchWorld(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		a, err := atlasdata.Open(dir)
+		if err != nil {
+			b.Fatal(err)
+		}
+		a.Close()
+	}
+}
+
+// savedBenchWorld generates and saves the seed-77, scale-0.5 world every
+// cmd/benchrun workload serves with atlasd -data.
+func savedBenchWorld(b *testing.B) (*World, string) {
+	b.Helper()
+	cfg := DefaultConfig()
+	cfg.Seed = 77
+	cfg.Scale = 0.5
+	w, err := Generate(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	dir := b.TempDir()
+	if err := SaveDataset(w.Dataset, dir); err != nil {
+		b.Fatal(err)
+	}
+	return w, dir
 }
 
 // benchRecord / benchRecorder capture a dataset's record stream in

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"sort"
 	"strconv"
@@ -164,16 +165,23 @@ func retryDelay(p backoff.Policy, attempt int, u uint64, retryAfter time.Duratio
 // 2024 16:56:32 GMT" and the obsolete date formats http.ParseTime
 // knows). A date is converted to a delay against the local clock; dates
 // in the past, negative seconds and garbage all mean "no usable hint"
-// and return zero. Exported because the cluster coordinator paces its
-// per-peer forwarding off the same header its own clients see.
+// and return zero. Seconds past the longest Duration saturate to it, as
+// RFC 9111 has caches treat an unrepresentable delta-seconds, so a
+// longer pause is never read as a shorter one. Exported because the
+// cluster coordinator paces its per-peer forwarding off the same header
+// its own clients see.
 func ParseRetryAfter(resp *http.Response) time.Duration {
 	v := strings.TrimSpace(resp.Header.Get("Retry-After"))
 	if v == "" {
 		return 0
 	}
-	if secs, err := strconv.Atoi(v); err == nil {
-		if secs < 0 {
+	// Out of int's range, Atoi returns the bound it crossed.
+	if secs, err := strconv.Atoi(v); err == nil || errors.Is(err, strconv.ErrRange) {
+		switch {
+		case secs < 0:
 			return 0
+		case int64(secs) > math.MaxInt64/int64(time.Second):
+			return math.MaxInt64
 		}
 		return time.Duration(secs) * time.Second
 	}

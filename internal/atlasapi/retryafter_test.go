@@ -2,8 +2,10 @@ package atlasapi
 
 import (
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -47,10 +49,17 @@ func TestParseRetryAfter(t *testing.T) {
 		{"0", 0},
 		{"-1", 0},
 		{"soon", 0},
-		{"Tue, 29 Oct 2024 16:56:32 GMT", 0},    // HTTP-date in the past: no usable hint
-		{"Tue, 29 Oct 2024 16:56:32 UTC+1", 0},  // not an RFC 7231 date
-		{"2024-10-29T16:56:32Z", 0},             // RFC 3339 is not an HTTP-date
-		{"99999999999999999999999999999999", 0}, // overflows delay-seconds, not a date
+		{"Tue, 29 Oct 2024 16:56:32 GMT", 0},   // HTTP-date in the past: no usable hint
+		{"Tue, 29 Oct 2024 16:56:32 UTC+1", 0}, // not an RFC 7231 date
+		{"2024-10-29T16:56:32Z", 0},            // RFC 3339 is not an HTTP-date
+		// Seconds past the longest Duration saturate to it instead of
+		// wrapping negative.
+		{"9300000000", math.MaxInt64},
+		{"18446744073", math.MaxInt64},
+		{"9223372036854775807", math.MaxInt64},
+		{"9223372036", 9223372036 * time.Second},
+		{"99999999999999999999999999999999", math.MaxInt64}, // past int as well
+		{"-99999999999999999999999999999999", 0},
 	} {
 		if got := ParseRetryAfter(mk(tc.v)); got != tc.want {
 			t.Errorf("ParseRetryAfter(%q) = %v, want %v", tc.v, got, tc.want)
@@ -67,6 +76,37 @@ func TestParseRetryAfter(t *testing.T) {
 			t.Errorf("ParseRetryAfter(%s date 90s out) = %v, want ~90s", layout, got)
 		}
 	}
+}
+
+// FuzzParseRetryAfter: no header value yields a negative pause, and in
+// the delay-seconds form more seconds never yield a shorter one.
+func FuzzParseRetryAfter(f *testing.F) {
+	for _, v := range []string{
+		"", "3", " 2 ", "-1", "+5", "soon", "9223372036", "9300000000", "18446744073",
+		"9223372036854775807", "99999999999999999999999999999999",
+		"Tue, 29 Oct 2024 16:56:32 GMT", "Sun, 06 Nov 2994 08:49:37 GMT",
+	} {
+		f.Add(v, uint64(0), uint64(1))
+	}
+	f.Add("", uint64(9223372036), uint64(9223372037))
+	f.Add("", uint64(18446744073), uint64(1<<64-1))
+	parse := func(v string) time.Duration {
+		return ParseRetryAfter(&http.Response{Header: http.Header{"Retry-After": {v}}})
+	}
+	f.Fuzz(func(t *testing.T, v string, a, b uint64) {
+		if d := parse(v); d < 0 {
+			t.Fatalf("ParseRetryAfter(%q) = %v", v, d)
+		}
+		if a > b {
+			a, b = b, a
+		}
+		sa, sb := strconv.FormatUint(a, 10), strconv.FormatUint(b, 10)
+		for _, pair := range [][2]string{{sa, sb}, {sb, sb + "0"}, {sb + "0", sb + "00000000000"}} {
+			if lo, hi := parse(pair[0]), parse(pair[1]); lo > hi {
+				t.Fatalf("ParseRetryAfter(%q) = %v > ParseRetryAfter(%q) = %v", pair[0], lo, pair[1], hi)
+			}
+		}
+	})
 }
 
 // TestClientHonorsRetryAfter is the spacing regression test for the 429

@@ -1,7 +1,6 @@
 package atlasdata
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -37,14 +36,17 @@ type Archive struct {
 // castagnoli is the CRC32C table record extents are checksummed with.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// extent is the byte range [off, end) of a record file.
-type extent struct{ off, end int64 }
+// extent is a stretch of whole lines of a record file: n bytes from off,
+// whose CRC32C is crc.
+type extent struct {
+	off    int64
+	n, crc uint32
+}
 
 // recordIndex locates one probe's records in one record file.
 type recordIndex struct {
-	extents []extent // in file order; a file written by Save gives one
+	extents []extent // in file order
 	count   int      // records in the extents
-	crc     uint32   // CRC32C of the extents' bytes, in order
 }
 
 // recordFile is one open record file and its per-probe index.
@@ -115,47 +117,117 @@ func scanRecords[T validator](dir string, k *recordKind[T]) (*recordFile[T], map
 	if err != nil {
 		return nil, nil, err
 	}
-	rf := &recordFile[T]{kind: k, path: path, f: f, index: make(map[ProbeID]*recordIndex)}
-	scans := make(map[ProbeID]*probeScan[T])
-	var (
-		curID ProbeID
-		idx   *recordIndex
-		st    *probeScan[T]
-	)
-	sc := newRecordScanner(f, nil, k.nFields, k.parse)
-	for sc.Scan() {
-		r := &sc.rec
-		// Probes' lines come in runs; only a new run looks up its probe.
-		if id := k.probe(r); idx == nil || id != curID {
-			curID, idx, st = id, rf.index[id], scans[id]
-			if idx == nil {
-				idx, st = &recordIndex{}, new(probeScan[T])
-				rf.index[id], scans[id] = idx, st
-			}
-		}
-		if n := len(idx.extents); n > 0 && idx.extents[n-1].end == sc.off {
-			idx.extents[n-1].end = sc.end
-		} else {
-			idx.extents = append(idx.extents, extent{sc.off, sc.end})
-		}
-		idx.crc = crc32.Update(idx.crc, castagnoli, sc.raw)
-		// Until a probe's records fall out of time order, file order is
-		// the order Load validates them in.
-		if idx.count > 0 && !st.unsorted {
-			if k.time(r) < k.time(&st.last) {
-				st.unsorted = true
-			} else if st.err == nil {
-				st.err = k.follows(curID, idx.count, &st.last, r)
-			}
-		}
-		st.last = *r
-		idx.count++
+	s := &archiveScan[T]{
+		kind:  k,
+		rf:    &recordFile[T]{kind: k, path: path, f: f, index: make(map[ProbeID]*recordIndex)},
+		scans: make(map[ProbeID]*probeScan[T]),
 	}
-	if err := sc.Err(); err != nil {
+	if err := scanBlocks(f, s); err != nil {
 		f.Close()
 		return nil, nil, err
 	}
-	return rf, scans, nil
+	return s.rf, s.scans, nil
+}
+
+// run is a block's consecutive records of one probe, with no other line
+// between them: one extent of the probe's index.
+type run[T any] struct {
+	id          ProbeID
+	off, end    int64 // the run's bytes in the file
+	crc         uint32
+	count       int
+	first, last T
+	unsorted    bool // a record came earlier in time than the one before it
+	// bad is the run-local index of the first record, before any out of
+	// time order, that failed follows against badPrev; 0 if none did.
+	bad             int
+	badPrev, badCur T
+}
+
+// archiveScan is Open's pass over one record file. Workers cut each
+// block's records into runs, checking them against each other; finish
+// files the runs in the index, in file order, and makes the same checks
+// across runs.
+type archiveScan[T validator] struct {
+	kind  *recordKind[T]
+	rf    *recordFile[T]
+	scans map[ProbeID]*probeScan[T]
+	runs  [][]run[T] // by block slot
+
+	// The probe of the last run finish filed.
+	id  ProbeID
+	idx *recordIndex
+	st  *probeScan[T]
+}
+
+func (s *archiveScan[T]) slots(n int) { s.runs = make([][]run[T], n) }
+
+func (s *archiveScan[T]) start(*block, bool) bool { return true }
+
+func (s *archiveScan[T]) scan(b *block) {
+	k := s.kind
+	runs := s.runs[b.slot][:0]
+	var cur *run[T]
+	sc := newRecordScanner(b.buf, b.line, k.nFields, k.parse)
+	for sc.Scan() {
+		r, off := &sc.rec, b.off+int64(sc.off)
+		if id := k.probe(r); cur == nil || id != cur.id || off != cur.end {
+			runs = append(runs, run[T]{id: id, off: off, first: *r})
+			cur = &runs[len(runs)-1]
+		} else if !cur.unsorted {
+			if k.time(r) < k.time(&cur.last) {
+				cur.unsorted = true
+			} else if cur.bad == 0 && k.follows(id, cur.count, &cur.last, r) != nil {
+				cur.bad, cur.badPrev, cur.badCur = cur.count, cur.last, *r
+			}
+		}
+		cur.last = *r
+		cur.count++
+		cur.end = b.off + int64(sc.end)
+	}
+	for i := range runs {
+		r := &runs[i]
+		r.crc = crc32.Checksum(b.buf[r.off-b.off:r.end-b.off], castagnoli)
+	}
+	s.runs[b.slot], b.err = runs, sc.err
+}
+
+func (s *archiveScan[T]) finish(b *block) error {
+	if b.err != nil {
+		return b.err
+	}
+	k := s.kind
+	for i := range s.runs[b.slot] {
+		r := &s.runs[b.slot][i]
+		// Probes' lines come in runs; only a new probe is looked up.
+		if s.idx == nil || r.id != s.id {
+			s.id, s.idx, s.st = r.id, s.rf.index[r.id], s.scans[r.id]
+			if s.idx == nil {
+				s.idx, s.st = &recordIndex{}, new(probeScan[T])
+				s.rf.index[r.id], s.scans[r.id] = s.idx, s.st
+			}
+		}
+		idx, st := s.idx, s.st
+		idx.extents = append(idx.extents, extent{r.off, uint32(r.end - r.off), r.crc})
+		// Until a probe's records fall out of time order, file order is
+		// the order Load validates them in.
+		if idx.count > 0 && !st.unsorted {
+			if k.time(&r.first) < k.time(&st.last) {
+				st.unsorted = true
+			} else if st.err == nil {
+				st.err = k.follows(r.id, idx.count, &st.last, &r.first)
+			}
+		}
+		if !st.unsorted {
+			if st.err == nil && r.bad > 0 {
+				st.err = k.follows(r.id, idx.count+r.bad, &r.badPrev, &r.badCur)
+			}
+			st.unsorted = r.unsorted
+		}
+		st.last = r.last
+		idx.count += r.count
+	}
+	return nil
 }
 
 // validate finishes Open's checks of one record file, in the order
@@ -191,38 +263,36 @@ func (rf *recordFile[T]) read(id ProbeID) ([]T, error) {
 var readBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // readInto appends the records of probe id, indexed by idx, to out as
-// read returns them. *buf is scratch space for their bytes and the
-// scanner's line buffer, grown as needed and kept for the caller's next
-// read.
+// read returns them. *buf is scratch space for their bytes, grown as
+// needed and kept for the caller's next read.
 func (rf *recordFile[T]) readInto(id ProbeID, idx *recordIndex, out []T, buf *[]byte) ([]T, error) {
 	var n int64
 	for _, e := range idx.extents {
-		n += e.end - e.off
+		n += int64(e.n)
 	}
-	// The scanner's buffer holds all n bytes and one more, so it never
-	// grows.
-	if int64(cap(*buf)) < 2*n+1 {
-		*buf = make([]byte, 2*n+1)
+	if int64(cap(*buf)) < n {
+		*buf = make([]byte, n)
 	}
-	b, lines := (*buf)[:n], (*buf)[n:n:2*n+1]
+	b := (*buf)[:n]
 	pos := int64(0)
 	for _, e := range idx.extents {
-		if _, err := rf.f.ReadAt(b[pos:pos+e.end-e.off], e.off); errors.Is(err, io.EOF) {
+		ext := b[pos : pos+int64(e.n)]
+		if _, err := rf.f.ReadAt(ext, e.off); errors.Is(err, io.EOF) {
 			return nil, rf.changed(id) // the file shrank
 		} else if err != nil {
 			return nil, fmt.Errorf("atlasdata: reading probe %d's %s: %w", id, rf.kind.what, err)
 		}
-		pos += e.end - e.off
-	}
-	if crc32.Checksum(b, castagnoli) != idx.crc {
-		return nil, rf.changed(id)
+		if crc32.Checksum(ext, castagnoli) != e.crc {
+			return nil, rf.changed(id)
+		}
+		pos += int64(e.n)
 	}
 	lo := len(out)
-	sc := newRecordScanner(bytes.NewReader(b), lines, rf.kind.nFields, rf.kind.parse)
+	sc := newRecordScanner(b, 0, rf.kind.nFields, rf.kind.parse)
 	for sc.Scan() {
 		out = append(out, sc.rec)
 	}
-	if sc.Err() != nil || len(out)-lo != idx.count {
+	if sc.err != nil || len(out)-lo != idx.count {
 		return nil, rf.changed(id)
 	}
 	rf.kind.sort(out[lo:])

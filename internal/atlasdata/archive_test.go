@@ -14,59 +14,69 @@ import (
 // accepts, fail with Load's error otherwise, and read back what Load
 // returns.
 func FuzzArchiveOpen(f *testing.F) {
-	files := []string{connLogsFile, kRootFile, uptimeFile}
-	for _, seed := range []struct {
-		file uint8
-		data string
-	}{
-		{0, "206\t100\t200\t91.55.1.1\n206\t300\t400\t91.55.2.2\n207\t150\t250\t2001:db8::2\n"},
-		{0, "206\t100\t200\t91.55.1.1\n206\t300\t400\t91.55.2.2\n207\t150\t250\t2001"},
-		{0, "206\t100\t200\t91.55.1.1\n206\t300\t400\t91.55.2.2\n206\t350\t500\t91.55.9.9\n"},
-		{0, "206\t100\t200\t91.55.1.1\r\n207\t150\t250\t2001:db8::2\r\n206\t300\t400\t91.55.2.2\r\n"},
-		{0, "206\t300\t400\t91.55.2.2\n# comment\n\n206\t100\t200\t91.55.1.1"},
-		{0, "206\t300\t400\t91.55.2.2\n206\t100\t350\t91.55.1.1\n207\t150\t250\t2001:db8::2\n"},
-		{1, "206\t120\t3\t3\t60\n206\t360\t3\t0\t300\n99999\t1000\t3\t3\t60\n"},
-		{1, "206\t360\t3\t0\t300\n206\t120\t3\t3\t60"},
-		{2, "206\t100\t5000\n206\t300\t20\n206\t1000\t-5\n"},
-		{2, "206\t300\t20\n206\t100\t5000\n"},
-		{2, "207\t5\t1\n206\t100\t5000\n207\t5\t2\n206\t300\t20\n207\t1\t3\n"},
-	} {
+	for _, seed := range archiveOpenSeeds {
 		f.Add(seed.file, []byte(seed.data))
 	}
-	f.Fuzz(func(t *testing.T, file uint8, data []byte) {
-		dir := savedSample(t)
-		if err := os.WriteFile(filepath.Join(dir, files[int(file)%len(files)]), data, 0o644); err != nil {
-			t.Fatal(err)
+	f.Fuzz(checkArchiveOpen)
+}
+
+// archiveOpenSeeds is FuzzArchiveOpen's seed corpus: a record file to
+// replace, by index into archiveFiles, and its new bytes.
+var archiveOpenSeeds = []struct {
+	file uint8
+	data string
+}{
+	{0, "206\t100\t200\t91.55.1.1\n206\t300\t400\t91.55.2.2\n207\t150\t250\t2001:db8::2\n"},
+	{0, "206\t100\t200\t91.55.1.1\n206\t300\t400\t91.55.2.2\n207\t150\t250\t2001"},
+	{0, "206\t100\t200\t91.55.1.1\n206\t300\t400\t91.55.2.2\n206\t350\t500\t91.55.9.9\n"},
+	{0, "206\t100\t200\t91.55.1.1\r\n207\t150\t250\t2001:db8::2\r\n206\t300\t400\t91.55.2.2\r\n"},
+	{0, "206\t300\t400\t91.55.2.2\n# comment\n\n206\t100\t200\t91.55.1.1"},
+	{0, "206\t300\t400\t91.55.2.2\n206\t100\t350\t91.55.1.1\n207\t150\t250\t2001:db8::2\n"},
+	{1, "206\t120\t3\t3\t60\n206\t360\t3\t0\t300\n99999\t1000\t3\t3\t60\n"},
+	{1, "206\t360\t3\t0\t300\n206\t120\t3\t3\t60"},
+	{2, "206\t100\t5000\n206\t300\t20\n206\t1000\t-5\n"},
+	{2, "206\t300\t20\n206\t100\t5000\n"},
+	{2, "207\t5\t1\n206\t100\t5000\n207\t5\t2\n206\t300\t20\n207\t1\t3\n"},
+	{1, "206\t120\t3\t3\t60\n206\t360\t3\t0\t300"},
+	{2, "206\t100\t5000\r\n# note\r\n\r\n206\t300\t20\r\n207\t5\t1"},
+}
+
+var archiveFiles = []string{connLogsFile, kRootFile, uptimeFile}
+
+// checkArchiveOpen is FuzzArchiveOpen's check of one input.
+func checkArchiveOpen(t *testing.T, file uint8, data []byte) {
+	dir := savedSample(t)
+	if err := os.WriteFile(filepath.Join(dir, archiveFiles[int(file)%len(archiveFiles)]), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	want, lerr := Load(dir)
+	a, oerr := Open(dir)
+	if lerr != nil || oerr != nil {
+		if lerr == nil || oerr == nil || lerr.Error() != oerr.Error() {
+			t.Fatalf("Load: %v\nOpen: %v", lerr, oerr)
 		}
-		want, lerr := Load(dir)
-		a, oerr := Open(dir)
-		if lerr != nil || oerr != nil {
-			if lerr == nil || oerr == nil || lerr.Error() != oerr.Error() {
-				t.Fatalf("Load: %v\nOpen: %v", lerr, oerr)
-			}
-			return
+		return
+	}
+	defer a.Close()
+	for _, id := range want.ProbeIDs() {
+		conns, err1 := a.ReadConnLogs(id)
+		kroot, err2 := a.ReadKRoot(id)
+		uptime, err3 := a.ReadUptime(id)
+		if err := errors.Join(err1, err2, err3); err != nil {
+			t.Fatalf("probe %d: %v", id, err)
 		}
-		defer a.Close()
-		for _, id := range want.ProbeIDs() {
-			conns, err1 := a.ReadConnLogs(id)
-			kroot, err2 := a.ReadKRoot(id)
-			uptime, err3 := a.ReadUptime(id)
-			if err := errors.Join(err1, err2, err3); err != nil {
-				t.Fatalf("probe %d: %v", id, err)
-			}
-			if !reflect.DeepEqual(conns, want.ConnLogs[id]) || !reflect.DeepEqual(kroot, want.KRoot[id]) ||
-				!reflect.DeepEqual(uptime, want.Uptime[id]) {
-				t.Fatalf("probe %d: archive reads differ from Load", id)
-			}
+		if !reflect.DeepEqual(conns, want.ConnLogs[id]) || !reflect.DeepEqual(kroot, want.KRoot[id]) ||
+			!reflect.DeepEqual(uptime, want.Uptime[id]) {
+			t.Fatalf("probe %d: archive reads differ from Load", id)
 		}
-		got, err := a.Dataset(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatal("Archive.Dataset() differs from Load")
-		}
-	})
+	}
+	got, err := a.Dataset(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("Archive.Dataset() differs from Load")
+	}
 }
 
 // TestArchiveDatasetStopsOnCancel: Dataset reads nothing for a request

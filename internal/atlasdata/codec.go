@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strconv"
 	"unicode"
@@ -79,10 +80,10 @@ func parseKRoot(f fields) (KRootRound, error) {
 	if err := cmp.Or(err1, err2); err != nil {
 		return KRootRound{}, err
 	}
-	sent, err3 := strconv.Atoi(string(f[2]))
-	success, err4 := strconv.Atoi(string(f[3]))
-	lts, err5 := strconv.ParseInt(string(f[4]), 10, 64)
-	if err3 != nil || err4 != nil || err5 != nil {
+	sent, ok3 := atoi(f[2])
+	success, ok4 := atoi(f[3])
+	lts, ok5 := parseDecimal(f[4])
+	if !ok3 || !ok4 || !ok5 {
 		return KRootRound{}, fmt.Errorf("bad numeric field in [%s %s %s %s %s]", f[0], f[1], f[2], f[3], f[4])
 	}
 	k := KRootRound{Probe: probe, Timestamp: simclock.Time(ts), Sent: sent, Success: success, LTS: lts}
@@ -197,19 +198,53 @@ func ParseProbeArchive(r io.Reader) ([]ProbeMeta, error) {
 }
 
 func parseProbeID(b []byte) (ProbeID, error) {
-	id, err := strconv.Atoi(string(b))
-	if err != nil || id <= 0 {
+	id, ok := atoi(b)
+	if !ok || id <= 0 {
 		return 0, fmt.Errorf("bad probe ID %q", b)
 	}
 	return ProbeID(id), nil
 }
 
 func parseInt(b []byte, what string) (int64, error) {
-	v, err := strconv.ParseInt(string(b), 10, 64)
-	if err != nil {
+	v, ok := parseDecimal(b)
+	if !ok {
 		return 0, fmt.Errorf("bad %s %q", what, b)
 	}
 	return v, nil
+}
+
+// atoi is strconv.Atoi on bytes, without allocating.
+func atoi(b []byte) (int, bool) {
+	v, ok := parseDecimal(b)
+	return int(v), ok && int64(int(v)) == v
+}
+
+// parseDecimal is strconv.ParseInt(string(b), 10, 64) without the
+// allocation: an optional sign, then one or more ASCII digits. Values
+// of 19 digits and more, which may overflow, go to strconv itself.
+func parseDecimal(b []byte) (int64, bool) {
+	digits := b
+	if len(digits) > 0 && (digits[0] == '+' || digits[0] == '-') {
+		digits = digits[1:]
+	}
+	if len(digits) == 0 {
+		return 0, false
+	}
+	if len(digits) > 18 {
+		v, err := strconv.ParseInt(string(b), 10, 64)
+		return v, err == nil
+	}
+	var v int64
+	for _, c := range digits {
+		if c -= '0'; c > 9 {
+			return 0, false
+		}
+		v = v*10 + int64(c)
+	}
+	if b[0] == '-' {
+		v = -v
+	}
+	return v, true
 }
 
 // maxFields is the widest record line: a k-root round's five fields.
@@ -218,93 +253,168 @@ const maxFields = 5
 // fields holds a line's first fields; taken by value, it stays off the heap.
 type fields [maxFields][]byte
 
-// asciiSpace marks the ASCII bytes unicode.IsSpace accepts.
-var asciiSpace = [256]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
+// Byte classes for splitFields: a byte that can only be part of a field,
+// an ASCII space (as unicode.IsSpace has it), and the first byte of a
+// multi-byte rune, which may be a Unicode space.
+const (
+	fieldByte = iota
+	asciiSpace
+	runeStart
+)
+
+var byteClass = func() (c [256]uint8) {
+	for _, b := range []byte{'\t', '\n', '\v', '\f', '\r', ' '} {
+		c[b] = asciiSpace
+	}
+	for b := utf8.RuneSelf; b < 256; b++ {
+		c[b] = runeStart
+	}
+	return c
+}()
 
 // splitFields splits b around runs of unicode.IsSpace, exactly as
 // strings.Fields does, without allocating: the first maxFields fields
 // land in f, and the result counts every field.
 func splitFields(b []byte, f *fields) int {
-	n, start := 0, -1
-	for i := 0; i < len(b); {
-		c, size := b[i], 1
-		space := asciiSpace[c]
-		if c >= utf8.RuneSelf {
-			var r rune
-			r, size = utf8.DecodeRune(b[i:])
-			space = unicode.IsSpace(r)
-		}
-		if space && start >= 0 {
-			if n < maxFields {
-				f[n] = b[start:i]
+	n, i := 0, 0
+	for {
+		for i < len(b) && byteClass[b[i]] != fieldByte {
+			if size, space := spaceAt(b, i); space {
+				i += size
+			} else {
+				break
 			}
-			n++
-			start = -1
-		} else if !space && start < 0 {
-			start = i
 		}
-		i += size
-	}
-	if start >= 0 {
+		if i == len(b) {
+			return n
+		}
+		start := i
+		for i < len(b) {
+			if c := byteClass[b[i]]; c == fieldByte {
+				i++
+			} else if size, space := spaceAt(b, i); !space {
+				i += size
+			} else {
+				break
+			}
+		}
 		if n < maxFields {
-			f[n] = b[start:]
+			f[n] = b[start:i]
 		}
 		n++
 	}
-	return n
+}
+
+// spaceAt decodes the rune at b[i], which is not a field byte, and
+// reports its length and whether it is a space.
+func spaceAt(b []byte, i int) (int, bool) {
+	if byteClass[b[i]] == asciiSpace {
+		return 1, true
+	}
+	r, size := utf8.DecodeRune(b[i:])
+	return size, unicode.IsSpace(r)
 }
 
 // parseText appends to out one record per line of r. Blank lines and
 // lines whose first field starts with '#' are skipped; every other line
-// must hold exactly nFields fields. Errors name the 1-based line.
+// must hold exactly nFields fields. Errors name the 1-based line. Each
+// block of lines (in parallel, when r is a file) is parsed straight into
+// out's spare capacity, so out sized for r's lines up front is never
+// grown.
 func parseText[T any](r io.Reader, nFields int, parse func(fields) (T, error), out []T) ([]T, error) {
-	sc := newRecordScanner(r, nil, nFields, parse)
-	for sc.Scan() {
-		out = append(out, sc.rec)
+	t := &textScan[T]{nFields: nFields, parse: parse, recs: out, all: out[:cap(out)], next: len(out)}
+	err := scanBlocks(r, t)
+	if len(t.recs) == len(out) {
+		return out, err // as append leaves it: nil stays nil
 	}
-	return out, sc.Err()
+	return t.recs, err
 }
 
-// recordScanner reads one record per line, as parseText describes, and
-// reports where each record's line sits in the input.
-type recordScanner[T any] struct {
-	sc      *bufio.Scanner
+// textScan is parseText's pass over its blocks. Each block's records go
+// to all[b.at:], at the block's place if every line before it were a
+// record, and move down to the end of recs when the block finishes.
+type textScan[T any] struct {
 	nFields int
 	parse   func(fields) (T, error)
-	lineno  int
-	err     error
-
-	rec T      // the record the last Scan parsed
-	raw []byte // its line's bytes, terminator included; valid until the next Scan
-	off int64  // the line's offset in the input
-	end int64  // the offset just past the line
+	recs    []T // the records of the finished blocks
+	all     []T // recs to its capacity; replaced only while no block is in flight
+	next    int // where in all the next block's records go
 }
 
-// newRecordScanner scans r. buf, whose capacity is the scanner's first
-// line buffer, may be nil for a 64 KiB one; longer lines grow it.
-func newRecordScanner[T any](r io.Reader, buf []byte, nFields int, parse func(fields) (T, error)) *recordScanner[T] {
-	s := &recordScanner[T]{sc: bufio.NewScanner(r), nFields: nFields, parse: parse}
-	if buf == nil {
-		buf = make([]byte, 0, 64*1024)
-	}
-	s.sc.Buffer(buf, 1<<20)
-	s.sc.Split(func(data []byte, atEOF bool) (int, []byte, error) {
-		advance, token, err := bufio.ScanLines(data, atEOF)
-		if token != nil {
-			s.raw, s.off, s.end = data[:advance], s.end, s.end+int64(advance)
+func (t *textScan[T]) slots(int) {}
+
+func (t *textScan[T]) start(b *block, idle bool) bool {
+	if cap(t.all)-t.next < b.lines {
+		if !idle {
+			return false
 		}
-		return advance, token, err
-	})
-	return s
+		if t.next = len(t.recs); cap(t.recs)-t.next < b.lines {
+			t.recs = slices.Grow(t.recs, max(b.lines, len(t.recs)))
+			t.all = t.recs[:cap(t.recs)]
+		}
+	}
+	b.at = t.next
+	t.next += b.lines
+	return true
+}
+
+func (t *textScan[T]) scan(b *block) {
+	out := t.all[b.at : b.at+b.lines]
+	sc := newRecordScanner(b.buf, b.line, t.nFields, t.parse)
+	b.n = 0
+	for sc.Scan() {
+		out[b.n] = sc.rec
+		b.n++
+	}
+	b.err = sc.err
+}
+
+func (t *textScan[T]) finish(b *block) error {
+	if b.err != nil {
+		return b.err
+	}
+	n := len(t.recs)
+	if b.at != n { // skipped lines came before the block
+		copy(t.all[n:], t.all[b.at:b.at+b.n])
+	}
+	t.recs = t.all[:n+b.n]
+	return nil
+}
+
+// recordScanner reads one record per line of an in-memory run of lines,
+// as parseText describes, and reports where each record's line sits.
+type recordScanner[T any] struct {
+	buf     []byte
+	pos     int // where the next line starts
+	nFields int
+	parse   func(fields) (T, error)
+	lineno  int // lines read, plus the number the scanner started from
+	err     error
+
+	rec T   // the record the last Scan parsed
+	off int // where its line starts in buf
+	end int // just past its line, newline included
+}
+
+// newRecordScanner scans the lines of buf, numbering the first of them
+// line+1 in its errors.
+func newRecordScanner[T any](buf []byte, line, nFields int, parse func(fields) (T, error)) recordScanner[T] {
+	return recordScanner[T]{buf: buf, lineno: line, nFields: nFields, parse: parse}
 }
 
 // Scan advances to the next record, skipping blank and comment lines.
-// It returns false at the end of the input or at the first error.
+// It returns false at the end of the lines or at the first error.
 func (s *recordScanner[T]) Scan() bool {
 	var f fields
-	for s.err == nil && s.sc.Scan() {
+	for s.err == nil && s.pos < len(s.buf) {
+		off, line := s.pos, s.buf[s.pos:]
+		if i := bytes.IndexByte(line, '\n'); i >= 0 {
+			line, s.pos = line[:i], off+i+1
+		} else {
+			s.pos = len(s.buf)
+		}
 		s.lineno++
-		n := splitFields(s.sc.Bytes(), &f)
+		n := splitFields(line, &f) // a '\r' before the newline is a space to it
 		if n == 0 || f[0][0] == '#' {
 			continue
 		}
@@ -317,18 +427,10 @@ func (s *recordScanner[T]) Scan() bool {
 			s.err = fmt.Errorf("atlasdata: line %d: %v", s.lineno, err)
 			return false
 		}
-		s.rec = rec
+		s.rec, s.off, s.end = rec, off, s.pos
 		return true
 	}
 	return false
-}
-
-// Err returns the first parse or read error.
-func (s *recordScanner[T]) Err() error {
-	if s.err != nil {
-		return s.err
-	}
-	return s.sc.Err()
 }
 
 // unmarshalRecord parses one self-contained record of nFields fields.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -255,6 +256,138 @@ func TestArchiveConcurrentReads(t *testing.T) {
 			}
 			if _, err := a.Dataset(context.Background()); err != nil {
 				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestArchiveEquivalenceInSmallBlocks is TestArchiveEquivalence with the
+// scanner cutting blocks of a few dozen bytes: most probes' runs of
+// lines, and many single lines, straddle a block boundary.
+func TestArchiveEquivalenceInSmallBlocks(t *testing.T) {
+	defer atlasdata.SetBlockSize(40)()
+	TestArchiveEquivalence(t)
+}
+
+// TestDeepBadRecords: a bad record far into a record file fails Load and
+// Open with the line number or record index a sequential pass over the
+// file names, whatever the blocks the file is cut into.
+func TestDeepBadRecords(t *testing.T) {
+	ds, dir := savedWorld(t)
+	connlogs, kroot := readFile(t, dir, "connlogs.tsv"), readFile(t, dir, "kroot.tsv")
+
+	// A k-root line two thirds of the way in that does not parse.
+	lines := bytes.SplitAfter(kroot, []byte("\n"))
+	at := 2 * len(lines) / 3
+	lines[at] = []byte("1\t2\t3\tbogus\t5\n")
+	badKRoot := fmt.Sprintf("atlasdata: line %d: bad numeric field in [1 2 3 bogus 5]", at+1)
+
+	// A connection overlapping its predecessor, halfway through the
+	// connection logs of the probe with the most: it keeps its place in
+	// time order, so its index is its place in the file's run.
+	var id atlasdata.ProbeID
+	for p, es := range ds.ConnLogs {
+		if len(es) > len(ds.ConnLogs[id]) || len(es) == len(ds.ConnLogs[id]) && p < id {
+			id = p
+		}
+	}
+	es := ds.ConnLogs[id]
+	j := len(es) / 2
+	for es[j-1].End-es[j-1].Start < 2 {
+		j++
+	}
+	old, err := atlasdata.MarshalConnLog(es[j])
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := es[j]
+	e.Start = es[j-1].End - 1
+	bad, err := atlasdata.MarshalConnLog(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Count(connlogs, append(old, '\n')) != 1 {
+		t.Fatalf("probe %d's connection %d is not on exactly one line", id, j)
+	}
+	badConnLogs := fmt.Sprintf("atlasdata: probe %d has overlapping connections at %d (%v < %v)", id, j, e.Start, es[j-1].End)
+
+	for _, tc := range []struct {
+		file string
+		data []byte
+		want string
+	}{
+		{"kroot.tsv", bytes.Join(lines, nil), badKRoot},
+		{"connlogs.tsv", bytes.Replace(connlogs, old, bad, 1), badConnLogs},
+	} {
+		_, dir := savedWorld(t)
+		writeFile(t, dir, tc.file, tc.data)
+		for _, n := range []int{0, 40, 4096} {
+			restore := func() {}
+			if n > 0 {
+				restore = atlasdata.SetBlockSize(n)
+			}
+			_, lerr := atlasdata.Load(dir)
+			a, oerr := atlasdata.Open(dir)
+			if oerr == nil {
+				a.Close()
+			}
+			restore()
+			if lerr == nil || lerr.Error() != tc.want || oerr == nil || oerr.Error() != tc.want {
+				t.Errorf("%s, block size %d:\n Load: %v\n Open: %v\n want: %s", tc.file, n, lerr, oerr, tc.want)
+			}
+		}
+	}
+}
+
+func readFile(t *testing.T, dir, name string) []byte {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join(dir, name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+func writeFile(t *testing.T, dir, name string, data []byte) {
+	t.Helper()
+	if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestConcurrentScans: passes that run at once share the scanner's
+// workers and its idle buffers, and each still reads its own file.
+func TestConcurrentScans(t *testing.T) {
+	defer atlasdata.SetBlockSize(4096)()
+	want, dir := savedWorld(t)
+	kroot := readFile(t, dir, "kroot.tsv")
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 3; i++ {
+				loaded, err := atlasdata.Load(dir)
+				if err != nil || !reflect.DeepEqual(loaded, want) {
+					t.Errorf("Load: %v, or its dataset differs from the saved world", err)
+					return
+				}
+				a, err := atlasdata.Open(dir)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				opened, err := a.Dataset(context.Background())
+				a.Close()
+				if err != nil || !reflect.DeepEqual(opened.KRoot, want.KRoot) {
+					t.Errorf("Open: %v, or its k-root rounds differ from the saved world", err)
+					return
+				}
+				if rounds, err := atlasdata.ParseKRoot(bytes.NewReader(kroot)); err != nil || len(rounds) != bytes.Count(kroot, []byte("\n")) {
+					t.Errorf("ParseKRoot: %d rounds, %v", len(rounds), err)
+					return
+				}
 			}
 		}()
 	}

@@ -152,45 +152,67 @@ func sameAsReference[T any](t *testing.T, name string, data []byte, got T, err e
 // bytes: blank and comment lines, CRLF, Unicode spaces, invalid UTF-8,
 // wrong field counts and malformed numbers alike.
 func FuzzTextRecords(f *testing.F) {
-	for _, seed := range []string{
-		"206\t1420082494\t1420167457\t91.55.174.103\n",
-		"207 100 200 2001:db8::1\r\n# header\n\n208\t1\t2\t10.0.0.1",
-		"16893\t1422349302\t3\t3\t86\n16893\t1422349548\t3\t0\t151\n",
-		"206\t100\t5000\n  # indented comment\n206\t300\t20",
-		"206\u00a0100\u0085 5000\u2003",
-		"\xff206\t100\t5000\n206\t1\t2\t\xc2",
-		"206\t1\t2\t3\t4\t5\t6\t7",
-		"0\t1\t2\n+5\t-1\t+2\n-3\t0\t0",
-		"1\t2\t3\t4\tx",
-		"1\t2\t3\t4\t5\n1\t2\t9\t4\t5",
-		"206\t200\t100\t1.2.3.4",
-		"206\t100\t200\t1.2.3.999",
-		"206\t100\t200\t1..3.4",
-		"99999999999999999999\t1\t2",
-	} {
+	for _, seed := range textRecordSeeds {
 		f.Add([]byte(seed))
 	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		c, err := UnmarshalConnLog(data)
-		rc, rerr := refUnmarshal(data, "connlog", 4, refParseConnLogFields)
-		sameAsReference(t, "UnmarshalConnLog", data, c, err, rc, rerr)
-		k, err := UnmarshalKRoot(data)
-		rk, rerr := refUnmarshal(data, "kroot", 5, refParseKRootFields)
-		sameAsReference(t, "UnmarshalKRoot", data, k, err, rk, rerr)
-		u, err := UnmarshalUptime(data)
-		ru, rerr := refUnmarshal(data, "uptime", 3, refParseUptimeFields)
-		sameAsReference(t, "UnmarshalUptime", data, u, err, ru, rerr)
+	f.Fuzz(checkTextRecords)
+}
 
-		cs, err := ParseConnLogs(bytes.NewReader(data))
-		rcs, rerr := refParse(bytes.NewReader(data), 4, refParseConnLogFields)
-		sameAsReference(t, "ParseConnLogs", data, cs, err, rcs, rerr)
-		ks, err := ParseKRoot(bytes.NewReader(data))
-		rks, rerr := refParse(bytes.NewReader(data), 5, refParseKRootFields)
-		sameAsReference(t, "ParseKRoot", data, ks, err, rks, rerr)
-		us, err := ParseUptime(bytes.NewReader(data))
-		rus, rerr := refParse(bytes.NewReader(data), 3, refParseUptimeFields)
-		sameAsReference(t, "ParseUptime", data, us, err, rus, rerr)
-	})
+// textRecordSeeds is FuzzTextRecords' seed corpus.
+var textRecordSeeds = []string{
+	"206\t1420082494\t1420167457\t91.55.174.103\n",
+	"207 100 200 2001:db8::1\r\n# header\n\n208\t1\t2\t10.0.0.1",
+	"16893\t1422349302\t3\t3\t86\n16893\t1422349548\t3\t0\t151\n",
+	"206\t100\t5000\n  # indented comment\n206\t300\t20",
+	"206\u00a0100\u0085 5000\u2003",
+	"\xff206\t100\t5000\n206\t1\t2\t\xc2",
+	"206\t1\t2\t3\t4\t5\t6\t7",
+	"0\t1\t2\n+5\t-1\t+2\n-3\t0\t0",
+	"1\t2\t3\t4\tx",
+	"1\t2\t3\t4\t5\n1\t2\t9\t4\t5",
+	"206\t200\t100\t1.2.3.4",
+	"206\t100\t200\t1.2.3.999",
+	"206\t100\t200\t1..3.4",
+	"99999999999999999999\t1\t2",
+	// Decimal fields at and past int64's bounds, at the 19 digits
+	// from which parseDecimal defers to strconv, and in the shapes
+	// strconv's other bases and syntaxes accept but base 10 does not.
+	"206\t9223372036854775807\t-9223372036854775808\n206\t-9223372036854775807\t9223372036854775807",
+	"206\t9223372036854775808\t1\n206\t-9223372036854775809\t1",
+	"9223372036854775807\t1\t2\t3\t4\n9223372036854775808\t1\t2\t3\t4",
+	"1\t-9223372036854775808\t9223372036854775807\t0\t9223372036854775807",
+	"206\t1000000000000000000\t999999999999999999\t-1000000000000000000",
+	"206\t10000000000000000000\t1\n206\t-10000000000000000000\t1",
+	"206\t00000000000000000000042\t+0000000000000000000007",
+	"+5\t+5\t-0\t-0\t+0\n+5\t-0\t+5",
+	"206\t0x10\t1\n206\t0b1\t1\n206\t0o7\t1",
+	"206\t1_000\t1\n206\t1e3\t1\n206\t1.0\t1",
+	"",
+	"+\t-\t1\n206\t+\t1\n206\t1\t-\n206\t+-1\t1",
+	"206\t\u0661\u0662\u0663\t1\n206\t\uff11\uff12\t1\n\u0663\t1\t2",
+}
+
+// checkTextRecords is FuzzTextRecords' check of one input.
+func checkTextRecords(t *testing.T, data []byte) {
+	c, err := UnmarshalConnLog(data)
+	rc, rerr := refUnmarshal(data, "connlog", 4, refParseConnLogFields)
+	sameAsReference(t, "UnmarshalConnLog", data, c, err, rc, rerr)
+	k, err := UnmarshalKRoot(data)
+	rk, rerr := refUnmarshal(data, "kroot", 5, refParseKRootFields)
+	sameAsReference(t, "UnmarshalKRoot", data, k, err, rk, rerr)
+	u, err := UnmarshalUptime(data)
+	ru, rerr := refUnmarshal(data, "uptime", 3, refParseUptimeFields)
+	sameAsReference(t, "UnmarshalUptime", data, u, err, ru, rerr)
+
+	cs, err := ParseConnLogs(bytes.NewReader(data))
+	rcs, rerr := refParse(bytes.NewReader(data), 4, refParseConnLogFields)
+	sameAsReference(t, "ParseConnLogs", data, cs, err, rcs, rerr)
+	ks, err := ParseKRoot(bytes.NewReader(data))
+	rks, rerr := refParse(bytes.NewReader(data), 5, refParseKRootFields)
+	sameAsReference(t, "ParseKRoot", data, ks, err, rks, rerr)
+	us, err := ParseUptime(bytes.NewReader(data))
+	rus, rerr := refParse(bytes.NewReader(data), 3, refParseUptimeFields)
+	sameAsReference(t, "ParseUptime", data, us, err, rus, rerr)
 }
 
 // appendGrowths counts the allocations append makes growing a nil []T
