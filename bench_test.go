@@ -389,6 +389,25 @@ func BenchmarkOpenArchive(b *testing.B) {
 	}
 }
 
+// BenchmarkArchiveDataset materialises the world BenchmarkOpenArchive
+// opens, the way atlasd -data answers /api/v1/analysis: the archive pass
+// over the open files, records kept.
+func BenchmarkArchiveDataset(b *testing.B) {
+	_, dir := savedBenchWorld(b)
+	a, err := atlasdata.Open(dir)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer a.Close()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := a.Dataset(context.Background()); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // savedBenchWorld generates and saves the seed-77, scale-0.5 world every
 // cmd/benchrun workload serves with atlasd -data.
 func savedBenchWorld(b *testing.B) (*World, string) {

@@ -1,15 +1,18 @@
 package atlasdata
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"maps"
+	"math"
 	"os"
 	"path/filepath"
 	"slices"
+	"sort"
 	"sync"
 
 	"dynaddr/internal/pfx2as"
@@ -57,18 +60,26 @@ type recordFile[T validator] struct {
 	index map[ProbeID]*recordIndex
 }
 
-// probeScan is what Open's pass over a record file learns about one
-// probe's records beyond their index.
+// probeScan is what the archive pass over a record file learns about
+// one probe's records beyond their index.
 type probeScan[T any] struct {
 	last     T     // the probe's latest record in file order
 	unsorted bool  // a record came earlier in time than the one before it
 	err      error // the first failed check against a predecessor
 }
 
-// Open validates the dataset directory dir as Load does and returns an
-// Archive over it. Every archive Load rejects, Open rejects with the
-// same error.
-func Open(dir string) (_ *Archive, err error) {
+// Open validates the dataset directory dir as Load does, with the same
+// errors, and returns an Archive over it.
+func Open(dir string) (*Archive, error) {
+	a, _, err := openArchive(dir, false)
+	return a, err
+}
+
+// openArchive is the one pass Load and Open make over the dataset
+// directory dir: the probe archive, the archive pass over each record
+// file, the pfx2as snapshots, then the rest of each file's checks. With
+// keep the Dataset it returns holds the records.
+func openArchive(dir string, keep bool) (_ *Archive, _ *Dataset, err error) {
 	a := &Archive{pfx2as: pfx2as.NewSnapshotStore()}
 	defer func() {
 		if err != nil {
@@ -76,57 +87,91 @@ func Open(dir string) (_ *Archive, err error) {
 		}
 	}()
 	if a.probes, err = loadProbes(dir); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	a.ids = sortedIDs(a.probes)
 	var (
-		connScans   map[ProbeID]*probeScan[ConnLogEntry]
-		krootScans  map[ProbeID]*probeScan[KRootRound]
-		uptimeScans map[ProbeID]*probeScan[UptimeRecord]
+		conns  *archiveScan[ConnLogEntry]
+		kroot  *archiveScan[KRootRound]
+		uptime *archiveScan[UptimeRecord]
 	)
-	if a.conns, connScans, err = scanRecords(dir, connLogKind); err != nil {
-		return nil, err
+	if a.conns, conns, err = openRecords(dir, connLogKind, keep); err != nil {
+		return nil, nil, err
 	}
-	if a.kroot, krootScans, err = scanRecords(dir, kRootKind); err != nil {
-		return nil, err
+	if a.kroot, kroot, err = openRecords(dir, kRootKind, keep); err != nil {
+		return nil, nil, err
 	}
-	if a.uptime, uptimeScans, err = scanRecords(dir, uptimeKind); err != nil {
-		return nil, err
+	if a.uptime, uptime, err = openRecords(dir, uptimeKind, keep); err != nil {
+		return nil, nil, err
 	}
-	if err := loadPfx2AS(dir, a.pfx2as); err != nil {
-		return nil, err
+	if err = loadPfx2AS(dir, a.pfx2as); err != nil {
+		return nil, nil, err
 	}
-	if err := a.conns.validate(a.probes, connScans); err != nil {
-		return nil, err
+	if err = a.conns.validate(a.probes, conns); err != nil {
+		return nil, nil, err
 	}
-	if err := a.kroot.validate(a.probes, krootScans); err != nil {
-		return nil, err
+	if err = a.kroot.validate(a.probes, kroot); err != nil {
+		return nil, nil, err
 	}
-	if err := a.uptime.validate(a.probes, uptimeScans); err != nil {
-		return nil, err
+	if err = a.uptime.validate(a.probes, uptime); err != nil {
+		return nil, nil, err
 	}
-	return a, nil
+	return a, &Dataset{Probes: a.probes, ConnLogs: conns.recs, KRoot: kroot.recs, Uptime: uptime.recs, Pfx2AS: a.pfx2as}, nil
 }
 
-// scanRecords opens one record file and indexes it in one pass with
-// Load's scanner and parser, checking each probe's records against
-// their predecessors as it goes.
-func scanRecords[T validator](dir string, k *recordKind[T]) (*recordFile[T], map[ProbeID]*probeScan[T], error) {
+// openRecords opens one record file of dir and runs the archive pass over it.
+func openRecords[T validator](dir string, k *recordKind[T], keep bool) (*recordFile[T], *archiveScan[T], error) {
 	path := filepath.Join(dir, k.file)
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, nil, err
 	}
+	rf := &recordFile[T]{kind: k, path: path, f: f}
+	s, err := rf.scan(context.Background(), keep)
+	return rf, s, err // openArchive closes rf if err is set
+}
+
+// scan is the archive pass over the record file: on the block workers it
+// parses every line, indexes each probe's lines and checks each probe's
+// records against their predecessors; with keep it also files the
+// records under their probes, in one slice sized by the file's lines.
+// It reads through a section of its own, so it shares no file offset,
+// and stops at the first block it finishes once ctx is done. The first
+// pass makes the file's index; a later one fails unless it finds the
+// same, as the same blocks cut the same lines into the same extents.
+func (rf *recordFile[T]) scan(ctx context.Context, keep bool) (*archiveScan[T], error) {
 	s := &archiveScan[T]{
-		kind:  k,
-		rf:    &recordFile[T]{kind: k, path: path, f: f, index: make(map[ProbeID]*recordIndex)},
+		kind:  rf.kind,
+		ctx:   ctx,
+		index: make(map[ProbeID]*recordIndex),
 		scans: make(map[ProbeID]*probeScan[T]),
 	}
-	if err := scanBlocks(f, s); err != nil {
-		f.Close()
-		return nil, nil, err
+	if keep {
+		lines, err := countLines(io.NewSectionReader(rf.f, 0, math.MaxInt64)) // a record per line
+		if err != nil {
+			return nil, err
+		}
+		all := make([]T, lines)
+		s.text = &textScan[T]{recs: all[:0], all: all}
 	}
-	return s.rf, s.scans, nil
+	if err := scanBlocks(io.NewSectionReader(rf.f, 0, math.MaxInt64), s); err != nil {
+		return nil, err
+	}
+	if rf.index == nil {
+		rf.index = s.index
+	} else {
+		ids := maps.Clone(rf.index)
+		maps.Copy(ids, s.index)
+		for _, id := range sortedIDs(ids) {
+			if held, found := rf.index[id], s.index[id]; held == nil || found == nil || !slices.Equal(held.extents, found.extents) {
+				return nil, rf.changed(id)
+			}
+		}
+	}
+	if keep {
+		s.group()
+	}
+	return s, nil
 }
 
 // run is a block's consecutive records of one probe, with no other line
@@ -144,30 +189,35 @@ type run[T any] struct {
 	badPrev, badCur T
 }
 
-// archiveScan is Open's pass over one record file. Workers cut each
+// archiveScan is the archive pass over one record file. Workers cut each
 // block's records into runs, checking them against each other; finish
 // files the runs in the index, in file order, and makes the same checks
-// across runs.
+// across runs. Kept records are placed as parseText places them.
 type archiveScan[T validator] struct {
 	kind  *recordKind[T]
-	rf    *recordFile[T]
+	ctx   context.Context
+	index map[ProbeID]*recordIndex
 	scans map[ProbeID]*probeScan[T]
-	runs  [][]run[T] // by block slot
-
-	// The probe of the last run finish filed.
-	id  ProbeID
-	idx *recordIndex
-	st  *probeScan[T]
+	runs  [][]run[T]      // by block slot
+	text  *textScan[T]    // where the records go, if kept
+	recs  map[ProbeID][]T // the kept records by probe, once grouped
 }
 
 func (s *archiveScan[T]) slots(n int) { s.runs = make([][]run[T], n) }
 
-func (s *archiveScan[T]) start(*block, bool) bool { return true }
+func (s *archiveScan[T]) start(b *block, idle bool) bool {
+	return s.text == nil || s.text.start(b, idle)
+}
 
 func (s *archiveScan[T]) scan(b *block) {
 	k := s.kind
 	runs := s.runs[b.slot][:0]
+	var out []T
+	if s.text != nil {
+		out = s.text.all[b.at : b.at+b.lines]
+	}
 	var cur *run[T]
+	b.n = 0
 	sc := newRecordScanner(b.buf, b.line, k.nFields, k.parse)
 	for sc.Scan() {
 		r, off := &sc.rec, b.off+int64(sc.off)
@@ -184,6 +234,10 @@ func (s *archiveScan[T]) scan(b *block) {
 		cur.last = *r
 		cur.count++
 		cur.end = b.off + int64(sc.end)
+		if out != nil {
+			out[b.n] = *r
+		}
+		b.n++
 	}
 	for i := range runs {
 		r := &runs[i]
@@ -193,24 +247,23 @@ func (s *archiveScan[T]) scan(b *block) {
 }
 
 func (s *archiveScan[T]) finish(b *block) error {
-	if b.err != nil {
-		return b.err
+	if err := cmp.Or(b.err, s.ctx.Err()); err != nil {
+		return err
+	}
+	if s.text != nil {
+		s.text.finish(b)
 	}
 	k := s.kind
 	for i := range s.runs[b.slot] {
 		r := &s.runs[b.slot][i]
-		// Probes' lines come in runs; only a new probe is looked up.
-		if s.idx == nil || r.id != s.id {
-			s.id, s.idx, s.st = r.id, s.rf.index[r.id], s.scans[r.id]
-			if s.idx == nil {
-				s.idx, s.st = &recordIndex{}, new(probeScan[T])
-				s.rf.index[r.id], s.scans[r.id] = s.idx, s.st
-			}
+		idx, st := s.index[r.id], s.scans[r.id]
+		if idx == nil {
+			idx, st = &recordIndex{}, new(probeScan[T])
+			s.index[r.id], s.scans[r.id] = idx, st
 		}
-		idx, st := s.idx, s.st
 		idx.extents = append(idx.extents, extent{r.off, uint32(r.end - r.off), r.crc})
 		// Until a probe's records fall out of time order, file order is
-		// the order Load validates them in.
+		// the order they are validated in.
 		if idx.count > 0 && !st.unsorted {
 			if k.time(&r.first) < k.time(&st.last) {
 				st.unsorted = true
@@ -230,23 +283,55 @@ func (s *archiveScan[T]) finish(b *block) error {
 	return nil
 }
 
-// validate finishes Open's checks of one record file, in the order
-// Dataset.Validate makes them. A probe whose records were out of time
-// order is read back and sorted first, as Load would have.
-func (rf *recordFile[T]) validate(probes map[ProbeID]ProbeMeta, scans map[ProbeID]*probeScan[T]) error {
-	return rf.kind.validateProbes(probes, sortedIDs(rf.index), func(id ProbeID) error {
-		if !scans[id].unsorted {
-			return scans[id].err
+// group files the kept records under their probes as cap-limited windows
+// flat[lo:hi:hi], so appending to one probe's records copies them
+// instead of overwriting the next probe's, and sorts the windows whose
+// records came out of time order.
+func (s *archiveScan[T]) group() {
+	k, flat := s.kind, s.text.recs
+	// Save writes probe-ID order. Any other order is grouped by a stable
+	// sort, which keeps each probe's records in file order. (Comparing by
+	// index keeps the records off the heap: k.probe takes a pointer.)
+	byProbe := func(i, j int) bool { return k.probe(&flat[i]) < k.probe(&flat[j]) }
+	for i := 1; i < len(flat); i++ {
+		if byProbe(i, i-1) {
+			sort.SliceStable(flat, byProbe)
+			break
 		}
-		recs, err := rf.read(id)
-		if err != nil {
-			return err
+	}
+	// Now in probe-ID order, each probe's records are as many as indexed.
+	s.recs = make(map[ProbeID][]T, len(s.index))
+	lo := 0
+	for _, id := range sortedIDs(s.index) {
+		hi := lo + s.index[id].count
+		if s.scans[id].unsorted {
+			k.sort(flat[lo:hi])
+		}
+		s.recs[id], lo = flat[lo:hi:hi], hi
+	}
+}
+
+// validate finishes the checks of one record file that the pass over it
+// began, in the order Dataset.Validate makes them. A probe whose records
+// were out of time order is checked sorted: the records the pass kept,
+// or else the probe's records read back from disk.
+func (rf *recordFile[T]) validate(probes map[ProbeID]ProbeMeta, s *archiveScan[T]) error {
+	return rf.kind.validateProbes(probes, sortedIDs(s.index), func(id ProbeID) error {
+		if !s.scans[id].unsorted {
+			return s.scans[id].err
+		}
+		recs, ok := s.recs[id]
+		if !ok {
+			var err error
+			if recs, err = rf.read(id); err != nil {
+				return err
+			}
 		}
 		return rf.kind.validate(id, recs)
 	})
 }
 
-// read returns a probe's records as Load would: parsed from its lines in
+// read returns a probe's records as Load does: parsed from its lines in
 // file order, then sorted by time. It fails if those lines changed since
 // Open indexed them.
 func (rf *recordFile[T]) read(id ProbeID) ([]T, error) {
@@ -256,16 +341,6 @@ func (rf *recordFile[T]) read(id ProbeID) ([]T, error) {
 	}
 	buf := readBufs.Get().(*[]byte)
 	defer readBufs.Put(buf)
-	return rf.readInto(id, idx, make([]T, 0, idx.count), buf)
-}
-
-// readBufs recycles read's scratch buffers across reads.
-var readBufs = sync.Pool{New: func() any { return new([]byte) }}
-
-// readInto appends the records of probe id, indexed by idx, to out as
-// read returns them. *buf is scratch space for their bytes, grown as
-// needed and kept for the caller's next read.
-func (rf *recordFile[T]) readInto(id ProbeID, idx *recordIndex, out []T, buf *[]byte) ([]T, error) {
 	var n int64
 	for _, e := range idx.extents {
 		n += int64(e.n)
@@ -287,45 +362,23 @@ func (rf *recordFile[T]) readInto(id ProbeID, idx *recordIndex, out []T, buf *[]
 		}
 		pos += int64(e.n)
 	}
-	lo := len(out)
+	out := make([]T, 0, idx.count)
 	sc := newRecordScanner(b, 0, rf.kind.nFields, rf.kind.parse)
 	for sc.Scan() {
 		out = append(out, sc.rec)
 	}
-	if sc.err != nil || len(out)-lo != idx.count {
+	if sc.err != nil || len(out) != idx.count {
 		return nil, rf.changed(id)
 	}
-	rf.kind.sort(out[lo:])
+	rf.kind.sort(out)
 	return out, nil
 }
+
+// readBufs recycles read's scratch buffers across reads.
+var readBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 func (rf *recordFile[T]) changed(id ProbeID) error {
 	return fmt.Errorf("atlasdata: %s changed on disk since it was opened: probe %d's %s no longer match", rf.path, id, rf.kind.what)
-}
-
-// all reads every probe's records into a map, as Load files them: one
-// slice for the whole file, of which each probe holds the cap-limited
-// window flat[lo:hi:hi]. It stops early once ctx is done.
-func (rf *recordFile[T]) all(ctx context.Context) (map[ProbeID][]T, error) {
-	total := 0
-	for _, idx := range rf.index {
-		total += idx.count
-	}
-	out := make(map[ProbeID][]T, len(rf.index))
-	flat := make([]T, 0, total)
-	var buf []byte
-	for id, idx := range rf.index {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		lo := len(flat)
-		var err error
-		if flat, err = rf.readInto(id, idx, flat, &buf); err != nil {
-			return nil, err
-		}
-		out[id] = flat[lo:len(flat):len(flat)]
-	}
-	return out, nil
 }
 
 func (rf *recordFile[T]) close() error {
@@ -357,23 +410,25 @@ func (a *Archive) ReadUptime(id ProbeID) ([]UptimeRecord, error) { return a.upti
 // in memory.
 func (a *Archive) Snapshots() *pfx2as.SnapshotStore { return a.pfx2as }
 
-// Dataset reads the whole archive into memory: a Dataset equal to what
-// Load returns for the directory. The Dataset shares the Archive's
-// pfx2as snapshots. Once ctx is done it stops reading and returns
-// ctx's error.
+// Dataset reads the whole archive into memory by the archive pass over
+// the files the Archive holds: a Dataset equal to what Load returns for
+// the directory, sharing the Archive's pfx2as snapshots. It fails if the
+// files no longer hold what Open indexed, and returns ctx's error once
+// ctx is done.
 func (a *Archive) Dataset(ctx context.Context) (*Dataset, error) {
-	d := &Dataset{Probes: maps.Clone(a.probes), Pfx2AS: a.pfx2as}
-	var err error
-	if d.ConnLogs, err = a.conns.all(ctx); err != nil {
+	conns, err := a.conns.scan(ctx, true)
+	if err != nil {
 		return nil, err
 	}
-	if d.KRoot, err = a.kroot.all(ctx); err != nil {
+	kroot, err := a.kroot.scan(ctx, true)
+	if err != nil {
 		return nil, err
 	}
-	if d.Uptime, err = a.uptime.all(ctx); err != nil {
+	uptime, err := a.uptime.scan(ctx, true)
+	if err != nil {
 		return nil, err
 	}
-	return d, nil
+	return &Dataset{Probes: maps.Clone(a.probes), ConnLogs: conns.recs, KRoot: kroot.recs, Uptime: uptime.recs, Pfx2AS: a.pfx2as}, nil
 }
 
 // Close closes the record files.

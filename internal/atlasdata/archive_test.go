@@ -10,9 +10,9 @@ import (
 )
 
 // FuzzArchiveOpen writes arbitrary bytes as one record file of an
-// otherwise valid dataset directory: Open must accept exactly what Load
-// accepts, fail with Load's error otherwise, and read back what Load
-// returns.
+// otherwise valid dataset directory: Load and Open must each accept
+// exactly what the reference loader accepts, fail with its error
+// otherwise, and read back what it returns.
 func FuzzArchiveOpen(f *testing.F) {
 	for _, seed := range archiveOpenSeeds {
 		f.Add(seed.file, []byte(seed.data))
@@ -49,15 +49,21 @@ func checkArchiveOpen(t *testing.T, file uint8, data []byte) {
 	if err := os.WriteFile(filepath.Join(dir, archiveFiles[int(file)%len(archiveFiles)]), data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	want, lerr := Load(dir)
+	want, rerr := refLoad(dir)
+	loaded, lerr := Load(dir)
 	a, oerr := Open(dir)
-	if lerr != nil || oerr != nil {
-		if lerr == nil || oerr == nil || lerr.Error() != oerr.Error() {
-			t.Fatalf("Load: %v\nOpen: %v", lerr, oerr)
+	if oerr == nil {
+		defer a.Close()
+	}
+	if rerr != nil || lerr != nil || oerr != nil {
+		if !sameError(lerr, rerr) || !sameError(oerr, rerr) {
+			t.Fatalf("reference: %v\nLoad: %v\nOpen: %v", rerr, lerr, oerr)
 		}
 		return
 	}
-	defer a.Close()
+	if !reflect.DeepEqual(loaded, want) {
+		t.Fatal("Load differs from the reference")
+	}
 	for _, id := range want.ProbeIDs() {
 		conns, err1 := a.ReadConnLogs(id)
 		kroot, err2 := a.ReadKRoot(id)
@@ -67,7 +73,7 @@ func checkArchiveOpen(t *testing.T, file uint8, data []byte) {
 		}
 		if !reflect.DeepEqual(conns, want.ConnLogs[id]) || !reflect.DeepEqual(kroot, want.KRoot[id]) ||
 			!reflect.DeepEqual(uptime, want.Uptime[id]) {
-			t.Fatalf("probe %d: archive reads differ from Load", id)
+			t.Fatalf("probe %d: archive reads differ from the reference", id)
 		}
 	}
 	got, err := a.Dataset(context.Background())
@@ -75,8 +81,62 @@ func checkArchiveOpen(t *testing.T, file uint8, data []byte) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatal("Archive.Dataset() differs from Load")
+		t.Fatal("Archive.Dataset() differs from the reference")
 	}
+}
+
+// sameError reports whether err and want are both nil or carry the same
+// text.
+func sameError(err, want error) bool {
+	if err == nil || want == nil {
+		return err == want
+	}
+	return err.Error() == want.Error()
+}
+
+// refLoad is the reference Load and Open are held to, sharing none of
+// their pass over the record files: each file parsed whole by
+// ParseProbeArchive or Parse*, all three record files before anything is
+// checked, each probe's records filed in file order, then the pfx2as
+// snapshots, then SortRecords and Dataset.Validate.
+func refLoad(dir string) (*Dataset, error) {
+	d := NewDataset()
+	probes, err := loadWith(filepath.Join(dir, probesFile), ParseProbeArchive)
+	if err != nil {
+		return nil, err
+	}
+	for _, p := range probes {
+		d.Probes[p.ID] = p
+	}
+	conns, err := loadWith(filepath.Join(dir, connLogsFile), ParseConnLogs)
+	if err != nil {
+		return nil, err
+	}
+	kroot, err := loadWith(filepath.Join(dir, kRootFile), ParseKRoot)
+	if err != nil {
+		return nil, err
+	}
+	uptime, err := loadWith(filepath.Join(dir, uptimeFile), ParseUptime)
+	if err != nil {
+		return nil, err
+	}
+	for _, e := range conns {
+		d.ConnLogs[e.Probe] = append(d.ConnLogs[e.Probe], e)
+	}
+	for _, k := range kroot {
+		d.KRoot[k.Probe] = append(d.KRoot[k.Probe], k)
+	}
+	for _, u := range uptime {
+		d.Uptime[u.Probe] = append(d.Uptime[u.Probe], u)
+	}
+	if err := loadPfx2AS(dir, d.Pfx2AS); err != nil {
+		return nil, err
+	}
+	d.SortRecords()
+	if err := d.Validate(); err != nil {
+		return nil, err
+	}
+	return d, nil
 }
 
 // TestArchiveDatasetStopsOnCancel: Dataset reads nothing for a request

@@ -9,8 +9,8 @@ import (
 )
 
 // The chunked scanner. An input is cut into blocks of whole lines, about
-// blockSize bytes each. A file's blocks are scanned by GOMAXPROCS worker
-// goroutines while the caller's goroutine reads ahead and hands the
+// blockSize bytes each. The blocks of a file, or of an io.SectionReader
+// over one, are scanned by GOMAXPROCS worker goroutines while the caller's goroutine reads ahead and hands the
 // scanned blocks on in input order; a scan keeps a fixed ring of blocks
 // whose buffers are recycled, so memory does not grow with the input.
 // Any other reader, and a file that fits one block, is scanned block by
@@ -78,7 +78,9 @@ func scanBlocks(r io.Reader, s blockScan) error {
 	if !c.cut(b) {
 		return c.readErr()
 	}
-	if _, file := r.(*os.File); !file || c.err != nil {
+	_, file := r.(*os.File)
+	_, section := r.(*io.SectionReader)
+	if !file && !section || c.err != nil {
 		for i := 1; ; i++ {
 			s.start(b, true)
 			s.scan(b)

@@ -9,7 +9,8 @@ import (
 
 // Failure injection: a dataset directory that has been truncated,
 // corrupted or shuffled must fail to load with an error — never load
-// silently wrong. Load and Open must agree on every such directory.
+// silently wrong. Load and Open must each fail as the reference loader
+// does on every such directory.
 
 func savedSample(t *testing.T) string {
 	t.Helper()
@@ -43,18 +44,22 @@ func openDataset(dir string) (*Dataset, error) {
 	return a.Dataset(context.Background())
 }
 
-// rejects checks that Load and Open both refuse dir, with the same error.
+// rejects checks that the reference loader refuses dir, and that Load
+// and Open both refuse it with the reference's error.
 func rejects(t *testing.T, dir, what string) {
 	t.Helper()
+	_, rerr := refLoad(dir)
 	_, lerr := Load(dir)
 	_, oerr := openDataset(dir)
 	switch {
+	case rerr == nil:
+		t.Errorf("the reference loader accepted %s", what)
 	case lerr == nil:
 		t.Errorf("Load accepted %s", what)
 	case oerr == nil:
 		t.Errorf("Open accepted %s", what)
-	case lerr.Error() != oerr.Error():
-		t.Errorf("%s: Load and Open disagree:\n Load: %v\n Open: %v", what, lerr, oerr)
+	case lerr.Error() != rerr.Error() || oerr.Error() != rerr.Error():
+		t.Errorf("%s: Load or Open disagrees with the reference:\n Load: %v\n Open: %v\n reference: %v", what, lerr, oerr, rerr)
 	}
 }
 

@@ -270,30 +270,13 @@ func (d *Dataset) Save(dir string) error {
 	return nil
 }
 
-// Load reads a dataset previously written by Save.
+// Load reads a dataset previously written by Save: Open's pass, records kept.
 func Load(dir string) (*Dataset, error) {
-	d := NewDataset()
-	probes, err := loadProbes(dir)
+	a, d, err := openArchive(dir, true)
 	if err != nil {
 		return nil, err
 	}
-	d.Probes = probes
-	if err := loadRecords(dir, connLogKind, d.ConnLogs); err != nil {
-		return nil, err
-	}
-	if err := loadRecords(dir, kRootKind, d.KRoot); err != nil {
-		return nil, err
-	}
-	if err := loadRecords(dir, uptimeKind, d.Uptime); err != nil {
-		return nil, err
-	}
-	if err := loadPfx2AS(dir, d.Pfx2AS); err != nil {
-		return nil, err
-	}
-	d.SortRecords()
-	if err := d.Validate(); err != nil {
-		return nil, err
-	}
+	a.Close() // the files were only read
 	return d, nil
 }
 
@@ -356,48 +339,6 @@ func writeFileWith(path string, fn func(*os.File) error) error {
 		return err
 	}
 	return os.Rename(tmp, path)
-}
-
-// loadRecords reads one record file into a single slice sized by the
-// file's line count and files each probe's records under its ID as the
-// cap-limited window flat[lo:hi:hi], so appending to one probe's records
-// copies them instead of overwriting the next probe's.
-func loadRecords[T validator](dir string, k *recordKind[T], into map[ProbeID][]T) error {
-	f, err := os.Open(filepath.Join(dir, k.file))
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	lines, err := countLines(f) // each record sits on a line of its own
-	if err != nil {
-		return err
-	}
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return err
-	}
-	flat, err := parseText(f, k.nFields, k.parse, make([]T, 0, lines))
-	if err != nil {
-		return err
-	}
-	// Save writes probe-ID order. Any other order is grouped by a stable
-	// sort, which keeps each probe's records in file order. (Comparing by
-	// index keeps the records off the heap: k.probe takes a pointer.)
-	byProbe := func(i, j int) bool { return k.probe(&flat[i]) < k.probe(&flat[j]) }
-	for i := 1; i < len(flat); i++ {
-		if byProbe(i, i-1) {
-			sort.SliceStable(flat, byProbe)
-			break
-		}
-	}
-	for lo := 0; lo < len(flat); {
-		id, hi := k.probe(&flat[lo]), lo+1
-		for hi < len(flat) && k.probe(&flat[hi]) == id {
-			hi++
-		}
-		into[id] = flat[lo:hi:hi]
-		lo = hi
-	}
-	return nil
 }
 
 // countLines counts r's lines, a final line without a newline included.

@@ -168,9 +168,14 @@ type envelope struct {
 }
 
 func apiError(w http.ResponseWriter, code int, msg string) {
+	writeEnvelope(w, envelope{Error: msg, Status: code})
+}
+
+// writeEnvelope answers with env, under env.Status.
+func writeEnvelope(w http.ResponseWriter, env envelope) {
 	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(envelope{Error: msg, Status: code}) //nolint:errcheck // headers are gone
+	w.WriteHeader(env.Status)
+	json.NewEncoder(w).Encode(env) //nolint:errcheck // headers are gone
 }
 
 // shed answers 503 + Retry-After: the cluster cannot produce a complete
@@ -181,9 +186,7 @@ func (c *Coordinator) shed(w http.ResponseWriter, msg string, accepted int) {
 		secs = 1
 	}
 	w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusServiceUnavailable)
-	json.NewEncoder(w).Encode(envelope{Error: msg, Status: http.StatusServiceUnavailable, Accepted: accepted}) //nolint:errcheck // headers are gone
+	writeEnvelope(w, envelope{Error: msg, Status: http.StatusServiceUnavailable, Accepted: accepted})
 }
 
 // snapshotPeers captures the current membership for one operation.
@@ -213,6 +216,9 @@ func (c *Coordinator) snapshotPeers() ([]*peerConn, []string, error) {
 // trim and re-send the rest; records of that prefix owned by peers
 // that succeeded are never re-sent, and a re-sent suffix record that
 // did land earlier is rejected by per-probe time order on its owner.
+// A batch that breaks off early, at a corrupt frame, is answered as a
+// single node answers it: the records before the break are forwarded,
+// and the 400 carries their consumed prefix.
 func (c *Coordinator) postRecords(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		apiError(w, http.StatusMethodNotAllowed, "POST records")
@@ -241,18 +247,15 @@ func (c *Coordinator) postRecords(w http.ResponseWriter, r *http.Request) {
 	var split map[string]*subBatch
 	var order []int // frame index → owner position, for prefix accounting
 	var owners []string
+	var splitErr error // what ended the batch before its last byte, if anything did
 	switch ct {
 	case atlasapi.ContentTypeBinary:
-		split, owners, order, err = splitBinary(body, assign)
+		split, owners, order, splitErr = splitBinary(body, assign)
 	case atlasapi.ContentTypeNDJSON, "application/json":
-		split, owners, order, err = splitNDJSON(body, assign)
+		split, owners, order, splitErr = splitNDJSON(body, assign)
 	default:
 		apiError(w, http.StatusUnsupportedMediaType,
 			fmt.Sprintf("unsupported Content-Type %q (want %s or %s)", ct, atlasapi.ContentTypeBinary, atlasapi.ContentTypeNDJSON))
-		return
-	}
-	if err != nil {
-		apiError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 
@@ -298,6 +301,10 @@ func (c *Coordinator) postRecords(w http.ResponseWriter, r *http.Request) {
 		c.shed(w, "forwarding failed ("+strings.Join(parts, "; ")+")", prefix)
 		return
 	}
+	if splitErr != nil {
+		writeEnvelope(w, envelope{Error: splitErr.Error(), Status: http.StatusBadRequest, Accepted: prefix})
+		return
+	}
 	// A fully consumed batch answers like a single node: routed records
 	// in "accepted", dead-lettered ones in "quarantined".
 	w.Header().Set("Content-Type", "application/json")
@@ -320,7 +327,8 @@ type subBatch struct {
 // A frame whose probe cannot be read goes to the owner of probe 0's
 // partition, where a single node would quarantine it. Returns the owner
 // list in sorted order and, per original frame, the index into that
-// list.
+// list. At a corrupt frame it returns the split of the frames before it,
+// with the error.
 func splitBinary(body []byte, assign []string) (map[string]*subBatch, []string, []int, error) {
 	split := map[string]*subBatch{}
 	var ownerOf []string
@@ -331,7 +339,7 @@ func splitBinary(body []byte, assign []string) (map[string]*subBatch, []string, 
 			break
 		}
 		if err != nil {
-			return nil, nil, nil, fmt.Errorf("frame %d: %v", len(ownerOf), err)
+			return finishSplit(split, ownerOf, fmt.Errorf("frame %d: %v", len(ownerOf), err))
 		}
 		probe, _ := wire.PayloadProbe(payload) // 0 when unreadable
 		owner := assign[stream.PartitionOf(probe, len(assign))]
@@ -345,12 +353,13 @@ func splitBinary(body []byte, assign []string) (map[string]*subBatch, []string, 
 		sb.records++
 		ownerOf = append(ownerOf, owner)
 	}
-	return finishSplit(split, ownerOf)
+	return finishSplit(split, ownerOf, nil)
 }
 
 // splitNDJSON partitions an NDJSON batch by probe owner, reading only
 // the "probe" field of each line. Like splitBinary it routes a line
-// whose probe cannot be read by probe 0.
+// whose probe cannot be read by probe 0, and returns the split of the
+// lines before a read error with it.
 func splitNDJSON(body []byte, assign []string) (map[string]*subBatch, []string, []int, error) {
 	split := map[string]*subBatch{}
 	var ownerOf []string
@@ -378,15 +387,13 @@ func splitNDJSON(body []byte, assign []string) (map[string]*subBatch, []string, 
 		sb.records++
 		ownerOf = append(ownerOf, owner)
 	}
-	if err := sc.Err(); err != nil {
-		return nil, nil, nil, err
-	}
-	return finishSplit(split, ownerOf)
+	return finishSplit(split, ownerOf, sc.Err())
 }
 
 // finishSplit computes the sorted owner list and the per-record owner
-// index used for prefix accounting.
-func finishSplit(split map[string]*subBatch, ownerOf []string) (map[string]*subBatch, []string, []int, error) {
+// index used for prefix accounting, and passes on err, the error that
+// ended the batch early, if any.
+func finishSplit(split map[string]*subBatch, ownerOf []string, err error) (map[string]*subBatch, []string, []int, error) {
 	owners := make([]string, 0, len(split))
 	for id := range split {
 		owners = append(owners, id)
@@ -400,7 +407,7 @@ func finishSplit(split map[string]*subBatch, ownerOf []string) (map[string]*subB
 	for i, id := range ownerOf {
 		order[i] = pos[id]
 	}
-	return split, owners, order, nil
+	return split, owners, order, err
 }
 
 // forward delivers one sub-batch to a peer, breaker-guarded, honouring

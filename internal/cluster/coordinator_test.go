@@ -535,3 +535,74 @@ func TestCoordinatorPoisonMatchesSingleNode(t *testing.T) {
 		}
 	}
 }
+
+// TestCoordinatorCorruptFrameMatchesSingleNode: a binary batch that
+// breaks off at a corrupt frame, one with a bad checksum or a torn
+// final frame, is answered through the coordinator as a single node
+// answers it: the frames before the break are ingested and counted in
+// the 400's "accepted", and the summary afterwards is the same.
+func TestCoordinatorCorruptFrameMatchesSingleNode(t *testing.T) {
+	const total = 12
+	world := smallWorld(t, 23, 0.02)
+	ts := simclock.StudyStart
+	frame := func(probe atlasdata.ProbeID) []byte {
+		ts = ts.Add(simclock.Hour)
+		payload, err := wire.AppendUptime(nil, atlasdata.UptimeRecord{Probe: probe, Timestamp: ts, Uptime: 3600})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return wire.AppendFrame(nil, payload)
+	}
+	var good []byte
+	for probe := atlasdata.ProbeID(1); probe <= 6; probe++ {
+		good = append(good, frame(probe)...)
+	}
+	badCRC := frame(7)
+	badCRC[len(badCRC)-1] ^= 0xff
+	torn := frame(8)
+
+	for _, tc := range []struct {
+		name string
+		body []byte
+	}{
+		{"bad-crc", append(append(bytes.Clone(good), badCRC...), frame(9)...)},
+		{"torn-frame", append(bytes.Clone(good), torn[:len(torn)-3]...)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ing := stream.NewIngester(stream.Config{Shards: total, Pfx2AS: world.Dataset.Pfx2AS, Analysis: true})
+			single := httptest.NewServer(atlasapi.NewLiveServer(ing))
+			t.Cleanup(func() {
+				single.Close()
+				ing.Close()
+			})
+			_, coord := startCluster(t, world, 3, total, nil)
+
+			post := func(url string) (int, int) {
+				t.Helper()
+				resp, err := http.Post(url+atlasapi.RouteStreamRecords, atlasapi.ContentTypeBinary, bytes.NewReader(tc.body))
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer resp.Body.Close()
+				var env struct {
+					Accepted int `json:"accepted"`
+				}
+				if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
+					t.Fatal(err)
+				}
+				return resp.StatusCode, env.Accepted
+			}
+			wantCode, wantAccepted := post(single.URL)
+			if wantCode != http.StatusBadRequest || wantAccepted != 6 {
+				t.Fatalf("single node: %d with %d accepted, want 400 with 6", wantCode, wantAccepted)
+			}
+			if code, accepted := post(coord.URL); code != wantCode || accepted != wantAccepted {
+				t.Errorf("coordinator: %d with %d accepted, single node: %d with %d", code, accepted, wantCode, wantAccepted)
+			}
+			want, _ := mustGet(t, single.URL+"/api/v1/live/summary")
+			if got, _ := mustGet(t, coord.URL+"/api/v1/live/summary"); !bytes.Equal(got, want) {
+				t.Errorf("summary through the coordinator:\n%s\nsingle node:\n%s", got, want)
+			}
+		})
+	}
+}
