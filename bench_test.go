@@ -12,6 +12,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -25,6 +27,7 @@ import (
 	"dynaddr/internal/serve"
 	"dynaddr/internal/sim"
 	"dynaddr/internal/stream"
+	"dynaddr/internal/wal"
 	"dynaddr/internal/wire"
 )
 
@@ -497,6 +500,7 @@ func encodeWireBatches(b *testing.B, recs []benchRecord) [][]byte {
 //   - direct: typed in-process replay (no codec — the apply ceiling)
 //   - codec=binary: stream.IngestWire over pre-encoded wire batches —
 //     the v2 binary path's decode core
+//   - codec=binary/wal: the same into a durable ingester's WAL
 func BenchmarkStreamIngest(b *testing.B) {
 	w, _, _ := benchSetup(b)
 	ds := w.Dataset
@@ -577,6 +581,31 @@ func BenchmarkStreamIngest(b *testing.B) {
 			b.ReportMetric(float64(records)*float64(b.N)/b.Elapsed().Seconds(), "records/sec")
 		})
 	}
+	// codec=binary into a durable ingester, with fsyncs and checkpoints
+	// off: the delta against codec=binary/shards=1 is the shard's
+	// per-record re-encode and WAL append.
+	b.Run("codec=binary/wal/shards=1", func(b *testing.B) {
+		b.ReportAllocs()
+		ctx := context.Background()
+		root := b.TempDir()
+		for i := 0; i < b.N; i++ {
+			dir := filepath.Join(root, fmt.Sprint(i))
+			ing := stream.NewIngester(stream.Config{Shards: 1, Pfx2AS: ds.Pfx2AS,
+				WALDir: dir, Sync: wal.SyncNever, CheckpointEvery: -1})
+			for _, batch := range wireBatches {
+				if _, err := ing.IngestWire(ctx, batch); err != nil {
+					b.Fatal(err)
+				}
+			}
+			check(b, ing)
+			b.StopTimer()
+			if err := os.RemoveAll(dir); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+		}
+		b.ReportMetric(float64(records)*float64(b.N)/b.Elapsed().Seconds(), "records/sec")
+	})
 }
 
 // BenchmarkStreamIngestInstrumented is BenchmarkStreamIngest with the

@@ -20,12 +20,13 @@ import (
 //	churnctl -deadletter list -wal-dir DIR       # every entry, one JSON line each
 //	churnctl -deadletter drain -wal-dir DIR -url URL
 //
-// drain replays every replayable entry (records quarantined after
-// apply-side rejection, preserved in their canonical encoding) into the
+// drain replays every replayable entry (a record kept as its
+// internal/wire payload and marked replayable) into the
 // server at -url through the ordinary producer path, then truncates the
 // quarantine logs — including entries that were never replayable
-// (undecodable payloads kept for inspection), which are reported and
-// dropped. Offline operations read the WAL directory directly: run them
+// (payloads that failed decoding or validation, kept for inspection),
+// which are reported and dropped. The ingester writes no replayable
+// entries, so today drain reports and drops every entry. Offline operations read the WAL directory directly: run them
 // against a stopped atlasd.
 func deadletterMain(op, walDir, url string) {
 	switch op {

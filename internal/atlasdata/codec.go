@@ -44,8 +44,8 @@ func parseConnLog(f fields) (ConnLogEntry, error) {
 	return e, e.Validate()
 }
 
-// MarshalConnLog serialises one entry as a self-contained text record —
-// the single-record codec the ingest WAL frames its payloads with.
+// MarshalConnLog serialises one entry as a text-format line, without
+// its newline.
 func MarshalConnLog(e ConnLogEntry) ([]byte, error) {
 	if err := e.Validate(); err != nil {
 		return nil, err
@@ -55,11 +55,6 @@ func MarshalConnLog(e ConnLogEntry) ([]byte, error) {
 		addr = e.Addr.String()
 	}
 	return fmt.Appendf(nil, "%d\t%d\t%d\t%s", e.Probe, int64(e.Start), int64(e.End), addr), nil
-}
-
-// UnmarshalConnLog parses a record written by MarshalConnLog.
-func UnmarshalConnLog(b []byte) (ConnLogEntry, error) {
-	return unmarshalRecord(b, "connlog", 4, parseConnLog)
 }
 
 // WriteConnLogs serialises connection-log entries.
@@ -90,17 +85,13 @@ func parseKRoot(f fields) (KRootRound, error) {
 	return k, k.Validate()
 }
 
-// MarshalKRoot serialises one round as a self-contained text record.
+// MarshalKRoot serialises one round as a text-format line, without its
+// newline.
 func MarshalKRoot(k KRootRound) ([]byte, error) {
 	if err := k.Validate(); err != nil {
 		return nil, err
 	}
 	return fmt.Appendf(nil, "%d\t%d\t%d\t%d\t%d", k.Probe, int64(k.Timestamp), k.Sent, k.Success, k.LTS), nil
-}
-
-// UnmarshalKRoot parses a record written by MarshalKRoot.
-func UnmarshalKRoot(b []byte) (KRootRound, error) {
-	return unmarshalRecord(b, "kroot", 5, parseKRoot)
 }
 
 // WriteKRoot serialises k-root rounds.
@@ -126,17 +117,13 @@ func parseUptime(f fields) (UptimeRecord, error) {
 	return u, u.Validate()
 }
 
-// MarshalUptime serialises one record as a self-contained text record.
+// MarshalUptime serialises one record as a text-format line, without
+// its newline.
 func MarshalUptime(u UptimeRecord) ([]byte, error) {
 	if err := u.Validate(); err != nil {
 		return nil, err
 	}
 	return fmt.Appendf(nil, "%d\t%d\t%d", u.Probe, int64(u.Timestamp), u.Uptime), nil
-}
-
-// UnmarshalUptime parses a record written by MarshalUptime.
-func UnmarshalUptime(b []byte) (UptimeRecord, error) {
-	return unmarshalRecord(b, "uptime", 3, parseUptime)
 }
 
 // WriteUptime serialises uptime records.
@@ -163,24 +150,6 @@ func WriteProbeArchive(w io.Writer, probes []ProbeMeta) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", " ")
 	return enc.Encode(sorted)
-}
-
-// MarshalProbeMeta serialises one probe's metadata as a self-contained
-// JSON record.
-func MarshalProbeMeta(p ProbeMeta) ([]byte, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	return json.Marshal(p)
-}
-
-// UnmarshalProbeMeta parses a record written by MarshalProbeMeta.
-func UnmarshalProbeMeta(b []byte) (ProbeMeta, error) {
-	var p ProbeMeta
-	if err := json.Unmarshal(b, &p); err != nil {
-		return ProbeMeta{}, fmt.Errorf("atlasdata: probe meta record: %v", err)
-	}
-	return p, p.Validate()
 }
 
 // ParseProbeArchive parses probe metadata written by WriteProbeArchive.
@@ -431,15 +400,6 @@ func (s *recordScanner[T]) Scan() bool {
 		return true
 	}
 	return false
-}
-
-// unmarshalRecord parses one self-contained record of nFields fields.
-func unmarshalRecord[T any](b []byte, kind string, nFields int, parse func(fields) (T, error)) (T, error) {
-	var f fields
-	if n := splitFields(b, &f); n != nFields {
-		return *new(T), fmt.Errorf("atlasdata: %s record: want %d fields, got %d", kind, nFields, n)
-	}
-	return parse(f)
 }
 
 // writeText writes one marshalled record per line.

@@ -10,6 +10,7 @@ package atlasdata
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"dynaddr/internal/ip4"
@@ -193,6 +194,9 @@ func (p ProbeMeta) Validate() error {
 	}
 	if p.ConnectedDays < 0 {
 		return fmt.Errorf("atlasdata: probe %d has negative connected days", p.ID)
+	}
+	if math.IsNaN(p.ConnectedDays) || math.IsInf(p.ConnectedDays, 1) {
+		return fmt.Errorf("atlasdata: probe %d has non-finite connected days %v", p.ID, p.ConnectedDays)
 	}
 	return nil
 }

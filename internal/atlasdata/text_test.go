@@ -111,15 +111,6 @@ func refParseUptimeFields(f []string) (UptimeRecord, error) {
 	return u, u.Validate()
 }
 
-func refUnmarshal[T any](b []byte, kind string, nFields int, parse func([]string) (T, error)) (T, error) {
-	f := strings.Fields(string(b))
-	if len(f) != nFields {
-		var zero T
-		return zero, fmt.Errorf("atlasdata: %s record: want %d fields, got %d", kind, nFields, len(f))
-	}
-	return parse(f)
-}
-
 func refParse[T any](r io.Reader, nFields int, parse func([]string) (T, error)) ([]T, error) {
 	var out []T
 	err := refScanLines(r, nFields, func(lineno int, f []string) error {
@@ -147,10 +138,10 @@ func sameAsReference[T any](t *testing.T, name string, data []byte, got T, err e
 	}
 }
 
-// FuzzTextRecords holds the single-record codecs the WAL replays and the
-// batch text parsers to the reference implementation on arbitrary
-// bytes: blank and comment lines, CRLF, Unicode spaces, invalid UTF-8,
-// wrong field counts and malformed numbers alike.
+// FuzzTextRecords holds the batch text parsers to the reference
+// implementation on arbitrary bytes: blank and comment lines, CRLF,
+// Unicode spaces, invalid UTF-8, wrong field counts and malformed
+// numbers alike.
 func FuzzTextRecords(f *testing.F) {
 	for _, seed := range textRecordSeeds {
 		f.Add([]byte(seed))
@@ -194,16 +185,6 @@ var textRecordSeeds = []string{
 
 // checkTextRecords is FuzzTextRecords' check of one input.
 func checkTextRecords(t *testing.T, data []byte) {
-	c, err := UnmarshalConnLog(data)
-	rc, rerr := refUnmarshal(data, "connlog", 4, refParseConnLogFields)
-	sameAsReference(t, "UnmarshalConnLog", data, c, err, rc, rerr)
-	k, err := UnmarshalKRoot(data)
-	rk, rerr := refUnmarshal(data, "kroot", 5, refParseKRootFields)
-	sameAsReference(t, "UnmarshalKRoot", data, k, err, rk, rerr)
-	u, err := UnmarshalUptime(data)
-	ru, rerr := refUnmarshal(data, "uptime", 3, refParseUptimeFields)
-	sameAsReference(t, "UnmarshalUptime", data, u, err, ru, rerr)
-
 	cs, err := ParseConnLogs(bytes.NewReader(data))
 	rcs, rerr := refParse(bytes.NewReader(data), 4, refParseConnLogFields)
 	sameAsReference(t, "ParseConnLogs", data, cs, err, rcs, rerr)
@@ -273,19 +254,4 @@ func TestTextParseAllocs(t *testing.T) {
 	checkParseAllocs(t, "ParseConnLogs (v4)", func(i int) string {
 		return fmt.Sprintf("%d\t%d\t%d\t10.%d.%d.1\n", 1+i, 1420070400, 1420070400+3600, i%250, i/250%250)
 	}, ParseConnLogs, 4, parseConnLog)
-
-	// The WAL replays one record at a time: kroot, uptime and v4 connlog
-	// records must decode without allocating.
-	conn, kroot, uptime := []byte("7\t1420070400\t1420074000\t192.0.2.7"),
-		[]byte("7\t1420070400\t3\t3\t60"), []byte("7\t1420070400\t3600")
-	if allocs := testing.AllocsPerRun(100, func() {
-		_, err1 := UnmarshalConnLog(conn)
-		_, err2 := UnmarshalKRoot(kroot)
-		_, err3 := UnmarshalUptime(uptime)
-		if err1 != nil || err2 != nil || err3 != nil {
-			t.Fatal(err1, err2, err3)
-		}
-	}); allocs != 0 {
-		t.Errorf("single-record decode allocated %.1f times per run, want 0", allocs)
-	}
 }

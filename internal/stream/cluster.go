@@ -220,12 +220,16 @@ func MergeAnalysisPeerViews(views []*AnalysisPeerView) (*liveanalysis.Result, Ve
 // machines, so the moved partition's contribution to every aggregate —
 // including its Version — is preserved bit for bit.
 type PartitionState struct {
+	// Version is the releaser's WAL layout version (walMetaVersion); an
+	// adopter refuses any other, since Tail's encoding depends on it.
+	Version    int              `json:"version"`
 	Partition  int              `json:"partition"`
 	Checkpoint *shardCheckpoint `json:"checkpoint,omitempty"`
 	// Tail holds the WAL frame payloads past the checkpoint, in order
-	// (JSON carries them base64-encoded). The adopter re-appends them
-	// verbatim into a fresh log before applying, keeping the adopted
-	// partition independently crash-recoverable.
+	// (JSON carries them base64-encoded): internal/wire record payloads,
+	// the bytes the producer sent. The adopter re-appends them verbatim
+	// into a fresh log before applying, keeping the adopted partition
+	// independently crash-recoverable.
 	Tail [][]byte `json:"tail,omitempty"`
 }
 
@@ -271,7 +275,7 @@ func (in *Ingester) ReleasePartition(p int) (*PartitionState, error) {
 		return nil, fmt.Errorf("stream: release partition %d: %w", p, err)
 	}
 
-	st := &PartitionState{Partition: p}
+	st := &PartitionState{Version: walMetaVersion, Partition: p}
 	if s.dir == "" {
 		// In-memory: serialize the live state through the checkpoint codec
 		// (exact float round-trip) with no tail.
@@ -311,12 +315,17 @@ func (in *Ingester) ReleasePartition(p int) (*PartitionState, error) {
 // locally when the ingester has a WAL directory, and starts routing the
 // partition's probes to the new shard. The shipped tail is re-appended
 // frame for frame before being applied, so the adopter is immediately
-// crash-recoverable to the same state.
+// crash-recoverable to the same state. A tail record that fails
+// decodeRecord or validate refuses the whole adoption and leaves no
+// shard directory behind.
 func (in *Ingester) AdoptPartition(st *PartitionState) error {
 	if st == nil {
 		return fmt.Errorf("stream: adopt: nil partition state")
 	}
 	p := st.Partition
+	if st.Version != walMetaVersion {
+		return fmt.Errorf("stream: adopt partition %d: WAL layout version %d, want %d", p, st.Version, walMetaVersion)
+	}
 	if st.Checkpoint != nil && st.Checkpoint.Version != checkpointVersion {
 		return fmt.Errorf("stream: adopt partition %d: checkpoint version %d, want %d", p, st.Checkpoint.Version, checkpointVersion)
 	}
@@ -343,55 +352,15 @@ func (in *Ingester) AdoptPartition(st *PartitionState) error {
 		if _, err := os.Stat(s.dir); err == nil {
 			return fmt.Errorf("stream: adopt partition %d: directory %s already exists", p, s.dir)
 		}
-		if err := os.MkdirAll(s.dir, 0o755); err != nil {
-			return err
+	}
+	if err := in.adoptTail(s, st); err != nil {
+		if s.log != nil {
+			s.log.Close()
 		}
-		from := uint64(1)
-		if st.Checkpoint != nil {
-			if err := writeCheckpoint(s.dir, st.Checkpoint); err != nil {
-				return fmt.Errorf("stream: adopt partition %d: %w", p, err)
-			}
-			from = st.Checkpoint.Seq + 1
+		if s.dir != "" {
+			os.RemoveAll(s.dir)
 		}
-		opt := wal.Options{
-			SegmentBytes: in.cfg.SegmentBytes,
-			Sync:         in.cfg.Sync,
-			Metrics:      wal.NewMetrics(in.cfg.Metrics, strconv.Itoa(p)),
-			FS:           in.cfg.FS,
-		}
-		s.walOpt = opt
-		opt.FirstSeq = from
-		log, err := wal.Open(s.dir, opt)
-		if err != nil {
-			return fmt.Errorf("stream: adopt partition %d: %w", p, err)
-		}
-		for _, payload := range st.Tail {
-			rec, derr := decodeRecord(payload)
-			if derr != nil {
-				log.Close()
-				return fmt.Errorf("stream: adopt partition %d: shipped tail: %w", p, derr)
-			}
-			if _, aerr := log.Append(payload); aerr != nil {
-				log.Close()
-				return fmt.Errorf("stream: adopt partition %d: %w", p, aerr)
-			}
-			s.apply(rec)
-			s.sinceCkpt++
-		}
-		if err := log.Sync(); err != nil {
-			log.Close()
-			return fmt.Errorf("stream: adopt partition %d: %w", p, err)
-		}
-		s.log = log
-		s.lastSeq = log.NextSeq() - 1
-	} else {
-		for _, payload := range st.Tail {
-			rec, derr := decodeRecord(payload)
-			if derr != nil {
-				return fmt.Errorf("stream: adopt partition %d: shipped tail: %w", p, derr)
-			}
-			s.apply(rec)
-		}
+		return fmt.Errorf("stream: adopt partition %d: %w", p, err)
 	}
 	s.metrics.flush()
 
@@ -402,4 +371,53 @@ func (in *Ingester) AdoptPartition(st *PartitionState) error {
 	in.rebuildTable()
 	in.startShard(s)
 	return nil
+}
+
+// adoptTail replays a shipped tail into the adopting shard s; a
+// durable s first gets its directory, checkpoint and log.
+func (in *Ingester) adoptTail(s *shard, st *PartitionState) error {
+	if s.dir != "" {
+		if err := os.MkdirAll(s.dir, 0o755); err != nil {
+			return err
+		}
+		from := uint64(1)
+		if st.Checkpoint != nil {
+			if err := writeCheckpoint(s.dir, st.Checkpoint); err != nil {
+				return err
+			}
+			from = st.Checkpoint.Seq + 1
+		}
+		opt := wal.Options{
+			SegmentBytes: in.cfg.SegmentBytes,
+			Sync:         in.cfg.Sync,
+			Metrics:      wal.NewMetrics(in.cfg.Metrics, strconv.Itoa(st.Partition)),
+			FS:           in.cfg.FS,
+		}
+		s.walOpt = opt
+		opt.FirstSeq = from
+		var err error
+		if s.log, err = wal.Open(s.dir, opt); err != nil {
+			return err
+		}
+	}
+	var rec record
+	for i, payload := range st.Tail {
+		err := decodeRecord(payload, &rec)
+		if err == nil {
+			err = rec.validate()
+		}
+		if err == nil && s.log != nil {
+			_, err = s.log.Append(payload)
+		}
+		if err != nil {
+			return fmt.Errorf("shipped tail record %d: %w", i, err)
+		}
+		s.apply(rec)
+		s.sinceCkpt++
+	}
+	if s.log == nil {
+		return nil
+	}
+	s.lastSeq = s.log.NextSeq() - 1
+	return s.log.Sync()
 }

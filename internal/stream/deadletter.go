@@ -49,22 +49,21 @@ type DeadLetterEntry struct {
 	// Probe is the record's probe ID when it decoded far enough to have
 	// one.
 	Probe atlasdata.ProbeID `json:"probe,omitempty"`
-	// Payload is the quarantined record's raw bytes. When Replayable is
-	// true it is in the WAL record encoding (kind byte + canonical text)
-	// and churnctl can decode and re-submit it; otherwise it is the
-	// undecodable wire payload, kept for inspection.
+	// Payload is the bytes the producer sent for the record (a wire
+	// payload or an NDJSON line), kept for inspection. Replayable marks
+	// a wire payload Replay can re-submit; the ingester marks none.
 	Payload    []byte `json:"payload,omitempty"`
 	Replayable bool   `json:"replayable"`
 }
 
-// Record decodes a replayable entry back into its typed record and
+// Replay decodes a replayable entry back into its typed record and
 // feeds it to sink. Non-replayable entries return an error.
 func (e DeadLetterEntry) Replay(sink ReplaySink) error {
 	if !e.Replayable {
 		return fmt.Errorf("stream: dead-letter entry (%s/%s) is not replayable", e.Kind, e.Reason)
 	}
-	rec, err := decodeRecord(e.Payload)
-	if err != nil {
+	var rec record
+	if err := decodeRecord(e.Payload, &rec); err != nil {
 		return err
 	}
 	switch rec.kind {
@@ -211,45 +210,6 @@ func (s *shard) noteDeadLetterDrop() {
 		s.reg.Counter("deadletter_dropped_total",
 			"Quarantined records lost because the quarantine log could not be written.").Inc()
 	}
-}
-
-// quarantineRejected dead-letters a record the shard itself rejected
-// (encode failure), preserving its bytes in the replayable WAL
-// encoding when possible.
-func (s *shard) quarantineRejected(rec record, reason, detail string) {
-	e := DeadLetterEntry{Kind: kindLabel(rec.kind), Reason: reason, Detail: detail, Probe: recordProbe(rec)}
-	if payload, err := encodeRecord(rec); err == nil {
-		e.Payload, e.Replayable = payload, true
-	}
-	s.quarantine(e)
-}
-
-func kindLabel(k recordKind) string {
-	switch k {
-	case kindMeta:
-		return "meta"
-	case kindConn:
-		return "connlog"
-	case kindKRoot:
-		return "kroot"
-	case kindUptime:
-		return "uptime"
-	}
-	return "frame"
-}
-
-func recordProbe(rec record) atlasdata.ProbeID {
-	switch rec.kind {
-	case kindMeta:
-		return rec.meta.ID
-	case kindConn:
-		return rec.conn.Probe
-	case kindKRoot:
-		return rec.kroot.Probe
-	case kindUptime:
-		return rec.uptime.Probe
-	}
-	return 0
 }
 
 // DeadLetter aggregates the quarantine counters and recent samples

@@ -168,8 +168,7 @@ func TestDeadLetterDurability(t *testing.T) {
 	if err := ing.Quarantine(context.Background(), "frame", 0, "unknown-kind", "kind 99", []byte{0x99, 0x01}); err != nil {
 		t.Fatal(err)
 	}
-	// ...and a replayable entry, quarantined with the record's canonical
-	// WAL encoding via the validate path of the wire ingest.
+	// ...and a validate entry that carries no payload.
 	if err := ing.Quarantine(context.Background(), "connlog", 12, "validate", "ends before start", nil); err != nil {
 		t.Fatal(err)
 	}

@@ -14,6 +14,7 @@ import (
 	"dynaddr/internal/obs"
 	"dynaddr/internal/pfx2as"
 	"dynaddr/internal/wal"
+	"dynaddr/internal/wire"
 )
 
 // ErrClosed is returned by ingest calls after Close.
@@ -120,6 +121,7 @@ type shard struct {
 	// every record to its log before applying it, so the log holds a
 	// superset of the applied state in per-probe order.
 	log       *wal.Log
+	payload   []byte // reused wire encoding of the record being appended
 	dir       string
 	ckptEvery int
 	sinceCkpt int
@@ -465,10 +467,7 @@ func (in *Ingester) Meta(m atlasdata.ProbeMeta) error {
 // MetaContext is Meta under a context: a blocked send returns ctx.Err()
 // on cancellation instead of waiting out the backpressure.
 func (in *Ingester) MetaContext(ctx context.Context, m atlasdata.ProbeMeta) error {
-	if err := m.Validate(); err != nil {
-		return err
-	}
-	return in.send(ctx, m.ID, record{kind: kindMeta, meta: m})
+	return in.ingest(ctx, record{kind: kindMeta, meta: m})
 }
 
 // ConnLog ingests one connection-log entry.
@@ -478,10 +477,7 @@ func (in *Ingester) ConnLog(e atlasdata.ConnLogEntry) error {
 
 // ConnLogContext is ConnLog under a context (see MetaContext).
 func (in *Ingester) ConnLogContext(ctx context.Context, e atlasdata.ConnLogEntry) error {
-	if err := e.Validate(); err != nil {
-		return err
-	}
-	return in.send(ctx, e.Probe, record{kind: kindConn, conn: e})
+	return in.ingest(ctx, record{kind: kindConn, conn: e})
 }
 
 // KRoot ingests one k-root measurement round.
@@ -491,10 +487,7 @@ func (in *Ingester) KRoot(k atlasdata.KRootRound) error {
 
 // KRootContext is KRoot under a context (see MetaContext).
 func (in *Ingester) KRootContext(ctx context.Context, k atlasdata.KRootRound) error {
-	if err := k.Validate(); err != nil {
-		return err
-	}
-	return in.send(ctx, k.Probe, record{kind: kindKRoot, kroot: k})
+	return in.ingest(ctx, record{kind: kindKRoot, kroot: k})
 }
 
 // Uptime ingests one SOS-uptime record.
@@ -504,10 +497,21 @@ func (in *Ingester) Uptime(u atlasdata.UptimeRecord) error {
 
 // UptimeContext is Uptime under a context (see MetaContext).
 func (in *Ingester) UptimeContext(ctx context.Context, u atlasdata.UptimeRecord) error {
-	if err := u.Validate(); err != nil {
+	return in.ingest(ctx, record{kind: kindUptime, uptime: u})
+}
+
+// ingest validates one data record and routes it to its probe's shard.
+// It also refuses a record the wire encoding (what a durable shard
+// logs) cannot carry, so every ingester accepts the same records.
+func (in *Ingester) ingest(ctx context.Context, rec record) error {
+	if err := rec.validate(); err != nil {
 		return err
 	}
-	return in.send(ctx, u.Probe, record{kind: kindUptime, uptime: u})
+	var buf [64]byte
+	if _, err := appendRecord(buf[:0], &rec); err != nil {
+		return err
+	}
+	return in.send(ctx, rec.probeID(), rec)
 }
 
 // Snapshot returns a consistent point-in-time view of the analysis
@@ -775,14 +779,17 @@ func (s *shard) ingestOne(rec record) {
 		return
 	}
 	if s.log != nil {
-		payload, err := encodeRecord(rec)
+		payload, err := appendRecord(s.payload[:0], &rec)
 		if err != nil {
-			// A record that cannot be encoded is poison, not a disk
-			// problem: dead-letter it and move on without applying (it
-			// could never be recovered from the WAL).
-			s.quarantineRejected(rec, "encode", err.Error())
+			// A backstop (both ingest routes refuse such records): a
+			// record that cannot be encoded is poison, not a disk
+			// problem, so dead-letter it and move on without applying.
+			s.quarantine(DeadLetterEntry{Kind: wire.Kind(rec.kind).String(), Reason: "encode", Detail: err.Error(), Probe: rec.probeID()})
 			return
 		}
+		// Append copies the payload out before it returns, so the buffer
+		// is free for the next record.
+		s.payload = payload
 		seq, err := s.log.Append(payload)
 		if err != nil {
 			s.degrade(err)

@@ -9,64 +9,8 @@ import (
 	"sort"
 	"strconv"
 
-	"dynaddr/internal/atlasdata"
 	"dynaddr/internal/wal"
 )
-
-// Wire codec: one kind byte followed by the record's canonical
-// atlasdata encoding (the same line formats the batch archives use, so
-// a WAL is inspectable with standard tools). The codec must stay
-// deterministic — recovery replays payloads through shard.apply and
-// expects the exact records the original run saw.
-
-func encodeRecord(rec record) ([]byte, error) {
-	var (
-		body []byte
-		err  error
-	)
-	switch rec.kind {
-	case kindMeta:
-		body, err = atlasdata.MarshalProbeMeta(rec.meta)
-	case kindConn:
-		body, err = atlasdata.MarshalConnLog(rec.conn)
-	case kindKRoot:
-		body, err = atlasdata.MarshalKRoot(rec.kroot)
-	case kindUptime:
-		body, err = atlasdata.MarshalUptime(rec.uptime)
-	default:
-		return nil, fmt.Errorf("stream: record kind %d is not persistable", rec.kind)
-	}
-	if err != nil {
-		return nil, err
-	}
-	out := make([]byte, 0, 1+len(body))
-	out = append(out, byte(rec.kind))
-	return append(out, body...), nil
-}
-
-func decodeRecord(payload []byte) (record, error) {
-	if len(payload) < 2 {
-		return record{}, errors.New("stream: WAL payload too short")
-	}
-	kind, body := recordKind(payload[0]), payload[1:]
-	var (
-		rec = record{kind: kind}
-		err error
-	)
-	switch kind {
-	case kindMeta:
-		rec.meta, err = atlasdata.UnmarshalProbeMeta(body)
-	case kindConn:
-		rec.conn, err = atlasdata.UnmarshalConnLog(body)
-	case kindKRoot:
-		rec.kroot, err = atlasdata.UnmarshalKRoot(body)
-	case kindUptime:
-		rec.uptime, err = atlasdata.UnmarshalUptime(body)
-	default:
-		err = fmt.Errorf("stream: unknown WAL record kind %d", kind)
-	}
-	return rec, err
-}
 
 // walMeta pins the parts of the configuration baked into the on-disk
 // layout. The partition count decides which log a probe's records land
@@ -74,7 +18,9 @@ func decodeRecord(payload []byte) (record, error) {
 // per-probe ordering recovery depends on — it is refused instead. (The
 // field is named "shards" for compatibility with pre-cluster layouts,
 // where the shard count WAS the partition count; it has always meant
-// the routing modulus.)
+// the routing modulus.) Version 2 is the layout whose WAL payloads are
+// internal/wire records; a version-1 directory holds the earlier text
+// payloads and is refused before any shard file is opened.
 type walMeta struct {
 	Version int `json:"version"`
 	Shards  int `json:"shards"`
@@ -82,7 +28,7 @@ type walMeta struct {
 
 const (
 	walMetaFile    = "ingest.json"
-	walMetaVersion = 1
+	walMetaVersion = 2
 )
 
 func checkWALMeta(dir string, shards int) error {
@@ -168,11 +114,13 @@ type RecoverStats struct {
 // directory starts empty, so Recover is also the constructor for new
 // durable ingesters. The reconstructed state is byte-identical (in
 // Snapshot terms) to an uninterrupted run over the same durable record
-// prefix: checkpoints round-trip floats exactly, and WAL replay drives
-// the same deterministic state machines the live path uses. Damaged WAL
-// tails (torn frames, bit flips) are truncated to the last valid
-// record, never fatal; use Cursor to learn each probe's durable prefix
-// and resume producers from there.
+// prefix: checkpoints round-trip floats exactly, and WAL replay decodes
+// and validates the wire payloads the live path appended (decodeRecord
+// and validate, as IngestWire does) and drives them through the same
+// deterministic state machines. Damaged WAL tails (torn frames, bit
+// flips) are truncated to the last valid record, never fatal; use
+// Cursor to learn each probe's durable prefix and resume producers from
+// there.
 func Recover(cfg Config) (*Ingester, *RecoverStats, error) {
 	cfg = cfg.withDefaults()
 	if cfg.WALDir == "" {
@@ -246,8 +194,12 @@ func recoverShard(s *shard, cfg Config, st *RecoverStats) error {
 		}
 	}
 
+	var rec record
 	err = wal.Replay(s.dir, from, func(seq uint64, payload []byte) error {
-		rec, err := decodeRecord(payload)
+		err := decodeRecord(payload, &rec)
+		if err == nil {
+			err = rec.validate()
+		}
 		if err != nil {
 			return fmt.Errorf("WAL seq %d: %w", seq, err)
 		}

@@ -151,6 +151,7 @@ type Log struct {
 	nextSeq  uint64
 	unsynced int
 	closed   bool
+	frame    []byte // Append's reused frame buffer
 }
 
 func segName(firstSeq uint64) string {
@@ -355,12 +356,10 @@ func (l *Log) Append(payload []byte) (uint64, error) {
 			return 0, err
 		}
 	}
-	var hdr [frameHeader]byte
-	wire.PutFrameHeader(hdr[:], payload)
-	if _, err := l.f.Write(hdr[:]); err != nil {
-		return 0, err
-	}
-	if _, err := l.f.Write(payload); err != nil {
+	// One Write of the whole frame, built in a buffer the log keeps:
+	// the caller may reuse payload as soon as Append returns.
+	l.frame = wire.AppendFrame(l.frame[:0], payload)
+	if _, err := l.f.Write(l.frame); err != nil {
 		return 0, err
 	}
 	seq := l.nextSeq

@@ -11,13 +11,13 @@ import (
 	"dynaddr/internal/simclock"
 )
 
-// Kind tags a frame payload's record type. The byte values deliberately
-// match the stream tier's WAL record kinds (meta, conn, kroot, uptime,
-// in that order), so a WAL payload's kind byte and a wire payload's
-// kind byte mean the same thing.
+// Kind tags a frame payload's record type. The stream tier's record
+// kinds are these byte values (meta, conn, kroot, uptime, in that
+// order), and its WAL stores wire payloads as they are, so a WAL
+// segment is a wire batch.
 type Kind uint8
 
-// Record kinds, in WAL order.
+// Record kinds, in stream order.
 const (
 	KindMeta Kind = iota
 	KindConn
