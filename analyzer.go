@@ -4,38 +4,37 @@ import (
 	"context"
 
 	"dynaddr/internal/core"
-	"dynaddr/internal/engine"
 	"dynaddr/internal/stream"
 )
 
-// Stage names one node of the staged analysis engine's DAG. Stages
+// Stage names one node of the analysis DAG. Stages
 // passed to WithStages are expanded with their transitive dependencies,
 // so WithStages(StageFigures) runs filter, ttf, periodic and figures.
-type Stage = engine.Stage
+type Stage = core.Stage
 
 // The analysis stages, for WithStages.
 const (
-	StageFilter     = engine.StageFilter
-	StageTTF        = engine.StageTTF
-	StagePeriodic   = engine.StagePeriodic
-	StageOutage     = engine.StageOutage
-	StagePac        = engine.StagePac
-	StageLinkType   = engine.StageLinkType
-	StagePrefix     = engine.StagePrefix
-	StageFigures    = engine.StageFigures
-	StageExtensions = engine.StageExtensions
+	StageFilter     = core.StageFilter
+	StageTTF        = core.StageTTF
+	StagePeriodic   = core.StagePeriodic
+	StageOutage     = core.StageOutage
+	StagePac        = core.StagePac
+	StageLinkType   = core.StageLinkType
+	StagePrefix     = core.StagePrefix
+	StageFigures    = core.StageFigures
+	StageExtensions = core.StageExtensions
 )
 
 // Stages lists every analysis stage in canonical order.
 func Stages() []Stage {
-	out := make([]Stage, len(engine.All))
-	copy(out, engine.All)
+	out := make([]Stage, len(core.AllStages))
+	copy(out, core.AllStages)
 	return out
 }
 
 // ParseStages parses a comma-separated stage list ("" and "all" mean
 // every stage) — the format churnctl's -stages flag accepts.
-func ParseStages(s string) ([]Stage, error) { return engine.ParseStages(s) }
+func ParseStages(s string) ([]Stage, error) { return core.ParseStages(s) }
 
 // RunMetrics describes how a report was computed: worker-pool size and
 // per-stage wall time and record counts. Filled by the Analyzer.
@@ -44,16 +43,15 @@ type RunMetrics = core.RunMetrics
 // StageMetric is one stage's entry in RunMetrics.
 type StageMetric = core.StageMetric
 
-// Analyzer runs the analysis pipeline over datasets on the staged
-// parallel engine. Construct it with NewAnalyzer; the zero value is
-// also valid and analyzes everything with default options at GOMAXPROCS
-// parallelism. An Analyzer is immutable after construction and safe for
-// concurrent use.
+// Analyzer runs the staged analysis pipeline over datasets. Construct
+// it with NewAnalyzer; the zero value is also valid and analyzes
+// everything with default options at GOMAXPROCS parallelism. An
+// Analyzer is immutable after construction and safe for concurrent use.
 //
-// The report an Analyzer produces is byte-identical to the sequential
-// pipeline's (ignoring Report.Metrics), whatever the parallelism.
+// The report an Analyzer produces is identical (ignoring
+// Report.Metrics) whatever the parallelism.
 type Analyzer struct {
-	cfg engine.Config
+	cfg core.Config
 }
 
 // AnalyzerOption configures an Analyzer at construction.
@@ -105,8 +103,7 @@ func WithStages(stages ...Stage) AnalyzerOption {
 }
 
 // WithParallelism bounds the worker pool shared by all stages. Zero or
-// negative means GOMAXPROCS. One worker still runs the staged engine,
-// just serially.
+// negative means GOMAXPROCS; one worker is the serial run.
 func WithParallelism(n int) AnalyzerOption {
 	return func(a *Analyzer) { a.cfg.Parallelism = n }
 }
@@ -121,7 +118,7 @@ func (a *Analyzer) Analyze(ds *Dataset) (*Report, error) {
 // at stage boundaries and between per-probe tasks, and the run returns
 // ctx.Err() without finishing the remaining stages.
 func (a *Analyzer) AnalyzeContext(ctx context.Context, ds *Dataset) (*Report, error) {
-	return engine.Run(ctx, ds, a.cfg)
+	return core.Run(ctx, ds, a.cfg)
 }
 
 // Live ingest, re-exported from the streaming subsystem so library

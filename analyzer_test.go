@@ -2,35 +2,74 @@ package dynaddr
 
 import (
 	"context"
-	"reflect"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"fmt"
+	"os"
 	"testing"
-
-	"dynaddr/internal/core"
 )
 
-// TestAnalyzerGoldenEquality is the acceptance gate for the staged
-// engine: across several seeded worlds, the parallel Analyzer's Report
-// must deep-equal the sequential pipeline's, ignoring only the
-// schedule-describing Metrics. Run under -race in CI.
+// goldenDigest returns the recorded report digest of one case in
+// internal/core/testdata/report_digests.json: the SHA-256 of the
+// report's JSON (Metrics cleared) that the sequential pipeline produced
+// before the staged Run replaced it.
+func goldenDigest(t *testing.T, name string) string {
+	t.Helper()
+	raw, err := os.ReadFile("internal/core/testdata/report_digests.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var golden struct {
+		Cases []struct{ Name, SHA256 string }
+	}
+	if err := json.Unmarshal(raw, &golden); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range golden.Cases {
+		if c.Name == name {
+			return c.SHA256
+		}
+	}
+	t.Fatalf("no golden digest %q", name)
+	return ""
+}
+
+// checkDigest fails the test unless rep, Metrics cleared, hashes to the
+// golden digest want.
+func checkDigest(t *testing.T, rep *Report, want string) {
+	t.Helper()
+	if rep.Metrics == nil {
+		t.Fatal("no metrics")
+	}
+	c := *rep
+	c.Metrics = nil
+	b, err := json.Marshal(&c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum := sha256.Sum256(b); hex.EncodeToString(sum[:]) != want {
+		t.Errorf("report digest %x, want %s", sum, want)
+	}
+}
+
+// TestAnalyzerGoldenEquality is the acceptance gate for the Analyzer:
+// across several seeded worlds and pool sizes, its Report must hash to
+// the golden digest, ignoring only the schedule-describing Metrics. Run
+// under -race in CI.
 func TestAnalyzerGoldenEquality(t *testing.T) {
 	for _, seed := range []uint64{21, 22, 23} {
 		world, err := Generate(smallConfig(seed))
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := core.Run(world.Dataset, Options{})
+		want := goldenDigest(t, fmt.Sprintf("seed%d", seed))
 		for _, workers := range []int{1, 4} {
 			got, err := NewAnalyzer(WithParallelism(workers)).Analyze(world.Dataset)
 			if err != nil {
 				t.Fatalf("seed %d workers %d: %v", seed, workers, err)
 			}
-			if got.Metrics == nil {
-				t.Fatalf("seed %d workers %d: no metrics", seed, workers)
-			}
-			got.Metrics = nil
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("seed %d workers %d: parallel report differs from sequential", seed, workers)
-			}
+			checkDigest(t, got, want)
 		}
 	}
 }
@@ -40,9 +79,6 @@ func TestAnalyzerOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := Options{TopASes: 3, Figure3Country: "FR", Figure3MinYears: 1}
-	want := core.Run(world.Dataset, opts)
-
 	fields, err := NewAnalyzer(
 		WithTopASes(3),
 		WithFigure3Country("FR"),
@@ -51,10 +87,7 @@ func TestAnalyzerOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fields.Metrics = nil
-	if !reflect.DeepEqual(fields, want) {
-		t.Error("report differs from sequential with same options")
-	}
+	checkDigest(t, fields, goldenDigest(t, "seed31-options"))
 	if len(fields.Figure2) > 3 {
 		t.Errorf("TopASes(3) ignored: %d Figure 2 curves", len(fields.Figure2))
 	}

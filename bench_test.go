@@ -108,10 +108,17 @@ func BenchmarkTable2Filtering(b *testing.B) {
 // classification and per-AS aggregation.
 func BenchmarkTable5PeriodicASes(b *testing.B) {
 	_, res, _ := benchSetup(b)
+	byAS := core.ByAS(res)
 	b.ResetTimer()
 	var rows []core.ASPeriodicRow
 	for i := 0; i < b.N; i++ {
-		rows = core.PeriodicByAS(res)
+		perProbe := make(map[atlasdata.ProbeID]core.PeriodicProbe)
+		for _, id := range res.GeoProbes {
+			if pp, ok := core.ClassifyPeriodic(core.V4Durations(res.Views[id].Entries)); ok {
+				perProbe[id] = pp
+			}
+		}
+		rows = core.PeriodicRowsOver(byAS, perProbe)
 	}
 	b.ReportMetric(float64(len(rows)), "rows")
 }
@@ -120,11 +127,12 @@ func BenchmarkTable5PeriodicASes(b *testing.B) {
 // pipeline (network/power detection, firmware filtering, association).
 func BenchmarkTable6OutageProbability(b *testing.B) {
 	w, res, _ := benchSetup(b)
+	byAS := core.ByAS(res)
 	b.ResetTimer()
 	var rows []core.ASOutageRow
 	for i := 0; i < b.N; i++ {
 		oa := core.AnalyzeOutages(w.Dataset, res)
-		rows = core.OutagesByAS(oa, res)
+		rows = core.OutagesRows(oa.Stats, byAS)
 	}
 	b.ReportMetric(float64(len(rows)), "rows")
 }
@@ -136,7 +144,11 @@ func BenchmarkTable7PrefixChanges(b *testing.B) {
 	b.ResetTimer()
 	var row core.PrefixChangeRow
 	for i := 0; i < b.N; i++ {
-		row = core.PrefixChangesAll(w.Dataset, res)
+		perProbe := make(map[atlasdata.ProbeID]core.PrefixChangeRow, len(res.ASProbes))
+		for _, id := range res.ASProbes {
+			perProbe[id] = core.ProbePrefixChanges(w.Dataset, res.Views[id])
+		}
+		row = core.PrefixAllOver(res.ASProbes, perProbe)
 	}
 	b.ReportMetric(row.FracBGP()*100, "pct-cross-bgp")
 }
@@ -308,30 +320,11 @@ func BenchmarkFigure9DurationBins(b *testing.B) {
 	b.ReportMetric(lgiLong*100, "lgi-pct-renum-12h-plus")
 }
 
-// BenchmarkFullReport runs the entire analysis pipeline end to end.
-func BenchmarkFullReport(b *testing.B) {
-	w, _, _ := benchSetup(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = core.Run(w.Dataset, Options{})
-	}
-}
-
-// BenchmarkAnalyzeSequential is the staged engine's baseline: the
-// sequential core.Run pipeline over the paper-scale world.
-func BenchmarkAnalyzeSequential(b *testing.B) {
-	w, _, _ := benchSetup(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = core.Run(w.Dataset, Options{})
-	}
-}
-
-// BenchmarkAnalyzeParallel runs the staged engine at several pool
-// sizes over the same world. The per-stage wall times land in
-// Report.Metrics; the headline comparison is against
-// BenchmarkAnalyzeSequential (speedup needs real cores — a single-CPU
-// runner shows parity, not gains).
+// BenchmarkAnalyzeParallel runs the whole analysis at several pool
+// sizes over the paper-scale world; workers=1 is the serial baseline
+// the others compare against (speedup needs real cores — a single-CPU
+// runner shows parity, not gains). The per-stage wall times land in
+// Report.Metrics.
 func BenchmarkAnalyzeParallel(b *testing.B) {
 	w, _, _ := benchSetup(b)
 	for _, workers := range []int{1, 4, 8} {

@@ -1,14 +1,12 @@
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"os"
 	"sort"
 
-	"dynaddr/internal/atlasapi"
 	"dynaddr/internal/stream"
 )
 
@@ -18,47 +16,54 @@ import (
 //	churnctl -deadletter status -wal-dir DIR     # offline: read the logs
 //	churnctl -deadletter status -url URL         # online: GET /api/v1/live/deadletter
 //	churnctl -deadletter list -wal-dir DIR       # every entry, one JSON line each
-//	churnctl -deadletter drain -wal-dir DIR -url URL
+//	churnctl -deadletter drain -wal-dir DIR      # list, then truncate the logs
 //
-// drain replays every replayable entry (a record kept as its
-// internal/wire payload and marked replayable) into the
-// server at -url through the ordinary producer path, then truncates the
-// quarantine logs — including entries that were never replayable
-// (payloads that failed decoding or validation, kept for inspection),
-// which are reported and dropped. The ingester writes no replayable
-// entries, so today drain reports and drops every entry. Offline operations read the WAL directory directly: run them
-// against a stopped atlasd.
+// Every quarantined record failed decoding or validation, so there is
+// nothing to re-submit: drain prints the entries as list does, then
+// truncates the logs. Offline operations read the WAL directory
+// directly: run them against a stopped atlasd.
 func deadletterMain(op, walDir, url string) {
 	switch op {
 	case "status":
 		deadletterStatus(walDir, url)
-	case "list":
+	case "list", "drain":
 		if walDir == "" {
-			fatal(fmt.Errorf("-deadletter list requires -wal-dir"))
+			fatal(fmt.Errorf("-deadletter %s requires -wal-dir", op))
 		}
-		err := stream.ReadDeadLetters(walDir, func(shard int, seq uint64, e stream.DeadLetterEntry) error {
-			line, err := json.Marshal(struct {
-				Shard int    `json:"shard"`
-				Seq   uint64 `json:"seq"`
-				stream.DeadLetterEntry
-			}{shard, seq, e})
-			if err != nil {
-				return err
-			}
-			fmt.Println(string(line))
-			return nil
-		})
-		if err != nil {
+		n := deadletterList(walDir)
+		if op == "list" {
+			return
+		}
+		if err := stream.TruncateDeadLetters(walDir); err != nil {
 			fatal(err)
 		}
-	case "drain":
-		if walDir == "" || url == "" {
-			fatal(fmt.Errorf("-deadletter drain requires both -wal-dir and -url"))
-		}
-		deadletterDrain(walDir, url)
+		fmt.Fprintf(os.Stderr, "churnctl: dead letters drained: %d\n", n)
 	default:
 		fatal(fmt.Errorf("unknown -deadletter operation %q (want status, list, or drain)", op))
 	}
+}
+
+// deadletterList prints every quarantined entry as one JSON line and
+// returns how many there were.
+func deadletterList(walDir string) int {
+	n := 0
+	err := stream.ReadDeadLetters(walDir, func(shard int, seq uint64, e stream.DeadLetterEntry) error {
+		line, err := json.Marshal(struct {
+			Shard int    `json:"shard"`
+			Seq   uint64 `json:"seq"`
+			stream.DeadLetterEntry
+		}{shard, seq, e})
+		if err != nil {
+			return err
+		}
+		fmt.Println(string(line))
+		n++
+		return nil
+	})
+	if err != nil {
+		fatal(err)
+	}
+	return n
 }
 
 func deadletterStatus(walDir, url string) {
@@ -106,40 +111,5 @@ func printDeadLetterStatus(total int64, byReason map[string]int64) {
 	sort.Strings(reasons)
 	for _, r := range reasons {
 		fmt.Printf("  %-14s %d\n", r, byReason[r])
-	}
-}
-
-func deadletterDrain(walDir, url string) {
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	producer := atlasapi.NewStreamProducer(ctx, url, atlasapi.WithCodec(atlasapi.CodecBinary))
-	var replayed, skipped int
-	err := stream.ReadDeadLetters(walDir, func(shard int, seq uint64, e stream.DeadLetterEntry) error {
-		if !e.Replayable {
-			skipped++
-			return nil
-		}
-		if err := e.Replay(producer); err != nil {
-			return err
-		}
-		replayed++
-		return nil
-	})
-	if err != nil {
-		fatal(err)
-	}
-	// The flush must succeed before the logs are truncated: a shedding or
-	// unreachable server aborts the drain with the quarantine intact.
-	// Re-running after a partial delivery is safe — the server's apply
-	// path drops already-applied records as stale duplicates.
-	if err := producer.Flush(); err != nil {
-		fatal(err)
-	}
-	if err := stream.TruncateDeadLetters(walDir); err != nil {
-		fatal(err)
-	}
-	fmt.Printf("churnctl: drained dead letters: %d replayed to %s, %d unreplayable dropped\n", replayed, url, skipped)
-	if skipped > 0 {
-		fmt.Fprintln(os.Stderr, "churnctl: note: unreplayable entries are undecodable payloads; use -deadletter list before draining to preserve them")
 	}
 }

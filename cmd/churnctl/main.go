@@ -7,7 +7,7 @@
 //	churnctl -data DIR [-parallel N] [-stages LIST] [table1|table2|table5|table6|table7|fig1..fig9|linktype|admin|churn|metrics|all]
 //
 // With no artefact argument, churnctl prints a short summary. The
-// analysis runs on the staged parallel engine; -parallel bounds its
+// analysis runs as a staged DAG; -parallel bounds its
 // worker pool (default GOMAXPROCS) and -stages restricts the run to a
 // comma-separated stage subset plus dependencies (default all).
 //
@@ -30,7 +30,7 @@
 //	churnctl -deadletter status -url http://host:8042   # live counts
 //	churnctl -deadletter status -wal-dir DIR            # offline counts
 //	churnctl -deadletter list -wal-dir DIR              # entries as JSON lines
-//	churnctl -deadletter drain -wal-dir DIR -url URL    # replay + truncate
+//	churnctl -deadletter drain -wal-dir DIR             # list + truncate
 //
 // With -cluster, churnctl talks to a multi-node cluster's coordinator:
 //
@@ -75,7 +75,7 @@ func main() {
 	retryCap := flag.Duration("retry-cap", 0, "scrape: backoff delay ceiling (0 = default 5s)")
 	allowFailures := flag.Int("allow-failures", 0, "scrape: probes allowed to fail before aborting (-1 = unlimited)")
 	liveAnalysis := flag.Bool("live-analysis", false, "query a live atlasd's streaming analysis endpoint (requires -url); no dataset is scraped")
-	deadletter := flag.String("deadletter", "", "dead-letter operation: status (-wal-dir or -url), list (-wal-dir), or drain (-wal-dir and -url)")
+	deadletter := flag.String("deadletter", "", "dead-letter operation: status (-wal-dir or -url), list (-wal-dir), or drain (-wal-dir)")
 	walDir := flag.String("wal-dir", "", "atlasd WAL directory for offline -deadletter operations (stop the server first)")
 	clusterOp := flag.String("cluster", "", "cluster operation against a coordinator at -url: status (per-peer ownership, version, readiness)")
 	flag.Parse()
@@ -200,14 +200,7 @@ func main() {
 		"country":   func() { emit(rep.RenderByCountry(3)) },
 		"blacklist": func() { emit(core.RenderBlacklist(core.AdviseBlacklist(rep, 5), names)) },
 		"lease":     func() { emit(core.RenderLeaseEstimates(core.EstimateLeases(rep.Outage, rep.Filter), names)) },
-		"metrics": func() {
-			// The sequential engine leaves Report.Metrics nil.
-			if rep.Metrics == nil {
-				fmt.Println("no engine metrics recorded (run with -parallel)")
-				return
-			}
-			emit(renderMetrics(rep.Metrics))
-		},
+		"metrics":   func() { emit(renderMetrics(rep.Metrics)) },
 	}
 
 	switch what {
@@ -437,7 +430,7 @@ func drilldown(ds *dynaddr.Dataset, rep *dynaddr.Report, names core.NameFunc, id
 	}
 }
 
-// renderMetrics tabulates the engine's per-stage execution record.
+// renderMetrics tabulates a run's per-stage execution record.
 func renderMetrics(m *dynaddr.RunMetrics) *tables.Table {
 	t := tables.New(fmt.Sprintf("Engine metrics (%d workers)", m.Parallelism),
 		"Stage", "Wall", "Records")

@@ -15,12 +15,22 @@ func smallConfig(seed uint64) Config {
 	return cfg
 }
 
+// analyze runs every stage over ds with default options.
+func analyze(t *testing.T, ds *Dataset) *Report {
+	t.Helper()
+	rep, err := NewAnalyzer().Analyze(ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep
+}
+
 func TestFacadeEndToEnd(t *testing.T) {
 	world, err := Generate(smallConfig(5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := core.Run(world.Dataset, Options{})
+	rep := analyze(t, world.Dataset)
 	if len(rep.Filter.GeoProbes) == 0 {
 		t.Fatal("no analyzable probes")
 	}
@@ -46,8 +56,8 @@ func TestFacadeSaveLoadRoundTrip(t *testing.T) {
 		t.Error("probe metadata did not round-trip")
 	}
 	// The analysis over the loaded dataset must match the in-memory one.
-	repA := core.Run(world.Dataset, Options{})
-	repB := core.Run(loaded, Options{})
+	repA := analyze(t, world.Dataset)
+	repB := analyze(t, loaded)
 	if repA.Table7All != repB.Table7All {
 		t.Errorf("Table 7 differs after round trip: %+v vs %+v", repA.Table7All, repB.Table7All)
 	}

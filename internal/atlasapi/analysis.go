@@ -11,11 +11,11 @@ import (
 
 	"dynaddr/internal/atlasdata"
 	"dynaddr/internal/core"
-	"dynaddr/internal/engine"
+	"dynaddr/internal/obs"
 )
 
 // analysisSummary is the JSON shape of /api/v1/analysis: the report's
-// headline numbers plus the engine's run metrics. Fields owned by
+// headline numbers plus the run's metrics. Fields owned by
 // stages the request excluded stay at their zero values.
 type analysisSummary struct {
 	GeoProbes     int              `json:"geo_probes"`
@@ -30,7 +30,7 @@ type analysisSummary struct {
 	Metrics       *core.RunMetrics `json:"metrics"`
 }
 
-// analysis runs the staged engine over the served dataset under the
+// analysis runs core.Run over the served dataset under the
 // request's context, so a disconnecting client aborts the run at the
 // next stage or probe boundary instead of computing a report nobody
 // will read.
@@ -54,7 +54,7 @@ func (s *Server) analysis(w http.ResponseWriter, r *http.Request) {
 		}
 		workers = n
 	}
-	stages, err := engine.ParseStages(q.Get("stages"))
+	stages, err := core.ParseStages(q.Get("stages"))
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -69,7 +69,7 @@ func (s *Server) analysis(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer s.shared.release()
-	rep, err := engine.Run(r.Context(), ds, engine.Config{
+	rep, err := core.Run(r.Context(), ds, core.Config{
 		Parallelism: workers,
 		Stages:      stages,
 	})
@@ -81,7 +81,7 @@ func (s *Server) analysis(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	engine.ExportMetrics(s.metrics, rep.Metrics)
+	exportRunMetrics(s.metrics, rep.Metrics)
 
 	out := analysisSummary{
 		Table5Rows:   len(rep.Table5),
@@ -103,6 +103,32 @@ func (s *Server) analysis(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	if err := json.NewEncoder(w).Encode(out); err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
+	}
+}
+
+// exportRunMetrics publishes one analysis run's core.RunMetrics into
+// reg, so the numbers behind `churnctl metrics` and the /metrics
+// exposition are the same measurements. Stage wall time goes into a
+// per-stage histogram whose _sum is the cumulative seconds spent in the
+// stage and whose _count is the number of runs; a gauge carries the
+// latest run's parallelism. A nil reg (atlasd -metrics=false) is a
+// no-op.
+func exportRunMetrics(reg *obs.Registry, m *core.RunMetrics) {
+	if reg == nil {
+		return
+	}
+	reg.Counter("engine_runs_total", "Analysis engine runs completed.").Inc()
+	reg.Gauge("engine_parallelism", "Worker-pool size of the most recent engine run.").
+		Set(float64(m.Parallelism))
+	for _, st := range m.Stages {
+		l := obs.L("stage", st.Stage)
+		reg.Histogram("engine_stage_wall_seconds",
+			"Wall time per engine stage and run, in seconds (the sum is cumulative stage time).",
+			nil, l).
+			Observe(st.Wall.Seconds())
+		reg.Counter("engine_stage_records_total",
+			"Records processed per engine stage.", l).
+			Add(int64(st.Records))
 	}
 }
 

@@ -1,6 +1,7 @@
 package atlasapi
 
 import (
+	"context"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -67,8 +68,14 @@ func TestScrapeReproducesAnalysis(t *testing.T) {
 		t.Error("uptime records differ after scrape")
 	}
 
-	repLocal := core.Run(world.Dataset, core.Options{})
-	repWire := core.Run(scraped, core.Options{})
+	repLocal, err := core.Run(context.Background(), world.Dataset, core.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	repWire, err := core.Run(context.Background(), scraped, core.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if repLocal.Table7All != repWire.Table7All {
 		t.Errorf("Table 7 differs over the wire: %+v vs %+v", repLocal.Table7All, repWire.Table7All)
 	}

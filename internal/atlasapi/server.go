@@ -45,7 +45,7 @@ type Source interface {
 	Dataset(ctx context.Context) (*atlasdata.Dataset, error)
 }
 
-// SetMetrics attaches a registry; engine runs triggered through
+// SetMetrics attaches a registry; analysis runs triggered through
 // /api/v1/analysis export their RunMetrics into it. Call before
 // serving.
 func (s *Server) SetMetrics(reg *obs.Registry) { s.metrics = reg }

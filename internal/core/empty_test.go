@@ -10,7 +10,7 @@ import (
 // probes must return an empty report, not panic — the behaviour a
 // downstream user hits when pointing churnctl at a fresh directory.
 func TestRunOnEmptyDataset(t *testing.T) {
-	rep := Run(atlasdata.NewDataset(), Options{})
+	rep := runReport(t, atlasdata.NewDataset(), Config{})
 	if len(rep.Filter.GeoProbes) != 0 || len(rep.Filter.ASProbes) != 0 {
 		t.Error("empty dataset produced analyzable probes")
 	}
@@ -48,7 +48,7 @@ func TestRunOnStaticOnlyDataset(t *testing.T) {
 	ds := buildDS(t)
 	addProbe(ds, 1, atlasdata.V3, nil, longSessions(1, "10.0.0.1", "10.0.0.1", "10.0.0.1", "10.0.0.1")...)
 	addProbe(ds, 2, atlasdata.V3, nil, longSessions(2, "10.0.0.2", "10.0.0.2", "10.0.0.2", "10.0.0.2")...)
-	rep := Run(ds, Options{})
+	rep := runReport(t, ds, Config{})
 	if rep.Table2[CatNeverChanged] != 2 {
 		t.Errorf("never-changed count = %d", rep.Table2[CatNeverChanged])
 	}

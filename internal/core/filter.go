@@ -104,15 +104,6 @@ func Filter(ds *atlasdata.Dataset) *FilterResult {
 	return AssembleFilter(ids, cats, views)
 }
 
-// ClassifyProbe runs the Table 2 pipeline over one probe: the category
-// it lands in and, for analyzable probes, the cleaned per-probe view.
-// It reads the dataset without mutating it, so classifications of
-// distinct probes may run concurrently — the parallel engine's per-probe
-// fan-out seam.
-func ClassifyProbe(ds *atlasdata.Dataset, meta atlasdata.ProbeMeta) (Category, *ProbeView) {
-	return classify(ds, meta)
-}
-
 // AssembleFilter builds a FilterResult from per-probe classifications,
 // one slot per probe, listed in ascending probe-ID order (the order
 // ds.ProbeIDs returns). views[i] must be non-nil exactly when cats[i]
@@ -144,6 +135,10 @@ func AssembleFilter(ids []atlasdata.ProbeID, cats []Category, views []*ProbeView
 	return res
 }
 
+// classify runs the Table 2 pipeline over one probe: the category it
+// lands in and, for analyzable probes, the cleaned per-probe view. It
+// reads the dataset without mutating it, so classifications of
+// distinct probes may run concurrently (Run's per-probe fan-out).
 func classify(ds *atlasdata.Dataset, meta atlasdata.ProbeMeta) (Category, *ProbeView) {
 	if meta.ConnectedDays <= minConnectedDays {
 		return CatShortLived, nil

@@ -30,7 +30,7 @@ func paperWorld(t *testing.T) (*sim.World, *Report) {
 			t.Fatal(err)
 		}
 		world = w
-		report = Run(w.Dataset, Options{})
+		report = runReport(t, w.Dataset, Config{})
 	})
 	if world == nil {
 		t.Fatal("world generation failed earlier")
@@ -490,7 +490,7 @@ func TestIntegrationProbeASMatchesTruth(t *testing.T) {
 
 func TestIntegrationReportDeterminism(t *testing.T) {
 	w, rep := paperWorld(t)
-	rep2 := Run(w.Dataset, Options{})
+	rep2 := runReport(t, w.Dataset, Config{})
 	if len(rep2.Table5) != len(rep.Table5) {
 		t.Error("Table 5 differs across identical runs")
 	}

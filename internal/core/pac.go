@@ -191,18 +191,12 @@ type ASOutageRow struct {
 // five probes whose P(ac|nw) exceeds 0.8 (§5.3).
 const Table6MinProbes = 5
 
-// OutagesByAS computes Table 6 rows, sorted by N descending then ASN.
-// N counts the AS's probes with at least three outages of each kind; the
-// row appears only when at least Table6MinProbes of them have
-// P(ac|nw) > 0.8 — which is why the paper's table holds only heavy
-// renumberers (all European).
-func OutagesByAS(oa *OutageAnalysis, res *FilterResult) []ASOutageRow {
-	return OutagesRows(oa.Stats, ByAS(res))
-}
-
-// OutagesRows computes Table 6 rows from a stats map over arbitrary AS
-// groups — the seam shared by the batch pipeline and the streaming fold.
-// Ordering and row gates follow OutagesByAS.
+// OutagesRows computes Table 6 rows from a stats map over AS groups —
+// the seam shared by Run and the streaming fold. N counts the AS's
+// probes with at least three outages of each kind; the row appears only
+// when at least Table6MinProbes of them have P(ac|nw) > 0.8 — which is
+// why the paper's table holds only heavy renumberers (all European).
+// Rows are sorted by N descending, then ASN.
 func OutagesRows(all map[atlasdata.ProbeID]ProbeOutageStats, groups map[uint32][]atlasdata.ProbeID) []ASOutageRow {
 	var rows []ASOutageRow
 	for asn, ids := range groups {

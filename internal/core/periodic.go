@@ -141,37 +141,12 @@ const (
 	Table5MinPeriodic = 3
 )
 
-// PeriodicByAS computes Table 5 rows over the AS-analyzable probes.
-// Rows are sorted by NPeriodic descending, then ASN, then D — the
-// paper's presentation order.
-func PeriodicByAS(res *FilterResult) []ASPeriodicRow {
-	return PeriodicRows(res, ClassifyPeriodicProbes(res))
-}
-
-// ClassifyPeriodicProbes runs the per-probe periodic classifier over
-// every analyzable probe, returning only the probes that classified as
-// periodic. Each probe is independent — the parallel engine's fan-out
-// seam for the periodic stage.
-func ClassifyPeriodicProbes(res *FilterResult) map[atlasdata.ProbeID]PeriodicProbe {
-	perProbe := make(map[atlasdata.ProbeID]PeriodicProbe)
-	for id, view := range res.Views {
-		if pp, ok := ClassifyPeriodic(V4Durations(view.Entries)); ok {
-			perProbe[id] = pp
-		}
-	}
-	return perProbe
-}
-
-// PeriodicRows aggregates a precomputed per-probe classification into
-// Table 5 rows (see PeriodicByAS for the ordering contract).
-func PeriodicRows(res *FilterResult, perProbe map[atlasdata.ProbeID]PeriodicProbe) []ASPeriodicRow {
-	return PeriodicRowsOver(ByAS(res), perProbe)
-}
-
 // PeriodicRowsOver aggregates a per-probe classification into Table 5
-// rows over arbitrary AS groups — the seam shared by the batch pipeline
-// (groups from ByAS) and the streaming fold (groups built from per-probe
-// event state). Ordering follows PeriodicByAS.
+// rows over AS groups — the seam shared by Run (groups from ByAS) and
+// the streaming fold (groups built from per-probe event state). A row
+// needs Table5MinProbes probes in the AS and Table5MinPeriodic of them
+// periodic at the row's duration. Rows are sorted by NPeriodic
+// descending, then ASN, then D — the paper's presentation order.
 func PeriodicRowsOver(groups map[uint32][]atlasdata.ProbeID, perProbe map[atlasdata.ProbeID]PeriodicProbe) []ASPeriodicRow {
 	var rows []ASPeriodicRow
 	for asn, ids := range groups {
@@ -224,22 +199,9 @@ func PeriodicRowsOver(groups map[uint32][]atlasdata.ProbeID, perProbe map[atlasd
 	return rows
 }
 
-// PeriodicAll computes the Table 5 "All" summary row for one duration d
-// (hours) across every AS-analyzable probe.
-func PeriodicAll(res *FilterResult, d float64) ASPeriodicRow {
-	return PeriodicAllFrom(res, ClassifyPeriodicProbes(res), d)
-}
-
-// PeriodicAllFrom computes the "All" row from a precomputed per-probe
-// classification, so one classification pass serves every summary
-// duration.
-func PeriodicAllFrom(res *FilterResult, perProbe map[atlasdata.ProbeID]PeriodicProbe, d float64) ASPeriodicRow {
-	return PeriodicAllOver(res.ASProbes, perProbe, d)
-}
-
-// PeriodicAllOver computes the "All" row over an explicit probe list —
-// the seam shared with the streaming fold, whose AS-analyzable set comes
-// from per-probe event state rather than a FilterResult.
+// PeriodicAllOver computes the Table 5 "All" summary row for one
+// duration d (hours) over a probe list: the AS-analyzable probes in Run,
+// the single-AS probes of per-probe event state in the streaming fold.
 func PeriodicAllOver(ids []atlasdata.ProbeID, perProbe map[atlasdata.ProbeID]PeriodicProbe, d float64) ASPeriodicRow {
 	row := ASPeriodicRow{D: d, N: len(ids)}
 	var over50, over75, maxLe, harmonic int

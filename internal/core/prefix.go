@@ -36,29 +36,12 @@ func (r PrefixChangeRow) FracS16() float64 { return frac(r.DiffS16, r.Changes) }
 // FracS8 returns the share of changes that crossed /8s.
 func (r PrefixChangeRow) FracS8() float64 { return frac(r.DiffS8, r.Changes) }
 
-// ProbePrefixChanges computes one probe's Table 7 counters. Counters
-// are integers, so summing per-probe rows in any order reproduces the
-// sequential accumulation exactly — the parallel engine's fan-out seam
-// for the prefix stage.
+// ProbePrefixChanges computes one probe's Table 7 counters. The BGP
+// prefix of each endpoint comes from the month-matched pfx2as snapshot,
+// the paper's §6 procedure. Counters are integers, so summing per-probe
+// rows in any order gives the same totals.
 func ProbePrefixChanges(ds *atlasdata.Dataset, view *ProbeView) PrefixChangeRow {
 	var row PrefixChangeRow
-	analyzePrefixChanges(ds, view, &row)
-	return row
-}
-
-// Accumulate folds another row's counters into r (the ASN is kept).
-func (r *PrefixChangeRow) Accumulate(o PrefixChangeRow) {
-	r.Changes += o.Changes
-	r.DiffBGP += o.DiffBGP
-	r.DiffS16 += o.DiffS16
-	r.DiffS8 += o.DiffS8
-	r.Unrouted += o.Unrouted
-}
-
-// analyzePrefixChanges accumulates Table 7 counters over one probe's
-// changes. The BGP prefix of each endpoint comes from the month-matched
-// pfx2as snapshot, the paper's §6 procedure.
-func analyzePrefixChanges(ds *atlasdata.Dataset, view *ProbeView, row *PrefixChangeRow) {
 	for _, ch := range view.Changes {
 		_, fromPfx, okFrom := ds.Pfx2AS.Lookup(ch.From, ch.PrevEnd)
 		_, toPfx, okTo := ds.Pfx2AS.Lookup(ch.To, ch.NextStart)
@@ -77,54 +60,21 @@ func analyzePrefixChanges(ds *atlasdata.Dataset, view *ProbeView, row *PrefixCha
 			row.DiffS8++
 		}
 	}
-}
-
-// PrefixChangesAll computes the Table 7 summary row over every
-// AS-analyzable probe.
-func PrefixChangesAll(ds *atlasdata.Dataset, res *FilterResult) PrefixChangeRow {
-	var row PrefixChangeRow
-	for _, id := range res.ASProbes {
-		analyzePrefixChanges(ds, res.Views[id], &row)
-	}
 	return row
 }
 
-// PrefixChangesByAS computes per-AS Table 7 rows for ASes with at least
-// one change, sorted by change count descending then ASN.
-func PrefixChangesByAS(ds *atlasdata.Dataset, res *FilterResult) []PrefixChangeRow {
-	groups := ByAS(res)
-	var rows []PrefixChangeRow
-	for asn, ids := range groups {
-		row := PrefixChangeRow{ASN: asn}
-		for _, id := range ids {
-			analyzePrefixChanges(ds, res.Views[id], &row)
-		}
-		if row.Changes > 0 {
-			rows = append(rows, row)
-		}
-	}
-	sortPrefixRows(rows)
-	return rows
+// Accumulate folds another row's counters into r (the ASN is kept).
+func (r *PrefixChangeRow) Accumulate(o PrefixChangeRow) {
+	r.Changes += o.Changes
+	r.DiffBGP += o.DiffBGP
+	r.DiffS16 += o.DiffS16
+	r.DiffS8 += o.DiffS8
+	r.Unrouted += o.Unrouted
 }
 
-func sortPrefixRows(rows []PrefixChangeRow) {
-	sort.Slice(rows, func(i, j int) bool {
-		if rows[i].Changes != rows[j].Changes {
-			return rows[i].Changes > rows[j].Changes
-		}
-		return rows[i].ASN < rows[j].ASN
-	})
-}
-
-// PrefixAllFrom computes the Table 7 summary row from precomputed
-// per-probe rows. Counters are integers, so the result matches
-// PrefixChangesAll exactly whatever schedule produced perProbe.
-func PrefixAllFrom(res *FilterResult, perProbe map[atlasdata.ProbeID]PrefixChangeRow) PrefixChangeRow {
-	return PrefixAllOver(res.ASProbes, perProbe)
-}
-
-// PrefixAllOver computes the summary row over an explicit probe list —
-// the seam shared with the streaming fold.
+// PrefixAllOver computes the Table 7 summary row over a probe list:
+// the AS-analyzable probes in Run, the single-AS probes of per-probe
+// event state in the streaming fold.
 func PrefixAllOver(ids []atlasdata.ProbeID, perProbe map[atlasdata.ProbeID]PrefixChangeRow) PrefixChangeRow {
 	var row PrefixChangeRow
 	for _, id := range ids {
@@ -133,14 +83,10 @@ func PrefixAllOver(ids []atlasdata.ProbeID, perProbe map[atlasdata.ProbeID]Prefi
 	return row
 }
 
-// PrefixRowsFrom aggregates precomputed per-probe rows into the per-AS
-// Table 7 rows (see PrefixChangesByAS for the ordering contract).
-func PrefixRowsFrom(res *FilterResult, perProbe map[atlasdata.ProbeID]PrefixChangeRow) []PrefixChangeRow {
-	return PrefixRowsOver(ByAS(res), perProbe)
-}
-
-// PrefixRowsOver aggregates per-probe rows into per-AS rows over
-// arbitrary AS groups — the seam shared with the streaming fold.
+// PrefixRowsOver aggregates per-probe rows into per-AS Table 7 rows
+// over AS groups — the seam shared by Run and the streaming fold. Only
+// ASes with at least one change get a row; rows are sorted by change
+// count descending, then ASN.
 func PrefixRowsOver(groups map[uint32][]atlasdata.ProbeID, perProbe map[atlasdata.ProbeID]PrefixChangeRow) []PrefixChangeRow {
 	var rows []PrefixChangeRow
 	for asn, ids := range groups {
@@ -152,6 +98,11 @@ func PrefixRowsOver(groups map[uint32][]atlasdata.ProbeID, perProbe map[atlasdat
 			rows = append(rows, row)
 		}
 	}
-	sortPrefixRows(rows)
+	sort.Slice(rows, func(i, j int) bool {
+		if rows[i].Changes != rows[j].Changes {
+			return rows[i].Changes > rows[j].Changes
+		}
+		return rows[i].ASN < rows[j].ASN
+	})
 	return rows
 }

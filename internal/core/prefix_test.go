@@ -15,7 +15,7 @@ func TestPrefixChangesCounting(t *testing.T) {
 	addProbe(ds, 1, atlasdata.V3, nil,
 		longSessions(1, "10.0.0.1", "10.1.0.2", "10.1.0.3", "10.0.0.4")...)
 	res := Filter(ds)
-	row := PrefixChangesAll(ds, res)
+	row := PrefixAllOver(res.ASProbes, perProbePrefix(ds, res))
 	if row.Changes != 3 {
 		t.Fatalf("changes = %d, want 3", row.Changes)
 	}
@@ -36,6 +36,16 @@ func TestPrefixChangesCounting(t *testing.T) {
 	}
 }
 
+// perProbePrefix computes every AS-analyzable probe's Table 7 counters,
+// as Run's prefix stage does.
+func perProbePrefix(ds *atlasdata.Dataset, res *FilterResult) map[atlasdata.ProbeID]PrefixChangeRow {
+	out := make(map[atlasdata.ProbeID]PrefixChangeRow)
+	for _, id := range res.ASProbes {
+		out[id] = ProbePrefixChanges(ds, res.Views[id])
+	}
+	return out
+}
+
 func TestPrefixChangesByASSorting(t *testing.T) {
 	ds := buildDS(t)
 	addProbe(ds, 1, atlasdata.V3, nil,
@@ -43,7 +53,7 @@ func TestPrefixChangesByASSorting(t *testing.T) {
 	addProbe(ds, 2, atlasdata.V3, nil,
 		longSessions(2, "20.0.0.1", "20.0.0.2", "20.0.0.3")...)
 	res := Filter(ds)
-	rows := PrefixChangesByAS(ds, res)
+	rows := PrefixRowsOver(ByAS(res), perProbePrefix(ds, res))
 	if len(rows) != 2 {
 		t.Fatalf("rows = %d, want 2", len(rows))
 	}

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"dynaddr/internal/atlasdata"
-	"dynaddr/internal/stats"
-)
+import "dynaddr/internal/stats"
 
 // ASCDF is a labelled cumulative distribution for one aggregation group
 // (an AS, country, or continent), with the group's total address time —
@@ -97,9 +94,9 @@ type Report struct {
 	V6 *V6Report
 
 	// Metrics records how the report was computed (per-stage wall time
-	// and record counts). The sequential Run leaves it nil; the staged
-	// engine fills it. Excluded from report equality — two reports over
-	// the same dataset are equal whatever schedule produced them.
+	// and record counts). Run always fills it. Excluded from report
+	// equality — two reports over the same dataset are equal whatever
+	// schedule produced them.
 	Metrics *RunMetrics
 }
 
@@ -115,64 +112,4 @@ type Options struct {
 	// Figure9ASNs pins Figure 9's contrast ASes; empty picks the
 	// highest- and lowest-renumbering ASes from Table 6 automatically.
 	Figure9ASNs []uint32
-}
-
-func (o *Options) setDefaults() {
-	if o.TopASes == 0 {
-		o.TopASes = 5
-	}
-	if o.Figure3Country == "" {
-		o.Figure3Country = "DE"
-	}
-	if o.Figure3MinYears == 0 {
-		o.Figure3MinYears = 3
-	}
-}
-
-// Run executes the complete analysis pipeline sequentially. The staged
-// engine (internal/engine) runs the same stage builders on a worker
-// pool; the two produce byte-identical reports.
-func Run(ds *atlasdata.Dataset, opts Options) *Report {
-	opts.setDefaults()
-	rep := &Report{}
-	rep.Filter = Filter(ds)
-	res := rep.Filter
-	rep.Table2 = BuildTable2(res)
-	byAS := ByAS(res)
-
-	// Figures 1-3: total-time-fraction CDFs by continent, top AS, and
-	// country AS.
-	ttfs := ProbeTTFs(res)
-	rep.Figure1 = BuildFigure1(res, ttfs)
-	rep.Figure2 = BuildFigure2(res, ttfs, byAS, opts.TopASes)
-	rep.Figure3 = BuildFigure3(res, ttfs, byAS, opts.Figure3Country, opts.Figure3MinYears)
-
-	// Table 5, the All rows, and the Figures 4/5 hour histograms.
-	periodic := ClassifyPeriodicProbes(res)
-	rep.Table5 = PeriodicRows(res, periodic)
-	rep.Table5All = []ASPeriodicRow{
-		PeriodicAllFrom(res, periodic, 24),
-		PeriodicAllFrom(res, periodic, 168),
-	}
-	rep.HourHists = BuildHourHists(res, byAS, rep.Table5)
-
-	// Outage pipeline: Table 6, Figures 6-9.
-	rep.Outage = AnalyzeOutages(ds, res)
-	rep.Figure6RebootsPerDay = rep.Outage.RebootsPerDay
-	rep.Figure6FirmwareDays = rep.Outage.FirmwareDays
-	rep.Figure7, rep.Figure8 = BuildPacFigures(rep.Outage, res, byAS, opts.TopASes)
-	rep.Table6 = OutagesByAS(rep.Outage, res)
-	rep.Figure9 = BuildFigure9(rep.Outage, res, byAS, rep.Table6, opts.Figure9ASNs)
-
-	// Table 7.
-	rep.Table7All = PrefixChangesAll(ds, res)
-	rep.Table7ByAS = PrefixChangesByAS(ds, res)
-
-	// Extensions.
-	rep.LinkTypes = LinkTypesByAS(rep.Outage, res)
-	rep.AdminEvents = DetectAdminRenumbering(res)
-	rep.ChurnMean = MeanTurnover(DailyChurn(ds, res.GeoProbes))
-	rep.V6 = AnalyzeV6(ds)
-
-	return rep
 }

@@ -4,7 +4,7 @@ import "testing"
 
 func TestRunOptionsFigure9Pinning(t *testing.T) {
 	w, _ := paperWorld(t)
-	rep := Run(w.Dataset, Options{Figure9ASNs: []uint32{3320}})
+	rep := runReport(t, w.Dataset, Config{Options: Options{Figure9ASNs: []uint32{3320}}})
 	if len(rep.Figure9) != 1 || rep.Figure9[0].ASN != 3320 {
 		t.Errorf("pinned Figure 9 = %+v", rep.Figure9)
 	}
@@ -24,7 +24,7 @@ func TestRunOptionsFigure9Default(t *testing.T) {
 
 func TestRunOptionsTopASes(t *testing.T) {
 	w, _ := paperWorld(t)
-	rep := Run(w.Dataset, Options{TopASes: 2})
+	rep := runReport(t, w.Dataset, Config{Options: Options{TopASes: 2}})
 	if len(rep.Figure2) != 2 {
 		t.Errorf("TopASes 2 produced %d Figure 2 curves", len(rep.Figure2))
 	}
@@ -35,7 +35,7 @@ func TestRunOptionsTopASes(t *testing.T) {
 
 func TestRunOptionsFigure3Country(t *testing.T) {
 	w, _ := paperWorld(t)
-	rep := Run(w.Dataset, Options{Figure3Country: "FR", Figure3MinYears: 1})
+	rep := runReport(t, w.Dataset, Config{Options: Options{Figure3Country: "FR", Figure3MinYears: 1}})
 	if len(rep.Figure3) == 0 {
 		t.Fatal("no French ASes in Figure 3")
 	}

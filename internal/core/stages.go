@@ -9,10 +9,8 @@ import (
 	"dynaddr/internal/stats"
 )
 
-// This file holds the stage seams the staged analysis engine
-// (internal/engine) shares with the sequential Run: each Build* function
-// computes one Report artefact from explicit inputs, so the two
-// schedulers compose identical code and therefore identical reports.
+// This file holds the stage seams Run composes: each Build* function
+// computes one Report artefact from explicit inputs.
 
 // StageMetric records one stage's execution: wall time and how many
 // records (probes, for per-probe stages) it processed.
@@ -23,10 +21,9 @@ type StageMetric struct {
 }
 
 // RunMetrics describes how a report was computed: the worker-pool size
-// and one entry per executed stage, in the engine's canonical stage
-// order. The sequential core.Run leaves Report.Metrics nil; the staged
-// engine fills it. Metrics are observability, not results — two reports
-// over the same dataset are considered equal regardless of Metrics.
+// and one entry per executed stage, in canonical stage order (AllStages).
+// Metrics are observability, not results — two reports over the same
+// dataset are considered equal regardless of Metrics.
 type RunMetrics struct {
 	Parallelism int           `json:"parallelism"`
 	Stages      []StageMetric `json:"stages"`
@@ -45,10 +42,18 @@ func (m *RunMetrics) Stage(name string) *StageMetric {
 	return nil
 }
 
-// WithDefaults returns a copy of o with zero fields replaced by the
+// withDefaults returns a copy of o with zero fields replaced by the
 // paper's defaults (TopASes 5, Figure 3 "DE" at 3 years).
-func (o Options) WithDefaults() Options {
-	o.setDefaults()
+func (o Options) withDefaults() Options {
+	if o.TopASes == 0 {
+		o.TopASes = 5
+	}
+	if o.Figure3Country == "" {
+		o.Figure3Country = "DE"
+	}
+	if o.Figure3MinYears == 0 {
+		o.Figure3MinYears = 3
+	}
 	return o
 }
 
@@ -172,17 +177,12 @@ func BuildHourHists(res *FilterResult, byAS map[uint32][]atlasdata.ProbeID, tabl
 	return out
 }
 
-// BuildPacFigures builds Figures 7 and 8: P(ac|nw) and P(ac|pw) ECDFs
-// for the topASes ASes by probes with enough network outages.
-func BuildPacFigures(oa *OutageAnalysis, res *FilterResult, byAS map[uint32][]atlasdata.ProbeID, topASes int) (fig7, fig8 []PacECDF) {
-	hasChanges := func(id atlasdata.ProbeID) bool { return len(res.Views[id].Changes) > 0 }
-	return BuildPacFiguresFrom(oa.Stats, hasChanges, byAS, topASes)
-}
-
-// BuildPacFiguresFrom builds Figures 7 and 8 from a stats map, a
-// changed-probe predicate and AS groups — the seam shared with the
-// streaming fold. AS selection, ordering and sample gates follow
-// BuildPacFigures.
+// BuildPacFiguresFrom builds Figures 7 and 8: P(ac|nw) and P(ac|pw)
+// ECDFs for the topASes ASes by probes that changed address and have at
+// least MinOutagesForPac network outages, from a stats map, a
+// changed-probe predicate and AS groups — the seam Run shares with the
+// streaming fold. ASes are ordered by that probe count descending, then
+// ASN.
 func BuildPacFiguresFrom(all map[atlasdata.ProbeID]ProbeOutageStats, hasChanges func(atlasdata.ProbeID) bool, byAS map[uint32][]atlasdata.ProbeID, topASes int) (fig7, fig8 []PacECDF) {
 	type pacSize struct {
 		asn uint32

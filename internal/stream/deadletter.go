@@ -18,8 +18,8 @@ import (
 // quarantine WAL with its rejection reason instead of failing the
 // batch. The quarantine log reuses the ordinary WAL machinery (same
 // framing, same torn-tail repair) in a "deadletter" subdirectory of
-// the shard's WAL directory, so churnctl can drain and replay it with
-// the same reader recovery uses. In-memory ingesters keep counts and
+// the shard's WAL directory, so churnctl can list and drain it with the
+// same reader recovery uses. In-memory ingesters keep counts and
 // samples but no durable log.
 //
 // Quarantine entries are at-least-once: a crash between the dead-letter
@@ -50,42 +50,9 @@ type DeadLetterEntry struct {
 	// one.
 	Probe atlasdata.ProbeID `json:"probe,omitempty"`
 	// Payload is the bytes the producer sent for the record (a wire
-	// payload or an NDJSON line), kept for inspection. Replayable marks
-	// a wire payload Replay can re-submit; the ingester marks none.
-	Payload    []byte `json:"payload,omitempty"`
-	Replayable bool   `json:"replayable"`
-}
-
-// Replay decodes a replayable entry back into its typed record and
-// feeds it to sink. Non-replayable entries return an error.
-func (e DeadLetterEntry) Replay(sink ReplaySink) error {
-	if !e.Replayable {
-		return fmt.Errorf("stream: dead-letter entry (%s/%s) is not replayable", e.Kind, e.Reason)
-	}
-	var rec record
-	if err := decodeRecord(e.Payload, &rec); err != nil {
-		return err
-	}
-	switch rec.kind {
-	case kindMeta:
-		return sink.Meta(rec.meta)
-	case kindConn:
-		return sink.ConnLog(rec.conn)
-	case kindKRoot:
-		return sink.KRoot(rec.kroot)
-	case kindUptime:
-		return sink.Uptime(rec.uptime)
-	}
-	return fmt.Errorf("stream: dead-letter entry kind %d is not replayable", rec.kind)
-}
-
-// ReplaySink is the four-method record sink dead letters are replayed
-// into; atlasapi.StreamProducer implements it.
-type ReplaySink interface {
-	Meta(atlasdata.ProbeMeta) error
-	ConnLog(atlasdata.ConnLogEntry) error
-	KRoot(atlasdata.KRootRound) error
-	Uptime(atlasdata.UptimeRecord) error
+	// payload or an NDJSON line), kept for inspection. Every entry
+	// failed decoding or validation, so none can be re-submitted as is.
+	Payload []byte `json:"payload,omitempty"`
 }
 
 // DeadLetterSample is one recent quarantined record (payload omitted).

@@ -3,6 +3,7 @@ package stream_test
 import (
 	"context"
 	"errors"
+	"path/filepath"
 	"syscall"
 	"testing"
 	"time"
@@ -158,13 +159,13 @@ func TestQueuePressure(t *testing.T) {
 }
 
 // TestDeadLetterDurability: quarantined records survive a restart in the
-// per-shard quarantine WAL, are replayable through a sink, and
+// per-shard quarantine WAL, ReadDeadLetters lists them, and
 // TruncateDeadLetters drains them.
 func TestDeadLetterDurability(t *testing.T) {
 	cfg, _ := degradedConfig(t, nil)
 	ing := stream.NewIngester(cfg)
 
-	// An API-layer quarantine (undecodable payload, not replayable)...
+	// An API-layer quarantine (undecodable payload)...
 	if err := ing.Quarantine(context.Background(), "frame", 0, "unknown-kind", "kind 99", []byte{0x99, 0x01}); err != nil {
 		t.Fatal(err)
 	}
@@ -218,5 +219,32 @@ func TestDeadLetterDurability(t *testing.T) {
 	}
 	if count != 0 {
 		t.Fatalf("dead letters after truncate = %d, want 0", count)
+	}
+}
+
+// TestDeadLetterReadsOlderEntries: quarantine logs written when entries
+// carried a "replayable" flag still read; unknown fields are ignored.
+func TestDeadLetterReadsOlderEntries(t *testing.T) {
+	walDir := t.TempDir()
+	log, err := wal.Open(filepath.Join(walDir, "shard-000", "deadletter"), wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := log.Append([]byte(`{"kind":"connlog","reason":"validate","probe":12,"replayable":false}`)); err != nil {
+		t.Fatal(err)
+	}
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var got []stream.DeadLetterEntry
+	err = stream.ReadDeadLetters(walDir, func(shard int, seq uint64, e stream.DeadLetterEntry) error {
+		got = append(got, e)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 1 || got[0].Kind != "connlog" || got[0].Reason != "validate" || got[0].Probe != 12 {
+		t.Fatalf("entries = %+v, want one connlog/validate entry for probe 12", got)
 	}
 }
