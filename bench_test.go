@@ -343,7 +343,8 @@ func BenchmarkAnalyzeParallel(b *testing.B) {
 // BenchmarkLoadDataset loads a saved seed-77 scale-0.5 world, the size
 // every cmd/benchrun workload serves with atlasd -data. B/op is what one
 // load allocates; record-B is the loaded records' own in-memory size,
-// the floor a load cannot go below.
+// the floor a load cannot go below. MB/s and ns/record are the pass's
+// cost per archive byte and per record line.
 func BenchmarkLoadDataset(b *testing.B) {
 	w, dir := savedBenchWorld(b)
 	var records int
@@ -359,6 +360,7 @@ func BenchmarkLoadDataset(b *testing.B) {
 	for _, us := range w.Dataset.Uptime {
 		records += len(us) * int(unsafe.Sizeof(atlasdata.UptimeRecord{}))
 	}
+	perRecord := archiveCost(b, w, dir)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -367,13 +369,15 @@ func BenchmarkLoadDataset(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(records), "record-B")
+	perRecord()
 }
 
 // BenchmarkOpenArchive opens the world BenchmarkLoadDataset loads as an
 // archive, the way atlasd -data does before it serves: one validating
 // pass over the record files that keeps only their index.
 func BenchmarkOpenArchive(b *testing.B) {
-	_, dir := savedBenchWorld(b)
+	w, dir := savedBenchWorld(b)
+	perRecord := archiveCost(b, w, dir)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -383,24 +387,62 @@ func BenchmarkOpenArchive(b *testing.B) {
 		}
 		a.Close()
 	}
+	perRecord()
 }
 
 // BenchmarkArchiveDataset materialises the world BenchmarkOpenArchive
 // opens, the way atlasd -data answers /api/v1/analysis: the archive pass
 // over the open files, records kept.
 func BenchmarkArchiveDataset(b *testing.B) {
-	_, dir := savedBenchWorld(b)
+	w, dir := savedBenchWorld(b)
 	a, err := atlasdata.Open(dir)
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer a.Close()
+	perRecord := archiveCost(b, w, dir)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := a.Dataset(context.Background()); err != nil {
 			b.Fatal(err)
 		}
+	}
+	perRecord()
+}
+
+// archiveCost sets b's bytes per op to the size of the archive in dir,
+// which holds w, and returns a func that reports the time per record
+// line of the benchmark's loop.
+func archiveCost(b *testing.B, w *World, dir string) (report func()) {
+	b.Helper()
+	files, err := os.ReadDir(dir)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var size int64
+	for _, f := range files {
+		info, err := f.Info()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if info.Mode().IsRegular() {
+			size += info.Size()
+		}
+	}
+	b.SetBytes(size)
+	var records int
+	for _, es := range w.Dataset.ConnLogs {
+		records += len(es)
+	}
+	for _, ks := range w.Dataset.KRoot {
+		records += len(ks)
+	}
+	for _, us := range w.Dataset.Uptime {
+		records += len(us)
+	}
+	return func() {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(records), "ns/record")
 	}
 }
 

@@ -17,13 +17,16 @@
 //	atlasd -live                          # live ingest only (no AS mapping)
 //	atlasd -live -wal-dir DIR -fsync 64   # durable ingest, crash-recoverable
 //
-// -data validates the whole directory at startup, then keeps only the
-// probe archive, the pfx2as snapshots and an index of each probe's
-// lines in memory: every batch GET reads and parses that probe's lines
-// from disk, and GET /api/v1/analysis reads the whole archive for the
-// length of the request (overlapping requests share one copy). The record files must not be rewritten in
-// place while atlasd runs (a read whose bytes changed fails with 500);
-// replacing them by rename, as atlasgen does, is safe.
+// -data validates the whole directory at startup, in one pass over
+// every record line before the listener opens; with a dataset of any
+// size, that pass is most of atlasd's time to ready. Afterwards only
+// the probe archive, the pfx2as snapshots and an index of each probe's
+// lines stay in memory: every batch GET reads and parses that probe's
+// lines from disk, and GET /api/v1/analysis reads the whole archive for
+// the length of the request (overlapping requests share one copy). The
+// record files must not be rewritten in place while atlasd runs (a read
+// whose bytes changed fails with 500); replacing them by rename, as
+// atlasgen does, is safe.
 //
 // With -wal-dir the ingest tier is durable: every record is appended to
 // a per-shard write-ahead log before being applied, shards checkpoint

@@ -3,7 +3,6 @@ package atlasdata
 import (
 	"bufio"
 	"bytes"
-	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -28,17 +27,22 @@ import (
 // parseConnLog assembles and validates an entry from the four
 // text-format fields.
 func parseConnLog(f fields) (ConnLogEntry, error) {
-	probe, err1 := parseProbeID(f[0])
-	start, err2 := parseInt(f[1], "start time")
-	end, err3 := parseInt(f[2], "end time")
-	if err := cmp.Or(err1, err2, err3); err != nil {
+	probe, err := f.probeID(0)
+	if err != nil {
+		return ConnLogEntry{}, err
+	}
+	start, err := f.int(1, "start time")
+	if err != nil {
+		return ConnLogEntry{}, err
+	}
+	end, err := f.int(2, "end time")
+	if err != nil {
 		return ConnLogEntry{}, err
 	}
 	e := ConnLogEntry{Probe: probe, Start: simclock.Time(start), End: simclock.Time(end), Family: V4}
-	var err error
-	if bytes.IndexByte(f[3], ':') >= 0 {
-		e.Family, e.V6Addr = V6, string(f[3])
-	} else if e.Addr, err = ip4.ParseAddr(string(f[3])); err != nil {
+	if addr := f.b[3]; bytes.IndexByte(addr, ':') >= 0 {
+		e.Family, e.V6Addr = V6, string(addr)
+	} else if e.Addr, err = ip4.ParseAddr(string(addr)); err != nil {
 		return ConnLogEntry{}, err
 	}
 	return e, e.Validate()
@@ -70,16 +74,19 @@ func ParseConnLogs(r io.Reader) ([]ConnLogEntry, error) {
 // parseKRoot assembles and validates a round from the five text-format
 // fields.
 func parseKRoot(f fields) (KRootRound, error) {
-	probe, err1 := parseProbeID(f[0])
-	ts, err2 := parseInt(f[1], "timestamp")
-	if err := cmp.Or(err1, err2); err != nil {
+	probe, err := f.probeID(0)
+	if err != nil {
 		return KRootRound{}, err
 	}
-	sent, ok3 := atoi(f[2])
-	success, ok4 := atoi(f[3])
-	lts, ok5 := parseDecimal(f[4])
+	ts, err := f.int(1, "timestamp")
+	if err != nil {
+		return KRootRound{}, err
+	}
+	sent, ok3 := f.atoi(2)
+	success, ok4 := f.atoi(3)
+	lts, ok5 := f.decimal(4)
 	if !ok3 || !ok4 || !ok5 {
-		return KRootRound{}, fmt.Errorf("bad numeric field in [%s %s %s %s %s]", f[0], f[1], f[2], f[3], f[4])
+		return KRootRound{}, fmt.Errorf("bad numeric field in [%s %s %s %s %s]", f.b[0], f.b[1], f.b[2], f.b[3], f.b[4])
 	}
 	k := KRootRound{Probe: probe, Timestamp: simclock.Time(ts), Sent: sent, Success: success, LTS: lts}
 	return k, k.Validate()
@@ -107,10 +114,16 @@ func ParseKRoot(r io.Reader) ([]KRootRound, error) {
 // parseUptime assembles and validates a record from the three
 // text-format fields.
 func parseUptime(f fields) (UptimeRecord, error) {
-	probe, err1 := parseProbeID(f[0])
-	ts, err2 := parseInt(f[1], "timestamp")
-	up, err3 := parseInt(f[2], "uptime")
-	if err := cmp.Or(err1, err2, err3); err != nil {
+	probe, err := f.probeID(0)
+	if err != nil {
+		return UptimeRecord{}, err
+	}
+	ts, err := f.int(1, "timestamp")
+	if err != nil {
+		return UptimeRecord{}, err
+	}
+	up, err := f.int(2, "uptime")
+	if err != nil {
 		return UptimeRecord{}, err
 	}
 	u := UptimeRecord{Probe: probe, Timestamp: simclock.Time(ts), Uptime: up}
@@ -166,26 +179,33 @@ func ParseProbeArchive(r io.Reader) ([]ProbeMeta, error) {
 	return probes, nil
 }
 
-func parseProbeID(b []byte) (ProbeID, error) {
-	id, ok := atoi(b)
+// probeID reads field i as a probe ID.
+func (f *fields) probeID(i int) (ProbeID, error) {
+	id, ok := f.atoi(i)
 	if !ok || id <= 0 {
-		return 0, fmt.Errorf("bad probe ID %q", b)
+		return 0, fmt.Errorf("bad probe ID %q", f.b[i])
 	}
 	return ProbeID(id), nil
 }
 
-func parseInt(b []byte, what string) (int64, error) {
-	v, ok := parseDecimal(b)
+// int reads field i as a decimal; what names it in the error.
+func (f *fields) int(i int, what string) (int64, error) {
+	v, ok := f.decimal(i)
 	if !ok {
-		return 0, fmt.Errorf("bad %s %q", what, b)
+		return 0, fmt.Errorf("bad %s %q", what, f.b[i])
 	}
 	return v, nil
 }
 
-// atoi is strconv.Atoi on bytes, without allocating.
-func atoi(b []byte) (int, bool) {
-	v, ok := parseDecimal(b)
+// atoi reads field i as strconv.Atoi would, without allocating.
+func (f *fields) atoi(i int) (int, bool) {
+	v, ok := f.decimal(i)
 	return int(v), ok && int64(int(v)) == v
+}
+
+// decimal reads field i as parseDecimal does.
+func (f *fields) decimal(i int) (int64, bool) {
+	return f.v[i], f.ok&(1<<i) != 0
 }
 
 // parseDecimal is strconv.ParseInt(string(b), 10, 64) without the
@@ -199,7 +219,7 @@ func parseDecimal(b []byte) (int64, bool) {
 	if len(digits) == 0 {
 		return 0, false
 	}
-	if len(digits) > 18 {
+	if len(digits) > maxDigits {
 		v, err := strconv.ParseInt(string(b), 10, 64)
 		return v, err == nil
 	}
@@ -219,32 +239,110 @@ func parseDecimal(b []byte) (int64, bool) {
 // maxFields is the widest record line: a k-root round's five fields.
 const maxFields = 5
 
-// fields holds a line's first fields; taken by value, it stays off the heap.
-type fields [maxFields][]byte
+// maxDigits is the longest run of digits whose value fits an int64
+// whatever the digits: parseDecimal defers longer ones to strconv.
+const maxDigits = 18
 
-// Byte classes for splitFields: a byte that can only be part of a field,
-// an ASCII space (as unicode.IsSpace has it), and the first byte of a
-// multi-byte rune, which may be a Unicode space.
+// fields holds a line's first fields and what parseDecimal makes of
+// each; taken by value, it stays off the heap.
+type fields struct {
+	b  [maxFields][]byte
+	v  [maxFields]int64
+	ok uint8 // bit i set: b[i] is a decimal, of value v[i]
+}
+
+// Byte classes for the tokenizers: a byte that can only be part of a
+// field, an ASCII space (as unicode.IsSpace has it), the newline that
+// ends a line, and the first byte of a multi-byte rune, which may be a
+// Unicode space.
 const (
 	fieldByte = iota
 	asciiSpace
+	newline
 	runeStart
 )
 
 var byteClass = func() (c [256]uint8) {
-	for _, b := range []byte{'\t', '\n', '\v', '\f', '\r', ' '} {
+	for _, b := range []byte{'\t', '\v', '\f', '\r', ' '} {
 		c[b] = asciiSpace
 	}
+	c['\n'] = newline
 	for b := utf8.RuneSelf; b < 256; b++ {
 		c[b] = runeStart
 	}
 	return c
 }()
 
+// splitLine splits the line of buf that starts at pos into f, as
+// splitFields does, and reads each field as a decimal. It returns the
+// number of fields and where the line ends: at its newline, or at the
+// end of buf. A field of 1 to maxDigits ASCII digits gets its value on
+// the way, and any other field from parseDecimal. A line with a byte of
+// a multi-byte rune goes to splitFields whole.
+func splitLine(buf []byte, pos int, f *fields) (n, end int) {
+	f.ok = 0
+	i := pos
+	for {
+		for i < len(buf) && byteClass[buf[i]] == asciiSpace {
+			i++
+		}
+		if i == len(buf) || buf[i] == '\n' {
+			return n, i
+		}
+		start, v, digits := i, int64(0), true
+	field:
+		for ; i < len(buf); i++ {
+			c := buf[i]
+			if d := c - '0'; d <= 9 {
+				v = v*10 + int64(d)
+				continue
+			}
+			switch byteClass[c] {
+			case fieldByte:
+				digits = false
+			case runeStart:
+				return unicodeLine(buf, pos, i, f)
+			default:
+				break field
+			}
+		}
+		if n < maxFields {
+			f.b[n] = buf[start:i]
+			ok := digits && i-start <= maxDigits
+			if !ok {
+				v, ok = parseDecimal(f.b[n])
+			}
+			if ok {
+				f.v[n] = v
+				f.ok |= 1 << n
+			}
+		}
+		n++
+	}
+}
+
+// unicodeLine is splitLine for a line starting at pos whose byte at i
+// starts a multi-byte rune.
+func unicodeLine(buf []byte, pos, i int, f *fields) (n, end int) {
+	end = len(buf)
+	if j := bytes.IndexByte(buf[i:], '\n'); j >= 0 {
+		end = i + j
+	}
+	n = splitFields(buf[pos:end], &f.b)
+	f.ok = 0
+	for i := range min(n, maxFields) {
+		if v, ok := parseDecimal(f.b[i]); ok {
+			f.v[i] = v
+			f.ok |= 1 << i
+		}
+	}
+	return n, end
+}
+
 // splitFields splits b around runs of unicode.IsSpace, exactly as
 // strings.Fields does, without allocating: the first maxFields fields
 // land in f, and the result counts every field.
-func splitFields(b []byte, f *fields) int {
+func splitFields(b []byte, f *[maxFields][]byte) int {
 	n, i := 0, 0
 	for {
 		for i < len(b) && byteClass[b[i]] != fieldByte {
@@ -277,7 +375,7 @@ func splitFields(b []byte, f *fields) int {
 // spaceAt decodes the rune at b[i], which is not a field byte, and
 // reports its length and whether it is a space.
 func spaceAt(b []byte, i int) (int, bool) {
-	if byteClass[b[i]] == asciiSpace {
+	if c := byteClass[b[i]]; c == asciiSpace || c == newline {
 		return 1, true
 	}
 	r, size := utf8.DecodeRune(b[i:])
@@ -376,15 +474,11 @@ func newRecordScanner[T any](buf []byte, line, nFields int, parse func(fields) (
 func (s *recordScanner[T]) Scan() bool {
 	var f fields
 	for s.err == nil && s.pos < len(s.buf) {
-		off, line := s.pos, s.buf[s.pos:]
-		if i := bytes.IndexByte(line, '\n'); i >= 0 {
-			line, s.pos = line[:i], off+i+1
-		} else {
-			s.pos = len(s.buf)
-		}
+		off := s.pos
+		n, end := splitLine(s.buf, off, &f) // a '\r' before the newline is a space to it
+		s.pos = min(end+1, len(s.buf))
 		s.lineno++
-		n := splitFields(line, &f) // a '\r' before the newline is a space to it
-		if n == 0 || f[0][0] == '#' {
+		if n == 0 || f.b[0][0] == '#' {
 			continue
 		}
 		if n != s.nFields {

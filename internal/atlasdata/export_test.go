@@ -7,3 +7,20 @@ func SetBlockSize(n int) (restore func()) {
 	blockSize = n
 	return func() { blockSize = old }
 }
+
+// CheckSplitLines holds splitLine to splitFields and parseDecimal on
+// every line of buf; see checkSplitLines.
+func CheckSplitLines(buf []byte) error { return checkSplitLines(buf) }
+
+// SeedCorpora returns the record bytes of FuzzTextRecords' and
+// FuzzArchiveOpen's seed corpora.
+func SeedCorpora() [][]byte {
+	var seeds [][]byte
+	for _, s := range textRecordSeeds {
+		seeds = append(seeds, []byte(s))
+	}
+	for _, s := range archiveOpenSeeds {
+		seeds = append(seeds, []byte(s.data))
+	}
+	return seeds
+}

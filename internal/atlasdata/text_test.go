@@ -181,6 +181,20 @@ var textRecordSeeds = []string{
 	"",
 	"+\t-\t1\n206\t+\t1\n206\t1\t-\n206\t+-1\t1",
 	"206\t\u0661\u0662\u0663\t1\n206\t\uff11\uff12\t1\n\u0663\t1\t2",
+	// The one-pass tokenizer's edges: a Unicode space or an invalid
+	// byte after ASCII fields sends the line to splitFields, digit runs
+	// of 18 digits get a value and of 19 go to parseDecimal, and signs,
+	// letters and spaces end or spoil a digit field.
+	"206\t100\u00a05000\n206\t100\t200\u00a01.2.3.4\n206\t1\t3\t3\u00a060",
+	"206\t100\u20035000\n206\t100\t5000\u2003\n206\t1\t3\u20033\t60",
+	"206\t100\xff\t5000\n206\t100\t5000\xfe\n206 1\xc3 3 3 60",
+	"206\t999999999999999999\t100000000000000000\n206\t1\t999999999999999999\t3\t100000000000000000",
+	"206\t1000000000000000000\t9999999999999999999\n206\t1\t3\t3\t1000000000000000000",
+	"0000206\t007\t000000000000000000001\n00206\t0\t00\t00.0.0.1",
+	"-0\t+7\t1\n206\t-0\t+7\n206\t+7\t-0\t+7\t-0",
+	"0\t1\t2\n0\t1\t2\t3\t4\n0\t1\t2\t1.2.3.4",
+	"206\t12ab\t1\n206\t1\t12ab\t1.2.3.4\n12ab\t1\t2\n206\t1\t3\t3\t60ms",
+	"206\t100\t5000\r\n\t\t\t\n206\t300\t20\r\n\t",
 }
 
 // checkTextRecords is FuzzTextRecords' check of one input.
@@ -194,6 +208,44 @@ func checkTextRecords(t *testing.T, data []byte) {
 	us, err := ParseUptime(bytes.NewReader(data))
 	rus, rerr := refParse(bytes.NewReader(data), 3, refParseUptimeFields)
 	sameAsReference(t, "ParseUptime", data, us, err, rus, rerr)
+	if err := checkSplitLines(data); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// checkSplitLines runs every line of buf through splitLine and through
+// splitFields. It reports the first line on which the two disagree on
+// where the line ends, how many fields it holds or what bytes they are,
+// or on which splitLine's reading of a field as a decimal differs from
+// parseDecimal's.
+func checkSplitLines(buf []byte) error {
+	for pos, lineno := 0, 1; pos < len(buf); lineno++ {
+		var f fields
+		n, end := splitLine(buf, pos, &f)
+		wantEnd := len(buf)
+		if i := bytes.IndexByte(buf[pos:], '\n'); i >= 0 {
+			wantEnd = pos + i
+		}
+		line := buf[pos:wantEnd]
+		if end != wantEnd {
+			return fmt.Errorf("line %d %q: splitLine ends it at %d, want %d", lineno, line, end, wantEnd)
+		}
+		var want [maxFields][]byte
+		if wn := splitFields(line, &want); n != wn {
+			return fmt.Errorf("line %d %q: splitLine finds %d fields, splitFields %d", lineno, line, n, wn)
+		}
+		for i := range min(n, maxFields) {
+			if !bytes.Equal(f.b[i], want[i]) {
+				return fmt.Errorf("line %d %q: splitLine's field %d is %q, splitFields' %q", lineno, line, i, f.b[i], want[i])
+			}
+			got, gotOK := f.decimal(i)
+			if v, ok := parseDecimal(f.b[i]); gotOK != ok || ok && got != v {
+				return fmt.Errorf("line %d %q: field %d %q reads as %d (ok %v), parseDecimal %d (ok %v)", lineno, line, i, f.b[i], got, gotOK, v, ok)
+			}
+		}
+		pos = end + 1
+	}
+	return nil
 }
 
 // appendGrowths counts the allocations append makes growing a nil []T
