@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http"
+	"strconv"
+	"strings"
 
 	"dynaddr/internal/stream"
 )
@@ -17,6 +19,15 @@ import (
 //	GET  /api/v1/cluster/info          node identity + partition ownership + version
 //	POST /api/v1/cluster/partitions/release  {"partition": N} → PartitionState
 //	POST /api/v1/cluster/partitions/adopt    PartitionState → {"adopted": N}
+//
+// The two view routes answer in either of two encodings. A request
+// whose Accept header lists application/x-atlas-binary (the
+// coordinator's) gets internal/wire frames (stream.AppendPeerView,
+// stream.AppendAnalysisPeerView): the analysis view is mostly per-probe
+// gap lists, which the frames carry in about an eighth of the JSON bytes.
+// Any other request, such as a plain curl, gets the same view as JSON.
+// Both decode to bit-identical stream values, so the merge cannot tell
+// them apart.
 //
 // View responses are uncacheable by design: a coordinator always wants
 // the current barrier, and the merged artifact gets its own ETag from
@@ -57,6 +68,10 @@ func (s *LiveServer) clusterView(w http.ResponseWriter, r *http.Request) {
 		s.ingestError(w, err, 0)
 		return
 	}
+	if wantsBinary(r) {
+		writeClusterBinary(w, stream.AppendPeerView(nil, pv))
+		return
+	}
 	writeClusterJSON(w, pv)
 }
 
@@ -72,6 +87,10 @@ func (s *LiveServer) clusterAnalysisView(w http.ResponseWriter, r *http.Request)
 			return
 		}
 		s.ingestError(w, err, 0)
+		return
+	}
+	if wantsBinary(r) {
+		writeClusterBinary(w, stream.AppendAnalysisPeerView(nil, pv))
 		return
 	}
 	writeClusterJSON(w, pv)
@@ -141,6 +160,27 @@ func (s *LiveServer) clusterAdopt(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeClusterJSON(w, map[string]int{"adopted": st.Partition})
+}
+
+// wantsBinary reports whether the request's Accept header lists
+// ContentTypeBinary.
+func wantsBinary(r *http.Request) bool {
+	for _, v := range r.Header.Values("Accept") {
+		for _, rng := range strings.Split(v, ",") {
+			mt, _, _ := strings.Cut(rng, ";")
+			if strings.EqualFold(strings.TrimSpace(mt), ContentTypeBinary) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+func writeClusterBinary(w http.ResponseWriter, body []byte) {
+	w.Header().Set("Content-Type", ContentTypeBinary)
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	w.Header().Set("Cache-Control", "no-store")
+	w.Write(body) //nolint:errcheck // client gone; nothing to do
 }
 
 func writeClusterJSON(w http.ResponseWriter, v any) {

@@ -502,11 +502,12 @@ func (c *Coordinator) jitterWord() uint64 { return c.jitter.Uint64() }
 
 // ---- scatter-gather reads ----
 
-// fanout fetches path from every peer as a T and validates exact
-// partition coverage: each partition owned by exactly one responding
-// peer, every peer agreeing on the partition count. coverage reads a
-// view's partition count and owned partitions.
-func fanout[T any](ctx context.Context, c *Coordinator, path string, coverage func(*T) (total int, parts []int)) ([]*T, error) {
+// fanout fetches path from every peer as a T (decoding binary bodies
+// with binary, as fetch does) and validates exact partition coverage:
+// each partition owned by exactly one responding peer, every peer
+// agreeing on the partition count. coverage reads a view's partition
+// count and owned partitions.
+func fanout[T any](ctx context.Context, c *Coordinator, path string, binary func([]byte) (*T, error), coverage func(*T) (total int, parts []int)) ([]*T, error) {
 	peers, _, err := c.snapshotPeers()
 	if err != nil {
 		return nil, err
@@ -518,7 +519,7 @@ func fanout[T any](ctx context.Context, c *Coordinator, path string, coverage fu
 		wg.Add(1)
 		go func(i int, pc *peerConn) {
 			defer wg.Done()
-			views[i], errs[i] = fetchJSON[T](ctx, c, pc, path)
+			views[i], errs[i] = fetch(ctx, c, pc, path, binary)
 		}(i, pc)
 	}
 	wg.Wait()
@@ -560,14 +561,22 @@ type errPeerStatus struct {
 
 func (e *errPeerStatus) Error() string { return fmt.Sprintf("%d: %s", e.code, e.body) }
 
-// fetchJSON GETs one peer endpoint, breaker-guarded, and decodes T.
-func fetchJSON[T any](ctx context.Context, c *Coordinator, pc *peerConn, path string) (*T, error) {
+// fetch GETs one peer endpoint, breaker-guarded, and decodes T. With
+// a nil binary the body is JSON. Otherwise the request asks for
+// ContentTypeBinary and a response labelled so is read whole and
+// decoded by binary; any other response is still read as JSON, so a
+// peer that ignores Accept keeps merging. A body that fails to decode
+// counts against the peer's breaker like a failed request.
+func fetch[T any](ctx context.Context, c *Coordinator, pc *peerConn, path string, binary func([]byte) (*T, error)) (*T, error) {
 	if wait := pc.breaker.Wait(time.Now()); wait > 0 {
 		return nil, fmt.Errorf("breaker open (cooling down %s)", wait.Round(time.Millisecond))
 	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, pc.peer.URL+path, nil)
 	if err != nil {
 		return nil, err
+	}
+	if binary != nil {
+		req.Header.Set("Accept", atlasapi.ContentTypeBinary)
 	}
 	resp, err := c.client.Do(req)
 	if err != nil {
@@ -582,18 +591,45 @@ func fetchJSON[T any](ctx context.Context, c *Coordinator, pc *peerConn, path st
 		}
 		return nil, &errPeerStatus{code: resp.StatusCode, body: strings.TrimSpace(string(body))}
 	}
-	var v T
-	if err := json.NewDecoder(resp.Body).Decode(&v); err != nil {
+	v, err := decodeBody(resp, binary)
+	if err != nil {
 		pc.breaker.Fail(time.Now())
 		return nil, err
 	}
 	pc.breaker.OK()
-	return &v, nil
+	return v, nil
 }
+
+// decodeBody decodes a peer's 200 body by its Content-Type.
+func decodeBody[T any](resp *http.Response, binary func([]byte) (*T, error)) (*T, error) {
+	mt, _, _ := mime.ParseMediaType(resp.Header.Get("Content-Type"))
+	if binary == nil || mt != atlasapi.ContentTypeBinary {
+		var v T
+		if err := json.NewDecoder(resp.Body).Decode(&v); err != nil {
+			return nil, err
+		}
+		return &v, nil
+	}
+	// Size the buffer from Content-Length (bounded, so a lying header
+	// cannot reserve memory the body never sends), plus MinRead so
+	// ReadFrom sees EOF without growing it.
+	var buf bytes.Buffer
+	if n := resp.ContentLength; n > 0 {
+		buf.Grow(int(min(n, maxBodyHint)) + bytes.MinRead)
+	}
+	if _, err := buf.ReadFrom(resp.Body); err != nil {
+		return nil, err
+	}
+	return binary(buf.Bytes())
+}
+
+// maxBodyHint caps how much of a peer's declared Content-Length is
+// reserved before the body arrives.
+const maxBodyHint = 64 << 20
 
 // merged produces the cluster-wide snapshot, or sheds.
 func (c *Coordinator) merged(w http.ResponseWriter, r *http.Request) *stream.Snapshot {
-	views, err := fanout(r.Context(), c, atlasapi.RouteClusterView, func(v *stream.PeerView) (int, []int) {
+	views, err := fanout(r.Context(), c, atlasapi.RouteClusterView, stream.DecodePeerView, func(v *stream.PeerView) (int, []int) {
 		return v.TotalPartitions, v.Partitions
 	})
 	if err != nil {
@@ -646,7 +682,7 @@ func (c *Coordinator) continents(w http.ResponseWriter, r *http.Request) {
 }
 
 func (c *Coordinator) analysis(w http.ResponseWriter, r *http.Request) {
-	views, err := fanout(r.Context(), c, atlasapi.RouteClusterAnalysisView, func(v *stream.AnalysisPeerView) (int, []int) {
+	views, err := fanout(r.Context(), c, atlasapi.RouteClusterAnalysisView, stream.DecodeAnalysisPeerView, func(v *stream.AnalysisPeerView) (int, []int) {
 		return v.TotalPartitions, v.Partitions
 	})
 	if err != nil {
@@ -823,7 +859,7 @@ func (c *Coordinator) peerStatus(ctx context.Context, pc *peerConn) PeerStatus {
 		st.State = "starting"
 		st.Error = ready.Error
 	}
-	info, err := fetchJSON[atlasapi.ClusterInfo](ctx, c, pc, atlasapi.RouteClusterInfo)
+	info, err := fetch[atlasapi.ClusterInfo](ctx, c, pc, atlasapi.RouteClusterInfo, nil)
 	if err != nil {
 		if st.Error == "" {
 			st.Error = err.Error()

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -605,4 +606,89 @@ func TestCoordinatorCorruptFrameMatchesSingleNode(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestCoordinatorBadPeerBody: a peer whose view body does not decode —
+// corrupt frames under the binary Content-Type, or broken JSON — fails
+// the read with a 503 and counts against the peer's breaker, which
+// opens after its threshold and stops the coordinator calling the peer.
+func TestCoordinatorBadPeerBody(t *testing.T) {
+	ing := stream.NewIngester(stream.Config{Shards: 1, Analysis: true})
+	defer ing.Close()
+	pv, err := ing.PeerView(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	corrupt := stream.AppendPeerView(nil, pv)
+	corrupt[len(corrupt)-1] ^= 0xff
+	for _, tc := range []struct {
+		name, contentType string
+		body              []byte
+	}{
+		{"binary", atlasapi.ContentTypeBinary, corrupt},
+		{"json", "application/json", []byte(`{"total_partitions": 1, "partitions": [0], "probes": [`)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var hits atomic.Int32
+			peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				hits.Add(1)
+				w.Header().Set("Content-Type", tc.contentType)
+				w.Write(tc.body)
+			}))
+			defer peer.Close()
+			coord, err := cluster.New(cluster.Config{
+				Peers:           []cluster.Peer{{ID: "p0", URL: peer.URL}},
+				TotalPartitions: 1,
+				Logf:            t.Logf,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv := httptest.NewServer(coord)
+			defer srv.Close()
+
+			for i := 0; i <= backoff.DefaultBreakerThreshold; i++ {
+				code, body, hdr := get(t, srv.URL+"/api/v1/live/summary")
+				if code != http.StatusServiceUnavailable || hdr.Get("Retry-After") == "" {
+					t.Fatalf("read %d over a bad peer body: %d %s, want 503 with Retry-After", i, code, body)
+				}
+				if i == backoff.DefaultBreakerThreshold && !strings.Contains(string(body), "breaker open") {
+					t.Errorf("read past the breaker threshold: %s, want the breaker open", body)
+				}
+			}
+			if n := hits.Load(); n != backoff.DefaultBreakerThreshold {
+				t.Errorf("peer called %d times, want %d (the breaker's threshold)", n, backoff.DefaultBreakerThreshold)
+			}
+		})
+	}
+}
+
+// TestCoordinatorJSONOnlyPeer: a peer that ignores Accept and answers
+// JSON still merges to the single-node bytes.
+func TestCoordinatorJSONOnlyPeer(t *testing.T) {
+	const total = 4
+	world := smallWorld(t, 23, 0.02)
+	ref := singleNodeReference(t, world, total, atlasapi.CodecBinary)
+
+	ing := stream.NewIngester(stream.Config{Shards: total, Pfx2AS: world.Dataset.Pfx2AS, Analysis: true})
+	defer ing.Close()
+	api := atlasapi.NewLiveServer(ing, atlasapi.WithClusterNode("p0"))
+	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		r.Header.Del("Accept")
+		api.ServeHTTP(w, r)
+	}))
+	defer peer.Close()
+	coord, err := cluster.New(cluster.Config{
+		Peers:           []cluster.Peer{{ID: "p0", URL: peer.URL}},
+		TotalPartitions: total,
+		Backoff:         fastBackoff,
+		Logf:            t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(coord)
+	defer srv.Close()
+	ingest(t, world, srv.URL, atlasapi.CodecBinary)
+	checkAgainstReference(t, srv.URL, ref)
 }

@@ -1,6 +1,8 @@
 package liveanalysis
 
 import (
+	"fmt"
+
 	"dynaddr/internal/core"
 	"dynaddr/internal/ip4"
 	"dynaddr/internal/simclock"
@@ -65,18 +67,26 @@ func (t *ChurnTable) Cells() []ChurnCell {
 func (t *ChurnTable) Outside() core.PrefixChangeRow { return t.outside }
 
 // Restore loads the sparse checkpoint form back into the dense table,
-// replacing any current contents.
-func (t *ChurnTable) Restore(cells []ChurnCell, outside core.PrefixChangeRow) {
+// replacing any current contents. Cells out of day order or outside
+// the study year are an error: Cells never writes them.
+func (t *ChurnTable) Restore(cells []ChurnCell, outside core.PrefixChangeRow) error {
+	for i, c := range cells {
+		if c.Day < 0 || c.Day >= studyDays {
+			return fmt.Errorf("liveanalysis: churn cell for day %d outside the study's %d days", c.Day, studyDays)
+		}
+		if i > 0 && c.Day <= cells[i-1].Day {
+			return fmt.Errorf("liveanalysis: churn cell for day %d out of order", c.Day)
+		}
+	}
 	t.days = nil
 	t.outside = outside
 	if len(cells) > 0 {
 		t.days = make([]core.PrefixChangeRow, studyDays)
 		for _, c := range cells {
-			if c.Day >= 0 && c.Day < studyDays {
-				t.days[c.Day] = c.Row
-			}
+			t.days[c.Day] = c.Row
 		}
 	}
+	return nil
 }
 
 // AccumulateInto folds the table into a shared day-keyed map (day -1 =

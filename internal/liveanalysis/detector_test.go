@@ -263,7 +263,9 @@ func TestChurnTablePartitionsPrefix(t *testing.T) {
 	// Sparse round-trip: restore into a fresh table, fold both into
 	// day-keyed maps, compare.
 	var restored ChurnTable
-	restored.Restore(cells, tab.Outside())
+	if err := restored.Restore(cells, tab.Outside()); err != nil {
+		t.Fatal(err)
+	}
 	got := make(map[int]core.PrefixChangeRow)
 	restored.AccumulateInto(got)
 	ref := make(map[int]core.PrefixChangeRow)

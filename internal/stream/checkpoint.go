@@ -384,7 +384,10 @@ func (s *shard) buildCheckpoint() *shardCheckpoint {
 
 // restoreCheckpoint loads a checkpoint document into a freshly
 // allocated shard (before its goroutine starts).
-func (s *shard) restoreCheckpoint(ck *shardCheckpoint) {
+func (s *shard) restoreCheckpoint(ck *shardCheckpoint) error {
+	if err := ck.check(); err != nil {
+		return err
+	}
 	s.counts = ck.Counts
 	s.gen = ck.Generation
 	for asn, n := range ck.SessionsByAS {
@@ -395,11 +398,94 @@ func (s *shard) restoreCheckpoint(ck *shardCheckpoint) {
 		if ck.ChurnOutside != nil {
 			outside = *ck.ChurnOutside
 		}
-		s.churn.Restore(ck.Churn, outside)
+		if err := s.churn.Restore(ck.Churn, outside); err != nil {
+			return err
+		}
 	}
 	for _, j := range ck.Probes {
 		s.states[j.ID] = unmarshalProbeState(j, s.churn)
 	}
+	return nil
+}
+
+// check refuses a checkpoint the state machines cannot run from:
+// negative counters, probes repeated or out of order, metadata filed
+// under another probe, evidence rings over their size, and reboot
+// lists that disagree in length. Checkpoints are read from disk and,
+// in AdoptPartition, from the network, so these are input errors.
+func (ck *shardCheckpoint) check() error {
+	c := ck.Counts
+	if err := nonNegative("record", c.Meta, c.ConnLogs, c.KRoot, c.Uptime, c.Rejected); err != nil {
+		return fmt.Errorf("stream: checkpoint: %w", err)
+	}
+	for asn, n := range ck.SessionsByAS {
+		if n < 0 {
+			return fmt.Errorf("stream: checkpoint: negative session count for AS%d", asn)
+		}
+	}
+	for _, cell := range ck.Churn {
+		if err := nonNegativeRow(cell.Row); err != nil {
+			return fmt.Errorf("stream: checkpoint: churn day %d: %w", cell.Day, err)
+		}
+	}
+	if ck.ChurnOutside != nil {
+		if err := nonNegativeRow(*ck.ChurnOutside); err != nil {
+			return fmt.Errorf("stream: checkpoint: churn outside the study: %w", err)
+		}
+	}
+	for i := range ck.Probes {
+		j := &ck.Probes[i]
+		if i > 0 && j.ID <= ck.Probes[i-1].ID {
+			return fmt.Errorf("stream: checkpoint: probe %d out of order", j.ID)
+		}
+		if err := j.check(); err != nil {
+			return fmt.Errorf("stream: checkpoint: probe %d: %w", j.ID, err)
+		}
+	}
+	return nil
+}
+
+func (j *probeStateJSON) check() error {
+	if j.Meta != nil && j.Meta.ID != j.ID {
+		return fmt.Errorf("metadata of probe %d", j.Meta.ID)
+	}
+	if err := nonNegative("state", j.MetaCount, j.ConnCount, j.KRootCount, j.UptimeCount,
+		int64(j.RawEntries), int64(j.V4Count), int64(j.V6Count), j.ConnectedSecs, j.Sessions,
+		int64(j.RunTotal), j.Changes, j.OutageLinked, j.NetworkOutages, j.Reboots, j.Rejected,
+		int64(j.Loss.Rounds)); err != nil {
+		return err
+	}
+	for addr, n := range j.RunCount {
+		if n < 0 {
+			return fmt.Errorf("negative run count for %v", ip4.Addr(addr))
+		}
+	}
+	if len(j.RecentOutages) > recentEvidence || len(j.RecentReboots) > recentEvidence {
+		return fmt.Errorf("%d recent outages and %d recent reboots, at most %d each",
+			len(j.RecentOutages), len(j.RecentReboots), recentEvidence)
+	}
+	if an := j.An; an != nil {
+		if len(an.Reboots) != len(an.RebootGaps) {
+			return fmt.Errorf("%d reboots but %d reboot gaps", len(an.Reboots), len(an.RebootGaps))
+		}
+		if err := nonNegativeRow(an.Prefix); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func nonNegative(what string, ns ...int64) error {
+	for _, n := range ns {
+		if n < 0 {
+			return fmt.Errorf("negative %s counter %d", what, n)
+		}
+	}
+	return nil
+}
+
+func nonNegativeRow(r core.PrefixChangeRow) error {
+	return nonNegative("prefix-change", int64(r.Changes), int64(r.DiffBGP), int64(r.DiffS16), int64(r.DiffS8), int64(r.Unrouted))
 }
 
 // writeCheckpoint atomically replaces dir's checkpoint file.

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"strconv"
 
 	"dynaddr/internal/atlasdata"
@@ -24,8 +25,9 @@ import (
 
 // ProbeView is one probe's snapshot contribution in wire form — the
 // exported mirror of the internal per-probe summary, carried between
-// peers as JSON. stats.Weighted marshals its buckets exactly (no float
-// formatting loss), so a view survives the trip byte-deterministically.
+// peers as binary frames (viewcodec.go) or JSON. stats.Weighted encodes
+// its buckets exactly either way (no float formatting loss), so a view
+// survives the trip byte-deterministically.
 type ProbeView struct {
 	ID             atlasdata.ProbeID `json:"id"`
 	HasMeta        bool              `json:"has_meta,omitempty"`
@@ -117,18 +119,8 @@ func (in *Ingester) PeerView(ctx context.Context) (*PeerView, error) {
 			pv.Probes = append(pv.Probes, externalProbe(p))
 		}
 	}
-	sortProbeViews(pv.Probes)
+	sort.Slice(pv.Probes, func(i, j int) bool { return pv.Probes[i].ID < pv.Probes[j].ID })
 	return pv, nil
-}
-
-func sortProbeViews(ps []ProbeView) {
-	// Insertion point is almost always the end (shard views are sorted),
-	// but a global sort keeps the contract independent of shard layout.
-	for i := 1; i < len(ps); i++ {
-		for j := i; j > 0 && ps[j].ID < ps[j-1].ID; j-- {
-			ps[j], ps[j-1] = ps[j-1], ps[j]
-		}
-	}
 }
 
 // MergePeerViews folds peer contributions into the same Snapshot a
@@ -344,7 +336,9 @@ func (in *Ingester) AdoptPartition(st *PartitionState) error {
 
 	s := in.newShard(p)
 	if st.Checkpoint != nil {
-		s.restoreCheckpoint(st.Checkpoint)
+		if err := s.restoreCheckpoint(st.Checkpoint); err != nil {
+			return fmt.Errorf("stream: adopt partition %d: %w", p, err)
+		}
 	}
 	if in.cfg.WALDir != "" {
 		s.dir = filepath.Join(in.cfg.WALDir, fmt.Sprintf("shard-%03d", p))

@@ -16,7 +16,7 @@ import (
 // partition-owning ingesters, routing each record to its owner by
 // stream.PartitionOf — exactly what the cluster coordinator does over
 // HTTP. ownerOf maps partition → ingester index.
-func feedPartitioned(t *testing.T, ings []*stream.Ingester, ownerOf []int) {
+func feedPartitioned(t testing.TB, ings []*stream.Ingester, ownerOf []int) {
 	t.Helper()
 	route := func(id atlasdata.ProbeID) *stream.Ingester {
 		return ings[ownerOf[stream.PartitionOf(id, len(ownerOf))]]
@@ -50,8 +50,8 @@ func feedPartitioned(t *testing.T, ings []*stream.Ingester, ownerOf []int) {
 // TestTierEquivalence: the same records, partitioned over 1, 2 and 5
 // peers, must merge to the same cluster-summed stream.Version and the
 // same rendered artifacts as a single node running all partitions —
-// peer views round-tripped through JSON, because that is how they
-// travel in production.
+// peer views round-tripped through both encodings they travel in
+// (binary frames to the coordinator, JSON to anything else).
 func TestClusterVersionInvariance(t *testing.T) {
 	const total = 8
 	ctx := context.Background()
@@ -97,46 +97,73 @@ func TestClusterVersionInvariance(t *testing.T) {
 			}
 			feedPartitioned(t, ings, ownerOf)
 
-			views := make([]*stream.PeerView, peers)
-			aviews := make([]*stream.AnalysisPeerView, peers)
-			for i, ing := range ings {
+			views := make(map[string][]*stream.PeerView)
+			aviews := make(map[string][]*stream.AnalysisPeerView)
+			for _, ing := range ings {
 				pv, err := ing.PeerView(ctx)
 				if err != nil {
 					t.Fatal(err)
 				}
-				views[i] = jsonRoundTrip(t, pv, new(stream.PeerView))
+				views["json"] = append(views["json"], jsonRoundTrip(t, pv, new(stream.PeerView)))
+				views["binary"] = append(views["binary"], binaryRoundTrip(t, pv, stream.AppendPeerView, stream.DecodePeerView))
 				av, err := ing.AnalysisPeerView(ctx)
 				if err != nil {
 					t.Fatal(err)
 				}
-				aviews[i] = jsonRoundTrip(t, av, new(stream.AnalysisPeerView))
+				aviews["json"] = append(aviews["json"], jsonRoundTrip(t, av, new(stream.AnalysisPeerView)))
+				aviews["binary"] = append(aviews["binary"], binaryRoundTrip(t, av, stream.AppendAnalysisPeerView, stream.DecodeAnalysisPeerView))
 			}
 
-			merged := stream.MergePeerViews(views, total)
-			if merged.Version != refSnap.Version {
-				t.Errorf("cluster-summed version %+v, single-node %+v", merged.Version, refSnap.Version)
-			}
-			sum, err := serve.RenderSummary(merged)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(sum, refSummary) {
-				t.Errorf("merged summary differs from single-node render:\n%s\nvs\n%s", sum, refSummary)
-			}
+			for _, codec := range []string{"json", "binary"} {
+				merged := stream.MergePeerViews(views[codec], total)
+				if merged.Version != refSnap.Version {
+					t.Errorf("%s: cluster-summed version %+v, single-node %+v", codec, merged.Version, refSnap.Version)
+				}
+				sum, err := serve.RenderSummary(merged)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(sum, refSummary) {
+					t.Errorf("%s: merged summary differs from single-node render:\n%s\nvs\n%s", codec, sum, refSummary)
+				}
 
-			ares, aver := stream.MergeAnalysisPeerViews(aviews)
-			if aver != refAnalysisVer {
-				t.Errorf("merged analysis version %+v, single-node %+v", aver, refAnalysisVer)
-			}
-			ab, err := serve.RenderAnalysis(ares)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(ab, refAnalysis) {
-				t.Errorf("merged analysis differs from single-node render (lengths %d vs %d)", len(ab), len(refAnalysis))
+				ares, aver := stream.MergeAnalysisPeerViews(aviews[codec])
+				if aver != refAnalysisVer {
+					t.Errorf("%s: merged analysis version %+v, single-node %+v", codec, aver, refAnalysisVer)
+				}
+				ab, err := serve.RenderAnalysis(ares)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(ab, refAnalysis) {
+					t.Errorf("%s: merged analysis differs from single-node render (lengths %d vs %d)", codec, len(ab), len(refAnalysis))
+				}
 			}
 		})
 	}
+}
+
+// binaryRoundTrip encodes v in the binary peer-view form and decodes it
+// back, failing the test unless the decoded view marshals to exactly
+// v's JSON.
+func binaryRoundTrip[T any](t *testing.T, v *T, enc func([]byte, *T) []byte, dec func([]byte) (*T, error)) *T {
+	t.Helper()
+	out, err := dec(enc(nil, v))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := json.Marshal(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("binary round trip changed the view's JSON:\n%s\nvs\n%s", got, want)
+	}
+	return out
 }
 
 // jsonRoundTrip marshals v and decodes it into out, failing the test on
@@ -169,6 +196,7 @@ func TestPartitionMove(t *testing.T) {
 	feedPartitioned(t, []*stream.Ingester{a, b}, ownerOf)
 
 	before := stream.MergePeerViews(collectViews(t, ctx, a, b), total)
+	beforeBinary := stream.MergePeerViews(collectBinaryViews(t, ctx, a, b), total)
 
 	st, err := a.ReleasePartition(1)
 	if err != nil {
@@ -188,6 +216,7 @@ func TestPartitionMove(t *testing.T) {
 	}
 
 	after := stream.MergePeerViews(collectViews(t, ctx, a, b), total)
+	afterBinary := stream.MergePeerViews(collectBinaryViews(t, ctx, a, b), total)
 	if after.Version != before.Version {
 		t.Errorf("version changed across move: %+v → %+v", before.Version, after.Version)
 	}
@@ -195,12 +224,14 @@ func TestPartitionMove(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sumAfter, err := serve.RenderSummary(after)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(sumBefore, sumAfter) {
-		t.Error("summary changed across a partition move")
+	for name, snap := range map[string]*stream.Snapshot{"after": after, "binary before": beforeBinary, "binary after": afterBinary} {
+		sum, err := serve.RenderSummary(snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(sum, sumBefore) {
+			t.Errorf("%s: summary differs from the JSON views' before the move", name)
+		}
 	}
 
 	// The moved partition keeps working on its new owner: duplicate of a
@@ -223,6 +254,16 @@ func TestPartitionMove(t *testing.T) {
 	if err := b.ConnLog(conn(moved, at(60), at(70), "10.0.200.1")); err != nil {
 		t.Errorf("new owner rejects the moved probe: %v", err)
 	}
+}
+
+// collectBinaryViews is collectViews through the binary peer-view codec.
+func collectBinaryViews(t *testing.T, ctx context.Context, ings ...*stream.Ingester) []*stream.PeerView {
+	t.Helper()
+	out := collectViews(t, ctx, ings...)
+	for i, pv := range out {
+		out[i] = binaryRoundTrip(t, pv, stream.AppendPeerView, stream.DecodePeerView)
+	}
+	return out
 }
 
 func collectViews(t *testing.T, ctx context.Context, ings ...*stream.Ingester) []*stream.PeerView {

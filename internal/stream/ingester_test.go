@@ -28,7 +28,7 @@ func conn(id atlasdata.ProbeID, start, end simclock.Time, addr string) atlasdata
 	}
 }
 
-func testStore(t *testing.T) *pfx2as.SnapshotStore {
+func testStore(t testing.TB) *pfx2as.SnapshotStore {
 	t.Helper()
 	tbl, err := pfx2as.NewTable([]pfx2as.Entry{
 		{Prefix: ip4.MustParsePrefix("10.0.0.0/16"), ASN: 64500},

@@ -162,7 +162,9 @@ func recoverShard(s *shard, cfg Config, st *RecoverStats) error {
 	}
 	from := uint64(1)
 	if ck != nil {
-		s.restoreCheckpoint(ck)
+		if err := s.restoreCheckpoint(ck); err != nil {
+			return fmt.Errorf("stream: checkpoint in %s: %w", s.dir, err)
+		}
 		from = ck.Seq + 1
 		st.CheckpointProbes += len(ck.Probes)
 	}

@@ -200,10 +200,15 @@ func scanSegment(fs FS, path string, firstSeq uint64, fn func(seq uint64, payloa
 		return 0, 0, err
 	}
 	defer f.Close()
+	st, err := f.Stat()
+	if err != nil {
+		return 0, 0, err
+	}
 	var (
 		hdr    [frameHeader]byte
 		buf    []byte
 		offset int64
+		size   = st.Size()
 	)
 	for {
 		if _, err := io.ReadFull(f, hdr[:]); err != nil {
@@ -213,6 +218,11 @@ func scanSegment(fs FS, path string, firstSeq uint64, fn func(seq uint64, payloa
 		length, sum := wire.ParseFrameHeader(hdr[:])
 		if length == 0 || length > maxFrame {
 			return frames, offset, nil // corrupt length: stop at last valid frame
+		}
+		if int64(length) > size-offset-frameHeader {
+			// Torn payload: the segment ends before the length claims. Found
+			// from the size, so a corrupt length allocates nothing.
+			return frames, offset, nil
 		}
 		if cap(buf) < int(length) {
 			buf = make([]byte, length)

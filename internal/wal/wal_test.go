@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 )
 
@@ -467,5 +468,35 @@ func BenchmarkWALAppend(b *testing.B) {
 				b.Fatal(err)
 			}
 		})
+	}
+}
+
+// TestScanOversizedLengthAllocatesNothing: a 20-byte segment whose
+// header claims a maximal payload is a torn tail, found from the
+// segment's size before any buffer is sized by the claimed length.
+func TestScanOversizedLengthAllocatesNothing(t *testing.T) {
+	dir := t.TempDir()
+	seg := binary.LittleEndian.AppendUint32(nil, maxFrame)
+	seg = binary.LittleEndian.AppendUint32(seg, 0)
+	seg = append(seg, "twelve bytes"...)
+	if err := os.WriteFile(filepath.Join(dir, segName(1)), seg, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := Replay(dir, 1, func(uint64, []byte) error { return fmt.Errorf("replayed a torn frame") }); err != nil {
+		t.Fatal(err)
+	}
+	l, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	defer l.Close()
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 64<<10 {
+		t.Errorf("Replay + Open of a %d-byte segment allocated %d bytes", len(seg), alloc)
+	}
+	if next := l.NextSeq(); next != 1 {
+		t.Errorf("NextSeq %d after repairing an empty log, want 1", next)
 	}
 }
