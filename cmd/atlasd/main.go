@@ -30,9 +30,15 @@
 //
 // With -wal-dir the ingest tier is durable: every record is appended to
 // a per-shard write-ahead log before being applied, shards checkpoint
-// their state every -checkpoint-every records, and on boot the state is
-// recovered from checkpoints plus WAL replay before the live endpoints
-// are mounted. /healthz answers as soon as the listener is up;
+// their state every -checkpoint-every records (a negative value turns
+// checkpoints off, and the logs then grow until exit), and on boot the
+// state is recovered from checkpoints plus WAL replay before the live
+// endpoints are mounted. A checkpoint is encoded in binary on the
+// shard and written, fsynced and renamed into place by a per-shard
+// writer goroutine while the shard keeps applying records; its WAL
+// prefix is truncated, and the shard's generation in the ETags
+// advances, only once it is durable. The -fault-wal-* flags fail
+// checkpoint writes as well as WAL appends. /healthz answers as soon as the listener is up;
 // /readyz stays 503 until recovery has finished.
 //
 // The ingest tier is protected by admission control: at most

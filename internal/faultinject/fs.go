@@ -143,6 +143,11 @@ func (fs *FaultFS) Stat(name string) (os.FileInfo, error)  { return fs.inner.Sta
 func (fs *FaultFS) Truncate(name string, size int64) error { return fs.inner.Truncate(name, size) }
 func (fs *FaultFS) Remove(name string) error               { return fs.inner.Remove(name) }
 
+// Rename is never faulted: a checkpoint's temporary file fails at its
+// create, write or sync, and the rename that would publish it is then
+// never reached.
+func (fs *FaultFS) Rename(oldpath, newpath string) error { return fs.inner.Rename(oldpath, newpath) }
+
 func (fs *FaultFS) OpenFile(name string, flag int, perm os.FileMode) (wal.File, error) {
 	if flag&os.O_CREATE != 0 && fs.createArmed.Load() {
 		fs.createsFailed.Add(1)

@@ -50,17 +50,16 @@ func (t *ChurnTable) Add(ch core.AddressChange, fromPfx, toPfx ip4.Prefix, okFro
 	applyChange(t.Row(ch.NextStart), ch.From, ch.To, fromPfx, toPfx, okFrom, okTo)
 }
 
-// Cells returns the non-empty day buckets in ascending day order — the
-// sparse form checkpoints store. The outside row is not a cell; it is
-// serialized alongside.
-func (t *ChurnTable) Cells() []ChurnCell {
-	var out []ChurnCell
+// AppendCells appends the non-empty day buckets to dst in ascending day
+// order — the sparse form checkpoints store, into a slice the caller
+// reuses. The outside row is not a cell; it is serialized alongside.
+func (t *ChurnTable) AppendCells(dst []ChurnCell) []ChurnCell {
 	for day := range t.days {
 		if t.days[day].Changes > 0 {
-			out = append(out, ChurnCell{Day: day, Row: t.days[day]})
+			dst = append(dst, ChurnCell{Day: day, Row: t.days[day]})
 		}
 	}
-	return out
+	return dst
 }
 
 // Outside returns the bucket for changes outside the study year.

@@ -236,10 +236,10 @@ func TestChurnTablePartitionsPrefix(t *testing.T) {
 	if fused.Prefix != det.Prefix {
 		t.Fatalf("fused probe row %+v, separate calls give %+v", fused.Prefix, det.Prefix)
 	}
-	if !reflect.DeepEqual(fusedTab.Cells(), tab.Cells()) || fusedTab.Outside() != tab.Outside() {
+	if !reflect.DeepEqual(fusedTab.AppendCells(nil), tab.AppendCells(nil)) || fusedTab.Outside() != tab.Outside() {
 		t.Fatalf("fused churn table diverges from separate calls")
 	}
-	cells := tab.Cells()
+	cells := tab.AppendCells(nil)
 	var sum core.PrefixChangeRow
 	sum.Accumulate(tab.Outside())
 	for i, c := range cells {

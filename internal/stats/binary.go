@@ -10,16 +10,52 @@ import (
 // count, then each bucket's value and mass as little-endian float64
 // bits (values ascending), then the stored total's bits. Like
 // MarshalJSON it loses nothing, so DecodeBinary restores bitwise-equal
-// state.
+// state. The buckets are sorted in place in dst, so the only allocation
+// is dst's own growth.
 func (w *Weighted) AppendBinary(dst []byte) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(w.mass)))
-	if len(w.mass) > 0 {
-		for _, v := range w.Values() {
-			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
-			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(w.mass[v]))
+	start := len(dst)
+	for v, m := range w.mass {
+		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
+		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(m))
+	}
+	sortBuckets(dst[start:])
+	return binary.LittleEndian.AppendUint64(dst, math.Float64bits(w.total))
+}
+
+// sortBuckets heapsorts b's 16-byte (value, mass) records by value.
+func sortBuckets(b []byte) {
+	n := len(b) / 16
+	value := func(i int) float64 { return math.Float64frombits(binary.LittleEndian.Uint64(b[16*i:])) }
+	swap := func(i, j int) {
+		var t [16]byte
+		copy(t[:], b[16*i:16*i+16])
+		copy(b[16*i:16*i+16], b[16*j:16*j+16])
+		copy(b[16*j:16*j+16], t[:])
+	}
+	down := func(i, n int) {
+		for {
+			c := 2*i + 1
+			if c >= n {
+				return
+			}
+			if c+1 < n && value(c+1) > value(c) {
+				c++
+			}
+			if value(i) >= value(c) {
+				return
+			}
+			swap(i, c)
+			i = c
 		}
 	}
-	return binary.LittleEndian.AppendUint64(dst, math.Float64bits(w.total))
+	for i := n/2 - 1; i >= 0; i-- {
+		down(i, n)
+	}
+	for end := n - 1; end > 0; end-- {
+		swap(0, end)
+		down(0, end)
+	}
 }
 
 // DecodeBinary replaces w with the distribution AppendBinary wrote at

@@ -71,3 +71,21 @@ func TestWeightedBinaryRejects(t *testing.T) {
 		t.Errorf("well-formed input: %v, total %v", err, w.Total())
 	}
 }
+
+// TestWeightedAppendBinaryAllocs: encoding into a buffer with room
+// allocates nothing, whatever the bucket count — shard checkpoints
+// encode every probe's distribution into one reused buffer.
+func TestWeightedAppendBinaryAllocs(t *testing.T) {
+	w := &Weighted{}
+	for i := 1; i <= 300; i++ {
+		w.Add(float64((i*37)%211+1), float64(i))
+	}
+	buf := make([]byte, 0, 16*w.Len()+32)
+	if allocs := testing.AllocsPerRun(20, func() { buf = w.AppendBinary(buf[:0]) }); allocs != 0 {
+		t.Fatalf("AppendBinary allocated %.1f times per call, want 0", allocs)
+	}
+	var back Weighted
+	if _, err := back.DecodeBinary(buf); err != nil {
+		t.Fatalf("buckets out of order: %v", err)
+	}
+}

@@ -1,11 +1,13 @@
 package stream
 
 import (
-	"encoding/json"
+	"cmp"
+	"encoding/binary"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 
 	"dynaddr/internal/asdb"
 	"dynaddr/internal/atlasdata"
@@ -13,537 +15,596 @@ import (
 	"dynaddr/internal/ip4"
 	"dynaddr/internal/liveanalysis"
 	"dynaddr/internal/simclock"
-	"dynaddr/internal/stats"
+	"dynaddr/internal/wire"
 )
 
-// A checkpoint is one shard's full analysis state, serialized while the
-// shard is quiescent (checkpointing runs in the shard goroutine between
-// records) and written atomically: temp file, fsync, rename, directory
-// sync. A crash mid-checkpoint therefore leaves the previous checkpoint
-// intact. Floats round-trip exactly — encoding/json emits the shortest
-// representation that parses back to the same float64, and totals are
-// stored verbatim rather than re-accumulated — so a state restored from
-// checkpoint + WAL replay is byte-identical to one that never crashed.
+// A checkpoint is one shard's full analysis state. The shard goroutine
+// encodes it between records, into a buffer it reuses, and the shard's
+// checkpoint writer writes it atomically (ckptwriter.go): temp file,
+// fsync, rename, directory sync. A crash mid-write therefore leaves the
+// previous checkpoint intact. The encoding is internal/wire frames
+// (CRC32C each) in the peer views' idiom (viewcodec.go), whose detector
+// list encoders it shares:
+//
+//	header frame  'C', partition, last WAL sequence covered, generation,
+//	              record counts, sessions by AS, an analysis flag and,
+//	              when set, the churn table's non-empty days and its
+//	              outside-the-study row, then the number of probe frames
+//	probe frames  one per probe state, in ascending probe ID order
+//
+// Counters are uvarints, times zigzag varints, and floats their bits
+// verbatim; totals are stored rather than re-accumulated. A state
+// restored from checkpoint + WAL replay is therefore byte-identical to
+// one that never crashed. Every value has exactly one encoding, so a
+// checkpoint that decodes re-encodes to the same bytes.
+//
+// The decoder is the validator. Checkpoints are read from disk and, in
+// AdoptPartition, from the network, so it refuses whatever the state
+// machines cannot run from: counters out of range (negative ones
+// included), probes repeated or out of order, metadata that is invalid
+// or filed under another probe, evidence rings over their size, reboot
+// lists that disagree in length, and churn days out of order or outside
+// the study. Every count is checked against the bytes left before
+// anything is allocated.
 
 const (
-	checkpointVersion = 1
-	checkpointFile    = "checkpoint.json"
+	checkpointFile      = "checkpoint.bin"
+	checkpointTag  byte = 'C'
+	// ckAnalysis marks a checkpoint of an analysis shard: the header
+	// carries the churn table and every probe frame its detector state.
+	ckAnalysis byte = 1
 )
 
-// shardCheckpoint is the on-disk checkpoint document.
-type shardCheckpoint struct {
-	Version int `json:"version"`
-	Shard   int `json:"shard"`
-	// Seq is the last WAL sequence the checkpoint covers; recovery
-	// replays from Seq+1.
-	Seq uint64 `json:"seq"`
-	// Generation counts the shard's completed checkpoints — this document
-	// is number Generation. The version stays at 1: old checkpoints
-	// without the field restore generation 0, which only means the shard's
-	// cache keys restart (they remain unique within the process).
-	Generation   uint64           `json:"generation,omitempty"`
-	Counts       RecordCounts     `json:"counts"`
-	SessionsByAS map[uint32]int64 `json:"sessions_by_as,omitempty"`
-	// Churn/ChurnOutside carry the shard's live-analysis churn table in
-	// sparse form (non-empty day cells, ascending). Present only when
-	// the ingester runs with Config.Analysis; like the per-probe
-	// detector state, an old checkpoint without them restores an empty
-	// table — a degradation, not an incompatibility.
-	Churn        []liveanalysis.ChurnCell `json:"churn,omitempty"`
-	ChurnOutside *core.PrefixChangeRow    `json:"churn_outside,omitempty"`
-	Probes       []probeStateJSON         `json:"probes"`
+// Flag bits of a probe-state frame: the state machines' booleans, plus
+// psTTF for a non-empty duration distribution.
+const (
+	psHasMeta uint64 = 1 << iota
+	psAllV4Single
+	psStripped
+	psPrevSet
+	psPrevIsV4
+	psSegActive
+	psSegBounded
+	psHomeConsistent
+	psMultiAS
+	psHasGap
+	psLastGapLinked
+	psLossActive
+	psKRootSeen
+	psUpSeen
+	psTTF
+	psFlags = 1<<iota - 1
+)
+
+// Lower bounds on encoded sizes, which cap counts before allocation.
+const (
+	minProbeStateFrame = wire.FrameHeaderSize + 40 // one byte per scalar field
+	minRunCount        = 2
+	minGapEvent        = 3
+	minSpan            = 2
+)
+
+// checkpointHead is a checkpoint's header frame. The shard refills the
+// one it keeps for every checkpoint, so the slices are reused.
+type checkpointHead struct {
+	partition int
+	seq, gen  uint64
+	counts    RecordCounts
+	sessions  []asSessions // ascending ASN
+	analysis  bool
+	churn     []liveanalysis.ChurnCell
+	outside   core.PrefixChangeRow
+	probes    int
 }
 
-// spanJSON, addrRunJSON and lossRunJSON mirror the unexported state
-// structs field for field.
-type spanJSON struct {
-	From int64 `json:"from"`
-	To   int64 `json:"to"`
+type asSessions struct {
+	asn uint32
+	n   int64
 }
 
-type addrRunJSON struct {
-	Active  bool   `json:"active,omitempty"`
-	Bounded bool   `json:"bounded,omitempty"`
-	Addr    uint32 `json:"addr,omitempty"`
-	Start   int64  `json:"start,omitempty"`
-	End     int64  `json:"end,omitempty"`
-}
-
-type lossRunJSON struct {
-	Active   bool  `json:"active,omitempty"`
-	Start    int64 `json:"start,omitempty"`
-	End      int64 `json:"end,omitempty"`
-	FirstLTS int64 `json:"first_lts,omitempty"`
-	LastLTS  int64 `json:"last_lts,omitempty"`
-	Rounds   int   `json:"rounds,omitempty"`
-}
-
-// probeStateJSON mirrors probeState exactly; every field the state
-// machines read must round-trip, or recovery diverges from the
-// uninterrupted run.
-type probeStateJSON struct {
-	ID   atlasdata.ProbeID    `json:"id"`
-	Meta *atlasdata.ProbeMeta `json:"meta,omitempty"`
-
-	MetaCount   int64 `json:"meta_count,omitempty"`
-	ConnCount   int64 `json:"conn_count,omitempty"`
-	KRootCount  int64 `json:"kroot_count,omitempty"`
-	UptimeCount int64 `json:"uptime_count,omitempty"`
-
-	RawEntries    int            `json:"raw_entries,omitempty"`
-	V4Count       int            `json:"v4,omitempty"`
-	V6Count       int            `json:"v6,omitempty"`
-	ConnectedSecs int64          `json:"connected_secs,omitempty"`
-	Sessions      int64          `json:"sessions,omitempty"`
-	AllV4Single   bool           `json:"all_v4_single"`
-	FirstV4Addr   uint32         `json:"first_v4,omitempty"`
-	RunCount      map[uint32]int `json:"run_count,omitempty"`
-	RunPrevAddr   uint32         `json:"run_prev,omitempty"`
-	RunTotal      int            `json:"run_total,omitempty"`
-
-	Stripped      bool        `json:"stripped,omitempty"`
-	PrevSet       bool        `json:"prev_set,omitempty"`
-	PrevIsV4      bool        `json:"prev_is_v4,omitempty"`
-	PrevAddr      uint32      `json:"prev_addr,omitempty"`
-	PrevEnd       int64       `json:"prev_end,omitempty"`
-	LastConnStart int64       `json:"last_conn_start,omitempty"`
-	LastConnEnd   int64       `json:"last_conn_end,omitempty"`
-	Seg           addrRunJSON `json:"seg"`
-
-	Changes int64           `json:"changes,omitempty"`
-	TTF     *stats.Weighted `json:"ttf,omitempty"`
-
-	HomeASN        uint32 `json:"home_asn,omitempty"`
-	HomeConsistent bool   `json:"home_consistent"`
-	MultiAS        bool   `json:"multi_as,omitempty"`
-
-	HasGap        bool       `json:"has_gap,omitempty"`
-	LastGap       spanJSON   `json:"last_gap"`
-	LastGapLinked bool       `json:"last_gap_linked,omitempty"`
-	OutageLinked  int64      `json:"outage_linked,omitempty"`
-	RecentOutages []spanJSON `json:"recent_outages,omitempty"`
-	RecentReboots []int64    `json:"recent_reboots,omitempty"`
-
-	Loss           lossRunJSON `json:"loss"`
-	NetworkOutages int64       `json:"network_outages,omitempty"`
-	LastKRoot      int64       `json:"last_kroot,omitempty"`
-	KRootSeen      bool        `json:"kroot_seen,omitempty"`
-
-	UpSeen     bool  `json:"up_seen,omitempty"`
-	PrevBoot   int64 `json:"prev_boot,omitempty"`
-	LastUptime int64 `json:"last_uptime,omitempty"`
-	Reboots    int64 `json:"reboots,omitempty"`
-
-	Rejected int64 `json:"rejected,omitempty"`
-
-	// An is the probe's live-analysis detector state, present only when
-	// the ingester runs with Config.Analysis. The version stays at 1:
-	// an old checkpoint without this field restores an empty detector
-	// (the analysis then covers only post-upgrade records), and an
-	// analysis-off ingester ignores the field — both are degradations,
-	// not incompatibilities.
-	An *detectorJSON `json:"analysis,omitempty"`
-}
-
-// detectorJSON mirrors liveanalysis.Detector's exported fields. The
-// core event types marshal through their exported fields (simclock
-// times are integers, hours are float64s that round-trip exactly, and
-// the churn cells are an ordered slice), so the document stays
-// deterministic for the recovery byte-equality tests.
-type detectorJSON struct {
-	RawHours   []float64               `json:"raw_hours,omitempty"`
-	Gaps       []liveanalysis.GapEvent `json:"gaps,omitempty"`
-	Networks   []core.NetworkOutage    `json:"networks,omitempty"`
-	Reboots    []core.Reboot           `json:"reboots,omitempty"`
-	RebootGaps []core.RebootGap        `json:"reboot_gaps,omitempty"`
-	Prefix     core.PrefixChangeRow    `json:"prefix"`
-	Rounds     []simclock.Time         `json:"rounds,omitempty"`
-	LastUptime simclock.Time           `json:"last_uptime,omitempty"`
-}
-
-func marshalProbeState(ps *probeState) probeStateJSON {
-	j := probeStateJSON{
-		ID: ps.id,
-
-		MetaCount:   ps.metaCount,
-		ConnCount:   ps.connCount,
-		KRootCount:  ps.kRootCount,
-		UptimeCount: ps.uptimeCount,
-
-		RawEntries:    ps.rawEntries,
-		V4Count:       ps.v4Count,
-		V6Count:       ps.v6Count,
-		ConnectedSecs: ps.connectedSecs,
-		Sessions:      ps.sessions,
-		AllV4Single:   ps.allV4Single,
-		FirstV4Addr:   uint32(ps.firstV4Addr),
-		RunPrevAddr:   ps.runPrevAddr,
-		RunTotal:      ps.runTotal,
-
-		Stripped:      ps.stripped,
-		PrevSet:       ps.prevSet,
-		PrevIsV4:      ps.prevIsV4,
-		PrevAddr:      uint32(ps.prevAddr),
-		PrevEnd:       int64(ps.prevEnd),
-		LastConnStart: int64(ps.lastConnStart),
-		LastConnEnd:   int64(ps.lastConnEnd),
-		Seg: addrRunJSON{
-			Active:  ps.seg.active,
-			Bounded: ps.seg.bounded,
-			Addr:    uint32(ps.seg.addr),
-			Start:   int64(ps.seg.start),
-			End:     int64(ps.seg.end),
-		},
-
-		Changes: ps.changes,
-
-		HomeASN:        uint32(ps.homeASN),
-		HomeConsistent: ps.homeConsistent,
-		MultiAS:        ps.multiAS,
-
-		HasGap:        ps.hasGap,
-		LastGap:       spanJSON{From: int64(ps.lastGap.from), To: int64(ps.lastGap.to)},
-		LastGapLinked: ps.lastGapLinked,
-		OutageLinked:  ps.outageLinked,
-
-		Loss: lossRunJSON{
-			Active:   ps.loss.active,
-			Start:    int64(ps.loss.start),
-			End:      int64(ps.loss.end),
-			FirstLTS: ps.loss.firstLTS,
-			LastLTS:  ps.loss.lastLTS,
-			Rounds:   ps.loss.rounds,
-		},
-		NetworkOutages: ps.networkOutages,
-		LastKRoot:      int64(ps.lastKRoot),
-		KRootSeen:      ps.kRootSeen,
-
-		UpSeen:     ps.upSeen,
-		PrevBoot:   int64(ps.prevBoot),
-		LastUptime: int64(ps.lastUptime),
-		Reboots:    ps.reboots,
-
-		Rejected: ps.rejected,
+// appendCheckpoint appends the shard's checkpoint, under generation
+// gen, to dst. It runs on the shard goroutine (or on a stopped shard)
+// and allocates only when dst or the shard's scratch slices grow.
+func (s *shard) appendCheckpoint(dst []byte, gen uint64) ([]byte, error) {
+	h := &s.ckHead
+	*h = checkpointHead{
+		partition: s.index,
+		seq:       s.lastSeq,
+		gen:       gen,
+		counts:    s.counts,
+		sessions:  h.sessions[:0],
+		analysis:  s.churn != nil,
+		churn:     h.churn[:0],
+		probes:    len(s.states),
 	}
-	if ps.hasMeta {
-		m := ps.meta
-		j.Meta = &m
+	for asn, n := range s.sessionsByAS {
+		h.sessions = append(h.sessions, asSessions{asn, n})
 	}
-	if len(ps.runCount) > 0 {
-		j.RunCount = ps.runCount
-	}
-	if ps.ttf.Len() > 0 {
-		j.TTF = &ps.ttf
-	}
-	for _, o := range ps.recentOutages {
-		j.RecentOutages = append(j.RecentOutages, spanJSON{From: int64(o.from), To: int64(o.to)})
-	}
-	for _, t := range ps.recentReboots {
-		j.RecentReboots = append(j.RecentReboots, int64(t))
-	}
-	if det := ps.det; det != nil {
-		j.An = &detectorJSON{
-			RawHours:   det.RawHours,
-			Gaps:       det.Gaps,
-			Networks:   det.Networks,
-			Reboots:    det.Reboots,
-			RebootGaps: det.RebootGaps,
-			Prefix:     det.Prefix,
-			Rounds:     det.Rounds,
-			LastUptime: det.LastUptime,
-		}
-	}
-	return j
-}
-
-func unmarshalProbeState(j probeStateJSON, churn *liveanalysis.ChurnTable) *probeState {
-	ps := newProbeState(j.ID, churn)
-	if j.Meta != nil {
-		ps.setMeta(*j.Meta)
-	}
-	ps.metaCount = j.MetaCount
-	ps.connCount = j.ConnCount
-	ps.kRootCount = j.KRootCount
-	ps.uptimeCount = j.UptimeCount
-
-	ps.rawEntries = j.RawEntries
-	ps.v4Count = j.V4Count
-	ps.v6Count = j.V6Count
-	ps.connectedSecs = j.ConnectedSecs
-	ps.sessions = j.Sessions
-	ps.allV4Single = j.AllV4Single
-	ps.firstV4Addr = ip4.Addr(j.FirstV4Addr)
-	if j.RunCount != nil {
-		ps.runCount = j.RunCount
-	}
-	ps.runPrevAddr = j.RunPrevAddr
-	ps.runTotal = j.RunTotal
-
-	ps.stripped = j.Stripped
-	ps.prevSet = j.PrevSet
-	ps.prevIsV4 = j.PrevIsV4
-	ps.prevAddr = ip4.Addr(j.PrevAddr)
-	ps.prevEnd = simclock.Time(j.PrevEnd)
-	ps.lastConnStart = simclock.Time(j.LastConnStart)
-	ps.lastConnEnd = simclock.Time(j.LastConnEnd)
-	ps.seg = addrRun{
-		active:  j.Seg.Active,
-		bounded: j.Seg.Bounded,
-		addr:    ip4.Addr(j.Seg.Addr),
-		start:   simclock.Time(j.Seg.Start),
-		end:     simclock.Time(j.Seg.End),
-	}
-
-	ps.changes = j.Changes
-	if j.TTF != nil {
-		ps.ttf = *j.TTF
-	}
-
-	ps.homeASN = asdb.ASN(j.HomeASN)
-	ps.homeConsistent = j.HomeConsistent
-	ps.multiAS = j.MultiAS
-
-	ps.hasGap = j.HasGap
-	ps.lastGap = span{from: simclock.Time(j.LastGap.From), to: simclock.Time(j.LastGap.To)}
-	ps.lastGapLinked = j.LastGapLinked
-	ps.outageLinked = j.OutageLinked
-	for _, o := range j.RecentOutages {
-		ps.recentOutages = append(ps.recentOutages, span{from: simclock.Time(o.From), to: simclock.Time(o.To)})
-	}
-	for _, t := range j.RecentReboots {
-		ps.recentReboots = append(ps.recentReboots, simclock.Time(t))
-	}
-
-	ps.loss = lossRun{
-		active:   j.Loss.Active,
-		start:    simclock.Time(j.Loss.Start),
-		end:      simclock.Time(j.Loss.End),
-		firstLTS: j.Loss.FirstLTS,
-		lastLTS:  j.Loss.LastLTS,
-		rounds:   j.Loss.Rounds,
-	}
-	ps.networkOutages = j.NetworkOutages
-	ps.lastKRoot = simclock.Time(j.LastKRoot)
-	ps.kRootSeen = j.KRootSeen
-
-	ps.upSeen = j.UpSeen
-	ps.prevBoot = simclock.Time(j.PrevBoot)
-	ps.lastUptime = simclock.Time(j.LastUptime)
-	ps.reboots = j.Reboots
-
-	ps.rejected = j.Rejected
-
-	if ps.det != nil && j.An != nil {
-		det := ps.det
-		det.RawHours = j.An.RawHours
-		det.Gaps = j.An.Gaps
-		det.Networks = j.An.Networks
-		det.Reboots = j.An.Reboots
-		det.RebootGaps = j.An.RebootGaps
-		det.Prefix = j.An.Prefix
-		det.Rounds = j.An.Rounds
-		det.LastUptime = j.An.LastUptime
-		det.Restore()
-	}
-	return ps
-}
-
-// buildCheckpoint serializes the shard's current state under the last
-// appended sequence. Runs in the shard goroutine, so the state is
-// quiescent.
-func (s *shard) buildCheckpoint() *shardCheckpoint {
-	ck := &shardCheckpoint{
-		Version:    checkpointVersion,
-		Shard:      s.index,
-		Seq:        s.lastSeq,
-		Generation: s.gen,
-		Counts:     s.counts,
-	}
-	if len(s.sessionsByAS) > 0 {
-		ck.SessionsByAS = make(map[uint32]int64, len(s.sessionsByAS))
-		for asn, n := range s.sessionsByAS {
-			ck.SessionsByAS[asn] = n
-		}
-	}
+	slices.SortFunc(h.sessions, func(a, b asSessions) int { return cmp.Compare(a.asn, b.asn) })
 	if s.churn != nil {
-		ck.Churn = s.churn.Cells()
-		outside := s.churn.Outside()
-		ck.ChurnOutside = &outside
+		h.churn = s.churn.AppendCells(h.churn)
+		h.outside = s.churn.Outside()
 	}
-	ids := make([]atlasdata.ProbeID, 0, len(s.states))
+	dst = appendCheckpointHead(dst, h)
+
+	ids := s.ckIDs[:0]
 	for id := range s.states {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	ck.Probes = make([]probeStateJSON, 0, len(ids))
+	slices.Sort(ids)
+	s.ckIDs = ids
+	var prev atlasdata.ProbeID
 	for _, id := range ids {
-		ck.Probes = append(ck.Probes, marshalProbeState(s.states[id]))
+		var err error
+		if dst, err = s.appendProbeState(dst, s.states[id], prev); err != nil {
+			return dst, fmt.Errorf("stream: checkpoint probe %d: %w", id, err)
+		}
+		prev = id
 	}
-	return ck
+	return dst, nil
 }
 
-// restoreCheckpoint loads a checkpoint document into a freshly
-// allocated shard (before its goroutine starts).
-func (s *shard) restoreCheckpoint(ck *shardCheckpoint) error {
-	if err := ck.check(); err != nil {
-		return err
+func appendCheckpointHead(dst []byte, h *checkpointHead) []byte {
+	dst, start := beginFrame(dst)
+	dst = append(dst, checkpointTag)
+	dst = binary.AppendUvarint(dst, uint64(h.partition))
+	dst = binary.AppendUvarint(dst, h.seq)
+	dst = binary.AppendUvarint(dst, h.gen)
+	c := h.counts
+	for _, n := range [...]int64{c.Meta, c.ConnLogs, c.KRoot, c.Uptime, c.Rejected} {
+		dst = binary.AppendUvarint(dst, uint64(n))
 	}
-	s.counts = ck.Counts
-	s.gen = ck.Generation
-	for asn, n := range ck.SessionsByAS {
-		s.sessionsByAS[asn] = n
+	dst = binary.AppendUvarint(dst, uint64(len(h.sessions)))
+	for _, as := range h.sessions {
+		dst = binary.AppendUvarint(dst, uint64(as.asn))
+		dst = binary.AppendUvarint(dst, uint64(as.n))
+	}
+	if !h.analysis {
+		dst = append(dst, 0)
+	} else {
+		dst = append(dst, ckAnalysis)
+		dst = binary.AppendUvarint(dst, uint64(len(h.churn)))
+		for _, cell := range h.churn {
+			dst = binary.AppendUvarint(dst, uint64(cell.Day))
+			dst = appendPrefixRow(dst, cell.Row)
+		}
+		dst = appendPrefixRow(dst, h.outside)
+	}
+	dst = binary.AppendUvarint(dst, uint64(h.probes))
+	return endFrame(dst, start)
+}
+
+// appendProbeState appends one probe-state frame; prev is the previous
+// frame's probe ID (zero for the first).
+func (s *shard) appendProbeState(dst []byte, ps *probeState, prev atlasdata.ProbeID) ([]byte, error) {
+	dst, start := beginFrame(dst)
+	dst = binary.AppendVarint(dst, int64(ps.id-prev))
+	var flags uint64
+	for bit, on := range [...]bool{ps.hasMeta, ps.allV4Single, ps.stripped, ps.prevSet, ps.prevIsV4,
+		ps.seg.active, ps.seg.bounded, ps.homeConsistent, ps.multiAS, ps.hasGap, ps.lastGapLinked,
+		ps.loss.active, ps.kRootSeen, ps.upSeen, ps.ttf.Len() > 0} {
+		if on {
+			flags |= 1 << bit
+		}
+	}
+	dst = binary.AppendUvarint(dst, flags)
+	if ps.hasMeta {
+		// The metadata travels as its wire record payload, length first.
+		meta, err := wire.AppendMeta(s.ckMeta[:0], ps.meta)
+		if err != nil {
+			return dst, err
+		}
+		s.ckMeta = meta
+		dst = binary.AppendUvarint(dst, uint64(len(meta)))
+		dst = append(dst, meta...)
+	}
+	for _, n := range [...]int64{ps.metaCount, ps.connCount, ps.kRootCount, ps.uptimeCount,
+		int64(ps.rawEntries), int64(ps.v4Count), int64(ps.v6Count), ps.connectedSecs, ps.sessions} {
+		dst = binary.AppendUvarint(dst, uint64(n))
+	}
+	dst = binary.AppendUvarint(dst, uint64(ps.firstV4Addr))
+
+	keys := s.ckKeys[:0]
+	for addr := range ps.runCount {
+		keys = append(keys, addr)
+	}
+	slices.Sort(keys)
+	s.ckKeys = keys
+	dst = binary.AppendUvarint(dst, uint64(len(keys)))
+	for _, addr := range keys {
+		dst = binary.AppendUvarint(dst, uint64(addr))
+		dst = binary.AppendUvarint(dst, uint64(ps.runCount[addr]))
+	}
+	dst = binary.AppendUvarint(dst, uint64(ps.runPrevAddr))
+	dst = binary.AppendUvarint(dst, uint64(ps.runTotal))
+
+	dst = binary.AppendUvarint(dst, uint64(ps.prevAddr))
+	for _, t := range [...]simclock.Time{ps.prevEnd, ps.lastConnStart, ps.lastConnEnd} {
+		dst = binary.AppendVarint(dst, int64(t))
+	}
+	dst = binary.AppendUvarint(dst, uint64(ps.seg.addr))
+	dst = binary.AppendVarint(dst, int64(ps.seg.start))
+	dst = binary.AppendVarint(dst, int64(ps.seg.end))
+
+	dst = binary.AppendUvarint(dst, uint64(ps.changes))
+	if ps.ttf.Len() > 0 {
+		dst = ps.ttf.AppendBinary(dst)
+	}
+	dst = binary.AppendUvarint(dst, uint64(ps.homeASN))
+
+	dst = binary.AppendVarint(dst, int64(ps.lastGap.from))
+	dst = binary.AppendVarint(dst, int64(ps.lastGap.to))
+	dst = binary.AppendUvarint(dst, uint64(ps.outageLinked))
+	dst = binary.AppendUvarint(dst, uint64(len(ps.recentOutages)))
+	var t simclock.Time
+	for _, o := range ps.recentOutages {
+		dst = binary.AppendVarint(dst, int64(o.from-t))
+		dst = binary.AppendVarint(dst, int64(o.to-o.from))
+		t = o.from
+	}
+	dst = appendTimes(dst, ps.recentReboots)
+
+	dst = binary.AppendVarint(dst, int64(ps.loss.start))
+	dst = binary.AppendVarint(dst, int64(ps.loss.end))
+	dst = binary.AppendVarint(dst, ps.loss.firstLTS)
+	dst = binary.AppendVarint(dst, ps.loss.lastLTS)
+	dst = binary.AppendUvarint(dst, uint64(ps.loss.rounds))
+	dst = binary.AppendUvarint(dst, uint64(ps.networkOutages))
+	dst = binary.AppendVarint(dst, int64(ps.lastKRoot))
+
+	dst = binary.AppendVarint(dst, int64(ps.prevBoot))
+	dst = binary.AppendVarint(dst, int64(ps.lastUptime))
+	dst = binary.AppendUvarint(dst, uint64(ps.reboots))
+	dst = binary.AppendUvarint(dst, uint64(ps.rejected))
+
+	if s.churn != nil {
+		det := ps.det
+		dst = appendRawHours(dst, det.RawHours)
+		dst = binary.AppendUvarint(dst, uint64(len(det.Gaps)))
+		t = 0
+		for _, g := range det.Gaps {
+			dst = binary.AppendVarint(dst, int64(g.PrevEnd-t))
+			dst = binary.AppendVarint(dst, int64(g.NextStart-g.PrevEnd))
+			t = g.NextStart
+			var gf byte
+			if g.Changed {
+				gf = gapChanged
+			}
+			dst = append(dst, gf)
+		}
+		dst = appendNetworks(dst, ps.id, det.Networks)
+		dst = appendReboots(dst, ps.id, det.Reboots)
+		dst = appendRebootGaps(dst, det.RebootGaps)
+		dst = appendPrefixRow(dst, det.Prefix)
+		dst = appendTimes(dst, det.Rounds)
+		dst = binary.AppendVarint(dst, int64(det.LastUptime))
+	}
+	return endFrame(dst, start), nil
+}
+
+// appendTimes appends a time list, each time a delta from the previous.
+func appendTimes(dst []byte, ts []simclock.Time) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(ts)))
+	var t simclock.Time
+	for _, x := range ts {
+		dst = binary.AppendVarint(dst, int64(x-t))
+		t = x
+	}
+	return dst
+}
+
+// readCheckpointHead decodes a checkpoint's header frame, leaving it
+// at the first probe frame.
+func readCheckpointHead(it *wire.FrameIter, size int) (checkpointHead, error) {
+	var h checkpointHead
+	r, err := nextFrame(it, "checkpoint")
+	if err != nil {
+		return h, err
+	}
+	if tag := r.byte(); r.err == nil && tag != checkpointTag {
+		return h, fmt.Errorf("stream: checkpoint header tag %q, want %q", tag, checkpointTag)
+	}
+	h.partition = int(r.counter())
+	h.seq = r.uvarint()
+	h.gen = r.uvarint()
+	c := &h.counts
+	for _, n := range [...]*int64{&c.Meta, &c.ConnLogs, &c.KRoot, &c.Uptime, &c.Rejected} {
+		*n = r.counter()
+	}
+	if n := r.count(minSessionsByAS); n > 0 {
+		h.sessions = make([]asSessions, n)
+		for i := range h.sessions {
+			h.sessions[i] = asSessions{asn: r.u32(), n: r.counter()}
+			if i > 0 && h.sessions[i].asn <= h.sessions[i-1].asn {
+				r.fail(fmt.Errorf("sessions by AS not ascending at AS%d", h.sessions[i].asn))
+			}
+		}
+	}
+	h.analysis = r.flags(ckAnalysis) != 0
+	if h.analysis {
+		if n := r.count(minChurnRow); n > 0 {
+			h.churn = make([]liveanalysis.ChurnCell, n)
+			for i := range h.churn {
+				cell := &h.churn[i]
+				cell.Day = int(r.counter())
+				cell.Row = r.prefixRow()
+				if err := nonNegativeRow(cell.Row); err != nil {
+					r.fail(fmt.Errorf("churn day %d: %w", cell.Day, err))
+				}
+			}
+		}
+		h.outside = r.prefixRow()
+		if err := nonNegativeRow(h.outside); err != nil {
+			r.fail(fmt.Errorf("churn outside the study: %w", err))
+		}
+	}
+	h.probes = r.frameCount(size-it.Offset(), minProbeStateFrame)
+	return h, r.done("checkpoint header frame", 0)
+}
+
+// restoreCheckpoint decodes and validates a checkpoint into a freshly
+// allocated shard (before its goroutine starts) and returns the last
+// WAL sequence it covers and the number of probe states it held. A
+// checkpoint of an analysis shard restores into an analysis-off one
+// without its analysis state, and the reverse with empty detectors —
+// degradations, not incompatibilities. On error the shard is half
+// restored and must be discarded.
+func (s *shard) restoreCheckpoint(b []byte) (seq uint64, probes int, err error) {
+	it := wire.Frames(b)
+	h, err := readCheckpointHead(&it, len(b))
+	if err != nil {
+		return 0, 0, err
+	}
+	if h.partition != s.index {
+		return 0, 0, fmt.Errorf("stream: checkpoint of partition %d, restoring partition %d", h.partition, s.index)
+	}
+	var prev atlasdata.ProbeID
+	for i := 0; i < h.probes; i++ {
+		r, err := nextFrame(&it, "checkpoint")
+		if err != nil {
+			return 0, 0, err
+		}
+		ps := s.decodeProbeState(&r, prev, h.analysis)
+		if i > 0 && r.err == nil && ps.id <= prev {
+			r.fail(fmt.Errorf("probe %d out of order", ps.id))
+		}
+		if err := r.done("checkpoint probe frame", i); err != nil {
+			return 0, 0, err
+		}
+		s.states[ps.id] = ps
+		prev = ps.id
+	}
+	if err := endOfFrames(&it, "checkpoint"); err != nil {
+		return 0, 0, err
+	}
+
+	s.counts = h.counts
+	s.gen = h.gen
+	for _, as := range h.sessions {
+		s.sessionsByAS[as.asn] = as.n
 	}
 	if s.churn != nil {
-		var outside core.PrefixChangeRow
-		if ck.ChurnOutside != nil {
-			outside = *ck.ChurnOutside
-		}
-		if err := s.churn.Restore(ck.Churn, outside); err != nil {
-			return err
+		if err := s.churn.Restore(h.churn, h.outside); err != nil {
+			return 0, 0, fmt.Errorf("stream: checkpoint: %w", err)
 		}
 	}
-	for _, j := range ck.Probes {
-		s.states[j.ID] = unmarshalProbeState(j, s.churn)
-	}
-	return nil
+	return h.seq, h.probes, nil
 }
 
-// check refuses a checkpoint the state machines cannot run from:
-// negative counters, probes repeated or out of order, metadata filed
-// under another probe, evidence rings over their size, and reboot
-// lists that disagree in length. Checkpoints are read from disk and,
-// in AdoptPartition, from the network, so these are input errors.
-func (ck *shardCheckpoint) check() error {
-	c := ck.Counts
-	if err := nonNegative("record", c.Meta, c.ConnLogs, c.KRoot, c.Uptime, c.Rejected); err != nil {
-		return fmt.Errorf("stream: checkpoint: %w", err)
+// decodeProbeState decodes one probe-state frame; the caller checks
+// r.err.
+func (s *shard) decodeProbeState(r *viewReader, prev atlasdata.ProbeID, analysis bool) *probeState {
+	id := prev + atlasdata.ProbeID(r.int())
+	ps := newProbeState(id, s.churn)
+	flags := r.uvarint()
+	if flags&^psFlags != 0 {
+		r.fail(fmt.Errorf("unknown flag bits %#x", flags&^psFlags))
 	}
-	for asn, n := range ck.SessionsByAS {
-		if n < 0 {
-			return fmt.Errorf("stream: checkpoint: negative session count for AS%d", asn)
+	on := func(bit uint64) bool { return flags&bit != 0 }
+	if on(psHasMeta) {
+		m, err := decodeMeta(r.bytes(r.count(1)))
+		switch {
+		case err != nil:
+			r.fail(err)
+		case m.ID != id:
+			r.fail(fmt.Errorf("metadata of probe %d", m.ID))
+		default:
+			ps.setMeta(m)
 		}
 	}
-	for _, cell := range ck.Churn {
-		if err := nonNegativeRow(cell.Row); err != nil {
-			return fmt.Errorf("stream: checkpoint: churn day %d: %w", cell.Day, err)
+	for _, n := range [...]*int64{&ps.metaCount, &ps.connCount, &ps.kRootCount, &ps.uptimeCount} {
+		*n = r.counter()
+	}
+	for _, n := range [...]*int{&ps.rawEntries, &ps.v4Count, &ps.v6Count} {
+		*n = int(r.counter())
+	}
+	ps.connectedSecs = r.counter()
+	ps.sessions = r.counter()
+	ps.allV4Single = on(psAllV4Single)
+	ps.firstV4Addr = ip4.Addr(r.u32())
+
+	n := r.count(minRunCount)
+	var last uint32
+	for i := 0; i < n; i++ {
+		addr := r.u32()
+		if i > 0 && addr <= last {
+			r.fail(fmt.Errorf("run counts not ascending at %v", ip4.Addr(addr)))
+		}
+		last = addr
+		ps.runCount[addr] = int(r.counter())
+	}
+	ps.runPrevAddr = r.u32()
+	ps.runTotal = int(r.counter())
+
+	ps.stripped = on(psStripped)
+	ps.prevSet = on(psPrevSet)
+	ps.prevIsV4 = on(psPrevIsV4)
+	ps.prevAddr = ip4.Addr(r.u32())
+	ps.prevEnd = r.time()
+	ps.lastConnStart = r.time()
+	ps.lastConnEnd = r.time()
+	ps.seg = addrRun{active: on(psSegActive), bounded: on(psSegBounded), addr: ip4.Addr(r.u32()), start: r.time(), end: r.time()}
+
+	ps.changes = r.counter()
+	if on(psTTF) && r.err == nil {
+		rest, err := ps.ttf.DecodeBinary(r.b)
+		switch {
+		case err != nil:
+			r.fail(err)
+		case ps.ttf.Len() == 0:
+			r.fail(fmt.Errorf("empty duration distribution flagged"))
+		default:
+			r.b = rest
 		}
 	}
-	if ck.ChurnOutside != nil {
-		if err := nonNegativeRow(*ck.ChurnOutside); err != nil {
-			return fmt.Errorf("stream: checkpoint: churn outside the study: %w", err)
+	ps.homeASN = asdb.ASN(r.u32())
+	ps.homeConsistent = on(psHomeConsistent)
+	ps.multiAS = on(psMultiAS)
+
+	ps.hasGap = on(psHasGap)
+	ps.lastGap = span{from: r.time(), to: r.time()}
+	ps.lastGapLinked = on(psLastGapLinked)
+	ps.outageLinked = r.counter()
+	if n := r.evidence(minSpan); n > 0 {
+		ps.recentOutages = make([]span, n)
+		var t simclock.Time
+		for i := range ps.recentOutages {
+			o := &ps.recentOutages[i]
+			o.from = t + r.time()
+			o.to = o.from + r.time()
+			t = o.from
 		}
 	}
-	for i := range ck.Probes {
-		j := &ck.Probes[i]
-		if i > 0 && j.ID <= ck.Probes[i-1].ID {
-			return fmt.Errorf("stream: checkpoint: probe %d out of order", j.ID)
-		}
-		if err := j.check(); err != nil {
-			return fmt.Errorf("stream: checkpoint: probe %d: %w", j.ID, err)
+	ps.recentReboots = r.times(r.evidence(1))
+
+	ps.loss = lossRun{active: on(psLossActive), start: r.time(), end: r.time(), firstLTS: r.varint(), lastLTS: r.varint(), rounds: int(r.counter())}
+	ps.networkOutages = r.counter()
+	ps.lastKRoot = r.time()
+	ps.kRootSeen = on(psKRootSeen)
+
+	ps.upSeen = on(psUpSeen)
+	ps.prevBoot = r.time()
+	ps.lastUptime = r.time()
+	ps.reboots = r.counter()
+	ps.rejected = r.counter()
+
+	if !analysis {
+		return ps
+	}
+	det := ps.det
+	if det == nil {
+		// An analysis-off shard decodes the detector state only to
+		// validate it.
+		det = &liveanalysis.Detector{}
+	}
+	det.RawHours = r.rawHours()
+	if n := r.count(minGapEvent); n > 0 {
+		det.Gaps = make([]liveanalysis.GapEvent, n)
+		var t simclock.Time
+		for i := range det.Gaps {
+			g := &det.Gaps[i]
+			g.PrevEnd = t + r.time()
+			g.NextStart = g.PrevEnd + r.time()
+			t = g.NextStart
+			g.Changed = r.flags(gapChanged) != 0
 		}
 	}
-	return nil
+	det.Networks = r.networks(id)
+	det.Reboots = r.reboots(id)
+	det.RebootGaps = r.rebootGaps()
+	if len(det.Reboots) != len(det.RebootGaps) && r.err == nil {
+		r.fail(fmt.Errorf("%d reboots but %d reboot gaps", len(det.Reboots), len(det.RebootGaps)))
+	}
+	det.Prefix = r.prefixRow()
+	if err := nonNegativeRow(det.Prefix); err != nil {
+		r.fail(err)
+	}
+	det.Rounds = r.times(r.count(1))
+	det.LastUptime = r.time()
+	det.Restore()
+	return ps
 }
 
-func (j *probeStateJSON) check() error {
-	if j.Meta != nil && j.Meta.ID != j.ID {
-		return fmt.Errorf("metadata of probe %d", j.Meta.ID)
+// decodeMeta decodes a probe's metadata record payload and validates
+// it as ingest does.
+func decodeMeta(payload []byte) (atlasdata.ProbeMeta, error) {
+	if kind, err := wire.PayloadKind(payload); err != nil || kind != wire.KindMeta {
+		return atlasdata.ProbeMeta{}, fmt.Errorf("metadata payload is not a meta record")
 	}
-	if err := nonNegative("state", j.MetaCount, j.ConnCount, j.KRootCount, j.UptimeCount,
-		int64(j.RawEntries), int64(j.V4Count), int64(j.V6Count), j.ConnectedSecs, j.Sessions,
-		int64(j.RunTotal), j.Changes, j.OutageLinked, j.NetworkOutages, j.Reboots, j.Rejected,
-		int64(j.Loss.Rounds)); err != nil {
-		return err
+	m, err := wire.DecodeMeta(payload)
+	if err == nil {
+		err = m.Validate()
 	}
-	for addr, n := range j.RunCount {
-		if n < 0 {
-			return fmt.Errorf("negative run count for %v", ip4.Addr(addr))
-		}
-	}
-	if len(j.RecentOutages) > recentEvidence || len(j.RecentReboots) > recentEvidence {
-		return fmt.Errorf("%d recent outages and %d recent reboots, at most %d each",
-			len(j.RecentOutages), len(j.RecentReboots), recentEvidence)
-	}
-	if an := j.An; an != nil {
-		if len(an.Reboots) != len(an.RebootGaps) {
-			return fmt.Errorf("%d reboots but %d reboot gaps", len(an.Reboots), len(an.RebootGaps))
-		}
-		if err := nonNegativeRow(an.Prefix); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func nonNegative(what string, ns ...int64) error {
-	for _, n := range ns {
-		if n < 0 {
-			return fmt.Errorf("negative %s counter %d", what, n)
-		}
-	}
-	return nil
+	return m, err
 }
 
 func nonNegativeRow(r core.PrefixChangeRow) error {
-	return nonNegative("prefix-change", int64(r.Changes), int64(r.DiffBGP), int64(r.DiffS16), int64(r.DiffS8), int64(r.Unrouted))
-}
-
-// writeCheckpoint atomically replaces dir's checkpoint file.
-func writeCheckpoint(dir string, ck *shardCheckpoint) error {
-	data, err := json.Marshal(ck)
-	if err != nil {
-		return err
-	}
-	tmp := filepath.Join(dir, checkpointFile+".tmp")
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, filepath.Join(dir, checkpointFile)); err != nil {
-		return err
-	}
-	return syncDir(dir)
-}
-
-// loadCheckpoint reads dir's checkpoint; a missing file is (nil, nil) —
-// the shard simply starts empty and replays its whole WAL.
-func loadCheckpoint(dir string) (*shardCheckpoint, error) {
-	data, err := os.ReadFile(filepath.Join(dir, checkpointFile))
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, nil
+	for _, n := range [...]int{r.Changes, r.DiffBGP, r.DiffS16, r.DiffS8, r.Unrouted} {
+		if n < 0 {
+			return fmt.Errorf("negative prefix-change counter %d", n)
 		}
-		return nil, err
 	}
-	ck := &shardCheckpoint{}
-	if err := json.Unmarshal(data, ck); err != nil {
-		return nil, fmt.Errorf("stream: corrupt checkpoint in %s: %w", dir, err)
-	}
-	if ck.Version != checkpointVersion {
-		return nil, fmt.Errorf("stream: checkpoint version %d in %s, want %d", ck.Version, dir, checkpointVersion)
-	}
-	return ck, nil
+	return nil
 }
 
-// syncDir fsyncs a directory so renames and removals survive a crash;
-// failure is tolerated (directory fsync is advisory on some systems).
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
+// counter reads a non-negative count: a uvarint no larger than
+// math.MaxInt64 (a negative counter, written as its two's complement,
+// fails here).
+func (r *viewReader) counter() int64 {
+	v := r.uvarint()
+	if v > math.MaxInt64 {
+		r.fail(fmt.Errorf("counter %d out of range", v))
+		return 0
 	}
-	defer d.Close()
-	_ = d.Sync()
-	return nil
+	return int64(v)
+}
+
+func (r *viewReader) time() simclock.Time { return simclock.Time(r.varint()) }
+
+// evidence reads the length of a recent-evidence ring, at most
+// recentEvidence.
+func (r *viewReader) evidence(min int) int {
+	n := r.count(min)
+	if n > recentEvidence {
+		r.fail(fmt.Errorf("%d recent outage or reboot entries, at most %d", n, recentEvidence))
+		return 0
+	}
+	return n
+}
+
+// times reads n delta-coded times (appendTimes after its count).
+func (r *viewReader) times(n int) []simclock.Time {
+	if n == 0 {
+		return nil
+	}
+	ts := make([]simclock.Time, n)
+	var t simclock.Time
+	for i := range ts {
+		t += r.time()
+		ts[i] = t
+	}
+	return ts
+}
+
+func (r *viewReader) bytes(n int) []byte {
+	b := r.b[:n]
+	r.b = r.b[n:]
+	return b
+}
+
+// loadCheckpoint reads dir's checkpoint; a missing file is (nil, nil):
+// the shard then starts empty and replays its whole WAL.
+func loadCheckpoint(dir string) ([]byte, error) {
+	data, err := os.ReadFile(filepath.Join(dir, checkpointFile))
+	if os.IsNotExist(err) {
+		return nil, nil
+	}
+	return data, err
+}
+
+// checkpointSeq returns the last WAL sequence a checkpoint covers.
+func checkpointSeq(b []byte) (uint64, error) {
+	it := wire.Frames(b)
+	h, err := readCheckpointHead(&it, len(b))
+	return h.seq, err
 }

@@ -206,17 +206,21 @@ func MergeAnalysisPeerViews(views []*AnalysisPeerView) (*liveanalysis.Result, Ve
 }
 
 // PartitionState is a released partition packaged for shipping: the
-// partition's latest durable checkpoint (nil if it never checkpointed)
-// plus the WAL tail past it, exactly the inputs crash recovery rebuilds
-// from. Adopting replays checkpoint-then-tail through the same state
-// machines, so the moved partition's contribution to every aggregate —
-// including its Version — is preserved bit for bit.
+// partition's latest durable checkpoint (empty if it never
+// checkpointed) plus the WAL tail past it, exactly the inputs crash
+// recovery rebuilds from. Adopting replays checkpoint-then-tail through
+// the same state machines, so the moved partition's contribution to
+// every aggregate — including its Version — is preserved bit for bit.
 type PartitionState struct {
 	// Version is the releaser's WAL layout version (walMetaVersion); an
-	// adopter refuses any other, since Tail's encoding depends on it.
-	Version    int              `json:"version"`
-	Partition  int              `json:"partition"`
-	Checkpoint *shardCheckpoint `json:"checkpoint,omitempty"`
+	// adopter refuses any other, since the encodings of Checkpoint and
+	// Tail depend on it.
+	Version   int `json:"version"`
+	Partition int `json:"partition"`
+	// Checkpoint is the partition's checkpoint file, byte for byte (JSON
+	// carries it base64-encoded). The adopter decodes and validates it,
+	// and a durable adopter writes the same bytes as its own checkpoint.
+	Checkpoint []byte `json:"checkpoint,omitempty"`
 	// Tail holds the WAL frame payloads past the checkpoint, in order
 	// (JSON carries them base64-encoded): internal/wire record payloads,
 	// the bytes the producer sent. The adopter re-appends them verbatim
@@ -232,8 +236,9 @@ type PartitionState struct {
 // release, ingest for the partition's probes returns ErrNotOwner.
 //
 // Durable ingesters load the state from disk (checkpoint + WAL tail —
-// what recovery would see) and rename the shard directory aside, so a
-// restart does not resurrect the moved partition. Dead letters stay
+// what recovery would see, read once the shard's last checkpoint write
+// has finished) and rename the shard directory aside, so a restart
+// does not resurrect the moved partition. Dead letters stay
 // with the renamed directory on the releasing node. A degraded shard
 // refuses to release: its WAL does not cover its parked records.
 func (in *Ingester) ReleasePartition(p int) (*PartitionState, error) {
@@ -269,9 +274,13 @@ func (in *Ingester) ReleasePartition(p int) (*PartitionState, error) {
 
 	st := &PartitionState{Version: walMetaVersion, Partition: p}
 	if s.dir == "" {
-		// In-memory: serialize the live state through the checkpoint codec
+		// In-memory: encode the live state through the checkpoint codec
 		// (exact float round-trip) with no tail.
-		st.Checkpoint = s.buildCheckpoint()
+		ck, err := s.appendCheckpoint(nil, s.gen)
+		if err != nil {
+			return nil, fmt.Errorf("stream: release partition %d: %w", p, err)
+		}
+		st.Checkpoint = ck
 		return st, nil
 	}
 	ck, err := loadCheckpoint(s.dir)
@@ -280,8 +289,12 @@ func (in *Ingester) ReleasePartition(p int) (*PartitionState, error) {
 	}
 	from := uint64(1)
 	if ck != nil {
+		seq, err := checkpointSeq(ck)
+		if err != nil {
+			return nil, fmt.Errorf("stream: release partition %d: %w", p, err)
+		}
 		st.Checkpoint = ck
-		from = ck.Seq + 1
+		from = seq + 1
 	}
 	tail, err := wal.Collect(s.dir, from)
 	if err != nil {
@@ -295,7 +308,7 @@ func (in *Ingester) ReleasePartition(p int) (*PartitionState, error) {
 	if err := os.Rename(s.dir, aside); err != nil {
 		return nil, err
 	}
-	if err := syncDir(filepath.Dir(s.dir)); err != nil {
+	if err := syncDir(wal.OSFS, filepath.Dir(s.dir)); err != nil {
 		return nil, err
 	}
 	return st, nil
@@ -307,9 +320,10 @@ func (in *Ingester) ReleasePartition(p int) (*PartitionState, error) {
 // locally when the ingester has a WAL directory, and starts routing the
 // partition's probes to the new shard. The shipped tail is re-appended
 // frame for frame before being applied, so the adopter is immediately
-// crash-recoverable to the same state. A tail record that fails
-// decodeRecord or validate refuses the whole adoption and leaves no
-// shard directory behind.
+// crash-recoverable to the same state. A checkpoint that fails to
+// decode or validate, or a tail record that fails decodeRecord or
+// validate, refuses the whole adoption and leaves no shard directory
+// behind.
 func (in *Ingester) AdoptPartition(st *PartitionState) error {
 	if st == nil {
 		return fmt.Errorf("stream: adopt: nil partition state")
@@ -317,9 +331,6 @@ func (in *Ingester) AdoptPartition(st *PartitionState) error {
 	p := st.Partition
 	if st.Version != walMetaVersion {
 		return fmt.Errorf("stream: adopt partition %d: WAL layout version %d, want %d", p, st.Version, walMetaVersion)
-	}
-	if st.Checkpoint != nil && st.Checkpoint.Version != checkpointVersion {
-		return fmt.Errorf("stream: adopt partition %d: checkpoint version %d, want %d", p, st.Checkpoint.Version, checkpointVersion)
 	}
 
 	in.mu.Lock()
@@ -335,10 +346,13 @@ func (in *Ingester) AdoptPartition(st *PartitionState) error {
 	}
 
 	s := in.newShard(p)
-	if st.Checkpoint != nil {
-		if err := s.restoreCheckpoint(st.Checkpoint); err != nil {
+	from := uint64(1)
+	if len(st.Checkpoint) > 0 {
+		seq, _, err := s.restoreCheckpoint(st.Checkpoint)
+		if err != nil {
 			return fmt.Errorf("stream: adopt partition %d: %w", p, err)
 		}
+		from = seq + 1
 	}
 	if in.cfg.WALDir != "" {
 		s.dir = filepath.Join(in.cfg.WALDir, fmt.Sprintf("shard-%03d", p))
@@ -347,7 +361,7 @@ func (in *Ingester) AdoptPartition(st *PartitionState) error {
 			return fmt.Errorf("stream: adopt partition %d: directory %s already exists", p, s.dir)
 		}
 	}
-	if err := in.adoptTail(s, st); err != nil {
+	if err := in.adoptTail(s, st, from); err != nil {
 		if s.log != nil {
 			s.log.Close()
 		}
@@ -367,19 +381,18 @@ func (in *Ingester) AdoptPartition(st *PartitionState) error {
 	return nil
 }
 
-// adoptTail replays a shipped tail into the adopting shard s; a
-// durable s first gets its directory, checkpoint and log.
-func (in *Ingester) adoptTail(s *shard, st *PartitionState) error {
+// adoptTail replays a shipped tail, whose first record is sequence
+// from, into the adopting shard s; a durable s first gets its
+// directory, checkpoint and log.
+func (in *Ingester) adoptTail(s *shard, st *PartitionState, from uint64) error {
 	if s.dir != "" {
 		if err := os.MkdirAll(s.dir, 0o755); err != nil {
 			return err
 		}
-		from := uint64(1)
-		if st.Checkpoint != nil {
-			if err := writeCheckpoint(s.dir, st.Checkpoint); err != nil {
+		if len(st.Checkpoint) > 0 {
+			if err := writeCheckpoint(s.fs, s.dir, st.Checkpoint); err != nil {
 				return err
 			}
-			from = st.Checkpoint.Seq + 1
 		}
 		opt := wal.Options{
 			SegmentBytes: in.cfg.SegmentBytes,

@@ -1,9 +1,12 @@
 package stream_test
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"os"
 	"path/filepath"
+	"strings"
 	"syscall"
 	"testing"
 	"time"
@@ -246,5 +249,145 @@ func TestDeadLetterReadsOlderEntries(t *testing.T) {
 	}
 	if len(got) != 1 || got[0].Kind != "connlog" || got[0].Reason != "validate" || got[0].Probe != 12 {
 		t.Fatalf("entries = %+v, want one connlog/validate entry for probe 12", got)
+	}
+}
+
+// ckptFaultFS routes every file but the WAL segments through faults, so
+// a test can fail the checkpoint writer (and the re-arm probe) while
+// the log keeps taking appends.
+type ckptFaultFS struct {
+	wal.FS
+	faults *faultinject.FaultFS
+}
+
+func (fs ckptFaultFS) OpenFile(name string, flag int, perm os.FileMode) (wal.File, error) {
+	if strings.HasPrefix(filepath.Base(name), "wal-") {
+		return fs.FS.OpenFile(name, flag, perm)
+	}
+	return fs.faults.OpenFile(name, flag, perm)
+}
+
+// TestCheckpointWriteFailure: a create, write or fsync failure in the
+// background checkpoint writer degrades the shard without advancing
+// its generation, leaves the previous checkpoint and the WAL past it
+// in place, and is retried once the shard re-arms; the run then
+// recovers byte-identical to an uninterrupted in-memory one.
+func TestCheckpointWriteFailure(t *testing.T) {
+	const every = 8
+	var recs []func(*stream.Ingester) error
+	for id := atlasdata.ProbeID(1); id <= 3; id++ {
+		recs = append(recs, func(in *stream.Ingester) error { return in.Meta(meta(id)) })
+		for h, addr := range []string{"10.0.0.1", "10.1.0.1", "10.2.0.1", "10.1.0.1"} {
+			recs = append(recs, func(in *stream.Ingester) error { return in.ConnLog(conn(id, at(30*h), at(30*h+24), addr)) })
+		}
+		recs = append(recs,
+			func(in *stream.Ingester) error {
+				return in.KRoot(atlasdata.KRootRound{Probe: id, Timestamp: at(25), Sent: 3, Success: 0, LTS: 600})
+			},
+			func(in *stream.Ingester) error {
+				return in.KRoot(atlasdata.KRootRound{Probe: id, Timestamp: at(26), Sent: 3, Success: 3, LTS: 30})
+			},
+			func(in *stream.Ingester) error {
+				return in.Uptime(atlasdata.UptimeRecord{Probe: id, Timestamp: at(50), Uptime: 60})
+			})
+	}
+	feed := func(in *stream.Ingester, recs []func(*stream.Ingester) error) {
+		t.Helper()
+		for _, rec := range recs {
+			if err := rec(in); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	ref := stream.NewIngester(stream.Config{Shards: 1, Pfx2AS: testStore(t), Analysis: true})
+	feed(ref, recs)
+	if err := ref.Close(); err != nil {
+		t.Fatal(err)
+	}
+	wantSnap := snapshotBytes(t, ref.Snapshot())
+	wantRes, err := ref.Analysis()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for name, arm := range map[string]func(*faultinject.FaultFS){
+		"create": func(fs *faultinject.FaultFS) { fs.FailCreates(syscall.ENOSPC) },
+		"write":  func(fs *faultinject.FaultFS) { fs.FailWritesAfter(0, syscall.ENOSPC) },
+		"fsync":  func(fs *faultinject.FaultFS) { fs.FailSyncsAfter(0, syscall.EIO) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			faults := faultinject.NewFaultFS(wal.OSFS)
+			cfg := stream.Config{Shards: 1, Pfx2AS: testStore(t), Analysis: true, WALDir: t.TempDir(),
+				FS: ckptFaultFS{FS: wal.OSFS, faults: faults}, RearmEvery: 2 * time.Millisecond, CheckpointEvery: every,
+				// A segment per record or two, so an early truncation
+				// would show.
+				SegmentBytes: 64}
+			if name == "create" {
+				// Plain FaultFS: the log creates no file while its one
+				// segment has room, the checkpoint writer's temp file is a
+				// create.
+				cfg.FS, cfg.SegmentBytes = faults, 0
+			}
+			shardDir := filepath.Join(cfg.WALDir, "shard-000")
+			ing := stream.NewIngester(cfg)
+
+			feed(ing, recs[:every])
+			if gen := ing.Snapshot().Version.Generation; gen != 1 {
+				t.Fatalf("generation %d after the first checkpoint, want 1", gen)
+			}
+			first, err := os.ReadFile(filepath.Join(shardDir, "checkpoint.bin"))
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			arm(faults)
+			feed(ing, recs[every:2*every])
+			waitDegraded(t, ing, 1)
+			if ing.WALError() == nil {
+				t.Error("degraded shard reports no WAL error")
+			}
+			if err := ing.Meta(meta(1)); !errors.Is(err, stream.ErrDegraded) {
+				t.Errorf("ingest on the degraded shard: %v, want ErrDegraded", err)
+			}
+			if gen := ing.Snapshot().Version.Generation; gen != 1 {
+				t.Errorf("generation %d after a failed checkpoint, want 1", gen)
+			}
+			if now, err := os.ReadFile(filepath.Join(shardDir, "checkpoint.bin")); err != nil || !bytes.Equal(now, first) {
+				t.Errorf("previous checkpoint not left in place (%v)", err)
+			}
+			if tail, err := wal.Collect(shardDir, every+1); err != nil || len(tail) != every {
+				t.Errorf("WAL past the checkpoint holds %d records (%v), want %d", len(tail), err, every)
+			}
+
+			faults.Heal()
+			waitDegraded(t, ing, 0)
+			if gen := ing.Snapshot().Version.Generation; gen != 2 {
+				t.Errorf("generation %d after re-arm, want 2: the failed checkpoint was not retried", gen)
+			}
+			if now, err := os.ReadFile(filepath.Join(shardDir, "checkpoint.bin")); err != nil || bytes.Equal(now, first) {
+				t.Errorf("retried checkpoint not written (%v)", err)
+			}
+			feed(ing, recs[2*every:])
+			if err := ing.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			cfg.FS = nil
+			rec, _, err := stream.Recover(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer rec.Close()
+			if got := snapshotBytes(t, rec.Snapshot()); !bytes.Equal(got, wantSnap) {
+				t.Errorf("recovered snapshot differs from the uninterrupted run\n got: %s\nwant: %s", got, wantSnap)
+			}
+			got, err := rec.Analysis()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if gb, wb := resultBytes(t, got), resultBytes(t, wantRes); !bytes.Equal(gb, wb) {
+				t.Errorf("recovered analysis differs from the uninterrupted run\n got: %.300s\nwant: %.300s", gb, wb)
+			}
+		})
 	}
 }

@@ -123,14 +123,28 @@ type shard struct {
 	log       *wal.Log
 	payload   []byte // reused wire encoding of the record being appended
 	dir       string
+	fs        wal.FS // Config.FS, or the real filesystem
 	ckptEvery int
 	sinceCkpt int
 	lastSeq   uint64 // sequence of the last appended record
-	// gen counts the shard's completed checkpoints (restored from the
-	// checkpoint document on recovery). Together with the consumed-record
-	// count it forms the shard's Version — the serving tier's cache key.
-	// An in-memory shard never checkpoints and stays at generation 0.
+	// gen counts the shard's durable checkpoints (restored from the
+	// checkpoint on recovery). Together with the consumed-record count it
+	// forms the shard's Version — the serving tier's cache key. It
+	// advances only once a checkpoint's write is durable; an in-memory
+	// shard never checkpoints and stays at generation 0.
 	gen uint64
+
+	// Checkpointing (ckptwriter.go). ckBuf is the reused encoding buffer,
+	// the writer's while ckInflight; ckHead, ckIDs, ckKeys and ckMeta are
+	// the encoder's reused scratch. ckw is started by the first
+	// checkpoint.
+	ckw        *ckptWriter
+	ckInflight bool
+	ckBuf      []byte
+	ckHead     checkpointHead
+	ckIDs      []atlasdata.ProbeID
+	ckKeys     []uint32
+	ckMeta     []byte
 
 	// metrics is nil when instrumentation is disabled; all its methods
 	// are nil-receiver safe. ametrics is the analysis-barrier slice of
@@ -228,6 +242,9 @@ func (s *shard) tryRearm() {
 			return
 		}
 	}
+	// A checkpoint that failed (or fell due while degraded) is retried
+	// now rather than at the next record.
+	s.maybeCheckpoint()
 }
 
 // RecordCounts tallies what an ingester (or one shard) has processed.
@@ -338,9 +355,13 @@ func (in *Ingester) newShard(p int) *shard {
 		states:       make(map[atlasdata.ProbeID]*probeState),
 		sessionsByAS: make(map[uint32]int64),
 		pfx:          cfg.Pfx2AS,
+		fs:           cfg.FS,
 		metrics:      newShardMetrics(cfg.Metrics, p),
 		reg:          cfg.Metrics,
 		rearmEvery:   cfg.RearmEvery,
+	}
+	if s.fs == nil {
+		s.fs = wal.OSFS
 	}
 	if cfg.Analysis {
 		s.churn = &liveanalysis.ChurnTable{}
@@ -713,16 +734,28 @@ func (s *shard) run() {
 			rec record
 			ok  bool
 		)
-		if s.degraded.Load() && s.rearmEvery > 0 {
+		switch {
+		case s.degraded.Load() && s.rearmEvery > 0:
 			timer := time.NewTimer(s.rearmEvery)
 			select {
 			case rec, ok = <-s.in:
 				timer.Stop()
+			case d := <-s.ckptReport():
+				timer.Stop()
+				s.finishCheckpoint(d)
+				continue
 			case <-timer.C:
 				s.tryRearm()
 				continue
 			}
-		} else {
+		case s.ckInflight:
+			select {
+			case rec, ok = <-s.in:
+			case d := <-s.ckw.done:
+				s.finishCheckpoint(d)
+				continue
+			}
+		default:
 			rec, ok = <-s.in
 		}
 		if !ok {
@@ -731,15 +764,20 @@ func (s *shard) run() {
 		switch rec.kind {
 		case kindSnapshot:
 			// The snapshot barrier is also the metrics barrier: a scrape
-			// after a snapshot sees counters that exactly match it.
+			// after a snapshot sees counters that exactly match it. Like
+			// every barrier that reports a Version, it first waits for an
+			// in-flight checkpoint write.
+			s.settleCheckpoint()
 			s.metrics.flush()
 			rec.snap <- s.view()
 			continue
 		case kindCursor:
+			s.settleCheckpoint()
 			rec.cur <- cursorReply{cur: s.cursor(rec.probe), ver: s.version()}
 			continue
 		case kindAnalysis:
 			// Like snapshots, the analysis barrier is a metrics barrier.
+			s.settleCheckpoint()
 			s.metrics.flush()
 			v := s.analysisView()
 			s.ametrics.observe(v)
@@ -754,10 +792,12 @@ func (s *shard) run() {
 		}
 		s.ingestOne(rec)
 	}
-	// Last chance to land parked records before the logs close.
+	// Last chance to land parked records before the logs close; an
+	// in-flight checkpoint write finishes first.
 	if s.degraded.Load() {
 		s.tryRearm()
 	}
+	s.stopCkptWriter()
 	s.metrics.flush()
 	if s.log != nil && !s.degraded.Load() {
 		s.setWALErr(s.log.Close())
@@ -804,6 +844,7 @@ func (s *shard) ingestOne(rec record) {
 	// every stale duplicate would bury real poison records (and put an
 	// encode+append on the steady-state redelivery path).
 	s.apply(rec)
+	s.sinceCkpt++
 	s.maybeCheckpoint()
 }
 
@@ -873,52 +914,6 @@ func (s *shard) apply(rec record) applyResult {
 		s.metrics.applySec.ObserveSince(t0)
 	}
 	return res
-}
-
-// maybeCheckpoint counts applied records and, at the configured
-// cadence, checkpoints the shard and drops the WAL segments the
-// checkpoint makes obsolete.
-func (s *shard) maybeCheckpoint() {
-	if s.log == nil || s.ckptEvery <= 0 || s.degraded.Load() {
-		return
-	}
-	s.sinceCkpt++
-	if s.sinceCkpt < s.ckptEvery {
-		return
-	}
-	if err := s.checkpointNow(); err != nil {
-		// The record that triggered this was already appended and
-		// applied; only the checkpoint is missing. Degrade and retry
-		// after re-arm (sinceCkpt stays over threshold).
-		s.degrade(err)
-	}
-}
-
-// checkpointNow syncs the log, atomically replaces the shard's
-// checkpoint file, and truncates the WAL below it. Ordering matters:
-// the log is synced first so the checkpoint never claims a sequence
-// that could be lost, and segments are only removed once the
-// checkpoint rename is durable.
-func (s *shard) checkpointNow() error {
-	start := time.Now()
-	if err := s.log.Sync(); err != nil {
-		return err
-	}
-	// The generation advances with the checkpoint attempt and is recorded
-	// inside the document, so a recovered shard resumes the same count.
-	// On a write failure the shard degrades and retries the checkpoint
-	// after re-arm; the orphaned increment merely retires a cache key
-	// early, which is always safe.
-	s.gen++
-	if err := writeCheckpoint(s.dir, s.buildCheckpoint()); err != nil {
-		return err
-	}
-	s.sinceCkpt = 0
-	if err := s.log.TruncateBefore(s.lastSeq + 1); err != nil {
-		return err
-	}
-	s.metrics.checkpointed(time.Since(start))
-	return nil
 }
 
 // ProbeCursor is a probe's resume position: how many records of each

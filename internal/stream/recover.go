@@ -18,9 +18,11 @@ import (
 // per-probe ordering recovery depends on — it is refused instead. (The
 // field is named "shards" for compatibility with pre-cluster layouts,
 // where the shard count WAS the partition count; it has always meant
-// the routing modulus.) Version 2 is the layout whose WAL payloads are
-// internal/wire records; a version-1 directory holds the earlier text
-// payloads and is refused before any shard file is opened.
+// the routing modulus.) Version 3 is the layout whose WAL payloads are
+// internal/wire records and whose checkpoints are binary
+// (checkpoint.go). An older directory — version 1 with text payloads,
+// version 2 with JSON checkpoints — is refused before any shard file
+// is opened.
 type walMeta struct {
 	Version int `json:"version"`
 	Shards  int `json:"shards"`
@@ -28,7 +30,7 @@ type walMeta struct {
 
 const (
 	walMetaFile    = "ingest.json"
-	walMetaVersion = 2
+	walMetaVersion = 3
 )
 
 func checkWALMeta(dir string, shards int) error {
@@ -46,7 +48,7 @@ func checkWALMeta(dir string, shards int) error {
 		if err := os.Rename(tmp, path); err != nil {
 			return err
 		}
-		return syncDir(dir)
+		return syncDir(wal.OSFS, dir)
 	}
 	if err != nil {
 		return err
@@ -162,11 +164,12 @@ func recoverShard(s *shard, cfg Config, st *RecoverStats) error {
 	}
 	from := uint64(1)
 	if ck != nil {
-		if err := s.restoreCheckpoint(ck); err != nil {
+		seq, probes, err := s.restoreCheckpoint(ck)
+		if err != nil {
 			return fmt.Errorf("stream: checkpoint in %s: %w", s.dir, err)
 		}
-		from = ck.Seq + 1
-		st.CheckpointProbes += len(ck.Probes)
+		from = seq + 1
+		st.CheckpointProbes += probes
 	}
 
 	opt := wal.Options{

@@ -172,13 +172,13 @@ func DecodePeerView(b []byte) (*PeerView, error) {
 		v.SessionsByAS[asn] = r.varint()
 	}
 	probes := r.frameCount(len(b)-it.Offset(), minProbeViewFrame)
-	if err := r.done("header frame", 0); err != nil {
+	if err := r.done("view header frame", 0); err != nil {
 		return nil, err
 	}
 	v.Probes = make([]ProbeView, probes)
 	var prev atlasdata.ProbeID
 	for i := range v.Probes {
-		r, err := nextFrame(&it)
+		r, err := nextFrame(&it, "view")
 		if err != nil {
 			return nil, err
 		}
@@ -204,11 +204,11 @@ func DecodePeerView(b []byte) (*PeerView, error) {
 			}
 			r.b = rest
 		}
-		if err := r.done("probe frame", i); err != nil {
+		if err := r.done("view probe frame", i); err != nil {
 			return nil, err
 		}
 	}
-	return v, endOfFrames(&it)
+	return v, endOfFrames(&it, "view")
 }
 
 // AppendAnalysisPeerView appends v's binary form to dst.
@@ -254,10 +254,7 @@ func AppendAnalysisPeerView(dst []byte, v *AnalysisPeerView) []byte {
 		}
 		dst = append(dst, flags)
 
-		dst = binary.AppendUvarint(dst, uint64(len(ev.RawHours)))
-		for _, h := range ev.RawHours {
-			dst = appendFloat(dst, h)
-		}
+		dst = appendRawHours(dst, ev.RawHours)
 
 		dst = binary.AppendUvarint(dst, uint64(len(ev.Gaps)))
 		var t simclock.Time
@@ -280,36 +277,9 @@ func AppendAnalysisPeerView(dst []byte, v *AnalysisPeerView) []byte {
 			}
 		}
 
-		dst = binary.AppendUvarint(dst, uint64(len(ev.Networks)))
-		t = 0
-		for _, n := range ev.Networks {
-			dst = binary.AppendVarint(dst, int64(n.Probe-ev.Probe))
-			dst = binary.AppendVarint(dst, int64(n.Start-t))
-			dst = binary.AppendVarint(dst, int64(n.End-n.Start))
-			t = n.Start
-		}
-
-		dst = binary.AppendUvarint(dst, uint64(len(ev.Reboots)))
-		t = 0
-		for _, rb := range ev.Reboots {
-			dst = binary.AppendVarint(dst, int64(rb.Probe-ev.Probe))
-			dst = binary.AppendVarint(dst, int64(rb.At-t))
-			t = rb.At
-		}
-
-		dst = binary.AppendUvarint(dst, uint64(len(ev.RebootGaps)))
-		t = 0
-		for _, g := range ev.RebootGaps {
-			dst = binary.AppendVarint(dst, int64(g.Start-t))
-			dst = binary.AppendVarint(dst, int64(g.End-g.Start))
-			t = g.Start
-			var open byte
-			if g.Open {
-				open = 1
-			}
-			dst = append(dst, open)
-		}
-
+		dst = appendNetworks(dst, ev.Probe, ev.Networks)
+		dst = appendReboots(dst, ev.Probe, ev.Reboots)
+		dst = appendRebootGaps(dst, ev.RebootGaps)
 		dst = appendPrefixRow(dst, ev.Prefix)
 		dst = endFrame(dst, start)
 	}
@@ -337,13 +307,13 @@ func DecodeAnalysisPeerView(b []byte) (*AnalysisPeerView, error) {
 		v.Churn[day] = r.prefixRow()
 	}
 	events := r.frameCount(len(b)-it.Offset(), minProbeEventsFrame)
-	if err := r.done("header frame", 0); err != nil {
+	if err := r.done("view header frame", 0); err != nil {
 		return nil, err
 	}
 	v.Events = make([]liveanalysis.ProbeEvents, events)
 	var prev atlasdata.ProbeID
 	for i := range v.Events {
-		r, err := nextFrame(&it)
+		r, err := nextFrame(&it, "view")
 		if err != nil {
 			return nil, err
 		}
@@ -356,12 +326,7 @@ func DecodeAnalysisPeerView(b []byte) (*AnalysisPeerView, error) {
 		ev.V3 = flags&evV3 != 0
 		ev.HasChanges = flags&evHasChanges != 0
 
-		if n := r.count(8); n > 0 {
-			ev.RawHours = make([]float64, n)
-			for k := range ev.RawHours {
-				ev.RawHours[k] = r.float()
-			}
-		}
+		ev.RawHours = r.rawHours()
 
 		var t simclock.Time
 		if n := r.count(minGap); n > 0 {
@@ -381,47 +346,15 @@ func DecodeAnalysisPeerView(b []byte) (*AnalysisPeerView, error) {
 			}
 		}
 
-		t = 0
-		if n := r.count(minNetwork); n > 0 {
-			ev.Networks = make([]core.NetworkOutage, n)
-			for k := range ev.Networks {
-				o := &ev.Networks[k]
-				o.Probe = ev.Probe + atlasdata.ProbeID(r.int())
-				o.Start = t + simclock.Time(r.varint())
-				o.End = o.Start + simclock.Time(r.varint())
-				t = o.Start
-			}
-		}
-
-		t = 0
-		if n := r.count(minReboot); n > 0 {
-			ev.Reboots = make([]core.Reboot, n)
-			for k := range ev.Reboots {
-				rb := &ev.Reboots[k]
-				rb.Probe = ev.Probe + atlasdata.ProbeID(r.int())
-				rb.At = t + simclock.Time(r.varint())
-				t = rb.At
-			}
-		}
-
-		t = 0
-		if n := r.count(minRebootGap); n > 0 {
-			ev.RebootGaps = make([]core.RebootGap, n)
-			for k := range ev.RebootGaps {
-				g := &ev.RebootGaps[k]
-				g.Start = t + simclock.Time(r.varint())
-				g.End = g.Start + simclock.Time(r.varint())
-				t = g.Start
-				g.Open = r.flags(1) != 0
-			}
-		}
-
+		ev.Networks = r.networks(ev.Probe)
+		ev.Reboots = r.reboots(ev.Probe)
+		ev.RebootGaps = r.rebootGaps()
 		ev.Prefix = r.prefixRow()
-		if err := r.done("event frame", i); err != nil {
+		if err := r.done("view event frame", i); err != nil {
 			return nil, err
 		}
 	}
-	return v, endOfFrames(&it)
+	return v, endOfFrames(&it, "view")
 }
 
 // beginFrame reserves a frame header at the end of dst; endFrame fills
@@ -446,6 +379,58 @@ func appendViewHead(dst []byte, total int, parts []int, ver Version) []byte {
 	return binary.AppendUvarint(dst, ver.Seq)
 }
 
+// The list encoders below are shared by the analysis view and the shard
+// checkpoint, so a detector list has one encoding wherever it travels.
+// Events carry their probe as a delta from the frame's probe, and times
+// are deltas from the previous element's in the list.
+
+func appendRawHours(dst []byte, hours []float64) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(hours)))
+	for _, h := range hours {
+		dst = appendFloat(dst, h)
+	}
+	return dst
+}
+
+func appendNetworks(dst []byte, probe atlasdata.ProbeID, ns []core.NetworkOutage) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(ns)))
+	var t simclock.Time
+	for _, n := range ns {
+		dst = binary.AppendVarint(dst, int64(n.Probe-probe))
+		dst = binary.AppendVarint(dst, int64(n.Start-t))
+		dst = binary.AppendVarint(dst, int64(n.End-n.Start))
+		t = n.Start
+	}
+	return dst
+}
+
+func appendReboots(dst []byte, probe atlasdata.ProbeID, rbs []core.Reboot) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(rbs)))
+	var t simclock.Time
+	for _, rb := range rbs {
+		dst = binary.AppendVarint(dst, int64(rb.Probe-probe))
+		dst = binary.AppendVarint(dst, int64(rb.At-t))
+		t = rb.At
+	}
+	return dst
+}
+
+func appendRebootGaps(dst []byte, gs []core.RebootGap) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(gs)))
+	var t simclock.Time
+	for _, g := range gs {
+		dst = binary.AppendVarint(dst, int64(g.Start-t))
+		dst = binary.AppendVarint(dst, int64(g.End-g.Start))
+		t = g.Start
+		var open byte
+		if g.Open {
+			open = 1
+		}
+		dst = append(dst, open)
+	}
+	return dst
+}
+
 func appendPrefixRow(dst []byte, r core.PrefixChangeRow) []byte {
 	dst = binary.AppendUvarint(dst, uint64(r.ASN))
 	for _, n := range []int{r.Changes, r.DiffBGP, r.DiffS16, r.DiffS8, r.Unrouted} {
@@ -460,7 +445,7 @@ func appendFloat(dst []byte, f float64) []byte {
 
 // headerFrame reads a view's first frame and checks its tag.
 func headerFrame(it *wire.FrameIter, tag byte) (viewReader, error) {
-	r, err := nextFrame(it)
+	r, err := nextFrame(it, "view")
 	if err != nil {
 		return r, err
 	}
@@ -470,20 +455,22 @@ func headerFrame(it *wire.FrameIter, tag byte) (viewReader, error) {
 	return r, nil
 }
 
-func nextFrame(it *wire.FrameIter) (viewReader, error) {
+// nextFrame reads the next frame of a body; what names the body
+// ("view", "checkpoint") in errors.
+func nextFrame(it *wire.FrameIter, what string) (viewReader, error) {
 	payload, done, err := it.Next()
 	if err != nil {
-		return viewReader{}, fmt.Errorf("stream: view: %w", err)
+		return viewReader{}, fmt.Errorf("stream: %s: %w", what, err)
 	}
 	if done {
-		return viewReader{}, fmt.Errorf("stream: view: %w: missing frame at offset %d", wire.ErrTornFrame, it.Offset())
+		return viewReader{}, fmt.Errorf("stream: %s: %w: missing frame at offset %d", what, wire.ErrTornFrame, it.Offset())
 	}
 	return viewReader{b: payload}, nil
 }
 
-func endOfFrames(it *wire.FrameIter) error {
+func endOfFrames(it *wire.FrameIter, what string) error {
 	if _, done, err := it.Next(); err != nil || !done {
-		return fmt.Errorf("stream: view: trailing data at offset %d", it.Offset())
+		return fmt.Errorf("stream: %s: trailing data at offset %d", what, it.Offset())
 	}
 	return nil
 }
@@ -503,13 +490,14 @@ func (r *viewReader) fail(err error) {
 }
 
 // done reports the frame's first error, or trailing bytes after a
-// complete decode; frame names which of the kind it is.
+// complete decode; kind names the frame ("view probe frame") and frame
+// which of the kind it is.
 func (r *viewReader) done(kind string, frame int) error {
 	if r.err == nil && len(r.b) > 0 {
 		r.err = fmt.Errorf("%d trailing bytes", len(r.b))
 	}
 	if r.err != nil {
-		return fmt.Errorf("stream: view %s %d: %w", kind, frame, r.err)
+		return fmt.Errorf("stream: %s %d: %w", kind, frame, r.err)
 	}
 	return nil
 }
@@ -533,9 +521,12 @@ func (r *viewReader) flags(mask byte) byte {
 	return f
 }
 
+// uvarint and varint refuse overlong encodings (a final byte of zero
+// after continuation bytes) as well as truncated ones, so every value
+// has exactly one encoding and an accepted body re-encodes to itself.
 func (r *viewReader) uvarint() uint64 {
 	v, n := binary.Uvarint(r.b)
-	if n <= 0 {
+	if n <= 0 || n > 1 && r.b[n-1] == 0 {
 		r.fail(fmt.Errorf("bad varint"))
 		return 0
 	}
@@ -545,7 +536,7 @@ func (r *viewReader) uvarint() uint64 {
 
 func (r *viewReader) varint() int64 {
 	v, n := binary.Varint(r.b)
-	if n <= 0 {
+	if n <= 0 || n > 1 && r.b[n-1] == 0 {
 		r.fail(fmt.Errorf("bad varint"))
 		return 0
 	}
@@ -623,6 +614,68 @@ func (r *viewReader) viewHead() (total int, parts []int, ver Version) {
 	ver.Generation = r.uvarint()
 	ver.Seq = r.uvarint()
 	return total, parts, ver
+}
+
+func (r *viewReader) rawHours() []float64 {
+	n := r.count(8)
+	if n == 0 {
+		return nil
+	}
+	hours := make([]float64, n)
+	for k := range hours {
+		hours[k] = r.float()
+	}
+	return hours
+}
+
+func (r *viewReader) networks(probe atlasdata.ProbeID) []core.NetworkOutage {
+	n := r.count(minNetwork)
+	if n == 0 {
+		return nil
+	}
+	ns := make([]core.NetworkOutage, n)
+	var t simclock.Time
+	for k := range ns {
+		o := &ns[k]
+		o.Probe = probe + atlasdata.ProbeID(r.int())
+		o.Start = t + simclock.Time(r.varint())
+		o.End = o.Start + simclock.Time(r.varint())
+		t = o.Start
+	}
+	return ns
+}
+
+func (r *viewReader) reboots(probe atlasdata.ProbeID) []core.Reboot {
+	n := r.count(minReboot)
+	if n == 0 {
+		return nil
+	}
+	rbs := make([]core.Reboot, n)
+	var t simclock.Time
+	for k := range rbs {
+		rb := &rbs[k]
+		rb.Probe = probe + atlasdata.ProbeID(r.int())
+		rb.At = t + simclock.Time(r.varint())
+		t = rb.At
+	}
+	return rbs
+}
+
+func (r *viewReader) rebootGaps() []core.RebootGap {
+	n := r.count(minRebootGap)
+	if n == 0 {
+		return nil
+	}
+	gs := make([]core.RebootGap, n)
+	var t simclock.Time
+	for k := range gs {
+		g := &gs[k]
+		g.Start = t + simclock.Time(r.varint())
+		g.End = g.Start + simclock.Time(r.varint())
+		t = g.Start
+		g.Open = r.flags(1) != 0
+	}
+	return gs
 }
 
 func (r *viewReader) prefixRow() core.PrefixChangeRow {

@@ -218,4 +218,74 @@ func TestIngestWireZeroAlloc(t *testing.T) {
 			}
 		})
 	}
+
+	// With checkpoints on, each checkpoint costs its file operations'
+	// handful of allocations, but the encoding reuses the shard's buffer
+	// and scratch, so the cost per run must not grow with the number of
+	// probes the checkpoints carry.
+	t.Run("checkpoints", func(t *testing.T) {
+		small, big := checkpointAllocs(t, 16), checkpointAllocs(t, 256)
+		t.Logf("%.1f allocations per run at 16 probes, %.1f at 256", small, big)
+		if big > small*1.05+4 {
+			t.Fatalf("%.1f allocations per run at 256 probes, %.1f at 16: checkpoints allocate per probe", big, small)
+		}
+	})
+}
+
+// checkpointAllocs warms a durable analysis ingester up with a few
+// sessions (address changes included), k-root rounds and reboots for
+// each of the given number of probes, then counts the allocations of
+// a run that six times ingests the same 256 records (spread over the
+// probes) and takes a cursor barrier. With CheckpointEvery 256 each
+// batch starts one checkpoint and the barrier waits for its write, so
+// every run writes six.
+func checkpointAllocs(t *testing.T, probes int) float64 {
+	const records, batches = 256, 6
+	var warm, w wire.BatchWriter
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < probes; i++ {
+		id := atlasdata.ProbeID(100 + i)
+		must(warm.Meta(meta(id)))
+		for h, addr := range []string{"10.0.0.1", "10.1.0.1", "10.2.0.1", "10.1.0.1"} {
+			must(warm.ConnLog(conn(id, at(30*h), at(30*h+24), addr)))
+		}
+		must(warm.KRoot(atlasdata.KRootRound{Probe: id, Timestamp: at(25), Sent: 3, Success: 0, LTS: 600}))
+		must(warm.KRoot(atlasdata.KRootRound{Probe: id, Timestamp: at(26), Sent: 3, Success: 3, LTS: 30}))
+		must(warm.Uptime(atlasdata.UptimeRecord{Probe: id, Timestamp: at(40), Uptime: 40 * 3600}))
+		must(warm.Uptime(atlasdata.UptimeRecord{Probe: id, Timestamp: at(50), Uptime: 60}))
+	}
+	for i := 0; i < records; i++ {
+		must(w.Uptime(atlasdata.UptimeRecord{Probe: atlasdata.ProbeID(100 + i%probes), Timestamp: at(50), Uptime: 60}))
+	}
+	batch := append([]byte(nil), w.Bytes()...)
+
+	ing := stream.NewIngester(stream.Config{Shards: 1, Buffer: records * 2, Pfx2AS: testStore(t), Analysis: true,
+		WALDir: t.TempDir(), Sync: wal.SyncNever, CheckpointEvery: records, SegmentBytes: 64 << 20})
+	defer ing.Close()
+	ctx := context.Background()
+	run := func() {
+		for i := 0; i < batches; i++ {
+			if _, err := ing.IngestWire(ctx, batch); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := ing.Cursor(ctx, 100); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if _, err := ing.IngestWire(ctx, warm.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	ing.Snapshot()
+	gen := ing.Snapshot().Version.Generation
+	allocs := testing.AllocsPerRun(10, run)
+	if got := ing.Snapshot().Version.Generation - gen; got != 11*batches {
+		t.Fatalf("%d checkpoints in 11 runs, want %d", got, 11*batches)
+	}
+	return allocs
 }

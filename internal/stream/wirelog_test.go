@@ -220,11 +220,13 @@ func TestAdoptRefusesInvalidTail(t *testing.T) {
 				}
 			}
 		}
-		old := *good
-		old.Version = 1
-		wantErr := fmt.Sprintf("stream: adopt partition %d: WAL layout version 1, want 2", p)
-		if err := b.AdoptPartition(&old); err == nil || err.Error() != wantErr {
-			t.Fatalf("durable=%v: adopting a version-1 state: %v, want %q", durable, err, wantErr)
+		for _, version := range []int{1, 2} {
+			old := *good
+			old.Version = version
+			wantErr := fmt.Sprintf("stream: adopt partition %d: WAL layout version %d, want 3", p, version)
+			if err := b.AdoptPartition(&old); err == nil || err.Error() != wantErr {
+				t.Fatalf("durable=%v: adopting a version-%d state: %v, want %q", durable, version, err, wantErr)
+			}
 		}
 
 		if err := b.AdoptPartition(good); err != nil {
@@ -294,8 +296,39 @@ func TestRecoverRefusesVersion1WAL(t *testing.T) {
 	before := dirState(t, dir)
 
 	_, _, err := stream.Recover(stream.Config{Shards: 1, WALDir: dir})
-	if err == nil || err.Error() != "stream: WAL metadata version 1, want 2" {
+	if err == nil || err.Error() != "stream: WAL metadata version 1, want 3" {
 		t.Fatalf("Recover over a version-1 directory: %v", err)
+	}
+	if after := dirState(t, dir); after != before {
+		t.Errorf("refused directory was modified\nbefore: %s\nafter:  %s", before, after)
+	}
+}
+
+// TestRecoverRefusesVersion2WAL: a WAL directory from before binary
+// checkpoints — wire payloads, but a JSON checkpoint.json — is refused
+// by its metadata, before any shard file is opened or repaired, and is
+// left as it was.
+func TestRecoverRefusesVersion2WAL(t *testing.T) {
+	dir := t.TempDir()
+	files := map[string]string{
+		"ingest.json": `{"version":2,"shards":1}`,
+		filepath.Join("shard-000", "checkpoint.json"):          `{"version":1,"shard":0,"seq":1,"counts":{},"probes":[]}`,
+		filepath.Join("shard-000", "wal-0000000000000002.seg"): "torn tail",
+	}
+	for name, body := range files {
+		path := filepath.Join(dir, name)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := dirState(t, dir)
+
+	_, _, err := stream.Recover(stream.Config{Shards: 1, WALDir: dir})
+	if err == nil || err.Error() != "stream: WAL metadata version 2, want 3" {
+		t.Fatalf("Recover over a version-2 directory: %v", err)
 	}
 	if after := dirState(t, dir); after != before {
 		t.Errorf("refused directory was modified\nbefore: %s\nafter:  %s", before, after)

@@ -6,10 +6,11 @@ import (
 	"path/filepath"
 )
 
-// FS abstracts the slice of the filesystem the log touches, so tests
-// and the chaos harness can inject write/sync faults (ENOSPC, I/O
-// errors) without patching the OS. The default, OSFS, is the real
-// filesystem; internal/faultinject provides a fault-injecting wrapper.
+// FS abstracts the slice of the filesystem the log and the stream
+// tier's checkpoint writer touch, so tests and the chaos harness can
+// inject write/sync faults (ENOSPC, I/O errors) without patching the
+// OS. The default, OSFS, is the real filesystem; internal/faultinject
+// provides a fault-injecting wrapper.
 type FS interface {
 	MkdirAll(path string, perm os.FileMode) error
 	ReadDir(name string) ([]os.DirEntry, error)
@@ -21,6 +22,10 @@ type FS interface {
 	Stat(name string) (os.FileInfo, error)
 	Truncate(name string, size int64) error
 	Remove(name string) error
+	// Rename atomically replaces newpath with oldpath, as os.Rename
+	// does; shard checkpoints are written to a temporary file and
+	// renamed into place.
+	Rename(oldpath, newpath string) error
 }
 
 // File is the per-file surface the log needs from an FS.
@@ -43,6 +48,7 @@ func (osFS) Open(name string) (File, error)               { return os.Open(name)
 func (osFS) Stat(name string) (os.FileInfo, error)        { return os.Stat(name) }
 func (osFS) Truncate(name string, size int64) error       { return os.Truncate(name, size) }
 func (osFS) Remove(name string) error                     { return os.Remove(name) }
+func (osFS) Rename(oldpath, newpath string) error         { return os.Rename(oldpath, newpath) }
 func (osFS) OpenFile(name string, flag int, perm os.FileMode) (File, error) {
 	return os.OpenFile(name, flag, perm)
 }
