@@ -146,7 +146,7 @@ func BenchmarkTable7PrefixChanges(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		perProbe := make(map[atlasdata.ProbeID]core.PrefixChangeRow, len(res.ASProbes))
 		for _, id := range res.ASProbes {
-			perProbe[id] = core.ProbePrefixChanges(w.Dataset, res.Views[id])
+			perProbe[id] = core.Detect(w.Dataset, id, nil).Prefix
 		}
 		row = core.PrefixAllOver(res.ASProbes, perProbe)
 	}
@@ -261,7 +261,7 @@ func BenchmarkFigure6RebootSpikes(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		reboots := make(map[atlasdata.ProbeID][]core.Reboot, len(res.Views))
 		for id := range res.Views {
-			reboots[id] = core.DetectReboots(w.Dataset.Uptime[id])
+			reboots[id] = core.Detect(w.Dataset, id, nil).Reboots
 		}
 		perDay := core.RebootsPerDay(reboots)
 		fwDays = len(core.DetectFirmwareDays(perDay))
@@ -756,20 +756,22 @@ func BenchmarkServeConcurrentReaders(b *testing.B) {
 // firmware installs masquerade as power outages and dilute P(ac|pw).
 func BenchmarkAblationFirmwareFilter(b *testing.B) {
 	w, res, _ := benchSetup(b)
+	machines := make(map[atlasdata.ProbeID]*core.Machine, len(res.Views))
+	reboots := make(map[atlasdata.ProbeID][]core.Reboot, len(res.Views))
+	for id := range res.Views {
+		machines[id] = core.Detect(w.Dataset, id, nil)
+		reboots[id] = machines[id].Reboots
+	}
 	run := func(filter bool) float64 {
-		reboots := make(map[atlasdata.ProbeID][]core.Reboot, len(res.Views))
-		for id := range res.Views {
-			reboots[id] = core.DetectReboots(w.Dataset.Uptime[id])
-		}
 		perDay := core.RebootsPerDay(reboots)
 		fwDays := core.DetectFirmwareDays(perDay)
 		if !filter {
 			fwDays = nil
 		}
 		count := 0
-		for id := range res.Views {
-			kept := core.FilterFirmwareReboots(reboots[id], fwDays)
-			count += len(core.DetectPowerOutages(kept, w.Dataset.KRoot[id]))
+		for _, m := range machines {
+			kept := core.FilterFirmwareReboots(m.Reboots, fwDays)
+			count += len(core.PowerOutagesFrom(m.Reboots, m.RebootGaps, kept))
 		}
 		return float64(count)
 	}

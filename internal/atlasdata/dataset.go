@@ -372,3 +372,40 @@ func loadWith[T any](path string, parse func(io.Reader) (T, error)) (T, error) {
 	defer f.Close()
 	return parse(f)
 }
+
+// RecordSink consumes one probe's records.
+type RecordSink interface {
+	ConnLog(ConnLogEntry) error
+	KRoot(KRootRound) error
+	Uptime(UptimeRecord) error
+}
+
+// EachRecord feeds one probe's records to sink in the one order every
+// replay of a probe uses: its three time-sorted record streams merged
+// by timestamp, and on ties connection entries first (the session
+// exists before the measurements that run inside it), then k-root
+// rounds, then uptime records. It stops at the first error.
+func (d *Dataset) EachRecord(id ProbeID, sink RecordSink) error {
+	conns, rounds, ups := d.ConnLogs[id], d.KRoot[id], d.Uptime[id]
+	var ci, ki, ui int
+	for ci < len(conns) || ki < len(rounds) || ui < len(ups) {
+		var err error
+		switch {
+		case ci < len(conns) &&
+			(ki == len(rounds) || conns[ci].Start <= rounds[ki].Timestamp) &&
+			(ui == len(ups) || conns[ci].Start <= ups[ui].Timestamp):
+			err = sink.ConnLog(conns[ci])
+			ci++
+		case ki < len(rounds) && (ui == len(ups) || rounds[ki].Timestamp <= ups[ui].Timestamp):
+			err = sink.KRoot(rounds[ki])
+			ki++
+		default:
+			err = sink.Uptime(ups[ui])
+			ui++
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}

@@ -50,67 +50,30 @@ type Gap struct {
 // connection actually broke).
 const gapSlack = 5 * simclock.Minute
 
-// AssociateGaps walks a probe's IPv4-visible connection entries and
-// classifies every inter-connection gap. entries must be time-sorted;
-// outages and powers must be time-sorted per their detection order.
-func AssociateGaps(entries []atlasdata.ConnLogEntry, networks []NetworkOutage, powers []PowerOutage) []Gap {
-	return ClassifyGaps(GapSpans(entries), networks, powers)
+// gapClassifier assigns gaps their outage cause from the probe's
+// evidence (§3.6). Gaps must come in time order, and networks and
+// powers are each time-sorted, so the cursors only move forward.
+type gapClassifier struct {
+	networks []NetworkOutage
+	powers   []PowerOutage
+	ni, pi   int
 }
 
-// GapSpans extracts every inter-connection gap from a probe's
-// (time-sorted) connection entries, with the address-change flag set but
-// the cause still unclassified — the per-record half of AssociateGaps,
-// which the streaming ingester maintains incrementally.
-func GapSpans(entries []atlasdata.ConnLogEntry) []Gap {
-	var out []Gap
-	for i := 1; i < len(entries); i++ {
-		prev, cur := entries[i-1], entries[i]
-		g := Gap{
-			Probe:     cur.Probe,
-			PrevEnd:   prev.End,
-			NextStart: cur.Start,
-		}
-		if prev.IsV4() && cur.IsV4() {
-			g.Changed = prev.Addr != cur.Addr
-		}
-		out = append(out, g)
+// classify returns the next gap's cause and detected outage length.
+func (c *gapClassifier) classify(g GapEvent) (Cause, simclock.Duration) {
+	lo, hi := g.PrevEnd.Add(-gapSlack), g.NextStart.Add(gapSlack)
+	// Skip outages that ended before this gap.
+	for c.ni < len(c.networks) && c.networks[c.ni].End.Before(lo) {
+		c.ni++
 	}
-	return out
-}
-
-// ClassifyGaps assigns each gap its outage cause from the surrounding
-// evidence — the fold-time half of AssociateGaps, shared by the batch
-// pipeline and the streaming analysis fold (which classifies retained
-// gap events only at query time, because the power-outage evidence is
-// retroactively reshaped by firmware filtering). The input gaps are not
-// mutated; a classified copy is returned. gaps, networks and powers must
-// each be time-sorted.
-func ClassifyGaps(gaps []Gap, networks []NetworkOutage, powers []PowerOutage) []Gap {
-	var out []Gap
-	ni, pi := 0, 0
-	for _, g := range gaps {
-		lo, hi := g.PrevEnd.Add(-gapSlack), g.NextStart.Add(gapSlack)
-
-		// Advance cursors past outages that ended before this gap.
-		for ni < len(networks) && networks[ni].End.Before(lo) {
-			ni++
-		}
-		for pi < len(powers) && powers[pi].RebootAt.Before(lo) {
-			pi++
-		}
-
-		switch {
-		case ni < len(networks) && !networks[ni].Start.After(hi):
-			g.Cause = NetworkCause
-			g.OutageDuration = networks[ni].Duration()
-		case pi < len(powers) && !powers[pi].RebootAt.After(hi):
-			g.Cause = PowerCause
-			g.OutageDuration = powers[pi].Duration()
-		default:
-			g.Cause = NoOutage
-			g.OutageDuration = 0
-		}
-		out = append(out, g)
+	for c.pi < len(c.powers) && c.powers[c.pi].RebootAt.Before(lo) {
+		c.pi++
 	}
-	return out
+	switch {
+	case c.ni < len(c.networks) && !c.networks[c.ni].Start.After(hi):
+		return NetworkCause, c.networks[c.ni].Duration()
+	case c.pi < len(c.powers) && !c.powers[c.pi].RebootAt.After(hi):
+		return PowerCause, c.powers[c.pi].Duration()
+	}
+	return NoOutage, 0
 }

@@ -125,13 +125,3 @@ func V4Durations(entries []atlasdata.ConnLogEntry) []AddressDuration {
 	flush(len(entries))
 	return out
 }
-
-// StripTestingEntry removes a leading connection-log entry whose address
-// is the RIPE NCC testing address 193.0.0.78 (paper §3.3). It reports
-// whether an entry was removed.
-func StripTestingEntry(entries []atlasdata.ConnLogEntry) ([]atlasdata.ConnLogEntry, bool) {
-	if len(entries) > 0 && entries[0].IsV4() && entries[0].Addr == ip4.TestingAddr {
-		return entries[1:], true
-	}
-	return entries, false
-}

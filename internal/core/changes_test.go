@@ -145,17 +145,28 @@ func TestStripTestingEntry(t *testing.T) {
 	entries := []atlasdata.ConnLogEntry{
 		v4e(1, 0, 100, "193.0.0.78"),
 		v4e(1, 200, 300, "10.0.0.2"),
+		v4e(1, 400, 500, "10.0.0.3"),
 	}
-	stripped, ok := StripTestingEntry(entries)
-	if !ok || len(stripped) != 1 || stripped[0].Addr.String() != "10.0.0.2" {
-		t.Errorf("StripTestingEntry = %v, %v", stripped, ok)
+	stripped, ok := stripTestingEntry(entries)
+	if !ok || len(stripped) != 2 || stripped[0].Addr.String() != "10.0.0.2" {
+		t.Errorf("stripTestingEntry = %v, %v", stripped, ok)
 	}
-	same, ok := StripTestingEntry(stripped)
-	if ok || len(same) != 1 {
+	if same, ok := stripTestingEntry(stripped); ok || len(same) != 2 {
 		t.Error("second strip should be a no-op")
 	}
-	empty, ok := StripTestingEntry(nil)
-	if ok || empty != nil {
+	if empty, ok := stripTestingEntry(nil); ok || empty != nil {
 		t.Error("empty strip should be a no-op")
+	}
+
+	// The machine strips the same entry: its gaps and changes start at
+	// the first real address, while the raw features still count the
+	// testing entry.
+	m := Machine{KeepEvents: true}
+	for _, e := range entries {
+		m.Conn(e, nil, nil)
+	}
+	if !m.Stripped || m.RawEntries != 3 || m.Changes != 1 || len(m.Gaps) != 1 || m.Gaps[0].PrevEnd != 300 {
+		t.Errorf("machine over a testing entry: stripped %v, entries %d, changes %d, gaps %v",
+			m.Stripped, m.RawEntries, m.Changes, m.Gaps)
 	}
 }

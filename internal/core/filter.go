@@ -5,7 +5,7 @@ import (
 
 	"dynaddr/internal/asdb"
 	"dynaddr/internal/atlasdata"
-	"dynaddr/internal/ip4"
+	"dynaddr/internal/stats"
 )
 
 // Category is where the Table 2 filtering pipeline placed a probe.
@@ -99,7 +99,7 @@ func Filter(ds *atlasdata.Dataset) *FilterResult {
 	cats := make([]Category, len(ids))
 	views := make([]*ProbeView, len(ids))
 	for i, id := range ids {
-		cats[i], views[i] = classify(ds, ds.Probes[id])
+		cats[i], views[i], _ = classify(ds, ds.Probes[id])
 	}
 	return AssembleFilter(ids, cats, views)
 }
@@ -135,136 +135,39 @@ func AssembleFilter(ids []atlasdata.ProbeID, cats []Category, views []*ProbeView
 	return res
 }
 
-// classify runs the Table 2 pipeline over one probe: the category it
-// lands in and, for analyzable probes, the cleaned per-probe view. It
-// reads the dataset without mutating it, so classifications of
-// distinct probes may run concurrently (Run's per-probe fan-out).
-func classify(ds *atlasdata.Dataset, meta atlasdata.ProbeMeta) (Category, *ProbeView) {
-	if meta.ConnectedDays <= minConnectedDays {
-		return CatShortLived, nil
+// classify returns where the Table 2 pipeline places a probe and, for
+// an analyzable probe, its view and frozen events. The category depends
+// on the connection log alone, so a machine fed only that log settles
+// it; the probe's whole record stream goes through Detect only when the
+// probe is analyzable. It reads the dataset without mutating it, so
+// distinct probes may be classified concurrently.
+func classify(ds *atlasdata.Dataset, meta atlasdata.ProbeMeta) (Category, *ProbeView, *detection) {
+	var log Machine
+	for _, e := range ds.ConnLogs[meta.ID] {
+		log.Conn(e, nil, nil)
 	}
-	raw := ds.ConnLogs[meta.ID]
-
-	var v4, v6 int
-	for _, e := range raw {
-		if e.IsV4() {
-			v4++
-		} else {
-			v6++
-		}
+	if cat := log.Category(meta); cat != CatAnalyzable {
+		return cat, nil, nil
 	}
-	// Family-based filters come first: a dual-stack log cannot bound
-	// IPv4 address durations at all (§3.2).
-	if v4 == 0 && v6 > 0 {
-		return CatIPv6Only, nil
+	m := Detect(ds, meta.ID, nil)
+	// The view keeps the stripped log, its changes and their endpoint
+	// ASes for the analyses that need more than the machine's events.
+	entries := ds.ConnLogs[meta.ID]
+	if m.Stripped {
+		entries = entries[1:]
 	}
-	if v6 > 0 {
-		return CatDualStack, nil
+	view := &ProbeView{Meta: meta, Entries: entries, Changes: V4Changes(entries), MultiAS: m.MultiAS, ASN: m.Home()}
+	view.ASNs = make([]struct{ From, To asdb.ASN }, len(view.Changes))
+	for i, ch := range view.Changes {
+		view.ASNs[i].From, _, _ = ds.Pfx2AS.Lookup(ch.From, ch.PrevEnd)
+		view.ASNs[i].To, _, _ = ds.Pfx2AS.Lookup(ch.To, ch.NextStart)
 	}
-
-	// A probe whose log shows a single IPv4 address all year (including
-	// any testing prefix-entry — those probes changed) never changed.
-	if singleAddress(raw) {
-		return CatNeverChanged, nil
-	}
-
-	for _, tag := range []string{atlasdata.TagMultihomed, atlasdata.TagDatacentre, atlasdata.TagCore} {
-		if meta.HasTag(tag) {
-			return CatTaggedMultihomed, nil
-		}
-	}
-	if alternatingAddresses(raw) {
-		return CatBehaviouralMultihomed, nil
-	}
-
-	entries, stripped := StripTestingEntry(raw)
-	changes := V4Changes(entries)
-	if stripped && len(changes) == 0 {
-		return CatTestingOnly, nil
-	}
-	if len(changes) == 0 {
-		// Only change was... none. Possible when the testing strip was
-		// not applicable but the log still shows one address; covered by
-		// singleAddress above, so reaching here means an empty log.
-		return CatNeverChanged, nil
-	}
-
-	view := &ProbeView{Meta: meta, Entries: entries, Changes: changes}
-	home := asdb.ASN(0)
-	consistent := true
-	view.ASNs = make([]struct{ From, To asdb.ASN }, len(changes))
-	for i, ch := range changes {
-		fromASN, _, _ := ds.Pfx2AS.Lookup(ch.From, ch.PrevEnd)
-		toASN, _, _ := ds.Pfx2AS.Lookup(ch.To, ch.NextStart)
-		view.ASNs[i] = struct{ From, To asdb.ASN }{fromASN, toASN}
-		if fromASN != toASN {
-			view.MultiAS = true
-		}
-		for _, asn := range []asdb.ASN{fromASN, toASN} {
-			if asn == 0 {
-				continue
-			}
-			if home == 0 {
-				home = asn
-			} else if home != asn {
-				consistent = false
-			}
-		}
-	}
-	if consistent && home != 0 {
-		view.ASN = home
-	}
-	return CatAnalyzable, view
+	return CatAnalyzable, view, &detection{events: m.Events(meta), ttf: m.TTF}
 }
 
-// singleAddress reports whether every entry is IPv4 with one address.
-func singleAddress(entries []atlasdata.ConnLogEntry) bool {
-	var addr ip4.Addr
-	n := 0
-	for _, e := range entries {
-		if !e.IsV4() {
-			return false
-		}
-		if n == 0 {
-			addr = e.Addr
-		} else if e.Addr != addr {
-			return false
-		}
-		n++
-	}
-	return n > 0
-}
-
-// alternatingAddresses implements the paper's behavioural multihomed
-// detector (§3.2): the log alternates between one fixed address and
-// other, potentially changing, addresses. Operationally: collapse the v4
-// log into runs of equal addresses; if some address keeps coming back —
-// at least three separated runs covering a quarter of all runs — the
-// probe is switching uplinks, not being renumbered, because ISPs
-// essentially never hand the same address back repeatedly.
-func alternatingAddresses(entries []atlasdata.ConnLogEntry) bool {
-	runCount := make(map[uint32]int)
-	var prev uint32
-	total := 0
-	for _, e := range entries {
-		if !e.IsV4() {
-			continue
-		}
-		a := uint32(e.Addr)
-		if total > 0 && a == prev {
-			continue
-		}
-		runCount[a]++
-		prev = a
-		total++
-	}
-	if total < 5 {
-		return false
-	}
-	for _, c := range runCount {
-		if c >= 3 && float64(c) >= 0.25*float64(total) {
-			return true
-		}
-	}
-	return false
+// detection is what Run keeps of an analyzable probe's machine for the
+// stages after the filter.
+type detection struct {
+	events ProbeEvents
+	ttf    stats.Weighted
 }

@@ -145,27 +145,32 @@ func TestFilterStripsTestingBeforeChangeCount(t *testing.T) {
 }
 
 func TestAlternatingDetector(t *testing.T) {
-	mk := func(addrs ...string) []atlasdata.ConnLogEntry {
-		var out []atlasdata.ConnLogEntry
+	alternating := func(addrs ...string) bool {
+		var m Machine
+		var log []atlasdata.ConnLogEntry
 		t0 := simclock.Time(0)
 		for _, a := range addrs {
-			out = append(out, v4e(1, t0, t0+100, a))
+			log = append(log, v4e(1, t0, t0+100, a))
+			m.Conn(log[len(log)-1], nil, nil)
 			t0 += 200
 		}
-		return out
+		if got, want := m.alternating(), alternatingAddresses(log); got != want {
+			t.Fatalf("%v: machine says %v, the slice reference %v", addrs, got, want)
+		}
+		return m.alternating()
 	}
-	if !alternatingAddresses(mk("1.1.1.1", "2.2.2.2", "1.1.1.1", "3.3.3.3", "1.1.1.1", "4.4.4.4")) {
+	if !alternating("1.1.1.1", "2.2.2.2", "1.1.1.1", "3.3.3.3", "1.1.1.1", "4.4.4.4") {
 		t.Error("clear alternation not detected")
 	}
-	if alternatingAddresses(mk("1.1.1.1", "2.2.2.2", "3.3.3.3", "4.4.4.4", "5.5.5.5", "6.6.6.6")) {
+	if alternating("1.1.1.1", "2.2.2.2", "3.3.3.3", "4.4.4.4", "5.5.5.5", "6.6.6.6") {
 		t.Error("monotone renumbering misdetected")
 	}
-	if alternatingAddresses(mk("1.1.1.1", "2.2.2.2", "1.1.1.1")) {
+	if alternating("1.1.1.1", "2.2.2.2", "1.1.1.1") {
 		t.Error("too few runs to conclude")
 	}
 	// One accidental return among many runs must not trigger: two
 	// separated runs only.
-	if alternatingAddresses(mk("1.1.1.1", "2.2.2.2", "3.3.3.3", "1.1.1.1", "4.4.4.4", "5.5.5.5", "6.6.6.6", "7.7.7.7", "8.8.8.8")) {
+	if alternating("1.1.1.1", "2.2.2.2", "3.3.3.3", "1.1.1.1", "4.4.4.4", "5.5.5.5", "6.6.6.6", "7.7.7.7", "8.8.8.8") {
 		t.Error("single accidental reuse misdetected")
 	}
 }

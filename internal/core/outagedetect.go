@@ -22,44 +22,6 @@ type NetworkOutage struct {
 // zero span; callers treat it as "under one round interval".
 func (n NetworkOutage) Duration() simclock.Duration { return n.End.Sub(n.Start) }
 
-// ltsSyncBound is the LTS value above which a probe has clearly missed
-// its controller sync (normal reporting keeps LTS under ~240 s).
-const ltsSyncBound = 240
-
-// DetectNetworkOutages finds loss runs in a probe's (time-sorted) k-root
-// rounds. A run qualifies when the LTS grows across it (multi-round
-// runs) or exceeds the sync bound (single-round runs) — the paper's
-// requirement that two independent signals agree.
-func DetectNetworkOutages(rounds []atlasdata.KRootRound) []NetworkOutage {
-	var out []NetworkOutage
-	i := 0
-	for i < len(rounds) {
-		if !rounds[i].AllLost() {
-			i++
-			continue
-		}
-		j := i
-		for j+1 < len(rounds) && rounds[j+1].AllLost() {
-			j++
-		}
-		ltsOK := false
-		if j > i {
-			ltsOK = rounds[j].LTS > rounds[i].LTS
-		} else {
-			ltsOK = rounds[i].LTS > ltsSyncBound
-		}
-		if ltsOK {
-			out = append(out, NetworkOutage{
-				Probe: rounds[i].Probe,
-				Start: rounds[i].Timestamp,
-				End:   rounds[j].Timestamp,
-			})
-		}
-		i = j + 1
-	}
-	return out
-}
-
 // Reboot is a detected probe reboot from the SOS-uptime dataset: the
 // uptime counter reset, implying the probe booted at At (paper §3.5,
 // Table 4).
@@ -71,28 +33,7 @@ type Reboot struct {
 
 // BootSlack absorbs clock skew between the probe's uptime counter and
 // the controller's record timestamps when comparing boot instants.
-// Exported for the streaming detector, whose round-retention watermark
-// is derived from it.
 const BootSlack = 90 * simclock.Second
-
-// DetectReboots finds counter resets in a probe's (time-sorted) uptime
-// records. Each record implies a boot instant (timestamp - uptime); a
-// boot instant later than the previous one by more than the slack is a
-// reboot.
-func DetectReboots(recs []atlasdata.UptimeRecord) []Reboot {
-	var out []Reboot
-	var prevBoot simclock.Time
-	for i, r := range recs {
-		boot := r.Timestamp.Add(-simclock.Duration(r.Uptime))
-		if i > 0 && boot.Sub(prevBoot) > BootSlack {
-			out = append(out, Reboot{Probe: r.Probe, At: boot})
-		}
-		if i == 0 || boot.After(prevBoot) {
-			prevBoot = boot
-		}
-	}
-	return out
-}
 
 // RebootsPerDay counts, for each study day, how many distinct probes
 // rebooted — the paper's Figure 6 series.
@@ -181,8 +122,7 @@ func FilterFirmwareReboots(reboots []Reboot, firmwareDays []int) []Reboot {
 // PingGapThreshold is the minimum silence in the k-root stream around a
 // reboot for the reboot to count as a power outage: at the 4-minute
 // round cadence, a powered-off probe misses at least one round, so the
-// surrounding gap spans at least two intervals. Exported for the
-// streaming detector, which resolves reboot gaps online.
+// surrounding gap spans at least two intervals.
 const PingGapThreshold = 6 * simclock.Minute
 
 // PowerOutage is a detected loss of power at the CPE/probe: a reboot
@@ -205,47 +145,23 @@ func (p PowerOutage) Duration() simclock.Duration { return p.GapEnd.Sub(p.GapSta
 // before the boot instant (or boot minus the threshold when no round
 // precedes it), End the first round after. Open marks a reboot with no
 // round after it yet — resolvable once more rounds arrive, which is how
-// the streaming detector keeps its pairing exact mid-stream.
+// a Machine keeps its pairing exact mid-stream.
 type RebootGap struct {
 	Start simclock.Time
 	End   simclock.Time
 	Open  bool
 }
 
-// ResolveRebootGaps computes each reboot's surrounding k-root silence.
-// rounds must be time-sorted; the result is index-aligned with reboots.
-func ResolveRebootGaps(reboots []Reboot, rounds []atlasdata.KRootRound) []RebootGap {
-	out := make([]RebootGap, len(reboots))
-	for k, r := range reboots {
-		// Last round at or before the boot instant, first round after.
-		i := sort.Search(len(rounds), func(k int) bool {
-			return rounds[k].Timestamp.After(r.At)
-		})
-		g := RebootGap{}
-		if i > 0 {
-			g.Start = rounds[i-1].Timestamp
-		} else {
-			g.Start = r.At.Add(-PingGapThreshold) // no earlier round: assume tight
-		}
-		if i < len(rounds) {
-			g.End = rounds[i].Timestamp
-		} else {
-			g.Open = true // no evidence after the reboot
-		}
-		out[k] = g
-	}
-	return out
-}
-
 // PowerOutagesFrom qualifies resolved reboot gaps into power outages.
-// gaps must be index-aligned with reboots (ResolveRebootGaps); kept is
+// gaps must be index-aligned with reboots (Machine.Reboots); kept is
 // the subset of reboots surviving firmware filtering, in the same order
 // (boot instants strictly increase, so a two-pointer alignment by At is
 // exact). Open gaps and gaps at or under the ping-gap threshold do not
 // qualify. Pairing each reboot with its own gap is independent of the
 // other reboots, so filtering before or after resolving gaps yields the
-// same outages — the seam that lets the streaming detector resolve gaps
-// online and apply the (retroactive) firmware filter only at query time.
+// same outages — the seam that lets a Machine resolve gaps online and
+// the (retroactive) firmware filter run only once every probe's
+// reboots are known.
 func PowerOutagesFrom(reboots []Reboot, gaps []RebootGap, kept []Reboot) []PowerOutage {
 	var out []PowerOutage
 	i := 0
@@ -271,11 +187,4 @@ func PowerOutagesFrom(reboots []Reboot, gaps []RebootGap, kept []Reboot) []Power
 		}
 	}
 	return out
-}
-
-// DetectPowerOutages pairs reboots with k-root silence. rounds must be
-// time-sorted. Reboots without a qualifying silence gap (e.g. a clean
-// probe restart between two rounds) are not power outages.
-func DetectPowerOutages(reboots []Reboot, rounds []atlasdata.KRootRound) []PowerOutage {
-	return PowerOutagesFrom(reboots, ResolveRebootGaps(reboots, rounds), reboots)
 }

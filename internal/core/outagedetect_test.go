@@ -8,6 +8,39 @@ import (
 	"dynaddr/internal/simclock"
 )
 
+// networksOf feeds rounds through a Machine and returns its network
+// outages at the end of the input, checked against the slice reference.
+func networksOf(t *testing.T, rounds []atlasdata.KRootRound) []NetworkOutage {
+	t.Helper()
+	m := Machine{Probe: 1, KeepEvents: true}
+	for _, r := range rounds {
+		m.KRoot(r)
+	}
+	got := m.Events(atlasdata.ProbeMeta{}).Networks
+	if want := refNetworkOutages(rounds); !reflect.DeepEqual(got, want) {
+		t.Fatalf("machine outages %v, slice reference %v", got, want)
+	}
+	return got
+}
+
+// rebootsOf feeds uptime records through a Machine and returns its
+// reboots, checked against the slice reference.
+func rebootsOf(t *testing.T, recs []atlasdata.UptimeRecord) []Reboot {
+	t.Helper()
+	var m Machine
+	m.KeepEvents = true
+	if len(recs) > 0 {
+		m.Probe = recs[0].Probe
+	}
+	for _, r := range recs {
+		m.Uptime(r)
+	}
+	if want := refReboots(recs); !reflect.DeepEqual(m.Reboots, want) || m.RebootCount != int64(len(want)) {
+		t.Fatalf("machine reboots %v (%d), slice reference %v", m.Reboots, m.RebootCount, want)
+	}
+	return m.Reboots
+}
+
 func round(ts simclock.Time, success int, lts int64) atlasdata.KRootRound {
 	return atlasdata.KRootRound{Probe: 1, Timestamp: ts, Sent: 3, Success: success, LTS: lts}
 }
@@ -27,7 +60,7 @@ func TestDetectNetworkOutagesPaperTable3(t *testing.T) {
 		round(min(23, 57), 3, 1342),
 		round(min(27, 54), 3, 146),
 	}
-	got := DetectNetworkOutages(rounds)
+	got := networksOf(t, rounds)
 	if len(got) != 1 {
 		t.Fatalf("outages = %d, want 1", len(got))
 	}
@@ -45,7 +78,7 @@ func TestDetectNetworkOutagesRequiresLTSGrowth(t *testing.T) {
 		round(480, 0, 100),
 		round(720, 3, 100),
 	}
-	if got := DetectNetworkOutages(rounds); len(got) != 0 {
+	if got := networksOf(t, rounds); len(got) != 0 {
 		t.Errorf("flat-LTS loss run detected as outage: %v", got)
 	}
 }
@@ -53,11 +86,11 @@ func TestDetectNetworkOutagesRequiresLTSGrowth(t *testing.T) {
 func TestDetectNetworkOutagesSingleRound(t *testing.T) {
 	// One lost round qualifies only with LTS past the sync bound.
 	low := []atlasdata.KRootRound{round(0, 3, 50), round(240, 0, 200), round(480, 3, 60)}
-	if got := DetectNetworkOutages(low); len(got) != 0 {
+	if got := networksOf(t, low); len(got) != 0 {
 		t.Errorf("single low-LTS loss detected: %v", got)
 	}
 	high := []atlasdata.KRootRound{round(0, 3, 50), round(240, 0, 500), round(480, 3, 60)}
-	got := DetectNetworkOutages(high)
+	got := networksOf(t, high)
 	if len(got) != 1 || got[0].Start != 240 || got[0].End != 240 {
 		t.Errorf("single high-LTS loss = %v, want one zero-span outage", got)
 	}
@@ -71,7 +104,7 @@ func TestDetectNetworkOutagesMultipleRuns(t *testing.T) {
 		round(960, 0, 300), round(1200, 0, 540), round(1440, 0, 780),
 		round(1680, 3, 60),
 	}
-	got := DetectNetworkOutages(rounds)
+	got := networksOf(t, rounds)
 	if len(got) != 2 {
 		t.Fatalf("outages = %d, want 2", len(got))
 	}
@@ -89,7 +122,7 @@ func TestDetectRebootsPaperTable4(t *testing.T) {
 		{Probe: 206, Timestamp: simclock.Date(2015, 1, 1, 17, 53, 59), Uptime: 203},
 		{Probe: 206, Timestamp: simclock.Date(2015, 1, 1, 18, 59, 44), Uptime: 4147},
 	}
-	got := DetectReboots(recs)
+	got := rebootsOf(t, recs)
 	if len(got) != 1 {
 		t.Fatalf("reboots = %d, want 1", len(got))
 	}
@@ -107,7 +140,7 @@ func TestDetectRebootsIgnoresDrift(t *testing.T) {
 		{Probe: 1, Timestamp: 20000, Uptime: 15010}, // 10s skew
 		{Probe: 1, Timestamp: 30000, Uptime: 24990},
 	}
-	if got := DetectReboots(recs); len(got) != 0 {
+	if got := rebootsOf(t, recs); len(got) != 0 {
 		t.Errorf("drift detected as reboot: %v", got)
 	}
 }
@@ -193,7 +226,7 @@ func TestDetectPowerOutages(t *testing.T) {
 		round(2240, 3, 60),
 	}
 	reboots := []Reboot{{Probe: 1, At: 1500}}
-	got := DetectPowerOutages(reboots, rounds)
+	got := detectPowerOutages(reboots, rounds)
 	if len(got) != 1 {
 		t.Fatalf("power outages = %d, want 1", len(got))
 	}
@@ -212,7 +245,7 @@ func TestDetectPowerOutagesRejectsTightGap(t *testing.T) {
 		round(0, 3, 60), round(240, 3, 60), round(540, 3, 60),
 	}
 	reboots := []Reboot{{Probe: 1, At: 400}}
-	if got := DetectPowerOutages(reboots, rounds); len(got) != 0 {
+	if got := detectPowerOutages(reboots, rounds); len(got) != 0 {
 		t.Errorf("tight gap flagged as power outage: %v", got)
 	}
 }
@@ -220,7 +253,7 @@ func TestDetectPowerOutagesRejectsTightGap(t *testing.T) {
 func TestDetectPowerOutagesNoTrailingEvidence(t *testing.T) {
 	rounds := []atlasdata.KRootRound{round(0, 3, 60)}
 	reboots := []Reboot{{Probe: 1, At: 5000}}
-	if got := DetectPowerOutages(reboots, rounds); len(got) != 0 {
+	if got := detectPowerOutages(reboots, rounds); len(got) != 0 {
 		t.Error("reboot after the last round must not be classified")
 	}
 }

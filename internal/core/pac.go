@@ -61,30 +61,24 @@ type OutageAnalysis struct {
 func AnalyzeOutages(ds *atlasdata.Dataset, res *FilterResult) *OutageAnalysis {
 	// Pass 1: reboots for every analyzable probe, to locate firmware
 	// pushes from the global daily spike profile.
-	reboots := RebootsByProbe(ds, res)
+	events := make(map[atlasdata.ProbeID]ProbeEvents, len(res.Views))
+	reboots := make(map[atlasdata.ProbeID][]Reboot, len(res.Views))
+	for id, view := range res.Views {
+		ev := Detect(ds, id, nil).Events(view.Meta)
+		events[id], reboots[id] = ev, ev.Reboots
+	}
 	oa := OutageScaffold(res, reboots)
 
-	// Pass 2: per-probe detection and gap association.
-	for id, view := range res.Views {
-		oa.Gaps[id], oa.Stats[id] = ProbeOutage(ds, view, reboots[id], oa.FirmwareDays)
+	// Pass 2: per-probe gap classification.
+	for id, ev := range events {
+		oa.Gaps[id], oa.Stats[id] = ev.Outages(oa.FirmwareDays, true)
 	}
 	return oa
 }
 
-// RebootsByProbe detects uptime-counter resets for every analyzable
-// probe — pass 1 of the outage pipeline, whose global daily profile
-// locates firmware pushes.
-func RebootsByProbe(ds *atlasdata.Dataset, res *FilterResult) map[atlasdata.ProbeID][]Reboot {
-	reboots := make(map[atlasdata.ProbeID][]Reboot, len(res.Views))
-	for id := range res.Views {
-		reboots[id] = DetectReboots(ds.Uptime[id])
-	}
-	return reboots
-}
-
 // OutageScaffold builds an OutageAnalysis with the global state filled
 // in — the Figure 6 reboot series and the firmware push days — and
-// empty per-probe maps for callers to populate via ProbeOutage. The
+// empty per-probe maps for callers to populate via Outages. The
 // firmware profile is global by nature (a push shows up as a
 // population-wide spike), so it must exist before any per-probe pass.
 func OutageScaffold(res *FilterResult, reboots map[atlasdata.ProbeID][]Reboot) *OutageAnalysis {
@@ -97,48 +91,43 @@ func OutageScaffold(res *FilterResult, reboots map[atlasdata.ProbeID][]Reboot) *
 	return oa
 }
 
-// ProbeOutage runs pass 2 of the outage pipeline for one probe: detect
-// network outages, filter firmware reboots, detect power outages, and
-// classify every inter-connection gap. It only reads shared state, so
-// distinct probes may run concurrently once the firmware days are known.
-func ProbeOutage(ds *atlasdata.Dataset, view *ProbeView, reboots []Reboot, firmwareDays []int) ([]Gap, ProbeOutageStats) {
-	id := view.Meta.ID
-	networks := DetectNetworkOutages(ds.KRoot[id])
-	kept := FilterFirmwareReboots(reboots, firmwareDays)
-	powers := DetectPowerOutages(kept, ds.KRoot[id])
-	gaps := AssociateGaps(view.Entries, networks, powers)
-
-	return gaps, TallyOutageStats(id, gaps, view.Meta.Version == atlasdata.V3)
-}
-
-// TallyOutageStats folds one probe's classified gaps into its outage
-// statistics — the counting half of ProbeOutage, shared with the
-// streaming fold. v3 gates the power counts: v1/v2 hardware reboots
-// during connection establishment poison the inference (§5.1).
-func TallyOutageStats(id atlasdata.ProbeID, gaps []Gap, v3 bool) ProbeOutageStats {
-	st := ProbeOutageStats{Probe: id}
-	for _, g := range gaps {
-		switch g.Cause {
-		case NetworkCause:
+// Outages runs pass 2 of the outage pipeline over one probe's events,
+// once the firmware days are known: firmware filtering, power-outage
+// qualification from the resolved reboot gaps, classification of every
+// gap, and the probe's outage statistics. Power counts need v3
+// hardware: v1/v2 reboots during connection establishment poison the
+// inference (§5.1). With keep the classified gaps are returned too (the
+// batch Report holds them); the live fold needs only the statistics.
+// Run and the live fold share this pass.
+func (ev *ProbeEvents) Outages(firmwareDays []int, keep bool) ([]Gap, ProbeOutageStats) {
+	kept := FilterFirmwareReboots(ev.Reboots, firmwareDays)
+	c := gapClassifier{networks: ev.Networks, powers: PowerOutagesFrom(ev.Reboots, ev.RebootGaps, kept)}
+	st := ProbeOutageStats{Probe: ev.Probe}
+	var gaps []Gap
+	for _, g := range ev.Gaps {
+		cause, d := c.classify(g)
+		switch {
+		case cause == NetworkCause:
 			st.NetworkGaps++
 			if g.Changed {
 				st.NetworkChanged++
 			}
-		case PowerCause:
-			if v3 {
-				st.PowerGaps++
-				if g.Changed {
-					st.PowerChanged++
-				}
+		case cause == PowerCause && ev.V3:
+			st.PowerGaps++
+			if g.Changed {
+				st.PowerChanged++
 			}
-		default:
+		case cause == NoOutage:
 			st.NoOutageGaps++
 			if g.Changed {
 				st.NoOutageChange++
 			}
 		}
+		if keep {
+			gaps = append(gaps, Gap{Probe: ev.Probe, PrevEnd: g.PrevEnd, NextStart: g.NextStart, Changed: g.Changed, Cause: cause, OutageDuration: d})
+		}
 	}
-	return st
+	return gaps, st
 }
 
 // MinOutagesForPac is the paper's sample floor: conditional

@@ -16,7 +16,7 @@ func TestAssociateGapsPriority(t *testing.T) {
 	}
 	networks := []NetworkOutage{{Probe: 1, Start: 1200, End: 1700}}
 	powers := []PowerOutage{{Probe: 1, RebootAt: 4000, GapStart: 3100, GapEnd: 4900}}
-	gaps := AssociateGaps(entries, networks, powers)
+	gaps := associateGaps(entries, networks, powers)
 	if len(gaps) != 3 {
 		t.Fatalf("gaps = %d, want 3", len(gaps))
 	}
@@ -46,7 +46,7 @@ func TestAssociateGapsNetworkBeatsPower(t *testing.T) {
 	}
 	networks := []NetworkOutage{{Probe: 1, Start: 1500, End: 2000}}
 	powers := []PowerOutage{{Probe: 1, RebootAt: 3000, GapStart: 2500, GapEnd: 4500}}
-	gaps := AssociateGaps(entries, networks, powers)
+	gaps := associateGaps(entries, networks, powers)
 	if len(gaps) != 1 || gaps[0].Cause != NetworkCause {
 		t.Errorf("gaps = %+v, want network priority", gaps)
 	}
@@ -61,7 +61,7 @@ func TestAssociateGapsOutsideGapIgnored(t *testing.T) {
 	// Outage within the second connection, not a gap (detected e.g. from
 	// partial loss), must not classify either gap.
 	networks := []NetworkOutage{{Probe: 1, Start: 10000, End: 12000}}
-	gaps := AssociateGaps(entries, networks, nil)
+	gaps := associateGaps(entries, networks, nil)
 	for i, g := range gaps {
 		if g.Cause != NoOutage {
 			t.Errorf("gap %d cause = %v, want no-outage", i, g.Cause)

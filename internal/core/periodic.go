@@ -62,11 +62,10 @@ func ClassifyPeriodic(durations []AddressDuration) (PeriodicProbe, bool) {
 }
 
 // ClassifyPeriodicHours is ClassifyPeriodic over raw duration lengths in
-// hours — the detector-core seam shared with the streaming ingester,
-// which maintains each probe's closed-duration list incrementally. The
-// list must include every bounded duration, non-positive ones included
-// (they count toward the minimum-durations gate exactly as they do in a
-// batch duration list, while TTFFromHours skips them).
+// hours, a Machine's RawHours. The list must include every bounded
+// duration, non-positive ones included (they count toward the
+// minimum-durations gate exactly as they do in a duration list, while
+// TTFFromHours skips them).
 func ClassifyPeriodicHours(probe atlasdata.ProbeID, hours []float64) (PeriodicProbe, bool) {
 	if len(hours) < minDurationsForPeriodic {
 		return PeriodicProbe{}, false

@@ -8,7 +8,10 @@ import (
 
 // PrefixChangeRow is one row of the paper's Table 7: for a set of
 // address changes, how many crossed a BGP prefix, a /16, and a /8
-// boundary.
+// boundary. The BGP prefix of each endpoint comes from the
+// month-matched pfx2as snapshot, the paper's §6 procedure. Counters are
+// integers, so summing per-probe rows in any order gives the same
+// totals.
 type PrefixChangeRow struct {
 	ASN uint32 // 0 for the all-probes summary row
 
@@ -35,33 +38,6 @@ func (r PrefixChangeRow) FracS16() float64 { return frac(r.DiffS16, r.Changes) }
 
 // FracS8 returns the share of changes that crossed /8s.
 func (r PrefixChangeRow) FracS8() float64 { return frac(r.DiffS8, r.Changes) }
-
-// ProbePrefixChanges computes one probe's Table 7 counters. The BGP
-// prefix of each endpoint comes from the month-matched pfx2as snapshot,
-// the paper's §6 procedure. Counters are integers, so summing per-probe
-// rows in any order gives the same totals.
-func ProbePrefixChanges(ds *atlasdata.Dataset, view *ProbeView) PrefixChangeRow {
-	var row PrefixChangeRow
-	for _, ch := range view.Changes {
-		_, fromPfx, okFrom := ds.Pfx2AS.Lookup(ch.From, ch.PrevEnd)
-		_, toPfx, okTo := ds.Pfx2AS.Lookup(ch.To, ch.NextStart)
-		row.Changes++
-		if !okFrom || !okTo {
-			row.Unrouted++
-			continue
-		}
-		if fromPfx != toPfx {
-			row.DiffBGP++
-		}
-		if ch.From.Slash16() != ch.To.Slash16() {
-			row.DiffS16++
-		}
-		if ch.From.Slash8() != ch.To.Slash8() {
-			row.DiffS8++
-		}
-	}
-	return row
-}
 
 // Accumulate folds another row's counters into r (the ASN is kept).
 func (r *PrefixChangeRow) Accumulate(o PrefixChangeRow) {

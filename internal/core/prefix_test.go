@@ -15,7 +15,7 @@ func TestPrefixChangesCounting(t *testing.T) {
 	addProbe(ds, 1, atlasdata.V3, nil,
 		longSessions(1, "10.0.0.1", "10.1.0.2", "10.1.0.3", "10.0.0.4")...)
 	res := Filter(ds)
-	row := PrefixAllOver(res.ASProbes, perProbePrefix(ds, res))
+	row := PrefixAllOver(res.ASProbes, perProbePrefix(t, ds, res))
 	if row.Changes != 3 {
 		t.Fatalf("changes = %d, want 3", row.Changes)
 	}
@@ -36,12 +36,16 @@ func TestPrefixChangesCounting(t *testing.T) {
 	}
 }
 
-// perProbePrefix computes every AS-analyzable probe's Table 7 counters,
-// as Run's prefix stage does.
-func perProbePrefix(ds *atlasdata.Dataset, res *FilterResult) map[atlasdata.ProbeID]PrefixChangeRow {
+// perProbePrefix computes every AS-analyzable probe's Table 7 counters
+// with Detect, as Run's filter stage does, checked against the slice
+// reference over the probe's view.
+func perProbePrefix(t *testing.T, ds *atlasdata.Dataset, res *FilterResult) map[atlasdata.ProbeID]PrefixChangeRow {
 	out := make(map[atlasdata.ProbeID]PrefixChangeRow)
 	for _, id := range res.ASProbes {
-		out[id] = ProbePrefixChanges(ds, res.Views[id])
+		out[id] = Detect(ds, id, nil).Prefix
+		if want := refPrefixChanges(ds, res.Views[id]); out[id] != want {
+			t.Fatalf("probe %d: machine row %+v, slice reference %+v", id, out[id], want)
+		}
 	}
 	return out
 }
@@ -53,7 +57,7 @@ func TestPrefixChangesByASSorting(t *testing.T) {
 	addProbe(ds, 2, atlasdata.V3, nil,
 		longSessions(2, "20.0.0.1", "20.0.0.2", "20.0.0.3")...)
 	res := Filter(ds)
-	rows := PrefixRowsOver(ByAS(res), perProbePrefix(ds, res))
+	rows := PrefixRowsOver(ByAS(res), perProbePrefix(t, ds, res))
 	if len(rows) != 2 {
 		t.Fatalf("rows = %d, want 2", len(rows))
 	}

@@ -126,11 +126,11 @@ func TestPropertyTTFMassSumsToOne(t *testing.T) {
 }
 
 func TestPropertyGapsCoverLog(t *testing.T) {
-	// AssociateGaps yields exactly len(entries)-1 gaps, in order,
+	// associateGaps yields exactly len(entries)-1 gaps, in order,
 	// spanning each inter-connection interval.
 	f := func(choices []byte) bool {
 		entries := genLog(choices)
-		gaps := AssociateGaps(entries, nil, nil)
+		gaps := associateGaps(entries, nil, nil)
 		if len(entries) == 0 {
 			return len(gaps) == 0
 		}
@@ -166,7 +166,11 @@ func TestPropertyRebootDetectionStable(t *testing.T) {
 				Probe: 1, Timestamp: at, Uptime: int64(at.Sub(boot)),
 			})
 		}
-		return len(DetectReboots(recs)) == 0
+		var m Machine
+		for _, r := range recs {
+			m.Uptime(r)
+		}
+		return m.RebootCount == 0 && len(refReboots(recs)) == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)

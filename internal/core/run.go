@@ -164,6 +164,7 @@ type runState struct {
 	workers int
 
 	res      *FilterResult
+	dets     map[atlasdata.ProbeID]*detection // analyzable probes
 	byAS     map[uint32][]atlasdata.ProbeID
 	ttfs     map[atlasdata.ProbeID]*stats.Weighted
 	periodic map[atlasdata.ProbeID]PeriodicProbe
@@ -337,40 +338,41 @@ func (st *runState) forEach(ctx context.Context, n int, fn func(i int) error) er
 	return ctx.Err()
 }
 
-// stageFilter classifies every probe (fan-out) and assembles the
+// stageFilter classifies every probe (fan-out; classify runs the
+// analyzable ones' records through Detect) and assembles the
 // FilterResult, Table 2, and the per-AS grouping shared downstream.
+// The later stages read the analyzable probes' detections.
 func stageFilter(ctx context.Context, st *runState) (int, error) {
 	ids := st.ds.ProbeIDs()
 	cats := make([]Category, len(ids))
 	views := make([]*ProbeView, len(ids))
+	dets := make([]*detection, len(ids))
 	err := st.forEach(ctx, len(ids), func(i int) error {
-		cats[i], views[i] = classify(st.ds, st.ds.Probes[ids[i]])
+		cats[i], views[i], dets[i] = classify(st.ds, st.ds.Probes[ids[i]])
 		return nil
 	})
 	if err != nil {
 		return 0, err
 	}
 	st.res = AssembleFilter(ids, cats, views)
+	st.dets = make(map[atlasdata.ProbeID]*detection, len(st.res.GeoProbes))
+	for i, id := range ids {
+		if dets[i] != nil {
+			st.dets[id] = dets[i]
+		}
+	}
 	st.rep.Filter = st.res
 	st.rep.Table2 = BuildTable2(st.res)
 	st.byAS = ByAS(st.res)
 	return len(ids), nil
 }
 
-// stageTTF computes each analyzable probe's TTF distribution (fan-out).
+// stageTTF collects each analyzable probe's TTF distribution.
 func stageTTF(ctx context.Context, st *runState) (int, error) {
 	ids := st.res.GeoProbes
-	out := make([]*stats.Weighted, len(ids))
-	err := st.forEach(ctx, len(ids), func(i int) error {
-		out[i] = TTF(V4Durations(st.res.Views[ids[i]].Entries))
-		return nil
-	})
-	if err != nil {
-		return 0, err
-	}
 	st.ttfs = make(map[atlasdata.ProbeID]*stats.Weighted, len(ids))
-	for i, id := range ids {
-		st.ttfs[id] = out[i]
+	for _, id := range ids {
+		st.ttfs[id] = &st.dets[id].ttf
 	}
 	return len(ids), nil
 }
@@ -385,7 +387,7 @@ func stagePeriodic(ctx context.Context, st *runState) (int, error) {
 	}
 	out := make([]slot, len(ids))
 	err := st.forEach(ctx, len(ids), func(i int) error {
-		out[i].pp, out[i].ok = ClassifyPeriodic(V4Durations(st.res.Views[ids[i]].Entries))
+		out[i].pp, out[i].ok = ClassifyPeriodicHours(ids[i], st.dets[ids[i]].events.RawHours)
 		return nil
 	})
 	if err != nil {
@@ -405,30 +407,21 @@ func stagePeriodic(ctx context.Context, st *runState) (int, error) {
 	return len(ids), nil
 }
 
-// stageOutage runs the two outage passes: reboot detection per probe
-// (fan-out), the global firmware profile, then per-probe gap
+// stageOutage runs the outage pipeline's two passes: the global
+// firmware profile from every probe's reboots, then per-probe gap
 // classification (fan-out).
 func stageOutage(ctx context.Context, st *runState) (int, error) {
 	ids := st.res.GeoProbes
-	rb := make([][]Reboot, len(ids))
-	err := st.forEach(ctx, len(ids), func(i int) error {
-		rb[i] = DetectReboots(st.ds.Uptime[ids[i]])
-		return nil
-	})
-	if err != nil {
-		return 0, err
-	}
 	reboots := make(map[atlasdata.ProbeID][]Reboot, len(ids))
-	for i, id := range ids {
-		reboots[id] = rb[i]
+	for _, id := range ids {
+		reboots[id] = st.dets[id].events.Reboots
 	}
 	oa := OutageScaffold(st.res, reboots)
 
 	gaps := make([][]Gap, len(ids))
 	sts := make([]ProbeOutageStats, len(ids))
-	err = st.forEach(ctx, len(ids), func(i int) error {
-		id := ids[i]
-		gaps[i], sts[i] = ProbeOutage(st.ds, st.res.Views[id], reboots[id], oa.FirmwareDays)
+	err := st.forEach(ctx, len(ids), func(i int) error {
+		gaps[i], sts[i] = st.dets[ids[i]].events.Outages(oa.FirmwareDays, true)
 		return nil
 	})
 	if err != nil {
@@ -461,21 +454,13 @@ func stageLinkType(ctx context.Context, st *runState) (int, error) {
 	return len(st.res.ASProbes), nil
 }
 
-// stagePrefix computes each probe's Table 7 counters (fan-out) and
-// aggregates the summary and per-AS rows.
+// stagePrefix aggregates the AS-analyzable probes' Table 7 counters
+// into the summary and per-AS rows.
 func stagePrefix(ctx context.Context, st *runState) (int, error) {
 	ids := st.res.ASProbes
-	rows := make([]PrefixChangeRow, len(ids))
-	err := st.forEach(ctx, len(ids), func(i int) error {
-		rows[i] = ProbePrefixChanges(st.ds, st.res.Views[ids[i]])
-		return nil
-	})
-	if err != nil {
-		return 0, err
-	}
 	perProbe := make(map[atlasdata.ProbeID]PrefixChangeRow, len(ids))
-	for i, id := range ids {
-		perProbe[id] = rows[i]
+	for _, id := range ids {
+		perProbe[id] = st.dets[id].events.Prefix
 	}
 	st.rep.Table7All = PrefixAllOver(ids, perProbe)
 	st.rep.Table7ByAS = PrefixRowsOver(st.byAS, perProbe)

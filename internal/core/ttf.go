@@ -35,9 +35,8 @@ func TTF(durations []AddressDuration) *stats.Weighted {
 }
 
 // TTFFromHours builds the total-time-fraction distribution from raw
-// duration lengths in hours — the detector-core seam the streaming
-// ingester feeds from its per-probe closed-duration list. Non-positive
-// lengths are skipped, exactly as TTF skips them.
+// duration lengths in hours, such as a Machine's RawHours.
+// Non-positive lengths are skipped, exactly as TTF skips them.
 func TTFFromHours(hours []float64) *stats.Weighted {
 	var w stats.Weighted
 	for _, h := range hours {

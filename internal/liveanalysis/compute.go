@@ -66,11 +66,11 @@ type Result struct {
 // stages over event state instead of raw records. events must be sorted
 // by probe ID ascending (the order both the shard merge and FromBatch
 // produce), so group membership lists match the batch ordering exactly.
-func Compute(events []ProbeEvents, churn map[int]core.PrefixChangeRow, opts Options) *Result {
+func Compute(events []core.ProbeEvents, churn map[int]core.PrefixChangeRow, opts Options) *Result {
 	opts = opts.withDefaults()
 	r := &Result{Probes: len(events)}
 
-	// AS groups over the single-AS probes, mirroring core.ByAS.
+	// AS groups over the single-AS probes, as core.ByAS forms them.
 	groups := make(map[uint32][]atlasdata.ProbeID)
 	var asProbes []atlasdata.ProbeID
 	for _, ev := range events {
@@ -93,18 +93,15 @@ func Compute(events []ProbeEvents, churn map[int]core.PrefixChangeRow, opts Opti
 	r.RebootsPerDay = core.RebootsPerDay(rebootsByProbe)
 	r.FirmwareDays = core.DetectFirmwareDays(r.RebootsPerDay)
 
-	// Pass 2 (per probe): firmware filtering, power-outage
-	// qualification from the pre-resolved reboot gaps, gap
-	// classification, outage tallies, periodic classification.
+	// Pass 2 (per probe): the outage pipeline's per-probe pass (the
+	// tallies only), periodic classification.
 	stats := make(map[atlasdata.ProbeID]core.ProbeOutageStats, len(events))
 	perProbe := make(map[atlasdata.ProbeID]core.PeriodicProbe)
 	prefixRows := make(map[atlasdata.ProbeID]core.PrefixChangeRow, len(events))
 	changed := make(map[atlasdata.ProbeID]bool, len(events))
-	for _, ev := range events {
-		kept := core.FilterFirmwareReboots(ev.Reboots, r.FirmwareDays)
-		powers := core.PowerOutagesFrom(ev.Reboots, ev.RebootGaps, kept)
-		gaps := core.ClassifyGaps(ev.Gaps, ev.Networks, powers)
-		stats[ev.Probe] = core.TallyOutageStats(ev.Probe, gaps, ev.V3)
+	for i := range events {
+		ev := &events[i]
+		_, stats[ev.Probe] = ev.Outages(r.FirmwareDays, false)
 		if pp, ok := core.ClassifyPeriodicHours(ev.Probe, ev.RawHours); ok {
 			perProbe[ev.Probe] = pp
 		}

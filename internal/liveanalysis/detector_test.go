@@ -1,36 +1,62 @@
 package liveanalysis
 
 import (
+	"maps"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 
+	"dynaddr/internal/asdb"
 	"dynaddr/internal/atlasdata"
 	"dynaddr/internal/core"
 	"dynaddr/internal/ip4"
+	"dynaddr/internal/pfx2as"
 	"dynaddr/internal/simclock"
 )
 
-// uptimeFeeder mirrors the stream ingester's incremental reboot
-// detection (the DetectReboots recurrence): feed it uptime records in
-// time order and it drives the detector's OnReboot/OnUptime hooks.
-type uptimeFeeder struct {
-	det      *Detector
-	probe    atlasdata.ProbeID
-	prevBoot simclock.Time
-	seen     bool
+// The slice detectors core.Machine replaced, kept here as the
+// reference for its incremental reboot-gap resolution.
+
+// detectReboots finds the counter resets in time-sorted uptime records.
+func detectReboots(recs []atlasdata.UptimeRecord) []core.Reboot {
+	var out []core.Reboot
+	var prevBoot simclock.Time
+	for i, r := range recs {
+		boot := r.Timestamp.Add(-simclock.Duration(r.Uptime))
+		if i > 0 && boot.Sub(prevBoot) > core.BootSlack {
+			out = append(out, core.Reboot{Probe: r.Probe, At: boot})
+		}
+		if i == 0 || boot.After(prevBoot) {
+			prevBoot = boot
+		}
+	}
+	return out
 }
 
-func (f *uptimeFeeder) onUptime(u atlasdata.UptimeRecord) {
-	boot := u.Timestamp.Add(-simclock.Duration(u.Uptime))
-	if f.seen && boot.Sub(f.prevBoot) > core.BootSlack {
-		f.det.OnReboot(core.Reboot{Probe: f.probe, At: boot})
+// resolveRebootGaps finds each reboot's surrounding k-root silence by
+// binary search over every round: the last round at or before the boot
+// instant, the first one after.
+func resolveRebootGaps(reboots []core.Reboot, rounds []atlasdata.KRootRound) []core.RebootGap {
+	out := make([]core.RebootGap, len(reboots))
+	for k, r := range reboots {
+		i := sort.Search(len(rounds), func(k int) bool {
+			return rounds[k].Timestamp.After(r.At)
+		})
+		g := core.RebootGap{}
+		if i > 0 {
+			g.Start = rounds[i-1].Timestamp
+		} else {
+			g.Start = r.At.Add(-core.PingGapThreshold)
+		}
+		if i < len(rounds) {
+			g.End = rounds[i].Timestamp
+		} else {
+			g.Open = true
+		}
+		out[k] = g
 	}
-	if !f.seen || boot.After(f.prevBoot) {
-		f.prevBoot = boot
-	}
-	f.seen = true
-	f.det.OnUptime(u.Timestamp)
+	return out
 }
 
 // genTimeline builds a model-conforming probe history: a boot schedule,
@@ -77,12 +103,27 @@ func genTimeline(rng *rand.Rand, probe atlasdata.ProbeID) ([]atlasdata.KRootRoun
 	return rounds, uptime
 }
 
+// feed merges a timeline into one time-ordered record stream, as
+// Dataset.EachRecord does.
+func feed(rounds []atlasdata.KRootRound, uptime []atlasdata.UptimeRecord, fn func(round bool, ri, ui int)) {
+	ri, ui := 0, 0
+	for ri < len(rounds) || ui < len(uptime) {
+		if ui >= len(uptime) || (ri < len(rounds) && rounds[ri].Timestamp.Before(uptime[ui].Timestamp)) {
+			ri++
+			fn(true, ri, ui)
+		} else {
+			ui++
+			fn(false, ri, ui)
+		}
+	}
+}
+
 // TestDetectorMatchesBatchResolution replays merged round/uptime
-// timelines through the detector and checks, at every barrier, that its
-// reboots and resolved gaps equal the batch primitives run over the
-// records seen so far — including while the watermark pruning is
-// actively shrinking the round deque, and through the final
-// power-outage qualification.
+// timelines through a machine and checks, at every barrier, that its
+// reboots and resolved gaps equal the slice reference over the records
+// seen so far — including while the watermark pruning is actively
+// shrinking the round deque, and through the power-outage
+// qualification.
 func TestDetectorMatchesBatchResolution(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -92,32 +133,24 @@ func TestDetectorMatchesBatchResolution(t *testing.T) {
 			t.Fatalf("seed %d: degenerate timeline", seed)
 		}
 
-		det := NewDetector()
-		feeder := &uptimeFeeder{det: det, probe: probe}
-		ri, ui := 0, 0
-		step := 0
-		maxDeque := 0
-		for ri < len(rounds) || ui < len(uptime) {
-			if ui >= len(uptime) || (ri < len(rounds) && rounds[ri].Timestamp.Before(uptime[ui].Timestamp)) {
-				det.OnRound(rounds[ri].Timestamp)
-				ri++
+		m := core.Machine{Probe: probe, KeepEvents: true}
+		step, maxDeque := 0, 0
+		feed(rounds, uptime, func(round bool, ri, ui int) {
+			if round {
+				m.KRoot(rounds[ri-1])
 			} else {
-				feeder.onUptime(uptime[ui])
-				ui++
+				m.Uptime(uptime[ui-1])
 			}
-			if len(det.Rounds) > maxDeque {
-				maxDeque = len(det.Rounds)
+			maxDeque = max(maxDeque, len(m.Rounds))
+			if step++; step%97 != 0 && ri < len(rounds) && ui < len(uptime) {
+				return
 			}
-			step++
-			if step%97 != 0 && ri < len(rounds) && ui < len(uptime) {
-				continue
+			wantReboots := detectReboots(uptime[:ui])
+			if !reflect.DeepEqual(m.Reboots, wantReboots) {
+				t.Fatalf("seed %d step %d: reboots diverge: got %v want %v", seed, step, m.Reboots, wantReboots)
 			}
-			wantReboots := core.DetectReboots(uptime[:ui])
-			if !reflect.DeepEqual(det.Reboots, wantReboots) {
-				t.Fatalf("seed %d step %d: reboots diverge: got %v want %v", seed, step, det.Reboots, wantReboots)
-			}
-			wantGaps := core.ResolveRebootGaps(wantReboots, rounds[:ri])
-			got := det.RebootGaps
+			wantGaps := resolveRebootGaps(wantReboots, rounds[:ri])
+			got := m.RebootGaps
 			if len(got) == 0 {
 				got = nil
 			}
@@ -127,12 +160,12 @@ func TestDetectorMatchesBatchResolution(t *testing.T) {
 			if !reflect.DeepEqual(got, wantGaps) {
 				t.Fatalf("seed %d step %d: gaps diverge:\ngot  %v\nwant %v", seed, step, got, wantGaps)
 			}
-			wantPow := core.DetectPowerOutages(wantReboots, rounds[:ri])
-			gotPow := core.PowerOutagesFrom(det.Reboots, det.RebootGaps, det.Reboots)
+			wantPow := core.PowerOutagesFrom(wantReboots, wantGaps, wantReboots)
+			gotPow := core.PowerOutagesFrom(m.Reboots, m.RebootGaps, m.Reboots)
 			if !reflect.DeepEqual(gotPow, wantPow) {
 				t.Fatalf("seed %d step %d: power outages diverge", seed, step)
 			}
-		}
+		})
 		// The pruning must actually bound the deque: rounds come every
 		// ~4 minutes, uptime reports every ~15-60, so the retained
 		// window is a handful of rounds, never the full history.
@@ -142,102 +175,126 @@ func TestDetectorMatchesBatchResolution(t *testing.T) {
 	}
 }
 
-// TestDetectorRestore round-trips the exported state mid-stream into a
-// fresh detector (as checkpoint recovery does), continues both on the
-// same suffix, and demands identical final state — pinning that Restore
-// rebuilds everything the hooks need.
+// TestDetectorRestore copies a machine's exported state mid-stream (as
+// a checkpoint does) into a fresh one, continues both on the same
+// suffix, and demands identical final state — pinning that Restore
+// rebuilds everything the machine derives.
 func TestDetectorRestore(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	probe := atlasdata.ProbeID(7)
 	rounds, uptime := genTimeline(rng, probe)
 
-	det := NewDetector()
-	feeder := &uptimeFeeder{det: det, probe: probe}
-	type ev struct {
+	type rec struct {
 		round bool
 		r     atlasdata.KRootRound
 		u     atlasdata.UptimeRecord
 	}
-	var evs []ev
-	ri, ui := 0, 0
-	for ri < len(rounds) || ui < len(uptime) {
-		if ui >= len(uptime) || (ri < len(rounds) && rounds[ri].Timestamp.Before(uptime[ui].Timestamp)) {
-			evs = append(evs, ev{round: true, r: rounds[ri]})
-			ri++
+	var recs []rec
+	feed(rounds, uptime, func(round bool, ri, ui int) {
+		if round {
+			recs = append(recs, rec{round: true, r: rounds[ri-1]})
 		} else {
-			evs = append(evs, ev{u: uptime[ui]})
-			ui++
+			recs = append(recs, rec{u: uptime[ui-1]})
 		}
-	}
-	cut := len(evs) * 2 / 5
-	apply := func(d *Detector, f *uptimeFeeder, e ev) {
+	})
+	apply := func(m *core.Machine, e rec) {
 		if e.round {
-			d.OnRound(e.r.Timestamp)
+			m.KRoot(e.r)
 		} else {
-			f.onUptime(e.u)
+			m.Uptime(e.u)
 		}
 	}
-	for _, e := range evs[:cut] {
-		apply(det, feeder, e)
+	m := &core.Machine{Probe: probe, KeepEvents: true}
+	cut := len(recs) * 2 / 5
+	for _, e := range recs[:cut] {
+		apply(m, e)
 	}
 
-	// Copy only the exported fields — what a checkpoint carries.
-	restored := &Detector{
-		RawHours:   append([]float64(nil), det.RawHours...),
-		Gaps:       append([]GapEvent(nil), det.Gaps...),
-		Networks:   append([]core.NetworkOutage(nil), det.Networks...),
-		Reboots:    append([]core.Reboot(nil), det.Reboots...),
-		RebootGaps: append([]core.RebootGap(nil), det.RebootGaps...),
-		Prefix:     det.Prefix,
-		Rounds:     append([]simclock.Time(nil), det.Rounds...),
-		LastUptime: det.LastUptime,
-	}
+	restored := *m
+	restored.RunCount = maps.Clone(m.RunCount)
+	restored.TTF = *m.TTF.Clone()
+	restored.RecentOutages = append([]core.Span(nil), m.RecentOutages...)
+	restored.RecentReboots = append([]simclock.Time(nil), m.RecentReboots...)
+	restored.RawHours = append([]float64(nil), m.RawHours...)
+	restored.Gaps = append([]core.GapEvent(nil), m.Gaps...)
+	restored.Networks = append([]core.NetworkOutage(nil), m.Networks...)
+	restored.Reboots = append([]core.Reboot(nil), m.Reboots...)
+	restored.RebootGaps = append([]core.RebootGap(nil), m.RebootGaps...)
+	restored.Rounds = append([]simclock.Time(nil), m.Rounds...)
 	restored.Restore()
-	// The feeder's recurrence state is rebuilt the same way the stream
-	// restores it from its own checkpointed fields.
-	feeder2 := &uptimeFeeder{det: restored, probe: probe, prevBoot: feeder.prevBoot, seen: feeder.seen}
 
-	for _, e := range evs[cut:] {
-		apply(det, feeder, e)
-		apply(restored, feeder2, e)
+	for _, e := range recs[cut:] {
+		apply(m, e)
+		apply(&restored, e)
 	}
-	if !reflect.DeepEqual(det.Reboots, restored.Reboots) ||
-		!reflect.DeepEqual(det.RebootGaps, restored.RebootGaps) ||
-		!reflect.DeepEqual(det.Rounds, restored.Rounds) {
-		t.Fatalf("restored detector diverged from uninterrupted one")
+	if !reflect.DeepEqual(m.Reboots, restored.Reboots) ||
+		!reflect.DeepEqual(m.RebootGaps, restored.RebootGaps) ||
+		!reflect.DeepEqual(m.Rounds, restored.Rounds) {
+		t.Fatalf("restored machine diverged from uninterrupted one")
 	}
 }
 
-// TestChurnTablePartitionsPrefix feeds random address changes through
-// both a detector (the per-probe Table 7 row) and a churn table (the
-// shared day buckets) and checks that the buckets sum back to the
-// probe's row — every change lands in exactly one window — and that the
-// table round-trips through its sparse checkpoint form.
+// TestChurnTablePartitionsPrefix feeds random address changes through a
+// machine that keeps both its own Table 7 row and a churn table's day
+// buckets. The row must match the per-change rule, the buckets must sum
+// back to it (every change lands in exactly one window), and the table
+// must round-trip through its sparse checkpoint form.
 func TestChurnTablePartitionsPrefix(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	det := NewDetector()
-	var tab ChurnTable
-	// The fused ingest-path form must stay equivalent to the two
-	// separate calls; run it in parallel on its own pair and compare.
-	fused := NewDetector()
-	var fusedTab ChurnTable
+	// Half of 1-100.x.0.0 is routed, as /15s, so routed changes can
+	// cross a /16 inside one BGP prefix. Addresses come from 1-3.0-7.x.x.
+	var entries []pfx2as.Entry
+	for a := 1; a <= 100; a++ {
+		for b := 0; b < 256; b += 4 {
+			entries = append(entries, pfx2as.Entry{Prefix: ip4.PrefixFrom(ip4.FromOctets(byte(a), byte(b), 0, 0), 15), ASN: asdb.ASN(a)})
+		}
+	}
+	tbl, err := pfx2as.NewTable(entries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pfx := pfx2as.NewSnapshotStore()
+	for mo := pfx2as.Month(201412); mo <= 201512; mo++ {
+		pfx.Put(mo, tbl)
+	}
+
+	m := core.Machine{Probe: 1, KeepEvents: true}
+	var tab core.ChurnTable
+	var want core.PrefixChangeRow
 	ts := simclock.StudyStart.Add(-simclock.Day)
+	prev := ip4.FromOctets(1, 0, 0, 1)
+	m.Conn(atlasdata.ConnLogEntry{Probe: 1, Start: ts, End: ts + 60, Addr: prev}, pfx, &tab)
 	for i := 0; i < 500; i++ {
-		ts = ts.Add(simclock.Duration(rng.Intn(2*86400)) * simclock.Second)
-		from := ip4.FromOctets(byte(rng.Intn(200)+1), byte(rng.Intn(256)), byte(rng.Intn(256)), byte(rng.Intn(254)+1))
-		to := ip4.FromOctets(byte(rng.Intn(200)+1), byte(rng.Intn(256)), byte(rng.Intn(256)), byte(rng.Intn(254)+1))
-		ch := core.AddressChange{From: from, To: to, PrevEnd: ts, NextStart: ts.Add(simclock.Minute)}
-		okFrom := rng.Intn(10) > 0
-		okTo := rng.Intn(10) > 0
-		det.OnChange(ch, from.Slash24(), to.Slash24(), okFrom, okTo)
-		tab.Add(ch, from.Slash24(), to.Slash24(), okFrom, okTo)
-		fused.OnChangeDual(fusedTab.Row(ch.NextStart), from, to, from.Slash24(), to.Slash24(), okFrom, okTo)
+		ts = ts.Add(simclock.Duration(60+rng.Intn(2*86400)) * simclock.Second)
+		to := prev
+		for to == prev {
+			to = ip4.FromOctets(byte(rng.Intn(3)+1), byte(rng.Intn(8)), byte(rng.Intn(256)), byte(rng.Intn(254)+1))
+		}
+		_, fromPfx, okFrom := pfx.Lookup(prev, ts-60)
+		_, toPfx, okTo := pfx.Lookup(to, ts)
+		want.Changes++
+		if !okFrom || !okTo {
+			want.Unrouted++
+		} else {
+			if fromPfx != toPfx {
+				want.DiffBGP++
+			}
+			if prev.Slash16() != to.Slash16() {
+				want.DiffS16++
+			}
+			if prev.Slash8() != to.Slash8() {
+				want.DiffS8++
+			}
+		}
+		m.Conn(atlasdata.ConnLogEntry{Probe: 1, Start: ts, End: ts + 60, Addr: to}, pfx, &tab)
+		ts += 60
+		prev = to
 	}
-	if fused.Prefix != det.Prefix {
-		t.Fatalf("fused probe row %+v, separate calls give %+v", fused.Prefix, det.Prefix)
+	if m.Prefix != want {
+		t.Fatalf("machine row %+v, want %+v", m.Prefix, want)
 	}
-	if !reflect.DeepEqual(fusedTab.AppendCells(nil), tab.AppendCells(nil)) || fusedTab.Outside() != tab.Outside() {
-		t.Fatalf("fused churn table diverges from separate calls")
+	if want.Unrouted == 0 || want.DiffBGP == 0 || want.DiffS16 == want.DiffBGP || want.DiffS8 == want.DiffS16 {
+		t.Fatalf("row %+v does not exercise every counter", want)
 	}
 	cells := tab.AppendCells(nil)
 	var sum core.PrefixChangeRow
@@ -248,21 +305,16 @@ func TestChurnTablePartitionsPrefix(t *testing.T) {
 		}
 		sum.Accumulate(c.Row)
 	}
-	want := det.Prefix
-	want.ASN = sum.ASN
 	if sum != want {
-		t.Fatalf("churn windows sum to %+v, probe row is %+v", sum, det.Prefix)
+		t.Fatalf("churn windows sum to %+v, probe row is %+v", sum, want)
 	}
 	if tab.Outside().Changes == 0 {
 		t.Fatalf("expected pre-study changes in the outside window")
 	}
-	if det.Prefix.Changes != 500 {
-		t.Fatalf("expected 500 changes, got %d", det.Prefix.Changes)
-	}
 
 	// Sparse round-trip: restore into a fresh table, fold both into
 	// day-keyed maps, compare.
-	var restored ChurnTable
+	var restored core.ChurnTable
 	if err := restored.Restore(cells, tab.Outside()); err != nil {
 		t.Fatal(err)
 	}

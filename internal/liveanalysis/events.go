@@ -1,64 +1,22 @@
-// Package liveanalysis holds the incremental detector cores and the
-// query-time fold that answer the paper's questions live, at apply
-// time: periodic-renumbering detection (Table 5), outage attribution
-// (Table 6, Figures 6-8), prefix analysis (Table 7) and windowed
-// address-change churn.
+// Package liveanalysis answers the paper's questions live: periodic
+// renumbering (Table 5), outage attribution (Table 6, Figures 6-8),
+// prefix analysis (Table 7) and windowed address-change churn.
 //
-// The split mirrors the paper's pipeline shape. Everything that is a
-// pure function of one probe's record stream — closed address
-// durations, inter-connection gaps, qualified loss runs, reboots and
-// their surrounding k-root silences, prefix-change counters — is
-// maintained record by record in a per-probe Detector, owned by the
-// stream ingester's shard goroutines. Everything that is retroactive or
-// cross-probe — firmware-push detection (a population-wide reboot
-// spike reshapes every probe's power-outage evidence), gap
-// classification, AS aggregation, ECDFs — runs only at query time in
-// Compute, over immutable ProbeEvents snapshots.
+// Everything that is a pure function of one probe's record stream —
+// closed address durations, inter-connection gaps, qualified loss
+// runs, reboots and their surrounding k-root silences, prefix-change
+// counters — is kept record by record in the probe's core.Machine,
+// which the stream ingester's shards and the batch pipeline both run.
+// Everything that is retroactive or cross-probe — firmware-push
+// detection (a population-wide reboot spike reshapes every probe's
+// power-outage evidence), gap classification, AS aggregation, ECDFs —
+// runs only at query time in Compute, over frozen core.ProbeEvents.
 //
-// FromBatch computes the same Result from a finished dataset through
-// the batch primitives; the replay-equivalence tests in internal/stream
-// pin the two byte-identical at every snapshot barrier.
+// FromBatch runs core.Detect over a finished dataset and then the
+// same Compute.
 package liveanalysis
 
-import (
-	"dynaddr/internal/atlasdata"
-	"dynaddr/internal/core"
-)
-
-// ProbeEvents is one analyzable probe's accumulated event state, frozen
-// at a snapshot barrier: the inputs Compute needs, with no open
-// machinery attached. Slices are private copies — the fold may run
-// while the ingester keeps applying records.
-type ProbeEvents struct {
-	Probe atlasdata.ProbeID
-	// ASN is the probe's home AS when single-AS and routed, else 0.
-	ASN uint32
-	// MultiAS excludes the probe from AS-level aggregation (paper §3.3).
-	MultiAS bool
-	// V3 gates the power-outage counting (paper §5.1).
-	V3 bool
-	// HasChanges reports at least one observed IPv4 address change.
-	HasChanges bool
-
-	// RawHours are the closed (change-bounded) address durations in
-	// hours, in close order, non-positive values included — exactly the
-	// batch V4Durations list.
-	RawHours []float64
-	// Gaps are the inter-connection gaps of the stripped log, causes
-	// still unclassified (classification is retroactive: firmware
-	// filtering reshapes the power evidence).
-	Gaps []core.Gap
-	// Networks are the qualified network outages, including a loss run
-	// still open at the barrier (finalized under the end-of-input rule).
-	Networks []core.NetworkOutage
-	// Reboots and RebootGaps are the detected reboots and their
-	// surrounding k-root silences, index-aligned; a gap with no round
-	// after the reboot yet is Open.
-	Reboots    []core.Reboot
-	RebootGaps []core.RebootGap
-	// Prefix is the probe's Table 7 counter row.
-	Prefix core.PrefixChangeRow
-}
+import "dynaddr/internal/core"
 
 // ChurnWindow is one study day's address-change traffic across every
 // probe (not just analyzable ones): how many changes landed in the day

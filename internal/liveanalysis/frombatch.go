@@ -5,47 +5,20 @@ import (
 	"dynaddr/internal/core"
 )
 
-// FromBatch computes the live-analysis Result from a finished dataset
-// through the batch primitives: filter, per-probe detection, then the
-// same Compute fold the streaming path runs. It is the oracle the
-// replay-equivalence tests compare streaming barriers against — and a
-// convenient way to get a Result without standing up an ingester.
+// FromBatch computes the live-analysis Result from a finished dataset:
+// core.Detect runs every probe's records through the per-probe machine
+// a stream shard runs, then the same Compute fold runs. It is how to
+// get a Result without standing up an ingester.
 func FromBatch(ds *atlasdata.Dataset, opts Options) *Result {
-	res := core.Filter(ds)
-	events := make([]ProbeEvents, 0, len(res.GeoProbes))
-	for _, id := range res.GeoProbes {
-		view := res.Views[id]
-		rounds := ds.KRoot[id]
-		reboots := core.DetectReboots(ds.Uptime[id])
-		ev := ProbeEvents{
-			Probe:      id,
-			ASN:        uint32(view.ASN),
-			MultiAS:    view.MultiAS,
-			V3:         view.Meta.Version == atlasdata.V3,
-			HasChanges: len(view.Changes) > 0,
-			Gaps:       core.GapSpans(view.Entries),
-			Networks:   core.DetectNetworkOutages(rounds),
-			Reboots:    reboots,
-			RebootGaps: core.ResolveRebootGaps(reboots, rounds),
-			Prefix:     core.ProbePrefixChanges(ds, view),
-		}
-		for _, d := range core.V4Durations(view.Entries) {
-			ev.RawHours = append(ev.RawHours, d.Hours())
-		}
-		events = append(events, ev)
-	}
-
-	// Churn counts the change traffic of every probe with a connection
-	// log, analyzable or not — the raw operational view. The counters
-	// are plain integer sums into a dense day table, so probe order is
-	// irrelevant.
-	var tab ChurnTable
-	for _, log := range ds.ConnLogs {
-		entries, _ := core.StripTestingEntry(log)
-		for _, ch := range core.V4Changes(entries) {
-			_, fromPfx, okFrom := ds.Pfx2AS.Lookup(ch.From, ch.PrevEnd)
-			_, toPfx, okTo := ds.Pfx2AS.Lookup(ch.To, ch.NextStart)
-			tab.Add(ch, fromPfx, toPfx, okFrom, okTo)
+	// Churn counts the change traffic of every probe, analyzable or
+	// not — the raw operational view.
+	var tab core.ChurnTable
+	var events []core.ProbeEvents
+	for _, id := range ds.ProbeIDs() {
+		meta := ds.Probes[id]
+		m := core.Detect(ds, id, &tab)
+		if m.Category(meta) == core.CatAnalyzable {
+			events = append(events, m.Events(meta))
 		}
 	}
 	churn := make(map[int]core.PrefixChangeRow)

@@ -40,7 +40,7 @@ func (r *Result) RenderFigure8(names core.NameFunc) *tables.Table {
 }
 
 // RenderChurn formats the day-windowed change-traffic series — the one
-// live-only artefact, with no batch table to mirror.
+// live-only artefact, with no batch table to match.
 func (r *Result) RenderChurn() *tables.Table {
 	t := tables.New("Live analysis: address-change churn by study day",
 		"Day", "Changes", "DiffBGP", "%", "Diff/16", "%", "Diff/8", "%", "Unrouted")

@@ -12,9 +12,7 @@ import (
 // to watch a world being generated record by record.
 type RecordSink interface {
 	Meta(atlasdata.ProbeMeta) error
-	ConnLog(atlasdata.ConnLogEntry) error
-	KRoot(atlasdata.KRootRound) error
-	Uptime(atlasdata.UptimeRecord) error
+	atlasdata.RecordSink
 }
 
 // GenerateTo builds a world exactly like Generate while also driving
@@ -30,7 +28,7 @@ func GenerateTo(cfg Config, sink RecordSink) (*World, error) {
 
 // ReplayDataset streams an existing dataset into sink in the same
 // order GenerateTo would: probes ascending, records per probe merged by
-// time. The dataset must be sorted (Load and Generate both guarantee
+// time (Dataset.EachRecord). The dataset must be sorted (Load and Generate both guarantee
 // this).
 func ReplayDataset(ds *atlasdata.Dataset, sink RecordSink) error {
 	for _, id := range ds.ProbeIDs() {
@@ -41,60 +39,15 @@ func ReplayDataset(ds *atlasdata.Dataset, sink RecordSink) error {
 	return nil
 }
 
-// emitProbe streams one probe's metadata and records. The three record
-// streams are merged by timestamp; on ties, connection entries go
-// first (the session exists before measurements run inside it), then
-// k-root rounds, then uptime records.
+// emitProbe streams one probe's metadata and then its records, merged
+// by Dataset.EachRecord.
 func emitProbe(ds *atlasdata.Dataset, id atlasdata.ProbeID, sink RecordSink) error {
 	if meta, ok := ds.Probes[id]; ok {
 		if err := sink.Meta(meta); err != nil {
 			return err
 		}
 	}
-	conns := ds.ConnLogs[id]
-	rounds := ds.KRoot[id]
-	ups := ds.Uptime[id]
-	var ci, ki, ui int
-	for ci < len(conns) || ki < len(rounds) || ui < len(ups) {
-		// Pick the earliest head across the three streams.
-		const (
-			pickConn = iota
-			pickKRoot
-			pickUptime
-		)
-		pick := -1
-		var best int64
-		consider := func(kind int, ts int64) {
-			if pick < 0 || ts < best {
-				pick, best = kind, ts
-			}
-		}
-		if ci < len(conns) {
-			consider(pickConn, int64(conns[ci].Start))
-		}
-		if ki < len(rounds) {
-			consider(pickKRoot, int64(rounds[ki].Timestamp))
-		}
-		if ui < len(ups) {
-			consider(pickUptime, int64(ups[ui].Timestamp))
-		}
-		var err error
-		switch pick {
-		case pickConn:
-			err = sink.ConnLog(conns[ci])
-			ci++
-		case pickKRoot:
-			err = sink.KRoot(rounds[ki])
-			ki++
-		case pickUptime:
-			err = sink.Uptime(ups[ui])
-			ui++
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return ds.EachRecord(id, sink)
 }
 
 // sortProbeRecords time-orders one probe's record slices in place, so a

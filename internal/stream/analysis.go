@@ -18,20 +18,20 @@ var ErrAnalysisDisabled = errors.New("stream: live analysis disabled (Config.Ana
 // deep-copied event state for its analyzable probes plus the merged
 // churn counters of every probe it owns.
 type analysisView struct {
-	events []liveanalysis.ProbeEvents // sorted by probe ID
+	events []core.ProbeEvents // sorted by probe ID
 	churn  map[int]core.PrefixChangeRow
 	ver    Version
 }
 
-// analysisView snapshots the shard's detector state. Called from the
+// analysisView snapshots the shard's event state. Called from the
 // shard goroutine (in-band marker) or after Close (quiescent). Event
 // slices are copied, so the fold can run while the shard keeps
 // applying records.
 func (s *shard) analysisView() *analysisView {
 	v := &analysisView{churn: make(map[int]core.PrefixChangeRow), ver: s.version()}
 	// Churn is the raw operational view: every probe counts, analyzable
-	// or not, exactly like the batch oracle's sweep over all connection
-	// logs. The shard's shared table already holds the merged counters.
+	// or not, as in FromBatch. The shard's shared table already holds
+	// the merged counters.
 	if s.churn != nil {
 		s.churn.AccumulateInto(v.churn)
 	}
@@ -42,45 +42,13 @@ func (s *shard) analysisView() *analysisView {
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	for _, id := range ids {
 		ps := s.states[id]
-		if ps.det == nil {
-			continue
-		}
 		// Events feed the paper tables, which exist only for probes the
 		// Table 2 pipeline admits.
-		if !ps.hasMeta || ps.category() != core.CatAnalyzable {
-			continue
+		if ps.hasMeta && ps.m.Category(ps.meta) == core.CatAnalyzable {
+			v.events = append(v.events, ps.m.Events(ps.meta))
 		}
-		v.events = append(v.events, ps.events())
 	}
 	return v
-}
-
-// events freezes the probe's detector state into an immutable
-// ProbeEvents. The open loss run, if any, is finalized under the batch
-// end-of-input rule — DetectNetworkOutages closes its trailing run when
-// the input ends, and a snapshot barrier is exactly an end-of-input for
-// the records seen so far.
-func (ps *probeState) events() liveanalysis.ProbeEvents {
-	det := ps.det
-	ev := liveanalysis.ProbeEvents{
-		Probe:      ps.id,
-		MultiAS:    ps.multiAS,
-		V3:         ps.meta.Version == atlasdata.V3,
-		HasChanges: ps.changes > 0,
-		RawHours:   append([]float64(nil), det.RawHours...),
-		Gaps:       det.CoreGaps(ps.id),
-		Networks:   append([]core.NetworkOutage(nil), det.Networks...),
-		Reboots:    append([]core.Reboot(nil), det.Reboots...),
-		RebootGaps: append([]core.RebootGap(nil), det.RebootGaps...),
-		Prefix:     det.Prefix,
-	}
-	if ps.homeConsistent && ps.homeASN != 0 {
-		ev.ASN = uint32(ps.homeASN)
-	}
-	if n, ok := ps.qualifyLossRun(ps.loss); ok {
-		ev.Networks = append(ev.Networks, n)
-	}
-	return ev
 }
 
 // Analysis computes the live paper answers — Tables 5-7, Figures 6-8,
@@ -154,7 +122,7 @@ func (in *Ingester) collectAnalysisViews(ctx context.Context) ([]*analysisView, 
 // into global probe-ID order (the batch pipeline's probe discipline),
 // churn counters summed — and runs the query-time fold.
 func mergeAnalysis(views []*analysisView) (*liveanalysis.Result, Version) {
-	var events []liveanalysis.ProbeEvents
+	var events []core.ProbeEvents
 	var ver Version
 	churn := make(map[int]core.PrefixChangeRow)
 	for _, v := range views {

@@ -13,7 +13,6 @@ import (
 	"dynaddr/internal/atlasdata"
 	"dynaddr/internal/core"
 	"dynaddr/internal/ip4"
-	"dynaddr/internal/liveanalysis"
 	"dynaddr/internal/simclock"
 	"dynaddr/internal/wire"
 )
@@ -23,7 +22,7 @@ import (
 // checkpoint writer writes it atomically (ckptwriter.go): temp file,
 // fsync, rename, directory sync. A crash mid-write therefore leaves the
 // previous checkpoint intact. The encoding is internal/wire frames
-// (CRC32C each) in the peer views' idiom (viewcodec.go), whose detector
+// (CRC32C each) in the peer views' idiom (viewcodec.go), whose event
 // list encoders it shares:
 //
 //	header frame  'C', partition, last WAL sequence covered, generation,
@@ -39,24 +38,24 @@ import (
 // checkpoint that decodes re-encodes to the same bytes.
 //
 // The decoder is the validator. Checkpoints are read from disk and, in
-// AdoptPartition, from the network, so it refuses whatever the state
+// AdoptPartition, from the network, so it refuses whatever the
 // machines cannot run from: counters out of range (negative ones
 // included), probes repeated or out of order, metadata that is invalid
-// or filed under another probe, evidence rings over their size, reboot
-// lists that disagree in length, and churn days out of order or outside
-// the study. Every count is checked against the bytes left before
+// or filed under another probe, evidence rings over their size, the two
+// copies of a probe's entry count or its reboot lists disagreeing, and
+// churn days out of order or outside the study. Every count is checked against the bytes left before
 // anything is allocated.
 
 const (
 	checkpointFile      = "checkpoint.bin"
 	checkpointTag  byte = 'C'
 	// ckAnalysis marks a checkpoint of an analysis shard: the header
-	// carries the churn table and every probe frame its detector state.
+	// carries the churn table and every probe frame its event lists.
 	ckAnalysis byte = 1
 )
 
-// Flag bits of a probe-state frame: the state machines' booleans, plus
-// psTTF for a non-empty duration distribution.
+// Flag bits of a probe-state frame: the machine's booleans, plus psTTF
+// for a non-empty duration distribution.
 const (
 	psHasMeta uint64 = 1 << iota
 	psAllV4Single
@@ -92,7 +91,7 @@ type checkpointHead struct {
 	counts    RecordCounts
 	sessions  []asSessions // ascending ASN
 	analysis  bool
-	churn     []liveanalysis.ChurnCell
+	churn     []core.ChurnCell
 	outside   core.PrefixChangeRow
 	probes    int
 }
@@ -177,12 +176,13 @@ func appendCheckpointHead(dst []byte, h *checkpointHead) []byte {
 // appendProbeState appends one probe-state frame; prev is the previous
 // frame's probe ID (zero for the first).
 func (s *shard) appendProbeState(dst []byte, ps *probeState, prev atlasdata.ProbeID) ([]byte, error) {
+	m := &ps.m
 	dst, start := beginFrame(dst)
-	dst = binary.AppendVarint(dst, int64(ps.id-prev))
+	dst = binary.AppendVarint(dst, int64(m.Probe-prev))
 	var flags uint64
-	for bit, on := range [...]bool{ps.hasMeta, ps.allV4Single, ps.stripped, ps.prevSet, ps.prevIsV4,
-		ps.seg.active, ps.seg.bounded, ps.homeConsistent, ps.multiAS, ps.hasGap, ps.lastGapLinked,
-		ps.loss.active, ps.kRootSeen, ps.upSeen, ps.ttf.Len() > 0} {
+	for bit, on := range [...]bool{ps.hasMeta, !m.MixedAddrs, m.Stripped, m.PrevSet, m.PrevIsV4,
+		m.Seg.Active, m.Seg.Bounded, !m.HomeConflict, m.MultiAS, m.HasGap, m.LastGapLinked,
+		m.Loss.Active, m.KRootSeen, m.UpSeen, m.TTF.Len() > 0} {
 		if on {
 			flags |= 1 << bit
 		}
@@ -198,14 +198,15 @@ func (s *shard) appendProbeState(dst []byte, ps *probeState, prev atlasdata.Prob
 		dst = binary.AppendUvarint(dst, uint64(len(meta)))
 		dst = append(dst, meta...)
 	}
+	// The entry count is stored twice, as entries and as sessions.
 	for _, n := range [...]int64{ps.metaCount, ps.connCount, ps.kRootCount, ps.uptimeCount,
-		int64(ps.rawEntries), int64(ps.v4Count), int64(ps.v6Count), ps.connectedSecs, ps.sessions} {
+		int64(m.RawEntries), int64(m.V4Count), int64(m.V6Count), m.ConnectedSecs, int64(m.RawEntries)} {
 		dst = binary.AppendUvarint(dst, uint64(n))
 	}
-	dst = binary.AppendUvarint(dst, uint64(ps.firstV4Addr))
+	dst = binary.AppendUvarint(dst, uint64(m.FirstV4Addr))
 
 	keys := s.ckKeys[:0]
-	for addr := range ps.runCount {
+	for addr := range m.RunCount {
 		keys = append(keys, addr)
 	}
 	slices.Sort(keys)
@@ -213,56 +214,55 @@ func (s *shard) appendProbeState(dst []byte, ps *probeState, prev atlasdata.Prob
 	dst = binary.AppendUvarint(dst, uint64(len(keys)))
 	for _, addr := range keys {
 		dst = binary.AppendUvarint(dst, uint64(addr))
-		dst = binary.AppendUvarint(dst, uint64(ps.runCount[addr]))
+		dst = binary.AppendUvarint(dst, uint64(m.RunCount[addr]))
 	}
-	dst = binary.AppendUvarint(dst, uint64(ps.runPrevAddr))
-	dst = binary.AppendUvarint(dst, uint64(ps.runTotal))
+	dst = binary.AppendUvarint(dst, uint64(m.RunPrevAddr))
+	dst = binary.AppendUvarint(dst, uint64(m.RunTotal))
 
-	dst = binary.AppendUvarint(dst, uint64(ps.prevAddr))
-	for _, t := range [...]simclock.Time{ps.prevEnd, ps.lastConnStart, ps.lastConnEnd} {
+	dst = binary.AppendUvarint(dst, uint64(m.PrevAddr))
+	for _, t := range [...]simclock.Time{m.PrevEnd, m.LastConnStart, m.LastConnEnd} {
 		dst = binary.AppendVarint(dst, int64(t))
 	}
-	dst = binary.AppendUvarint(dst, uint64(ps.seg.addr))
-	dst = binary.AppendVarint(dst, int64(ps.seg.start))
-	dst = binary.AppendVarint(dst, int64(ps.seg.end))
+	dst = binary.AppendUvarint(dst, uint64(m.Seg.Addr))
+	dst = binary.AppendVarint(dst, int64(m.Seg.Start))
+	dst = binary.AppendVarint(dst, int64(m.Seg.End))
 
-	dst = binary.AppendUvarint(dst, uint64(ps.changes))
-	if ps.ttf.Len() > 0 {
-		dst = ps.ttf.AppendBinary(dst)
+	dst = binary.AppendUvarint(dst, uint64(m.Changes))
+	if m.TTF.Len() > 0 {
+		dst = m.TTF.AppendBinary(dst)
 	}
-	dst = binary.AppendUvarint(dst, uint64(ps.homeASN))
+	dst = binary.AppendUvarint(dst, uint64(m.HomeASN))
 
-	dst = binary.AppendVarint(dst, int64(ps.lastGap.from))
-	dst = binary.AppendVarint(dst, int64(ps.lastGap.to))
-	dst = binary.AppendUvarint(dst, uint64(ps.outageLinked))
-	dst = binary.AppendUvarint(dst, uint64(len(ps.recentOutages)))
+	dst = binary.AppendVarint(dst, int64(m.LastGap.From))
+	dst = binary.AppendVarint(dst, int64(m.LastGap.To))
+	dst = binary.AppendUvarint(dst, uint64(m.OutageLinked))
+	dst = binary.AppendUvarint(dst, uint64(len(m.RecentOutages)))
 	var t simclock.Time
-	for _, o := range ps.recentOutages {
-		dst = binary.AppendVarint(dst, int64(o.from-t))
-		dst = binary.AppendVarint(dst, int64(o.to-o.from))
-		t = o.from
+	for _, o := range m.RecentOutages {
+		dst = binary.AppendVarint(dst, int64(o.From-t))
+		dst = binary.AppendVarint(dst, int64(o.To-o.From))
+		t = o.From
 	}
-	dst = appendTimes(dst, ps.recentReboots)
+	dst = appendTimes(dst, m.RecentReboots)
 
-	dst = binary.AppendVarint(dst, int64(ps.loss.start))
-	dst = binary.AppendVarint(dst, int64(ps.loss.end))
-	dst = binary.AppendVarint(dst, ps.loss.firstLTS)
-	dst = binary.AppendVarint(dst, ps.loss.lastLTS)
-	dst = binary.AppendUvarint(dst, uint64(ps.loss.rounds))
-	dst = binary.AppendUvarint(dst, uint64(ps.networkOutages))
-	dst = binary.AppendVarint(dst, int64(ps.lastKRoot))
+	dst = binary.AppendVarint(dst, int64(m.Loss.Start))
+	dst = binary.AppendVarint(dst, int64(m.Loss.End))
+	dst = binary.AppendVarint(dst, m.Loss.FirstLTS)
+	dst = binary.AppendVarint(dst, m.Loss.LastLTS)
+	dst = binary.AppendUvarint(dst, uint64(m.Loss.Rounds))
+	dst = binary.AppendUvarint(dst, uint64(m.NetworkCount))
+	dst = binary.AppendVarint(dst, int64(m.LastKRoot))
 
-	dst = binary.AppendVarint(dst, int64(ps.prevBoot))
-	dst = binary.AppendVarint(dst, int64(ps.lastUptime))
-	dst = binary.AppendUvarint(dst, uint64(ps.reboots))
+	dst = binary.AppendVarint(dst, int64(m.PrevBoot))
+	dst = binary.AppendVarint(dst, int64(m.LastUptime))
+	dst = binary.AppendUvarint(dst, uint64(m.RebootCount))
 	dst = binary.AppendUvarint(dst, uint64(ps.rejected))
 
 	if s.churn != nil {
-		det := ps.det
-		dst = appendRawHours(dst, det.RawHours)
-		dst = binary.AppendUvarint(dst, uint64(len(det.Gaps)))
+		dst = appendRawHours(dst, m.RawHours)
+		dst = binary.AppendUvarint(dst, uint64(len(m.Gaps)))
 		t = 0
-		for _, g := range det.Gaps {
+		for _, g := range m.Gaps {
 			dst = binary.AppendVarint(dst, int64(g.PrevEnd-t))
 			dst = binary.AppendVarint(dst, int64(g.NextStart-g.PrevEnd))
 			t = g.NextStart
@@ -272,12 +272,12 @@ func (s *shard) appendProbeState(dst []byte, ps *probeState, prev atlasdata.Prob
 			}
 			dst = append(dst, gf)
 		}
-		dst = appendNetworks(dst, ps.id, det.Networks)
-		dst = appendReboots(dst, ps.id, det.Reboots)
-		dst = appendRebootGaps(dst, det.RebootGaps)
-		dst = appendPrefixRow(dst, det.Prefix)
-		dst = appendTimes(dst, det.Rounds)
-		dst = binary.AppendVarint(dst, int64(det.LastUptime))
+		dst = appendNetworks(dst, m.Probe, m.Networks)
+		dst = appendReboots(dst, m.Probe, m.Reboots)
+		dst = appendRebootGaps(dst, m.RebootGaps)
+		dst = appendPrefixRow(dst, m.Prefix)
+		dst = appendTimes(dst, m.Rounds)
+		dst = binary.AppendVarint(dst, int64(m.Watermark))
 	}
 	return endFrame(dst, start), nil
 }
@@ -323,7 +323,7 @@ func readCheckpointHead(it *wire.FrameIter, size int) (checkpointHead, error) {
 	h.analysis = r.flags(ckAnalysis) != 0
 	if h.analysis {
 		if n := r.count(minChurnRow); n > 0 {
-			h.churn = make([]liveanalysis.ChurnCell, n)
+			h.churn = make([]core.ChurnCell, n)
 			for i := range h.churn {
 				cell := &h.churn[i]
 				cell.Day = int(r.counter())
@@ -346,7 +346,7 @@ func readCheckpointHead(it *wire.FrameIter, size int) (checkpointHead, error) {
 // allocated shard (before its goroutine starts) and returns the last
 // WAL sequence it covers and the number of probe states it held. A
 // checkpoint of an analysis shard restores into an analysis-off one
-// without its analysis state, and the reverse with empty detectors —
+// without its analysis state, and the reverse with empty event lists —
 // degradations, not incompatibilities. On error the shard is half
 // restored and must be discarded.
 func (s *shard) restoreCheckpoint(b []byte) (seq uint64, probes int, err error) {
@@ -365,14 +365,14 @@ func (s *shard) restoreCheckpoint(b []byte) (seq uint64, probes int, err error) 
 			return 0, 0, err
 		}
 		ps := s.decodeProbeState(&r, prev, h.analysis)
-		if i > 0 && r.err == nil && ps.id <= prev {
-			r.fail(fmt.Errorf("probe %d out of order", ps.id))
+		if i > 0 && r.err == nil && ps.m.Probe <= prev {
+			r.fail(fmt.Errorf("probe %d out of order", ps.m.Probe))
 		}
 		if err := r.done("checkpoint probe frame", i); err != nil {
 			return 0, 0, err
 		}
-		s.states[ps.id] = ps
-		prev = ps.id
+		s.states[ps.m.Probe] = ps
+		prev = ps.m.Probe
 	}
 	if err := endOfFrames(&it, "checkpoint"); err != nil {
 		return 0, 0, err
@@ -394,134 +394,138 @@ func (s *shard) restoreCheckpoint(b []byte) (seq uint64, probes int, err error) 
 // decodeProbeState decodes one probe-state frame; the caller checks
 // r.err.
 func (s *shard) decodeProbeState(r *viewReader, prev atlasdata.ProbeID, analysis bool) *probeState {
-	id := prev + atlasdata.ProbeID(r.int())
-	ps := newProbeState(id, s.churn)
+	ps := newProbeState(prev+atlasdata.ProbeID(r.int()), s.churn != nil)
+	m := &ps.m
 	flags := r.uvarint()
 	if flags&^psFlags != 0 {
 		r.fail(fmt.Errorf("unknown flag bits %#x", flags&^psFlags))
 	}
 	on := func(bit uint64) bool { return flags&bit != 0 }
 	if on(psHasMeta) {
-		m, err := decodeMeta(r.bytes(r.count(1)))
+		meta, err := decodeMeta(r.bytes(r.count(1)))
 		switch {
 		case err != nil:
 			r.fail(err)
-		case m.ID != id:
-			r.fail(fmt.Errorf("metadata of probe %d", m.ID))
+		case meta.ID != m.Probe:
+			r.fail(fmt.Errorf("metadata of probe %d", meta.ID))
 		default:
-			ps.setMeta(m)
+			ps.setMeta(meta)
 		}
 	}
 	for _, n := range [...]*int64{&ps.metaCount, &ps.connCount, &ps.kRootCount, &ps.uptimeCount} {
 		*n = r.counter()
 	}
-	for _, n := range [...]*int{&ps.rawEntries, &ps.v4Count, &ps.v6Count} {
+	for _, n := range [...]*int{&m.RawEntries, &m.V4Count, &m.V6Count} {
 		*n = int(r.counter())
 	}
-	ps.connectedSecs = r.counter()
-	ps.sessions = r.counter()
-	ps.allV4Single = on(psAllV4Single)
-	ps.firstV4Addr = ip4.Addr(r.u32())
-
-	n := r.count(minRunCount)
-	var last uint32
-	for i := 0; i < n; i++ {
-		addr := r.u32()
-		if i > 0 && addr <= last {
-			r.fail(fmt.Errorf("run counts not ascending at %v", ip4.Addr(addr)))
-		}
-		last = addr
-		ps.runCount[addr] = int(r.counter())
+	m.ConnectedSecs = r.counter()
+	if sessions := r.counter(); sessions != int64(m.RawEntries) {
+		r.fail(fmt.Errorf("%d sessions but %d entries", sessions, m.RawEntries))
 	}
-	ps.runPrevAddr = r.u32()
-	ps.runTotal = int(r.counter())
+	m.MixedAddrs = !on(psAllV4Single)
+	m.FirstV4Addr = ip4.Addr(r.u32())
 
-	ps.stripped = on(psStripped)
-	ps.prevSet = on(psPrevSet)
-	ps.prevIsV4 = on(psPrevIsV4)
-	ps.prevAddr = ip4.Addr(r.u32())
-	ps.prevEnd = r.time()
-	ps.lastConnStart = r.time()
-	ps.lastConnEnd = r.time()
-	ps.seg = addrRun{active: on(psSegActive), bounded: on(psSegBounded), addr: ip4.Addr(r.u32()), start: r.time(), end: r.time()}
+	if n := r.count(minRunCount); n > 0 {
+		m.RunCount = make(map[uint32]int, n)
+		var last uint32
+		for i := 0; i < n; i++ {
+			addr := r.u32()
+			if i > 0 && addr <= last {
+				r.fail(fmt.Errorf("run counts not ascending at %v", ip4.Addr(addr)))
+			}
+			last = addr
+			m.RunCount[addr] = int(r.counter())
+		}
+	}
+	m.RunPrevAddr = r.u32()
+	m.RunTotal = int(r.counter())
 
-	ps.changes = r.counter()
+	m.Stripped = on(psStripped)
+	m.PrevSet = on(psPrevSet)
+	m.PrevIsV4 = on(psPrevIsV4)
+	m.PrevAddr = ip4.Addr(r.u32())
+	m.PrevEnd = r.time()
+	m.LastConnStart = r.time()
+	m.LastConnEnd = r.time()
+	m.Seg = core.AddrRun{Active: on(psSegActive), Bounded: on(psSegBounded), Addr: ip4.Addr(r.u32()), Start: r.time(), End: r.time()}
+
+	m.Changes = r.counter()
 	if on(psTTF) && r.err == nil {
-		rest, err := ps.ttf.DecodeBinary(r.b)
+		rest, err := m.TTF.DecodeBinary(r.b)
 		switch {
 		case err != nil:
 			r.fail(err)
-		case ps.ttf.Len() == 0:
+		case m.TTF.Len() == 0:
 			r.fail(fmt.Errorf("empty duration distribution flagged"))
 		default:
 			r.b = rest
 		}
 	}
-	ps.homeASN = asdb.ASN(r.u32())
-	ps.homeConsistent = on(psHomeConsistent)
-	ps.multiAS = on(psMultiAS)
+	m.HomeASN = asdb.ASN(r.u32())
+	m.HomeConflict = !on(psHomeConsistent)
+	m.MultiAS = on(psMultiAS)
 
-	ps.hasGap = on(psHasGap)
-	ps.lastGap = span{from: r.time(), to: r.time()}
-	ps.lastGapLinked = on(psLastGapLinked)
-	ps.outageLinked = r.counter()
+	m.HasGap = on(psHasGap)
+	m.LastGap = core.Span{From: r.time(), To: r.time()}
+	m.LastGapLinked = on(psLastGapLinked)
+	m.OutageLinked = r.counter()
 	if n := r.evidence(minSpan); n > 0 {
-		ps.recentOutages = make([]span, n)
+		m.RecentOutages = make([]core.Span, n)
 		var t simclock.Time
-		for i := range ps.recentOutages {
-			o := &ps.recentOutages[i]
-			o.from = t + r.time()
-			o.to = o.from + r.time()
-			t = o.from
+		for i := range m.RecentOutages {
+			o := &m.RecentOutages[i]
+			o.From = t + r.time()
+			o.To = o.From + r.time()
+			t = o.From
 		}
 	}
-	ps.recentReboots = r.times(r.evidence(1))
+	m.RecentReboots = r.times(r.evidence(1))
 
-	ps.loss = lossRun{active: on(psLossActive), start: r.time(), end: r.time(), firstLTS: r.varint(), lastLTS: r.varint(), rounds: int(r.counter())}
-	ps.networkOutages = r.counter()
-	ps.lastKRoot = r.time()
-	ps.kRootSeen = on(psKRootSeen)
+	m.Loss = core.LossRun{Active: on(psLossActive), Start: r.time(), End: r.time(), FirstLTS: r.varint(), LastLTS: r.varint(), Rounds: int(r.counter())}
+	m.NetworkCount = r.counter()
+	m.LastKRoot = r.time()
+	m.KRootSeen = on(psKRootSeen)
 
-	ps.upSeen = on(psUpSeen)
-	ps.prevBoot = r.time()
-	ps.lastUptime = r.time()
-	ps.reboots = r.counter()
+	m.UpSeen = on(psUpSeen)
+	m.PrevBoot = r.time()
+	m.LastUptime = r.time()
+	m.RebootCount = r.counter()
 	ps.rejected = r.counter()
 
 	if !analysis {
 		return ps
 	}
-	det := ps.det
-	if det == nil {
-		// An analysis-off shard decodes the detector state only to
-		// validate it.
-		det = &liveanalysis.Detector{}
+	// An analysis-off shard decodes the event lists only to validate
+	// them, into a machine it then drops.
+	ev := m
+	if !m.KeepEvents {
+		ev = &core.Machine{}
 	}
-	det.RawHours = r.rawHours()
+	ev.RawHours = r.rawHours()
 	if n := r.count(minGapEvent); n > 0 {
-		det.Gaps = make([]liveanalysis.GapEvent, n)
+		ev.Gaps = make([]core.GapEvent, n)
 		var t simclock.Time
-		for i := range det.Gaps {
-			g := &det.Gaps[i]
+		for i := range ev.Gaps {
+			g := &ev.Gaps[i]
 			g.PrevEnd = t + r.time()
 			g.NextStart = g.PrevEnd + r.time()
 			t = g.NextStart
 			g.Changed = r.flags(gapChanged) != 0
 		}
 	}
-	det.Networks = r.networks(id)
-	det.Reboots = r.reboots(id)
-	det.RebootGaps = r.rebootGaps()
-	if len(det.Reboots) != len(det.RebootGaps) && r.err == nil {
-		r.fail(fmt.Errorf("%d reboots but %d reboot gaps", len(det.Reboots), len(det.RebootGaps)))
+	ev.Networks = r.networks(m.Probe)
+	ev.Reboots = r.reboots(m.Probe)
+	ev.RebootGaps = r.rebootGaps()
+	if len(ev.Reboots) != len(ev.RebootGaps) && r.err == nil {
+		r.fail(fmt.Errorf("%d reboots but %d reboot gaps", len(ev.Reboots), len(ev.RebootGaps)))
 	}
-	det.Prefix = r.prefixRow()
-	if err := nonNegativeRow(det.Prefix); err != nil {
+	ev.Prefix = r.prefixRow()
+	if err := nonNegativeRow(ev.Prefix); err != nil {
 		r.fail(err)
 	}
-	det.Rounds = r.times(r.count(1))
-	det.LastUptime = r.time()
-	det.Restore()
+	ev.Rounds = r.times(r.count(1))
+	ev.Watermark = r.time()
+	ev.Restore()
 	return ps
 }
 
@@ -562,11 +566,11 @@ func (r *viewReader) counter() int64 {
 func (r *viewReader) time() simclock.Time { return simclock.Time(r.varint()) }
 
 // evidence reads the length of a recent-evidence ring, at most
-// recentEvidence.
+// core.RecentEvidence.
 func (r *viewReader) evidence(min int) int {
 	n := r.count(min)
-	if n > recentEvidence {
-		r.fail(fmt.Errorf("%d recent outage or reboot entries, at most %d", n, recentEvidence))
+	if n > core.RecentEvidence {
+		r.fail(fmt.Errorf("%d recent outage or reboot entries, at most %d", n, core.RecentEvidence))
 		return 0
 	}
 	return n

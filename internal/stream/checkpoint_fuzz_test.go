@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"dynaddr/internal/atlasdata"
+	"dynaddr/internal/core"
 	"dynaddr/internal/ip4"
 	"dynaddr/internal/simclock"
 	"dynaddr/internal/wal"
@@ -131,15 +132,15 @@ func rehead(t testing.TB, ck []byte, edit func(h *checkpointHead)) []byte {
 // can contradict the state machines.
 var checkpointCorruptions = map[string]func(t testing.TB) []byte{
 	"negative record count":  corruptState(func(s *shard) { s.counts.KRoot = -1 }),
-	"negative state counter": corruptState(func(s *shard) { s.states[1].sessions = -2 }),
+	"negative state counter": corruptState(func(s *shard) { s.states[1].m.ConnectedSecs = -2 }),
 	"reboot lists disagree": corruptState(func(s *shard) {
-		det := s.states[1].det
-		det.RebootGaps = append(det.RebootGaps, det.RebootGaps...)
+		m := &s.states[1].m
+		m.RebootGaps = append(m.RebootGaps, m.RebootGaps...)
 	}),
-	"repeated probe":        corruptState(func(s *shard) { s.states[2].id = 1 }),
+	"repeated probe":        corruptState(func(s *shard) { s.states[2].m.Probe = 1 }),
 	"metadata of another":   corruptState(func(s *shard) { s.states[1].meta.ID = 99 }),
 	"invalid metadata":      corruptState(func(s *shard) { s.states[1].meta.Version = 9 }),
-	"evidence ring too big": corruptState(func(s *shard) { s.states[1].recentReboots = make([]simclock.Time, recentEvidence+1) }),
+	"evidence ring too big": corruptState(func(s *shard) { s.states[1].m.RecentReboots = make([]simclock.Time, core.RecentEvidence+1) }),
 	"churn day past study": func(t testing.TB) []byte {
 		return rehead(t, encodeCheckpoint(t, seedShard(t, true)), func(h *checkpointHead) { h.churn[0].Day = 1 << 20 })
 	},

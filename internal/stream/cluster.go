@@ -24,7 +24,7 @@ import (
 // byte-identical to a single process with the same partition count.
 
 // ProbeView is one probe's snapshot contribution in wire form — the
-// exported mirror of the internal per-probe summary, carried between
+// exported copy of the internal per-probe summary, carried between
 // peers as binary frames (viewcodec.go) or JSON. stats.Weighted encodes
 // its buckets exactly either way (no float formatting loss), so a view
 // survives the trip byte-deterministically.
@@ -158,7 +158,7 @@ type AnalysisPeerView struct {
 	TotalPartitions int                          `json:"total_partitions"`
 	Partitions      []int                        `json:"partitions"`
 	Version         Version                      `json:"version"`
-	Events          []liveanalysis.ProbeEvents   `json:"events"`
+	Events          []core.ProbeEvents           `json:"events"`
 	Churn           map[int]core.PrefixChangeRow `json:"churn,omitempty"`
 }
 
@@ -173,7 +173,7 @@ func (in *Ingester) AnalysisPeerView(ctx context.Context) (*AnalysisPeerView, er
 	pv := &AnalysisPeerView{
 		TotalPartitions: in.total,
 		Partitions:      in.OwnedPartitions(),
-		Events:          []liveanalysis.ProbeEvents{},
+		Events:          []core.ProbeEvents{},
 		Churn:           make(map[int]core.PrefixChangeRow),
 	}
 	for _, v := range views {

@@ -10,7 +10,7 @@ import (
 	"time"
 
 	"dynaddr/internal/atlasdata"
-	"dynaddr/internal/liveanalysis"
+	"dynaddr/internal/core"
 	"dynaddr/internal/obs"
 	"dynaddr/internal/pfx2as"
 	"dynaddr/internal/wal"
@@ -104,8 +104,9 @@ type shard struct {
 	// every probe the shard owns (churn has no per-probe dimension —
 	// the counters are integer sums, so per-shard accumulation merges
 	// exactly). Nil when analysis is off; doubles as the analysis-mode
-	// flag for new probe states, which get detectors iff it is set.
-	churn *liveanalysis.ChurnTable
+	// flag for new probe states, whose machines keep their events iff
+	// it is set.
+	churn *core.ChurnTable
 
 	// index is the shard's global partition ID — part of the on-disk
 	// identity of a durable shard (WAL directory shard-NNN) and stable
@@ -364,7 +365,7 @@ func (in *Ingester) newShard(p int) *shard {
 		s.fs = wal.OSFS
 	}
 	if cfg.Analysis {
-		s.churn = &liveanalysis.ChurnTable{}
+		s.churn = &core.ChurnTable{}
 		s.ametrics = newAnalysisMetrics(cfg.Metrics, p)
 	}
 	registerQueueDepth(cfg.Metrics, p, s.in)
@@ -875,7 +876,7 @@ func (s *shard) apply(rec record) applyResult {
 	case kindConn:
 		ps := s.state(rec.conn.Probe)
 		ps.connCount++
-		if ps.onConn(rec.conn, s.pfx) {
+		if ps.m.Conn(rec.conn, s.pfx, s.churn) {
 			s.counts.ConnLogs++
 			s.metrics.accept(kindConn)
 			if rec.conn.IsV4() && s.pfx != nil {
@@ -883,6 +884,7 @@ func (s *shard) apply(rec record) applyResult {
 				s.sessionsByAS[uint32(asn)]++
 			}
 		} else {
+			ps.rejected++
 			s.counts.Rejected++
 			s.metrics.reject()
 			res = applyRejected
@@ -890,10 +892,11 @@ func (s *shard) apply(rec record) applyResult {
 	case kindKRoot:
 		ps := s.state(rec.kroot.Probe)
 		ps.kRootCount++
-		if ps.onKRoot(rec.kroot) {
+		if ps.m.KRoot(rec.kroot) {
 			s.counts.KRoot++
 			s.metrics.accept(kindKRoot)
 		} else {
+			ps.rejected++
 			s.counts.Rejected++
 			s.metrics.reject()
 			res = applyRejected
@@ -901,10 +904,11 @@ func (s *shard) apply(rec record) applyResult {
 	case kindUptime:
 		ps := s.state(rec.uptime.Probe)
 		ps.uptimeCount++
-		if ps.onUptime(rec.uptime) {
+		if ps.m.Uptime(rec.uptime) {
 			s.counts.Uptime++
 			s.metrics.accept(kindUptime)
 		} else {
+			ps.rejected++
 			s.counts.Rejected++
 			s.metrics.reject()
 			res = applyRejected
@@ -946,7 +950,7 @@ func (s *shard) cursor(id atlasdata.ProbeID) ProbeCursor {
 func (s *shard) state(id atlasdata.ProbeID) *probeState {
 	ps, ok := s.states[id]
 	if !ok {
-		ps = newProbeState(id, s.churn)
+		ps = newProbeState(id, s.churn != nil)
 		s.states[id] = ps
 	}
 	return ps

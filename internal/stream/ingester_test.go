@@ -114,7 +114,7 @@ func TestStateMachineBasics(t *testing.T) {
 }
 
 // TestMultiASProbeExcluded checks that a probe whose change crosses
-// ASes stays out of the per-AS aggregates, mirroring the batch filter.
+// ASes stays out of the per-AS aggregates, as in the batch filter.
 func TestMultiASProbeExcluded(t *testing.T) {
 	ing := stream.NewIngester(stream.Config{Shards: 1, Pfx2AS: testStore(t)})
 	id := atlasdata.ProbeID(301)

@@ -111,19 +111,14 @@ func TestReplayEquivalence(t *testing.T) {
 		}
 	}
 
-	// Event detection: reboot counts must match the batch detector
-	// exactly; network-outage counts match it on every closed loss run
-	// (a run still open when the stream ends has no closing good round,
-	// so the batch detector sees one extra candidate).
+	// Event detection: the shards' reboot and closed-outage counts
+	// must match core.Detect's over each probe's whole record stream
+	// (a loss run still open at the end is not counted).
 	var wantReboots, wantOutages int64
 	for id := range ds.Probes {
-		wantReboots += int64(len(core.DetectReboots(ds.Uptime[id])))
-		rounds := ds.KRoot[id]
-		trimmed := rounds
-		for len(trimmed) > 0 && trimmed[len(trimmed)-1].AllLost() {
-			trimmed = trimmed[:len(trimmed)-1]
-		}
-		wantOutages += int64(len(core.DetectNetworkOutages(trimmed)))
+		m := core.Detect(ds, id, nil)
+		wantReboots += m.RebootCount
+		wantOutages += m.NetworkCount
 	}
 	if snap.Reboots != wantReboots {
 		t.Errorf("reboots: stream %d, batch %d", snap.Reboots, wantReboots)

@@ -90,7 +90,7 @@ type Snapshot struct {
 	Unregistered int `json:"unregistered"`
 	// Categories is the live Table 2: registered probes by classification.
 	Categories map[core.Category]int `json:"-"`
-	// GeoProbes / ASProbes mirror the batch filter's analyzable sets.
+	// GeoProbes / ASProbes count the batch filter's analyzable sets.
 	GeoProbes int `json:"geo_probes"`
 	ASProbes  int `json:"as_probes"`
 	// Stream-wide event totals (all probes, registered or not).

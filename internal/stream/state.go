@@ -1,54 +1,21 @@
 package stream
 
 import (
-	"dynaddr/internal/asdb"
 	"dynaddr/internal/atlasdata"
 	"dynaddr/internal/core"
-	"dynaddr/internal/ip4"
-	"dynaddr/internal/liveanalysis"
-	"dynaddr/internal/pfx2as"
-	"dynaddr/internal/simclock"
-	"dynaddr/internal/stats"
 )
 
-// span is a half-open-ish time interval used for gap/outage overlap.
-type span struct{ from, to simclock.Time }
-
-func (s span) overlaps(o span) bool { return !s.to.Before(o.from) && !o.to.Before(s.from) }
-
-func (s span) contains(t simclock.Time) bool { return !t.Before(s.from) && !t.After(s.to) }
-
-// addrRun is the current same-address run inside the live IPv4 segment
-// of a probe's stripped connection log.
-type addrRun struct {
-	active bool
-	// bounded records whether the run began at an observed address
-	// change; only bounded runs that also end at a change yield durations
-	// (the batch pipeline's interior runs).
-	bounded    bool
-	addr       ip4.Addr
-	start, end simclock.Time
-}
-
-// lossRun is an open run of all-lost k-root rounds.
-type lossRun struct {
-	active            bool
-	start, end        simclock.Time
-	firstLTS, lastLTS int64
-	rounds            int
-}
-
-// probeState is one probe's incremental analysis state. It maintains,
-// record by record, every feature the batch Table 2 classifier and the
-// per-AS aggregations consume, so a snapshot can classify and aggregate
-// without revisiting history.
+// probeState is one probe's state in its shard: the metadata, the
+// resume counters, and the core.Machine that detects everything else
+// record by record, so a snapshot can classify and aggregate without
+// revisiting history.
 type probeState struct {
-	id      atlasdata.ProbeID
 	meta    atlasdata.ProbeMeta
 	hasMeta bool
 
 	// Processed-record counters by kind, counting every record the shard
-	// consumed for this probe — accepted or rejected. They form the
+	// consumed for this probe — accepted or rejected (the machine
+	// refuses records out of the probe's time order). They form the
 	// probe's resume cursor: because the shard WAL preserves per-probe
 	// order, the counts identify exactly how far into a probe's stream
 	// the durable state reaches, so a producer can resume after a crash
@@ -57,87 +24,14 @@ type probeState struct {
 	connCount   int64
 	kRootCount  int64
 	uptimeCount int64
+	rejected    int64
 
-	// Raw-log classification features (mirroring core.classify, which
-	// inspects the log before the testing-entry strip).
-	rawEntries    int
-	v4Count       int
-	v6Count       int
-	connectedSecs int64
-	sessions      int64
-	// allV4Single tracks core's singleAddress: every entry IPv4 with one
-	// address.
-	allV4Single bool
-	firstV4Addr ip4.Addr
-	// Alternating-address (behavioural multihomed) run counting over the
-	// raw IPv4 entries.
-	runCount    map[uint32]int
-	runPrevAddr uint32
-	runTotal    int
-
-	// Stripped-log machines: change detection and duration runs operate
-	// on the log with a leading testing-address entry removed (§3.3).
-	stripped      bool
-	prevSet       bool
-	prevIsV4      bool
-	prevAddr      ip4.Addr
-	prevEnd       simclock.Time
-	lastConnStart simclock.Time
-	lastConnEnd   simclock.Time
-	seg           addrRun
-
-	changes int64
-	ttf     stats.Weighted
-
-	// Home-AS derivation over observed changes (mirroring core.classify).
-	homeASN        asdb.ASN
-	homeConsistent bool
-	multiAS        bool
-
-	// Rolling outage-change correlator state.
-	hasGap        bool
-	lastGap       span
-	lastGapLinked bool
-	outageLinked  int64
-	recentOutages []span          // ring, newest last
-	recentReboots []simclock.Time // ring, newest last
-
-	// k-root loss-run machine.
-	loss           lossRun
-	networkOutages int64
-	lastKRoot      simclock.Time
-	kRootSeen      bool
-
-	// Uptime machine.
-	upSeen     bool
-	prevBoot   simclock.Time
-	lastUptime simclock.Time
-	reboots    int64
-
-	rejected int64
-
-	// det, when live analysis is enabled, accumulates the paper-answer
-	// event state (durations, gaps, outages, reboot gaps, prefix
-	// counters) alongside the classification features above. Nil when
-	// analysis is off — every hook below is guarded, so the disabled
-	// path costs one nil check per record. churn points at the owning
-	// shard's shared day table (nil alongside det).
-	det   *liveanalysis.Detector
-	churn *liveanalysis.ChurnTable
+	// m keeps its event lists only on analysis shards.
+	m core.Machine
 }
 
-func newProbeState(id atlasdata.ProbeID, churn *liveanalysis.ChurnTable) *probeState {
-	ps := &probeState{
-		id:             id,
-		allV4Single:    true,
-		homeConsistent: true,
-		runCount:       make(map[uint32]int),
-	}
-	if churn != nil {
-		ps.det = liveanalysis.NewDetector()
-		ps.churn = churn
-	}
-	return ps
+func newProbeState(id atlasdata.ProbeID, analysis bool) *probeState {
+	return &probeState{m: core.Machine{Probe: id, KeepEvents: analysis}}
 }
 
 func (ps *probeState) setMeta(m atlasdata.ProbeMeta) {
@@ -145,363 +39,26 @@ func (ps *probeState) setMeta(m atlasdata.ProbeMeta) {
 	ps.hasMeta = true
 }
 
-// onConn feeds one connection-log entry through the raw feature
-// trackers and the stripped-log change/duration machines. Entries that
-// violate the per-probe time order (start before the previous entry's
-// end) are rejected, mirroring Dataset.Validate's no-overlap invariant.
-func (ps *probeState) onConn(e atlasdata.ConnLogEntry, pfx *pfx2as.SnapshotStore) bool {
-	if ps.rawEntries > 0 && e.Start.Before(ps.lastConnEnd) {
-		ps.rejected++
-		return false
-	}
-	ps.lastConnStart = e.Start
-	ps.lastConnEnd = e.End
-
-	// Raw features, testing entry included.
-	ps.rawEntries++
-	ps.sessions++
-	ps.connectedSecs += int64(e.End.Sub(e.Start))
-	if e.IsV4() {
-		ps.v4Count++
-		if ps.v4Count == 1 {
-			ps.firstV4Addr = e.Addr
-		} else if e.Addr != ps.firstV4Addr {
-			ps.allV4Single = false
-		}
-		a := uint32(e.Addr)
-		if ps.runTotal == 0 || a != ps.runPrevAddr {
-			ps.runCount[a]++
-			ps.runPrevAddr = a
-			ps.runTotal++
-		}
-	} else {
-		ps.v6Count++
-		ps.allV4Single = false
-	}
-
-	// Strip a leading testing-address entry from the analysis log.
-	if ps.rawEntries == 1 && e.IsV4() && e.Addr == ip4.TestingAddr {
-		ps.stripped = true
-		return true
-	}
-
-	// Live analysis: one gap event per consecutive stripped-entry pair
-	// (core.GapSpans); causes are assigned only at query time, after
-	// firmware filtering has settled the power evidence.
-	if ps.det != nil && ps.prevSet {
-		ps.det.OnGap(ps.prevEnd, e.Start, ps.prevIsV4 && e.IsV4() && e.Addr != ps.prevAddr)
-	}
-
-	// Address-change detection: directly consecutive IPv4 entries with
-	// different addresses (core.V4Changes).
-	if ps.prevSet && ps.prevIsV4 && e.IsV4() && e.Addr != ps.prevAddr {
-		ps.onChange(ps.prevAddr, e.Addr, ps.prevEnd, e.Start, pfx)
-	}
-
-	// Duration runs: maximal IPv4 segments, interior runs only
-	// (core.V4Durations). A run closes — and, if change-bounded on both
-	// sides, yields a duration into the online TTF accumulator — when a
-	// different-address IPv4 entry arrives in the same segment. An IPv6
-	// entry breaks the segment and discards the open run.
-	if e.IsV4() {
-		switch {
-		case ps.seg.active && ps.seg.addr == e.Addr:
-			ps.seg.end = e.End
-		case ps.seg.active:
-			if ps.seg.bounded {
-				ps.closeDuration()
-			}
-			ps.seg = addrRun{active: true, bounded: true, addr: e.Addr, start: e.Start, end: e.End}
-		default:
-			ps.seg = addrRun{active: true, addr: e.Addr, start: e.Start, end: e.End}
-		}
-	} else {
-		ps.seg = addrRun{}
-	}
-
-	ps.prevSet = true
-	ps.prevIsV4 = e.IsV4()
-	ps.prevAddr = e.Addr
-	ps.prevEnd = e.End
-	return true
-}
-
-// closeDuration folds a both-sides-bounded address duration into the
-// probe's total-time-fraction distribution, exactly as core.TTF does:
-// weight d at the hour-quantised value.
-func (ps *probeState) closeDuration() {
-	hours := ps.seg.end.Sub(ps.seg.start).Hours()
-	// The analysis event list keeps non-positive durations too — the
-	// batch V4Durations list does, and they count toward the periodic
-	// classifier's minimum-durations gate.
-	if ps.det != nil {
-		ps.det.OnClosedDuration(hours)
-	}
-	if hours <= 0 {
-		return
-	}
-	ps.ttf.Add(core.QuantizeHours(hours), hours)
-}
-
-// onChange records an observed address change, updates home-AS state,
-// and correlates the change's gap with outage evidence seen so far.
-func (ps *probeState) onChange(from, to ip4.Addr, prevEnd, nextStart simclock.Time, pfx *pfx2as.SnapshotStore) {
-	ps.changes++
-
-	var fromASN, toASN asdb.ASN
-	var fromPfx, toPfx ip4.Prefix
-	var okFrom, okTo bool
-	if pfx != nil {
-		fromASN, fromPfx, okFrom = pfx.Lookup(from, prevEnd)
-		toASN, toPfx, okTo = pfx.Lookup(to, nextStart)
-	}
-	if ps.det != nil {
-		ps.det.OnChangeDual(ps.churn.Row(nextStart), from, to, fromPfx, toPfx, okFrom, okTo)
-	}
-	if fromASN != toASN {
-		ps.multiAS = true
-	}
-	for _, asn := range []asdb.ASN{fromASN, toASN} {
-		if asn == 0 {
-			continue
-		}
-		if ps.homeASN == 0 {
-			ps.homeASN = asn
-		} else if ps.homeASN != asn {
-			ps.homeConsistent = false
-		}
-	}
-
-	gap := span{from: prevEnd, to: nextStart}
-	ps.hasGap = true
-	ps.lastGap = gap
-	ps.lastGapLinked = false
-	if ps.gapHasEvidence(gap) {
-		ps.lastGapLinked = true
-		ps.outageLinked++
-	}
-}
-
-// gapHasEvidence reports whether any outage evidence seen so far falls
-// inside the gap: an open or recently closed loss run overlapping it, or
-// a recent reboot whose boot instant lies within it.
-func (ps *probeState) gapHasEvidence(gap span) bool {
-	if ps.loss.active && gap.overlaps(span{from: ps.loss.start, to: ps.loss.end}) {
-		return true
-	}
-	for _, o := range ps.recentOutages {
-		if gap.overlaps(o) {
-			return true
-		}
-	}
-	for _, t := range ps.recentReboots {
-		if gap.contains(t) {
-			return true
-		}
-	}
-	return false
-}
-
-// linkEvidence marks the most recent change's gap as outage-linked if
-// the newly arrived evidence falls inside it. Evidence for a gap can
-// trail the change (the closing good round arrives after the session
-// re-establishes), so correlation runs in both directions.
-func (ps *probeState) linkEvidence(ev span) {
-	if ps.hasGap && !ps.lastGapLinked && ps.lastGap.overlaps(ev) {
-		ps.lastGapLinked = true
-		ps.outageLinked++
-	}
-}
-
-// onKRoot feeds one k-root round through the loss-run machine. Rounds
-// must arrive in per-probe time order.
-func (ps *probeState) onKRoot(k atlasdata.KRootRound) bool {
-	if ps.kRootSeen && k.Timestamp.Before(ps.lastKRoot) {
-		ps.rejected++
-		return false
-	}
-	ps.kRootSeen = true
-	ps.lastKRoot = k.Timestamp
-	if ps.det != nil {
-		// Reboot-gap resolution cares about round presence, not outcome.
-		ps.det.OnRound(k.Timestamp)
-	}
-
-	if k.AllLost() {
-		if !ps.loss.active {
-			ps.loss = lossRun{active: true, start: k.Timestamp, end: k.Timestamp,
-				firstLTS: k.LTS, lastLTS: k.LTS, rounds: 1}
-		} else {
-			ps.loss.end = k.Timestamp
-			ps.loss.lastLTS = k.LTS
-			ps.loss.rounds++
-		}
-		return true
-	}
-	if ps.loss.active {
-		ps.closeLossRun()
-	}
-	return true
-}
-
-// closeLossRun ends the open loss run, qualifying it as a network outage
-// under the batch rule: growing LTS across multi-round runs, or LTS past
-// the sync bound for single-round runs (core.DetectNetworkOutages).
-func (ps *probeState) closeLossRun() {
-	run := ps.loss
-	ps.loss = lossRun{}
-	n, ok := ps.qualifyLossRun(run)
-	if !ok {
-		return
-	}
-	ps.networkOutages++
-	if ps.det != nil {
-		ps.det.OnNetworkOutage(n)
-	}
-	ev := span{from: run.start, to: run.end}
-	ps.recentOutages = appendRing(ps.recentOutages, ev)
-	ps.linkEvidence(ev)
-}
-
-// qualifyLossRun applies the batch qualification rule to a loss run
-// without consuming it — shared between the closing path above and the
-// snapshot barrier, which must finalize a still-open run the way the
-// batch detector closes its trailing run at end-of-input.
-func (ps *probeState) qualifyLossRun(run lossRun) (core.NetworkOutage, bool) {
-	if !run.active {
-		return core.NetworkOutage{}, false
-	}
-	qualifies := false
-	if run.rounds > 1 {
-		qualifies = run.lastLTS > run.firstLTS
-	} else {
-		qualifies = run.firstLTS > ltsSyncBound
-	}
-	if !qualifies {
-		return core.NetworkOutage{}, false
-	}
-	return core.NetworkOutage{Probe: ps.id, Start: run.start, End: run.end}, true
-}
-
-// onUptime feeds one SOS-uptime record through the reboot detector
-// (core.DetectReboots): a boot instant later than the previous one by
-// more than the slack is a reboot.
-func (ps *probeState) onUptime(u atlasdata.UptimeRecord) bool {
-	if ps.upSeen && u.Timestamp.Before(ps.lastUptime) {
-		ps.rejected++
-		return false
-	}
-	ps.lastUptime = u.Timestamp
-
-	boot := u.Timestamp.Add(-simclock.Duration(u.Uptime))
-	if ps.upSeen && boot.Sub(ps.prevBoot) > bootSlackSecs*simclock.Second {
-		ps.reboots++
-		if ps.det != nil {
-			ps.det.OnReboot(core.Reboot{Probe: ps.id, At: boot})
-		}
-		ps.recentReboots = appendRing(ps.recentReboots, boot)
-		ps.linkEvidence(span{from: boot, to: boot})
-	}
-	if !ps.upSeen || boot.After(ps.prevBoot) {
-		ps.prevBoot = boot
-	}
-	ps.upSeen = true
-	if ps.det != nil {
-		ps.det.OnUptime(u.Timestamp)
-	}
-	return true
-}
-
-func appendRing[T any](ring []T, v T) []T {
-	if len(ring) >= recentEvidence {
-		copy(ring, ring[1:])
-		ring[len(ring)-1] = v
-		return ring
-	}
-	return append(ring, v)
-}
-
-// connectedDays returns the probe's aggregate connected time in days:
-// the registered metadata's figure when available, never less than what
-// the stream itself has accumulated (live registration may precede the
-// records).
-func (ps *probeState) connectedDays() float64 {
-	acc := float64(ps.connectedSecs) / 86400
-	if ps.hasMeta && ps.meta.ConnectedDays > acc {
-		return ps.meta.ConnectedDays
-	}
-	return acc
-}
-
-// category classifies the probe under the paper's Table 2 pipeline,
-// mirroring core.classify clause for clause over the incrementally
-// maintained features.
-func (ps *probeState) category() core.Category {
-	if ps.connectedDays() <= minConnectedDays {
-		return core.CatShortLived
-	}
-	if ps.v4Count == 0 && ps.v6Count > 0 {
-		return core.CatIPv6Only
-	}
-	if ps.v6Count > 0 {
-		return core.CatDualStack
-	}
-	if ps.rawEntries > 0 && ps.allV4Single {
-		return core.CatNeverChanged
-	}
-	for _, tag := range []string{atlasdata.TagMultihomed, atlasdata.TagDatacentre, atlasdata.TagCore} {
-		if ps.hasMeta && ps.meta.HasTag(tag) {
-			return core.CatTaggedMultihomed
-		}
-	}
-	if ps.alternating() {
-		return core.CatBehaviouralMultihomed
-	}
-	if ps.stripped && ps.changes == 0 {
-		return core.CatTestingOnly
-	}
-	if ps.changes == 0 {
-		return core.CatNeverChanged
-	}
-	return core.CatAnalyzable
-}
-
-// alternating mirrors core's behavioural multihomed detector: some
-// address keeps coming back — at least three separated runs covering a
-// quarter of all runs.
-func (ps *probeState) alternating() bool {
-	if ps.runTotal < 5 {
-		return false
-	}
-	for _, c := range ps.runCount {
-		if c >= 3 && float64(c) >= 0.25*float64(ps.runTotal) {
-			return true
-		}
-	}
-	return false
-}
-
 // summarize produces the immutable per-probe view a snapshot aggregates.
 func (ps *probeState) summarize() probeSummary {
+	m := &ps.m
 	sum := probeSummary{
-		ID:             ps.id,
+		ID:             m.Probe,
 		HasMeta:        ps.hasMeta,
-		Sessions:       ps.sessions,
-		Changes:        ps.changes,
-		NetworkOutages: ps.networkOutages,
-		Reboots:        ps.reboots,
-		OutageLinked:   ps.outageLinked,
-		OpenLossRun:    ps.loss.active,
-		MultiAS:        ps.multiAS,
-		ConnectedDays:  ps.connectedDays(),
-		TTF:            ps.ttf.Clone(),
+		Sessions:       int64(m.RawEntries),
+		Changes:        m.Changes,
+		NetworkOutages: m.NetworkCount,
+		Reboots:        m.RebootCount,
+		OutageLinked:   m.OutageLinked,
+		OpenLossRun:    m.Loss.Active,
+		MultiAS:        m.MultiAS,
+		ConnectedDays:  m.ConnectedDays(ps.meta),
+		TTF:            m.TTF.Clone(),
+		ASN:            uint32(m.Home()),
 	}
 	if ps.hasMeta {
-		sum.Category = ps.category()
+		sum.Category = m.Category(ps.meta)
 		sum.Country = ps.meta.Country
-	}
-	if ps.homeConsistent && ps.homeASN != 0 {
-		sum.ASN = uint32(ps.homeASN)
 	}
 	return sum
 }

@@ -6,9 +6,10 @@
 // where probes reconnect to controllers continuously.
 //
 // Architecture: records are hashed by probe ID onto N shards, each a
-// goroutine owning the per-probe state machines for its probes and fed
-// through a bounded channel (a full shard exerts backpressure on
-// producers). Each state machine detects IPv4 address changes and closes
+// goroutine owning its probes' state and fed through a bounded channel
+// (a full shard exerts backpressure on producers). A probe's state is a
+// core.Machine, the per-probe detector the batch pipeline also runs:
+// fed record by record, it detects IPv4 address changes and closes
 // address durations as they become bounded (feeding an online
 // total-time-fraction accumulator, f_d = d·n(d)/Σ(D)), tracks open
 // k-root loss runs, spots uptime-counter resets, and correlates address
@@ -19,8 +20,7 @@
 // Classification (the paper's Table 2) is inherently retrospective — a
 // probe "becomes" dual-stack the moment its first IPv6 session arrives —
 // so category assignment and per-AS aggregation happen at snapshot time
-// from the incrementally maintained per-probe features, using exactly
-// the rules of core.Filter. Streaming a complete dataset through the
+// from the machines' features. Streaming a complete dataset through the
 // ingester therefore reproduces the batch pipeline's per-AS change
 // counts and total-time-fraction tallies exactly (see the replay-
 // equivalence test).
@@ -101,12 +101,11 @@ type Config struct {
 	// per record.
 	Metrics *obs.Registry
 
-	// Analysis enables the live analysis engine: every probe state
-	// additionally maintains a liveanalysis.Detector at apply time, and
+	// Analysis enables the live analysis engine: every probe's machine
+	// additionally keeps its event lists at apply time, and
 	// Analysis()/AnalysisContext() answer the paper's tables and figures
-	// from the current stream position. Detector state rides inside the
+	// from the current stream position. The event lists ride inside the
 	// shard checkpoints, so recovery restores the analysis exactly.
-	// Disabled, the ingest hot path pays one nil check per record.
 	Analysis bool
 }
 
@@ -134,21 +133,3 @@ func (c Config) withDefaults() Config {
 	}
 	return c
 }
-
-// Thresholds mirrored from the batch pipeline (internal/core); the
-// streaming detectors must agree with the batch ones record for record.
-const (
-	// ltsSyncBound is the LTS value above which a single lost round
-	// already implies a missed controller sync (core.DetectNetworkOutages).
-	ltsSyncBound = 240
-	// bootSlackSecs absorbs clock skew between the probe's uptime counter
-	// and record timestamps when comparing boot instants (core.DetectReboots).
-	bootSlackSecs = 90
-	// minConnectedDays is the paper's Table 2 pre-filter (core.Filter).
-	minConnectedDays = 30
-)
-
-// recentEvidence bounds the per-probe ring buffers of closed outages and
-// reboots kept for gap correlation. Changes arrive close in time to the
-// outage that caused them, so a short memory suffices.
-const recentEvidence = 8

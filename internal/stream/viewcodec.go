@@ -9,7 +9,6 @@ import (
 
 	"dynaddr/internal/atlasdata"
 	"dynaddr/internal/core"
-	"dynaddr/internal/liveanalysis"
 	"dynaddr/internal/simclock"
 	"dynaddr/internal/stats"
 	"dynaddr/internal/wire"
@@ -70,14 +69,9 @@ const (
 	evFlags = evMultiAS | evV3 | evHasChanges
 )
 
-// Flag bits of one gap. gapCause marks a gap carrying a cause or an
-// outage duration; a peer's gaps are still unclassified, so the bit is
-// there only to keep the encoding lossless.
-const (
-	gapChanged byte = 1 << iota
-	gapCause
-	gapFlags = gapChanged | gapCause
-)
+// gapChanged flags a gap across which the address changed. A gap's
+// cause is not in the encoding: a peer's gaps are unclassified.
+const gapChanged byte = 1
 
 // AppendPeerView appends v's binary form to dst.
 func AppendPeerView(dst []byte, v *PeerView) []byte {
@@ -259,22 +253,15 @@ func AppendAnalysisPeerView(dst []byte, v *AnalysisPeerView) []byte {
 		dst = binary.AppendUvarint(dst, uint64(len(ev.Gaps)))
 		var t simclock.Time
 		for _, g := range ev.Gaps {
-			dst = binary.AppendVarint(dst, int64(g.Probe-ev.Probe))
+			dst = append(dst, 0) // the gap's probe, as a delta from the event's
 			dst = binary.AppendVarint(dst, int64(g.PrevEnd-t))
 			dst = binary.AppendVarint(dst, int64(g.NextStart-g.PrevEnd))
 			t = g.NextStart
 			var gf byte
 			if g.Changed {
-				gf |= gapChanged
-			}
-			if g.Cause != 0 || g.OutageDuration != 0 {
-				gf |= gapCause
+				gf = gapChanged
 			}
 			dst = append(dst, gf)
-			if gf&gapCause != 0 {
-				dst = binary.AppendVarint(dst, int64(g.Cause))
-				dst = binary.AppendVarint(dst, int64(g.OutageDuration))
-			}
 		}
 
 		dst = appendNetworks(dst, ev.Probe, ev.Networks)
@@ -310,7 +297,7 @@ func DecodeAnalysisPeerView(b []byte) (*AnalysisPeerView, error) {
 	if err := r.done("view header frame", 0); err != nil {
 		return nil, err
 	}
-	v.Events = make([]liveanalysis.ProbeEvents, events)
+	v.Events = make([]core.ProbeEvents, events)
 	var prev atlasdata.ProbeID
 	for i := range v.Events {
 		r, err := nextFrame(&it, "view")
@@ -330,19 +317,16 @@ func DecodeAnalysisPeerView(b []byte) (*AnalysisPeerView, error) {
 
 		var t simclock.Time
 		if n := r.count(minGap); n > 0 {
-			ev.Gaps = make([]core.Gap, n)
+			ev.Gaps = make([]core.GapEvent, n)
 			for k := range ev.Gaps {
+				if d := r.int(); d != 0 && r.err == nil {
+					r.fail(fmt.Errorf("gap of probe %d in the events of probe %d", ev.Probe+atlasdata.ProbeID(d), ev.Probe))
+				}
 				g := &ev.Gaps[k]
-				g.Probe = ev.Probe + atlasdata.ProbeID(r.int())
 				g.PrevEnd = t + simclock.Time(r.varint())
 				g.NextStart = g.PrevEnd + simclock.Time(r.varint())
 				t = g.NextStart
-				gf := r.flags(gapFlags)
-				g.Changed = gf&gapChanged != 0
-				if gf&gapCause != 0 {
-					g.Cause = core.Cause(r.int())
-					g.OutageDuration = simclock.Duration(r.varint())
-				}
+				g.Changed = r.flags(gapChanged) != 0
 			}
 		}
 
@@ -380,7 +364,7 @@ func appendViewHead(dst []byte, total int, parts []int, ver Version) []byte {
 }
 
 // The list encoders below are shared by the analysis view and the shard
-// checkpoint, so a detector list has one encoding wherever it travels.
+// checkpoint, so an event list has one encoding wherever it travels.
 // Events carry their probe as a delta from the frame's probe, and times
 // are deltas from the previous element's in the list.
 

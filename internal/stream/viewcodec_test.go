@@ -246,18 +246,18 @@ func refreshChecksums(b []byte) []byte {
 	return out
 }
 
-// BenchmarkPeerViewCodec encodes and decodes one peer's views in both
-// encodings: the seed-77, scale-0.5 world (the benchmark harness's),
-// with the peer owning partitions 0, 3, 6 and 9 of 12. body-B is the
-// encoded size; -benchmem gives the allocation per encode or decode.
-func BenchmarkPeerViewCodec(b *testing.B) {
+// seed77PeerViews returns the views of one peer of a 12-partition
+// cluster over the seed-77, scale-0.5 world (the benchmark harness's):
+// the peer owns partitions 0, 3, 6 and 9.
+func seed77PeerViews(tb testing.TB) (*stream.PeerView, *stream.AnalysisPeerView) {
+	tb.Helper()
 	const total = 12
 	cfg := sim.DefaultConfig()
 	cfg.Seed = 77
 	cfg.Scale = 0.5
 	world, err := sim.Generate(cfg)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	owned := []int{0, 3, 6, 9}
 	ing := stream.NewIngester(stream.Config{
@@ -274,17 +274,49 @@ func BenchmarkPeerViewCodec(b *testing.B) {
 	discard := stream.NewIngester(stream.Config{TotalPartitions: total, OwnedPartitions: []int{1, 2, 4, 5, 7, 8, 10, 11}})
 	defer discard.Close()
 	if err := sim.ReplayDataset(world.Dataset, routeSink{ings: []*stream.Ingester{ing, discard}, ownerOf: ownerOf}); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	ctx := context.Background()
 	pv, err := ing.PeerView(ctx)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	av, err := ing.AnalysisPeerView(ctx)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
+	return pv, av
+}
+
+// TestAnalysisViewDecodeAllocs pins that decoding an analysis view
+// allocates less than three times its body: the gaps decode into
+// 24-byte events, not 48-byte classified gaps (which took it past four
+// times). What is left is the decoded lists themselves: a gap's event
+// is 24 bytes against its 6 or 7 encoded ones.
+func TestAnalysisViewDecodeAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("world generation in -short mode")
+	}
+	_, av := seed77PeerViews(t)
+	body := stream.AppendAnalysisPeerView(nil, av)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := stream.DecodeAnalysisPeerView(body); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	alloc := after.TotalAlloc - before.TotalAlloc
+	t.Logf("decoding a %d-byte analysis view allocated %d bytes", len(body), alloc)
+	if alloc >= uint64(3*len(body)) {
+		t.Errorf("decoding a %d-byte analysis view allocated %d bytes, want under three times the body", len(body), alloc)
+	}
+}
+
+// BenchmarkPeerViewCodec encodes and decodes one peer's views
+// (seed77PeerViews) in both encodings. body-B is the encoded size;
+// -benchmem gives the allocation per encode or decode.
+func BenchmarkPeerViewCodec(b *testing.B) {
+	pv, av := seed77PeerViews(b)
 	benchViewCodec(b, "view", pv, stream.AppendPeerView, stream.DecodePeerView)
 	benchViewCodec(b, "analysis", av, stream.AppendAnalysisPeerView, stream.DecodeAnalysisPeerView)
 }
