@@ -124,6 +124,27 @@ func TestKRootResultsRoundTrip(t *testing.T) {
 	}
 }
 
+// TestKRootResultsRange: ping results go through NewKRootRound, so a
+// count beyond u16 or an LTS outside int32 fails the parse, as a text
+// archive line does.
+func TestKRootResultsRange(t *testing.T) {
+	for line, want := range map[string]string{
+		`{"prb_id":7,"timestamp":100,"sent":70000,"rcvd":1,"lts":30}`:     "outside 0-65535",
+		`{"prb_id":7,"timestamp":100,"sent":3,"rcvd":-1,"lts":30}`:        "outside 0-65535",
+		`{"prb_id":7,"timestamp":100,"sent":3,"rcvd":3,"lts":2147483648}`: "outside int32",
+		`{"prb_id":7,"timestamp":100,"sent":3,"rcvd":3,"lts":-1}`:         "negative LTS",
+	} {
+		if _, err := ParseKRootResults(strings.NewReader(line)); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("ParseKRootResults(%s): %v, want %q", line, err, want)
+		}
+	}
+	got, err := ParseKRootResults(strings.NewReader(`{"prb_id":7,"timestamp":100,"sent":65535,"rcvd":65535,"lts":2147483647}`))
+	want := []atlasdata.KRootRound{{Probe: 7, Timestamp: 100, Sent: 65535, Success: 65535, LTS: 2147483647}}
+	if err != nil || !reflect.DeepEqual(got, want) {
+		t.Errorf("edge round: %+v, %v", got, err)
+	}
+}
+
 func TestUptimeResultsRoundTrip(t *testing.T) {
 	in := []atlasdata.UptimeRecord{
 		{Probe: 206, Timestamp: 1420082118, Uptime: 262531},

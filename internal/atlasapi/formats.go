@@ -204,10 +204,10 @@ func WriteKRootResults(w io.Writer, rounds []atlasdata.KRootRound) error {
 		}
 		pr := pingResult{
 			PrbID: int(k.Probe), MsmID: kRootMsmID,
-			Timestamp: int64(k.Timestamp), Sent: k.Sent, Rcvd: k.Success, LTS: k.LTS,
+			Timestamp: int64(k.Timestamp), Sent: int(k.Sent), Rcvd: int(k.Success), LTS: int64(k.LTS),
 		}
-		for i := 0; i < k.Sent; i++ {
-			if i < k.Success {
+		for i := range int(k.Sent) {
+			if i < int(k.Success) {
 				// Deterministic synthetic RTT; the analysis never reads it.
 				pr.Result = append(pr.Result, pingItem{RTT: 20 + float64(i)})
 			} else {
@@ -232,12 +232,8 @@ func ParseKRootResults(r io.Reader) ([]atlasdata.KRootRound, error) {
 		} else if err != nil {
 			return nil, fmt.Errorf("atlasapi: ping results: %w", err)
 		}
-		k := atlasdata.KRootRound{
-			Probe:     atlasdata.ProbeID(pr.PrbID),
-			Timestamp: simclock.Time(pr.Timestamp),
-			Sent:      pr.Sent, Success: pr.Rcvd, LTS: pr.LTS,
-		}
-		if err := k.Validate(); err != nil {
+		k, err := atlasdata.NewKRootRound(atlasdata.ProbeID(pr.PrbID), simclock.Time(pr.Timestamp), pr.Sent, pr.Rcvd, pr.LTS)
+		if err != nil {
 			return nil, err
 		}
 		out = append(out, k)

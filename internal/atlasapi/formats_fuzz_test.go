@@ -1,0 +1,104 @@
+package atlasapi
+
+import (
+	"bytes"
+	"math"
+	"reflect"
+	"testing"
+
+	"dynaddr/internal/atlasdata"
+	"dynaddr/internal/wire"
+)
+
+// FuzzScrapeFormats feeds arbitrary bytes to the scrape-side decoders:
+// k-root ping results, a connection-history page, uptime reports and
+// the probe archive. None may panic. Whatever one accepts, its writer
+// must render and the decoder read back unchanged (the archive's
+// connected days to within the second its uptime field counts), and
+// every accepted k-root round must round-trip through the binary wire
+// codec, so a scraped round can always be logged and replayed.
+func FuzzScrapeFormats(f *testing.F) {
+	for _, seed := range []string{
+		`{"prb_id":16893,"msm_id":1001,"timestamp":1422349302,"sent":3,"rcvd":3,"lts":86,"result":[{"rtt":20}]}`,
+		`{"prb_id":7,"timestamp":1,"sent":65535,"rcvd":0,"lts":2147483647}` + "\n" + `{"prb_id":4294967295,"timestamp":2,"sent":0,"rcvd":0,"lts":0}`,
+		`{"prb_id":7,"timestamp":1,"sent":65536,"rcvd":1,"lts":30}`,
+		`{"prb_id":-1,"timestamp":1,"sent":3,"rcvd":3,"lts":30}`,
+		`{"prb_id":4294967296,"timestamp":1,"sent":3,"rcvd":3,"lts":30}`,
+		`{"prb_id":7,"timestamp":1,"sent":3,"rcvd":3,"lts":4294967356}`,
+		`{"prb_id":206,"timestamp":1420082118,"uptime":262531}` + "\n" + `{"prb_id":206,"timestamp":1420134655,"uptime":19}`,
+		`{"prb_id":206,"timestamp":1,"uptime":-5}`,
+		"# RIPE Atlas connection history for probe 206\nDec 31 03:21:34 2014\tJan  1 03:21:34 2015\t91.55.174.103\n",
+		"Jan  1 00:00:00 2015\tJan  1 00:00:10 2015\t2001:db8::1\n\nJan  2 00:00:00 2015\tJan  1 00:00:00 2015\t10.0.0.1",
+		"Feb 30 00:00:00 2015\tMar  1 00:00:00 2015\t1.2.3.4",
+		`[{"id":206,"country_code":"DE","firmware_version":4790,"tags":[{"slug":"home"},{"slug":""}],"total_uptime":25920000}]`,
+		`[{"id":0,"total_uptime":-1}]`,
+		"{\"prb_id\":1",
+		"",
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if ks, err := ParseKRootResults(bytes.NewReader(data)); err == nil {
+			for _, k := range ks {
+				payload, err := wire.AppendKRoot(nil, k)
+				if err != nil {
+					t.Fatalf("accepted %+v, but the wire refuses it: %v", k, err)
+				}
+				if got, err := wire.DecodeKRoot(payload); err != nil || got != k {
+					t.Fatalf("accepted %+v, wire round trip gave %+v, %v", k, got, err)
+				}
+			}
+			var buf bytes.Buffer
+			if err := WriteKRootResults(&buf, ks); err != nil {
+				t.Fatalf("WriteKRootResults of accepted rounds: %v", err)
+			}
+			again, err := ParseKRootResults(&buf)
+			if err != nil || !reflect.DeepEqual(again, ks) {
+				t.Fatalf("k-root results round trip: %+v, %v; want %+v", again, err, ks)
+			}
+		}
+
+		const probe atlasdata.ProbeID = 206
+		if es, err := ParseConnectionHistory(bytes.NewReader(data), probe); err == nil {
+			var buf bytes.Buffer
+			if err := WriteConnectionHistory(&buf, probe, es); err != nil {
+				t.Fatalf("WriteConnectionHistory of accepted entries: %v", err)
+			}
+			again, err := ParseConnectionHistory(&buf, probe)
+			if err != nil || !reflect.DeepEqual(again, es) {
+				t.Fatalf("connection history round trip: %+v, %v; want %+v", again, err, es)
+			}
+		}
+
+		if us, err := ParseUptimeResults(bytes.NewReader(data)); err == nil {
+			var buf bytes.Buffer
+			if err := WriteUptimeResults(&buf, us); err != nil {
+				t.Fatalf("WriteUptimeResults of accepted records: %v", err)
+			}
+			again, err := ParseUptimeResults(&buf)
+			if err != nil || !reflect.DeepEqual(again, us) {
+				t.Fatalf("uptime results round trip: %+v, %v; want %+v", again, err, us)
+			}
+		}
+
+		if ps, err := ParseProbeArchive(bytes.NewReader(data)); err == nil {
+			var buf bytes.Buffer
+			if err := WriteProbeArchive(&buf, ps); err != nil {
+				t.Fatalf("WriteProbeArchive of accepted probes: %v", err)
+			}
+			again, err := ParseProbeArchive(&buf)
+			if err != nil || len(again) != len(ps) {
+				t.Fatalf("probe archive round trip: %+v, %v; want %+v", again, err, ps)
+			}
+			for i, p := range again {
+				want := ps[i]
+				if math.Abs(p.ConnectedDays-want.ConnectedDays) <= 1.0/86400 {
+					p.ConnectedDays = want.ConnectedDays
+				}
+				if !reflect.DeepEqual(p, want) {
+					t.Fatalf("probe archive round trip: %+v, want %+v", p, want)
+				}
+			}
+		}
+	})
+}

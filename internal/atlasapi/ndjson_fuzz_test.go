@@ -32,6 +32,7 @@ func FuzzNDJSONBatch(f *testing.F) {
 		"\n  \n\t\r\n",
 		"",
 		fmt.Sprintf("{\"kind\":\"meta\",\"probe\":8,\"version\":3}\n\n{\"kind\":\"bogus\"}\r\n{\"kind\":\"uptime\",\"probe\":8,\"timestamp\":%d,\"uptime\":5}", t0),
+		fmt.Sprintf(`{"kind":"kroot","probe":7,"timestamp":%d,"sent":70000,"success":1,"lts":2147483648}`, t0),
 	} {
 		f.Add([]byte(body))
 	}

@@ -311,9 +311,9 @@ func (r streamRecord) envelope() recordEnvelope {
 			Kind:      "kroot",
 			Probe:     int(r.kroot.Probe),
 			Timestamp: int64(r.kroot.Timestamp),
-			Sent:      r.kroot.Sent,
-			Success:   r.kroot.Success,
-			LTS:       r.kroot.LTS,
+			Sent:      int(r.kroot.Sent),
+			Success:   int(r.kroot.Success),
+			LTS:       int64(r.kroot.LTS),
 		}
 	}
 	return recordEnvelope{

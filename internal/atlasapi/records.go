@@ -270,13 +270,11 @@ func (e *recordEnvelope) ingest(ctx context.Context, ing *stream.Ingester) error
 		}
 		return ing.ConnLogContext(ctx, entry)
 	case "kroot":
-		return ing.KRootContext(ctx, atlasdata.KRootRound{
-			Probe:     id,
-			Timestamp: simclock.Time(e.Timestamp),
-			Sent:      e.Sent,
-			Success:   e.Success,
-			LTS:       e.LTS,
-		})
+		k, err := atlasdata.NewKRootRound(id, simclock.Time(e.Timestamp), e.Sent, e.Success, e.LTS)
+		if err != nil {
+			return err
+		}
+		return ing.KRootContext(ctx, k)
 	case "uptime":
 		return ing.UptimeContext(ctx, atlasdata.UptimeRecord{
 			Probe:     id,

@@ -113,6 +113,21 @@ func TestV2StreamRecordsNDJSON(t *testing.T) {
 	if dl := ing.DeadLetter(); dl.Total != 1 || dl.ByReason["unknown-kind"] != 1 {
 		t.Fatalf("dead letter status = %+v, want 1 unknown-kind entry", dl)
 	}
+
+	// Counts beyond u16 and an LTS beyond int32 parse as JSON but are not
+	// k-root rounds: each is quarantined as "validate".
+	ts := fmt.Sprint(int64(liveHour(13)))
+	code, body = postRaw(t, srv.URL+RouteStreamRecords, ContentTypeNDJSON, []byte(
+		`{"kind":"kroot","probe":206,"timestamp":`+ts+`,"sent":70000,"success":1,"lts":30}
+{"kind":"kroot","probe":206,"timestamp":`+ts+`,"sent":3,"success":3,"lts":2147483648}
+`))
+	if code != 200 || !strings.Contains(body, `"accepted": 0`) || !strings.Contains(body, `"quarantined": 2`) {
+		t.Fatalf("out-of-range k-root: %d %q, want 200 with 2 quarantined", code, body)
+	}
+	ing.Snapshot()
+	if dl := ing.DeadLetter(); dl.Total != 3 || dl.ByReason["validate"] != 2 {
+		t.Fatalf("dead letter status = %+v, want 2 validate entries", dl)
+	}
 }
 
 func TestV2ContentTypeNegotiation(t *testing.T) {

@@ -88,8 +88,7 @@ func parseKRoot(f fields) (KRootRound, error) {
 	if !ok3 || !ok4 || !ok5 {
 		return KRootRound{}, fmt.Errorf("bad numeric field in [%s %s %s %s %s]", f.b[0], f.b[1], f.b[2], f.b[3], f.b[4])
 	}
-	k := KRootRound{Probe: probe, Timestamp: simclock.Time(ts), Sent: sent, Success: success, LTS: lts}
-	return k, k.Validate()
+	return NewKRootRound(probe, simclock.Time(ts), sent, success, lts)
 }
 
 // MarshalKRoot serialises one round as a text-format line, without its

@@ -2,9 +2,11 @@ package atlasdata
 
 import (
 	"bytes"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"dynaddr/internal/ip4"
 	"dynaddr/internal/simclock"
@@ -104,8 +106,7 @@ func TestKRootRoundTrip(t *testing.T) {
 
 func TestKRootValidate(t *testing.T) {
 	bad := []KRootRound{
-		{Probe: 1, Sent: 3, Success: 4},  // more successes than sent
-		{Probe: 1, Sent: -1, Success: 0}, // negative sent
+		{Probe: 1, Sent: 3, Success: 4}, // more successes than sent
 		{Probe: 1, Sent: 3, Success: 0, LTS: -5},
 	}
 	for i, k := range bad {
@@ -122,6 +123,51 @@ func TestKRootValidate(t *testing.T) {
 	}
 	if (KRootRound{Sent: 0, Success: 0}).AllLost() {
 		t.Error("AllLost must be false when nothing was sent")
+	}
+}
+
+// TestKRootRoundSize pins the compact layout: k-root rounds are most of
+// every dataset, so a field that widens or reorders into padding costs
+// resident memory on every Load.
+func TestKRootRoundSize(t *testing.T) {
+	if n := unsafe.Sizeof(KRootRound{}); n != 24 {
+		t.Errorf("KRootRound is %d bytes, want 24", n)
+	}
+}
+
+func TestNewKRootRound(t *testing.T) {
+	for _, tc := range []struct {
+		sent, success int
+		lts           int64
+		want          string // error substring; "" means accepted
+	}{
+		{3, 3, 60, ""},
+		{0, 0, 0, ""},
+		{math.MaxUint16, math.MaxUint16, math.MaxInt32, ""},
+		{-1, 0, 60, "has 0/-1 successes, outside 0-65535"},
+		{math.MaxUint16 + 1, 0, 60, "outside 0-65535"},
+		{3, -1, 60, "outside 0-65535"},
+		{3, math.MaxUint16 + 1, 60, "outside 0-65535"},
+		{3, 4, 60, "has 4/3 successes"},
+		{3, 3, math.MaxInt32 + 1, "has LTS 2147483648 outside int32"},
+		{3, 3, math.MinInt32 - 1, "outside int32"},
+		{3, 3, -1, "negative LTS"},
+		{3, 3, math.MinInt32, "negative LTS"},
+	} {
+		k, err := NewKRootRound(7, 100, tc.sent, tc.success, tc.lts)
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("NewKRootRound(%d, %d, %d): %v", tc.sent, tc.success, tc.lts, err)
+		case tc.want == "" && (int(k.Sent) != tc.sent || int(k.Success) != tc.success || int64(k.LTS) != tc.lts || k.Probe != 7 || k.Timestamp != 100):
+			t.Errorf("NewKRootRound(%d, %d, %d) = %+v", tc.sent, tc.success, tc.lts, k)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("NewKRootRound(%d, %d, %d): error %v, want %q", tc.sent, tc.success, tc.lts, err, tc.want)
+		}
+	}
+	for probe, ok := range map[ProbeID]bool{0: true, math.MaxUint32: true, -1: false, math.MaxUint32 + 1: false} {
+		if _, err := NewKRootRound(probe, 100, 3, 3, 60); (err == nil) != ok {
+			t.Errorf("NewKRootRound for probe %d: %v", probe, err)
+		}
 	}
 }
 

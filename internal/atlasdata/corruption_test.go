@@ -4,6 +4,7 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -86,6 +87,41 @@ func TestLoadRejectsNegativeUptime(t *testing.T) {
 		return append(b, []byte("206\t1000\t-5\n")...)
 	})
 	rejects(t, dir, "a negative uptime")
+}
+
+// TestLoadRejectsKRootOutOfRange: a k-root round's counts are u16 and
+// its LTS an int32, as on the wire, so a text line past either range
+// fails Load and Open with NewKRootRound's error; the edges still load.
+func TestLoadRejectsKRootOutOfRange(t *testing.T) {
+	for _, tc := range []struct{ line, want string }{
+		{"206\t1000\t-1\t0\t60\n", "has 0/-1 successes, outside 0-65535"},
+		{"206\t1000\t70000\t1\t60\n", "has 1/70000 successes, outside 0-65535"},
+		{"206\t1000\t3\t70000\t60\n", "has 70000/3 successes, outside 0-65535"},
+		{"206\t1000\t3\t3\t2147483648\n", "has LTS 2147483648 outside int32"},
+		{"206\t1000\t3\t3\t-1\n", "has negative LTS"},
+	} {
+		dir := savedSample(t)
+		corrupt(t, dir, "kroot.tsv", func(b []byte) []byte { return append(b, tc.line...) })
+		rejects(t, dir, "k-root line "+tc.line)
+		if _, err := Load(dir); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("Load of k-root line %q: %v, want %q", tc.line, err, tc.want)
+		}
+	}
+	dir := savedSample(t)
+	corrupt(t, dir, "kroot.tsv", func(b []byte) []byte {
+		return append(b, "206\t1000\t65535\t65535\t2147483647\n"...)
+	})
+	d, err := Load(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := KRootRound{Probe: 206, Timestamp: 1000, Sent: 65535, Success: 65535, LTS: 2147483647}
+	if ks := d.KRoot[206]; ks[len(ks)-1] != want {
+		t.Errorf("edge round loaded as %+v, want %+v", ks[len(ks)-1], want)
+	}
+	if _, err := openDataset(dir); err != nil {
+		t.Errorf("Open of the edge round: %v", err)
+	}
 }
 
 func TestLoadRejectsOverlappingConnections(t *testing.T) {

@@ -24,3 +24,8 @@ func SeedCorpora() [][]byte {
 	}
 	return seeds
 }
+
+// KRootWireRoundTrip checks that a k-root round survives the binary
+// wire codec unchanged. internal/wire imports this package, so the
+// external test package sets it (wire_test.go).
+var KRootWireRoundTrip func(KRootRound) error

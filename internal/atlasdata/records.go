@@ -94,15 +94,38 @@ func (e ConnLogEntry) Validate() error {
 // KRootRound is one built-in measurement round from the k-root ping
 // dataset (paper Table 3): three pings to k-root every ~4 minutes plus
 // the probe's LTS ("last time synchronised") value in seconds.
+//
+// K-root rounds are most of every dataset, so the fields are as narrow
+// as the wire format's: 24 bytes, with nothing padded. NewKRootRound is
+// the one place that checks a wider value against that range.
 type KRootRound struct {
 	Probe     ProbeID
 	Timestamp simclock.Time
-	Sent      int
-	Success   int
 	// LTS is the number of seconds since the probe last synchronised its
 	// clock with the controller. In normal operation it stays below ~240;
 	// it grows across a network outage.
-	LTS int64
+	LTS     int32
+	Sent    uint16
+	Success uint16
+}
+
+// NewKRootRound builds a round from decoded values, refusing a probe ID
+// outside u32, counts outside 0-65535 and an LTS outside int32 (the
+// binary wire format's ranges), then validates it. Every decoder of
+// k-root values but the wire format's own goes through it, so every
+// round any of them accepts can be logged and replayed.
+func NewKRootRound(probe ProbeID, ts simclock.Time, sent, success int, lts int64) (KRootRound, error) {
+	if probe < 0 || int64(probe) > math.MaxUint32 {
+		return KRootRound{}, fmt.Errorf("atlasdata: k-root round has probe ID %d outside 0-%d", probe, uint32(math.MaxUint32))
+	}
+	if sent < 0 || sent > math.MaxUint16 || success < 0 || success > math.MaxUint16 {
+		return KRootRound{}, fmt.Errorf("atlasdata: k-root round for probe %d has %d/%d successes, outside 0-%d", probe, success, sent, math.MaxUint16)
+	}
+	if lts < math.MinInt32 || lts > math.MaxInt32 {
+		return KRootRound{}, fmt.Errorf("atlasdata: k-root round for probe %d has LTS %d outside int32", probe, lts)
+	}
+	k := KRootRound{Probe: probe, Timestamp: ts, LTS: int32(lts), Sent: uint16(sent), Success: uint16(success)}
+	return k, k.Validate()
 }
 
 // AllLost reports whether every ping in the round was lost — the paper's
@@ -111,7 +134,7 @@ func (k KRootRound) AllLost() bool { return k.Sent > 0 && k.Success == 0 }
 
 // Validate checks internal consistency.
 func (k KRootRound) Validate() error {
-	if k.Sent < 0 || k.Success < 0 || k.Success > k.Sent {
+	if k.Success > k.Sent {
 		return fmt.Errorf("atlasdata: k-root round for probe %d has %d/%d successes", k.Probe, k.Success, k.Sent)
 	}
 	if k.LTS < 0 {

@@ -90,8 +90,7 @@ func refParseKRootFields(f []string) (KRootRound, error) {
 	if err1 != nil || err2 != nil || err3 != nil {
 		return KRootRound{}, fmt.Errorf("bad numeric field in %v", f)
 	}
-	k := KRootRound{Probe: probe, Timestamp: simclock.Time(ts), Sent: sent, Success: success, LTS: lts}
-	return k, k.Validate()
+	return NewKRootRound(probe, simclock.Time(ts), sent, success, lts)
 }
 
 func refParseUptimeFields(f []string) (UptimeRecord, error) {
@@ -195,6 +194,15 @@ var textRecordSeeds = []string{
 	"0\t1\t2\n0\t1\t2\t3\t4\n0\t1\t2\t1.2.3.4",
 	"206\t12ab\t1\n206\t1\t12ab\t1.2.3.4\n12ab\t1\t2\n206\t1\t3\t3\t60ms",
 	"206\t100\t5000\r\n\t\t\t\n206\t300\t20\r\n\t",
+	// K-root values at and past the wire format's ranges, one bad value
+	// per input so that each reaches its check: u32 probe IDs, u16
+	// counts, an int32 LTS.
+	"4294967295\t1\t65535\t65535\t2147483647\n206\t2\t0\t0\t0",
+	"4294967296\t1\t3\t3\t60",
+	"206\t1\t65539\t1\t60",
+	"206\t1\t3\t-1\t60",
+	"206\t1\t3\t3\t4294967356",
+	"206\t1\t3\t3\t-2147483649",
 }
 
 // checkTextRecords is FuzzTextRecords' check of one input.
@@ -205,6 +213,11 @@ func checkTextRecords(t *testing.T, data []byte) {
 	ks, err := ParseKRoot(bytes.NewReader(data))
 	rks, rerr := refParse(bytes.NewReader(data), 5, refParseKRootFields)
 	sameAsReference(t, "ParseKRoot", data, ks, err, rks, rerr)
+	for _, k := range ks {
+		if err := KRootWireRoundTrip(k); err != nil {
+			t.Fatalf("ParseKRoot(%q) accepted %+v: %v", data, k, err)
+		}
+	}
 	us, err := ParseUptime(bytes.NewReader(data))
 	rus, rerr := refParse(bytes.NewReader(data), 3, refParseUptimeFields)
 	sameAsReference(t, "ParseUptime", data, us, err, rus, rerr)

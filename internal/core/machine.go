@@ -339,10 +339,10 @@ func (m *Machine) KRoot(k atlasdata.KRootRound) bool {
 		return true
 	}
 	if !m.Loss.Active {
-		m.Loss = LossRun{Active: true, Start: k.Timestamp, End: k.Timestamp, FirstLTS: k.LTS, LastLTS: k.LTS, Rounds: 1}
+		m.Loss = LossRun{Active: true, Start: k.Timestamp, End: k.Timestamp, FirstLTS: int64(k.LTS), LastLTS: int64(k.LTS), Rounds: 1}
 	} else {
 		m.Loss.End = k.Timestamp
-		m.Loss.LastLTS = k.LTS
+		m.Loss.LastLTS = int64(k.LTS)
 		m.Loss.Rounds++
 	}
 	return true

@@ -41,7 +41,7 @@ func rebootsOf(t *testing.T, recs []atlasdata.UptimeRecord) []Reboot {
 	return m.Reboots
 }
 
-func round(ts simclock.Time, success int, lts int64) atlasdata.KRootRound {
+func round(ts simclock.Time, success uint16, lts int32) atlasdata.KRootRound {
 	return atlasdata.KRootRound{Probe: 1, Timestamp: ts, Sent: 3, Success: success, LTS: lts}
 }
 

@@ -184,10 +184,32 @@ func (t *Table) Len() int { return len(t.entries) }
 // e.g. 201503 for March 2015.
 type Month int
 
-// MonthOf returns the snapshot month containing t.
+// MonthOf returns the snapshot month containing t. Every address
+// lookup asks for one, so it works on the seconds directly: the civil
+// date of t's day by Hinnant's days-to-civil arithmetic over 400-year
+// eras (days counted from 0000-03-01, so a leap day ends its year),
+// with no time.Time in between.
 func MonthOf(t simclock.Time) Month {
-	std := t.Std()
-	return Month(std.Year()*100 + int(std.Month()))
+	days := floorDiv(int64(t), 86400) + 719468 // 1970-01-01 is day 719468
+	era := floorDiv(days, 146097)
+	doe := days - era*146097                               // day of era, [0, 146096]
+	yoe := (doe - doe/1460 + doe/36524 - doe/146096) / 365 // year of era, [0, 399]
+	doy := doe - (365*yoe + yoe/4 - yoe/100)               // day of March-based year, [0, 365]
+	mp := (5*doy + 2) / 153                                // month from March, [0, 11]
+	year, month := era*400+yoe, mp+3
+	if month > 12 {
+		year, month = year+1, month-12
+	}
+	return Month(year*100 + month)
+}
+
+// floorDiv is a/b rounded toward negative infinity, for b > 0.
+func floorDiv(a, b int64) int64 {
+	q := a / b
+	if a%b < 0 {
+		q--
+	}
+	return q
 }
 
 // ParseMonth parses a month written as CAIDA names its snapshot files:

@@ -211,6 +211,45 @@ func TestMonthOf(t *testing.T) {
 	}
 }
 
+// stdMonthOf is MonthOf through the standard library's calendar.
+func stdMonthOf(t simclock.Time) Month {
+	std := t.Std()
+	return Month(std.Year()*100 + int(std.Month()))
+}
+
+// TestMonthOfMatchesStd holds MonthOf's integer calendar to time.Time
+// one second either side of every month boundary from 1970 to 2100
+// (leap years, 2000's leap day and 2100's missing one included), and
+// at random instants from year 1 to year 9999.
+func TestMonthOfMatchesStd(t *testing.T) {
+	for y := 1970; y <= 2100; y++ {
+		for m := time.January; m <= time.December; m++ {
+			b := simclock.Date(y, m, 1, 0, 0, 0)
+			for _, at := range []simclock.Time{b - 1, b, b + 1} {
+				if got, want := MonthOf(at), stdMonthOf(at); got != want {
+					t.Fatalf("MonthOf(%d) = %v, time.Time says %v", int64(at), got, want)
+				}
+			}
+		}
+	}
+	lo, hi := int64(simclock.Date(1, time.January, 1, 0, 0, 0)), int64(simclock.Date(9999, time.December, 31, 23, 59, 59))
+	r := rng.New(11)
+	for range 100000 {
+		at := simclock.Time(lo + r.Int63n(hi-lo+1))
+		if got, want := MonthOf(at), stdMonthOf(at); got != want {
+			t.Fatalf("MonthOf(%d) = %v, time.Time says %v", int64(at), got, want)
+		}
+	}
+}
+
+var monthSink Month
+
+func BenchmarkMonthOf(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		monthSink += MonthOf(simclock.StudyStart + simclock.Time(i*997))
+	}
+}
+
 func TestParseMonth(t *testing.T) {
 	cases := []struct {
 		in   string

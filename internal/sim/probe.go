@@ -314,7 +314,7 @@ func (w *walker) emitUptime(t simclock.Time) {
 func (w *walker) goodRound(t simclock.Time) {
 	w.rounds = append(w.rounds, atlasdata.KRootRound{
 		Probe: w.spec.id, Timestamp: t, Sent: 3, Success: 3,
-		LTS: 30 + w.rnd.Int63n(205),
+		LTS: int32(30 + w.rnd.Int63n(205)),
 	})
 }
 
@@ -333,7 +333,7 @@ func (w *walker) emitNetworkOutageRounds(ev outage.Event, resume simclock.Time) 
 	emitLoss := func(t simclock.Time) {
 		w.rounds = append(w.rounds, atlasdata.KRootRound{
 			Probe: w.spec.id, Timestamp: t, Sent: 3, Success: 0,
-			LTS: int64(t.Sub(lastSync)),
+			LTS: int32(t.Sub(lastSync)),
 		})
 	}
 	first := ev.Start.Add(simclock.Duration(10 + w.rnd.Int63n(110)))

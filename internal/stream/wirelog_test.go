@@ -2,6 +2,7 @@ package stream_test
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"os"
@@ -393,11 +394,10 @@ func TestNonFiniteMetaQuarantined(t *testing.T) {
 		nan := meta(50)
 		nan.ConnectedDays = math.NaN()
 		for name, err := range map[string]error{
-			"NaN meta":        ing.Meta(nan),
-			"k-root sent>u16": ing.KRoot(atlasdata.KRootRound{Probe: 51, Timestamp: at(1), Sent: 70000, Success: 1}),
-			"negative probe":  ing.ConnLog(conn(-3, at(0), at(10), "10.0.0.1")),
-			"probe>u32":       ing.Uptime(atlasdata.UptimeRecord{Probe: 1 << 33, Timestamp: at(1), Uptime: 5}),
-			"long country":    ing.Meta(atlasdata.ProbeMeta{ID: 52, Country: strings.Repeat("D", 256)}),
+			"NaN meta":       ing.Meta(nan),
+			"negative probe": ing.ConnLog(conn(-3, at(0), at(10), "10.0.0.1")),
+			"probe>u32":      ing.Uptime(atlasdata.UptimeRecord{Probe: 1 << 33, Timestamp: at(1), Uptime: 5}),
+			"long country":   ing.Meta(atlasdata.ProbeMeta{ID: 52, Country: strings.Repeat("D", 256)}),
 		} {
 			if err == nil {
 				t.Errorf("durable=%v: typed ingest of %s succeeded", durable, name)
@@ -409,6 +409,50 @@ func TestNonFiniteMetaQuarantined(t *testing.T) {
 		dl := ing.DeadLetter()
 		if dl.Total != 3 || dl.ByReason["validate"] != 3 {
 			t.Errorf("durable=%v: dead letters %+v, want 3 validate", durable, dl)
+		}
+		if err := ing.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if n := ing.Snapshot().Records; n != (stream.RecordCounts{}) {
+			t.Errorf("durable=%v: applied %+v, want none", durable, n)
+		}
+	}
+}
+
+// TestKRootLTSRangeQuarantined: the wire carries a k-root LTS as an
+// i64, the record holds an int32. A payload whose LTS is outside int32
+// does not decode, so it is quarantined as "decode"; a negative LTS
+// decodes and fails validation, so it is quarantined as "validate".
+// Neither is applied, in memory or durably.
+func TestKRootLTSRangeQuarantined(t *testing.T) {
+	good, err := wire.AppendKRoot(nil, atlasdata.KRootRound{Probe: 60, Timestamp: at(1), Sent: 3, Success: 3, LTS: 60})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var batch []byte
+	for _, lts := range []int64{math.MaxInt32 + 1, math.MinInt32 - 1, -1} {
+		p := append([]byte(nil), good...)
+		binary.LittleEndian.PutUint64(p[len(p)-8:], uint64(lts))
+		batch = wire.AppendFrame(batch, p)
+	}
+	for _, durable := range []bool{false, true} {
+		cfg := stream.Config{Shards: 1}
+		if durable {
+			cfg.WALDir, cfg.Sync = t.TempDir(), wal.SyncNever
+		}
+		ing := stream.NewIngester(cfg)
+		st, err := ing.IngestWire(context.Background(), batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Accepted != 0 || st.Quarantined != 3 {
+			t.Errorf("durable=%v: accepted %d, quarantined %d; want 0/3", durable, st.Accepted, st.Quarantined)
+		}
+		if _, err := ing.PeerView(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		if dl := ing.DeadLetter(); dl.ByReason["decode"] != 2 || dl.ByReason["validate"] != 1 {
+			t.Errorf("durable=%v: dead letters %+v, want 2 decode and 1 validate", durable, dl)
 		}
 		if err := ing.Close(); err != nil {
 			t.Fatal(err)

@@ -83,6 +83,7 @@ func PayloadProbe(payload []byte) (atlasdata.ProbeID, error) {
 //	conn:   u32 probe, i64 start, i64 end, u8 family,
 //	        then u32 v4 addr | u16 v6 len + bytes
 //	kroot:  u32 probe, i64 timestamp, u16 sent, u16 success, i64 lts
+//	        (an int32 value)
 //	uptime: u32 probe, i64 timestamp, i64 uptime
 //
 // Probe IDs are positive and fit comfortably in 32 bits (RIPE Atlas IDs
@@ -294,33 +295,35 @@ func DecodeConnLog(payload []byte) (atlasdata.ConnLogEntry, error) {
 
 // AppendKRoot appends a k-root round payload.
 func AppendKRoot(dst []byte, k atlasdata.KRootRound) ([]byte, error) {
-	if k.Sent > math.MaxUint16 || k.Success > math.MaxUint16 || k.Sent < 0 || k.Success < 0 {
-		return dst, fmt.Errorf("%w: ping counts %d/%d out of range", ErrRecord, k.Success, k.Sent)
-	}
 	dst = append(dst, byte(KindKRoot))
 	dst, err := appendProbe(dst, k.Probe)
 	if err != nil {
 		return dst, err
 	}
 	dst = appendI64(dst, int64(k.Timestamp))
-	dst = appendU16(dst, uint16(k.Sent))
-	dst = appendU16(dst, uint16(k.Success))
-	return appendI64(dst, k.LTS), nil
+	dst = appendU16(dst, k.Sent)
+	dst = appendU16(dst, k.Success)
+	return appendI64(dst, int64(k.LTS)), nil
 }
 
-// DecodeKRoot decodes a payload written by AppendKRoot. Zero
-// allocations.
+// DecodeKRoot decodes a payload written by AppendKRoot. The counts are
+// u16 on the wire as in the record; an LTS outside int32 is
+// ErrRecord. Zero allocations.
 func DecodeKRoot(payload []byte) (atlasdata.KRootRound, error) {
 	c := cursor{b: payload, off: 1}
 	var k atlasdata.KRootRound
 	k.Probe = atlasdata.ProbeID(c.u32("probe id"))
 	k.Timestamp = simclock.Time(c.i64("timestamp"))
-	k.Sent = int(c.u16("sent"))
-	k.Success = int(c.u16("success"))
-	k.LTS = c.i64("lts")
+	k.Sent = c.u16("sent")
+	k.Success = c.u16("success")
+	lts := c.i64("lts")
 	if err := c.finish(KindKRoot); err != nil {
 		return atlasdata.KRootRound{}, err
 	}
+	if lts < math.MinInt32 || lts > math.MaxInt32 {
+		return atlasdata.KRootRound{}, fmt.Errorf("%w: kroot lts %d outside int32", ErrRecord, lts)
+	}
+	k.LTS = int32(lts)
 	return k, nil
 }
 

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"encoding/binary"
 	"errors"
 	"math"
 	"reflect"
@@ -56,17 +57,22 @@ func TestConnLogRoundTrip(t *testing.T) {
 }
 
 func TestKRootRoundTrip(t *testing.T) {
-	want := atlasdata.KRootRound{Probe: 55, Timestamp: 1420070400, Sent: 10, Success: 9, LTS: -1}
-	payload, err := AppendKRoot(nil, want)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeKRoot(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Fatalf("round trip: got %+v want %+v", got, want)
+	for _, want := range []atlasdata.KRootRound{
+		{Probe: 55, Timestamp: 1420070400, Sent: 10, Success: 9, LTS: -1},
+		{Probe: 56, Timestamp: -1, Sent: math.MaxUint16, Success: math.MaxUint16, LTS: math.MaxInt32},
+		{Probe: 57, Timestamp: 1, LTS: math.MinInt32},
+	} {
+		payload, err := AppendKRoot(nil, want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := DecodeKRoot(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Fatalf("round trip: got %+v want %+v", got, want)
+		}
 	}
 }
 
@@ -92,12 +98,6 @@ func TestEncodeRejectsOutOfRange(t *testing.T) {
 	if _, err := AppendConnLog(nil, atlasdata.ConnLogEntry{Probe: math.MaxUint32 + 1}); !errors.Is(err, ErrRecord) {
 		t.Fatalf("oversized probe ID: err = %v", err)
 	}
-	if _, err := AppendKRoot(nil, atlasdata.KRootRound{Probe: 1, Sent: math.MaxUint16 + 1}); !errors.Is(err, ErrRecord) {
-		t.Fatalf("oversized sent count: err = %v", err)
-	}
-	if _, err := AppendKRoot(nil, atlasdata.KRootRound{Probe: 1, Success: -2}); !errors.Is(err, ErrRecord) {
-		t.Fatalf("negative success count: err = %v", err)
-	}
 }
 
 func TestDecodeRejectsMalformed(t *testing.T) {
@@ -113,6 +113,17 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 	badFamily := append([]byte(nil), conn...)
 	badFamily[1+4+8+8] = 9 // family byte
 
+	// The record's LTS is an int32; the wire carries an i64.
+	kroot, err := AppendKRoot(nil, atlasdata.KRootRound{Probe: 1, Timestamp: 3, Sent: 3, Success: 3, LTS: 60})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wideLTS := func(lts int64) []byte {
+		p := append([]byte(nil), kroot...)
+		binary.LittleEndian.PutUint64(p[len(p)-8:], uint64(lts))
+		return p
+	}
+
 	cases := []struct {
 		name    string
 		payload []byte
@@ -123,6 +134,9 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 		{"trailing bytes", append(append([]byte(nil), conn...), 0)},
 		{"unknown family", badFamily},
 		{"truncated meta", meta[:len(meta)-1]},
+		{"kroot lts 2^31", wideLTS(math.MaxInt32 + 1)},
+		{"kroot lts -2^31-1", wideLTS(math.MinInt32 - 1)},
+		{"truncated kroot", kroot[:len(kroot)-1]},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -133,6 +147,8 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 					_, decErr = DecodeMeta(tc.payload)
 				case KindConn:
 					_, decErr = DecodeConnLog(tc.payload)
+				case KindKRoot:
+					_, decErr = DecodeKRoot(tc.payload)
 				default:
 					_, decErr = PayloadKind(tc.payload)
 				}
