@@ -340,6 +340,18 @@ func BenchmarkAnalyzeParallel(b *testing.B) {
 	}
 }
 
+// storedBytes is the size of a Dataset's records of one kind, as the
+// Dataset stores them: sized by the map's element type, so it follows
+// the Dataset's layout.
+func storedBytes[E any](byProbe map[atlasdata.ProbeID][]E) int {
+	var e E
+	n := 0
+	for _, s := range byProbe {
+		n += len(s) * int(unsafe.Sizeof(e))
+	}
+	return n
+}
+
 // BenchmarkLoadDataset loads a saved seed-77 scale-0.5 world, the size
 // every cmd/benchrun workload serves with atlasd -data. B/op is what one
 // load allocates; record-B is the loaded records' own in-memory size,
@@ -347,18 +359,11 @@ func BenchmarkAnalyzeParallel(b *testing.B) {
 // cost per archive byte and per record line.
 func BenchmarkLoadDataset(b *testing.B) {
 	w, dir := savedBenchWorld(b)
-	var records int
+	records := storedBytes(w.Dataset.ConnLogs) + storedBytes(w.Dataset.KRoot) + storedBytes(w.Dataset.Uptime)
 	for _, es := range w.Dataset.ConnLogs {
-		records += len(es) * int(unsafe.Sizeof(atlasdata.ConnLogEntry{}))
 		for _, e := range es {
 			records += len(e.V6Addr)
 		}
-	}
-	for _, ks := range w.Dataset.KRoot {
-		records += len(ks) * int(unsafe.Sizeof(atlasdata.KRootRound{}))
-	}
-	for _, us := range w.Dataset.Uptime {
-		records += len(us) * int(unsafe.Sizeof(atlasdata.UptimeRecord{}))
 	}
 	perRecord := archiveCost(b, w, dir)
 	b.ReportAllocs()

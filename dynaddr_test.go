@@ -1,6 +1,8 @@
 package dynaddr
 
 import (
+	"bytes"
+	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -54,6 +56,19 @@ func TestFacadeSaveLoadRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(loaded.Probes, world.Dataset.Probes) {
 		t.Error("probe metadata did not round-trip")
+	}
+	// Saving the loaded dataset writes the same files, byte for byte:
+	// k-root rounds stored without their probe ID get it back.
+	again := filepath.Join(t.TempDir(), "again")
+	if err := SaveDataset(loaded, again); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"probes.json", "connlogs.tsv", "kroot.tsv", "uptime.tsv"} {
+		a, errA := os.ReadFile(filepath.Join(dir, name))
+		b, errB := os.ReadFile(filepath.Join(again, name))
+		if errA != nil || errB != nil || !bytes.Equal(a, b) {
+			t.Errorf("%s differs after Save, Load, Save (%d vs %d bytes; %v, %v)", name, len(a), len(b), errA, errB)
+		}
 	}
 	// The analysis over the loaded dataset must match the in-memory one.
 	repA := analyze(t, world.Dataset)

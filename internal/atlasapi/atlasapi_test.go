@@ -2,6 +2,7 @@ package atlasapi
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -145,6 +146,32 @@ func TestKRootResultsRange(t *testing.T) {
 	}
 }
 
+// TestProbeIDRangeAtDecoders checks that uptime results and connection
+// history refuse probe IDs the wire format cannot carry, as k-root
+// results do, and take the largest it can.
+func TestProbeIDRangeAtDecoders(t *testing.T) {
+	const page = "Jan  1 00:00:00 2015\tJan  1 01:00:00 2015\t10.0.0.1\n"
+	for _, id := range []int64{-5, 1 << 32} {
+		line := fmt.Sprintf(`{"prb_id":%d,"timestamp":100,"uptime":5}`, id)
+		if got, err := ParseUptimeResults(strings.NewReader(line)); err == nil || !strings.Contains(err.Error(), "outside 0-4294967295") {
+			t.Errorf("ParseUptimeResults(%s) = %+v, %v", line, got, err)
+		}
+		krLine := fmt.Sprintf(`{"prb_id":%d,"timestamp":100,"sent":3,"rcvd":3,"lts":30}`, id)
+		if got, err := ParseKRootResults(strings.NewReader(krLine)); err == nil || !strings.Contains(err.Error(), "outside 0-4294967295") {
+			t.Errorf("ParseKRootResults(%s) = %+v, %v", krLine, got, err)
+		}
+		if got, err := ParseConnectionHistory(strings.NewReader(page), atlasdata.ProbeID(id)); err == nil || !strings.Contains(err.Error(), "outside 0-4294967295") {
+			t.Errorf("ParseConnectionHistory for probe %d = %+v, %v", id, got, err)
+		}
+	}
+	if _, err := ParseUptimeResults(strings.NewReader(`{"prb_id":4294967295,"timestamp":100,"uptime":5}`)); err != nil {
+		t.Errorf("uptime of probe 4294967295: %v", err)
+	}
+	if _, err := ParseConnectionHistory(strings.NewReader(page), 4294967295); err != nil {
+		t.Errorf("connection history of probe 4294967295: %v", err)
+	}
+}
+
 func TestUptimeResultsRoundTrip(t *testing.T) {
 	in := []atlasdata.UptimeRecord{
 		{Probe: 206, Timestamp: 1420082118, Uptime: 262531},
@@ -167,7 +194,7 @@ func TestServerEndpoints(t *testing.T) {
 	ds := atlasdata.NewDataset()
 	ds.Probes[206] = atlasdata.ProbeMeta{ID: 206, Country: "DE", Version: atlasdata.V3, ConnectedDays: 300}
 	ds.ConnLogs[206] = sampleEntries()
-	ds.KRoot[206] = []atlasdata.KRootRound{{Probe: 206, Timestamp: 1420082118, Sent: 3, Success: 3, LTS: 60}}
+	ds.KRoot[206] = []atlasdata.KRootSample{{Timestamp: 1420082118, Sent: 3, Success: 3, LTS: 60}}
 	ds.Uptime[206] = []atlasdata.UptimeRecord{{Probe: 206, Timestamp: 1420082118, Uptime: 5}}
 
 	srv := httptest.NewServer(NewServer(ds))

@@ -589,13 +589,19 @@ dispatch:
 	return ds, report, nil
 }
 
-// fetchProbeRecords pulls one probe's three record streams.
+// fetchProbeRecords pulls one probe's three record streams, its k-root
+// rounds as the Dataset stores them. A k-root round of another probe on
+// the probe's page fails the fetch.
 func (c *Client) fetchProbeRecords(ctx context.Context, id atlasdata.ProbeID, st *scrapeStats) (
-	conns []atlasdata.ConnLogEntry, kroot []atlasdata.KRootRound, uptime []atlasdata.UptimeRecord, err error) {
+	conns []atlasdata.ConnLogEntry, kroot []atlasdata.KRootSample, uptime []atlasdata.UptimeRecord, err error) {
 	if conns, err = c.fetchConnectionHistory(ctx, id, st); err != nil {
 		return nil, nil, nil, fmt.Errorf("probe %d history: %w", id, err)
 	}
-	if kroot, err = c.fetchKRoot(ctx, id, st); err != nil {
+	rounds, err := c.fetchKRoot(ctx, id, st)
+	if err == nil {
+		kroot, err = atlasdata.KRootSeries(id, rounds)
+	}
+	if err != nil {
 		return nil, nil, nil, fmt.Errorf("probe %d k-root: %w", id, err)
 	}
 	if uptime, err = c.fetchUptime(ctx, id, st); err != nil {

@@ -13,6 +13,7 @@ package atlasapi
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -56,8 +57,12 @@ func WriteConnectionHistory(w io.Writer, probe atlasdata.ProbeID, entries []atla
 }
 
 // ParseConnectionHistory parses a connection-history page back into
-// entries for the given probe.
+// entries for the given probe, which must be within
+// atlasdata.CheckProbeID's range.
 func ParseConnectionHistory(r io.Reader, probe atlasdata.ProbeID) ([]atlasdata.ConnLogEntry, error) {
+	if err := atlasdata.CheckProbeID(probe); err != nil {
+		return nil, fmt.Errorf("atlasapi: connection history: %w", err)
+	}
 	var out []atlasdata.ConnLogEntry
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
@@ -265,7 +270,8 @@ func WriteUptimeResults(w io.Writer, recs []atlasdata.UptimeRecord) error {
 	return bw.Flush()
 }
 
-// ParseUptimeResults parses newline-delimited uptime reports.
+// ParseUptimeResults parses newline-delimited uptime reports, refusing
+// a prb_id outside atlasdata.CheckProbeID's range.
 func ParseUptimeResults(r io.Reader) ([]atlasdata.UptimeRecord, error) {
 	var out []atlasdata.UptimeRecord
 	dec := json.NewDecoder(r)
@@ -281,7 +287,7 @@ func ParseUptimeResults(r io.Reader) ([]atlasdata.UptimeRecord, error) {
 			Timestamp: simclock.Time(ur.Timestamp),
 			Uptime:    ur.Uptime,
 		}
-		if err := u.Validate(); err != nil {
+		if err := cmp.Or(atlasdata.CheckProbeID(u.Probe), u.Validate()); err != nil {
 			return nil, err
 		}
 		out = append(out, u)

@@ -15,8 +15,9 @@ import (
 // the probe archive. None may panic. Whatever one accepts, its writer
 // must render and the decoder read back unchanged (the archive's
 // connected days to within the second its uptime field counts), and
-// every accepted k-root round must round-trip through the binary wire
-// codec, so a scraped round can always be logged and replayed.
+// every accepted k-root round and uptime record must round-trip through
+// the binary wire codec, so a scraped record can always be logged and
+// replayed.
 func FuzzScrapeFormats(f *testing.F) {
 	for _, seed := range []string{
 		`{"prb_id":16893,"msm_id":1001,"timestamp":1422349302,"sent":3,"rcvd":3,"lts":86,"result":[{"rtt":20}]}`,
@@ -27,6 +28,8 @@ func FuzzScrapeFormats(f *testing.F) {
 		`{"prb_id":7,"timestamp":1,"sent":3,"rcvd":3,"lts":4294967356}`,
 		`{"prb_id":206,"timestamp":1420082118,"uptime":262531}` + "\n" + `{"prb_id":206,"timestamp":1420134655,"uptime":19}`,
 		`{"prb_id":206,"timestamp":1,"uptime":-5}`,
+		`{"prb_id":4294967295,"timestamp":1,"uptime":5}` + "\n" + `{"prb_id":4294967296,"timestamp":2,"uptime":5}`,
+		`{"prb_id":-5,"timestamp":1,"uptime":5}`,
 		"# RIPE Atlas connection history for probe 206\nDec 31 03:21:34 2014\tJan  1 03:21:34 2015\t91.55.174.103\n",
 		"Jan  1 00:00:00 2015\tJan  1 00:00:10 2015\t2001:db8::1\n\nJan  2 00:00:00 2015\tJan  1 00:00:00 2015\t10.0.0.1",
 		"Feb 30 00:00:00 2015\tMar  1 00:00:00 2015\t1.2.3.4",
@@ -71,6 +74,15 @@ func FuzzScrapeFormats(f *testing.F) {
 		}
 
 		if us, err := ParseUptimeResults(bytes.NewReader(data)); err == nil {
+			for _, u := range us {
+				payload, err := wire.AppendUptime(nil, u)
+				if err != nil {
+					t.Fatalf("accepted %+v, but the wire refuses it: %v", u, err)
+				}
+				if got, err := wire.DecodeUptime(payload); err != nil || got != u {
+					t.Fatalf("accepted %+v, wire round trip gave %+v, %v", u, got, err)
+				}
+			}
 			var buf bytes.Buffer
 			if err := WriteUptimeResults(&buf, us); err != nil {
 				t.Fatalf("WriteUptimeResults of accepted records: %v", err)

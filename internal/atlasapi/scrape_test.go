@@ -5,10 +5,12 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"dynaddr/internal/atlasdata"
 	"dynaddr/internal/backoff"
 	"dynaddr/internal/core"
 	"dynaddr/internal/pfx2as"
@@ -115,6 +117,48 @@ func TestClientErrorPropagation(t *testing.T) {
 	c2 := &Client{BaseURL: srv.URL, Months: []pfx2as.Month{209901}}
 	if _, err := c2.ScrapeAll(); err == nil {
 		t.Error("missing pfx2as month should fail the scrape")
+	}
+}
+
+// relabelled serves probe from's k-root rounds on probe page's page.
+type relabelled struct {
+	Source
+	page, from atlasdata.ProbeID
+}
+
+func (r relabelled) ReadKRoot(id atlasdata.ProbeID) ([]atlasdata.KRootRound, error) {
+	if id == r.page {
+		id = r.from
+	}
+	return r.Source.ReadKRoot(id)
+}
+
+// TestScrapeRefusesForeignKRootRounds checks that a k-root page holding
+// another probe's rounds fails that probe's fetch, so its rounds are
+// never filed under the page's probe: with no error budget the scrape
+// fails, and with one the probe is skipped.
+func TestScrapeRefusesForeignKRootRounds(t *testing.T) {
+	ds := atlasdata.NewDataset()
+	for _, id := range []atlasdata.ProbeID{206, 207} {
+		ds.Probes[id] = atlasdata.ProbeMeta{ID: id, Country: "DE", Version: atlasdata.V3, ConnectedDays: 300}
+		ds.KRoot[id] = []atlasdata.KRootSample{{Timestamp: 1420082118, Sent: 3, Success: 3, LTS: 60}}
+	}
+	srv := httptest.NewServer(NewServer(relabelled{Source: ds, page: 206, from: 207}))
+	defer srv.Close()
+
+	const want = "probe 206 k-root rounds contain a record for probe 207"
+	if _, err := (&Client{BaseURL: srv.URL}).ScrapeAll(); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("ScrapeAll = %v, want an error containing %q", err, want)
+	}
+	got, report, err := (&Client{BaseURL: srv.URL, AllowFailures: 1}).ScrapeAllContext(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(report.Skipped) != 1 || report.Skipped[0].Probe != 206 || !strings.Contains(report.Skipped[0].Err.Error(), want) {
+		t.Errorf("skipped %+v, want probe 206 for %q", report.Skipped, want)
+	}
+	if _, ok := got.KRoot[206]; ok || !reflect.DeepEqual(got.KRoot[207], ds.KRoot[207]) {
+		t.Errorf("scraped k-root rounds %+v, want probe 207's alone", got.KRoot)
 	}
 }
 

@@ -12,7 +12,6 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
-	"sort"
 	"sync"
 
 	"dynaddr/internal/pfx2as"
@@ -31,9 +30,9 @@ type Archive struct {
 	probes map[ProbeID]ProbeMeta
 	ids    []ProbeID
 	pfx2as *pfx2as.SnapshotStore
-	conns  *recordFile[ConnLogEntry]
-	kroot  *recordFile[KRootRound]
-	uptime *recordFile[UptimeRecord]
+	conns  *recordFile[ConnLogEntry, ConnLogEntry]
+	kroot  *recordFile[KRootRound, KRootSample]
+	uptime *recordFile[UptimeRecord, UptimeRecord]
 }
 
 // castagnoli is the CRC32C table record extents are checksummed with.
@@ -53,8 +52,8 @@ type recordIndex struct {
 }
 
 // recordFile is one open record file and its per-probe index.
-type recordFile[T validator] struct {
-	kind  *recordKind[T]
+type recordFile[T validator, S any] struct {
+	kind  *recordKind[T, S]
 	path  string
 	f     *os.File
 	index map[ProbeID]*recordIndex
@@ -91,9 +90,9 @@ func openArchive(dir string, keep bool) (_ *Archive, _ *Dataset, err error) {
 	}
 	a.ids = sortedIDs(a.probes)
 	var (
-		conns  *archiveScan[ConnLogEntry]
-		kroot  *archiveScan[KRootRound]
-		uptime *archiveScan[UptimeRecord]
+		conns  *archiveScan[ConnLogEntry, ConnLogEntry]
+		kroot  *archiveScan[KRootRound, KRootSample]
+		uptime *archiveScan[UptimeRecord, UptimeRecord]
 	)
 	if a.conns, conns, err = openRecords(dir, connLogKind, keep); err != nil {
 		return nil, nil, err
@@ -120,13 +119,13 @@ func openArchive(dir string, keep bool) (_ *Archive, _ *Dataset, err error) {
 }
 
 // openRecords opens one record file of dir and runs the archive pass over it.
-func openRecords[T validator](dir string, k *recordKind[T], keep bool) (*recordFile[T], *archiveScan[T], error) {
+func openRecords[T validator, S any](dir string, k *recordKind[T, S], keep bool) (*recordFile[T, S], *archiveScan[T, S], error) {
 	path := filepath.Join(dir, k.file)
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, nil, err
 	}
-	rf := &recordFile[T]{kind: k, path: path, f: f}
+	rf := &recordFile[T, S]{kind: k, path: path, f: f}
 	s, err := rf.scan(context.Background(), keep)
 	return rf, s, err // openArchive closes rf if err is set
 }
@@ -134,13 +133,14 @@ func openRecords[T validator](dir string, k *recordKind[T], keep bool) (*recordF
 // scan is the archive pass over the record file: on the block workers it
 // parses every line, indexes each probe's lines and checks each probe's
 // records against their predecessors; with keep it also files the
-// records under their probes, in one slice sized by the file's lines.
+// records, as the Dataset stores them, under their probes, in one slice
+// sized by the file's lines.
 // It reads through a section of its own, so it shares no file offset,
 // and stops at the first block it finishes once ctx is done. The first
 // pass makes the file's index; a later one fails unless it finds the
 // same, as the same blocks cut the same lines into the same extents.
-func (rf *recordFile[T]) scan(ctx context.Context, keep bool) (*archiveScan[T], error) {
-	s := &archiveScan[T]{
+func (rf *recordFile[T, S]) scan(ctx context.Context, keep bool) (*archiveScan[T, S], error) {
+	s := &archiveScan[T, S]{
 		kind:  rf.kind,
 		ctx:   ctx,
 		index: make(map[ProbeID]*recordIndex),
@@ -151,8 +151,8 @@ func (rf *recordFile[T]) scan(ctx context.Context, keep bool) (*archiveScan[T], 
 		if err != nil {
 			return nil, err
 		}
-		all := make([]T, lines)
-		s.text = &textScan[T]{recs: all[:0], all: all}
+		all := make([]S, lines)
+		s.text = &textScan[S]{recs: all[:0], all: all}
 	}
 	if err := scanBlocks(io.NewSectionReader(rf.f, 0, math.MaxInt64), s); err != nil {
 		return nil, err
@@ -192,27 +192,35 @@ type run[T any] struct {
 // archiveScan is the archive pass over one record file. Workers cut each
 // block's records into runs, checking them against each other; finish
 // files the runs in the index, in file order, and makes the same checks
-// across runs. Kept records are placed as parseText places them.
-type archiveScan[T validator] struct {
-	kind  *recordKind[T]
+// across runs. Kept records are stored as parseText places records, and
+// the runs they came in are listed in file order.
+type archiveScan[T validator, S any] struct {
+	kind  *recordKind[T, S]
 	ctx   context.Context
 	index map[ProbeID]*recordIndex
 	scans map[ProbeID]*probeScan[T]
 	runs  [][]run[T]      // by block slot
-	text  *textScan[T]    // where the records go, if kept
-	recs  map[ProbeID][]T // the kept records by probe, once grouped
+	text  *textScan[S]    // where the records go, if kept
+	kept  []keptRun       // the kept records' runs, in file order
+	recs  map[ProbeID][]S // the kept records by probe, once grouped
 }
 
-func (s *archiveScan[T]) slots(n int) { s.runs = make([][]run[T], n) }
+// keptRun is count consecutive kept records of probe id.
+type keptRun struct {
+	id    ProbeID
+	count int
+}
 
-func (s *archiveScan[T]) start(b *block, idle bool) bool {
+func (s *archiveScan[T, S]) slots(n int) { s.runs = make([][]run[T], n) }
+
+func (s *archiveScan[T, S]) start(b *block, idle bool) bool {
 	return s.text == nil || s.text.start(b, idle)
 }
 
-func (s *archiveScan[T]) scan(b *block) {
+func (s *archiveScan[T, S]) scan(b *block) {
 	k := s.kind
 	runs := s.runs[b.slot][:0]
-	var out []T
+	var out []S
 	if s.text != nil {
 		out = s.text.all[b.at : b.at+b.lines]
 	}
@@ -235,7 +243,7 @@ func (s *archiveScan[T]) scan(b *block) {
 		cur.count++
 		cur.end = b.off + int64(sc.end)
 		if out != nil {
-			out[b.n] = *r
+			out[b.n] = k.stored(r)
 		}
 		b.n++
 	}
@@ -246,7 +254,7 @@ func (s *archiveScan[T]) scan(b *block) {
 	s.runs[b.slot], b.err = runs, sc.err
 }
 
-func (s *archiveScan[T]) finish(b *block) error {
+func (s *archiveScan[T, S]) finish(b *block) error {
 	if err := cmp.Or(b.err, s.ctx.Err()); err != nil {
 		return err
 	}
@@ -256,6 +264,13 @@ func (s *archiveScan[T]) finish(b *block) error {
 	k := s.kind
 	for i := range s.runs[b.slot] {
 		r := &s.runs[b.slot][i]
+		if s.text != nil {
+			if n := len(s.kept); n > 0 && s.kept[n-1].id == r.id {
+				s.kept[n-1].count += r.count // a run cut by the block boundary
+			} else {
+				s.kept = append(s.kept, keptRun{r.id, r.count})
+			}
+		}
 		idx, st := s.index[r.id], s.scans[r.id]
 		if idx == nil {
 			idx, st = &recordIndex{}, new(probeScan[T])
@@ -287,25 +302,32 @@ func (s *archiveScan[T]) finish(b *block) error {
 // flat[lo:hi:hi], so appending to one probe's records copies them
 // instead of overwriting the next probe's, and sorts the windows whose
 // records came out of time order.
-func (s *archiveScan[T]) group() {
-	k, flat := s.kind, s.text.recs
-	// Save writes probe-ID order. Any other order is grouped by a stable
-	// sort, which keeps each probe's records in file order. (Comparing by
-	// index keeps the records off the heap: k.probe takes a pointer.)
-	byProbe := func(i, j int) bool { return k.probe(&flat[i]) < k.probe(&flat[j]) }
-	for i := 1; i < len(flat); i++ {
-		if byProbe(i, i-1) {
-			sort.SliceStable(flat, byProbe)
-			break
+func (s *archiveScan[T, S]) group() {
+	flat, ids := s.text.recs, sortedIDs(s.index)
+	// Save writes probe-ID order. Any other order is grouped into a copy,
+	// each kept run after the probe's runs before it, which keeps each
+	// probe's records in file order.
+	if !slices.IsSortedFunc(s.kept, func(a, b keptRun) int { return cmp.Compare(a.id, b.id) }) {
+		next := make(map[ProbeID]int, len(ids))
+		lo := 0
+		for _, id := range ids {
+			next[id], lo = lo, lo+s.index[id].count
 		}
+		grouped := make([]S, len(flat))
+		for _, r := range s.kept {
+			copy(grouped[next[r.id]:], flat[:r.count])
+			next[r.id] += r.count
+			flat = flat[r.count:]
+		}
+		flat = grouped
 	}
 	// Now in probe-ID order, each probe's records are as many as indexed.
-	s.recs = make(map[ProbeID][]T, len(s.index))
+	s.recs = make(map[ProbeID][]S, len(ids))
 	lo := 0
-	for _, id := range sortedIDs(s.index) {
+	for _, id := range ids {
 		hi := lo + s.index[id].count
 		if s.scans[id].unsorted {
-			k.sort(flat[lo:hi])
+			s.kind.sortStored(flat[lo:hi])
 		}
 		s.recs[id], lo = flat[lo:hi:hi], hi
 	}
@@ -315,26 +337,31 @@ func (s *archiveScan[T]) group() {
 // began, in the order Dataset.Validate makes them. A probe whose records
 // were out of time order is checked sorted: the records the pass kept,
 // or else the probe's records read back from disk.
-func (rf *recordFile[T]) validate(probes map[ProbeID]ProbeMeta, s *archiveScan[T]) error {
-	return rf.kind.validateProbes(probes, sortedIDs(s.index), func(id ProbeID) error {
+func (rf *recordFile[T, S]) validate(probes map[ProbeID]ProbeMeta, s *archiveScan[T, S]) error {
+	k := rf.kind
+	return k.validateProbes(probes, sortedIDs(s.index), func(id ProbeID) error {
 		if !s.scans[id].unsorted {
 			return s.scans[id].err
 		}
 		recs, ok := s.recs[id]
 		if !ok {
-			var err error
-			if recs, err = rf.read(id); err != nil {
+			read, err := rf.read(id)
+			if err != nil {
 				return err
 			}
+			recs = make([]S, len(read))
+			for i := range read {
+				recs[i] = k.stored(&read[i])
+			}
 		}
-		return rf.kind.validate(id, recs)
+		return k.validate(id, recs)
 	})
 }
 
 // read returns a probe's records as Load does: parsed from its lines in
 // file order, then sorted by time. It fails if those lines changed since
 // Open indexed them.
-func (rf *recordFile[T]) read(id ProbeID) ([]T, error) {
+func (rf *recordFile[T, S]) read(id ProbeID) ([]T, error) {
 	idx := rf.index[id]
 	if idx == nil {
 		return nil, nil
@@ -377,11 +404,11 @@ func (rf *recordFile[T]) read(id ProbeID) ([]T, error) {
 // readBufs recycles read's scratch buffers across reads.
 var readBufs = sync.Pool{New: func() any { return new([]byte) }}
 
-func (rf *recordFile[T]) changed(id ProbeID) error {
+func (rf *recordFile[T, S]) changed(id ProbeID) error {
 	return fmt.Errorf("atlasdata: %s changed on disk since it was opened: probe %d's %s no longer match", rf.path, id, rf.kind.what)
 }
 
-func (rf *recordFile[T]) close() error {
+func (rf *recordFile[T, S]) close() error {
 	if rf == nil {
 		return nil
 	}

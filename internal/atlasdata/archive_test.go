@@ -71,7 +71,7 @@ func checkArchiveOpen(t *testing.T, file uint8, data []byte) {
 		if err := errors.Join(err1, err2, err3); err != nil {
 			t.Fatalf("probe %d: %v", id, err)
 		}
-		if !reflect.DeepEqual(conns, want.ConnLogs[id]) || !reflect.DeepEqual(kroot, want.KRoot[id]) ||
+		if !reflect.DeepEqual(conns, want.ConnLogs[id]) || !reflect.DeepEqual(kroot, wantRounds(want, id)) ||
 			!reflect.DeepEqual(uptime, want.Uptime[id]) {
 			t.Fatalf("probe %d: archive reads differ from the reference", id)
 		}
@@ -124,7 +124,7 @@ func refLoad(dir string) (*Dataset, error) {
 		d.ConnLogs[e.Probe] = append(d.ConnLogs[e.Probe], e)
 	}
 	for _, k := range kroot {
-		d.KRoot[k.Probe] = append(d.KRoot[k.Probe], k)
+		d.KRoot[k.Probe] = append(d.KRoot[k.Probe], k.Sample())
 	}
 	for _, u := range uptime {
 		d.Uptime[u.Probe] = append(d.Uptime[u.Probe], u)
@@ -152,4 +152,11 @@ func TestArchiveDatasetStopsOnCancel(t *testing.T) {
 	if d, err := a.Dataset(ctx); !errors.Is(err, context.Canceled) || d != nil {
 		t.Fatalf("Dataset after cancel: %v, %v; want nil, context.Canceled", d, err)
 	}
+}
+
+// wantRounds is the k-root rounds of probe id in d, as an Archive reads
+// them.
+func wantRounds(d *Dataset, id ProbeID) []KRootRound {
+	rounds, _ := d.ReadKRoot(id) // a Dataset's reads never fail
+	return rounds
 }

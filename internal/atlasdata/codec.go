@@ -178,11 +178,15 @@ func ParseProbeArchive(r io.Reader) ([]ProbeMeta, error) {
 	return probes, nil
 }
 
-// probeID reads field i as a probe ID.
+// probeID reads field i as a probe ID: positive, and within
+// CheckProbeID's range.
 func (f *fields) probeID(i int) (ProbeID, error) {
 	id, ok := f.atoi(i)
 	if !ok || id <= 0 {
 		return 0, fmt.Errorf("bad probe ID %q", f.b[i])
+	}
+	if err := CheckProbeID(ProbeID(id)); err != nil {
+		return 0, err
 	}
 	return ProbeID(id), nil
 }
@@ -499,13 +503,19 @@ func (s *recordScanner[T]) Scan() bool {
 func writeText[T any](w io.Writer, recs []T, marshal func(T) ([]byte, error)) error {
 	bw := bufio.NewWriter(w)
 	for _, r := range recs {
-		b, err := marshal(r)
-		if err != nil {
-			return err
-		}
-		if _, err := bw.Write(append(b, '\n')); err != nil {
+		if err := writeLine(bw, r, marshal); err != nil {
 			return err
 		}
 	}
 	return bw.Flush()
+}
+
+// writeLine writes one marshalled record and its newline.
+func writeLine[T any](bw *bufio.Writer, r T, marshal func(T) ([]byte, error)) error {
+	b, err := marshal(r)
+	if err != nil {
+		return err
+	}
+	_, err = bw.Write(append(b, '\n'))
+	return err
 }

@@ -133,6 +133,57 @@ func TestKRootRoundSize(t *testing.T) {
 	if n := unsafe.Sizeof(KRootRound{}); n != 24 {
 		t.Errorf("KRootRound is %d bytes, want 24", n)
 	}
+	var d Dataset
+	if n := unsafe.Sizeof(d.KRoot[0][0]); n != 16 {
+		t.Errorf("a Dataset stores a k-root round in %d bytes, want 16", n)
+	}
+}
+
+// TestKRootSeries checks that the stored series keeps every value of
+// its rounds. (TestDatasetValidateCatchesWrongProbeID checks that it
+// refuses a round of another probe.)
+func TestKRootSeries(t *testing.T) {
+	rounds := []KRootRound{
+		{Probe: 206, Timestamp: 100, Sent: 65535, Success: 65535, LTS: math.MaxInt32},
+		{Probe: 206, Timestamp: 340, Sent: 3, Success: 0, LTS: 0},
+	}
+	s, err := KRootSeries(206, rounds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, k := range s {
+		if k.Round(206) != rounds[i] {
+			t.Errorf("sample %d = %+v, want round %+v", i, k.Round(206), rounds[i])
+		}
+	}
+}
+
+// TestProbeIDRange checks that every text format refuses probe IDs the
+// wire format cannot carry, and takes the largest it can.
+func TestProbeIDRange(t *testing.T) {
+	for _, tc := range []struct {
+		what  string
+		parse func(string) error
+		line  string // with the probe ID as %s
+	}{
+		{"connection log", func(s string) error { _, err := ParseConnLogs(strings.NewReader(s)); return err }, "%s\t1\t2\t10.0.0.1\n"},
+		{"k-root", func(s string) error { _, err := ParseKRoot(strings.NewReader(s)); return err }, "%s\t1\t3\t3\t60\n"},
+		{"uptime", func(s string) error { _, err := ParseUptime(strings.NewReader(s)); return err }, "%s\t1\t5000\n"},
+	} {
+		for _, id := range []string{"-5", "4294967296"} {
+			if err := tc.parse(strings.Replace(tc.line, "%s", id, 1)); err == nil {
+				t.Errorf("%s line with probe %s accepted", tc.what, id)
+			}
+		}
+		if err := tc.parse(strings.Replace(tc.line, "%s", "4294967295", 1)); err != nil {
+			t.Errorf("%s line with probe 4294967295: %v", tc.what, err)
+		}
+	}
+	for _, id := range []ProbeID{-5, 1 << 32} {
+		if _, err := NewKRootRound(id, 1, 3, 3, 60); err == nil || !strings.Contains(err.Error(), "outside 0-4294967295") {
+			t.Errorf("NewKRootRound with probe %d: %v", id, err)
+		}
+	}
 }
 
 func TestNewKRootRound(t *testing.T) {

@@ -116,8 +116,8 @@ func TestLoadRejectsKRootOutOfRange(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := KRootRound{Probe: 206, Timestamp: 1000, Sent: 65535, Success: 65535, LTS: 2147483647}
-	if ks := d.KRoot[206]; ks[len(ks)-1] != want {
-		t.Errorf("edge round loaded as %+v, want %+v", ks[len(ks)-1], want)
+	if ks := d.KRoot[206]; ks[len(ks)-1].Round(206) != want {
+		t.Errorf("edge round loaded as %+v, want %+v", ks[len(ks)-1].Round(206), want)
 	}
 	if _, err := openDataset(dir); err != nil {
 		t.Errorf("Open of the edge round: %v", err)

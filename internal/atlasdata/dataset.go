@@ -1,6 +1,7 @@
 package atlasdata
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"fmt"
@@ -18,10 +19,13 @@ import (
 // Dataset bundles everything the analysis pipeline consumes: the three
 // per-probe record streams, the probe archive, and the monthly pfx2as
 // snapshots. Record slices are kept sorted by timestamp per probe.
+// K-root rounds, most of every dataset, are stored without the probe ID
+// they are filed under (KRootSample); ReadKRoot and EachRecord hand them
+// out as KRootRounds again.
 type Dataset struct {
 	Probes   map[ProbeID]ProbeMeta
 	ConnLogs map[ProbeID][]ConnLogEntry
-	KRoot    map[ProbeID][]KRootRound
+	KRoot    map[ProbeID][]KRootSample
 	Uptime   map[ProbeID][]UptimeRecord
 	Pfx2AS   *pfx2as.SnapshotStore
 }
@@ -31,7 +35,7 @@ func NewDataset() *Dataset {
 	return &Dataset{
 		Probes:   make(map[ProbeID]ProbeMeta),
 		ConnLogs: make(map[ProbeID][]ConnLogEntry),
-		KRoot:    make(map[ProbeID][]KRootRound),
+		KRoot:    make(map[ProbeID][]KRootSample),
 		Uptime:   make(map[ProbeID][]UptimeRecord),
 		Pfx2AS:   pfx2as.NewSnapshotStore(),
 	}
@@ -45,13 +49,13 @@ func (d *Dataset) ProbeIDs() []ProbeID { return sortedIDs(d.Probes) }
 // not be.
 func (d *Dataset) SortRecords() {
 	for _, s := range d.ConnLogs {
-		connLogKind.sort(s)
+		connLogKind.sortStored(s)
 	}
 	for _, s := range d.KRoot {
-		kRootKind.sort(s)
+		kRootKind.sortStored(s)
 	}
 	for _, s := range d.Uptime {
-		uptimeKind.sort(s)
+		uptimeKind.sortStored(s)
 	}
 }
 
@@ -70,7 +74,7 @@ func (d *Dataset) Validate() error {
 }
 
 // validateEach runs Validate's checks over one record kind.
-func validateEach[T validator](probes map[ProbeID]ProbeMeta, k *recordKind[T], byProbe map[ProbeID][]T) error {
+func validateEach[T validator, S any](probes map[ProbeID]ProbeMeta, k *recordKind[T, S], byProbe map[ProbeID][]S) error {
 	return k.validateProbes(probes, sortedIDs(byProbe), func(id ProbeID) error {
 		return k.validate(id, byProbe[id])
 	})
@@ -85,8 +89,18 @@ func (d *Dataset) Meta(id ProbeID) (ProbeMeta, bool) {
 // ReadConnLogs returns a probe's connection logs.
 func (d *Dataset) ReadConnLogs(id ProbeID) ([]ConnLogEntry, error) { return d.ConnLogs[id], nil }
 
-// ReadKRoot returns a probe's k-root rounds.
-func (d *Dataset) ReadKRoot(id ProbeID) ([]KRootRound, error) { return d.KRoot[id], nil }
+// ReadKRoot returns a probe's k-root rounds, rebuilt from its samples.
+func (d *Dataset) ReadKRoot(id ProbeID) ([]KRootRound, error) {
+	samples := d.KRoot[id]
+	if samples == nil {
+		return nil, nil
+	}
+	rounds := make([]KRootRound, len(samples))
+	for i, s := range samples {
+		rounds[i] = s.Round(id)
+	}
+	return rounds, nil
+}
 
 // ReadUptime returns a probe's uptime records.
 func (d *Dataset) ReadUptime(id ProbeID) ([]UptimeRecord, error) { return d.Uptime[id], nil }
@@ -102,31 +116,46 @@ func (d *Dataset) Dataset(context.Context) (*Dataset, error) { return d, nil }
 type validator interface{ Validate() error }
 
 // recordKind describes one record file: its line format, how its records
-// key and order, and the words its errors use.
-type recordKind[T validator] struct {
+// key and order, how a Dataset stores them, and the words its errors use.
+// T is the record a line holds, S the element a Dataset files under the
+// record's probe: T itself for connection logs and uptime records, and
+// for k-root rounds the probe-less KRootSample.
+type recordKind[T validator, S any] struct {
 	file    string
 	what    string // "connection logs"
 	nFields int
 	parse   func(fields) (T, error)
+	marshal func(T) ([]byte, error)
 	probe   func(*T) ProbeID
 	time    func(*T) simclock.Time
-	// sort orders one probe's records by time, the one sort Load, Open
-	// and SortRecords apply. It compares the time field directly: a
-	// call through time per comparison made Load measurably slower.
-	sort func([]T)
+	// stored and record convert between a record and the element stored
+	// under its probe.
+	stored func(*T) S
+	record func(ProbeID, *S) T
+	// sort and sortStored order one probe's records, and its stored
+	// elements, by time: the one sort Load, Open and SortRecords apply.
+	// Both are sort.Slice by the same field, so they leave records of
+	// equal time in the same order and an Archive read matches Load.
+	// They compare the time field directly: a call through time per
+	// comparison made Load measurably slower.
+	sort       func([]T)
+	sortStored func([]S)
 	// overlap, when set, checks a record against its time-ordered
 	// predecessor beyond their order.
 	overlap func(id ProbeID, i int, prev, cur *T) error
 }
 
+// self and selfRecord are stored and record for a kind stored as it is.
+func self[T any](r *T) T                  { return *r }
+func selfRecord[T any](_ ProbeID, r *T) T { return *r }
+
 var (
-	connLogKind = &recordKind[ConnLogEntry]{
-		file: connLogsFile, what: "connection logs", nFields: 4, parse: parseConnLog,
-		probe: func(e *ConnLogEntry) ProbeID { return e.Probe },
-		time:  func(e *ConnLogEntry) simclock.Time { return e.Start },
-		sort: func(s []ConnLogEntry) {
-			sort.Slice(s, func(i, j int) bool { return s[i].Start < s[j].Start })
-		},
+	connLogKind = &recordKind[ConnLogEntry, ConnLogEntry]{
+		file: connLogsFile, what: "connection logs", nFields: 4, parse: parseConnLog, marshal: MarshalConnLog,
+		probe:  func(e *ConnLogEntry) ProbeID { return e.Probe },
+		time:   func(e *ConnLogEntry) simclock.Time { return e.Start },
+		stored: self[ConnLogEntry], record: selfRecord[ConnLogEntry],
+		sort: sortConnLogs, sortStored: sortConnLogs,
 		overlap: func(id ProbeID, i int, prev, e *ConnLogEntry) error {
 			if e.Start < prev.End {
 				return fmt.Errorf("atlasdata: probe %d has overlapping connections at %d (%v < %v)", id, i, e.Start, prev.End)
@@ -134,27 +163,39 @@ var (
 			return nil
 		},
 	}
-	kRootKind = &recordKind[KRootRound]{
-		file: kRootFile, what: "k-root rounds", nFields: 5, parse: parseKRoot,
-		probe: func(k *KRootRound) ProbeID { return k.Probe },
-		time:  func(k *KRootRound) simclock.Time { return k.Timestamp },
+	kRootKind = &recordKind[KRootRound, KRootSample]{
+		file: kRootFile, what: "k-root rounds", nFields: 5, parse: parseKRoot, marshal: MarshalKRoot,
+		probe:  func(k *KRootRound) ProbeID { return k.Probe },
+		time:   func(k *KRootRound) simclock.Time { return k.Timestamp },
+		stored: func(k *KRootRound) KRootSample { return k.Sample() },
+		record: func(id ProbeID, s *KRootSample) KRootRound { return s.Round(id) },
 		sort: func(s []KRootRound) {
 			sort.Slice(s, func(i, j int) bool { return s[i].Timestamp < s[j].Timestamp })
 		},
-	}
-	uptimeKind = &recordKind[UptimeRecord]{
-		file: uptimeFile, what: "uptime records", nFields: 3, parse: parseUptime,
-		probe: func(u *UptimeRecord) ProbeID { return u.Probe },
-		time:  func(u *UptimeRecord) simclock.Time { return u.Timestamp },
-		sort: func(s []UptimeRecord) {
+		sortStored: func(s []KRootSample) {
 			sort.Slice(s, func(i, j int) bool { return s[i].Timestamp < s[j].Timestamp })
 		},
 	}
+	uptimeKind = &recordKind[UptimeRecord, UptimeRecord]{
+		file: uptimeFile, what: "uptime records", nFields: 3, parse: parseUptime, marshal: MarshalUptime,
+		probe:  func(u *UptimeRecord) ProbeID { return u.Probe },
+		time:   func(u *UptimeRecord) simclock.Time { return u.Timestamp },
+		stored: self[UptimeRecord], record: selfRecord[UptimeRecord],
+		sort: sortUptime, sortStored: sortUptime,
+	}
 )
+
+func sortConnLogs(s []ConnLogEntry) {
+	sort.Slice(s, func(i, j int) bool { return s[i].Start < s[j].Start })
+}
+
+func sortUptime(s []UptimeRecord) {
+	sort.Slice(s, func(i, j int) bool { return s[i].Timestamp < s[j].Timestamp })
+}
 
 // validateProbes checks the probes in ids, in that order: each must have
 // metadata, and then pass check.
-func (k *recordKind[T]) validateProbes(probes map[ProbeID]ProbeMeta, ids []ProbeID, check func(ProbeID) error) error {
+func (k *recordKind[T, S]) validateProbes(probes map[ProbeID]ProbeMeta, ids []ProbeID, check func(ProbeID) error) error {
 	for _, id := range ids {
 		if _, ok := probes[id]; !ok {
 			return fmt.Errorf("atlasdata: %s for probe %d without metadata", k.what, id)
@@ -166,29 +207,31 @@ func (k *recordKind[T]) validateProbes(probes map[ProbeID]ProbeMeta, ids []Probe
 	return nil
 }
 
-// validate checks one probe's sorted records: each is valid, belongs to
-// the probe, and follows its predecessor.
-func (k *recordKind[T]) validate(id ProbeID, recs []T) error {
+// validate checks one probe's sorted records, as stored: each is valid,
+// belongs to the probe, and follows its predecessor.
+func (k *recordKind[T, S]) validate(id ProbeID, recs []S) error {
+	var prev T
 	for i := range recs {
-		r := &recs[i]
-		if err := (*r).Validate(); err != nil {
+		r := k.record(id, &recs[i])
+		if err := r.Validate(); err != nil {
 			return err
 		}
-		if p := k.probe(r); p != id {
+		if p := k.probe(&r); p != id {
 			return fmt.Errorf("atlasdata: probe %d %s contain a record for probe %d", id, k.what, p)
 		}
 		if i > 0 {
-			if err := k.follows(id, i, &recs[i-1], r); err != nil {
+			if err := k.follows(id, i, &prev, &r); err != nil {
 				return err
 			}
 		}
+		prev = r
 	}
 	return nil
 }
 
 // follows checks cur, the probe's ith record, against the record before
 // it.
-func (k *recordKind[T]) follows(id ProbeID, i int, prev, cur *T) error {
+func (k *recordKind[T, S]) follows(id ProbeID, i int, prev, cur *T) error {
 	if k.time(cur) < k.time(prev) {
 		return fmt.Errorf("atlasdata: probe %d %s unsorted at %d", id, k.what, i)
 	}
@@ -219,42 +262,28 @@ const (
 func pfx2asFile(m pfx2as.Month) string { return fmt.Sprintf("pfx2as-%06d.txt", int(m)) }
 
 // Save writes the dataset to a directory, creating it if needed. Records
-// are flattened in probe-ID order so output is deterministic.
+// are written in probe-ID order so output is deterministic.
 func (d *Dataset) Save(dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
 	ids := d.ProbeIDs()
-
-	var conns []ConnLogEntry
-	var kroot []KRootRound
-	var uptime []UptimeRecord
-	var probes []ProbeMeta
-	for _, id := range ids {
-		probes = append(probes, d.Probes[id])
-		conns = append(conns, d.ConnLogs[id]...)
-		kroot = append(kroot, d.KRoot[id]...)
-		uptime = append(uptime, d.Uptime[id]...)
+	probes := make([]ProbeMeta, len(ids))
+	for i, id := range ids {
+		probes[i] = d.Probes[id]
 	}
-
 	if err := writeFileWith(filepath.Join(dir, probesFile), func(f *os.File) error {
 		return WriteProbeArchive(f, probes)
 	}); err != nil {
 		return err
 	}
-	if err := writeFileWith(filepath.Join(dir, connLogsFile), func(f *os.File) error {
-		return WriteConnLogs(f, conns)
-	}); err != nil {
+	if err := saveRecords(dir, connLogKind, ids, d.ConnLogs); err != nil {
 		return err
 	}
-	if err := writeFileWith(filepath.Join(dir, kRootFile), func(f *os.File) error {
-		return WriteKRoot(f, kroot)
-	}); err != nil {
+	if err := saveRecords(dir, kRootKind, ids, d.KRoot); err != nil {
 		return err
 	}
-	if err := writeFileWith(filepath.Join(dir, uptimeFile), func(f *os.File) error {
-		return WriteUptime(f, uptime)
-	}); err != nil {
+	if err := saveRecords(dir, uptimeKind, ids, d.Uptime); err != nil {
 		return err
 	}
 	if d.Pfx2AS != nil {
@@ -268,6 +297,23 @@ func (d *Dataset) Save(dir string) error {
 		}
 	}
 	return nil
+}
+
+// saveRecords writes the records of the probes ids to k's file in dir,
+// probe by probe in that order.
+func saveRecords[T validator, S any](dir string, k *recordKind[T, S], ids []ProbeID, byProbe map[ProbeID][]S) error {
+	return writeFileWith(filepath.Join(dir, k.file), func(f *os.File) error {
+		bw := bufio.NewWriter(f)
+		for _, id := range ids {
+			recs := byProbe[id]
+			for i := range recs {
+				if err := writeLine(bw, k.record(id, &recs[i]), k.marshal); err != nil {
+					return err
+				}
+			}
+		}
+		return bw.Flush()
+	})
 }
 
 // Load reads a dataset previously written by Save: Open's pass, records kept.
@@ -397,7 +443,7 @@ func (d *Dataset) EachRecord(id ProbeID, sink RecordSink) error {
 			err = sink.ConnLog(conns[ci])
 			ci++
 		case ki < len(rounds) && (ui == len(ups) || rounds[ki].Timestamp <= ups[ui].Timestamp):
-			err = sink.KRoot(rounds[ki])
+			err = sink.KRoot(rounds[ki].Round(id))
 			ki++
 		default:
 			err = sink.Uptime(ups[ui])

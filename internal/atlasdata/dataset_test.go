@@ -26,9 +26,9 @@ func sampleDataset(t *testing.T) *Dataset {
 	d.ConnLogs[207] = []ConnLogEntry{
 		{Probe: 207, Start: 150, End: 250, Family: V6, V6Addr: "2001:db8::2"},
 	}
-	d.KRoot[206] = []KRootRound{
-		{Probe: 206, Timestamp: 120, Sent: 3, Success: 3, LTS: 60},
-		{Probe: 206, Timestamp: 360, Sent: 3, Success: 0, LTS: 300},
+	d.KRoot[206] = []KRootSample{
+		{Timestamp: 120, Sent: 3, Success: 3, LTS: 60},
+		{Timestamp: 360, Sent: 3, Success: 0, LTS: 300},
 	}
 	d.Uptime[206] = []UptimeRecord{
 		{Probe: 206, Timestamp: 100, Uptime: 5000},
@@ -102,6 +102,12 @@ func TestDatasetValidateCatchesWrongProbeID(t *testing.T) {
 	if err := d.Validate(); err == nil {
 		t.Error("entry filed under wrong probe should fail validation")
 	}
+	// A stored k-root round holds no probe ID for Validate to check: the
+	// series constructor refuses the round instead.
+	if s, err := KRootSeries(1, []KRootRound{{Probe: 1, Timestamp: 1, Sent: 3}, {Probe: 2, Timestamp: 2, Sent: 3}}); err == nil ||
+		!strings.Contains(err.Error(), "probe 1 k-root rounds contain a record for probe 2") {
+		t.Errorf("KRootSeries of a round of probe 2 under probe 1 = %v, %v", s, err)
+	}
 }
 
 func TestSortRecords(t *testing.T) {
@@ -111,9 +117,9 @@ func TestSortRecords(t *testing.T) {
 		{Probe: 1, Start: 300, End: 400, Family: V4, Addr: 1},
 		{Probe: 1, Start: 100, End: 200, Family: V4, Addr: 2},
 	}
-	d.KRoot[1] = []KRootRound{
-		{Probe: 1, Timestamp: 50, Sent: 3, Success: 3},
-		{Probe: 1, Timestamp: 10, Sent: 3, Success: 3},
+	d.KRoot[1] = []KRootSample{
+		{Timestamp: 50, Sent: 3, Success: 3},
+		{Timestamp: 10, Sent: 3, Success: 3},
 	}
 	d.Uptime[1] = []UptimeRecord{
 		{Probe: 1, Timestamp: 9, Uptime: 100},

@@ -55,7 +55,7 @@ func TestLoadEquivalence(t *testing.T) {
 	}
 	a, b := ids[0], ids[1]
 	before := slices.Clone(loaded.KRoot[b])
-	loaded.KRoot[a] = append(loaded.KRoot[a], atlasdata.KRootRound{Probe: a, Timestamp: 1, Sent: 3})
+	loaded.KRoot[a] = append(loaded.KRoot[a], atlasdata.KRootSample{Timestamp: 1, Sent: 3})
 	if !reflect.DeepEqual(loaded.KRoot[b], before) {
 		t.Errorf("appending to probe %d's rounds overwrote probe %d's", a, b)
 	}
@@ -131,7 +131,7 @@ func archiveMatchesLoad(t *testing.T, dir string) {
 		if err := errors.Join(err1, err2, err3); err != nil {
 			t.Fatalf("probe %d: %v", id, err)
 		}
-		if !reflect.DeepEqual(conns, want.ConnLogs[id]) || !reflect.DeepEqual(kroot, want.KRoot[id]) ||
+		if !reflect.DeepEqual(conns, want.ConnLogs[id]) || !reflect.DeepEqual(kroot, wantRounds(want, id)) ||
 			!reflect.DeepEqual(uptime, want.Uptime[id]) {
 			t.Fatalf("probe %d: archive reads differ from Load", id)
 		}
@@ -249,7 +249,7 @@ func TestArchiveConcurrentReads(t *testing.T) {
 			defer wg.Done()
 			for _, id := range a.ProbeIDs() {
 				kroot, err := a.ReadKRoot(id)
-				if err != nil || !reflect.DeepEqual(kroot, want.KRoot[id]) {
+				if err != nil || !reflect.DeepEqual(kroot, wantRounds(want, id)) {
 					t.Errorf("probe %d: k-root read differs from the saved world: %v", id, err)
 					return
 				}
@@ -392,4 +392,11 @@ func TestConcurrentScans(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// wantRounds is the k-root rounds of probe id in d, as an Archive reads
+// them.
+func wantRounds(d *atlasdata.Dataset, id atlasdata.ProbeID) []atlasdata.KRootRound {
+	rounds, _ := d.ReadKRoot(id) // a Dataset's reads never fail
+	return rounds
 }

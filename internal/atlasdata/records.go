@@ -109,14 +109,24 @@ type KRootRound struct {
 	Success uint16
 }
 
-// NewKRootRound builds a round from decoded values, refusing a probe ID
-// outside u32, counts outside 0-65535 and an LTS outside int32 (the
-// binary wire format's ranges), then validates it. Every decoder of
-// k-root values but the wire format's own goes through it, so every
-// round any of them accepts can be logged and replayed.
-func NewKRootRound(probe ProbeID, ts simclock.Time, sent, success int, lts int64) (KRootRound, error) {
+// CheckProbeID refuses a probe ID outside 0 to 2³²-1, the binary wire
+// format's range. Every decoder of probe IDs but the wire format's own
+// makes this check, so every record any of them accepts can be logged
+// and replayed.
+func CheckProbeID(probe ProbeID) error {
 	if probe < 0 || int64(probe) > math.MaxUint32 {
-		return KRootRound{}, fmt.Errorf("atlasdata: k-root round has probe ID %d outside 0-%d", probe, uint32(math.MaxUint32))
+		return fmt.Errorf("atlasdata: probe ID %d outside 0-%d", probe, uint32(math.MaxUint32))
+	}
+	return nil
+}
+
+// NewKRootRound builds a round from decoded values, refusing a probe ID
+// outside u32 (CheckProbeID), counts outside 0-65535 and an LTS outside
+// int32 (the binary wire format's ranges), then validates it. Every
+// decoder of k-root values but the wire format's own goes through it.
+func NewKRootRound(probe ProbeID, ts simclock.Time, sent, success int, lts int64) (KRootRound, error) {
+	if err := CheckProbeID(probe); err != nil {
+		return KRootRound{}, err
 	}
 	if sent < 0 || sent > math.MaxUint16 || success < 0 || success > math.MaxUint16 {
 		return KRootRound{}, fmt.Errorf("atlasdata: k-root round for probe %d has %d/%d successes, outside 0-%d", probe, success, sent, math.MaxUint16)
@@ -141,6 +151,39 @@ func (k KRootRound) Validate() error {
 		return fmt.Errorf("atlasdata: k-root round for probe %d has negative LTS", k.Probe)
 	}
 	return nil
+}
+
+// KRootSample is a k-root round as a Dataset stores it, filed under its
+// probe's key: the round without its probe ID, 16 bytes. Rounds are most
+// of every dataset, so the key is not repeated in each of them.
+type KRootSample struct {
+	Timestamp simclock.Time
+	LTS       int32
+	Sent      uint16
+	Success   uint16
+}
+
+// Sample is the round as a Dataset stores it.
+func (k KRootRound) Sample() KRootSample {
+	return KRootSample{Timestamp: k.Timestamp, LTS: k.LTS, Sent: k.Sent, Success: k.Success}
+}
+
+// Round is the sample as probe's round.
+func (s KRootSample) Round(probe ProbeID) KRootRound {
+	return KRootRound{Probe: probe, Timestamp: s.Timestamp, LTS: s.LTS, Sent: s.Sent, Success: s.Success}
+}
+
+// KRootSeries is a probe's rounds as a Dataset stores them. It refuses a
+// round of another probe rather than file it under probe.
+func KRootSeries(probe ProbeID, rounds []KRootRound) ([]KRootSample, error) {
+	out := make([]KRootSample, len(rounds))
+	for i, k := range rounds {
+		if k.Probe != probe {
+			return nil, fmt.Errorf("atlasdata: probe %d k-root rounds contain a record for probe %d", probe, k.Probe)
+		}
+		out[i] = k.Sample()
+	}
+	return out, nil
 }
 
 // UptimeRecord is one SOS-uptime report (paper Table 4): the probe's

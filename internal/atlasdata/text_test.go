@@ -16,7 +16,9 @@ import (
 
 // The reference text parsers: the strings.Fields-based implementation
 // the byte-level scanner replaced, kept verbatim so FuzzTextRecords can
-// hold the two to the same records and the same error text.
+// hold the two to the same records and the same error text. Like the
+// parsers, they share the value range checks (CheckProbeID and
+// NewKRootRound).
 
 func refScanLines(r io.Reader, nFields int, fn func(lineno int, fields []string) error) error {
 	sc := bufio.NewScanner(r)
@@ -43,6 +45,9 @@ func refParseProbeID(s string) (ProbeID, error) {
 	id, err := strconv.Atoi(s)
 	if err != nil || id <= 0 {
 		return 0, fmt.Errorf("bad probe ID %q", s)
+	}
+	if err := CheckProbeID(ProbeID(id)); err != nil {
+		return 0, err
 	}
 	return ProbeID(id), nil
 }
@@ -203,6 +208,9 @@ var textRecordSeeds = []string{
 	"206\t1\t3\t-1\t60",
 	"206\t1\t3\t3\t4294967356",
 	"206\t1\t3\t3\t-2147483649",
+	// Probe IDs at and past u32 in the other two formats.
+	"4294967295\t1\t2\t10.0.0.1\n4294967296\t3\t4\t10.0.0.2",
+	"4294967295\t1\t5000\n4294967296\t2\t5000",
 }
 
 // checkTextRecords is FuzzTextRecords' check of one input.

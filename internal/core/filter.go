@@ -67,7 +67,7 @@ type ProbeView struct {
 	Changes []AddressChange
 	// ASNs annotates Changes: the origin AS of From and To addresses,
 	// mapped through the month-matched pfx2as snapshot (0 = unrouted).
-	ASNs []struct{ From, To asdb.ASN }
+	ASNs []EndpointASNs
 	// MultiAS reports whether any change crossed autonomous systems;
 	// such probes stay in the geographic analysis (with cross-AS changes
 	// discarded) but leave the AS-level analysis (paper §3.3).
@@ -76,6 +76,9 @@ type ProbeView struct {
 	// probe is single-AS, else 0.
 	ASN asdb.ASN
 }
+
+// EndpointASNs are the origin ASes of an address change's endpoints.
+type EndpointASNs struct{ From, To asdb.ASN }
 
 // FilterResult is the outcome of the Table 2 pipeline over a dataset.
 type FilterResult struct {
@@ -149,19 +152,18 @@ func classify(ds *atlasdata.Dataset, meta atlasdata.ProbeMeta) (Category, *Probe
 	if cat := log.Category(meta); cat != CatAnalyzable {
 		return cat, nil, nil
 	}
-	m := Detect(ds, meta.ID, nil)
 	// The view keeps the stripped log, its changes and their endpoint
-	// ASes for the analyses that need more than the machine's events.
+	// ASes, as the machine looks them up, for the analyses that need more
+	// than the machine's events. The machine's changes are the stripped
+	// log's V4Changes, in the same order.
 	entries := ds.ConnLogs[meta.ID]
-	if m.Stripped {
+	if log.Stripped {
 		entries = entries[1:]
 	}
-	view := &ProbeView{Meta: meta, Entries: entries, Changes: V4Changes(entries), MultiAS: m.MultiAS, ASN: m.Home()}
-	view.ASNs = make([]struct{ From, To asdb.ASN }, len(view.Changes))
-	for i, ch := range view.Changes {
-		view.ASNs[i].From, _, _ = ds.Pfx2AS.Lookup(ch.From, ch.PrevEnd)
-		view.ASNs[i].To, _, _ = ds.Pfx2AS.Lookup(ch.To, ch.NextStart)
-	}
+	changes := V4Changes(entries)
+	asns := make([]EndpointASNs, 0, len(changes))
+	m := detect(ds, meta.ID, nil, &asns)
+	view := &ProbeView{Meta: meta, Entries: entries, Changes: changes, ASNs: asns, MultiAS: m.MultiAS, ASN: m.Home()}
 	return CatAnalyzable, view, &detection{events: m.Events(meta), ttf: m.TTF}
 }
 

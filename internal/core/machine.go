@@ -158,6 +158,12 @@ const ltsSyncBound = 240
 // endpoints to origin ASes (nil maps none); churn, when non-nil, also
 // counts every change by study day.
 func (m *Machine) Conn(e atlasdata.ConnLogEntry, pfx *pfx2as.SnapshotStore, churn *ChurnTable) bool {
+	return m.conn(e, pfx, churn, nil)
+}
+
+// conn is Conn; asns, when non-nil, also gets each change's endpoint
+// ASes, in change order.
+func (m *Machine) conn(e atlasdata.ConnLogEntry, pfx *pfx2as.SnapshotStore, churn *ChurnTable, asns *[]EndpointASNs) bool {
 	if m.RawEntries > 0 && e.Start.Before(m.LastConnEnd) {
 		return false
 	}
@@ -201,7 +207,7 @@ func (m *Machine) Conn(e atlasdata.ConnLogEntry, pfx *pfx2as.SnapshotStore, chur
 			m.Gaps = append(m.Gaps, GapEvent{PrevEnd: m.PrevEnd, NextStart: e.Start, Changed: changed})
 		}
 		if changed {
-			m.change(m.PrevAddr, e.Addr, m.PrevEnd, e.Start, pfx, churn)
+			m.change(m.PrevAddr, e.Addr, m.PrevEnd, e.Start, pfx, churn, asns)
 		}
 	}
 
@@ -247,7 +253,7 @@ func (m *Machine) closeDuration() {
 // change records an address change across the gap (prevEnd,
 // nextStart): its endpoints' month-matched origin ASes and prefixes
 // (§6), the home-AS state (§3.3) and the gap's outage evidence.
-func (m *Machine) change(from, to ip4.Addr, prevEnd, nextStart simclock.Time, pfx *pfx2as.SnapshotStore, churn *ChurnTable) {
+func (m *Machine) change(from, to ip4.Addr, prevEnd, nextStart simclock.Time, pfx *pfx2as.SnapshotStore, churn *ChurnTable, asns *[]EndpointASNs) {
 	m.Changes++
 	var fromASN, toASN asdb.ASN
 	var fromPfx, toPfx ip4.Prefix
@@ -255,6 +261,9 @@ func (m *Machine) change(from, to ip4.Addr, prevEnd, nextStart simclock.Time, pf
 	if pfx != nil {
 		fromASN, fromPfx, okFrom = pfx.Lookup(from, prevEnd)
 		toASN, toPfx, okTo = pfx.Lookup(to, nextStart)
+	}
+	if asns != nil {
+		*asns = append(*asns, EndpointASNs{From: fromASN, To: toASN})
 	}
 	routed := okFrom && okTo
 	if m.KeepEvents {
@@ -611,7 +620,13 @@ func (m *Machine) Events(meta atlasdata.ProbeMeta) ProbeEvents {
 // Dataset.EachRecord, the order every replay of the probe uses. churn,
 // when non-nil, also counts the probe's changes by day.
 func Detect(ds *atlasdata.Dataset, id atlasdata.ProbeID, churn *ChurnTable) *Machine {
-	f := &batchFeed{m: Machine{Probe: id, KeepEvents: true}, pfx: ds.Pfx2AS, churn: churn}
+	return detect(ds, id, churn, nil)
+}
+
+// detect is Detect; asns, when non-nil, also gets each change's
+// endpoint ASes, in change order.
+func detect(ds *atlasdata.Dataset, id atlasdata.ProbeID, churn *ChurnTable, asns *[]EndpointASNs) *Machine {
+	f := &batchFeed{m: Machine{Probe: id, KeepEvents: true}, pfx: ds.Pfx2AS, churn: churn, asns: asns}
 	ds.EachRecord(id, f) // the feed never fails
 	return &f.m
 }
@@ -622,10 +637,11 @@ type batchFeed struct {
 	m     Machine
 	pfx   *pfx2as.SnapshotStore
 	churn *ChurnTable
+	asns  *[]EndpointASNs
 }
 
 func (f *batchFeed) ConnLog(e atlasdata.ConnLogEntry) error {
-	f.m.Conn(e, f.pfx, f.churn)
+	f.m.conn(e, f.pfx, f.churn, f.asns)
 	return nil
 }
 

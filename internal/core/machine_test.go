@@ -47,7 +47,7 @@ func TestMachineMatchesSliceReference(t *testing.T) {
 		if !reflect.DeepEqual(ev.Gaps, gapSpans(entries)) {
 			t.Errorf("probe %d: gaps differ from the reference", id)
 		}
-		rounds := ds.KRoot[id]
+		rounds, _ := ds.ReadKRoot(id)
 		if want := refNetworkOutages(rounds); !reflect.DeepEqual(ev.Networks, want) {
 			t.Errorf("probe %d: network outages %v, reference %v", id, ev.Networks, want)
 		}
@@ -69,7 +69,7 @@ func TestMachineMatchesSliceReference(t *testing.T) {
 func TestEachRecordOrder(t *testing.T) {
 	ds := atlasdata.NewDataset()
 	ds.ConnLogs[1] = []atlasdata.ConnLogEntry{v4e(1, 100, 150, "10.0.0.1"), v4e(1, 300, 400, "10.0.0.2")}
-	ds.KRoot[1] = []atlasdata.KRootRound{round(100, 3, 10), round(200, 3, 10), round(300, 3, 10)}
+	ds.KRoot[1] = stored(round(100, 3, 10), round(200, 3, 10), round(300, 3, 10))
 	ds.Uptime[1] = []atlasdata.UptimeRecord{{Probe: 1, Timestamp: 50}, {Probe: 1, Timestamp: 100}, {Probe: 1, Timestamp: 300}}
 	var got []string
 	rec := func(kind string, ts int64) { got = append(got, fmt.Sprintf("%s:%d", kind, ts)) }

@@ -45,6 +45,15 @@ func round(ts simclock.Time, success uint16, lts int32) atlasdata.KRootRound {
 	return atlasdata.KRootRound{Probe: 1, Timestamp: ts, Sent: 3, Success: success, LTS: lts}
 }
 
+// stored is probe 1's rounds as a Dataset stores them.
+func stored(rounds ...atlasdata.KRootRound) []atlasdata.KRootSample {
+	s, err := atlasdata.KRootSeries(1, rounds)
+	if err != nil {
+		panic(err)
+	}
+	return s
+}
+
 func TestDetectNetworkOutagesPaperTable3(t *testing.T) {
 	// The paper's Table 3: six all-lost rounds with LTS growing from 151
 	// to 1103, bracketed by good rounds.

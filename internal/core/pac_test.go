@@ -134,15 +134,15 @@ func TestAnalyzeOutagesEndToEnd(t *testing.T) {
 	// growing LTS, silence in gap B.
 	gapA := t0.Add(100 * day)
 	gapB := t0.Add(200 * day)
-	ds.KRoot[1] = []atlasdata.KRootRound{
-		{Probe: 1, Timestamp: t0.Add(day), Sent: 3, Success: 3, LTS: 60},
-		{Probe: 1, Timestamp: gapA.Add(-2 * simclock.Minute), Sent: 3, Success: 3, LTS: 60},
-		{Probe: 1, Timestamp: gapA.Add(4 * simclock.Minute), Sent: 3, Success: 0, LTS: 400},
-		{Probe: 1, Timestamp: gapA.Add(30 * simclock.Minute), Sent: 3, Success: 0, LTS: 2000},
-		{Probe: 1, Timestamp: gapA.Add(2*simclock.Hour + 5*simclock.Minute), Sent: 3, Success: 3, LTS: 60},
-		{Probe: 1, Timestamp: gapB.Add(-3 * simclock.Minute), Sent: 3, Success: 3, LTS: 60},
-		{Probe: 1, Timestamp: gapB.Add(2*simclock.Hour + 4*simclock.Minute), Sent: 3, Success: 3, LTS: 60},
-		{Probe: 1, Timestamp: t0.Add(350 * day), Sent: 3, Success: 3, LTS: 60},
+	ds.KRoot[1] = []atlasdata.KRootSample{
+		{Timestamp: t0.Add(day), Sent: 3, Success: 3, LTS: 60},
+		{Timestamp: gapA.Add(-2 * simclock.Minute), Sent: 3, Success: 3, LTS: 60},
+		{Timestamp: gapA.Add(4 * simclock.Minute), Sent: 3, Success: 0, LTS: 400},
+		{Timestamp: gapA.Add(30 * simclock.Minute), Sent: 3, Success: 0, LTS: 2000},
+		{Timestamp: gapA.Add(2*simclock.Hour + 5*simclock.Minute), Sent: 3, Success: 3, LTS: 60},
+		{Timestamp: gapB.Add(-3 * simclock.Minute), Sent: 3, Success: 3, LTS: 60},
+		{Timestamp: gapB.Add(2*simclock.Hour + 4*simclock.Minute), Sent: 3, Success: 3, LTS: 60},
+		{Timestamp: t0.Add(350 * day), Sent: 3, Success: 3, LTS: 60},
 	}
 	// Uptime: a reset at gap B (boot just before the post-gap record).
 	bootAt := gapB.Add(2 * simclock.Hour)
@@ -181,9 +181,9 @@ func TestAnalyzeOutagesV12PowerExcluded(t *testing.T) {
 	ds.Probes[1] = atlasdata.ProbeMeta{ID: 1, Country: "DE", Version: atlasdata.V1, ConnectedDays: 290}
 	ds.ConnLogs[1] = entries
 	gap := t0.Add(100 * day)
-	ds.KRoot[1] = []atlasdata.KRootRound{
-		{Probe: 1, Timestamp: gap.Add(-2 * simclock.Minute), Sent: 3, Success: 3, LTS: 60},
-		{Probe: 1, Timestamp: gap.Add(2*simclock.Hour + 4*simclock.Minute), Sent: 3, Success: 3, LTS: 60},
+	ds.KRoot[1] = []atlasdata.KRootSample{
+		{Timestamp: gap.Add(-2 * simclock.Minute), Sent: 3, Success: 3, LTS: 60},
+		{Timestamp: gap.Add(2*simclock.Hour + 4*simclock.Minute), Sent: 3, Success: 3, LTS: 60},
 	}
 	bootAt := gap.Add(2 * simclock.Hour)
 	ds.Uptime[1] = []atlasdata.UptimeRecord{

@@ -232,7 +232,7 @@ type walker struct {
 	firmware []simclock.Time
 
 	conns  []atlasdata.ConnLogEntry
-	rounds []atlasdata.KRootRound
+	rounds []atlasdata.KRootSample // the probe's, so stored without its ID
 	ups    []atlasdata.UptimeRecord
 
 	lastBoot      simclock.Time
@@ -312,8 +312,8 @@ func (w *walker) emitUptime(t simclock.Time) {
 }
 
 func (w *walker) goodRound(t simclock.Time) {
-	w.rounds = append(w.rounds, atlasdata.KRootRound{
-		Probe: w.spec.id, Timestamp: t, Sent: 3, Success: 3,
+	w.rounds = append(w.rounds, atlasdata.KRootSample{
+		Timestamp: t, Sent: 3, Success: 3,
 		LTS: int32(30 + w.rnd.Int63n(205)),
 	})
 }
@@ -331,8 +331,8 @@ func (w *walker) emitNetworkOutageRounds(ev outage.Event, resume simclock.Time) 
 
 	lastSync := pre
 	emitLoss := func(t simclock.Time) {
-		w.rounds = append(w.rounds, atlasdata.KRootRound{
-			Probe: w.spec.id, Timestamp: t, Sent: 3, Success: 0,
+		w.rounds = append(w.rounds, atlasdata.KRootSample{
+			Timestamp: t, Sent: 3, Success: 0,
 			LTS: int32(t.Sub(lastSync)),
 		})
 	}

@@ -201,7 +201,8 @@ func TestDHCPLongReclaimRarelyChanges(t *testing.T) {
 func TestKRootInvariants(t *testing.T) {
 	w := generate(t, tinyConfig(7))
 	for id, rounds := range w.Dataset.KRoot {
-		for i, r := range rounds {
+		for i, s := range rounds {
+			r := s.Round(id)
 			if err := r.Validate(); err != nil {
 				t.Fatalf("probe %d round %d: %v", id, i, err)
 			}
@@ -215,7 +216,8 @@ func TestKRootInvariants(t *testing.T) {
 		}
 		// Within a loss run the LTS must grow.
 		for i := 1; i < len(rounds); i++ {
-			if rounds[i].AllLost() && rounds[i-1].AllLost() && rounds[i].LTS <= rounds[i-1].LTS {
+			cur, prev := rounds[i].Round(id), rounds[i-1].Round(id)
+			if cur.AllLost() && prev.AllLost() && cur.LTS <= prev.LTS {
 				t.Errorf("probe %d: LTS not growing within loss run at %d", id, i)
 			}
 		}

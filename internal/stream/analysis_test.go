@@ -74,7 +74,7 @@ func (s *teeSink) KRoot(k atlasdata.KRootRound) error {
 	if err := s.ing.KRoot(k); err != nil {
 		return err
 	}
-	s.ds.KRoot[k.Probe] = append(s.ds.KRoot[k.Probe], k)
+	s.ds.KRoot[k.Probe] = append(s.ds.KRoot[k.Probe], k.Sample())
 	s.tick()
 	return nil
 }
