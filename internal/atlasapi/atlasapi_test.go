@@ -126,21 +126,27 @@ func TestKRootResultsRoundTrip(t *testing.T) {
 }
 
 // TestKRootResultsRange: ping results go through NewKRootRound, so a
-// count beyond u16 or an LTS outside int32 fails the parse, as a text
-// archive line does.
+// count beyond u16, an LTS outside int32 or a timestamp outside u32 fails
+// the parse, as a text archive line does.
 func TestKRootResultsRange(t *testing.T) {
 	for line, want := range map[string]string{
 		`{"prb_id":7,"timestamp":100,"sent":70000,"rcvd":1,"lts":30}`:     "outside 0-65535",
 		`{"prb_id":7,"timestamp":100,"sent":3,"rcvd":-1,"lts":30}`:        "outside 0-65535",
 		`{"prb_id":7,"timestamp":100,"sent":3,"rcvd":3,"lts":2147483648}`: "outside int32",
 		`{"prb_id":7,"timestamp":100,"sent":3,"rcvd":3,"lts":-1}`:         "negative LTS",
+		`{"prb_id":7,"timestamp":-1,"sent":3,"rcvd":3,"lts":30}`:          "timestamp -1 outside 0-4294967295",
+		`{"prb_id":7,"timestamp":4294967296,"sent":3,"rcvd":3,"lts":30}`:  "timestamp 4294967296 outside 0-4294967295",
 	} {
 		if _, err := ParseKRootResults(strings.NewReader(line)); err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("ParseKRootResults(%s): %v, want %q", line, err, want)
 		}
 	}
-	got, err := ParseKRootResults(strings.NewReader(`{"prb_id":7,"timestamp":100,"sent":65535,"rcvd":65535,"lts":2147483647}`))
-	want := []atlasdata.KRootRound{{Probe: 7, Timestamp: 100, Sent: 65535, Success: 65535, LTS: 2147483647}}
+	got, err := ParseKRootResults(strings.NewReader(`{"prb_id":7,"timestamp":0,"sent":65535,"rcvd":65535,"lts":2147483647}` + "\n" +
+		`{"prb_id":7,"timestamp":4294967295,"sent":3,"rcvd":3,"lts":30}`))
+	want := []atlasdata.KRootRound{
+		{Probe: 7, Timestamp: 0, Sent: 65535, Success: 65535, LTS: 2147483647},
+		{Probe: 7, Timestamp: 4294967295, Sent: 3, Success: 3, LTS: 30},
+	}
 	if err != nil || !reflect.DeepEqual(got, want) {
 		t.Errorf("edge round: %+v, %v", got, err)
 	}
@@ -195,7 +201,7 @@ func TestServerEndpoints(t *testing.T) {
 	ds.Probes[206] = atlasdata.ProbeMeta{ID: 206, Country: "DE", Version: atlasdata.V3, ConnectedDays: 300}
 	ds.ConnLogs[206] = sampleEntries()
 	ds.KRoot[206] = []atlasdata.KRootSample{{Timestamp: 1420082118, Sent: 3, Success: 3, LTS: 60}}
-	ds.Uptime[206] = []atlasdata.UptimeRecord{{Probe: 206, Timestamp: 1420082118, Uptime: 5}}
+	ds.Uptime[206] = []atlasdata.UptimeSample{{Timestamp: 1420082118, Uptime: 5}}
 
 	srv := httptest.NewServer(NewServer(ds))
 	defer srv.Close()

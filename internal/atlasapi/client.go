@@ -590,10 +590,10 @@ dispatch:
 }
 
 // fetchProbeRecords pulls one probe's three record streams, its k-root
-// rounds as the Dataset stores them. A k-root round of another probe on
-// the probe's page fails the fetch.
+// rounds and uptime records as the Dataset stores them. A k-root round or
+// uptime record of another probe on the probe's page fails the fetch.
 func (c *Client) fetchProbeRecords(ctx context.Context, id atlasdata.ProbeID, st *scrapeStats) (
-	conns []atlasdata.ConnLogEntry, kroot []atlasdata.KRootSample, uptime []atlasdata.UptimeRecord, err error) {
+	conns []atlasdata.ConnLogEntry, kroot []atlasdata.KRootSample, uptime []atlasdata.UptimeSample, err error) {
 	if conns, err = c.fetchConnectionHistory(ctx, id, st); err != nil {
 		return nil, nil, nil, fmt.Errorf("probe %d history: %w", id, err)
 	}
@@ -604,7 +604,11 @@ func (c *Client) fetchProbeRecords(ctx context.Context, id atlasdata.ProbeID, st
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("probe %d k-root: %w", id, err)
 	}
-	if uptime, err = c.fetchUptime(ctx, id, st); err != nil {
+	ups, err := c.fetchUptime(ctx, id, st)
+	if err == nil {
+		uptime, err = atlasdata.UptimeSeries(id, ups)
+	}
+	if err != nil {
 		return nil, nil, nil, fmt.Errorf("probe %d uptime: %w", id, err)
 	}
 	return conns, kroot, uptime, nil

@@ -26,6 +26,10 @@ func FuzzScrapeFormats(f *testing.F) {
 		`{"prb_id":-1,"timestamp":1,"sent":3,"rcvd":3,"lts":30}`,
 		`{"prb_id":4294967296,"timestamp":1,"sent":3,"rcvd":3,"lts":30}`,
 		`{"prb_id":7,"timestamp":1,"sent":3,"rcvd":3,"lts":4294967356}`,
+		`{"prb_id":7,"timestamp":4294967295,"sent":3,"rcvd":3,"lts":30}` + "\n" + `{"prb_id":7,"timestamp":0,"sent":3,"rcvd":3,"lts":30}`,
+		`{"prb_id":7,"timestamp":4294967296,"sent":3,"rcvd":3,"lts":30}`,
+		`{"prb_id":7,"timestamp":-1,"sent":3,"rcvd":3,"lts":30}`,
+		`{"prb_id":206,"timestamp":4294967296,"uptime":5}`,
 		`{"prb_id":206,"timestamp":1420082118,"uptime":262531}` + "\n" + `{"prb_id":206,"timestamp":1420134655,"uptime":19}`,
 		`{"prb_id":206,"timestamp":1,"uptime":-5}`,
 		`{"prb_id":4294967295,"timestamp":1,"uptime":5}` + "\n" + `{"prb_id":4294967296,"timestamp":2,"uptime":5}`,

@@ -33,6 +33,7 @@ func FuzzNDJSONBatch(f *testing.F) {
 		"",
 		fmt.Sprintf("{\"kind\":\"meta\",\"probe\":8,\"version\":3}\n\n{\"kind\":\"bogus\"}\r\n{\"kind\":\"uptime\",\"probe\":8,\"timestamp\":%d,\"uptime\":5}", t0),
 		fmt.Sprintf(`{"kind":"kroot","probe":7,"timestamp":%d,"sent":70000,"success":1,"lts":2147483648}`, t0),
+		"{\"kind\":\"kroot\",\"probe\":7,\"timestamp\":4294967295,\"sent\":3,\"success\":3,\"lts\":12}\n{\"kind\":\"kroot\",\"probe\":7,\"timestamp\":4294967296,\"sent\":3,\"success\":3,\"lts\":12}",
 	} {
 		f.Add([]byte(body))
 	}

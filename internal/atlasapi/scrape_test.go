@@ -162,6 +162,47 @@ func TestScrapeRefusesForeignKRootRounds(t *testing.T) {
 	}
 }
 
+// relabelledUptime serves probe from's uptime records on probe page's
+// page.
+type relabelledUptime struct {
+	Source
+	page, from atlasdata.ProbeID
+}
+
+func (r relabelledUptime) ReadUptime(id atlasdata.ProbeID) ([]atlasdata.UptimeRecord, error) {
+	if id == r.page {
+		id = r.from
+	}
+	return r.Source.ReadUptime(id)
+}
+
+// TestScrapeRefusesForeignUptimeRecords is TestScrapeRefusesForeignKRootRounds
+// for uptime records, which a Dataset also stores without their probe.
+func TestScrapeRefusesForeignUptimeRecords(t *testing.T) {
+	ds := atlasdata.NewDataset()
+	for _, id := range []atlasdata.ProbeID{206, 207} {
+		ds.Probes[id] = atlasdata.ProbeMeta{ID: id, Country: "DE", Version: atlasdata.V3, ConnectedDays: 300}
+		ds.Uptime[id] = []atlasdata.UptimeSample{{Timestamp: 1420082118, Uptime: 5000}}
+	}
+	srv := httptest.NewServer(NewServer(relabelledUptime{Source: ds, page: 206, from: 207}))
+	defer srv.Close()
+
+	const want = "probe 206 uptime records contain a record for probe 207"
+	if _, err := (&Client{BaseURL: srv.URL}).ScrapeAll(); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("ScrapeAll = %v, want an error containing %q", err, want)
+	}
+	got, report, err := (&Client{BaseURL: srv.URL, AllowFailures: 1}).ScrapeAllContext(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(report.Skipped) != 1 || report.Skipped[0].Probe != 206 || !strings.Contains(report.Skipped[0].Err.Error(), want) {
+		t.Errorf("skipped %+v, want probe 206 for %q", report.Skipped, want)
+	}
+	if _, ok := got.Uptime[206]; ok || !reflect.DeepEqual(got.Uptime[207], ds.Uptime[207]) {
+		t.Errorf("scraped uptime records %+v, want probe 207's alone", got.Uptime)
+	}
+}
+
 // flakyHandler fails the first n requests per path with a 503, then
 // delegates to the real server.
 type flakyHandler struct {

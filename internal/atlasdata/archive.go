@@ -32,7 +32,7 @@ type Archive struct {
 	pfx2as *pfx2as.SnapshotStore
 	conns  *recordFile[ConnLogEntry, ConnLogEntry]
 	kroot  *recordFile[KRootRound, KRootSample]
-	uptime *recordFile[UptimeRecord, UptimeRecord]
+	uptime *recordFile[UptimeRecord, UptimeSample]
 }
 
 // castagnoli is the CRC32C table record extents are checksummed with.
@@ -92,7 +92,7 @@ func openArchive(dir string, keep bool) (_ *Archive, _ *Dataset, err error) {
 	var (
 		conns  *archiveScan[ConnLogEntry, ConnLogEntry]
 		kroot  *archiveScan[KRootRound, KRootSample]
-		uptime *archiveScan[UptimeRecord, UptimeRecord]
+		uptime *archiveScan[UptimeRecord, UptimeSample]
 	)
 	if a.conns, conns, err = openRecords(dir, connLogKind, keep); err != nil {
 		return nil, nil, err

@@ -72,7 +72,7 @@ func checkArchiveOpen(t *testing.T, file uint8, data []byte) {
 			t.Fatalf("probe %d: %v", id, err)
 		}
 		if !reflect.DeepEqual(conns, want.ConnLogs[id]) || !reflect.DeepEqual(kroot, wantRounds(want, id)) ||
-			!reflect.DeepEqual(uptime, want.Uptime[id]) {
+			!reflect.DeepEqual(uptime, wantUptime(want, id)) {
 			t.Fatalf("probe %d: archive reads differ from the reference", id)
 		}
 	}
@@ -127,7 +127,7 @@ func refLoad(dir string) (*Dataset, error) {
 		d.KRoot[k.Probe] = append(d.KRoot[k.Probe], k.Sample())
 	}
 	for _, u := range uptime {
-		d.Uptime[u.Probe] = append(d.Uptime[u.Probe], u)
+		d.Uptime[u.Probe] = append(d.Uptime[u.Probe], u.Sample())
 	}
 	if err := loadPfx2AS(dir, d.Pfx2AS); err != nil {
 		return nil, err
@@ -159,4 +159,10 @@ func TestArchiveDatasetStopsOnCancel(t *testing.T) {
 func wantRounds(d *Dataset, id ProbeID) []KRootRound {
 	rounds, _ := d.ReadKRoot(id) // a Dataset's reads never fail
 	return rounds
+}
+
+// wantUptime is d's uptime records for id, as an Archive reads them.
+func wantUptime(d *Dataset, id ProbeID) []UptimeRecord {
+	ups, _ := d.ReadUptime(id) // a Dataset's reads never fail
+	return ups
 }

@@ -2,6 +2,7 @@ package atlasdata
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
@@ -128,14 +129,21 @@ func TestKRootValidate(t *testing.T) {
 
 // TestKRootRoundSize pins the compact layout: k-root rounds are most of
 // every dataset, so a field that widens or reorders into padding costs
-// resident memory on every Load.
+// resident memory on every Load. Uptime records, stored the same way, are
+// pinned beside them.
 func TestKRootRoundSize(t *testing.T) {
 	if n := unsafe.Sizeof(KRootRound{}); n != 24 {
 		t.Errorf("KRootRound is %d bytes, want 24", n)
 	}
 	var d Dataset
-	if n := unsafe.Sizeof(d.KRoot[0][0]); n != 16 {
-		t.Errorf("a Dataset stores a k-root round in %d bytes, want 16", n)
+	if n := unsafe.Sizeof(d.KRoot[0][0]); n != 12 {
+		t.Errorf("a Dataset stores a k-root round in %d bytes, want 12", n)
+	}
+	if n := unsafe.Sizeof(UptimeRecord{}); n != 24 {
+		t.Errorf("UptimeRecord is %d bytes, want 24", n)
+	}
+	if n := unsafe.Sizeof(d.Uptime[0][0]); n != 16 {
+		t.Errorf("a Dataset stores an uptime record in %d bytes, want 16", n)
 	}
 }
 
@@ -144,8 +152,9 @@ func TestKRootRoundSize(t *testing.T) {
 // refuses a round of another probe.)
 func TestKRootSeries(t *testing.T) {
 	rounds := []KRootRound{
-		{Probe: 206, Timestamp: 100, Sent: 65535, Success: 65535, LTS: math.MaxInt32},
+		{Probe: 206, Timestamp: 0, Sent: 65535, Success: 65535, LTS: math.MaxInt32},
 		{Probe: 206, Timestamp: 340, Sent: 3, Success: 0, LTS: 0},
+		{Probe: 206, Timestamp: math.MaxUint32, Sent: 3, Success: 3, LTS: 60},
 	}
 	s, err := KRootSeries(206, rounds)
 	if err != nil {
@@ -154,6 +163,32 @@ func TestKRootSeries(t *testing.T) {
 	for i, k := range s {
 		if k.Round(206) != rounds[i] {
 			t.Errorf("sample %d = %+v, want round %+v", i, k.Round(206), rounds[i])
+		}
+	}
+	// A timestamp the sample cannot hold is refused, never truncated.
+	for _, ts := range []simclock.Time{-1, math.MaxUint32 + 1} {
+		if s, err := KRootSeries(206, []KRootRound{{Probe: 206, Timestamp: ts, Sent: 3}}); err == nil ||
+			!strings.Contains(err.Error(), "outside 0-4294967295") {
+			t.Errorf("KRootSeries of a round at %d = %v, %v", ts, s, err)
+		}
+	}
+}
+
+// TestUptimeSeries checks that the stored series keeps every value of
+// its records. (TestDatasetValidateCatchesWrongProbeID checks that it
+// refuses a record of another probe.)
+func TestUptimeSeries(t *testing.T) {
+	recs := []UptimeRecord{
+		{Probe: 206, Timestamp: -5, Uptime: math.MaxInt64},
+		{Probe: 206, Timestamp: math.MaxInt64, Uptime: 0},
+	}
+	s, err := UptimeSeries(206, recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, u := range s {
+		if u.Record(206) != recs[i] {
+			t.Errorf("sample %d = %+v, want record %+v", i, u.Record(206), recs[i])
 		}
 	}
 }
@@ -218,6 +253,17 @@ func TestNewKRootRound(t *testing.T) {
 	for probe, ok := range map[ProbeID]bool{0: true, math.MaxUint32: true, -1: false, math.MaxUint32 + 1: false} {
 		if _, err := NewKRootRound(probe, 100, 3, 3, 60); (err == nil) != ok {
 			t.Errorf("NewKRootRound for probe %d: %v", probe, err)
+		}
+	}
+	// A Dataset stores a round's timestamp in 32 bits, so the domain is
+	// 0 to 2³²-1 Unix seconds.
+	for ts, ok := range map[simclock.Time]bool{-1: false, 0: true, math.MaxUint32: true, math.MaxUint32 + 1: false} {
+		k, err := NewKRootRound(7, ts, 3, 3, 60)
+		switch {
+		case ok && (err != nil || k.Timestamp != ts):
+			t.Errorf("NewKRootRound at %d = %+v, %v", ts, k, err)
+		case !ok && (err == nil || !strings.Contains(err.Error(), fmt.Sprintf("has timestamp %d outside 0-4294967295", ts))):
+			t.Errorf("NewKRootRound at %d: error %v", ts, err)
 		}
 	}
 }

@@ -89,11 +89,14 @@ func TestLoadRejectsNegativeUptime(t *testing.T) {
 	rejects(t, dir, "a negative uptime")
 }
 
-// TestLoadRejectsKRootOutOfRange: a k-root round's counts are u16 and
-// its LTS an int32, as on the wire, so a text line past either range
-// fails Load and Open with NewKRootRound's error; the edges still load.
+// TestLoadRejectsKRootOutOfRange: a k-root round's counts are u16, its
+// LTS an int32 and its timestamp a u32, as a Dataset stores them, so a
+// text line past any of these ranges fails Load and Open with
+// NewKRootRound's error; the edges still load.
 func TestLoadRejectsKRootOutOfRange(t *testing.T) {
 	for _, tc := range []struct{ line, want string }{
+		{"206\t-1\t3\t3\t60\n", "has timestamp -1 outside 0-4294967295"},
+		{"206\t4294967296\t3\t3\t60\n", "has timestamp 4294967296 outside 0-4294967295"},
 		{"206\t1000\t-1\t0\t60\n", "has 0/-1 successes, outside 0-65535"},
 		{"206\t1000\t70000\t1\t60\n", "has 1/70000 successes, outside 0-65535"},
 		{"206\t1000\t3\t70000\t60\n", "has 70000/3 successes, outside 0-65535"},
@@ -109,15 +112,21 @@ func TestLoadRejectsKRootOutOfRange(t *testing.T) {
 	}
 	dir := savedSample(t)
 	corrupt(t, dir, "kroot.tsv", func(b []byte) []byte {
-		return append(b, "206\t1000\t65535\t65535\t2147483647\n"...)
+		return append(b, "206\t1000\t65535\t65535\t2147483647\n206\t0\t3\t3\t60\n206\t4294967295\t3\t3\t60\n"...)
 	})
 	d, err := Load(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := KRootRound{Probe: 206, Timestamp: 1000, Sent: 65535, Success: 65535, LTS: 2147483647}
-	if ks := d.KRoot[206]; ks[len(ks)-1].Round(206) != want {
-		t.Errorf("edge round loaded as %+v, want %+v", ks[len(ks)-1].Round(206), want)
+	ks := d.KRoot[206]
+	for i, want := range map[int]KRootRound{
+		0:           {Probe: 206, Timestamp: 0, Sent: 3, Success: 3, LTS: 60},
+		len(ks) - 2: {Probe: 206, Timestamp: 1000, Sent: 65535, Success: 65535, LTS: 2147483647},
+		len(ks) - 1: {Probe: 206, Timestamp: 4294967295, Sent: 3, Success: 3, LTS: 60},
+	} {
+		if got := ks[i].Round(206); got != want {
+			t.Errorf("edge round %d loaded as %+v, want %+v", i, got, want)
+		}
 	}
 	if _, err := openDataset(dir); err != nil {
 		t.Errorf("Open of the edge round: %v", err)

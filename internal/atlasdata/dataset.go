@@ -19,14 +19,15 @@ import (
 // Dataset bundles everything the analysis pipeline consumes: the three
 // per-probe record streams, the probe archive, and the monthly pfx2as
 // snapshots. Record slices are kept sorted by timestamp per probe.
-// K-root rounds, most of every dataset, are stored without the probe ID
-// they are filed under (KRootSample); ReadKRoot and EachRecord hand them
-// out as KRootRounds again.
+// K-root rounds, most of every dataset, and uptime records are stored
+// without the probe ID they are filed under (KRootSample, UptimeSample);
+// ReadKRoot, ReadUptime and EachRecord hand them out as KRootRounds and
+// UptimeRecords again.
 type Dataset struct {
 	Probes   map[ProbeID]ProbeMeta
 	ConnLogs map[ProbeID][]ConnLogEntry
 	KRoot    map[ProbeID][]KRootSample
-	Uptime   map[ProbeID][]UptimeRecord
+	Uptime   map[ProbeID][]UptimeSample
 	Pfx2AS   *pfx2as.SnapshotStore
 }
 
@@ -36,7 +37,7 @@ func NewDataset() *Dataset {
 		Probes:   make(map[ProbeID]ProbeMeta),
 		ConnLogs: make(map[ProbeID][]ConnLogEntry),
 		KRoot:    make(map[ProbeID][]KRootSample),
-		Uptime:   make(map[ProbeID][]UptimeRecord),
+		Uptime:   make(map[ProbeID][]UptimeSample),
 		Pfx2AS:   pfx2as.NewSnapshotStore(),
 	}
 }
@@ -91,19 +92,26 @@ func (d *Dataset) ReadConnLogs(id ProbeID) ([]ConnLogEntry, error) { return d.Co
 
 // ReadKRoot returns a probe's k-root rounds, rebuilt from its samples.
 func (d *Dataset) ReadKRoot(id ProbeID) ([]KRootRound, error) {
-	samples := d.KRoot[id]
-	if samples == nil {
-		return nil, nil
-	}
-	rounds := make([]KRootRound, len(samples))
-	for i, s := range samples {
-		rounds[i] = s.Round(id)
-	}
-	return rounds, nil
+	return records(kRootKind, id, d.KRoot[id]), nil
 }
 
-// ReadUptime returns a probe's uptime records.
-func (d *Dataset) ReadUptime(id ProbeID) ([]UptimeRecord, error) { return d.Uptime[id], nil }
+// ReadUptime returns a probe's uptime records, rebuilt from its samples.
+func (d *Dataset) ReadUptime(id ProbeID) ([]UptimeRecord, error) {
+	return records(uptimeKind, id, d.Uptime[id]), nil
+}
+
+// records rebuilds probe id's records of kind k from their stored form;
+// nil stays nil.
+func records[T validator, S any](k *recordKind[T, S], id ProbeID, stored []S) []T {
+	if stored == nil {
+		return nil
+	}
+	out := make([]T, len(stored))
+	for i := range stored {
+		out[i] = k.record(id, &stored[i])
+	}
+	return out
+}
 
 // Snapshots returns the monthly pfx2as snapshots.
 func (d *Dataset) Snapshots() *pfx2as.SnapshotStore { return d.Pfx2AS }
@@ -118,8 +126,8 @@ type validator interface{ Validate() error }
 // recordKind describes one record file: its line format, how its records
 // key and order, how a Dataset stores them, and the words its errors use.
 // T is the record a line holds, S the element a Dataset files under the
-// record's probe: T itself for connection logs and uptime records, and
-// for k-root rounds the probe-less KRootSample.
+// record's probe: T itself for connection logs, and for k-root rounds and
+// uptime records the probe-less KRootSample and UptimeSample.
 type recordKind[T validator, S any] struct {
 	file    string
 	what    string // "connection logs"
@@ -145,17 +153,14 @@ type recordKind[T validator, S any] struct {
 	overlap func(id ProbeID, i int, prev, cur *T) error
 }
 
-// self and selfRecord are stored and record for a kind stored as it is.
-func self[T any](r *T) T                  { return *r }
-func selfRecord[T any](_ ProbeID, r *T) T { return *r }
-
 var (
 	connLogKind = &recordKind[ConnLogEntry, ConnLogEntry]{
 		file: connLogsFile, what: "connection logs", nFields: 4, parse: parseConnLog, marshal: MarshalConnLog,
 		probe:  func(e *ConnLogEntry) ProbeID { return e.Probe },
 		time:   func(e *ConnLogEntry) simclock.Time { return e.Start },
-		stored: self[ConnLogEntry], record: selfRecord[ConnLogEntry],
-		sort: sortConnLogs, sortStored: sortConnLogs,
+		stored: func(e *ConnLogEntry) ConnLogEntry { return *e },
+		record: func(_ ProbeID, e *ConnLogEntry) ConnLogEntry { return *e },
+		sort:   sortConnLogs, sortStored: sortConnLogs,
 		overlap: func(id ProbeID, i int, prev, e *ConnLogEntry) error {
 			if e.Start < prev.End {
 				return fmt.Errorf("atlasdata: probe %d has overlapping connections at %d (%v < %v)", id, i, e.Start, prev.End)
@@ -176,21 +181,23 @@ var (
 			sort.Slice(s, func(i, j int) bool { return s[i].Timestamp < s[j].Timestamp })
 		},
 	}
-	uptimeKind = &recordKind[UptimeRecord, UptimeRecord]{
+	uptimeKind = &recordKind[UptimeRecord, UptimeSample]{
 		file: uptimeFile, what: "uptime records", nFields: 3, parse: parseUptime, marshal: MarshalUptime,
 		probe:  func(u *UptimeRecord) ProbeID { return u.Probe },
 		time:   func(u *UptimeRecord) simclock.Time { return u.Timestamp },
-		stored: self[UptimeRecord], record: selfRecord[UptimeRecord],
-		sort: sortUptime, sortStored: sortUptime,
+		stored: func(u *UptimeRecord) UptimeSample { return u.Sample() },
+		record: func(id ProbeID, s *UptimeSample) UptimeRecord { return s.Record(id) },
+		sort: func(s []UptimeRecord) {
+			sort.Slice(s, func(i, j int) bool { return s[i].Timestamp < s[j].Timestamp })
+		},
+		sortStored: func(s []UptimeSample) {
+			sort.Slice(s, func(i, j int) bool { return s[i].Timestamp < s[j].Timestamp })
+		},
 	}
 )
 
 func sortConnLogs(s []ConnLogEntry) {
 	sort.Slice(s, func(i, j int) bool { return s[i].Start < s[j].Start })
-}
-
-func sortUptime(s []UptimeRecord) {
-	sort.Slice(s, func(i, j int) bool { return s[i].Timestamp < s[j].Timestamp })
 }
 
 // validateProbes checks the probes in ids, in that order: each must have
@@ -438,15 +445,15 @@ func (d *Dataset) EachRecord(id ProbeID, sink RecordSink) error {
 		var err error
 		switch {
 		case ci < len(conns) &&
-			(ki == len(rounds) || conns[ci].Start <= rounds[ki].Timestamp) &&
+			(ki == len(rounds) || conns[ci].Start <= rounds[ki].Time()) &&
 			(ui == len(ups) || conns[ci].Start <= ups[ui].Timestamp):
 			err = sink.ConnLog(conns[ci])
 			ci++
-		case ki < len(rounds) && (ui == len(ups) || rounds[ki].Timestamp <= ups[ui].Timestamp):
+		case ki < len(rounds) && (ui == len(ups) || rounds[ki].Time() <= ups[ui].Timestamp):
 			err = sink.KRoot(rounds[ki].Round(id))
 			ki++
 		default:
-			err = sink.Uptime(ups[ui])
+			err = sink.Uptime(ups[ui].Record(id))
 			ui++
 		}
 		if err != nil {

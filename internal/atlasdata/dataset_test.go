@@ -30,9 +30,9 @@ func sampleDataset(t *testing.T) *Dataset {
 		{Timestamp: 120, Sent: 3, Success: 3, LTS: 60},
 		{Timestamp: 360, Sent: 3, Success: 0, LTS: 300},
 	}
-	d.Uptime[206] = []UptimeRecord{
-		{Probe: 206, Timestamp: 100, Uptime: 5000},
-		{Probe: 206, Timestamp: 300, Uptime: 20},
+	d.Uptime[206] = []UptimeSample{
+		{Timestamp: 100, Uptime: 5000},
+		{Timestamp: 300, Uptime: 20},
 	}
 	tbl, err := pfx2as.NewTable([]pfx2as.Entry{
 		{Prefix: ip4.MustParsePrefix("91.55.0.0/16"), ASN: asdb.ASN(3320)},
@@ -108,6 +108,11 @@ func TestDatasetValidateCatchesWrongProbeID(t *testing.T) {
 		!strings.Contains(err.Error(), "probe 1 k-root rounds contain a record for probe 2") {
 		t.Errorf("KRootSeries of a round of probe 2 under probe 1 = %v, %v", s, err)
 	}
+	// Nor does a stored uptime record.
+	if s, err := UptimeSeries(1, []UptimeRecord{{Probe: 1, Timestamp: 1}, {Probe: 2, Timestamp: 2}}); err == nil ||
+		!strings.Contains(err.Error(), "probe 1 uptime records contain a record for probe 2") {
+		t.Errorf("UptimeSeries of a record of probe 2 under probe 1 = %v, %v", s, err)
+	}
 }
 
 func TestSortRecords(t *testing.T) {
@@ -121,9 +126,9 @@ func TestSortRecords(t *testing.T) {
 		{Timestamp: 50, Sent: 3, Success: 3},
 		{Timestamp: 10, Sent: 3, Success: 3},
 	}
-	d.Uptime[1] = []UptimeRecord{
-		{Probe: 1, Timestamp: 9, Uptime: 100},
-		{Probe: 1, Timestamp: 3, Uptime: 50},
+	d.Uptime[1] = []UptimeSample{
+		{Timestamp: 9, Uptime: 100},
+		{Timestamp: 3, Uptime: 50},
 	}
 	d.SortRecords()
 	if d.ConnLogs[1][0].Start != 100 || d.KRoot[1][0].Timestamp != 10 || d.Uptime[1][0].Timestamp != 3 {
@@ -156,7 +161,7 @@ func TestLoadKeepsFileOrderAcrossProbes(t *testing.T) {
 		id := ProbeID(1 + (i*7)%3)
 		want.Probes[id] = ProbeMeta{ID: id, Version: V3}
 		u := UptimeRecord{Probe: id, Timestamp: simclock.Time(100 * (i % 2)), Uptime: int64(i)}
-		want.Uptime[id] = append(want.Uptime[id], u)
+		want.Uptime[id] = append(want.Uptime[id], u.Sample())
 		fmt.Fprintf(&src, "%d\t%d\t%d\n", u.Probe, int64(u.Timestamp), u.Uptime)
 	}
 	want.SortRecords()

@@ -132,7 +132,7 @@ func archiveMatchesLoad(t *testing.T, dir string) {
 			t.Fatalf("probe %d: %v", id, err)
 		}
 		if !reflect.DeepEqual(conns, want.ConnLogs[id]) || !reflect.DeepEqual(kroot, wantRounds(want, id)) ||
-			!reflect.DeepEqual(uptime, want.Uptime[id]) {
+			!reflect.DeepEqual(uptime, wantUptime(want, id)) {
 			t.Fatalf("probe %d: archive reads differ from Load", id)
 		}
 	}
@@ -399,4 +399,10 @@ func TestConcurrentScans(t *testing.T) {
 func wantRounds(d *atlasdata.Dataset, id atlasdata.ProbeID) []atlasdata.KRootRound {
 	rounds, _ := d.ReadKRoot(id) // a Dataset's reads never fail
 	return rounds
+}
+
+// wantUptime is d's uptime records for id, as an Archive reads them.
+func wantUptime(d *atlasdata.Dataset, id atlasdata.ProbeID) []atlasdata.UptimeRecord {
+	ups, _ := d.ReadUptime(id) // a Dataset's reads never fail
+	return ups
 }

@@ -120,12 +120,25 @@ func CheckProbeID(probe ProbeID) error {
 	return nil
 }
 
+// checkKRootTime refuses a k-root timestamp outside 0 to 2³²-1 Unix
+// seconds, the range a Dataset stores rounds in (KRootSample).
+func checkKRootTime(probe ProbeID, ts simclock.Time) error {
+	if ts < 0 || ts > math.MaxUint32 {
+		return fmt.Errorf("atlasdata: k-root round for probe %d has timestamp %d outside 0-%d", probe, int64(ts), uint32(math.MaxUint32))
+	}
+	return nil
+}
+
 // NewKRootRound builds a round from decoded values, refusing a probe ID
-// outside u32 (CheckProbeID), counts outside 0-65535 and an LTS outside
-// int32 (the binary wire format's ranges), then validates it. Every
-// decoder of k-root values but the wire format's own goes through it.
+// outside u32 (CheckProbeID), a timestamp outside u32 (checkKRootTime),
+// counts outside 0-65535 and an LTS outside int32 (the binary wire
+// format's ranges), then validates it. Every decoder of k-root values
+// but the wire format's own goes through it.
 func NewKRootRound(probe ProbeID, ts simclock.Time, sent, success int, lts int64) (KRootRound, error) {
 	if err := CheckProbeID(probe); err != nil {
+		return KRootRound{}, err
+	}
+	if err := checkKRootTime(probe, ts); err != nil {
 		return KRootRound{}, err
 	}
 	if sent < 0 || sent > math.MaxUint16 || success < 0 || success > math.MaxUint16 {
@@ -154,32 +167,42 @@ func (k KRootRound) Validate() error {
 }
 
 // KRootSample is a k-root round as a Dataset stores it, filed under its
-// probe's key: the round without its probe ID, 16 bytes. Rounds are most
-// of every dataset, so the key is not repeated in each of them.
+// probe's key: the round without its probe ID, its timestamp as unsigned
+// 32-bit Unix seconds (checkKRootTime's range, good until 2106), 12
+// bytes. Rounds are most of every dataset, so the key is not repeated in
+// each of them.
 type KRootSample struct {
-	Timestamp simclock.Time
+	Timestamp uint32
 	LTS       int32
 	Sent      uint16
 	Success   uint16
 }
 
-// Sample is the round as a Dataset stores it.
+// Sample is the round as a Dataset stores it. The round's timestamp must
+// be within checkKRootTime's range; KRootSeries checks it.
 func (k KRootRound) Sample() KRootSample {
-	return KRootSample{Timestamp: k.Timestamp, LTS: k.LTS, Sent: k.Sent, Success: k.Success}
+	return KRootSample{Timestamp: uint32(k.Timestamp), LTS: k.LTS, Sent: k.Sent, Success: k.Success}
 }
+
+// Time is the sample's timestamp.
+func (s KRootSample) Time() simclock.Time { return simclock.Time(s.Timestamp) }
 
 // Round is the sample as probe's round.
 func (s KRootSample) Round(probe ProbeID) KRootRound {
-	return KRootRound{Probe: probe, Timestamp: s.Timestamp, LTS: s.LTS, Sent: s.Sent, Success: s.Success}
+	return KRootRound{Probe: probe, Timestamp: s.Time(), LTS: s.LTS, Sent: s.Sent, Success: s.Success}
 }
 
 // KRootSeries is a probe's rounds as a Dataset stores them. It refuses a
-// round of another probe rather than file it under probe.
+// round of another probe rather than file it under probe, and a
+// timestamp the sample cannot hold rather than truncate it.
 func KRootSeries(probe ProbeID, rounds []KRootRound) ([]KRootSample, error) {
 	out := make([]KRootSample, len(rounds))
 	for i, k := range rounds {
 		if k.Probe != probe {
 			return nil, fmt.Errorf("atlasdata: probe %d k-root rounds contain a record for probe %d", probe, k.Probe)
+		}
+		if err := checkKRootTime(probe, k.Timestamp); err != nil {
+			return nil, err
 		}
 		out[i] = k.Sample()
 	}
@@ -203,6 +226,36 @@ func (u UptimeRecord) Validate() error {
 		return fmt.Errorf("atlasdata: negative uptime for probe %d", u.Probe)
 	}
 	return nil
+}
+
+// UptimeSample is an uptime record as a Dataset stores it, filed under
+// its probe's key: the record without its probe ID, 16 bytes.
+type UptimeSample struct {
+	Timestamp simclock.Time
+	Uptime    int64
+}
+
+// Sample is the record as a Dataset stores it.
+func (u UptimeRecord) Sample() UptimeSample {
+	return UptimeSample{Timestamp: u.Timestamp, Uptime: u.Uptime}
+}
+
+// Record is the sample as probe's uptime record.
+func (s UptimeSample) Record(probe ProbeID) UptimeRecord {
+	return UptimeRecord{Probe: probe, Timestamp: s.Timestamp, Uptime: s.Uptime}
+}
+
+// UptimeSeries is a probe's uptime records as a Dataset stores them. It
+// refuses a record of another probe rather than file it under probe.
+func UptimeSeries(probe ProbeID, recs []UptimeRecord) ([]UptimeSample, error) {
+	out := make([]UptimeSample, len(recs))
+	for i, u := range recs {
+		if u.Probe != probe {
+			return nil, fmt.Errorf("atlasdata: probe %d uptime records contain a record for probe %d", probe, u.Probe)
+		}
+		out[i] = u.Sample()
+	}
+	return out, nil
 }
 
 // ProbeVersion is the probe hardware generation. Versions 1 and 2 can

@@ -201,8 +201,13 @@ var textRecordSeeds = []string{
 	"206\t100\t5000\r\n\t\t\t\n206\t300\t20\r\n\t",
 	// K-root values at and past the wire format's ranges, one bad value
 	// per input so that each reaches its check: u32 probe IDs, u16
-	// counts, an int32 LTS.
+	// counts, an int32 LTS, u32 timestamps (which uptime records, stored
+	// in 64 bits, take).
 	"4294967295\t1\t65535\t65535\t2147483647\n206\t2\t0\t0\t0",
+	"206\t4294967295\t3\t3\t60\n206\t0\t3\t3\t60",
+	"206\t4294967296\t3\t3\t60",
+	"206\t-1\t3\t3\t60",
+	"206\t4294967296\t5000\n206\t-1\t5000",
 	"4294967296\t1\t3\t3\t60",
 	"206\t1\t65539\t1\t60",
 	"206\t1\t3\t-1\t60",

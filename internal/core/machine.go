@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 
 	"dynaddr/internal/asdb"
@@ -30,6 +31,11 @@ import (
 //
 // The zero Machine is a probe with no records. The exported fields are
 // the state a checkpoint stores; after loading them, call Restore.
+//
+// The event lists only grow: no element below a length the machine has
+// published is rewritten, except a RebootGap still Open, which the next
+// round after its reboot resolves in place. SharedEvents relies on this
+// to hand out the lists without copying them.
 type Machine struct {
 	Probe atlasdata.ProbeID
 	// KeepEvents keeps the event lists (RawHours through Watermark).
@@ -592,23 +598,50 @@ type ProbeEvents struct {
 	Prefix     PrefixChangeRow
 }
 
-// Events freezes the machine's event lists into copies, so the machine
-// may go on while the copy is read. A freeze is an end of input for the
-// records seen so far: an open loss run is qualified as if it closed.
+// Events freezes the machine's event lists into exact-size copies, so
+// the machine may go on while the copy is read. A freeze is an end of
+// input for the records seen so far: an open loss run is qualified as if
+// it closed. The batch analyses, whose machine ends with the call, use it:
+// a copy lets the machine's append slack go with it.
 func (m *Machine) Events(meta atlasdata.ProbeMeta) ProbeEvents {
-	ev := ProbeEvents{
-		Probe:      m.Probe,
-		ASN:        uint32(m.Home()),
-		MultiAS:    m.MultiAS,
-		V3:         meta.Version == atlasdata.V3,
-		HasChanges: m.Changes > 0,
+	return m.freeze(meta, ProbeEvents{
 		RawHours:   append([]float64(nil), m.RawHours...),
 		Gaps:       append([]GapEvent(nil), m.Gaps...),
 		Networks:   append([]NetworkOutage(nil), m.Networks...),
 		Reboots:    append([]Reboot(nil), m.Reboots...),
 		RebootGaps: append([]RebootGap(nil), m.RebootGaps...),
-		Prefix:     m.Prefix,
+	})
+}
+
+// SharedEvents is Events without the copies, for a machine that goes on
+// while the freeze is read: the event lists are the machine's own,
+// clipped to their length, so the machine's appends never write where a
+// reader looks and a reader's appends reallocate. RebootGaps is copied
+// while a gap is still Open, as the machine resolves open gaps in place.
+// The lists are read-only.
+func (m *Machine) SharedEvents(meta atlasdata.ProbeMeta) ProbeEvents {
+	gaps := slices.Clip(m.RebootGaps)
+	if len(m.pending) > 0 {
+		gaps = append([]RebootGap(nil), m.RebootGaps...)
 	}
+	return m.freeze(meta, ProbeEvents{
+		RawHours:   slices.Clip(m.RawHours),
+		Gaps:       slices.Clip(m.Gaps),
+		Networks:   slices.Clip(m.Networks),
+		Reboots:    slices.Clip(m.Reboots),
+		RebootGaps: gaps,
+	})
+}
+
+// freeze completes ev, which holds the machine's event lists, with the
+// probe's fields and the open loss run.
+func (m *Machine) freeze(meta atlasdata.ProbeMeta, ev ProbeEvents) ProbeEvents {
+	ev.Probe = m.Probe
+	ev.ASN = uint32(m.Home())
+	ev.MultiAS = m.MultiAS
+	ev.V3 = meta.Version == atlasdata.V3
+	ev.HasChanges = m.Changes > 0
+	ev.Prefix = m.Prefix
 	if n, ok := m.qualify(m.Loss); ok {
 		ev.Networks = append(ev.Networks, n)
 	}

@@ -51,7 +51,8 @@ func TestMachineMatchesSliceReference(t *testing.T) {
 		if want := refNetworkOutages(rounds); !reflect.DeepEqual(ev.Networks, want) {
 			t.Errorf("probe %d: network outages %v, reference %v", id, ev.Networks, want)
 		}
-		reboots := refReboots(ds.Uptime[id])
+		ups, _ := ds.ReadUptime(id)
+		reboots := refReboots(ups)
 		if !reflect.DeepEqual(ev.Reboots, reboots) {
 			t.Errorf("probe %d: reboots %v, reference %v", id, ev.Reboots, reboots)
 		}
@@ -70,7 +71,7 @@ func TestEachRecordOrder(t *testing.T) {
 	ds := atlasdata.NewDataset()
 	ds.ConnLogs[1] = []atlasdata.ConnLogEntry{v4e(1, 100, 150, "10.0.0.1"), v4e(1, 300, 400, "10.0.0.2")}
 	ds.KRoot[1] = stored(round(100, 3, 10), round(200, 3, 10), round(300, 3, 10))
-	ds.Uptime[1] = []atlasdata.UptimeRecord{{Probe: 1, Timestamp: 50}, {Probe: 1, Timestamp: 100}, {Probe: 1, Timestamp: 300}}
+	ds.Uptime[1] = []atlasdata.UptimeSample{{Timestamp: 50}, {Timestamp: 100}, {Timestamp: 300}}
 	var got []string
 	rec := func(kind string, ts int64) { got = append(got, fmt.Sprintf("%s:%d", kind, ts)) }
 	sink := orderSink{rec}

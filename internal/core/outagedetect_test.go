@@ -54,6 +54,15 @@ func stored(rounds ...atlasdata.KRootRound) []atlasdata.KRootSample {
 	return s
 }
 
+// storedUptime is probe 1's uptime records as a Dataset stores them.
+func storedUptime(recs []atlasdata.UptimeRecord) []atlasdata.UptimeSample {
+	s, err := atlasdata.UptimeSeries(1, recs)
+	if err != nil {
+		panic(err)
+	}
+	return s
+}
+
 func TestDetectNetworkOutagesPaperTable3(t *testing.T) {
 	// The paper's Table 3: six all-lost rounds with LTS growing from 151
 	// to 1103, bracketed by good rounds.

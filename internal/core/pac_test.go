@@ -134,24 +134,24 @@ func TestAnalyzeOutagesEndToEnd(t *testing.T) {
 	// growing LTS, silence in gap B.
 	gapA := t0.Add(100 * day)
 	gapB := t0.Add(200 * day)
-	ds.KRoot[1] = []atlasdata.KRootSample{
-		{Timestamp: t0.Add(day), Sent: 3, Success: 3, LTS: 60},
-		{Timestamp: gapA.Add(-2 * simclock.Minute), Sent: 3, Success: 3, LTS: 60},
-		{Timestamp: gapA.Add(4 * simclock.Minute), Sent: 3, Success: 0, LTS: 400},
-		{Timestamp: gapA.Add(30 * simclock.Minute), Sent: 3, Success: 0, LTS: 2000},
-		{Timestamp: gapA.Add(2*simclock.Hour + 5*simclock.Minute), Sent: 3, Success: 3, LTS: 60},
-		{Timestamp: gapB.Add(-3 * simclock.Minute), Sent: 3, Success: 3, LTS: 60},
-		{Timestamp: gapB.Add(2*simclock.Hour + 4*simclock.Minute), Sent: 3, Success: 3, LTS: 60},
-		{Timestamp: t0.Add(350 * day), Sent: 3, Success: 3, LTS: 60},
-	}
+	ds.KRoot[1] = stored(
+		round(t0.Add(day), 3, 60),
+		round(gapA.Add(-2*simclock.Minute), 3, 60),
+		round(gapA.Add(4*simclock.Minute), 0, 400),
+		round(gapA.Add(30*simclock.Minute), 0, 2000),
+		round(gapA.Add(2*simclock.Hour+5*simclock.Minute), 3, 60),
+		round(gapB.Add(-3*simclock.Minute), 3, 60),
+		round(gapB.Add(2*simclock.Hour+4*simclock.Minute), 3, 60),
+		round(t0.Add(350*day), 3, 60),
+	)
 	// Uptime: a reset at gap B (boot just before the post-gap record).
 	bootAt := gapB.Add(2 * simclock.Hour)
-	ds.Uptime[1] = []atlasdata.UptimeRecord{
+	ds.Uptime[1] = storedUptime([]atlasdata.UptimeRecord{
 		{Probe: 1, Timestamp: t0, Uptime: 500000},
 		{Probe: 1, Timestamp: gapA.Add(2 * simclock.Hour), Uptime: int64(gapA.Add(2*simclock.Hour).Sub(t0)) + 500000},
 		{Probe: 1, Timestamp: bootAt.Add(2 * simclock.Minute), Uptime: 120},
 		{Probe: 1, Timestamp: t0.Add(300*day + 30*simclock.Minute), Uptime: int64(t0.Add(300*day + 30*simclock.Minute).Sub(bootAt))},
-	}
+	})
 
 	res := Filter(ds)
 	if _, ok := res.Views[1]; !ok {
@@ -181,15 +181,15 @@ func TestAnalyzeOutagesV12PowerExcluded(t *testing.T) {
 	ds.Probes[1] = atlasdata.ProbeMeta{ID: 1, Country: "DE", Version: atlasdata.V1, ConnectedDays: 290}
 	ds.ConnLogs[1] = entries
 	gap := t0.Add(100 * day)
-	ds.KRoot[1] = []atlasdata.KRootSample{
-		{Timestamp: gap.Add(-2 * simclock.Minute), Sent: 3, Success: 3, LTS: 60},
-		{Timestamp: gap.Add(2*simclock.Hour + 4*simclock.Minute), Sent: 3, Success: 3, LTS: 60},
-	}
+	ds.KRoot[1] = stored(
+		round(gap.Add(-2*simclock.Minute), 3, 60),
+		round(gap.Add(2*simclock.Hour+4*simclock.Minute), 3, 60),
+	)
 	bootAt := gap.Add(2 * simclock.Hour)
-	ds.Uptime[1] = []atlasdata.UptimeRecord{
+	ds.Uptime[1] = storedUptime([]atlasdata.UptimeRecord{
 		{Probe: 1, Timestamp: t0, Uptime: 500000},
 		{Probe: 1, Timestamp: bootAt.Add(time2(90)), Uptime: 90},
-	}
+	})
 	res := Filter(ds)
 	oa := AnalyzeOutages(ds, res)
 	st := oa.Stats[1]

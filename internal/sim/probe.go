@@ -232,8 +232,8 @@ type walker struct {
 	firmware []simclock.Time
 
 	conns  []atlasdata.ConnLogEntry
-	rounds []atlasdata.KRootSample // the probe's, so stored without its ID
-	ups    []atlasdata.UptimeRecord
+	rounds []atlasdata.KRootSample  // the probe's, so stored without its ID
+	ups    []atlasdata.UptimeSample // the probe's, so stored without its ID
 
 	lastBoot      simclock.Time
 	connectedSecs int64
@@ -306,14 +306,16 @@ func (w *walker) emitSession(start, end simclock.Time, fam sessionFamily, v4 ip4
 }
 
 func (w *walker) emitUptime(t simclock.Time) {
-	w.ups = append(w.ups, atlasdata.UptimeRecord{
-		Probe: w.spec.id, Timestamp: t, Uptime: int64(t.Sub(w.lastBoot)),
+	w.ups = append(w.ups, atlasdata.UptimeSample{
+		Timestamp: t, Uptime: int64(t.Sub(w.lastBoot)),
 	})
 }
 
+// goodRound emits a round with every ping answered. A world's times lie
+// in the study year, well inside the 32-bit seconds a KRootSample holds.
 func (w *walker) goodRound(t simclock.Time) {
 	w.rounds = append(w.rounds, atlasdata.KRootSample{
-		Timestamp: t, Sent: 3, Success: 3,
+		Timestamp: uint32(t), Sent: 3, Success: 3,
 		LTS: int32(30 + w.rnd.Int63n(205)),
 	})
 }
@@ -332,7 +334,7 @@ func (w *walker) emitNetworkOutageRounds(ev outage.Event, resume simclock.Time) 
 	lastSync := pre
 	emitLoss := func(t simclock.Time) {
 		w.rounds = append(w.rounds, atlasdata.KRootSample{
-			Timestamp: t, Sent: 3, Success: 0,
+			Timestamp: uint32(t), Sent: 3, Success: 0,
 			LTS: int32(t.Sub(lastSync)),
 		})
 	}

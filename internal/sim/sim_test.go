@@ -206,7 +206,7 @@ func TestKRootInvariants(t *testing.T) {
 			if err := r.Validate(); err != nil {
 				t.Fatalf("probe %d round %d: %v", id, i, err)
 			}
-			if i > 0 && r.Timestamp < rounds[i-1].Timestamp {
+			if i > 0 && r.Timestamp < rounds[i-1].Time() {
 				t.Fatalf("probe %d rounds unsorted at %d", id, i)
 			}
 			// Loss rounds carry LTS that exceeds the sync cadence.

@@ -15,8 +15,9 @@ import (
 var ErrAnalysisDisabled = errors.New("stream: live analysis disabled (Config.Analysis)")
 
 // analysisView is one shard's frozen contribution to a live analysis:
-// deep-copied event state for its analyzable probes plus the merged
-// churn counters of every probe it owns.
+// the event state of its analyzable probes, shared read-only with their
+// machines (core.Machine.SharedEvents), plus the merged churn counters of
+// every probe it owns.
 type analysisView struct {
 	events []core.ProbeEvents // sorted by probe ID
 	churn  map[int]core.PrefixChangeRow
@@ -24,9 +25,10 @@ type analysisView struct {
 }
 
 // analysisView snapshots the shard's event state. Called from the
-// shard goroutine (in-band marker) or after Close (quiescent). Event
-// slices are copied, so the fold can run while the shard keeps
-// applying records.
+// shard goroutine (in-band marker) or after Close (quiescent). The event
+// lists are the machines' own, clipped to their length: the shard's
+// later records never rewrite what the view holds, so the fold can run
+// while the shard keeps applying records.
 func (s *shard) analysisView() *analysisView {
 	v := &analysisView{churn: make(map[int]core.PrefixChangeRow), ver: s.version()}
 	// Churn is the raw operational view: every probe counts, analyzable
@@ -45,7 +47,7 @@ func (s *shard) analysisView() *analysisView {
 		// Events feed the paper tables, which exist only for probes the
 		// Table 2 pipeline admits.
 		if ps.hasMeta && ps.m.Category(ps.meta) == core.CatAnalyzable {
-			v.events = append(v.events, ps.m.Events(ps.meta))
+			v.events = append(v.events, ps.m.SharedEvents(ps.meta))
 		}
 	}
 	return v

@@ -2,9 +2,11 @@ package stream_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
 
 	"dynaddr/internal/atlasdata"
@@ -83,7 +85,7 @@ func (s *teeSink) Uptime(u atlasdata.UptimeRecord) error {
 	if err := s.ing.Uptime(u); err != nil {
 		return err
 	}
-	s.ds.Uptime[u.Probe] = append(s.ds.Uptime[u.Probe], u)
+	s.ds.Uptime[u.Probe] = append(s.ds.Uptime[u.Probe], u.Sample())
 	s.tick()
 	return nil
 }
@@ -138,6 +140,129 @@ func TestAnalysisReplayEquivalence(t *testing.T) {
 			requireAnalysisEquals(t, "end of stream", got, ds)
 		})
 	}
+}
+
+// TestAnalysisViewSharedWhileApplying: an analysis view shares its event
+// lists with the shards' machines (core.Machine.SharedEvents). While the
+// shards keep applying records — appending events and resolving open
+// reboot gaps in place — a reader folds and encodes the views published
+// last, over and over; each must read as it did when it was published,
+// up to when the reader lets it go, two views later. Under -race this
+// also checks that no shard write touches what a view holds.
+func TestAnalysisViewSharedWhileApplying(t *testing.T) {
+	ds := recoverWorld(t, 3)
+	total := totalRecords(ds)
+	ing := stream.NewIngester(stream.Config{Shards: 2, Pfx2AS: ds.Pfx2AS, Analysis: true})
+
+	type published struct {
+		view         *stream.AnalysisPeerView
+		frames, fold []byte
+	}
+	read := func(v *stream.AnalysisPeerView) published {
+		res, _ := stream.MergeAnalysisPeerViews([]*stream.AnalysisPeerView{v})
+		fold, _ := json.Marshal(res) // a Result always marshals
+		return published{v, stream.AppendAnalysisPeerView(nil, v), fold}
+	}
+	views := make(chan *stream.AnalysisPeerView)
+	stop := sync.OnceFunc(func() { close(views) })
+	defer stop() // a failed publish must not leave the reader spinning
+	failed := make(chan error, 1)
+	go func() {
+		defer close(failed)
+		var held []published
+		check := func() bool {
+			for _, p := range held {
+				if again := read(p.view); !bytes.Equal(again.frames, p.frames) || !bytes.Equal(again.fold, p.fold) {
+					failed <- fmt.Errorf("a view changed after it was published, at version %+v", p.view.Version)
+					return false
+				}
+			}
+			return true
+		}
+		for {
+			select {
+			case v, ok := <-views:
+				if !ok || !check() {
+					return
+				}
+				if held = append(held, read(v)); len(held) > 2 {
+					held = held[1:]
+				}
+			default:
+				if !check() {
+					return
+				}
+			}
+		}
+	}()
+
+	publish := func() {
+		v, err := ing.AnalysisPeerView(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case views <- v:
+		case err := <-failed:
+			t.Fatal(err)
+		}
+	}
+	// Views at every eighth of the stream, and where the machines hold
+	// state a view sees and later records change: after the rounds that
+	// open a loss run, which a view qualifies as a network outage while
+	// the run is still open, and after each uptime record of a fresh
+	// boot, whose reboot gap stays open until the probe's next round.
+	sink := &openEventSink{teeSink: teeSink{ing: ing, ds: atlasdata.NewDataset()}, open: publish, lost: map[atlasdata.ProbeID]bool{}}
+	sink.at = func(n int) {
+		if n%(total/8) == 0 {
+			publish()
+		}
+	}
+	if err := sim.ReplayDataset(ds, sink); err != nil {
+		t.Fatal(err)
+	}
+	stop()
+	if err := <-failed; err != nil {
+		t.Fatal(err)
+	}
+	if err := ing.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ing.Analysis()
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireAnalysisEquals(t, "end of stream", got, ds)
+}
+
+// openEventSink is a teeSink that calls open after each all-lost round
+// that follows a round with answers, and after each uptime record
+// reporting less than an hour since boot.
+type openEventSink struct {
+	teeSink
+	open func()
+	lost map[atlasdata.ProbeID]bool // the probe's latest round was all lost
+}
+
+func (s *openEventSink) KRoot(k atlasdata.KRootRound) error {
+	if err := s.teeSink.KRoot(k); err != nil {
+		return err
+	}
+	if k.AllLost() && !s.lost[k.Probe] {
+		s.open()
+	}
+	s.lost[k.Probe] = k.AllLost()
+	return nil
+}
+
+func (s *openEventSink) Uptime(u atlasdata.UptimeRecord) error {
+	if err := s.teeSink.Uptime(u); err != nil {
+		return err
+	}
+	if u.Uptime < 3600 {
+		s.open()
+	}
+	return nil
 }
 
 // TestAnalysisRecoverEquivalence kills an analysis-enabled durable run

@@ -153,7 +153,8 @@ func MergePeerViews(views []*PeerView, total int) *Snapshot {
 // AnalysisPeerView is one peer's mergeable analysis contribution:
 // frozen per-probe event state plus day-bucketed churn counters, taken
 // at a consistent barrier. The query-time Compute fold runs on the
-// coordinator after the merge.
+// coordinator after the merge. Events is read-only: a view taken from an
+// Ingester shares its event lists with the shards' machines.
 type AnalysisPeerView struct {
 	TotalPartitions int                          `json:"total_partitions"`
 	Partitions      []int                        `json:"partitions"`

@@ -3,6 +3,7 @@ package stream_test
 import (
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"os"
@@ -459,6 +460,65 @@ func TestKRootLTSRangeQuarantined(t *testing.T) {
 		}
 		if n := ing.Snapshot().Records; n != (stream.RecordCounts{}) {
 			t.Errorf("durable=%v: applied %+v, want none", durable, n)
+		}
+	}
+}
+
+// TestKRootTimeRangeQuarantined: the wire carries a k-root timestamp as
+// an i64, a Dataset stores it in 32 bits. A payload whose timestamp is
+// outside u32 does not decode, so it is quarantined as "decode" and
+// applied neither in memory nor durably; the edges 0 and 2³²-1 apply. An
+// in-process round outside u32 does not encode, so Ingester.KRoot
+// refuses it.
+func TestKRootTimeRangeQuarantined(t *testing.T) {
+	good, err := wire.AppendKRoot(nil, atlasdata.KRootRound{Probe: 61, Timestamp: at(1), Sent: 3, Success: 3, LTS: 60})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var batch []byte
+	for _, ts := range []int64{-1, 0, math.MaxUint32 + 1, math.MaxUint32} {
+		p := append([]byte(nil), good...)
+		binary.LittleEndian.PutUint64(p[1+4:], uint64(ts))
+		batch = wire.AppendFrame(batch, p)
+	}
+	for _, durable := range []bool{false, true} {
+		cfg := stream.Config{Shards: 1}
+		if durable {
+			cfg.WALDir, cfg.Sync = t.TempDir(), wal.SyncNever
+		}
+		ing := stream.NewIngester(cfg)
+		st, err := ing.IngestWire(context.Background(), batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Accepted != 2 || st.Quarantined != 2 {
+			t.Errorf("durable=%v: accepted %d, quarantined %d; want 2/2", durable, st.Accepted, st.Quarantined)
+		}
+		err = ing.KRoot(atlasdata.KRootRound{Probe: 61, Timestamp: math.MaxUint32 + 1, Sent: 3, Success: 3, LTS: 60})
+		if !errors.Is(err, wire.ErrRecord) {
+			t.Errorf("durable=%v: in-process round at 2^32: %v, want wire.ErrRecord", durable, err)
+		}
+		if _, err := ing.PeerView(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		if dl := ing.DeadLetter(); dl.ByReason["decode"] != 2 || dl.Total != 2 {
+			t.Errorf("durable=%v: dead letters %+v, want 2 decode", durable, dl)
+		}
+		if err := ing.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if n := ing.Snapshot().Records; n != (stream.RecordCounts{KRoot: 2}) {
+			t.Errorf("durable=%v: applied %+v, want the 2 edge rounds", durable, n)
+		}
+		if !durable {
+			continue
+		}
+		rec := stream.NewIngester(cfg)
+		if n := rec.Snapshot().Records; n != (stream.RecordCounts{KRoot: 2}) {
+			t.Errorf("recovered %+v, want the 2 edge rounds", n)
+		}
+		if err := rec.Close(); err != nil {
+			t.Fatal(err)
 		}
 	}
 }

@@ -82,8 +82,8 @@ func PayloadProbe(payload []byte) (atlasdata.ProbeID, error) {
 //	        bytes, u8 tag count, then per tag u8 len + bytes
 //	conn:   u32 probe, i64 start, i64 end, u8 family,
 //	        then u32 v4 addr | u16 v6 len + bytes
-//	kroot:  u32 probe, i64 timestamp, u16 sent, u16 success, i64 lts
-//	        (an int32 value)
+//	kroot:  u32 probe, i64 timestamp (a u32 value), u16 sent,
+//	        u16 success, i64 lts (an int32 value)
 //	uptime: u32 probe, i64 timestamp, i64 uptime
 //
 // Probe IDs are positive and fit comfortably in 32 bits (RIPE Atlas IDs
@@ -293,8 +293,13 @@ func DecodeConnLog(payload []byte) (atlasdata.ConnLogEntry, error) {
 	return e, nil
 }
 
-// AppendKRoot appends a k-root round payload.
+// AppendKRoot appends a k-root round payload. A timestamp outside u32,
+// which DecodeKRoot refuses, fails here too, so a round that encodes
+// decodes.
 func AppendKRoot(dst []byte, k atlasdata.KRootRound) ([]byte, error) {
+	if !kRootTimeOK(int64(k.Timestamp)) {
+		return dst, fmt.Errorf("%w: kroot timestamp %d outside u32", ErrRecord, int64(k.Timestamp))
+	}
 	dst = append(dst, byte(KindKRoot))
 	dst, err := appendProbe(dst, k.Probe)
 	if err != nil {
@@ -307,25 +312,33 @@ func AppendKRoot(dst []byte, k atlasdata.KRootRound) ([]byte, error) {
 }
 
 // DecodeKRoot decodes a payload written by AppendKRoot. The counts are
-// u16 on the wire as in the record; an LTS outside int32 is
-// ErrRecord. Zero allocations.
+// u16 on the wire as in the record; a timestamp outside u32 (the range a
+// Dataset stores rounds in) or an LTS outside int32 is ErrRecord. Zero
+// allocations.
 func DecodeKRoot(payload []byte) (atlasdata.KRootRound, error) {
 	c := cursor{b: payload, off: 1}
 	var k atlasdata.KRootRound
 	k.Probe = atlasdata.ProbeID(c.u32("probe id"))
-	k.Timestamp = simclock.Time(c.i64("timestamp"))
+	ts := c.i64("timestamp")
 	k.Sent = c.u16("sent")
 	k.Success = c.u16("success")
 	lts := c.i64("lts")
 	if err := c.finish(KindKRoot); err != nil {
 		return atlasdata.KRootRound{}, err
 	}
+	if !kRootTimeOK(ts) {
+		return atlasdata.KRootRound{}, fmt.Errorf("%w: kroot timestamp %d outside u32", ErrRecord, ts)
+	}
 	if lts < math.MinInt32 || lts > math.MaxInt32 {
 		return atlasdata.KRootRound{}, fmt.Errorf("%w: kroot lts %d outside int32", ErrRecord, lts)
 	}
+	k.Timestamp = simclock.Time(ts)
 	k.LTS = int32(lts)
 	return k, nil
 }
+
+// kRootTimeOK reports whether a k-root timestamp is within u32.
+func kRootTimeOK(ts int64) bool { return ts >= 0 && ts <= math.MaxUint32 }
 
 // AppendUptime appends an uptime-report payload.
 func AppendUptime(dst []byte, u atlasdata.UptimeRecord) ([]byte, error) {

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"math"
@@ -9,6 +10,7 @@ import (
 
 	"dynaddr/internal/atlasdata"
 	"dynaddr/internal/ip4"
+	"dynaddr/internal/simclock"
 )
 
 func TestMetaRoundTrip(t *testing.T) {
@@ -59,7 +61,7 @@ func TestConnLogRoundTrip(t *testing.T) {
 func TestKRootRoundTrip(t *testing.T) {
 	for _, want := range []atlasdata.KRootRound{
 		{Probe: 55, Timestamp: 1420070400, Sent: 10, Success: 9, LTS: -1},
-		{Probe: 56, Timestamp: -1, Sent: math.MaxUint16, Success: math.MaxUint16, LTS: math.MaxInt32},
+		{Probe: 56, Timestamp: math.MaxUint32, Sent: math.MaxUint16, Success: math.MaxUint16, LTS: math.MaxInt32},
 		{Probe: 57, Timestamp: 1, LTS: math.MinInt32},
 	} {
 		payload, err := AppendKRoot(nil, want)
@@ -92,6 +94,13 @@ func TestUptimeRoundTrip(t *testing.T) {
 }
 
 func TestEncodeRejectsOutOfRange(t *testing.T) {
+	// A k-root timestamp DecodeKRoot refuses does not encode.
+	for _, ts := range []int64{-1, math.MaxUint32 + 1} {
+		k := atlasdata.KRootRound{Probe: 1, Timestamp: simclock.Time(ts), Sent: 3, Success: 3, LTS: 60}
+		if p, err := AppendKRoot(nil, k); !errors.Is(err, ErrRecord) {
+			t.Errorf("AppendKRoot at %d = %x, %v; want ErrRecord", ts, p, err)
+		}
+	}
 	if _, err := AppendMeta(nil, atlasdata.ProbeMeta{ID: -1}); !errors.Is(err, ErrRecord) {
 		t.Fatalf("negative probe ID: err = %v", err)
 	}
@@ -123,6 +132,22 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 		binary.LittleEndian.PutUint64(p[len(p)-8:], uint64(lts))
 		return p
 	}
+	// A Dataset stores a round's timestamp in 32 bits; the wire carries
+	// an i64.
+	wideTime := func(ts int64) []byte {
+		p := append([]byte(nil), kroot...)
+		binary.LittleEndian.PutUint64(p[1+4:], uint64(ts))
+		return p
+	}
+	for _, ts := range []int64{0, math.MaxUint32} {
+		k, err := DecodeKRoot(wideTime(ts))
+		if err != nil || int64(k.Timestamp) != ts {
+			t.Errorf("kroot at %d decoded as %+v, %v", ts, k, err)
+		}
+		if p, err := AppendKRoot(nil, k); err != nil || !bytes.Equal(p, wideTime(ts)) {
+			t.Errorf("kroot at %d re-encoded as %x, %v", ts, p, err)
+		}
+	}
 
 	cases := []struct {
 		name    string
@@ -136,6 +161,8 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 		{"truncated meta", meta[:len(meta)-1]},
 		{"kroot lts 2^31", wideLTS(math.MaxInt32 + 1)},
 		{"kroot lts -2^31-1", wideLTS(math.MinInt32 - 1)},
+		{"kroot timestamp -1", wideTime(-1)},
+		{"kroot timestamp 2^32", wideTime(math.MaxUint32 + 1)},
 		{"truncated kroot", kroot[:len(kroot)-1]},
 	}
 	for _, tc := range cases {
