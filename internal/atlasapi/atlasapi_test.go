@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -149,6 +150,24 @@ func TestKRootResultsRange(t *testing.T) {
 	}
 	if err != nil || !reflect.DeepEqual(got, want) {
 		t.Errorf("edge round: %+v, %v", got, err)
+	}
+}
+
+// TestConnectionHistoryRange: history pages go through
+// atlasdata.NewConnLogEntry, so a session time outside u32 fails the
+// parse, as a text archive line does, and the edges parse.
+func TestConnectionHistoryRange(t *testing.T) {
+	for page, want := range map[string]string{
+		"Dec 31 23:59:59 1969\tJan  1 00:00:05 1970\t10.0.0.1\n": "time -1 outside 0-4294967295",
+		"Feb  7 06:28:15 2106\tFeb  7 06:28:16 2106\t10.0.0.1\n": "time 4294967296 outside 0-4294967295",
+	} {
+		if _, err := ParseConnectionHistory(strings.NewReader(page), 7); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("ParseConnectionHistory(%q): %v, want %q", page, err, want)
+		}
+	}
+	got, err := ParseConnectionHistory(strings.NewReader("Jan  1 00:00:00 1970\tFeb  7 06:28:15 2106\t10.0.0.1\n"), 7)
+	if err != nil || len(got) != 1 || got[0].Start != 0 || got[0].End != math.MaxUint32 {
+		t.Errorf("edge session: %+v, %v", got, err)
 	}
 }
 

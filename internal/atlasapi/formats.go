@@ -85,29 +85,30 @@ func ParseConnectionHistory(r io.Reader, probe atlasdata.ProbeID) ([]atlasdata.C
 		if err != nil {
 			return nil, fmt.Errorf("atlasapi: history line %d: %v", lineno, err)
 		}
-		e := atlasdata.ConnLogEntry{
-			Probe: probe,
-			Start: simclock.Time(start.Unix()),
-			End:   simclock.Time(end.Unix()),
-		}
-		addr := strings.TrimSpace(fields[2])
-		if strings.Contains(addr, ":") {
-			e.Family = atlasdata.V6
-			e.V6Addr = addr
-		} else {
-			a, err := ip4.ParseAddr(addr)
-			if err != nil {
-				return nil, fmt.Errorf("atlasapi: history line %d: %v", lineno, err)
-			}
-			e.Family = atlasdata.V4
-			e.Addr = a
-		}
-		if err := e.Validate(); err != nil {
+		e, err := newConnLogEntry(probe, start.Unix(), end.Unix(), strings.TrimSpace(fields[2]))
+		if err != nil {
 			return nil, fmt.Errorf("atlasapi: history line %d: %v", lineno, err)
 		}
 		out = append(out, e)
 	}
 	return out, sc.Err()
+}
+
+// newConnLogEntry builds a session from its times and address literal,
+// which is IPv6 when it holds a colon, through
+// atlasdata.NewConnLogEntry.
+func newConnLogEntry(probe atlasdata.ProbeID, start, end int64, addr string) (atlasdata.ConnLogEntry, error) {
+	var v4 ip4.Addr
+	var v6 string
+	if strings.Contains(addr, ":") {
+		v6 = addr
+	} else {
+		var err error
+		if v4, err = ip4.ParseAddr(addr); err != nil {
+			return atlasdata.ConnLogEntry{}, err
+		}
+	}
+	return atlasdata.NewConnLogEntry(probe, simclock.Time(start), simclock.Time(end), v4, v6)
 }
 
 // archiveProbe mirrors the RIPE probe-archive API object shape the

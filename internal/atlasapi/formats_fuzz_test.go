@@ -15,9 +15,9 @@ import (
 // the probe archive. None may panic. Whatever one accepts, its writer
 // must render and the decoder read back unchanged (the archive's
 // connected days to within the second its uptime field counts), and
-// every accepted k-root round and uptime record must round-trip through
-// the binary wire codec, so a scraped record can always be logged and
-// replayed.
+// every accepted session, k-root round and uptime record must
+// round-trip through the binary wire codec, so a scraped record can
+// always be logged and replayed.
 func FuzzScrapeFormats(f *testing.F) {
 	for _, seed := range []string{
 		`{"prb_id":16893,"msm_id":1001,"timestamp":1422349302,"sent":3,"rcvd":3,"lts":86,"result":[{"rtt":20}]}`,
@@ -37,6 +37,10 @@ func FuzzScrapeFormats(f *testing.F) {
 		"# RIPE Atlas connection history for probe 206\nDec 31 03:21:34 2014\tJan  1 03:21:34 2015\t91.55.174.103\n",
 		"Jan  1 00:00:00 2015\tJan  1 00:00:10 2015\t2001:db8::1\n\nJan  2 00:00:00 2015\tJan  1 00:00:00 2015\t10.0.0.1",
 		"Feb 30 00:00:00 2015\tMar  1 00:00:00 2015\t1.2.3.4",
+		// Session times at and past u32: Unix 0 and 2^32-1, then -1 and 2^32.
+		"Jan  1 00:00:00 1970\tJan  1 00:00:00 1970\t10.0.0.1\nFeb  7 06:28:15 2106\tFeb  7 06:28:15 2106\t2001:db8::1",
+		"Dec 31 23:59:59 1969\tJan  1 00:00:05 1970\t10.0.0.1",
+		"Feb  7 06:28:15 2106\tFeb  7 06:28:16 2106\t10.0.0.1",
 		`[{"id":206,"country_code":"DE","firmware_version":4790,"tags":[{"slug":"home"},{"slug":""}],"total_uptime":25920000}]`,
 		`[{"id":0,"total_uptime":-1}]`,
 		"{\"prb_id\":1",
@@ -67,6 +71,15 @@ func FuzzScrapeFormats(f *testing.F) {
 
 		const probe atlasdata.ProbeID = 206
 		if es, err := ParseConnectionHistory(bytes.NewReader(data), probe); err == nil {
+			for _, e := range es {
+				payload, err := wire.AppendConnLog(nil, e)
+				if err != nil {
+					t.Fatalf("accepted %+v, but the wire refuses it: %v", e, err)
+				}
+				if got, err := wire.DecodeConnLog(payload); err != nil || got != e {
+					t.Fatalf("accepted %+v, wire round trip gave %+v, %v", e, got, err)
+				}
+			}
 			var buf bytes.Buffer
 			if err := WriteConnectionHistory(&buf, probe, es); err != nil {
 				t.Fatalf("WriteConnectionHistory of accepted entries: %v", err)

@@ -34,6 +34,8 @@ func FuzzNDJSONBatch(f *testing.F) {
 		fmt.Sprintf("{\"kind\":\"meta\",\"probe\":8,\"version\":3}\n\n{\"kind\":\"bogus\"}\r\n{\"kind\":\"uptime\",\"probe\":8,\"timestamp\":%d,\"uptime\":5}", t0),
 		fmt.Sprintf(`{"kind":"kroot","probe":7,"timestamp":%d,"sent":70000,"success":1,"lts":2147483648}`, t0),
 		"{\"kind\":\"kroot\",\"probe\":7,\"timestamp\":4294967295,\"sent\":3,\"success\":3,\"lts\":12}\n{\"kind\":\"kroot\",\"probe\":7,\"timestamp\":4294967296,\"sent\":3,\"success\":3,\"lts\":12}",
+		"{\"kind\":\"connlog\",\"probe\":7,\"start\":-1,\"end\":5,\"addr\":\"10.0.0.1\"}\n{\"kind\":\"connlog\",\"probe\":7,\"start\":0,\"end\":0,\"addr\":\"10.0.0.1\"}\n" +
+			"{\"kind\":\"connlog\",\"probe\":7,\"start\":4294967295,\"end\":4294967295,\"addr\":\"2001:db8::1\"}\n{\"kind\":\"connlog\",\"probe\":7,\"start\":5,\"end\":4294967296,\"addr\":\"10.0.0.1\"}",
 	} {
 		f.Add([]byte(body))
 	}

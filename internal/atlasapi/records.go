@@ -9,11 +9,9 @@ import (
 	"fmt"
 	"mime"
 	"net/http"
-	"strings"
 	"sync"
 
 	"dynaddr/internal/atlasdata"
-	"dynaddr/internal/ip4"
 	"dynaddr/internal/obs"
 	"dynaddr/internal/serve"
 	"dynaddr/internal/simclock"
@@ -252,21 +250,9 @@ func (e *recordEnvelope) ingest(ctx context.Context, ing *stream.Ingester) error
 			ConnectedDays: e.ConnectedDays,
 		})
 	case "connlog":
-		entry := atlasdata.ConnLogEntry{
-			Probe: id,
-			Start: simclock.Time(e.Start),
-			End:   simclock.Time(e.End),
-		}
-		if strings.Contains(e.Addr, ":") {
-			entry.Family = atlasdata.V6
-			entry.V6Addr = e.Addr
-		} else {
-			addr, err := ip4.ParseAddr(e.Addr)
-			if err != nil {
-				return err
-			}
-			entry.Family = atlasdata.V4
-			entry.Addr = addr
+		entry, err := newConnLogEntry(id, e.Start, e.End, e.Addr)
+		if err != nil {
+			return err
 		}
 		return ing.ConnLogContext(ctx, entry)
 	case "kroot":

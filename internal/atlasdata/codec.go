@@ -39,13 +39,14 @@ func parseConnLog(f fields) (ConnLogEntry, error) {
 	if err != nil {
 		return ConnLogEntry{}, err
 	}
-	e := ConnLogEntry{Probe: probe, Start: simclock.Time(start), End: simclock.Time(end), Family: V4}
+	var v4 ip4.Addr
+	var v6 string
 	if addr := f.b[3]; bytes.IndexByte(addr, ':') >= 0 {
-		e.Family, e.V6Addr = V6, string(addr)
-	} else if e.Addr, err = ip4.ParseAddr(string(addr)); err != nil {
+		v6 = string(addr)
+	} else if v4, err = ip4.ParseAddr(string(addr)); err != nil {
 		return ConnLogEntry{}, err
 	}
-	return e, e.Validate()
+	return NewConnLogEntry(probe, simclock.Time(start), simclock.Time(end), v4, v6)
 }
 
 // MarshalConnLog serialises one entry as a text-format line, without
@@ -150,13 +151,17 @@ func ParseUptime(r io.Reader) ([]UptimeRecord, error) {
 
 // WriteProbeArchive serialises probe metadata as a JSON array, sorted by
 // probe ID, mirroring the RIPE probe-archive API shape the paper scraped.
+// Like ParseProbeArchive, it refuses a probe ID listed twice.
 func WriteProbeArchive(w io.Writer, probes []ProbeMeta) error {
 	sorted := make([]ProbeMeta, len(probes))
 	copy(sorted, probes)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].ID < sorted[j].ID })
-	for _, p := range sorted {
+	for i, p := range sorted {
 		if err := p.Validate(); err != nil {
 			return err
+		}
+		if i > 0 && p.ID == sorted[i-1].ID {
+			return duplicateProbe(p.ID)
 		}
 	}
 	enc := json.NewEncoder(w)
@@ -165,17 +170,28 @@ func WriteProbeArchive(w io.Writer, probes []ProbeMeta) error {
 }
 
 // ParseProbeArchive parses probe metadata written by WriteProbeArchive.
+// It refuses a probe ID listed twice: no entry of an archive overrides
+// another.
 func ParseProbeArchive(r io.Reader) ([]ProbeMeta, error) {
 	var probes []ProbeMeta
 	if err := json.NewDecoder(r).Decode(&probes); err != nil {
 		return nil, fmt.Errorf("atlasdata: probe archive: %v", err)
 	}
+	seen := make(map[ProbeID]struct{}, len(probes))
 	for _, p := range probes {
 		if err := p.Validate(); err != nil {
 			return nil, err
 		}
+		if _, dup := seen[p.ID]; dup {
+			return nil, duplicateProbe(p.ID)
+		}
+		seen[p.ID] = struct{}{}
 	}
 	return probes, nil
+}
+
+func duplicateProbe(id ProbeID) error {
+	return fmt.Errorf("atlasdata: probe archive lists probe %d twice", id)
 }
 
 // probeID reads field i as a probe ID: positive, and within

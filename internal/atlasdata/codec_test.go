@@ -268,6 +268,48 @@ func TestNewKRootRound(t *testing.T) {
 	}
 }
 
+// TestNewConnLogEntry: a detector keeps a session's times in 32 bits,
+// so the domain of both is 0 to 2³²-1 Unix seconds; the constructor
+// also checks the probe ID and validates the entry.
+func TestNewConnLogEntry(t *testing.T) {
+	for _, tc := range []struct {
+		start, end simclock.Time
+		want       string // error substring; "" means accepted
+	}{
+		{0, 0, ""},
+		{0, math.MaxUint32, ""},
+		{math.MaxUint32, math.MaxUint32, ""},
+		{-1, 5, "has time -1 outside 0-4294967295"},
+		{5, math.MaxUint32 + 1, "has time 4294967296 outside 0-4294967295"},
+		{math.MaxUint32 + 1, math.MaxUint32 + 1, "outside 0-4294967295"},
+		{10, 5, "ends"},
+	} {
+		e, err := NewConnLogEntry(7, tc.start, tc.end, 9, "")
+		switch {
+		case tc.want == "" && (err != nil || e != ConnLogEntry{Probe: 7, Start: tc.start, End: tc.end, Family: V4, Addr: 9}):
+			t.Errorf("NewConnLogEntry(%d, %d) = %+v, %v", tc.start, tc.end, e, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("NewConnLogEntry(%d, %d): error %v, want %q", tc.start, tc.end, err, tc.want)
+		}
+	}
+	if e, err := NewConnLogEntry(7, 1, 2, 0, "2001:db8::1"); err != nil || e != (ConnLogEntry{Probe: 7, Start: 1, End: 2, Family: V6, V6Addr: "2001:db8::1"}) {
+		t.Errorf("IPv6 session = %+v, %v", e, err)
+	}
+	for _, bad := range []struct {
+		addr ip4.Addr
+		v6   string
+	}{{0, ""}, {9, "db8"}} {
+		if e, err := NewConnLogEntry(7, 1, 2, bad.addr, bad.v6); err == nil {
+			t.Errorf("session at %v %q accepted as %+v", bad.addr, bad.v6, e)
+		}
+	}
+	for probe, ok := range map[ProbeID]bool{0: true, math.MaxUint32: true, -1: false, math.MaxUint32 + 1: false} {
+		if _, err := NewConnLogEntry(probe, 1, 2, 9, ""); (err == nil) != ok {
+			t.Errorf("NewConnLogEntry for probe %d: %v", probe, err)
+		}
+	}
+}
+
 func TestUptimeRoundTrip(t *testing.T) {
 	in := []UptimeRecord{
 		{Probe: 206, Timestamp: 1420082118, Uptime: 262531},

@@ -2,6 +2,7 @@ package atlasdata
 
 import (
 	"context"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -87,6 +88,48 @@ func TestLoadRejectsNegativeUptime(t *testing.T) {
 		return append(b, []byte("206\t1000\t-5\n")...)
 	})
 	rejects(t, dir, "a negative uptime")
+}
+
+// TestLoadRejectsConnLogOutOfRange: a detector keeps a session's times
+// in 32 bits, so a text line with a start or end outside 0 to 2³²-1
+// fails Load and Open with NewConnLogEntry's error; the edges still
+// load.
+func TestLoadRejectsConnLogOutOfRange(t *testing.T) {
+	for _, tc := range []struct{ line, want string }{
+		{"206\t-1\t5\t10.0.0.1\n", "has time -1 outside 0-4294967295"},
+		{"206\t5\t4294967296\t10.0.0.1\n", "has time 4294967296 outside 0-4294967295"},
+	} {
+		dir := savedSample(t)
+		corrupt(t, dir, "connlogs.tsv", func(b []byte) []byte { return append(b, tc.line...) })
+		rejects(t, dir, "connection-log line "+tc.line)
+		if _, err := Load(dir); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("Load of connection-log line %q: %v, want %q", tc.line, err, tc.want)
+		}
+	}
+	dir := savedSample(t)
+	corrupt(t, dir, "connlogs.tsv", func(b []byte) []byte {
+		return append(b, "207\t0\t0\t10.0.0.1\n207\t4294967295\t4294967295\t10.0.0.2\n"...)
+	})
+	d, err := Load(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cs := d.ConnLogs[207]; len(cs) < 2 || cs[0].Start != 0 || cs[len(cs)-1].End != math.MaxUint32 {
+		t.Errorf("edge sessions loaded as %+v", cs)
+	}
+}
+
+// TestLoadRejectsDuplicateProbe: an archive listing one probe twice
+// fails Load and Open, naming the probe, rather than keep either entry.
+func TestLoadRejectsDuplicateProbe(t *testing.T) {
+	dir := savedSample(t)
+	corrupt(t, dir, "probes.json", func([]byte) []byte {
+		return []byte(`[{"id":206,"version":3,"connected_days":5},{"id":206,"version":1,"connected_days":9}]`)
+	})
+	rejects(t, dir, "a probe listed twice")
+	if _, err := Load(dir); err == nil || !strings.Contains(err.Error(), "probe 206 twice") {
+		t.Errorf("Load: %v, want probe 206 named", err)
+	}
 }
 
 // TestLoadRejectsKRootOutOfRange: a k-root round's counts are u16, its

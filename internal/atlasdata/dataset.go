@@ -333,7 +333,8 @@ func Load(dir string) (*Dataset, error) {
 	return d, nil
 }
 
-// loadProbes reads a dataset directory's probe archive.
+// loadProbes reads a dataset directory's probe archive, which lists
+// each probe once.
 func loadProbes(dir string) (map[ProbeID]ProbeMeta, error) {
 	probes, err := loadWith(filepath.Join(dir, probesFile), ParseProbeArchive)
 	if err != nil {

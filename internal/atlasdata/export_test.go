@@ -29,3 +29,7 @@ func SeedCorpora() [][]byte {
 // wire codec unchanged. internal/wire imports this package, so the
 // external test package sets it (wire_test.go).
 var KRootWireRoundTrip func(KRootRound) error
+
+// ConnLogWireRoundTrip checks that a session survives the binary wire
+// codec unchanged; wire_test.go sets it, as KRootWireRoundTrip.
+var ConnLogWireRoundTrip func(ConnLogEntry) error

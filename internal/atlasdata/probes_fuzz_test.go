@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"dynaddr/internal/atlasdata"
@@ -15,8 +16,8 @@ import (
 
 // FuzzProbeArchive feeds arbitrary bytes to ParseProbeArchive, the
 // decoder of a dataset directory's probes.json. It must not panic. What
-// it accepts is valid metadata; when its probe IDs are distinct it must
-// survive WriteProbeArchive and a second parse unchanged, in ID order.
+// it accepts is valid metadata with distinct probe IDs, and it survives
+// WriteProbeArchive and a second parse unchanged, in ID order.
 func FuzzProbeArchive(f *testing.F) {
 	cfg := sim.DefaultConfig()
 	cfg.Seed = 5
@@ -57,6 +58,10 @@ func FuzzProbeArchive(f *testing.F) {
 	} {
 		f.Add([]byte(seed))
 	}
+	// Its repeated ID is refused, by name.
+	if _, err := atlasdata.ParseProbeArchive(strings.NewReader(`[{"id":1,"version":3},{"id":1,"version":2}]`)); err == nil || !strings.Contains(err.Error(), "probe 1 twice") {
+		f.Fatalf("archive listing probe 1 twice: %v", err)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		probes, err := atlasdata.ParseProbeArchive(bytes.NewReader(data))
 		if err != nil {
@@ -67,6 +72,9 @@ func FuzzProbeArchive(f *testing.F) {
 			if err := p.Validate(); err != nil {
 				t.Fatalf("accepted %+v: %v", p, err)
 			}
+			if seen[p.ID] {
+				t.Fatalf("accepted probe %d twice", p.ID)
+			}
 			seen[p.ID] = true
 		}
 		var buf bytes.Buffer
@@ -76,9 +84,6 @@ func FuzzProbeArchive(f *testing.F) {
 		again, err := atlasdata.ParseProbeArchive(&buf)
 		if err != nil {
 			t.Fatalf("written archive does not parse: %v", err)
-		}
-		if len(seen) != len(probes) {
-			return // WriteProbeArchive may order repeated IDs either way
 		}
 		want := make([]atlasdata.ProbeMeta, len(probes))
 		for i, p := range probes {

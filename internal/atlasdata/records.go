@@ -71,6 +71,37 @@ func (e ConnLogEntry) AddrKey() string {
 	return "v4:" + e.Addr.String()
 }
 
+// checkConnTimes refuses a session that starts or ends outside
+// InUnix32's range, the range a detector keeps gap times in
+// (core.GapEvent).
+func checkConnTimes(probe ProbeID, start, end simclock.Time) error {
+	for _, t := range [2]simclock.Time{start, end} {
+		if !InUnix32(t) {
+			return fmt.Errorf("atlasdata: connection for probe %d has time %d outside 0-%d", probe, int64(t), uint32(math.MaxUint32))
+		}
+	}
+	return nil
+}
+
+// NewConnLogEntry builds a session from decoded values: an IPv6 one
+// when v6 is not empty, else an IPv4 one from addr. It refuses a probe
+// ID outside u32 (CheckProbeID) and a start or end outside u32
+// (checkConnTimes), then validates the entry. Every decoder of
+// connection logs but the wire format's own goes through it.
+func NewConnLogEntry(probe ProbeID, start, end simclock.Time, addr ip4.Addr, v6 string) (ConnLogEntry, error) {
+	if err := CheckProbeID(probe); err != nil {
+		return ConnLogEntry{}, err
+	}
+	if err := checkConnTimes(probe, start, end); err != nil {
+		return ConnLogEntry{}, err
+	}
+	e := ConnLogEntry{Probe: probe, Start: start, End: end, Family: V4, Addr: addr}
+	if v6 != "" {
+		e.Family, e.Addr, e.V6Addr = V6, 0, v6
+	}
+	return e, e.Validate()
+}
+
 // Validate checks internal consistency.
 func (e ConnLogEntry) Validate() error {
 	if e.End < e.Start {
@@ -120,10 +151,16 @@ func CheckProbeID(probe ProbeID) error {
 	return nil
 }
 
-// checkKRootTime refuses a k-root timestamp outside 0 to 2³²-1 Unix
-// seconds, the range a Dataset stores rounds in (KRootSample).
+// InUnix32 reports whether t is within 0 to 2³²-1 Unix seconds (until
+// February 2106): the range of k-root timestamps and connection-log
+// times in every format, which a Dataset stores rounds in and a
+// detector keeps gaps and rounds in.
+func InUnix32(t simclock.Time) bool { return uint64(t) <= math.MaxUint32 }
+
+// checkKRootTime refuses a k-root timestamp outside InUnix32's range,
+// the range a Dataset stores rounds in (KRootSample).
 func checkKRootTime(probe ProbeID, ts simclock.Time) error {
-	if ts < 0 || ts > math.MaxUint32 {
+	if !InUnix32(ts) {
 		return fmt.Errorf("atlasdata: k-root round for probe %d has timestamp %d outside 0-%d", probe, int64(ts), uint32(math.MaxUint32))
 	}
 	return nil

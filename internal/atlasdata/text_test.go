@@ -17,8 +17,8 @@ import (
 // The reference text parsers: the strings.Fields-based implementation
 // the byte-level scanner replaced, kept verbatim so FuzzTextRecords can
 // hold the two to the same records and the same error text. Like the
-// parsers, they share the value range checks (CheckProbeID and
-// NewKRootRound).
+// parsers, they share the value range checks (CheckProbeID,
+// NewConnLogEntry and NewKRootRound).
 
 func refScanLines(r io.Reader, nFields int, fn func(lineno int, fields []string) error) error {
 	sc := bufio.NewScanner(r)
@@ -65,19 +65,14 @@ func refParseConnLogFields(f []string) (ConnLogEntry, error) {
 	if err != nil {
 		return ConnLogEntry{}, fmt.Errorf("bad end time %q", f[2])
 	}
-	e := ConnLogEntry{Probe: probe, Start: simclock.Time(start), End: simclock.Time(end)}
+	var addr ip4.Addr
+	var v6 string
 	if strings.Contains(f[3], ":") {
-		e.Family = V6
-		e.V6Addr = f[3]
-	} else {
-		addr, err := ip4.ParseAddr(f[3])
-		if err != nil {
-			return ConnLogEntry{}, err
-		}
-		e.Family = V4
-		e.Addr = addr
+		v6 = f[3]
+	} else if addr, err = ip4.ParseAddr(f[3]); err != nil {
+		return ConnLogEntry{}, err
 	}
-	return e, e.Validate()
+	return NewConnLogEntry(probe, simclock.Time(start), simclock.Time(end), addr, v6)
 }
 
 func refParseKRootFields(f []string) (KRootRound, error) {
@@ -216,6 +211,11 @@ var textRecordSeeds = []string{
 	// Probe IDs at and past u32 in the other two formats.
 	"4294967295\t1\t2\t10.0.0.1\n4294967296\t3\t4\t10.0.0.2",
 	"4294967295\t1\t5000\n4294967296\t2\t5000",
+	// Session times at and past u32, the range a detector keeps gaps in.
+	"206\t0\t0\t10.0.0.1\n206\t4294967295\t4294967295\t2001:db8::1",
+	"206\t-1\t5\t10.0.0.1",
+	"206\t5\t4294967296\t10.0.0.1",
+	"206\t4294967296\t4294967296\t2001:db8::1",
 }
 
 // checkTextRecords is FuzzTextRecords' check of one input.
@@ -223,6 +223,11 @@ func checkTextRecords(t *testing.T, data []byte) {
 	cs, err := ParseConnLogs(bytes.NewReader(data))
 	rcs, rerr := refParse(bytes.NewReader(data), 4, refParseConnLogFields)
 	sameAsReference(t, "ParseConnLogs", data, cs, err, rcs, rerr)
+	for _, c := range cs {
+		if err := ConnLogWireRoundTrip(c); err != nil {
+			t.Fatalf("ParseConnLogs(%q) accepted %+v: %v", data, c, err)
+		}
+	}
 	ks, err := ParseKRoot(bytes.NewReader(data))
 	rks, rerr := refParse(bytes.NewReader(data), 5, refParseKRootFields)
 	sameAsReference(t, "ParseKRoot", data, ks, err, rks, rerr)

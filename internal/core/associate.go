@@ -61,7 +61,7 @@ type gapClassifier struct {
 
 // classify returns the next gap's cause and detected outage length.
 func (c *gapClassifier) classify(g GapEvent) (Cause, simclock.Duration) {
-	lo, hi := g.PrevEnd.Add(-gapSlack), g.NextStart.Add(gapSlack)
+	lo, hi := g.PrevEnd().Add(-gapSlack), g.NextStart().Add(gapSlack)
 	// Skip outages that ended before this gap.
 	for c.ni < len(c.networks) && c.networks[c.ni].End.Before(lo) {
 		c.ni++

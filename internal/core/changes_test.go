@@ -165,7 +165,7 @@ func TestStripTestingEntry(t *testing.T) {
 	for _, e := range entries {
 		m.Conn(e, nil, nil)
 	}
-	if !m.Stripped || m.RawEntries != 3 || m.Changes != 1 || len(m.Gaps) != 1 || m.Gaps[0].PrevEnd != 300 {
+	if !m.Stripped || m.RawEntries != 3 || m.Changes != 1 || len(m.Gaps) != 1 || m.Gaps[0].PrevEnd() != 300 {
 		t.Errorf("machine over a testing entry: stripped %v, entries %d, changes %d, gaps %v",
 			m.Stripped, m.RawEntries, m.Changes, m.Gaps)
 	}

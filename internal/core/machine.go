@@ -1,6 +1,9 @@
 package core
 
 import (
+	"encoding/json"
+	"fmt"
+	"math"
 	"slices"
 	"sort"
 
@@ -51,9 +54,9 @@ type Machine struct {
 	MixedAddrs  bool
 	FirstV4Addr ip4.Addr
 	// RunCount counts, per address, the runs of equal IPv4 addresses in
-	// the raw log (the behavioural multihomed test); nil until the
-	// first IPv4 entry.
-	RunCount    map[uint32]int
+	// the raw log (the behavioural multihomed test), in ascending
+	// address order; nil until the first IPv4 entry.
+	RunCount    []RunCount
 	RunPrevAddr uint32
 	RunTotal    int
 
@@ -104,9 +107,10 @@ type Machine struct {
 	// RebootGaps is index-aligned with Reboots.
 	RebootGaps []RebootGap
 	Prefix     PrefixChangeRow
-	// Rounds is the retained k-root round deque (see Uptime) and
-	// Watermark the uptime report it was last pruned against.
-	Rounds    []simclock.Time
+	// Rounds is the retained k-root round deque (see Uptime), in Unix
+	// seconds, and Watermark the uptime report it was last pruned
+	// against.
+	Rounds    []uint32
 	Watermark simclock.Time
 
 	// pending indexes the RebootGaps still Open, ascending; Restore
@@ -138,15 +142,65 @@ func (s Span) overlaps(o Span) bool { return !s.To.Before(o.From) && !o.To.Befor
 
 func (s Span) contains(t simclock.Time) bool { return !t.Before(s.From) && !t.After(s.To) }
 
+// RunCount is one address's number of runs in the raw log, 8 bytes.
+type RunCount struct{ Addr, N uint32 }
+
 // GapEvent is one inter-connection gap of the stripped log: the span
 // and whether the IPv4 address changed across it. Its cause is
 // assigned only when the outage analysis runs (ProbeEvents.Outages),
 // because firmware filtering reshapes the power evidence after the
 // fact.
+//
+// Gaps are most of a detector's state, so the times are unsigned 32-bit
+// Unix seconds (good until 2106), 12 bytes in all: a machine refuses a
+// connection-log entry outside that range (and a checkpoint, a previous
+// session end outside it), and NewGapEvent is the one range check for a
+// gap built elsewhere.
 type GapEvent struct {
+	prevEnd, nextStart uint32
+	Changed            bool
+}
+
+// NewGapEvent builds a gap, refusing a time outside 0 to 2³²-1 Unix
+// seconds rather than truncating it.
+func NewGapEvent(prevEnd, nextStart simclock.Time, changed bool) (GapEvent, error) {
+	if !atlasdata.InUnix32(prevEnd) || !atlasdata.InUnix32(nextStart) {
+		return GapEvent{}, fmt.Errorf("core: gap %d-%d outside 0-%d", int64(prevEnd), int64(nextStart), uint32(math.MaxUint32))
+	}
+	return GapEvent{prevEnd: uint32(prevEnd), nextStart: uint32(nextStart), Changed: changed}, nil
+}
+
+// PrevEnd is the end of the session before the gap.
+func (g GapEvent) PrevEnd() simclock.Time { return simclock.Time(g.prevEnd) }
+
+// NextStart is the start of the session after the gap.
+func (g GapEvent) NextStart() simclock.Time { return simclock.Time(g.nextStart) }
+
+// gapJSON is a gap's JSON form in the JSON peer view: its span as two
+// simclock times named after the accessors, and Changed.
+type gapJSON struct {
 	PrevEnd   simclock.Time
 	NextStart simclock.Time
 	Changed   bool
+}
+
+// MarshalJSON writes the gap as gapJSON.
+func (g GapEvent) MarshalJSON() ([]byte, error) {
+	return json.Marshal(gapJSON{PrevEnd: g.PrevEnd(), NextStart: g.NextStart(), Changed: g.Changed})
+}
+
+// UnmarshalJSON reads a gapJSON through NewGapEvent's range check.
+func (g *GapEvent) UnmarshalJSON(b []byte) error {
+	var j gapJSON
+	if err := json.Unmarshal(b, &j); err != nil {
+		return err
+	}
+	v, err := NewGapEvent(j.PrevEnd, j.NextStart, j.Changed)
+	if err != nil {
+		return err
+	}
+	*g = v
+	return nil
 }
 
 // RecentEvidence bounds the rings of closed outages and reboots kept
@@ -160,7 +214,9 @@ const ltsSyncBound = 240
 
 // Conn feeds one connection-log entry. An entry starting before the
 // previous one ended breaks the probe's time order and is refused
-// (false), as Dataset.Validate refuses overlaps. pfx maps change
+// (false), as Dataset.Validate refuses overlaps; so is one with a time
+// outside 0 to 2³²-1 Unix seconds, which every decoder of connection
+// logs refuses (atlasdata.NewConnLogEntry). pfx maps change
 // endpoints to origin ASes (nil maps none); churn, when non-nil, also
 // counts every change by study day.
 func (m *Machine) Conn(e atlasdata.ConnLogEntry, pfx *pfx2as.SnapshotStore, churn *ChurnTable) bool {
@@ -170,7 +226,7 @@ func (m *Machine) Conn(e atlasdata.ConnLogEntry, pfx *pfx2as.SnapshotStore, chur
 // conn is Conn; asns, when non-nil, also gets each change's endpoint
 // ASes, in change order.
 func (m *Machine) conn(e atlasdata.ConnLogEntry, pfx *pfx2as.SnapshotStore, churn *ChurnTable, asns *[]EndpointASNs) bool {
-	if m.RawEntries > 0 && e.Start.Before(m.LastConnEnd) {
+	if m.RawEntries > 0 && e.Start.Before(m.LastConnEnd) || !atlasdata.InUnix32(e.Start) || !atlasdata.InUnix32(e.End) {
 		return false
 	}
 	m.LastConnStart = e.Start
@@ -187,10 +243,7 @@ func (m *Machine) conn(e atlasdata.ConnLogEntry, pfx *pfx2as.SnapshotStore, chur
 			m.MixedAddrs = true
 		}
 		if a := uint32(e.Addr); m.RunTotal == 0 || a != m.RunPrevAddr {
-			if m.RunCount == nil {
-				m.RunCount = make(map[uint32]int)
-			}
-			m.RunCount[a]++
+			m.countRun(a)
 			m.RunPrevAddr = a
 			m.RunTotal++
 		}
@@ -210,7 +263,7 @@ func (m *Machine) conn(e atlasdata.ConnLogEntry, pfx *pfx2as.SnapshotStore, chur
 	if m.PrevSet {
 		changed := m.PrevIsV4 && v4 && e.Addr != m.PrevAddr
 		if m.KeepEvents {
-			m.Gaps = append(m.Gaps, GapEvent{PrevEnd: m.PrevEnd, NextStart: e.Start, Changed: changed})
+			m.Gaps = append(m.Gaps, GapEvent{prevEnd: uint32(m.PrevEnd), nextStart: uint32(e.Start), Changed: changed})
 		}
 		if changed {
 			m.change(m.PrevAddr, e.Addr, m.PrevEnd, e.Start, pfx, churn, asns)
@@ -242,6 +295,28 @@ func (m *Machine) conn(e atlasdata.ConnLogEntry, pfx *pfx2as.SnapshotStore, chur
 	m.PrevAddr = e.Addr
 	m.PrevEnd = e.End
 	return true
+}
+
+// countRun counts a run of address a, keeping RunCount in address
+// order: a binary search, and a new address shifts the larger ones up.
+func (m *Machine) countRun(a uint32) {
+	rc := m.RunCount
+	lo, hi := 0, len(rc)
+	for lo < hi {
+		if h := int(uint(lo+hi) >> 1); rc[h].Addr < a {
+			lo = h + 1
+		} else {
+			hi = h
+		}
+	}
+	if lo < len(rc) && rc[lo].Addr == a {
+		rc[lo].N++
+		return
+	}
+	rc = append(rc, RunCount{})
+	copy(rc[lo+1:], rc[lo:])
+	rc[lo] = RunCount{Addr: a, N: 1}
+	m.RunCount = rc
 }
 
 // closeDuration folds the closing run into the TTF: weight d at the
@@ -333,16 +408,17 @@ func (m *Machine) linkEvidence(ev Span) {
 }
 
 // KRoot feeds one k-root round; a round older than the previous one is
-// refused (false).
+// refused (false), and so is one outside 0 to 2³²-1 Unix seconds, which
+// every decoder of k-root rounds refuses (atlasdata.NewKRootRound).
 func (m *Machine) KRoot(k atlasdata.KRootRound) bool {
-	if m.KRootSeen && k.Timestamp.Before(m.LastKRoot) {
+	if m.KRootSeen && k.Timestamp.Before(m.LastKRoot) || !atlasdata.InUnix32(k.Timestamp) {
 		return false
 	}
 	m.KRootSeen = true
 	m.LastKRoot = k.Timestamp
 	if m.KeepEvents {
 		// Reboot gaps care about round presence, not outcome.
-		m.Rounds = append(m.Rounds, k.Timestamp)
+		m.Rounds = append(m.Rounds, uint32(k.Timestamp))
 		if len(m.pending) > 0 {
 			m.resolvePending(k.Timestamp)
 		}
@@ -440,13 +516,13 @@ func (m *Machine) Uptime(u atlasdata.UptimeRecord) bool {
 // boot minus the ping-gap threshold when none), the first one after
 // (or Open until one arrives).
 func (m *Machine) reboot(at simclock.Time) {
-	i := sort.Search(len(m.Rounds), func(k int) bool { return m.Rounds[k].After(at) })
+	i := sort.Search(len(m.Rounds), func(k int) bool { return simclock.Time(m.Rounds[k]).After(at) })
 	g := RebootGap{Start: at.Add(-PingGapThreshold)}
 	if i > 0 {
-		g.Start = m.Rounds[i-1]
+		g.Start = simclock.Time(m.Rounds[i-1])
 	}
 	if i < len(m.Rounds) {
-		g.End = m.Rounds[i]
+		g.End = simclock.Time(m.Rounds[i])
 	} else {
 		g.Open = true
 		m.pending = append(m.pending, len(m.Reboots))
@@ -481,7 +557,7 @@ func (m *Machine) prune(ts simclock.Time) {
 	// A front scan: the pruned deque holds about one reporting
 	// interval's rounds.
 	i := 0
-	for i < len(m.Rounds) && !m.Rounds[i].After(w) {
+	for i < len(m.Rounds) && !simclock.Time(m.Rounds[i]).After(w) {
 		i++
 	}
 	if i > 1 {
@@ -554,8 +630,8 @@ func (m *Machine) alternating() bool {
 	if m.RunTotal < 5 {
 		return false
 	}
-	for _, c := range m.RunCount {
-		if c >= 3 && float64(c) >= 0.25*float64(m.RunTotal) {
+	for _, r := range m.RunCount {
+		if c := r.N; c >= 3 && float64(c) >= 0.25*float64(m.RunTotal) {
 			return true
 		}
 	}

@@ -1,11 +1,16 @@
 package core
 
 import (
+	"encoding/json"
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"dynaddr/internal/atlasdata"
+	"dynaddr/internal/ip4"
+	"dynaddr/internal/simclock"
 )
 
 // TestMachineMatchesSliceReference runs every probe of a generated
@@ -94,4 +99,149 @@ func (s orderSink) KRoot(k atlasdata.KRootRound) error {
 func (s orderSink) Uptime(u atlasdata.UptimeRecord) error {
 	s.rec("up", int64(u.Timestamp))
 	return nil
+}
+
+// TestMachineStateSizes pins the layout of a detector's largest lists:
+// gaps are most of a live shard's heap, run counts the next largest, and
+// the round deque holds every round of a reporting interval.
+func TestMachineStateSizes(t *testing.T) {
+	if n := unsafe.Sizeof(GapEvent{}); n != 12 {
+		t.Errorf("GapEvent is %d bytes, want 12", n)
+	}
+	if n := unsafe.Sizeof(RunCount{}); n != 8 {
+		t.Errorf("RunCount is %d bytes, want 8", n)
+	}
+	var m Machine
+	if n := unsafe.Sizeof(m.Rounds[0]); n != 4 {
+		t.Errorf("a machine keeps a k-root round in %d bytes, want 4", n)
+	}
+}
+
+// TestNewGapEvent: a gap keeps its times in 32 bits, so NewGapEvent
+// refuses what they cannot hold rather than truncate it, and the JSON
+// form keeps the field names and values of the wider layout.
+func TestNewGapEvent(t *testing.T) {
+	for _, tc := range []struct {
+		prevEnd, nextStart simclock.Time
+		ok                 bool
+	}{
+		{0, 0, true},
+		{1, math.MaxUint32, true},
+		{-1, 5, false},
+		{5, math.MaxUint32 + 1, false},
+		{math.MaxUint32 + 1, math.MaxUint32 + 2, false},
+	} {
+		g, err := NewGapEvent(tc.prevEnd, tc.nextStart, true)
+		if (err == nil) != tc.ok {
+			t.Errorf("NewGapEvent(%d, %d): %v", tc.prevEnd, tc.nextStart, err)
+			continue
+		}
+		if tc.ok && (g.PrevEnd() != tc.prevEnd || g.NextStart() != tc.nextStart || !g.Changed) {
+			t.Errorf("NewGapEvent(%d, %d) = %d, %d, %v", tc.prevEnd, tc.nextStart, g.PrevEnd(), g.NextStart(), g.Changed)
+		}
+	}
+
+	g, _ := NewGapEvent(100, math.MaxUint32, true)
+	b, err := json.Marshal([]GapEvent{g})
+	if want := `[{"PrevEnd":100,"NextStart":4294967295,"Changed":true}]`; err != nil || string(b) != want {
+		t.Fatalf("JSON %s, %v; want %s", b, err, want)
+	}
+	var back []GapEvent
+	if err := json.Unmarshal(b, &back); err != nil || len(back) != 1 || back[0] != g {
+		t.Errorf("JSON round trip %+v, %v", back, err)
+	}
+	for _, in := range []string{
+		`{"PrevEnd":-1,"NextStart":5,"Changed":false}`,
+		`{"PrevEnd":1,"NextStart":4294967296,"Changed":false}`,
+	} {
+		if err := json.Unmarshal([]byte(in), &g); err == nil {
+			t.Errorf("JSON gap %s accepted as %+v", in, g)
+		}
+	}
+}
+
+// TestMachineRefusesTimesOutsideUnix32: the machine keeps gap and round
+// times in 32 bits, so it refuses a session or round it could not hold
+// and its state does not move.
+func TestMachineRefusesTimesOutsideUnix32(t *testing.T) {
+	m := Machine{Probe: 1, KeepEvents: true}
+	for _, e := range []atlasdata.ConnLogEntry{
+		{Probe: 1, Start: -1, End: 5, Addr: 9},
+		{Probe: 1, Start: 5, End: math.MaxUint32 + 1, Addr: 9},
+	} {
+		if m.Conn(e, nil, nil) {
+			t.Errorf("machine accepted session %d-%d", e.Start, e.End)
+		}
+	}
+	for _, ts := range []simclock.Time{-1, math.MaxUint32 + 1} {
+		if m.KRoot(atlasdata.KRootRound{Probe: 1, Timestamp: ts, Sent: 3, Success: 3}) {
+			t.Errorf("machine accepted a round at %d", ts)
+		}
+	}
+	if !reflect.DeepEqual(m, Machine{Probe: 1, KeepEvents: true}) {
+		t.Errorf("refused records changed the machine: %+v", m)
+	}
+	if !m.Conn(atlasdata.ConnLogEntry{Probe: 1, Start: 0, End: math.MaxUint32, Addr: 9}, nil, nil) ||
+		!m.KRoot(atlasdata.KRootRound{Probe: 1, Timestamp: math.MaxUint32, Sent: 3, Success: 3}) {
+		t.Errorf("machine refused records at the edges of 0-2^32-1")
+	}
+}
+
+// TestBehaviouralMultihomed checks §3.2's behavioural multihomed rule on
+// Machine.Category, from the rule's text: the probe alternates between
+// one fixed address and others when some address has at least three
+// separated runs covering at least a quarter of all runs. Each case is
+// an IPv4-only log, one session per letter, whose consecutive letters
+// differ, so every session is a run and the addresses change; a probe
+// the rule does not catch is analyzable.
+func TestBehaviouralMultihomed(t *testing.T) {
+	for _, tc := range []struct {
+		name, runs string
+		multihomed bool
+	}{
+		{"4 runs, two of one address", "ABAB", false},
+		{"5 runs, three of one address", "ABABA", true},
+		{"5 runs, two of one address", "ABACD", false},
+		{"6 runs, three of one address", "ABACAD", true},
+		{"12 runs, a quarter of one address", "ABACADEFGHIJ", true},
+		{"13 runs, three of one address, under a quarter", "ABACADEFGHIJK", false},
+		{"16 runs, four of one address, a quarter", "ABACADAEFGHIJKLM", true},
+		{"17 runs, four of one address, under a quarter", "ABACADAEFGHIJKLMN", false},
+		{"10 runs, no address three times", "ABCABDCDEF", false},
+	} {
+		m := Machine{Probe: 1}
+		at := simclock.StudyStart
+		for _, c := range tc.runs {
+			addr := ip4.Addr(0x0A000000 + uint32(c))
+			if !m.Conn(atlasdata.ConnLogEntry{Probe: 1, Start: at, End: at + 1800, Addr: addr}, nil, nil) {
+				t.Fatalf("%s: session refused", tc.name)
+			}
+			at += 3600
+		}
+		if m.RunTotal != len(tc.runs) {
+			t.Fatalf("%s: %d runs, want %d", tc.name, m.RunTotal, len(tc.runs))
+		}
+		want := CatAnalyzable
+		if tc.multihomed {
+			want = CatBehaviouralMultihomed
+		}
+		if got := m.Category(atlasdata.ProbeMeta{ID: 1, Version: atlasdata.V3, ConnectedDays: 365}); got != want {
+			t.Errorf("%s (%s): %v, want %v", tc.name, tc.runs, got, want)
+		}
+	}
+}
+
+// TestRunCountsSorted: run counts stay in address order however the
+// addresses arrive, and count separated runs, not sessions.
+func TestRunCountsSorted(t *testing.T) {
+	m := Machine{Probe: 1}
+	at := simclock.StudyStart
+	for _, a := range []ip4.Addr{9, 3, 3, 7, 9, 1, 3, 9} {
+		m.Conn(atlasdata.ConnLogEntry{Probe: 1, Start: at, End: at + 60, Addr: a}, nil, nil)
+		at += 120
+	}
+	want := []RunCount{{1, 1}, {3, 2}, {7, 1}, {9, 3}}
+	if !reflect.DeepEqual(m.RunCount, want) || m.RunTotal != 7 {
+		t.Errorf("run counts %v over %d runs, want %v over 7", m.RunCount, m.RunTotal, want)
+	}
 }

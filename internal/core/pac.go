@@ -124,7 +124,7 @@ func (ev *ProbeEvents) Outages(firmwareDays []int, keep bool) ([]Gap, ProbeOutag
 			}
 		}
 		if keep {
-			gaps = append(gaps, Gap{Probe: ev.Probe, PrevEnd: g.PrevEnd, NextStart: g.NextStart, Changed: g.Changed, Cause: cause, OutageDuration: d})
+			gaps = append(gaps, Gap{Probe: ev.Probe, PrevEnd: g.PrevEnd(), NextStart: g.NextStart(), Changed: g.Changed, Cause: cause, OutageDuration: d})
 		}
 	}
 	return gaps, st

@@ -140,11 +140,11 @@ func gapSpans(entries []atlasdata.ConnLogEntry) []GapEvent {
 	var out []GapEvent
 	for i := 1; i < len(entries); i++ {
 		prev, cur := entries[i-1], entries[i]
-		out = append(out, GapEvent{
-			PrevEnd:   prev.End,
-			NextStart: cur.Start,
-			Changed:   prev.IsV4() && cur.IsV4() && prev.Addr != cur.Addr,
-		})
+		g, err := NewGapEvent(prev.End, cur.Start, prev.IsV4() && cur.IsV4() && prev.Addr != cur.Addr)
+		if err != nil {
+			panic(err)
+		}
+		out = append(out, g)
 	}
 	return out
 }
@@ -257,7 +257,7 @@ func associateGaps(entries []atlasdata.ConnLogEntry, networks []NetworkOutage, p
 	var out []Gap
 	for i, g := range gapSpans(entries) {
 		cause, d := c.classify(g)
-		out = append(out, Gap{Probe: entries[i+1].Probe, PrevEnd: g.PrevEnd, NextStart: g.NextStart,
+		out = append(out, Gap{Probe: entries[i+1].Probe, PrevEnd: g.PrevEnd(), NextStart: g.NextStart(),
 			Changed: g.Changed, Cause: cause, OutageDuration: d})
 	}
 	return out

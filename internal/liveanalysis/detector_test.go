@@ -1,9 +1,9 @@
 package liveanalysis
 
 import (
-	"maps"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -211,7 +211,7 @@ func TestDetectorRestore(t *testing.T) {
 	}
 
 	restored := *m
-	restored.RunCount = maps.Clone(m.RunCount)
+	restored.RunCount = slices.Clone(m.RunCount)
 	restored.TTF = *m.TTF.Clone()
 	restored.RecentOutages = append([]core.Span(nil), m.RecentOutages...)
 	restored.RecentReboots = append([]simclock.Time(nil), m.RecentReboots...)
@@ -220,7 +220,7 @@ func TestDetectorRestore(t *testing.T) {
 	restored.Networks = append([]core.NetworkOutage(nil), m.Networks...)
 	restored.Reboots = append([]core.Reboot(nil), m.Reboots...)
 	restored.RebootGaps = append([]core.RebootGap(nil), m.RebootGaps...)
-	restored.Rounds = append([]simclock.Time(nil), m.Rounds...)
+	restored.Rounds = slices.Clone(m.Rounds)
 	restored.Restore()
 
 	for _, e := range recs[cut:] {

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -487,4 +488,47 @@ func BenchmarkLiveAnalysis(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkProbeStateBytes reports what a live analysis ingester keeps
+// per probe once a world is in: the seed-77, scale-0.5 world (the
+// benchmark harness's) replayed into four analysis shards, then the
+// live heap after a forced collection, less the live heap before the
+// ingester was made (the world itself), per probe, as B/probe. ns/op
+// times the replay.
+func BenchmarkProbeStateBytes(b *testing.B) {
+	cfg := sim.DefaultConfig()
+	cfg.Seed = 77
+	cfg.Scale = 0.5
+	world, err := sim.Generate(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ds := world.Dataset
+	world = nil
+	liveHeap := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	var perProbe float64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		before := liveHeap()
+		b.StartTimer()
+		ing := stream.NewIngester(stream.Config{Shards: 4, Pfx2AS: ds.Pfx2AS, Analysis: true})
+		if err := sim.ReplayDataset(ds, ing); err != nil {
+			b.Fatal(err)
+		}
+		ing.Snapshot() // barrier: every record is applied
+		b.StopTimer()
+		perProbe = float64(liveHeap()-before) / float64(len(ds.Probes))
+		if err := ing.Close(); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+	}
+	b.ReportMetric(perProbe, "B/probe")
 }

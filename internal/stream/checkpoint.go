@@ -42,8 +42,10 @@ import (
 // machines cannot run from: counters out of range (negative ones
 // included), probes repeated or out of order, metadata that is invalid
 // or filed under another probe, evidence rings over their size, the two
-// copies of a probe's entry count or its reboot lists disagreeing, and
-// churn days out of order or outside the study. Every count is checked against the bytes left before
+// copies of a probe's entry count or its reboot lists disagreeing,
+// churn days out of order or outside the study, and run counts, gap
+// times, round times or a previous session end the machine cannot hold
+// in 32 bits. Every count is checked against the bytes left before
 // anything is allocated.
 
 const (
@@ -205,16 +207,10 @@ func (s *shard) appendProbeState(dst []byte, ps *probeState, prev atlasdata.Prob
 	}
 	dst = binary.AppendUvarint(dst, uint64(m.FirstV4Addr))
 
-	keys := s.ckKeys[:0]
-	for addr := range m.RunCount {
-		keys = append(keys, addr)
-	}
-	slices.Sort(keys)
-	s.ckKeys = keys
-	dst = binary.AppendUvarint(dst, uint64(len(keys)))
-	for _, addr := range keys {
-		dst = binary.AppendUvarint(dst, uint64(addr))
-		dst = binary.AppendUvarint(dst, uint64(m.RunCount[addr]))
+	dst = binary.AppendUvarint(dst, uint64(len(m.RunCount)))
+	for _, rc := range m.RunCount {
+		dst = binary.AppendUvarint(dst, uint64(rc.Addr))
+		dst = binary.AppendUvarint(dst, uint64(rc.N))
 	}
 	dst = binary.AppendUvarint(dst, uint64(m.RunPrevAddr))
 	dst = binary.AppendUvarint(dst, uint64(m.RunTotal))
@@ -263,14 +259,7 @@ func (s *shard) appendProbeState(dst []byte, ps *probeState, prev atlasdata.Prob
 		dst = binary.AppendUvarint(dst, uint64(len(m.Gaps)))
 		t = 0
 		for _, g := range m.Gaps {
-			dst = binary.AppendVarint(dst, int64(g.PrevEnd-t))
-			dst = binary.AppendVarint(dst, int64(g.NextStart-g.PrevEnd))
-			t = g.NextStart
-			var gf byte
-			if g.Changed {
-				gf = gapChanged
-			}
-			dst = append(dst, gf)
+			dst = appendGap(dst, g, &t)
 		}
 		dst = appendNetworks(dst, m.Probe, m.Networks)
 		dst = appendReboots(dst, m.Probe, m.Reboots)
@@ -283,12 +272,12 @@ func (s *shard) appendProbeState(dst []byte, ps *probeState, prev atlasdata.Prob
 }
 
 // appendTimes appends a time list, each time a delta from the previous.
-func appendTimes(dst []byte, ts []simclock.Time) []byte {
+func appendTimes[T simclock.Time | uint32](dst []byte, ts []T) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(ts)))
-	var t simclock.Time
+	var t int64
 	for _, x := range ts {
-		dst = binary.AppendVarint(dst, int64(x-t))
-		t = x
+		dst = binary.AppendVarint(dst, int64(x)-t)
+		t = int64(x)
 	}
 	return dst
 }
@@ -426,15 +415,13 @@ func (s *shard) decodeProbeState(r *viewReader, prev atlasdata.ProbeID, analysis
 	m.FirstV4Addr = ip4.Addr(r.u32())
 
 	if n := r.count(minRunCount); n > 0 {
-		m.RunCount = make(map[uint32]int, n)
-		var last uint32
-		for i := 0; i < n; i++ {
-			addr := r.u32()
-			if i > 0 && addr <= last {
-				r.fail(fmt.Errorf("run counts not ascending at %v", ip4.Addr(addr)))
+		m.RunCount = make([]core.RunCount, n)
+		for i := range m.RunCount {
+			rc := core.RunCount{Addr: r.u32(), N: r.u32()}
+			if i > 0 && rc.Addr <= m.RunCount[i-1].Addr {
+				r.fail(fmt.Errorf("run counts not ascending at %v", ip4.Addr(rc.Addr)))
 			}
-			last = addr
-			m.RunCount[addr] = int(r.counter())
+			m.RunCount[i] = rc
 		}
 	}
 	m.RunPrevAddr = r.u32()
@@ -445,6 +432,7 @@ func (s *shard) decodeProbeState(r *viewReader, prev atlasdata.ProbeID, analysis
 	m.PrevIsV4 = on(psPrevIsV4)
 	m.PrevAddr = ip4.Addr(r.u32())
 	m.PrevEnd = r.time()
+	r.unix32("previous session end", m.PrevEnd) // the next gap's start
 	m.LastConnStart = r.time()
 	m.LastConnEnd = r.time()
 	m.Seg = core.AddrRun{Active: on(psSegActive), Bounded: on(psSegBounded), Addr: ip4.Addr(r.u32()), Start: r.time(), End: r.time()}
@@ -506,11 +494,7 @@ func (s *shard) decodeProbeState(r *viewReader, prev atlasdata.ProbeID, analysis
 		ev.Gaps = make([]core.GapEvent, n)
 		var t simclock.Time
 		for i := range ev.Gaps {
-			g := &ev.Gaps[i]
-			g.PrevEnd = t + r.time()
-			g.NextStart = g.PrevEnd + r.time()
-			t = g.NextStart
-			g.Changed = r.flags(gapChanged) != 0
+			ev.Gaps[i] = r.gap(&t)
 		}
 	}
 	ev.Networks = r.networks(m.Probe)
@@ -523,7 +507,7 @@ func (s *shard) decodeProbeState(r *viewReader, prev atlasdata.ProbeID, analysis
 	if err := nonNegativeRow(ev.Prefix); err != nil {
 		r.fail(err)
 	}
-	ev.Rounds = r.times(r.count(1))
+	ev.Rounds = r.rounds(r.count(1))
 	ev.Watermark = r.time()
 	ev.Restore()
 	return ps
@@ -586,6 +570,30 @@ func (r *viewReader) times(n int) []simclock.Time {
 	for i := range ts {
 		t += r.time()
 		ts[i] = t
+	}
+	return ts
+}
+
+// unix32 refuses a time the machine keeps in 32 bits when it is outside
+// atlasdata.InUnix32's range; what names it.
+func (r *viewReader) unix32(what string, t simclock.Time) {
+	if !atlasdata.InUnix32(t) {
+		r.fail(fmt.Errorf("%s %d outside 0-%d", what, int64(t), uint32(math.MaxUint32)))
+	}
+}
+
+// rounds reads n delta-coded k-root round times (appendTimes after its
+// count), refusing one outside 0 to 2³²-1 Unix seconds.
+func (r *viewReader) rounds(n int) []uint32 {
+	if n == 0 {
+		return nil
+	}
+	ts := make([]uint32, n)
+	var t simclock.Time
+	for i := range ts {
+		t += r.time()
+		r.unix32("k-root round", t)
+		ts[i] = uint32(t)
 	}
 	return ts
 }

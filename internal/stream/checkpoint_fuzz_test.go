@@ -2,8 +2,10 @@ package stream
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"runtime"
+	"strings"
 	"testing"
 
 	"dynaddr/internal/atlasdata"
@@ -155,6 +157,33 @@ var checkpointCorruptions = map[string]func(t testing.TB) []byte{
 	"missing probe frame": func(t testing.TB) []byte {
 		return rehead(t, encodeCheckpoint(t, seedShard(t, true)), func(h *checkpointHead) { h.probes++ })
 	},
+	// Values the machine cannot hold, written in place of a marker the
+	// encoder can write.
+	"run count past u32": func(t testing.TB) []byte {
+		s := seedShard(t, true)
+		s.states[1].m.RunCount[0].N = marker
+		return patchFrames(t, encodeCheckpoint(t, s), binary.AppendUvarint(nil, marker), binary.AppendUvarint(nil, 1<<32))
+	},
+	"gap past u32": func(t testing.TB) []byte {
+		s := seedShard(t, true)
+		m := &s.states[1].m
+		g, err := core.NewGapEvent(marker, marker+1, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Gaps = []core.GapEvent{g}
+		return patchFrames(t, encodeCheckpoint(t, s), binary.AppendVarint(nil, marker), binary.AppendVarint(nil, 1<<32))
+	},
+	"session end past u32": func(t testing.TB) []byte {
+		s := seedShard(t, true)
+		s.states[1].m.PrevEnd = marker
+		return patchFrames(t, encodeCheckpoint(t, s), binary.AppendVarint(nil, marker), binary.AppendVarint(nil, 1<<32))
+	},
+	"k-root round past u32": func(t testing.TB) []byte {
+		s := seedShard(t, true)
+		s.states[1].m.Rounds = []uint32{marker}
+		return patchFrames(t, encodeCheckpoint(t, s), binary.AppendVarint(nil, marker), binary.AppendVarint(nil, 1<<32))
+	},
 	"overlong varint": func(t testing.TB) []byte {
 		ck := encodeCheckpoint(t, seedShard(t, true))
 		it := wire.Frames(ck)
@@ -166,6 +195,33 @@ var checkpointCorruptions = map[string]func(t testing.TB) []byte{
 		payload := append([]byte{head[0], 0x80, 0x00}, head[2:]...)
 		return append(wire.AppendFrame(nil, payload), ck[it.Offset():]...)
 	},
+}
+
+// marker is a value no seeded checkpoint or view holds otherwise.
+const marker = 0xFEDCBA98
+
+// patchFrames replaces the one occurrence of old in b's frame payloads
+// with new and re-frames them, so a value no encoder writes reaches a
+// decoder behind valid checksums.
+func patchFrames(t testing.TB, b, old, new []byte) []byte {
+	t.Helper()
+	var out []byte
+	found := 0
+	for it := wire.Frames(b); ; {
+		p, done, err := it.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if done {
+			break
+		}
+		found += bytes.Count(p, old)
+		out = wire.AppendFrame(out, bytes.Replace(p, old, new, 1))
+	}
+	if found != 1 {
+		t.Fatalf("%x occurs %d times, want once", old, found)
+	}
+	return out
 }
 
 func corruptState(edit func(s *shard)) func(t testing.TB) []byte {
@@ -301,4 +357,24 @@ func releasedStates(t testing.TB) []*PartitionState {
 		out = append(out, st)
 	}
 	return out
+}
+
+// TestAnalysisViewRefusesGapPastU32: a peer's gaps decode through
+// core.NewGapEvent, so a view carrying a gap time the machine cannot
+// hold is refused, as a checkpoint carrying one is.
+func TestAnalysisViewRefusesGapPastU32(t *testing.T) {
+	g, err := core.NewGapEvent(marker, marker+60, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	view := AppendAnalysisPeerView(nil, &AnalysisPeerView{TotalPartitions: 1, Partitions: []int{0},
+		Events: []core.ProbeEvents{{Probe: 1, Gaps: []core.GapEvent{g}}}})
+	v, err := DecodeAnalysisPeerView(view)
+	if err != nil || len(v.Events) != 1 || len(v.Events[0].Gaps) != 1 || v.Events[0].Gaps[0] != g {
+		t.Fatalf("view decodes as %+v, %v", v, err)
+	}
+	bad := patchFrames(t, view, binary.AppendVarint(nil, marker), binary.AppendVarint(nil, 1<<32))
+	if _, err := DecodeAnalysisPeerView(bad); err == nil || !strings.Contains(err.Error(), "outside 0-4294967295") {
+		t.Errorf("view with a gap at 2^32: %v", err)
+	}
 }

@@ -136,15 +136,14 @@ type shard struct {
 	gen uint64
 
 	// Checkpointing (ckptwriter.go). ckBuf is the reused encoding buffer,
-	// the writer's while ckInflight; ckHead, ckIDs, ckKeys and ckMeta are
-	// the encoder's reused scratch. ckw is started by the first
+	// the writer's while ckInflight; ckHead, ckIDs and ckMeta are the
+	// encoder's reused scratch. ckw is started by the first
 	// checkpoint.
 	ckw        *ckptWriter
 	ckInflight bool
 	ckBuf      []byte
 	ckHead     checkpointHead
 	ckIDs      []atlasdata.ProbeID
-	ckKeys     []uint32
 	ckMeta     []byte
 
 	// metrics is nil when instrumentation is disabled; all its methods

@@ -10,9 +10,10 @@ import (
 
 // TestNewProbeAllocs pins what a probe's first record costs the shard:
 // one allocation, the probe state with its machine inside. A first IPv4
-// entry also starts the machine's run-count map (two allocations), and
-// on an analysis shard a first k-root round starts its round deque. The states map is sized
-// up front, so its growth is not counted.
+// entry also starts the machine's sorted run-count slice (one
+// allocation), and on an analysis shard a first k-root round starts its
+// round deque. The states map is sized up front, so its growth is not
+// counted.
 func TestNewProbeAllocs(t *testing.T) {
 	at := simclock.StudyStart
 	cases := []struct {
@@ -29,7 +30,7 @@ func TestNewProbeAllocs(t *testing.T) {
 		{"connlog v6", 1, 1, func(id atlasdata.ProbeID) record {
 			return record{kind: kindConn, conn: atlasdata.ConnLogEntry{Probe: id, Start: at, End: at + 60, Family: atlasdata.V6}}
 		}},
-		{"connlog v4", 3, 3, func(id atlasdata.ProbeID) record {
+		{"connlog v4", 2, 2, func(id atlasdata.ProbeID) record {
 			return record{kind: kindConn, conn: atlasdata.ConnLogEntry{Probe: id, Start: at, End: at + 60, Addr: ip4.MustParseAddr("10.0.0.1")}}
 		}},
 		{"kroot", 1, 2, func(id atlasdata.ProbeID) record {

@@ -254,14 +254,7 @@ func AppendAnalysisPeerView(dst []byte, v *AnalysisPeerView) []byte {
 		var t simclock.Time
 		for _, g := range ev.Gaps {
 			dst = append(dst, 0) // the gap's probe, as a delta from the event's
-			dst = binary.AppendVarint(dst, int64(g.PrevEnd-t))
-			dst = binary.AppendVarint(dst, int64(g.NextStart-g.PrevEnd))
-			t = g.NextStart
-			var gf byte
-			if g.Changed {
-				gf = gapChanged
-			}
-			dst = append(dst, gf)
+			dst = appendGap(dst, g, &t)
 		}
 
 		dst = appendNetworks(dst, ev.Probe, ev.Networks)
@@ -322,11 +315,7 @@ func DecodeAnalysisPeerView(b []byte) (*AnalysisPeerView, error) {
 				if d := r.int(); d != 0 && r.err == nil {
 					r.fail(fmt.Errorf("gap of probe %d in the events of probe %d", ev.Probe+atlasdata.ProbeID(d), ev.Probe))
 				}
-				g := &ev.Gaps[k]
-				g.PrevEnd = t + simclock.Time(r.varint())
-				g.NextStart = g.PrevEnd + simclock.Time(r.varint())
-				t = g.NextStart
-				g.Changed = r.flags(gapChanged) != 0
+				ev.Gaps[k] = r.gap(&t)
 			}
 		}
 
@@ -374,6 +363,19 @@ func appendRawHours(dst []byte, hours []float64) []byte {
 		dst = appendFloat(dst, h)
 	}
 	return dst
+}
+
+// appendGap appends a gap, its times deltas from *t, which it advances
+// to the gap's end.
+func appendGap(dst []byte, g core.GapEvent, t *simclock.Time) []byte {
+	dst = binary.AppendVarint(dst, int64(g.PrevEnd()-*t))
+	dst = binary.AppendVarint(dst, int64(g.NextStart()-g.PrevEnd()))
+	*t = g.NextStart()
+	var gf byte
+	if g.Changed {
+		gf = gapChanged
+	}
+	return append(dst, gf)
 }
 
 func appendNetworks(dst []byte, probe atlasdata.ProbeID, ns []core.NetworkOutage) []byte {
@@ -610,6 +612,19 @@ func (r *viewReader) rawHours() []float64 {
 		hours[k] = r.float()
 	}
 	return hours
+}
+
+// gap reads a gap appendGap wrote and refuses one outside
+// core.NewGapEvent's range.
+func (r *viewReader) gap(t *simclock.Time) core.GapEvent {
+	prevEnd := *t + simclock.Time(r.varint())
+	nextStart := prevEnd + simclock.Time(r.varint())
+	*t = nextStart
+	g, err := core.NewGapEvent(prevEnd, nextStart, r.flags(gapChanged) != 0)
+	if err != nil {
+		r.fail(err)
+	}
+	return g
 }
 
 func (r *viewReader) networks(probe atlasdata.ProbeID) []core.NetworkOutage {

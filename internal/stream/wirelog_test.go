@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"dynaddr/internal/atlasdata"
+	"dynaddr/internal/ip4"
 	"dynaddr/internal/stream"
 	"dynaddr/internal/wal"
 	"dynaddr/internal/wire"
@@ -516,6 +517,66 @@ func TestKRootTimeRangeQuarantined(t *testing.T) {
 		rec := stream.NewIngester(cfg)
 		if n := rec.Snapshot().Records; n != (stream.RecordCounts{KRoot: 2}) {
 			t.Errorf("recovered %+v, want the 2 edge rounds", n)
+		}
+		if err := rec.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestConnLogTimeRangeQuarantined: the wire carries a session's start
+// and end as i64s, a detector keeps gap times in 32 bits. A payload with
+// a time outside u32 does not decode, so it is quarantined as "decode"
+// and applied neither in memory nor durably; the edges 0 and 2³²-1
+// apply. An in-process session outside u32 does not encode, so
+// Ingester.ConnLog refuses it.
+func TestConnLogTimeRangeQuarantined(t *testing.T) {
+	good, err := wire.AppendConnLog(nil, atlasdata.ConnLogEntry{Probe: 62, Start: at(1), End: at(2), Addr: ip4.MustParseAddr("10.0.0.1")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var batch []byte
+	for _, span := range [][2]int64{{-1, 5}, {0, 0}, {5, math.MaxUint32 + 1}, {math.MaxUint32, math.MaxUint32}} {
+		p := append([]byte(nil), good...)
+		binary.LittleEndian.PutUint64(p[1+4:], uint64(span[0]))
+		binary.LittleEndian.PutUint64(p[1+4+8:], uint64(span[1]))
+		batch = wire.AppendFrame(batch, p)
+	}
+	for _, durable := range []bool{false, true} {
+		cfg := stream.Config{Shards: 1, Analysis: true}
+		if durable {
+			cfg.WALDir, cfg.Sync = t.TempDir(), wal.SyncNever
+		}
+		ing := stream.NewIngester(cfg)
+		st, err := ing.IngestWire(context.Background(), batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Accepted != 2 || st.Quarantined != 2 {
+			t.Errorf("durable=%v: accepted %d, quarantined %d; want 2/2", durable, st.Accepted, st.Quarantined)
+		}
+		err = ing.ConnLog(atlasdata.ConnLogEntry{Probe: 62, Start: math.MaxUint32, End: math.MaxUint32 + 1, Addr: ip4.MustParseAddr("10.0.0.2")})
+		if !errors.Is(err, wire.ErrRecord) {
+			t.Errorf("durable=%v: in-process session ending at 2^32: %v, want wire.ErrRecord", durable, err)
+		}
+		if _, err := ing.PeerView(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		if dl := ing.DeadLetter(); dl.ByReason["decode"] != 2 || dl.Total != 2 {
+			t.Errorf("durable=%v: dead letters %+v, want 2 decode", durable, dl)
+		}
+		if err := ing.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if n := ing.Snapshot().Records; n != (stream.RecordCounts{ConnLogs: 2}) {
+			t.Errorf("durable=%v: applied %+v, want the 2 edge sessions", durable, n)
+		}
+		if !durable {
+			continue
+		}
+		rec := stream.NewIngester(cfg)
+		if n := rec.Snapshot().Records; n != (stream.RecordCounts{ConnLogs: 2}) {
+			t.Errorf("recovered %+v, want the 2 edge sessions", n)
 		}
 		if err := rec.Close(); err != nil {
 			t.Fatal(err)

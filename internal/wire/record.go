@@ -80,7 +80,7 @@ func PayloadProbe(payload []byte) (atlasdata.ProbeID, error) {
 //
 //	meta:   u32 probe, u8 version, f64 connected-days, u8 country len +
 //	        bytes, u8 tag count, then per tag u8 len + bytes
-//	conn:   u32 probe, i64 start, i64 end, u8 family,
+//	conn:   u32 probe, i64 start, i64 end (u32 values), u8 family,
 //	        then u32 v4 addr | u16 v6 len + bytes
 //	kroot:  u32 probe, i64 timestamp (a u32 value), u16 sent,
 //	        u16 success, i64 lts (an int32 value)
@@ -246,8 +246,13 @@ const (
 	familyV6 = 6
 )
 
-// AppendConnLog appends a connection-session payload.
+// AppendConnLog appends a connection-session payload. A start or end
+// outside u32, which DecodeConnLog refuses, fails here too, so a session
+// that encodes decodes.
 func AppendConnLog(dst []byte, e atlasdata.ConnLogEntry) ([]byte, error) {
+	if !atlasdata.InUnix32(e.Start) || !atlasdata.InUnix32(e.End) {
+		return dst, fmt.Errorf("%w: conn times %d-%d outside u32", ErrRecord, int64(e.Start), int64(e.End))
+	}
 	dst = append(dst, byte(KindConn))
 	dst, err := appendProbe(dst, e.Probe)
 	if err != nil {
@@ -267,15 +272,15 @@ func AppendConnLog(dst []byte, e atlasdata.ConnLogEntry) ([]byte, error) {
 	return appendU32(dst, uint32(e.Addr)), nil
 }
 
-// DecodeConnLog decodes a payload written by AppendConnLog. IPv4
-// sessions — the analysis hot path — decode with zero allocations; an
-// IPv6 session materialises its address string.
+// DecodeConnLog decodes a payload written by AppendConnLog. A start or
+// end outside u32 (the range a detector keeps gap times in) is
+// ErrRecord. IPv4 sessions — the analysis hot path — decode with zero
+// allocations; an IPv6 session materialises its address string.
 func DecodeConnLog(payload []byte) (atlasdata.ConnLogEntry, error) {
 	c := cursor{b: payload, off: 1}
 	var e atlasdata.ConnLogEntry
 	e.Probe = atlasdata.ProbeID(c.u32("probe id"))
-	e.Start = simclock.Time(c.i64("start"))
-	e.End = simclock.Time(c.i64("end"))
+	start, end := c.i64("start"), c.i64("end")
 	switch fam := c.u8("family"); {
 	case c.err != nil:
 	case fam == familyV4:
@@ -290,6 +295,10 @@ func DecodeConnLog(payload []byte) (atlasdata.ConnLogEntry, error) {
 	if err := c.finish(KindConn); err != nil {
 		return atlasdata.ConnLogEntry{}, err
 	}
+	if !atlasdata.InUnix32(simclock.Time(start)) || !atlasdata.InUnix32(simclock.Time(end)) {
+		return atlasdata.ConnLogEntry{}, fmt.Errorf("%w: conn times %d-%d outside u32", ErrRecord, start, end)
+	}
+	e.Start, e.End = simclock.Time(start), simclock.Time(end)
 	return e, nil
 }
 
@@ -297,7 +306,7 @@ func DecodeConnLog(payload []byte) (atlasdata.ConnLogEntry, error) {
 // which DecodeKRoot refuses, fails here too, so a round that encodes
 // decodes.
 func AppendKRoot(dst []byte, k atlasdata.KRootRound) ([]byte, error) {
-	if !kRootTimeOK(int64(k.Timestamp)) {
+	if !atlasdata.InUnix32(k.Timestamp) {
 		return dst, fmt.Errorf("%w: kroot timestamp %d outside u32", ErrRecord, int64(k.Timestamp))
 	}
 	dst = append(dst, byte(KindKRoot))
@@ -326,7 +335,7 @@ func DecodeKRoot(payload []byte) (atlasdata.KRootRound, error) {
 	if err := c.finish(KindKRoot); err != nil {
 		return atlasdata.KRootRound{}, err
 	}
-	if !kRootTimeOK(ts) {
+	if !atlasdata.InUnix32(simclock.Time(ts)) {
 		return atlasdata.KRootRound{}, fmt.Errorf("%w: kroot timestamp %d outside u32", ErrRecord, ts)
 	}
 	if lts < math.MinInt32 || lts > math.MaxInt32 {
@@ -336,9 +345,6 @@ func DecodeKRoot(payload []byte) (atlasdata.KRootRound, error) {
 	k.LTS = int32(lts)
 	return k, nil
 }
-
-// kRootTimeOK reports whether a k-root timestamp is within u32.
-func kRootTimeOK(ts int64) bool { return ts >= 0 && ts <= math.MaxUint32 }
 
 // AppendUptime appends an uptime-report payload.
 func AppendUptime(dst []byte, u atlasdata.UptimeRecord) ([]byte, error) {

@@ -40,7 +40,7 @@ func TestMetaRoundTrip(t *testing.T) {
 func TestConnLogRoundTrip(t *testing.T) {
 	cases := []atlasdata.ConnLogEntry{
 		{Probe: 10, Start: 100, End: 200, Family: atlasdata.V4, Addr: ip4.Addr(0x0A000001)},
-		{Probe: 11, Start: -5, End: 0, Family: atlasdata.V4, Addr: 0},
+		{Probe: 11, Start: 0, End: math.MaxUint32, Family: atlasdata.V4, Addr: 0},
 		{Probe: 12, Start: 300, End: 400, Family: atlasdata.V6, V6Addr: "2001:db8::1"},
 	}
 	for _, want := range cases {
@@ -101,6 +101,17 @@ func TestEncodeRejectsOutOfRange(t *testing.T) {
 			t.Errorf("AppendKRoot at %d = %x, %v; want ErrRecord", ts, p, err)
 		}
 	}
+	// Nor do connection times DecodeConnLog refuses.
+	for _, ts := range []int64{-1, math.MaxUint32 + 1} {
+		for _, e := range []atlasdata.ConnLogEntry{
+			{Probe: 1, Start: simclock.Time(ts), End: 2, Addr: 9},
+			{Probe: 1, Start: 2, End: simclock.Time(ts), Addr: 9},
+		} {
+			if p, err := AppendConnLog(nil, e); !errors.Is(err, ErrRecord) {
+				t.Errorf("AppendConnLog %d-%d = %x, %v; want ErrRecord", e.Start, e.End, p, err)
+			}
+		}
+	}
 	if _, err := AppendMeta(nil, atlasdata.ProbeMeta{ID: -1}); !errors.Is(err, ErrRecord) {
 		t.Fatalf("negative probe ID: err = %v", err)
 	}
@@ -149,10 +160,30 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 		}
 	}
 
+	// A detector keeps a session's times in 32 bits; the wire carries
+	// i64s.
+	connTimes := func(start, end int64) []byte {
+		p := append([]byte(nil), conn...)
+		binary.LittleEndian.PutUint64(p[1+4:], uint64(start))
+		binary.LittleEndian.PutUint64(p[1+4+8:], uint64(end))
+		return p
+	}
+	for _, ts := range []int64{0, math.MaxUint32} {
+		e, err := DecodeConnLog(connTimes(ts, ts))
+		if err != nil || int64(e.Start) != ts || int64(e.End) != ts {
+			t.Errorf("conn at %d decoded as %+v, %v", ts, e, err)
+		}
+		if p, err := AppendConnLog(nil, e); err != nil || !bytes.Equal(p, connTimes(ts, ts)) {
+			t.Errorf("conn at %d re-encoded as %x, %v", ts, p, err)
+		}
+	}
+
 	cases := []struct {
 		name    string
 		payload []byte
 	}{
+		{"conn start -1", connTimes(-1, 2)},
+		{"conn end 2^32", connTimes(1, math.MaxUint32+1)},
 		{"empty", nil},
 		{"unknown kind", []byte{0x7F, 0, 0}},
 		{"truncated conn", conn[:len(conn)-2]},
