@@ -76,17 +76,17 @@ func BenchmarkWorldGeneration(b *testing.B) {
 func BenchmarkTable1ConnectionLog(b *testing.B) {
 	w, res, _ := benchSetup(b)
 	// The busiest probe's log stands in for the paper's probe 206.
-	var entries []atlasdata.ConnLogEntry
+	var busiest *core.ProbeView
 	for _, view := range res.Views {
-		if len(view.Entries) > len(entries) {
-			entries = view.Entries
+		if busiest == nil || len(view.Entries) > len(busiest.Entries) {
+			busiest = view
 		}
 	}
 	_ = w
 	b.ResetTimer()
 	var durations int
 	for i := 0; i < b.N; i++ {
-		durations = len(core.V4Durations(entries))
+		durations = len(busiest.Durations())
 	}
 	b.ReportMetric(float64(durations), "durations")
 }
@@ -114,7 +114,7 @@ func BenchmarkTable5PeriodicASes(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		perProbe := make(map[atlasdata.ProbeID]core.PeriodicProbe)
 		for _, id := range res.GeoProbes {
-			if pp, ok := core.ClassifyPeriodic(core.V4Durations(res.Views[id].Entries)); ok {
+			if pp, ok := core.ClassifyPeriodic(res.Views[id].Durations()); ok {
 				perProbe[id] = pp
 			}
 		}
@@ -359,11 +359,10 @@ func storedBytes[E any](byProbe map[atlasdata.ProbeID][]E) int {
 // cost per archive byte and per record line.
 func BenchmarkLoadDataset(b *testing.B) {
 	w, dir := savedBenchWorld(b)
+	// The IPv6 literals are held once each: their bytes and where each ends.
 	records := storedBytes(w.Dataset.ConnLogs) + storedBytes(w.Dataset.KRoot) + storedBytes(w.Dataset.Uptime)
-	for _, es := range w.Dataset.ConnLogs {
-		for _, e := range es {
-			records += len(e.V6Addr)
-		}
+	for i := range uint32(w.Dataset.V6.Len()) {
+		records += len(w.Dataset.V6.Literal(i)) + int(unsafe.Sizeof(i))
 	}
 	perRecord := archiveCost(b, w, dir)
 	b.ReportAllocs()
@@ -804,7 +803,7 @@ func BenchmarkAblationTTFvsRaw(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		var durations []core.AddressDuration
 		for _, id := range ids {
-			durations = append(durations, core.V4Durations(res.Views[id].Entries)...)
+			durations = append(durations, res.Views[id].Durations()...)
 		}
 		ttf := core.TTF(durations)
 		ttfMode = ttf.MassAt(24)
@@ -838,10 +837,10 @@ func BenchmarkAblationMultihomedFilter(b *testing.B) {
 		}
 		naive = genuine
 		for _, id := range res.ByCategory[core.CatBehaviouralMultihomed] {
-			naive += float64(len(core.V4Changes(w.Dataset.ConnLogs[id])))
+			naive += float64(len(core.V4Changes(id, w.Dataset.ConnLogs[id])))
 		}
 		for _, id := range res.ByCategory[core.CatTaggedMultihomed] {
-			naive += float64(len(core.V4Changes(w.Dataset.ConnLogs[id])))
+			naive += float64(len(core.V4Changes(id, w.Dataset.ConnLogs[id])))
 		}
 	}
 	b.ReportMetric(genuine, "changes-filtered")

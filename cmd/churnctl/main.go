@@ -317,7 +317,7 @@ func renderTable1(ds *dynaddr.Dataset, rep *dynaddr.Report) *tables.Table {
 	best, bestCount := int64(-1), -1
 	for id, view := range rep.Filter.Views {
 		count := 0
-		for _, d := range core.V4Durations(view.Entries) {
+		for _, d := range view.Durations() {
 			if core.QuantizeHours(d.Hours()) == 24 {
 				count++
 			}
@@ -341,10 +341,10 @@ func renderTable1(ds *dynaddr.Dataset, rep *dynaddr.Report) *tables.Table {
 		dur := "NA"
 		if i > 0 && i+1 < len(entries) && i+1 < limit {
 			if entries[i+1].Addr != e.Addr && entries[i-1].Addr != e.Addr {
-				dur = fmt.Sprintf("%.1f", e.End.Sub(e.Start).Hours())
+				dur = fmt.Sprintf("%.1f", e.EndTime().Sub(e.StartTime()).Hours())
 			}
 		}
-		t.AddRow(fmt.Sprintf("%d", e.Probe), e.Start.String(), e.End.String(), e.Addr.String(), dur)
+		t.AddRow(fmt.Sprintf("%d", view.Meta.ID), e.StartTime().String(), e.EndTime().String(), e.V4Addr().String(), dur)
 	}
 	return t
 }
@@ -381,7 +381,7 @@ func drilldown(ds *dynaddr.Dataset, rep *dynaddr.Report, names core.NameFunc, id
 	} else {
 		fmt.Println("home AS: multiple (cross-AS changes discarded from AS-level analysis)")
 	}
-	durations := core.V4Durations(view.Entries)
+	durations := view.Durations()
 	fmt.Printf("sessions: %d, address changes: %d, bounded durations: %d\n",
 		len(view.Entries), len(view.Changes), len(durations))
 

@@ -30,13 +30,16 @@ func splitDataset(ds *atlasdata.Dataset, k int) []*atlasdata.Dataset {
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	parts := make([]*atlasdata.Dataset, k)
+	lits := make([]*atlasdata.V6Interner, k)
 	for i := range parts {
 		parts[i] = atlasdata.NewDataset()
+		lits[i] = atlasdata.NewV6Interner(&parts[i].V6)
 	}
 	for i, id := range ids {
 		p := parts[i%k]
 		p.Probes[id] = ds.Probes[id]
-		p.ConnLogs[id] = ds.ConnLogs[id]
+		entries, _ := ds.ReadConnLogs(id)
+		p.ConnLogs[id], _ = atlasdata.ConnLogSeries(id, entries, lits[i%k]) // ds's own, so refused by none
 		p.KRoot[id] = ds.KRoot[id]
 		p.Uptime[id] = ds.Uptime[id]
 	}

@@ -218,7 +218,11 @@ func TestUptimeResultsRoundTrip(t *testing.T) {
 func TestServerEndpoints(t *testing.T) {
 	ds := atlasdata.NewDataset()
 	ds.Probes[206] = atlasdata.ProbeMeta{ID: 206, Country: "DE", Version: atlasdata.V3, ConnectedDays: 300}
-	ds.ConnLogs[206] = sampleEntries()
+	conns, err := atlasdata.ConnLogSeries(206, sampleEntries(), atlasdata.NewV6Interner(&ds.V6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds.ConnLogs[206] = conns
 	ds.KRoot[206] = []atlasdata.KRootSample{{Timestamp: 1420082118, Sent: 3, Success: 3, LTS: 60}}
 	ds.Uptime[206] = []atlasdata.UptimeSample{{Timestamp: 1420082118, Uptime: 5}}
 

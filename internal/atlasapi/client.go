@@ -8,6 +8,7 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -499,6 +500,10 @@ func (c *Client) ScrapeAllContext(ctx context.Context) (*atlasdata.Dataset, *Scr
 		fatalErr error
 		wg       sync.WaitGroup
 		sem      = make(chan struct{}, workers)
+		// histories holds the fetched connection logs until every fetch
+		// is in, so that their IPv6 literals are interned in probe order
+		// whatever order the fetches end in.
+		histories = make(map[atlasdata.ProbeID][]atlasdata.ConnLogEntry)
 	)
 	blown := func() bool {
 		mu.Lock()
@@ -546,7 +551,7 @@ dispatch:
 			mu.Lock()
 			report.Scraped++
 			if len(conns) > 0 {
-				ds.ConnLogs[p.ID] = conns
+				histories[p.ID] = conns
 			}
 			if len(kroot) > 0 {
 				ds.KRoot[p.ID] = kroot
@@ -570,6 +575,18 @@ dispatch:
 	// internally consistent: every probe present is fully present.
 	for _, f := range report.Skipped {
 		delete(ds.Probes, f.Probe)
+	}
+	ids := make([]atlasdata.ProbeID, 0, len(histories))
+	for id := range histories {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	lits := atlasdata.NewV6Interner(&ds.V6)
+	for _, id := range ids {
+		if ds.ConnLogs[id], err = atlasdata.ConnLogSeries(id, histories[id], lits); err != nil {
+			finish()
+			return nil, report, fmt.Errorf("probe %d history: %w", id, err)
+		}
 	}
 
 	for _, m := range c.Months {

@@ -3,7 +3,10 @@ package atlasapi
 import (
 	"bytes"
 	"math"
+	"os"
+	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"dynaddr/internal/atlasdata"
@@ -41,6 +44,11 @@ func FuzzScrapeFormats(f *testing.F) {
 		"Jan  1 00:00:00 1970\tJan  1 00:00:00 1970\t10.0.0.1\nFeb  7 06:28:15 2106\tFeb  7 06:28:15 2106\t2001:db8::1",
 		"Dec 31 23:59:59 1969\tJan  1 00:00:05 1970\t10.0.0.1",
 		"Feb  7 06:28:15 2106\tFeb  7 06:28:16 2106\t10.0.0.1",
+		// IPv6 literals repeated within the page (filed under two probes,
+		// shared across them too).
+		"Jan  1 00:00:00 2015\tJan  1 00:00:10 2015\t2001:db8::1\nJan  1 00:01:00 2015\tJan  1 00:02:00 2015\t2001:db8::1\n" +
+			"Jan  1 00:03:00 2015\tJan  1 00:04:00 2015\t2001:db8::2\nJan  1 00:05:00 2015\tJan  1 00:06:00 2015\t10.0.0.1\n" +
+			"Jan  1 00:07:00 2015\tJan  1 00:08:00 2015\t2001:db8::2\nJan  1 00:09:00 2015\tJan  1 00:10:00 2015\t2001:db8::1",
 		`[{"id":206,"country_code":"DE","firmware_version":4790,"tags":[{"slug":"home"},{"slug":""}],"total_uptime":25920000}]`,
 		`[{"id":0,"total_uptime":-1}]`,
 		"{\"prb_id\":1",
@@ -88,6 +96,7 @@ func FuzzScrapeFormats(f *testing.F) {
 			if err != nil || !reflect.DeepEqual(again, es) {
 				t.Fatalf("connection history round trip: %+v, %v; want %+v", again, err, es)
 			}
+			checkStoredHistory(t, es)
 		}
 
 		if us, err := ParseUptimeResults(bytes.NewReader(data)); err == nil {
@@ -130,4 +139,67 @@ func FuzzScrapeFormats(f *testing.F) {
 			}
 		}
 	})
+}
+
+// checkStoredHistory files the accepted page es under its probe and
+// under a second one, as a scrape assembles a Dataset. If that makes a
+// valid Dataset, Save, Load and Save again must write the same
+// connection-log bytes, and the loaded Dataset must hold each IPv6
+// literal once: every session using it, under either probe, at its
+// index.
+func checkStoredHistory(t *testing.T, es []atlasdata.ConnLogEntry) {
+	if len(es) == 0 {
+		return
+	}
+	ds := atlasdata.NewDataset()
+	lits := atlasdata.NewV6Interner(&ds.V6)
+	for _, id := range []atlasdata.ProbeID{206, 207} {
+		page := slices.Clone(es)
+		for i := range page {
+			page[i].Probe = id
+		}
+		s, err := atlasdata.ConnLogSeries(id, page, lits)
+		if err != nil {
+			t.Fatalf("ConnLogSeries refused an accepted page: %v", err)
+		}
+		ds.Probes[id] = atlasdata.ProbeMeta{ID: id, Version: atlasdata.V3}
+		ds.ConnLogs[id] = s
+	}
+	ds.SortRecords()
+	if ds.Validate() != nil {
+		return // overlapping sessions
+	}
+	dir := t.TempDir()
+	first, second := filepath.Join(dir, "a"), filepath.Join(dir, "b")
+	if err := ds.Save(first); err != nil {
+		t.Fatalf("saving an accepted page: %v", err)
+	}
+	loaded, err := atlasdata.Load(first)
+	if err != nil {
+		t.Fatalf("loading an accepted page as saved: %v", err)
+	}
+	if err := loaded.Save(second); err != nil {
+		t.Fatal(err)
+	}
+	a, errA := os.ReadFile(filepath.Join(first, "connlogs.tsv"))
+	b, errB := os.ReadFile(filepath.Join(second, "connlogs.tsv"))
+	if errA != nil || errB != nil || !bytes.Equal(a, b) {
+		t.Fatalf("Save, Load, Save wrote\n%q\nthen\n%q (%v, %v)", a, b, errA, errB)
+	}
+	index := map[string]uint32{}
+	for _, id := range []atlasdata.ProbeID{206, 207} {
+		for _, e := range loaded.ConnLogs[id] {
+			if e.Family != atlasdata.V6 {
+				continue
+			}
+			lit := loaded.V6.Literal(e.Addr)
+			if i, ok := index[lit]; ok && i != e.Addr {
+				t.Fatalf("literal %q loaded at indexes %d and %d", lit, i, e.Addr)
+			}
+			index[lit] = e.Addr
+		}
+	}
+	if len(index) != loaded.V6.Len() {
+		t.Fatalf("%d literals in use, %d in the table", len(index), loaded.V6.Len())
+	}
 }

@@ -30,7 +30,7 @@ type Archive struct {
 	probes map[ProbeID]ProbeMeta
 	ids    []ProbeID
 	pfx2as *pfx2as.SnapshotStore
-	conns  *recordFile[ConnLogEntry, ConnLogEntry]
+	conns  *recordFile[ConnLogEntry, ConnLogSample]
 	kroot  *recordFile[KRootRound, KRootSample]
 	uptime *recordFile[UptimeRecord, UptimeSample]
 }
@@ -90,7 +90,7 @@ func openArchive(dir string, keep bool) (_ *Archive, _ *Dataset, err error) {
 	}
 	a.ids = sortedIDs(a.probes)
 	var (
-		conns  *archiveScan[ConnLogEntry, ConnLogEntry]
+		conns  *archiveScan[ConnLogEntry, ConnLogSample]
 		kroot  *archiveScan[KRootRound, KRootSample]
 		uptime *archiveScan[UptimeRecord, UptimeSample]
 	)
@@ -115,7 +115,7 @@ func openArchive(dir string, keep bool) (_ *Archive, _ *Dataset, err error) {
 	if err = a.uptime.validate(a.probes, uptime); err != nil {
 		return nil, nil, err
 	}
-	return a, &Dataset{Probes: a.probes, ConnLogs: conns.recs, KRoot: kroot.recs, Uptime: uptime.recs, Pfx2AS: a.pfx2as}, nil
+	return a, &Dataset{Probes: a.probes, ConnLogs: conns.recs, KRoot: kroot.recs, Uptime: uptime.recs, Pfx2AS: a.pfx2as, V6: conns.lits}, nil
 }
 
 // openRecords opens one record file of dir and runs the archive pass over it.
@@ -134,7 +134,8 @@ func openRecords[T validator, S any](dir string, k *recordKind[T, S], keep bool)
 // parses every line, indexes each probe's lines and checks each probe's
 // records against their predecessors; with keep it also files the
 // records, as the Dataset stores them, under their probes, in one slice
-// sized by the file's lines.
+// sized by the file's lines, and interns their IPv6 literals in file
+// order.
 // It reads through a section of its own, so it shares no file offset,
 // and stops at the first block it finishes once ctx is done. The first
 // pass makes the file's index; a later one fails unless it finds the
@@ -193,16 +194,22 @@ type run[T any] struct {
 // block's records into runs, checking them against each other; finish
 // files the runs in the index, in file order, and makes the same checks
 // across runs. Kept records are stored as parseText places records, and
-// the runs they came in are listed in file order.
+// the runs they came in are listed in file order. A worker interns a
+// kept block's IPv6 literals in the block's own table; finish interns
+// them in lits, in file order, and renumbers the block's samples.
 type archiveScan[T validator, S any] struct {
-	kind  *recordKind[T, S]
-	ctx   context.Context
-	index map[ProbeID]*recordIndex
-	scans map[ProbeID]*probeScan[T]
-	runs  [][]run[T]      // by block slot
-	text  *textScan[S]    // where the records go, if kept
-	kept  []keptRun       // the kept records' runs, in file order
-	recs  map[ProbeID][]S // the kept records by probe, once grouped
+	kind     *recordKind[T, S]
+	ctx      context.Context
+	index    map[ProbeID]*recordIndex
+	scans    map[ProbeID]*probeScan[T]
+	runs     [][]run[T]      // by block slot
+	text     *textScan[S]    // where the records go, if kept
+	kept     []keptRun       // the kept records' runs, in file order
+	recs     map[ProbeID][]S // the kept records by probe, once grouped
+	lits     V6Table         // the kept records' IPv6 literals
+	interner *V6Interner     // interns in lits
+	blockLit []*V6Interner   // by block slot, if kept
+	renumber []uint32        // finish's scratch: block index to lits index
 }
 
 // keptRun is count consecutive kept records of probe id.
@@ -211,7 +218,16 @@ type keptRun struct {
 	count int
 }
 
-func (s *archiveScan[T, S]) slots(n int) { s.runs = make([][]run[T], n) }
+func (s *archiveScan[T, S]) slots(n int) {
+	s.runs = make([][]run[T], n)
+	if s.text != nil && s.kind.lit != nil {
+		s.interner = NewV6Interner(&s.lits)
+		s.blockLit = make([]*V6Interner, n)
+		for i := range s.blockLit {
+			s.blockLit[i] = NewV6Interner(new(V6Table))
+		}
+	}
+}
 
 func (s *archiveScan[T, S]) start(b *block, idle bool) bool {
 	return s.text == nil || s.text.start(b, idle)
@@ -221,8 +237,13 @@ func (s *archiveScan[T, S]) scan(b *block) {
 	k := s.kind
 	runs := s.runs[b.slot][:0]
 	var out []S
+	var lits *V6Interner
 	if s.text != nil {
 		out = s.text.all[b.at : b.at+b.lines]
+	}
+	if s.blockLit != nil {
+		lits = s.blockLit[b.slot]
+		lits.reset()
 	}
 	var cur *run[T]
 	b.n = 0
@@ -243,7 +264,7 @@ func (s *archiveScan[T, S]) scan(b *block) {
 		cur.count++
 		cur.end = b.off + int64(sc.end)
 		if out != nil {
-			out[b.n] = k.stored(r)
+			out[b.n] = k.stored(lits, r)
 		}
 		b.n++
 	}
@@ -258,10 +279,15 @@ func (s *archiveScan[T, S]) finish(b *block) error {
 	if err := cmp.Or(b.err, s.ctx.Err()); err != nil {
 		return err
 	}
+	k := s.kind
 	if s.text != nil {
+		if s.blockLit != nil {
+			if err := s.internBlock(b); err != nil {
+				return err
+			}
+		}
 		s.text.finish(b)
 	}
-	k := s.kind
 	for i := range s.runs[b.slot] {
 		r := &s.runs[b.slot][i]
 		if s.text != nil {
@@ -294,6 +320,33 @@ func (s *archiveScan[T, S]) finish(b *block) error {
 		}
 		st.last = r.last
 		idx.count += r.count
+	}
+	return nil
+}
+
+// internBlock interns the IPv6 literals of b, a kept block whose worker
+// interned them in the block's own table, in the scan's table, in their
+// order in the block, and renumbers the block's samples to match. Blocks
+// finish in file order, so the scan's table holds its literals in file
+// order.
+func (s *archiveScan[T, S]) internBlock(b *block) error {
+	local := s.blockLit[b.slot].t
+	if local.Len() == 0 {
+		return nil
+	}
+	s.renumber = s.renumber[:0]
+	for i := range uint32(local.Len()) {
+		lit := local.Literal(i)
+		if !s.lits.fits(lit) {
+			return fmt.Errorf("atlasdata: %s holds more than 4 GiB of IPv6 literals", s.kind.file)
+		}
+		s.renumber = append(s.renumber, s.interner.Intern(lit))
+	}
+	out := s.text.all[b.at : b.at+b.n]
+	for i := range out {
+		if x, ok := s.kind.lit(&out[i]); ok {
+			*x = s.renumber[*x]
+		}
 	}
 	return nil
 }
@@ -339,22 +392,26 @@ func (s *archiveScan[T, S]) group() {
 // or else the probe's records read back from disk.
 func (rf *recordFile[T, S]) validate(probes map[ProbeID]ProbeMeta, s *archiveScan[T, S]) error {
 	k := rf.kind
+	pair := new([2]T)
 	return k.validateProbes(probes, sortedIDs(s.index), func(id ProbeID) error {
 		if !s.scans[id].unsorted {
 			return s.scans[id].err
 		}
 		recs, ok := s.recs[id]
+		lits := &s.lits
 		if !ok {
 			read, err := rf.read(id)
 			if err != nil {
 				return err
 			}
+			lits = new(V6Table)
+			in := NewV6Interner(lits)
 			recs = make([]S, len(read))
 			for i := range read {
-				recs[i] = k.stored(&read[i])
+				recs[i] = k.stored(in, &read[i])
 			}
 		}
-		return k.validate(id, recs)
+		return k.validate(lits, id, recs, pair)
 	})
 }
 
@@ -455,7 +512,7 @@ func (a *Archive) Dataset(ctx context.Context) (*Dataset, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Dataset{Probes: maps.Clone(a.probes), ConnLogs: conns.recs, KRoot: kroot.recs, Uptime: uptime.recs, Pfx2AS: a.pfx2as}, nil
+	return &Dataset{Probes: maps.Clone(a.probes), ConnLogs: conns.recs, KRoot: kroot.recs, Uptime: uptime.recs, Pfx2AS: a.pfx2as, V6: conns.lits}, nil
 }
 
 // Close closes the record files.

@@ -71,7 +71,7 @@ func checkArchiveOpen(t *testing.T, file uint8, data []byte) {
 		if err := errors.Join(err1, err2, err3); err != nil {
 			t.Fatalf("probe %d: %v", id, err)
 		}
-		if !reflect.DeepEqual(conns, want.ConnLogs[id]) || !reflect.DeepEqual(kroot, wantRounds(want, id)) ||
+		if !reflect.DeepEqual(conns, wantConns(want, id)) || !reflect.DeepEqual(kroot, wantRounds(want, id)) ||
 			!reflect.DeepEqual(uptime, wantUptime(want, id)) {
 			t.Fatalf("probe %d: archive reads differ from the reference", id)
 		}
@@ -120,8 +120,9 @@ func refLoad(dir string) (*Dataset, error) {
 	if err != nil {
 		return nil, err
 	}
+	lits := NewV6Interner(&d.V6)
 	for _, e := range conns {
-		d.ConnLogs[e.Probe] = append(d.ConnLogs[e.Probe], e)
+		d.ConnLogs[e.Probe] = append(d.ConnLogs[e.Probe], e.Sample(lits))
 	}
 	for _, k := range kroot {
 		d.KRoot[k.Probe] = append(d.KRoot[k.Probe], k.Sample())
@@ -159,6 +160,12 @@ func TestArchiveDatasetStopsOnCancel(t *testing.T) {
 func wantRounds(d *Dataset, id ProbeID) []KRootRound {
 	rounds, _ := d.ReadKRoot(id) // a Dataset's reads never fail
 	return rounds
+}
+
+// wantConns is d's connection logs for id, as an Archive reads them.
+func wantConns(d *Dataset, id ProbeID) []ConnLogEntry {
+	conns, _ := d.ReadConnLogs(id) // a Dataset's reads never fail
+	return conns
 }
 
 // wantUptime is d's uptime records for id, as an Archive reads them.

@@ -127,10 +127,10 @@ func TestKRootValidate(t *testing.T) {
 	}
 }
 
-// TestKRootRoundSize pins the compact layout: k-root rounds are most of
+// TestKRootRoundSize pins the compact layouts: k-root rounds are most of
 // every dataset, so a field that widens or reorders into padding costs
-// resident memory on every Load. Uptime records, stored the same way, are
-// pinned beside them.
+// resident memory on every Load. Uptime records and connection-log
+// sessions, stored the same way, are pinned beside them.
 func TestKRootRoundSize(t *testing.T) {
 	if n := unsafe.Sizeof(KRootRound{}); n != 24 {
 		t.Errorf("KRootRound is %d bytes, want 24", n)
@@ -144,6 +144,79 @@ func TestKRootRoundSize(t *testing.T) {
 	}
 	if n := unsafe.Sizeof(d.Uptime[0][0]); n != 16 {
 		t.Errorf("a Dataset stores an uptime record in %d bytes, want 16", n)
+	}
+	// Connection logs are what every analysis reads: 16 bytes, and no
+	// pointer for the collector to trace, the IPv6 literals held once
+	// each in the Dataset's V6Table.
+	if n := unsafe.Sizeof(d.ConnLogs[0][0]); n != 16 {
+		t.Errorf("a Dataset stores a session in %d bytes, want 16", n)
+	}
+	for _, stored := range []any{d.ConnLogs, d.KRoot, d.Uptime} {
+		ty := reflect.TypeOf(stored).Elem().Elem() // the map's slices' elements
+		if p := pointerIn(ty); p != "" {
+			t.Errorf("a Dataset's %s holds a pointer: %s", ty.Name(), p)
+		}
+	}
+}
+
+// pointerIn names a part of values of type ty that holds a pointer, ""
+// if none does.
+func pointerIn(ty reflect.Type) string {
+	switch ty.Kind() {
+	case reflect.Struct:
+		for i := range ty.NumField() {
+			if p := pointerIn(ty.Field(i).Type); p != "" {
+				return ty.Name() + "." + ty.Field(i).Name + ": " + p
+			}
+		}
+		return ""
+	case reflect.Array:
+		return pointerIn(ty.Elem())
+	case reflect.Pointer, reflect.UnsafePointer, reflect.Slice, reflect.String, reflect.Map,
+		reflect.Chan, reflect.Func, reflect.Interface:
+		return ty.Kind().String()
+	}
+	return ""
+}
+
+// TestConnLogSeries: a stored session keeps every value of its entry,
+// at the ends of the time range too; equal IPv6 literals share one
+// index, in the table and in an interner resumed over it; and a time the
+// sample cannot hold is refused, not truncated.
+func TestConnLogSeries(t *testing.T) {
+	var tbl V6Table
+	entries := []ConnLogEntry{
+		{Probe: 206, Start: 0, End: 5, Family: V4, Addr: ip4.MustParseAddr("91.55.174.103")},
+		{Probe: 206, Start: 10, End: 20, Family: V6, V6Addr: "2001:db8::1"},
+		{Probe: 206, Start: 30, End: 40, Family: V6, V6Addr: "2001:db8::2"},
+		{Probe: 206, Start: 50, End: math.MaxUint32, Family: V6, V6Addr: "2001:db8::1"},
+	}
+	s, err := ConnLogSeries(206, entries, NewV6Interner(&tbl))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, e := range s {
+		if got := e.Entry(206, &tbl); got != entries[i] {
+			t.Errorf("session %d: stored as %+v, rebuilt as %+v, want %+v", i, e, got, entries[i])
+		}
+	}
+	if tbl.Len() != 2 || s[1].Addr != s[3].Addr || s[1].Addr == s[2].Addr {
+		t.Errorf("literals %d, indexes %d %d %d: want 2 literals, the first shared", tbl.Len(), s[1].Addr, s[2].Addr, s[3].Addr)
+	}
+	more := NewV6Interner(&tbl)
+	if i, j := more.Intern("2001:db8::2"), more.Intern("2001:db8::3"); i != s[2].Addr || j != 2 || tbl.Literal(j) != "2001:db8::3" {
+		t.Errorf("resumed interner gave %d and %d (%q), want %d and 2", i, j, tbl.Literal(j), s[2].Addr)
+	}
+	if got := tbl.Literal(3); got != "" {
+		t.Errorf("Literal past the table = %q, want \"\"", got)
+	}
+	for _, bad := range []ConnLogEntry{
+		{Probe: 206, Start: -1, End: 5, Family: V4, Addr: 1},
+		{Probe: 206, Start: 5, End: math.MaxUint32 + 1, Family: V6, V6Addr: "2001:db8::9"},
+	} {
+		if _, err := ConnLogSeries(206, []ConnLogEntry{entries[1], bad}, NewV6Interner(&tbl)); err == nil || tbl.Len() != 3 {
+			t.Errorf("ConnLogSeries of %+v: %v, %d literals; want an error and none interned", bad, err, tbl.Len())
+		}
 	}
 }
 
@@ -298,7 +371,7 @@ func TestNewConnLogEntry(t *testing.T) {
 	for _, bad := range []struct {
 		addr ip4.Addr
 		v6   string
-	}{{0, ""}, {9, "db8"}} {
+	}{{0, ""}, {9, "db8"}, {0, "2001:db8::1 2"}, {0, "2001:db8::1\u00852"}} { // a space splits a text field
 		if e, err := NewConnLogEntry(7, 1, 2, bad.addr, bad.v6); err == nil {
 			t.Errorf("session at %v %q accepted as %+v", bad.addr, bad.v6, e)
 		}

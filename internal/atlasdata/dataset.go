@@ -19,23 +19,28 @@ import (
 // Dataset bundles everything the analysis pipeline consumes: the three
 // per-probe record streams, the probe archive, and the monthly pfx2as
 // snapshots. Record slices are kept sorted by timestamp per probe.
-// K-root rounds, most of every dataset, and uptime records are stored
-// without the probe ID they are filed under (KRootSample, UptimeSample);
-// ReadKRoot, ReadUptime and EachRecord hand them out as KRootRounds and
-// UptimeRecords again.
+// Records are stored without the probe ID they are filed under, each
+// kind as its stored sample: connection logs as ConnLogSample, whose
+// IPv6 literals V6 holds once each; k-root rounds, most of every
+// dataset, as KRootSample; uptime records as UptimeSample.
+// ReadConnLogs, ReadKRoot, ReadUptime and EachRecord hand them out as
+// ConnLogEntries, KRootRounds and UptimeRecords again.
 type Dataset struct {
 	Probes   map[ProbeID]ProbeMeta
-	ConnLogs map[ProbeID][]ConnLogEntry
+	ConnLogs map[ProbeID][]ConnLogSample
 	KRoot    map[ProbeID][]KRootSample
 	Uptime   map[ProbeID][]UptimeSample
 	Pfx2AS   *pfx2as.SnapshotStore
+	// V6 holds the IPv6 literals ConnLogs' IPv6 samples index. File a
+	// probe's sessions with ConnLogSeries, through NewV6Interner(&d.V6).
+	V6 V6Table
 }
 
 // NewDataset returns an empty dataset ready for population.
 func NewDataset() *Dataset {
 	return &Dataset{
 		Probes:   make(map[ProbeID]ProbeMeta),
-		ConnLogs: make(map[ProbeID][]ConnLogEntry),
+		ConnLogs: make(map[ProbeID][]ConnLogSample),
 		KRoot:    make(map[ProbeID][]KRootSample),
 		Uptime:   make(map[ProbeID][]UptimeSample),
 		Pfx2AS:   pfx2as.NewSnapshotStore(),
@@ -61,23 +66,25 @@ func (d *Dataset) SortRecords() {
 }
 
 // Validate checks cross-record invariants: metadata exists for every
-// probe with records, records are sorted, and connections per probe do
-// not overlap in time. Probes are checked in ID order, connection logs
-// first, so the error names the same record every time.
+// probe with records, every IPv6 sample indexes a literal of V6, records
+// are sorted, and connections per probe do not overlap in time. Probes
+// are checked in ID order, connection logs first, so the error names the
+// same record every time.
 func (d *Dataset) Validate() error {
-	if err := validateEach(d.Probes, connLogKind, d.ConnLogs); err != nil {
+	if err := validateEach(d.Probes, connLogKind, d.ConnLogs, &d.V6); err != nil {
 		return err
 	}
-	if err := validateEach(d.Probes, kRootKind, d.KRoot); err != nil {
+	if err := validateEach(d.Probes, kRootKind, d.KRoot, nil); err != nil {
 		return err
 	}
-	return validateEach(d.Probes, uptimeKind, d.Uptime)
+	return validateEach(d.Probes, uptimeKind, d.Uptime, nil)
 }
 
 // validateEach runs Validate's checks over one record kind.
-func validateEach[T validator, S any](probes map[ProbeID]ProbeMeta, k *recordKind[T, S], byProbe map[ProbeID][]S) error {
+func validateEach[T validator, S any](probes map[ProbeID]ProbeMeta, k *recordKind[T, S], byProbe map[ProbeID][]S, lits *V6Table) error {
+	pair := new([2]T)
 	return k.validateProbes(probes, sortedIDs(byProbe), func(id ProbeID) error {
-		return k.validate(id, byProbe[id])
+		return k.validate(lits, id, byProbe[id], pair)
 	})
 }
 
@@ -87,28 +94,31 @@ func (d *Dataset) Meta(id ProbeID) (ProbeMeta, bool) {
 	return p, ok
 }
 
-// ReadConnLogs returns a probe's connection logs.
-func (d *Dataset) ReadConnLogs(id ProbeID) ([]ConnLogEntry, error) { return d.ConnLogs[id], nil }
+// ReadConnLogs returns a probe's connection logs, rebuilt from its
+// samples.
+func (d *Dataset) ReadConnLogs(id ProbeID) ([]ConnLogEntry, error) {
+	return records(connLogKind, &d.V6, id, d.ConnLogs[id]), nil
+}
 
 // ReadKRoot returns a probe's k-root rounds, rebuilt from its samples.
 func (d *Dataset) ReadKRoot(id ProbeID) ([]KRootRound, error) {
-	return records(kRootKind, id, d.KRoot[id]), nil
+	return records(kRootKind, nil, id, d.KRoot[id]), nil
 }
 
 // ReadUptime returns a probe's uptime records, rebuilt from its samples.
 func (d *Dataset) ReadUptime(id ProbeID) ([]UptimeRecord, error) {
-	return records(uptimeKind, id, d.Uptime[id]), nil
+	return records(uptimeKind, nil, id, d.Uptime[id]), nil
 }
 
-// records rebuilds probe id's records of kind k from their stored form;
-// nil stays nil.
-func records[T validator, S any](k *recordKind[T, S], id ProbeID, stored []S) []T {
+// records rebuilds probe id's records of kind k from their stored form,
+// IPv6 literals read from lits; nil stays nil.
+func records[T validator, S any](k *recordKind[T, S], lits *V6Table, id ProbeID, stored []S) []T {
 	if stored == nil {
 		return nil
 	}
 	out := make([]T, len(stored))
 	for i := range stored {
-		out[i] = k.record(id, &stored[i])
+		out[i] = k.record(lits, id, &stored[i])
 	}
 	return out
 }
@@ -126,8 +136,8 @@ type validator interface{ Validate() error }
 // recordKind describes one record file: its line format, how its records
 // key and order, how a Dataset stores them, and the words its errors use.
 // T is the record a line holds, S the element a Dataset files under the
-// record's probe: T itself for connection logs, and for k-root rounds and
-// uptime records the probe-less KRootSample and UptimeSample.
+// record's probe: the probe-less ConnLogSample, KRootSample and
+// UptimeSample.
 type recordKind[T validator, S any] struct {
 	file    string
 	what    string // "connection logs"
@@ -137,9 +147,14 @@ type recordKind[T validator, S any] struct {
 	probe   func(*T) ProbeID
 	time    func(*T) simclock.Time
 	// stored and record convert between a record and the element stored
-	// under its probe.
-	stored func(*T) S
-	record func(ProbeID, *S) T
+	// under its probe; stored interns an IPv6 literal by the interner it
+	// is given, and record reads it from the table. Kinds without
+	// literals ignore both, which may be nil.
+	stored func(*V6Interner, *T) S
+	record func(*V6Table, ProbeID, *S) T
+	// lit, when set, returns the V6Table index a stored element holds,
+	// if it holds one.
+	lit func(*S) (*uint32, bool)
 	// sort and sortStored order one probe's records, and its stored
 	// elements, by time: the one sort Load, Open and SortRecords apply.
 	// Both are sort.Slice by the same field, so they leave records of
@@ -154,13 +169,19 @@ type recordKind[T validator, S any] struct {
 }
 
 var (
-	connLogKind = &recordKind[ConnLogEntry, ConnLogEntry]{
+	connLogKind = &recordKind[ConnLogEntry, ConnLogSample]{
 		file: connLogsFile, what: "connection logs", nFields: 4, parse: parseConnLog, marshal: MarshalConnLog,
 		probe:  func(e *ConnLogEntry) ProbeID { return e.Probe },
 		time:   func(e *ConnLogEntry) simclock.Time { return e.Start },
-		stored: func(e *ConnLogEntry) ConnLogEntry { return *e },
-		record: func(_ ProbeID, e *ConnLogEntry) ConnLogEntry { return *e },
-		sort:   sortConnLogs, sortStored: sortConnLogs,
+		stored: func(lits *V6Interner, e *ConnLogEntry) ConnLogSample { return e.Sample(lits) },
+		record: func(lits *V6Table, id ProbeID, s *ConnLogSample) ConnLogEntry { return s.Entry(id, lits) },
+		lit:    func(s *ConnLogSample) (*uint32, bool) { return &s.Addr, s.Family == V6 },
+		sort: func(s []ConnLogEntry) {
+			sort.Slice(s, func(i, j int) bool { return s[i].Start < s[j].Start })
+		},
+		sortStored: func(s []ConnLogSample) {
+			sort.Slice(s, func(i, j int) bool { return s[i].Start < s[j].Start })
+		},
 		overlap: func(id ProbeID, i int, prev, e *ConnLogEntry) error {
 			if e.Start < prev.End {
 				return fmt.Errorf("atlasdata: probe %d has overlapping connections at %d (%v < %v)", id, i, e.Start, prev.End)
@@ -172,8 +193,8 @@ var (
 		file: kRootFile, what: "k-root rounds", nFields: 5, parse: parseKRoot, marshal: MarshalKRoot,
 		probe:  func(k *KRootRound) ProbeID { return k.Probe },
 		time:   func(k *KRootRound) simclock.Time { return k.Timestamp },
-		stored: func(k *KRootRound) KRootSample { return k.Sample() },
-		record: func(id ProbeID, s *KRootSample) KRootRound { return s.Round(id) },
+		stored: func(_ *V6Interner, k *KRootRound) KRootSample { return k.Sample() },
+		record: func(_ *V6Table, id ProbeID, s *KRootSample) KRootRound { return s.Round(id) },
 		sort: func(s []KRootRound) {
 			sort.Slice(s, func(i, j int) bool { return s[i].Timestamp < s[j].Timestamp })
 		},
@@ -185,8 +206,8 @@ var (
 		file: uptimeFile, what: "uptime records", nFields: 3, parse: parseUptime, marshal: MarshalUptime,
 		probe:  func(u *UptimeRecord) ProbeID { return u.Probe },
 		time:   func(u *UptimeRecord) simclock.Time { return u.Timestamp },
-		stored: func(u *UptimeRecord) UptimeSample { return u.Sample() },
-		record: func(id ProbeID, s *UptimeSample) UptimeRecord { return s.Record(id) },
+		stored: func(_ *V6Interner, u *UptimeRecord) UptimeSample { return u.Sample() },
+		record: func(_ *V6Table, id ProbeID, s *UptimeSample) UptimeRecord { return s.Record(id) },
 		sort: func(s []UptimeRecord) {
 			sort.Slice(s, func(i, j int) bool { return s[i].Timestamp < s[j].Timestamp })
 		},
@@ -195,10 +216,6 @@ var (
 		},
 	}
 )
-
-func sortConnLogs(s []ConnLogEntry) {
-	sort.Slice(s, func(i, j int) bool { return s[i].Start < s[j].Start })
-}
 
 // validateProbes checks the probes in ids, in that order: each must have
 // metadata, and then pass check.
@@ -214,24 +231,33 @@ func (k *recordKind[T, S]) validateProbes(probes map[ProbeID]ProbeMeta, ids []Pr
 	return nil
 }
 
-// validate checks one probe's sorted records, as stored: each is valid,
-// belongs to the probe, and follows its predecessor.
-func (k *recordKind[T, S]) validate(id ProbeID, recs []S) error {
-	var prev T
+// validate checks one probe's sorted records, as stored, their IPv6
+// literals in lits: each indexes a literal lits holds, is valid, belongs
+// to the probe, and follows its predecessor. It rebuilds each record in
+// pair, which the caller allocates once for many calls: a record on
+// validate's own stack would escape through the kind's funcs, one
+// allocation per record.
+func (k *recordKind[T, S]) validate(lits *V6Table, id ProbeID, recs []S, pair *[2]T) error {
+	prev, r := &pair[0], &pair[1]
 	for i := range recs {
-		r := k.record(id, &recs[i])
-		if err := r.Validate(); err != nil {
+		if k.lit != nil {
+			if x, ok := k.lit(&recs[i]); ok && uint64(*x) >= uint64(lits.Len()) {
+				return fmt.Errorf("atlasdata: probe %d %s at %d name IPv6 literal %d of %d", id, k.what, i, *x, lits.Len())
+			}
+		}
+		*r = k.record(lits, id, &recs[i])
+		if err := (*r).Validate(); err != nil {
 			return err
 		}
-		if p := k.probe(&r); p != id {
+		if p := k.probe(r); p != id {
 			return fmt.Errorf("atlasdata: probe %d %s contain a record for probe %d", id, k.what, p)
 		}
 		if i > 0 {
-			if err := k.follows(id, i, &prev, &r); err != nil {
+			if err := k.follows(id, i, prev, r); err != nil {
 				return err
 			}
 		}
-		prev = r
+		prev, r = r, prev
 	}
 	return nil
 }
@@ -284,13 +310,13 @@ func (d *Dataset) Save(dir string) error {
 	}); err != nil {
 		return err
 	}
-	if err := saveRecords(dir, connLogKind, ids, d.ConnLogs); err != nil {
+	if err := saveRecords(dir, connLogKind, ids, d.ConnLogs, &d.V6); err != nil {
 		return err
 	}
-	if err := saveRecords(dir, kRootKind, ids, d.KRoot); err != nil {
+	if err := saveRecords(dir, kRootKind, ids, d.KRoot, nil); err != nil {
 		return err
 	}
-	if err := saveRecords(dir, uptimeKind, ids, d.Uptime); err != nil {
+	if err := saveRecords(dir, uptimeKind, ids, d.Uptime, nil); err != nil {
 		return err
 	}
 	if d.Pfx2AS != nil {
@@ -307,14 +333,14 @@ func (d *Dataset) Save(dir string) error {
 }
 
 // saveRecords writes the records of the probes ids to k's file in dir,
-// probe by probe in that order.
-func saveRecords[T validator, S any](dir string, k *recordKind[T, S], ids []ProbeID, byProbe map[ProbeID][]S) error {
+// probe by probe in that order, IPv6 literals read from lits.
+func saveRecords[T validator, S any](dir string, k *recordKind[T, S], ids []ProbeID, byProbe map[ProbeID][]S, lits *V6Table) error {
 	return writeFileWith(filepath.Join(dir, k.file), func(f *os.File) error {
 		bw := bufio.NewWriter(f)
 		for _, id := range ids {
 			recs := byProbe[id]
 			for i := range recs {
-				if err := writeLine(bw, k.record(id, &recs[i]), k.marshal); err != nil {
+				if err := writeLine(bw, k.record(lits, id, &recs[i]), k.marshal); err != nil {
 					return err
 				}
 			}
@@ -446,9 +472,9 @@ func (d *Dataset) EachRecord(id ProbeID, sink RecordSink) error {
 		var err error
 		switch {
 		case ci < len(conns) &&
-			(ki == len(rounds) || conns[ci].Start <= rounds[ki].Time()) &&
-			(ui == len(ups) || conns[ci].Start <= ups[ui].Timestamp):
-			err = sink.ConnLog(conns[ci])
+			(ki == len(rounds) || conns[ci].Start <= rounds[ki].Timestamp) &&
+			(ui == len(ups) || conns[ci].StartTime() <= ups[ui].Timestamp):
+			err = sink.ConnLog(conns[ci].Entry(id, &d.V6))
 			ci++
 		case ki < len(rounds) && (ui == len(ups) || rounds[ki].Time() <= ups[ui].Timestamp):
 			err = sink.KRoot(rounds[ki].Round(id))

@@ -14,18 +14,27 @@ import (
 	"dynaddr/internal/simclock"
 )
 
+// connLogs is entries, all of probe id, as d stores them.
+func connLogs(d *Dataset, id ProbeID, entries ...ConnLogEntry) []ConnLogSample {
+	s, err := ConnLogSeries(id, entries, NewV6Interner(&d.V6))
+	if err != nil {
+		panic(err)
+	}
+	return s
+}
+
 func sampleDataset(t *testing.T) *Dataset {
 	t.Helper()
 	d := NewDataset()
 	d.Probes[206] = ProbeMeta{ID: 206, Country: "DE", Version: V3, ConnectedDays: 300}
 	d.Probes[207] = ProbeMeta{ID: 207, Country: "FR", Version: V1, Tags: []string{TagCore}, ConnectedDays: 100}
-	d.ConnLogs[206] = []ConnLogEntry{
-		{Probe: 206, Start: 100, End: 200, Family: V4, Addr: ip4.MustParseAddr("91.55.1.1")},
-		{Probe: 206, Start: 300, End: 400, Family: V4, Addr: ip4.MustParseAddr("91.55.2.2")},
-	}
-	d.ConnLogs[207] = []ConnLogEntry{
-		{Probe: 207, Start: 150, End: 250, Family: V6, V6Addr: "2001:db8::2"},
-	}
+	d.ConnLogs[206] = connLogs(d, 206,
+		ConnLogEntry{Probe: 206, Start: 100, End: 200, Family: V4, Addr: ip4.MustParseAddr("91.55.1.1")},
+		ConnLogEntry{Probe: 206, Start: 300, End: 400, Family: V4, Addr: ip4.MustParseAddr("91.55.2.2")},
+	)
+	d.ConnLogs[207] = connLogs(d, 207,
+		ConnLogEntry{Probe: 207, Start: 150, End: 250, Family: V6, V6Addr: "2001:db8::2"},
+	)
 	d.KRoot[206] = []KRootSample{
 		{Timestamp: 120, Sent: 3, Success: 3, LTS: 60},
 		{Timestamp: 360, Sent: 3, Success: 0, LTS: 300},
@@ -57,8 +66,8 @@ func TestDatasetSaveLoadRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(got.Probes, d.Probes) {
 		t.Errorf("probes mismatch:\n got %+v\nwant %+v", got.Probes, d.Probes)
 	}
-	if !reflect.DeepEqual(got.ConnLogs, d.ConnLogs) {
-		t.Errorf("connlogs mismatch:\n got %+v\nwant %+v", got.ConnLogs, d.ConnLogs)
+	if !reflect.DeepEqual(got.ConnLogs, d.ConnLogs) || !reflect.DeepEqual(got.V6, d.V6) {
+		t.Errorf("connlogs mismatch:\n got %+v %+v\nwant %+v %+v", got.ConnLogs, got.V6, d.ConnLogs, d.V6)
 	}
 	if !reflect.DeepEqual(got.KRoot, d.KRoot) {
 		t.Errorf("kroot mismatch")
@@ -74,9 +83,9 @@ func TestDatasetSaveLoadRoundTrip(t *testing.T) {
 
 func TestDatasetValidateCatchesOverlap(t *testing.T) {
 	d := sampleDataset(t)
-	d.ConnLogs[206] = append(d.ConnLogs[206], ConnLogEntry{
+	d.ConnLogs[206] = append(d.ConnLogs[206], connLogs(d, 206, ConnLogEntry{
 		Probe: 206, Start: 350, End: 500, Family: V4, Addr: ip4.MustParseAddr("91.55.3.3"),
-	})
+	})...)
 	d.SortRecords()
 	if err := d.Validate(); err == nil {
 		t.Error("overlapping connections should fail validation")
@@ -85,9 +94,9 @@ func TestDatasetValidateCatchesOverlap(t *testing.T) {
 
 func TestDatasetValidateCatchesOrphans(t *testing.T) {
 	d := NewDataset()
-	d.ConnLogs[999] = []ConnLogEntry{
-		{Probe: 999, Start: 1, End: 2, Family: V4, Addr: 1},
-	}
+	d.ConnLogs[999] = connLogs(d, 999,
+		ConnLogEntry{Probe: 999, Start: 1, End: 2, Family: V4, Addr: 1},
+	)
 	if err := d.Validate(); err == nil {
 		t.Error("records without probe metadata should fail validation")
 	}
@@ -96,14 +105,16 @@ func TestDatasetValidateCatchesOrphans(t *testing.T) {
 func TestDatasetValidateCatchesWrongProbeID(t *testing.T) {
 	d := NewDataset()
 	d.Probes[1] = ProbeMeta{ID: 1, Version: V3}
-	d.ConnLogs[1] = []ConnLogEntry{
-		{Probe: 2, Start: 1, End: 2, Family: V4, Addr: 1},
+	// A stored session holds no probe ID for Validate to check: the
+	// series constructor refuses the session instead, and interns none
+	// of its literals.
+	if s, err := ConnLogSeries(1, []ConnLogEntry{
+		{Probe: 1, Start: 1, End: 2, Family: V6, V6Addr: "2001:db8::1"},
+		{Probe: 2, Start: 3, End: 4, Family: V4, Addr: 1},
+	}, NewV6Interner(&d.V6)); err == nil || !strings.Contains(err.Error(), "probe 1 connection logs contain a record for probe 2") || d.V6.Len() != 0 {
+		t.Errorf("ConnLogSeries of a session of probe 2 under probe 1 = %v, %v (%d literals interned)", s, err, d.V6.Len())
 	}
-	if err := d.Validate(); err == nil {
-		t.Error("entry filed under wrong probe should fail validation")
-	}
-	// A stored k-root round holds no probe ID for Validate to check: the
-	// series constructor refuses the round instead.
+	// Nor does a stored k-root round.
 	if s, err := KRootSeries(1, []KRootRound{{Probe: 1, Timestamp: 1, Sent: 3}, {Probe: 2, Timestamp: 2, Sent: 3}}); err == nil ||
 		!strings.Contains(err.Error(), "probe 1 k-root rounds contain a record for probe 2") {
 		t.Errorf("KRootSeries of a round of probe 2 under probe 1 = %v, %v", s, err)
@@ -118,10 +129,10 @@ func TestDatasetValidateCatchesWrongProbeID(t *testing.T) {
 func TestSortRecords(t *testing.T) {
 	d := NewDataset()
 	d.Probes[1] = ProbeMeta{ID: 1, Version: V3}
-	d.ConnLogs[1] = []ConnLogEntry{
-		{Probe: 1, Start: 300, End: 400, Family: V4, Addr: 1},
-		{Probe: 1, Start: 100, End: 200, Family: V4, Addr: 2},
-	}
+	d.ConnLogs[1] = connLogs(d, 1,
+		ConnLogEntry{Probe: 1, Start: 300, End: 400, Family: V4, Addr: 1},
+		ConnLogEntry{Probe: 1, Start: 100, End: 200, Family: V4, Addr: 2},
+	)
 	d.KRoot[1] = []KRootSample{
 		{Timestamp: 50, Sent: 3, Success: 3},
 		{Timestamp: 10, Sent: 3, Success: 3},
@@ -193,10 +204,10 @@ func TestValidateNamesLowestProbe(t *testing.T) {
 	d := NewDataset()
 	for _, id := range []ProbeID{3, 7} {
 		d.Probes[id] = ProbeMeta{ID: id, Version: V3}
-		d.ConnLogs[id] = []ConnLogEntry{
-			{Probe: id, Start: 100, End: 300, Family: V4, Addr: 1},
-			{Probe: id, Start: 200, End: 400, Family: V4, Addr: 2},
-		}
+		d.ConnLogs[id] = connLogs(d, id,
+			ConnLogEntry{Probe: id, Start: 100, End: 300, Family: V4, Addr: 1},
+			ConnLogEntry{Probe: id, Start: 200, End: 400, Family: V4, Addr: 2},
+		)
 	}
 	dir := filepath.Join(t.TempDir(), "ds")
 	if err := d.Save(dir); err != nil {
@@ -211,5 +222,20 @@ func TestValidateNamesLowestProbe(t *testing.T) {
 				t.Fatalf("%s attempt %d: error %v, want %q", name, i, err, want)
 			}
 		}
+	}
+}
+
+// TestDatasetValidateCatchesLiteralIndex: an IPv6 sample must index a
+// literal of the Dataset's table; one past it is refused by name, and
+// Save writes nothing for it.
+func TestDatasetValidateCatchesLiteralIndex(t *testing.T) {
+	d := sampleDataset(t)
+	d.ConnLogs[207] = append(d.ConnLogs[207], ConnLogSample{Start: 300, End: 400, Family: V6, Addr: uint32(d.V6.Len())})
+	err := d.Validate()
+	if want := "atlasdata: probe 207 connection logs at 1 name IPv6 literal 1 of 1"; err == nil || err.Error() != want {
+		t.Errorf("Validate = %v, want %q", err, want)
+	}
+	if err := d.Save(filepath.Join(t.TempDir(), "ds")); err == nil {
+		t.Error("Save wrote a session whose literal the table does not hold")
 	}
 }

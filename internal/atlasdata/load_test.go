@@ -20,6 +20,26 @@ import (
 	"dynaddr/internal/sim"
 )
 
+// sameRecords reports whether a and b hold the same probes, records and
+// snapshots. Load interns IPv6 literals in file order, so two orders of
+// the same lines may number them differently: connection logs compare
+// as the sessions they rebuild.
+func sameRecords(a, b *atlasdata.Dataset) bool {
+	if !reflect.DeepEqual(a.Probes, b.Probes) || !reflect.DeepEqual(a.KRoot, b.KRoot) ||
+		!reflect.DeepEqual(a.Uptime, b.Uptime) || !reflect.DeepEqual(a.Pfx2AS, b.Pfx2AS) ||
+		len(a.ConnLogs) != len(b.ConnLogs) || a.V6.Len() != b.V6.Len() {
+		return false
+	}
+	for id := range b.ConnLogs {
+		ae, _ := a.ReadConnLogs(id)
+		be, _ := b.ReadConnLogs(id)
+		if !reflect.DeepEqual(ae, be) {
+			return false
+		}
+	}
+	return true
+}
+
 // TestLoadEquivalence checks Load against a generated world: it reads
 // back exactly what Save wrote, reads files in any line order into the
 // same dataset, and hands out per-probe slices that an append cannot
@@ -39,7 +59,7 @@ func TestLoadEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(shuffled, ds) {
+	if !sameRecords(shuffled, ds) {
 		t.Fatal("Load of line-shuffled files differs from ds")
 	}
 
@@ -131,7 +151,7 @@ func archiveMatchesLoad(t *testing.T, dir string) {
 		if err := errors.Join(err1, err2, err3); err != nil {
 			t.Fatalf("probe %d: %v", id, err)
 		}
-		if !reflect.DeepEqual(conns, want.ConnLogs[id]) || !reflect.DeepEqual(kroot, wantRounds(want, id)) ||
+		if !reflect.DeepEqual(conns, wantConns(want, id)) || !reflect.DeepEqual(kroot, wantRounds(want, id)) ||
 			!reflect.DeepEqual(uptime, wantUptime(want, id)) {
 			t.Fatalf("probe %d: archive reads differ from Load", id)
 		}
@@ -292,7 +312,7 @@ func TestDeepBadRecords(t *testing.T) {
 			id = p
 		}
 	}
-	es := ds.ConnLogs[id]
+	es, _ := ds.ReadConnLogs(id)
 	j := len(es) / 2
 	for es[j-1].End-es[j-1].Start < 2 {
 		j++
@@ -401,8 +421,34 @@ func wantRounds(d *atlasdata.Dataset, id atlasdata.ProbeID) []atlasdata.KRootRou
 	return rounds
 }
 
+// wantConns is d's connection logs for id, as an Archive reads them.
+func wantConns(d *atlasdata.Dataset, id atlasdata.ProbeID) []atlasdata.ConnLogEntry {
+	conns, _ := d.ReadConnLogs(id) // a Dataset's reads never fail
+	return conns
+}
+
 // wantUptime is d's uptime records for id, as an Archive reads them.
 func wantUptime(d *atlasdata.Dataset, id atlasdata.ProbeID) []atlasdata.UptimeRecord {
 	ups, _ := d.ReadUptime(id) // a Dataset's reads never fail
 	return ups
+}
+
+// TestValidateAllocs: Dataset.Validate checks every record of a
+// generated world without allocating per record or per probe: its
+// allocations are, per record kind, the sorted probe IDs and one pair
+// of records to rebuild them in.
+func TestValidateAllocs(t *testing.T) {
+	ds, _ := savedWorld(t)
+	records := 0
+	for id := range ds.Probes {
+		records += len(ds.ConnLogs[id]) + len(ds.KRoot[id]) + len(ds.Uptime[id])
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		if err := ds.Validate(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 6 {
+		t.Errorf("Validate made %v allocations over %d probes and %d records, want at most 6", allocs, len(ds.Probes), records)
+	}
 }

@@ -12,6 +12,8 @@ import (
 	"fmt"
 	"math"
 	"strings"
+	"unicode"
+	"unsafe"
 
 	"dynaddr/internal/ip4"
 	"dynaddr/internal/simclock"
@@ -85,15 +87,21 @@ func checkConnTimes(probe ProbeID, start, end simclock.Time) error {
 
 // NewConnLogEntry builds a session from decoded values: an IPv6 one
 // when v6 is not empty, else an IPv4 one from addr. It refuses a probe
-// ID outside u32 (CheckProbeID) and a start or end outside u32
-// (checkConnTimes), then validates the entry. Every decoder of
-// connection logs but the wire format's own goes through it.
+// ID outside u32 (CheckProbeID), a start or end outside u32
+// (checkConnTimes) and an IPv6 literal holding a Unicode space, which
+// the text archive would read back as two fields; then it validates the
+// entry. Every decoder of connection logs but the wire format's own goes
+// through it, so a session any of them accepts saves to an archive that
+// loads.
 func NewConnLogEntry(probe ProbeID, start, end simclock.Time, addr ip4.Addr, v6 string) (ConnLogEntry, error) {
 	if err := CheckProbeID(probe); err != nil {
 		return ConnLogEntry{}, err
 	}
 	if err := checkConnTimes(probe, start, end); err != nil {
 		return ConnLogEntry{}, err
+	}
+	if strings.IndexFunc(v6, unicode.IsSpace) >= 0 {
+		return ConnLogEntry{}, fmt.Errorf("atlasdata: v6 connection for probe %d has address %q with a space", probe, v6)
 	}
 	e := ConnLogEntry{Probe: probe, Start: start, End: end, Family: V4, Addr: addr}
 	if v6 != "" {
@@ -120,6 +128,163 @@ func (e ConnLogEntry) Validate() error {
 		return fmt.Errorf("atlasdata: unknown family %d", e.Family)
 	}
 	return nil
+}
+
+// ConnLogSample is a connection-log session as a Dataset stores it,
+// filed under its probe's key: the session without its probe ID, its
+// times as unsigned 32-bit Unix seconds (checkConnTimes' range), and its
+// address in one uint32, 16 bytes with no pointer. Sessions are the
+// records every analysis reads, so the key is not repeated in each of
+// them, and an IPv6 literal is held once in the Dataset's V6Table.
+type ConnLogSample struct {
+	Start, End uint32
+	// Addr is the session's IPv4 address when Family is V4, and the
+	// index of its IPv6 literal in the Dataset's V6Table when Family is
+	// V6.
+	Addr   uint32
+	Family Family
+}
+
+// Sample is the session as a Dataset stores it, its IPv6 literal, if
+// any, interned by lits. The session's times must be within
+// checkConnTimes' range; ConnLogSeries checks them.
+func (e ConnLogEntry) Sample(lits *V6Interner) ConnLogSample {
+	s := ConnLogSample{Start: uint32(e.Start), End: uint32(e.End), Addr: uint32(e.Addr), Family: e.Family}
+	if e.Family == V6 {
+		s.Addr = lits.Intern(e.V6Addr)
+	}
+	return s
+}
+
+// IsV4 reports whether the session ran over IPv4.
+func (s ConnLogSample) IsV4() bool { return s.Family == V4 }
+
+// V4Addr is the session's IPv4 address, 0 for an IPv6 session, as
+// ConnLogEntry.Addr has it.
+func (s ConnLogSample) V4Addr() ip4.Addr {
+	if s.Family == V4 {
+		return ip4.Addr(s.Addr)
+	}
+	return 0
+}
+
+// StartTime is when the session started.
+func (s ConnLogSample) StartTime() simclock.Time { return simclock.Time(s.Start) }
+
+// EndTime is when the session ended.
+func (s ConnLogSample) EndTime() simclock.Time { return simclock.Time(s.End) }
+
+// Entry is the sample as probe's session, its IPv6 literal read from
+// lits; an index lits does not hold reads as "", which Validate refuses.
+func (s ConnLogSample) Entry(probe ProbeID, lits *V6Table) ConnLogEntry {
+	e := ConnLogEntry{Probe: probe, Start: s.StartTime(), End: s.EndTime(), Family: s.Family, Addr: s.V4Addr()}
+	if s.Family == V6 {
+		e.V6Addr = lits.Literal(s.Addr)
+	}
+	return e
+}
+
+// ConnLogSeries is a probe's sessions as a Dataset stores them, their
+// IPv6 literals interned by lits. It refuses a session of another probe
+// rather than file it under probe, a time the sample cannot hold rather
+// than truncate it, and literals the table has no room for; lits
+// interns nothing then.
+func ConnLogSeries(probe ProbeID, entries []ConnLogEntry, lits *V6Interner) ([]ConnLogSample, error) {
+	room := uint64(len(lits.t.bytes)) // and the bytes of every literal, repeats included
+	for _, e := range entries {
+		if e.Probe != probe {
+			return nil, fmt.Errorf("atlasdata: probe %d connection logs contain a record for probe %d", probe, e.Probe)
+		}
+		if err := checkConnTimes(probe, e.Start, e.End); err != nil {
+			return nil, err
+		}
+		if e.Family != V6 {
+			continue
+		}
+		if room += uint64(len(e.V6Addr)); room > math.MaxUint32 {
+			return nil, fmt.Errorf("atlasdata: probe %d connection logs overflow the IPv6 literal table", probe)
+		}
+	}
+	out := make([]ConnLogSample, len(entries))
+	for i, e := range entries {
+		out[i] = e.Sample(lits)
+	}
+	return out, nil
+}
+
+// V6Table holds the IPv6 address literals of a Dataset's connection
+// logs, each once, in the order they were first interned: equal
+// literals share one index, which an IPv6 ConnLogSample holds. It holds
+// no pointer: the literals' bytes one after another, 4 GiB at most, and
+// where each ends. A V6Interner adds to it; the zero V6Table is empty.
+type V6Table struct {
+	bytes []byte
+	ends  []uint32
+}
+
+// Literal returns the literal at index i, "" if the table holds none
+// there. The literal shares the table's bytes, which are never
+// rewritten: a table only grows, and growing copies them.
+func (t *V6Table) Literal(i uint32) string {
+	if uint64(i) >= uint64(len(t.ends)) {
+		return ""
+	}
+	var start uint32
+	if i > 0 {
+		start = t.ends[i-1]
+	}
+	if start == t.ends[i] {
+		return ""
+	}
+	return unsafe.String(&t.bytes[start], t.ends[i]-start)
+}
+
+// Len is the number of literals in the table.
+func (t *V6Table) Len() int { return len(t.ends) }
+
+// fits reports whether the table has room for lit's bytes.
+func (t *V6Table) fits(lit string) bool {
+	return uint64(len(t.bytes))+uint64(len(lit)) <= math.MaxUint32
+}
+
+// V6Interner adds literals to a V6Table, each once.
+type V6Interner struct {
+	t     *V6Table
+	index map[string]uint32 // keys share t's bytes
+}
+
+// NewV6Interner returns an interner adding to t, which already holds
+// what it holds.
+func NewV6Interner(t *V6Table) *V6Interner {
+	in := &V6Interner{t: t, index: make(map[string]uint32, t.Len())}
+	for i := range uint32(t.Len()) {
+		in.index[t.Literal(i)] = i
+	}
+	return in
+}
+
+// Intern returns lit's index in the interner's table, adding lit if the
+// table holds no equal literal. It panics if the table has no room for
+// lit: the table's 4 GiB outgrows any input its callers check.
+func (in *V6Interner) Intern(lit string) uint32 {
+	if i, ok := in.index[lit]; ok {
+		return i
+	}
+	t := in.t
+	if !t.fits(lit) {
+		panic("atlasdata: V6Table full")
+	}
+	t.bytes = append(t.bytes, lit...)
+	t.ends = append(t.ends, uint32(len(t.bytes)))
+	i := uint32(len(t.ends) - 1)
+	in.index[t.Literal(i)] = i
+	return i
+}
+
+// reset empties the interner and its table, keeping their memory.
+func (in *V6Interner) reset() {
+	clear(in.index) // before the bytes its keys share are rewritten
+	in.t.bytes, in.t.ends = in.t.bytes[:0], in.t.ends[:0]
 }
 
 // KRootRound is one built-in measurement round from the k-root ping

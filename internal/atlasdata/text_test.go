@@ -5,6 +5,8 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strconv"
 	"strings"
@@ -216,6 +218,10 @@ var textRecordSeeds = []string{
 	"206\t-1\t5\t10.0.0.1",
 	"206\t5\t4294967296\t10.0.0.1",
 	"206\t4294967296\t4294967296\t2001:db8::1",
+	// IPv6 literals repeated within a probe and shared across probes,
+	// in probe order and out of it: a Dataset holds each once.
+	"206\t10\t20\t2001:db8::1\n206\t30\t40\t2001:db8::1\n206\t50\t60\t2001:db8::2\n207\t10\t20\t2001:db8::1\n207\t50\t60\t2001:db8::2\n",
+	"207\t50\t60\t2001:db8::2\n206\t30\t40\t2001:db8::1\n207\t10\t20\t2001:db8::1\n206\t10\t20\t2001:db8::1\n206\t45\t46\t10.0.0.1\n",
 }
 
 // checkTextRecords is FuzzTextRecords' check of one input.
@@ -228,6 +234,7 @@ func checkTextRecords(t *testing.T, data []byte) {
 			t.Fatalf("ParseConnLogs(%q) accepted %+v: %v", data, c, err)
 		}
 	}
+	checkStoredConnLogs(t, data, cs)
 	ks, err := ParseKRoot(bytes.NewReader(data))
 	rks, rerr := refParse(bytes.NewReader(data), 5, refParseKRootFields)
 	sameAsReference(t, "ParseKRoot", data, ks, err, rks, rerr)
@@ -241,6 +248,68 @@ func checkTextRecords(t *testing.T, data []byte) {
 	sameAsReference(t, "ParseUptime", data, us, err, rus, rerr)
 	if err := checkSplitLines(data); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// checkStoredConnLogs files the sessions cs parsed from data in a
+// Dataset, as a Dataset stores them. If they make a valid one, Save,
+// Load and Save again must write the same connection-log bytes, and
+// the loaded Dataset must hold each IPv6 literal once, at the index of
+// every session using it.
+func checkStoredConnLogs(t *testing.T, data []byte, cs []ConnLogEntry) {
+	if len(cs) == 0 {
+		return
+	}
+	d := NewDataset()
+	byProbe := map[ProbeID][]ConnLogEntry{}
+	for _, c := range cs {
+		d.Probes[c.Probe] = ProbeMeta{ID: c.Probe, Version: V3}
+		byProbe[c.Probe] = append(byProbe[c.Probe], c)
+	}
+	lits := NewV6Interner(&d.V6)
+	for _, id := range sortedIDs(byProbe) {
+		s, err := ConnLogSeries(id, byProbe[id], lits)
+		if err != nil {
+			t.Fatalf("ConnLogSeries refused sessions ParseConnLogs(%q) accepted: %v", data, err)
+		}
+		d.ConnLogs[id] = s
+	}
+	d.SortRecords()
+	if d.Validate() != nil {
+		return // overlapping sessions
+	}
+	dir := t.TempDir()
+	first, second := filepath.Join(dir, "a"), filepath.Join(dir, "b")
+	if err := d.Save(first); err != nil {
+		t.Fatalf("saving ParseConnLogs(%q): %v", data, err)
+	}
+	loaded, err := Load(first)
+	if err != nil {
+		t.Fatalf("loading ParseConnLogs(%q) as saved: %v", data, err)
+	}
+	if err := loaded.Save(second); err != nil {
+		t.Fatal(err)
+	}
+	a, errA := os.ReadFile(filepath.Join(first, connLogsFile))
+	b, errB := os.ReadFile(filepath.Join(second, connLogsFile))
+	if errA != nil || errB != nil || !bytes.Equal(a, b) {
+		t.Fatalf("ParseConnLogs(%q): Save, Load, Save wrote\n%q\nthen\n%q (%v, %v)", data, a, b, errA, errB)
+	}
+	index := map[string]uint32{}
+	for _, s := range loaded.ConnLogs {
+		for _, e := range s {
+			if e.Family != V6 {
+				continue
+			}
+			lit := loaded.V6.Literal(e.Addr)
+			if i, ok := index[lit]; ok && i != e.Addr {
+				t.Fatalf("ParseConnLogs(%q): literal %q loaded at indexes %d and %d", data, lit, i, e.Addr)
+			}
+			index[lit] = e.Addr
+		}
+	}
+	if len(index) != loaded.V6.Len() {
+		t.Fatalf("ParseConnLogs(%q): %d literals in use, %d in the table", data, len(index), loaded.V6.Len())
 	}
 }
 

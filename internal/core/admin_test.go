@@ -21,7 +21,7 @@ func TestDetectAdminRenumberingSynthetic(t *testing.T) {
 		ds.Probes[atlasdata.ProbeID(p)] = atlasdata.ProbeMeta{
 			ID: atlasdata.ProbeID(p), Country: "DE", Version: atlasdata.V3, ConnectedDays: 360,
 		}
-		ds.ConnLogs[atlasdata.ProbeID(p)] = entries
+		fileLog(ds, atlasdata.ProbeID(p), entries)
 	}
 	res := Filter(ds)
 	events := DetectAdminRenumbering(res)
@@ -51,7 +51,7 @@ func TestDetectAdminRenumberingIgnoresPeriodic(t *testing.T) {
 		ds.Probes[atlasdata.ProbeID(p)] = atlasdata.ProbeMeta{
 			ID: atlasdata.ProbeID(p), Country: "DE", Version: atlasdata.V3, ConnectedDays: 200,
 		}
-		ds.ConnLogs[atlasdata.ProbeID(p)] = entries
+		fileLog(ds, atlasdata.ProbeID(p), entries)
 	}
 	res := Filter(ds)
 	if events := DetectAdminRenumbering(res); len(events) != 0 {

@@ -58,7 +58,7 @@ func AdviseBlacklist(rep *Report, minProbes int) []BlacklistAdvice {
 		}
 		var holds stats.Sample
 		for _, id := range ids {
-			for _, d := range V4Durations(rep.Filter.Views[id].Entries) {
+			for _, d := range rep.Filter.Views[id].Durations() {
 				holds.Add(d.Hours())
 			}
 		}

@@ -25,15 +25,15 @@ type AddressChange struct {
 	NextStart simclock.Time
 }
 
-// V4Changes extracts address changes from a probe's connection log.
-// Only directly consecutive IPv4 entries count: if an IPv6 session
-// intervenes, we cannot tell when (or whether, exactly once) the IPv4
-// address changed, which is the paper's reason for filtering dual-stack
-// probes (§3.2).
-func V4Changes(entries []atlasdata.ConnLogEntry) []AddressChange {
+// V4Changes extracts address changes from probe's connection log, as a
+// Dataset stores it. Only directly consecutive IPv4 entries count: if an
+// IPv6 session intervenes, we cannot tell when (or whether, exactly
+// once) the IPv4 address changed, which is the paper's reason for
+// filtering dual-stack probes (§3.2).
+func V4Changes(probe atlasdata.ProbeID, log []atlasdata.ConnLogSample) []AddressChange {
 	var out []AddressChange
-	for i := 1; i < len(entries); i++ {
-		prev, cur := entries[i-1], entries[i]
+	for i := 1; i < len(log); i++ {
+		prev, cur := log[i-1], log[i]
 		if !prev.IsV4() || !cur.IsV4() {
 			continue
 		}
@@ -41,11 +41,11 @@ func V4Changes(entries []atlasdata.ConnLogEntry) []AddressChange {
 			continue
 		}
 		out = append(out, AddressChange{
-			Probe:     cur.Probe,
-			From:      prev.Addr,
-			To:        cur.Addr,
-			PrevEnd:   prev.End,
-			NextStart: cur.Start,
+			Probe:     probe,
+			From:      prev.V4Addr(),
+			To:        cur.V4Addr(),
+			PrevEnd:   prev.EndTime(),
+			NextStart: cur.StartTime(),
 		})
 	}
 	return out
@@ -72,12 +72,13 @@ func (d AddressDuration) Duration() simclock.Duration { return d.End.Sub(d.Start
 // duration plots.
 func (d AddressDuration) Hours() float64 { return d.Duration().Hours() }
 
-// V4Durations extracts bounded address durations from a probe's
-// connection log: maximal runs of consecutive IPv4 entries sharing an
-// address, where both the run's beginning and end are delimited by an
-// observed IPv4 address change. Runs adjacent to the log boundaries or
-// to IPv6 entries have unknown extent and are dropped.
-func V4Durations(entries []atlasdata.ConnLogEntry) []AddressDuration {
+// V4Durations extracts bounded address durations from probe's
+// connection log, as a Dataset stores it: maximal runs of consecutive
+// IPv4 entries sharing an address, where both the run's beginning and
+// end are delimited by an observed IPv4 address change. Runs adjacent to
+// the log boundaries or to IPv6 entries have unknown extent and are
+// dropped.
+func V4Durations(probe atlasdata.ProbeID, log []atlasdata.ConnLogSample) []AddressDuration {
 	var out []AddressDuration
 	// Split into maximal segments of consecutive IPv4 entries; v6
 	// entries make neighbouring run boundaries unknowable.
@@ -86,7 +87,7 @@ func V4Durations(entries []atlasdata.ConnLogEntry) []AddressDuration {
 		if segStart < 0 {
 			return
 		}
-		seg := entries[segStart:end]
+		seg := log[segStart:end]
 		segStart = -1
 		// Group into address runs.
 		runEnd := len(seg)
@@ -100,20 +101,20 @@ func V4Durations(entries []atlasdata.ConnLogEntry) []AddressDuration {
 			for j < runEnd && seg[j].Addr == seg[i].Addr {
 				j++
 			}
-			runs = append(runs, run{addr: seg[i].Addr, start: seg[i].Start, end: seg[j-1].End})
+			runs = append(runs, run{addr: seg[i].V4Addr(), start: seg[i].StartTime(), end: seg[j-1].EndTime()})
 			i = j
 		}
 		// Interior runs are bounded by changes on both sides.
 		for k := 1; k < len(runs)-1; k++ {
 			out = append(out, AddressDuration{
-				Probe: seg[0].Probe,
+				Probe: probe,
 				Addr:  runs[k].addr,
 				Start: runs[k].start,
 				End:   runs[k].end,
 			})
 		}
 	}
-	for i, e := range entries {
+	for i, e := range log {
 		if e.IsV4() {
 			if segStart < 0 {
 				segStart = i
@@ -122,6 +123,6 @@ func V4Durations(entries []atlasdata.ConnLogEntry) []AddressDuration {
 		}
 		flush(i)
 	}
-	flush(len(entries))
+	flush(len(log))
 	return out
 }

@@ -22,6 +22,44 @@ func v6e(probe int, start, end simclock.Time) atlasdata.ConnLogEntry {
 	}
 }
 
+// storedLog is entries, all of one probe, as a Dataset stores them, their
+// IPv6 literals in a table of their own.
+func storedLog(entries []atlasdata.ConnLogEntry) []atlasdata.ConnLogSample {
+	lits := atlasdata.NewV6Interner(new(atlasdata.V6Table))
+	out := make([]atlasdata.ConnLogSample, len(entries))
+	for i, e := range entries {
+		out[i] = e.Sample(lits)
+	}
+	return out
+}
+
+// probeOf is the probe of entries, 0 if there are none.
+func probeOf(entries []atlasdata.ConnLogEntry) atlasdata.ProbeID {
+	if len(entries) == 0 {
+		return 0
+	}
+	return entries[0].Probe
+}
+
+// changesOf is V4Changes over entries, all of one probe.
+func changesOf(entries []atlasdata.ConnLogEntry) []AddressChange {
+	return V4Changes(probeOf(entries), storedLog(entries))
+}
+
+// durationsOf is V4Durations over entries, all of one probe.
+func durationsOf(entries []atlasdata.ConnLogEntry) []AddressDuration {
+	return V4Durations(probeOf(entries), storedLog(entries))
+}
+
+// fileLog files entries, all of probe id, in ds.
+func fileLog(ds *atlasdata.Dataset, id atlasdata.ProbeID, entries []atlasdata.ConnLogEntry) {
+	s, err := atlasdata.ConnLogSeries(id, entries, atlasdata.NewV6Interner(&ds.V6))
+	if err != nil {
+		panic(err)
+	}
+	ds.ConnLogs[id] = s
+}
+
 func TestV4ChangesBasic(t *testing.T) {
 	entries := []atlasdata.ConnLogEntry{
 		v4e(1, 0, 100, "10.0.0.1"),
@@ -29,7 +67,7 @@ func TestV4ChangesBasic(t *testing.T) {
 		v4e(1, 400, 500, "10.0.0.2"),
 		v4e(1, 600, 700, "10.0.0.3"),
 	}
-	got := V4Changes(entries)
+	got := changesOf(entries)
 	if len(got) != 2 {
 		t.Fatalf("changes = %d, want 2", len(got))
 	}
@@ -52,17 +90,17 @@ func TestV4ChangesSkipsV6Boundaries(t *testing.T) {
 		v6e(1, 200, 300),
 		v4e(1, 400, 500, "10.0.0.2"),
 	}
-	if got := V4Changes(entries); len(got) != 0 {
+	if got := changesOf(entries); len(got) != 0 {
 		t.Errorf("changes across v6 = %d, want 0", len(got))
 	}
 }
 
 func TestV4ChangesEmptyAndSingle(t *testing.T) {
-	if got := V4Changes(nil); got != nil {
+	if got := changesOf(nil); got != nil {
 		t.Error("nil entries should yield nil")
 	}
 	one := []atlasdata.ConnLogEntry{v4e(1, 0, 100, "10.0.0.1")}
-	if got := V4Changes(one); len(got) != 0 {
+	if got := changesOf(one); len(got) != 0 {
 		t.Error("single entry yields no change")
 	}
 }
@@ -86,7 +124,7 @@ func TestV4DurationsPaperTable1(t *testing.T) {
 		mk(4, 2, 40, 58, 5, 2, 15, 45, "91.55.163.252"),
 		mk(5, 2, 38, 39, 6, 2, 14, 48, "91.55.141.63"),
 	}
-	durations := V4Durations(entries)
+	durations := durationsOf(entries)
 	if len(durations) != 6 {
 		t.Fatalf("durations = %d, want 6 (first and last unknown)", len(durations))
 	}
@@ -109,7 +147,7 @@ func TestV4DurationsMergesRuns(t *testing.T) {
 		v4e(1, 400, 900, "10.0.0.2"),
 		v4e(1, 1000, 1100, "10.0.0.3"),
 	}
-	durations := V4Durations(entries)
+	durations := durationsOf(entries)
 	if len(durations) != 1 {
 		t.Fatalf("durations = %d, want 1", len(durations))
 	}
@@ -130,7 +168,7 @@ func TestV4DurationsV6ResetsSegments(t *testing.T) {
 		v4e(1, 800, 900, "10.0.0.5"),
 		v4e(1, 950, 990, "10.0.0.6"),
 	}
-	durations := V4Durations(entries)
+	durations := durationsOf(entries)
 	// Segment 1: addrs 1,2,3 -> one bounded (addr 2).
 	// Segment 2: addrs 4,5,6 -> one bounded (addr 5).
 	if len(durations) != 2 {

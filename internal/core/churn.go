@@ -36,55 +36,72 @@ func (c ChurnPoint) Turnover() float64 {
 	return float64(c.Appeared+c.Gone) / float64(union)
 }
 
-// DailyActiveSets computes, for each study day, the set of IPv4
-// addresses with at least one connection overlapping that day, across
-// the given probes.
-func DailyActiveSets(ds *atlasdata.Dataset, ids []atlasdata.ProbeID) []map[ip4.Addr]bool {
-	days := int(simclock.StudyEnd.Sub(simclock.StudyStart) / simclock.Day)
-	sets := make([]map[ip4.Addr]bool, days)
-	for i := range sets {
-		sets[i] = make(map[ip4.Addr]bool)
-	}
-	for _, id := range ids {
-		for _, e := range ds.ConnLogs[id] {
-			if !e.IsV4() {
-				continue
-			}
-			first := e.Start.DayWithinStudy()
-			last := e.End.DayWithinStudy()
-			if first < 0 && e.Start.Before(simclock.StudyStart) {
-				first = 0
-			}
-			if last < 0 && e.End.After(simclock.StudyStart) {
-				last = days - 1
-			}
-			for d := first; d <= last && d >= 0 && d < days; d++ {
-				sets[d][e.Addr] = true
-			}
+// activeDays returns the study days, first to last, that a session
+// overlaps; 0 and -1 if it overlaps none, which DailyChurn's walk
+// neither counts nor stops at.
+func activeDays(s atlasdata.ConnLogSample) (first, last int) {
+	start, end := s.StartTime(), s.EndTime()
+	if first = start.DayWithinStudy(); first < 0 {
+		if !start.Before(simclock.StudyStart) {
+			return 0, -1 // starts after the study
 		}
+		first = 0
 	}
-	return sets
+	if last = end.DayWithinStudy(); last < 0 {
+		if !end.After(simclock.StudyStart) {
+			return 0, -1 // ends before the study
+		}
+		last = studyDays - 1
+	}
+	return first, last
 }
 
 // DailyChurn computes the day-over-day churn series over the given
 // probes (pass a FilterResult's GeoProbes for the paper-aligned
-// population, or all probe IDs for the raw vantage view).
+// population, or all probe IDs for the raw vantage view): each study
+// day's set of IPv4 addresses with at least one connection overlapping
+// that day, compared with the day before's. It holds two days' sets at
+// a time, walking each probe's log, which must be sorted by start as a
+// Dataset keeps it, with a cursor past the sessions that ended before
+// the day.
 func DailyChurn(ds *atlasdata.Dataset, ids []atlasdata.ProbeID) []ChurnPoint {
-	sets := DailyActiveSets(ds, ids)
+	logs := make([][]atlasdata.ConnLogSample, len(ids))
+	for i, id := range ids {
+		logs[i] = ds.ConnLogs[id]
+	}
+	prev, cur := make(map[ip4.Addr]bool), make(map[ip4.Addr]bool)
 	var out []ChurnPoint
-	for d := 1; d < len(sets); d++ {
-		prev, cur := sets[d-1], sets[d]
+	for d := 0; d < studyDays; d++ {
+		prev, cur = cur, prev
+		clear(cur)
+		for i, log := range logs {
+			for len(log) > 0 {
+				if _, last := activeDays(log[0]); last >= d {
+					break
+				}
+				log = log[1:]
+			}
+			logs[i] = log
+			for _, s := range log {
+				first, last := activeDays(s)
+				if first > d {
+					break // the later sessions start later still
+				}
+				if last >= d && s.IsV4() {
+					cur[s.V4Addr()] = true
+				}
+			}
+		}
+		if d == 0 {
+			continue
+		}
 		p := ChurnPoint{Day: d, PrevActive: len(prev), Active: len(cur)}
 		for a := range cur {
 			if !prev[a] {
 				p.Appeared++
 			}
 		}
-		for a := range prev {
-			if !cur[a] {
-				p.Gone++
-			}
-		}
+		p.Gone = p.PrevActive - (p.Active - p.Appeared)
 		out = append(out, p)
 	}
 	return out

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"dynaddr/internal/atlasdata"
+	"dynaddr/internal/ip4"
 	"dynaddr/internal/isp"
 	"dynaddr/internal/simclock"
 )
@@ -16,15 +18,92 @@ func TestDailyActiveSetsSpansSessions(t *testing.T) {
 		v4e(1, simclock.StudyStart.Add(10*day+simclock.Hour), simclock.StudyStart.Add(12*day+simclock.Hour), "10.0.0.1"),
 	}
 	ds.Probes[1] = atlasdata.ProbeMeta{ID: 1, Country: "DE", Version: atlasdata.V3, ConnectedDays: 100}
-	ds.ConnLogs[1] = entries
-	sets := DailyActiveSets(ds, []atlasdata.ProbeID{1})
+	fileLog(ds, 1, entries)
+	// Point d-1 compares day d with the day before.
+	points := DailyChurn(ds, []atlasdata.ProbeID{1})
 	for d := 10; d <= 12; d++ {
-		if len(sets[d]) != 1 {
-			t.Errorf("day %d active set = %d, want 1", d, len(sets[d]))
+		if points[d-1].Active != 1 {
+			t.Errorf("day %d active set = %d, want 1", d, points[d-1].Active)
 		}
 	}
-	if len(sets[9]) != 0 || len(sets[13]) != 0 {
+	if points[8].Active != 0 || points[12].Active != 0 {
 		t.Error("activity bled outside the session days")
+	}
+}
+
+// refDailyChurn is DailyChurn as it was before it rolled two day sets:
+// every study day's active set built first, then compared.
+func refDailyChurn(ds *atlasdata.Dataset, ids []atlasdata.ProbeID) []ChurnPoint {
+	days := int(simclock.StudyEnd.Sub(simclock.StudyStart) / simclock.Day)
+	sets := make([]map[ip4.Addr]bool, days)
+	for i := range sets {
+		sets[i] = make(map[ip4.Addr]bool)
+	}
+	for _, id := range ids {
+		entries, _ := ds.ReadConnLogs(id)
+		for _, e := range entries {
+			if !e.IsV4() {
+				continue
+			}
+			first := e.Start.DayWithinStudy()
+			last := e.End.DayWithinStudy()
+			if first < 0 && e.Start.Before(simclock.StudyStart) {
+				first = 0
+			}
+			if last < 0 && e.End.After(simclock.StudyStart) {
+				last = days - 1
+			}
+			for d := first; d <= last && d >= 0 && d < days; d++ {
+				sets[d][e.Addr] = true
+			}
+		}
+	}
+	var out []ChurnPoint
+	for d := 1; d < len(sets); d++ {
+		prev, cur := sets[d-1], sets[d]
+		p := ChurnPoint{Day: d, PrevActive: len(prev), Active: len(cur)}
+		for a := range cur {
+			if !prev[a] {
+				p.Appeared++
+			}
+		}
+		for a := range prev {
+			if !cur[a] {
+				p.Gone++
+			}
+		}
+		out = append(out, p)
+	}
+	return out
+}
+
+// TestDailyChurnMatchesReference: the rolling day sets give every point
+// the day-by-day sets gave, over a world and over logs that start
+// before, end after and lie wholly outside the study year.
+func TestDailyChurnMatchesReference(t *testing.T) {
+	w := testDataset(t, 14, 0.1)
+	ids := w.Dataset.ProbeIDs()
+	if got, want := DailyChurn(w.Dataset, ids), refDailyChurn(w.Dataset, ids); !reflect.DeepEqual(got, want) {
+		t.Errorf("world: DailyChurn differs from the reference")
+	}
+	ds := buildDS(t)
+	at := func(days float64) simclock.Time {
+		return simclock.StudyStart.Add(simclock.Duration(days * float64(simclock.Day)))
+	}
+	logs := [][]atlasdata.ConnLogEntry{
+		{v4e(1, at(-20), at(-10), "10.0.0.1"), v4e(1, at(-5), at(3.5), "10.0.0.2"), v6e(1, at(4), at(9)), v4e(1, at(9), at(9.5), "10.0.0.2")},
+		{v4e(2, at(-1), at(400), "10.0.0.3")},
+		{v4e(3, at(100), at(364.5), "10.0.0.1"), v4e(3, at(364.9), at(366), "10.0.0.4"), v4e(3, at(370), at(380), "10.0.0.5")},
+		{v4e(4, at(0), at(0), "10.0.0.6"), v4e(4, at(365), at(365.5), "10.0.0.7")},
+	}
+	for i, log := range logs {
+		id := atlasdata.ProbeID(i + 1)
+		ds.Probes[id] = atlasdata.ProbeMeta{ID: id, Country: "DE", Version: atlasdata.V3, ConnectedDays: 100}
+		fileLog(ds, id, log)
+	}
+	ids = []atlasdata.ProbeID{1, 2, 3, 4, 3}
+	if got, want := DailyChurn(ds, ids), refDailyChurn(ds, ids); !reflect.DeepEqual(got, want) {
+		t.Errorf("edge logs: DailyChurn differs from the reference")
 	}
 }
 
@@ -35,7 +114,7 @@ func TestDailyChurnStaticAddress(t *testing.T) {
 		v4e(1, simclock.StudyStart, simclock.StudyStart.Add(100*day), "10.0.0.1"),
 	}
 	ds.Probes[1] = atlasdata.ProbeMeta{ID: 1, Country: "DE", Version: atlasdata.V3, ConnectedDays: 100}
-	ds.ConnLogs[1] = entries
+	fileLog(ds, 1, entries)
 	points := DailyChurn(ds, []atlasdata.ProbeID{1})
 	if MeanTurnover(points) != 0 {
 		t.Errorf("static address produced churn %v", MeanTurnover(points))
@@ -54,7 +133,7 @@ func TestDailyChurnDailyRenumbering(t *testing.T) {
 				simclock.StudyStart.Add(simclock.Duration(d)*day+23*simclock.Hour), addr))
 	}
 	ds.Probes[1] = atlasdata.ProbeMeta{ID: 1, Country: "DE", Version: atlasdata.V3, ConnectedDays: 50}
-	ds.ConnLogs[1] = entries
+	fileLog(ds, 1, entries)
 	points := DailyChurn(ds, []atlasdata.ProbeID{1})
 	active := 0
 	var turnover float64

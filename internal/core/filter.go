@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/json"
 	"sort"
 
 	"dynaddr/internal/asdb"
@@ -62,8 +63,10 @@ const minConnectedDays = 30
 // ProbeView is a probe that survived filtering, with its cleaned log and
 // derived artefacts ready for analysis.
 type ProbeView struct {
-	Meta    atlasdata.ProbeMeta
-	Entries []atlasdata.ConnLogEntry // testing entry stripped
+	Meta atlasdata.ProbeMeta
+	// Entries is the probe's connection log as the Dataset stores it,
+	// testing entry stripped.
+	Entries []atlasdata.ConnLogSample
 	Changes []AddressChange
 	// ASNs annotates Changes: the origin AS of From and To addresses,
 	// mapped through the month-matched pfx2as snapshot (0 = unrouted).
@@ -76,6 +79,35 @@ type ProbeView struct {
 	// probe is single-AS, else 0.
 	ASN asdb.ASN
 }
+
+// probeViewJSON is a view's JSON form, its log as the probe's
+// ConnLogEntries.
+type probeViewJSON struct {
+	Meta    atlasdata.ProbeMeta
+	Entries []atlasdata.ConnLogEntry
+	Changes []AddressChange
+	ASNs    []EndpointASNs
+	MultiAS bool
+	ASN     asdb.ASN
+}
+
+// MarshalJSON writes the view as probeViewJSON, the form a view had
+// when it held ConnLogEntries. A view holds no IPv6 session (Table 2
+// files a probe with one elsewhere), so it needs no literal.
+func (v ProbeView) MarshalJSON() ([]byte, error) {
+	var none atlasdata.V6Table
+	var entries []atlasdata.ConnLogEntry // nil stays nil
+	if v.Entries != nil {
+		entries = make([]atlasdata.ConnLogEntry, len(v.Entries))
+	}
+	for i, s := range v.Entries {
+		entries[i] = s.Entry(v.Meta.ID, &none)
+	}
+	return json.Marshal(probeViewJSON{Meta: v.Meta, Entries: entries, Changes: v.Changes, ASNs: v.ASNs, MultiAS: v.MultiAS, ASN: v.ASN})
+}
+
+// Durations is the view's bounded address durations (V4Durations).
+func (v *ProbeView) Durations() []AddressDuration { return V4Durations(v.Meta.ID, v.Entries) }
 
 // EndpointASNs are the origin ASes of an address change's endpoints.
 type EndpointASNs struct{ From, To asdb.ASN }
@@ -147,7 +179,7 @@ func AssembleFilter(ids []atlasdata.ProbeID, cats []Category, views []*ProbeView
 func classify(ds *atlasdata.Dataset, meta atlasdata.ProbeMeta) (Category, *ProbeView, *detection) {
 	var log Machine
 	for _, e := range ds.ConnLogs[meta.ID] {
-		log.Conn(e, nil, nil)
+		log.Conn(e.Entry(meta.ID, &ds.V6), nil, nil)
 	}
 	if cat := log.Category(meta); cat != CatAnalyzable {
 		return cat, nil, nil
@@ -160,7 +192,7 @@ func classify(ds *atlasdata.Dataset, meta atlasdata.ProbeMeta) (Category, *Probe
 	if log.Stripped {
 		entries = entries[1:]
 	}
-	changes := V4Changes(entries)
+	changes := V4Changes(meta.ID, entries)
 	asns := make([]EndpointASNs, 0, len(changes))
 	m := detect(ds, meta.ID, nil, &asns)
 	view := &ProbeView{Meta: meta, Entries: entries, Changes: changes, ASNs: asns, MultiAS: m.MultiAS, ASN: m.Home()}

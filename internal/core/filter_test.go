@@ -39,7 +39,7 @@ func addProbe(ds *atlasdata.Dataset, id int, version atlasdata.ProbeVersion, tag
 		ID: pid, Country: "DE", Version: version, Tags: tags,
 		ConnectedDays: float64(secs) / 86400,
 	}
-	ds.ConnLogs[pid] = entries
+	fileLog(ds, pid, entries)
 }
 
 // longSessions builds entries spanning most of the year so probes pass

@@ -121,7 +121,7 @@ func TestIntegrationPeriodicPrecision(t *testing.T) {
 	// forced period, and the detected duration should match it.
 	correct, wrongD, falsePos := 0, 0, 0
 	for id, view := range rep.Filter.Views {
-		pp, ok := ClassifyPeriodic(V4Durations(view.Entries))
+		pp, ok := ClassifyPeriodic(view.Durations())
 		if !ok {
 			continue
 		}
@@ -506,7 +506,7 @@ func TestIntegrationDualStackDurationIntuition(t *testing.T) {
 	_, rep := paperWorld(t)
 	year := (365 * simclock.Day).Hours()
 	for id, view := range rep.Filter.Views {
-		for _, d := range V4Durations(view.Entries) {
+		for _, d := range view.Durations() {
 			if d.Hours() <= 0 || d.Hours() > year {
 				t.Fatalf("probe %d has absurd duration %.1fh", id, d.Hours())
 			}

@@ -55,7 +55,9 @@ type Machine struct {
 	FirstV4Addr ip4.Addr
 	// RunCount counts, per address, the runs of equal IPv4 addresses in
 	// the raw log (the behavioural multihomed test), in ascending
-	// address order; nil until the first IPv4 entry.
+	// address order; nil until the first IPv4 entry. Once it holds
+	// runTailFrom addresses, new ones wait in runTail until RunCounts
+	// merges them in.
 	RunCount    []RunCount
 	RunPrevAddr uint32
 	RunTotal    int
@@ -116,6 +118,11 @@ type Machine struct {
 	// pending indexes the RebootGaps still Open, ascending; Restore
 	// rebuilds it from the Open flags.
 	pending []int
+	// runTail holds, in ascending address order, the run counts of
+	// addresses RunCount does not hold yet: at most about the square
+	// root of RunCount's length, so that a new address costs a shift of
+	// the tail and, amortised, a share of one merge.
+	runTail []RunCount
 }
 
 // AddrRun is the open same-address run inside the current IPv4 segment
@@ -297,10 +304,39 @@ func (m *Machine) conn(e atlasdata.ConnLogEntry, pfx *pfx2as.SnapshotStore, chur
 	return true
 }
 
-// countRun counts a run of address a, keeping RunCount in address
-// order: a binary search, and a new address shifts the larger ones up.
+// runTailFrom is how many addresses RunCount holds before new ones go to
+// runTail: below it a new address shifts at most this many entries.
+const runTailFrom = 256
+
+// countRun counts a run of address a. An address RunCount or runTail
+// holds is found by binary search. A new one is inserted in address
+// order into RunCount while that is short, and into runTail after; a
+// full tail is merged into RunCount, so a probe that keeps getting new
+// addresses costs about the square root of their number per address,
+// not their number.
 func (m *Machine) countRun(a uint32) {
-	rc := m.RunCount
+	i, ok := findRun(m.RunCount, a)
+	if ok {
+		m.RunCount[i].N++
+		return
+	}
+	if len(m.RunCount) < runTailFrom {
+		m.RunCount = insertRun(m.RunCount, i, a)
+		return
+	}
+	if i, ok = findRun(m.runTail, a); ok {
+		m.runTail[i].N++
+		return
+	}
+	m.runTail = insertRun(m.runTail, i, a)
+	if len(m.runTail)*len(m.runTail) > len(m.RunCount) {
+		m.mergeRuns()
+	}
+}
+
+// findRun returns where a is, or belongs, in rc, which is in address
+// order, and whether rc holds it.
+func findRun(rc []RunCount, a uint32) (int, bool) {
 	lo, hi := 0, len(rc)
 	for lo < hi {
 		if h := int(uint(lo+hi) >> 1); rc[h].Addr < a {
@@ -309,14 +345,43 @@ func (m *Machine) countRun(a uint32) {
 			hi = h
 		}
 	}
-	if lo < len(rc) && rc[lo].Addr == a {
-		rc[lo].N++
+	return lo, lo < len(rc) && rc[lo].Addr == a
+}
+
+// insertRun inserts a first run of a at i in rc, which is in address
+// order, shifting the larger addresses up.
+func insertRun(rc []RunCount, i int, a uint32) []RunCount {
+	rc = append(rc, RunCount{})
+	copy(rc[i+1:], rc[i:])
+	rc[i] = RunCount{Addr: a, N: 1}
+	return rc
+}
+
+// mergeRuns merges runTail into RunCount, in RunCount's own array once
+// it has grown by the tail: from the largest tail address down, the run
+// counts above it move up, past the tail entries still to place, in one
+// copy.
+func (m *Machine) mergeRuns() {
+	tail := m.runTail
+	if len(tail) == 0 {
 		return
 	}
-	rc = append(rc, RunCount{})
-	copy(rc[lo+1:], rc[lo:])
-	rc[lo] = RunCount{Addr: a, N: 1}
-	m.RunCount = rc
+	hi := len(m.RunCount) // m.RunCount[:hi] has not moved
+	rc := slices.Grow(m.RunCount, len(tail))[:hi+len(tail)]
+	for j := len(tail) - 1; j >= 0; j-- {
+		lo, _ := findRun(rc[:hi], tail[j].Addr)
+		copy(rc[lo+j+1:], rc[lo:hi])
+		rc[lo+j] = tail[j]
+		hi = lo
+	}
+	m.RunCount, m.runTail = rc, tail[:0]
+}
+
+// RunCounts returns RunCount with every address counted so far merged
+// in, in address order: what a checkpoint stores.
+func (m *Machine) RunCounts() []RunCount {
+	m.mergeRuns()
+	return m.RunCount
 }
 
 // closeDuration folds the closing run into the TTF: weight d at the
@@ -569,6 +634,12 @@ func (m *Machine) prune(ts simclock.Time) {
 // Restore rebuilds the derived open-gap queue after the exported
 // fields were loaded from a checkpoint.
 func (m *Machine) Restore() {
+	if len(m.runTail) > 0 {
+		// A copy of a machine shares its tail: merge into arrays of its own.
+		m.RunCount = slices.Clone(m.RunCount)
+		m.mergeRuns()
+	}
+	m.runTail = nil
 	m.pending = nil
 	for i := range m.RebootGaps {
 		if m.RebootGaps[i].Open {
@@ -630,9 +701,11 @@ func (m *Machine) alternating() bool {
 	if m.RunTotal < 5 {
 		return false
 	}
-	for _, r := range m.RunCount {
-		if c := r.N; c >= 3 && float64(c) >= 0.25*float64(m.RunTotal) {
-			return true
+	for _, rc := range [2][]RunCount{m.RunCount, m.runTail} {
+		for _, r := range rc {
+			if c := r.N; c >= 3 && float64(c) >= 0.25*float64(m.RunTotal) {
+				return true
+			}
 		}
 	}
 	return false

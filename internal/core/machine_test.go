@@ -3,8 +3,10 @@ package core
 import (
 	"encoding/json"
 	"fmt"
+	"maps"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 	"unsafe"
 
@@ -23,7 +25,8 @@ func TestMachineMatchesSliceReference(t *testing.T) {
 		meta := ds.Probes[id]
 		m := Detect(ds, id, nil)
 		ev := m.Events(meta)
-		entries, _ := stripTestingEntry(ds.ConnLogs[id])
+		raw, _ := ds.ReadConnLogs(id)
+		entries, _ := stripTestingEntry(raw)
 
 		wantCat, wantHome, wantMultiAS := refClassify(ds, meta)
 		if got := m.Category(meta); got != wantCat {
@@ -34,16 +37,16 @@ func TestMachineMatchesSliceReference(t *testing.T) {
 			if m.Home() != wantHome || m.MultiAS != wantMultiAS {
 				t.Errorf("probe %d: home AS %d multi-AS %v, reference %d %v", id, m.Home(), m.MultiAS, wantHome, wantMultiAS)
 			}
-			view := &ProbeView{Changes: V4Changes(entries)}
+			view := &ProbeView{Changes: changesOf(entries)}
 			if want := refPrefixChanges(ds, view); m.Prefix != want {
 				t.Errorf("probe %d: prefix row %+v, reference %+v", id, m.Prefix, want)
 			}
 		}
-		if m.Changes != int64(len(V4Changes(entries))) {
-			t.Errorf("probe %d: %d changes, reference %d", id, m.Changes, len(V4Changes(entries)))
+		if m.Changes != int64(len(changesOf(entries))) {
+			t.Errorf("probe %d: %d changes, reference %d", id, m.Changes, len(changesOf(entries)))
 		}
 		var hours []float64
-		for _, d := range V4Durations(entries) {
+		for _, d := range durationsOf(entries) {
 			hours = append(hours, d.Hours())
 		}
 		if !reflect.DeepEqual(ev.RawHours, hours) {
@@ -74,7 +77,7 @@ func TestMachineMatchesSliceReference(t *testing.T) {
 // connection entries, then k-root rounds, then uptime records.
 func TestEachRecordOrder(t *testing.T) {
 	ds := atlasdata.NewDataset()
-	ds.ConnLogs[1] = []atlasdata.ConnLogEntry{v4e(1, 100, 150, "10.0.0.1"), v4e(1, 300, 400, "10.0.0.2")}
+	fileLog(ds, 1, []atlasdata.ConnLogEntry{v4e(1, 100, 150, "10.0.0.1"), v4e(1, 300, 400, "10.0.0.2")})
 	ds.KRoot[1] = stored(round(100, 3, 10), round(200, 3, 10), round(300, 3, 10))
 	ds.Uptime[1] = []atlasdata.UptimeSample{{Timestamp: 50}, {Timestamp: 100}, {Timestamp: 300}}
 	var got []string
@@ -244,4 +247,142 @@ func TestRunCountsSorted(t *testing.T) {
 	if !reflect.DeepEqual(m.RunCount, want) || m.RunTotal != 7 {
 		t.Errorf("run counts %v over %d runs, want %v over 7", m.RunCount, m.RunTotal, want)
 	}
+}
+
+// TestRunCountsPastTail: with more addresses than RunCount takes
+// directly, new ones wait in the tail; the counts, read through
+// RunCounts or by the behavioural multihomed test, are a map's.
+func TestRunCountsPastTail(t *testing.T) {
+	m := Machine{Probe: 1}
+	want := map[uint32]uint32{}
+	at := simclock.StudyStart
+	prev, total, sawTail := uint32(0), 0, false
+	for i := 0; i < 20*runTailFrom; i++ {
+		a := uint32(i+1) * 2654435761 % 3000 // revisits addresses, out of order
+		if i%7 == 0 {
+			a = 5 // one address keeps coming back
+		}
+		m.Conn(atlasdata.ConnLogEntry{Probe: 1, Start: at, End: at + 60, Addr: ip4.Addr(a)}, nil, nil)
+		at += 120
+		if total == 0 || a != prev {
+			want[a]++
+			total++
+		}
+		prev = a
+		sawTail = sawTail || len(m.runTail) > 0
+	}
+	if !sawTail {
+		t.Fatal("no address waited in the tail")
+	}
+	wantAlt := want[5] >= 3 && float64(want[5]) >= 0.25*float64(total)
+	if got := m.alternating(); got != wantAlt {
+		t.Errorf("alternating = %v before the merge, want %v", got, wantAlt)
+	}
+	got := m.RunCounts()
+	if len(got) != len(want) || m.RunTotal != total || len(m.runTail) != 0 {
+		t.Fatalf("%d run counts over %d runs (tail %d), want %d over %d", len(got), m.RunTotal, len(m.runTail), len(want), total)
+	}
+	for i, rc := range got {
+		if i > 0 && rc.Addr <= got[i-1].Addr {
+			t.Fatalf("run counts out of order at %d: %v after %v", i, rc, got[i-1])
+		}
+		if want[rc.Addr] != rc.N {
+			t.Errorf("address %d: %d runs, want %d", rc.Addr, rc.N, want[rc.Addr])
+		}
+	}
+}
+
+// TestAlternatingReadsTail: an uplink address that first shows up once
+// RunCount is full, and keeps coming back, is counted in the tail, and
+// the behavioural multihomed test finds it there before any merge.
+func TestAlternatingReadsTail(t *testing.T) {
+	m := Machine{Probe: 1}
+	at := simclock.StudyStart
+	feed := func(a uint32) {
+		m.Conn(atlasdata.ConnLogEntry{Probe: 1, Start: at, End: at + 60, Addr: ip4.Addr(a)}, nil, nil)
+		at += 120
+	}
+	for a := uint32(1); a <= runTailFrom; a++ {
+		feed(a)
+	}
+	for i := uint32(0); i < 150; i++ { // 150 of 556 runs: over a quarter
+		feed(1 << 20)
+		feed(1 + i)
+	}
+	if len(m.runTail) != 1 || m.runTail[0] != (RunCount{Addr: 1 << 20, N: 150}) {
+		t.Fatalf("tail %v, want the uplink address alone with 150 runs", m.runTail)
+	}
+	if got := m.Category(atlasdata.ProbeMeta{ID: 1, Version: atlasdata.V3, ConnectedDays: 365}); got != CatBehaviouralMultihomed {
+		t.Errorf("category %v, want %v", got, CatBehaviouralMultihomed)
+	}
+}
+
+// TestRestoreOwnsTail: a copy of a machine whose new addresses wait in
+// the tail, restored, counts on in arrays of its own, as does the
+// original.
+func TestRestoreOwnsTail(t *testing.T) {
+	var m Machine
+	want := map[uint32]uint32{}
+	at := simclock.StudyStart
+	feed := func(m *Machine, a uint32) {
+		m.Conn(atlasdata.ConnLogEntry{Probe: 1, Start: at, End: at + 60, Addr: ip4.Addr(a)}, nil, nil)
+		at += 120
+	}
+	for a := uint32(1); a <= runTailFrom+5; a++ { // a tail of 5, with room to grow in place
+		feed(&m, 2*a)
+		want[2*a]++
+	}
+	if len(m.runTail) == 0 {
+		t.Fatal("no address waits in the tail")
+	}
+	restored := m
+	restored.RunCount = slices.Clone(m.RunCount)
+	restored.Restore()
+	for a := uint32(1); a <= 4; a++ {
+		feed(&m, 2*a+1)        // new addresses below the tail's
+		feed(&restored, 1e6+a) // and above them
+	}
+	for _, c := range []struct {
+		m     *Machine
+		extra []uint32
+	}{{&m, []uint32{3, 5, 7, 9}}, {&restored, []uint32{1e6 + 1, 1e6 + 2, 1e6 + 3, 1e6 + 4}}} {
+		w := maps.Clone(want)
+		for _, a := range c.extra {
+			w[a]++
+		}
+		got := c.m.RunCounts()
+		ok := len(got) == len(w)
+		for i, rc := range got {
+			ok = ok && w[rc.Addr] == rc.N && (i == 0 || rc.Addr > got[i-1].Addr)
+		}
+		if !ok {
+			t.Errorf("run counts %v, want those of %v", got, w)
+		}
+	}
+}
+
+// BenchmarkCountRunRenumbered feeds one probe renumbered every hour for
+// a year, each time to a new IPv4 address (8,760 in all, in no order),
+// through a fresh machine: the run counts' worst case. ns/entry is per
+// session.
+func BenchmarkCountRunRenumbered(b *testing.B) {
+	const hours = 365 * 24
+	entries := make([]atlasdata.ConnLogEntry, hours)
+	for i := range entries {
+		at := simclock.StudyStart.Add(simclock.Duration(i) * simclock.Hour)
+		entries[i] = atlasdata.ConnLogEntry{Probe: 1, Start: at, End: at.Add(50 * simclock.Minute),
+			Addr: ip4.Addr(uint32(i+1) * 2654435761)} // distinct: the multiplier is odd
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		m := Machine{Probe: 1}
+		for _, e := range entries {
+			m.Conn(e, nil, nil)
+		}
+		if m.RunTotal != hours {
+			b.Fatalf("%d runs, want %d", m.RunTotal, hours)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*hours), "ns/entry")
 }

@@ -128,7 +128,7 @@ func TestAnalyzeOutagesEndToEnd(t *testing.T) {
 		v4e(1, t0.Add(300*day+30*simclock.Minute), t0.Add(360*day), "10.0.0.3"),
 	}
 	ds.Probes[1] = atlasdata.ProbeMeta{ID: 1, Country: "DE", Version: atlasdata.V3, ConnectedDays: 350}
-	ds.ConnLogs[1] = entries
+	fileLog(ds, 1, entries)
 
 	// k-root: good rounds bracketing everything, loss run in gap A with
 	// growing LTS, silence in gap B.
@@ -179,7 +179,7 @@ func TestAnalyzeOutagesV12PowerExcluded(t *testing.T) {
 		v4e(1, t0.Add(100*day+2*simclock.Hour), t0.Add(300*day), "10.0.0.2"),
 	}
 	ds.Probes[1] = atlasdata.ProbeMeta{ID: 1, Country: "DE", Version: atlasdata.V1, ConnectedDays: 290}
-	ds.ConnLogs[1] = entries
+	fileLog(ds, 1, entries)
 	gap := t0.Add(100 * day)
 	ds.KRoot[1] = stored(
 		round(gap.Add(-2*simclock.Minute), 3, 60),

@@ -245,7 +245,7 @@ func HourHistogram(res *FilterResult, ids []atlasdata.ProbeID, d float64) [24]in
 		if !ok {
 			continue
 		}
-		for _, dur := range V4Durations(view.Entries) {
+		for _, dur := range view.Durations() {
 			if QuantizeHours(dur.Hours()) == d {
 				hist[dur.End.HourOfDay()]++
 			}

@@ -145,7 +145,7 @@ func TestHourHistogramCounts(t *testing.T) {
 	}
 	// Stretch connected days over the threshold.
 	ds.Probes[1] = atlasdata.ProbeMeta{ID: 1, Country: "DE", Version: atlasdata.V3, ConnectedDays: 200}
-	ds.ConnLogs[1] = entries
+	fileLog(ds, 1, entries)
 	res := Filter(ds)
 	if _, ok := res.Views[1]; !ok {
 		t.Fatal("probe should be analyzable")

@@ -37,8 +37,8 @@ func TestPropertyChangesMatchDurations(t *testing.T) {
 	// run collapsing.
 	f := func(choices []byte) bool {
 		entries := genLog(choices)
-		changes := V4Changes(entries)
-		durations := V4Durations(entries)
+		changes := changesOf(entries)
+		durations := durationsOf(entries)
 		// Durations never overlap and are ordered.
 		for i := 1; i < len(durations); i++ {
 			if durations[i].Start < durations[i-1].End {
@@ -71,7 +71,7 @@ func TestPropertyChangesMatchDurations(t *testing.T) {
 
 func TestPropertyChangeEndpointsDiffer(t *testing.T) {
 	f := func(choices []byte) bool {
-		for _, ch := range V4Changes(genLog(choices)) {
+		for _, ch := range changesOf(genLog(choices)) {
 			if ch.From == ch.To {
 				return false
 			}
@@ -95,7 +95,7 @@ func TestPropertyDurationAddressesAppearInLog(t *testing.T) {
 				present[e.Addr] = true
 			}
 		}
-		for _, d := range V4Durations(entries) {
+		for _, d := range durationsOf(entries) {
 			if !present[d.Addr] {
 				return false
 			}
@@ -109,7 +109,7 @@ func TestPropertyDurationAddressesAppearInLog(t *testing.T) {
 
 func TestPropertyTTFMassSumsToOne(t *testing.T) {
 	f := func(choices []byte) bool {
-		durations := V4Durations(genLog(choices))
+		durations := durationsOf(genLog(choices))
 		ttf := TTF(durations)
 		if len(durations) == 0 {
 			return ttf.Total() == 0

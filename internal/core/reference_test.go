@@ -20,7 +20,7 @@ func refClassify(ds *atlasdata.Dataset, meta atlasdata.ProbeMeta) (cat Category,
 	if meta.ConnectedDays <= minConnectedDays {
 		return CatShortLived, 0, false
 	}
-	raw := ds.ConnLogs[meta.ID]
+	raw, _ := ds.ReadConnLogs(meta.ID)
 	var v4, v6 int
 	for _, e := range raw {
 		if e.IsV4() {
@@ -47,7 +47,7 @@ func refClassify(ds *atlasdata.Dataset, meta atlasdata.ProbeMeta) (cat Category,
 		return CatBehaviouralMultihomed, 0, false
 	}
 	entries, stripped := stripTestingEntry(raw)
-	changes := V4Changes(entries)
+	changes := changesOf(entries)
 	if stripped && len(changes) == 0 {
 		return CatTestingOnly, 0, false
 	}

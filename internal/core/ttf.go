@@ -53,7 +53,7 @@ func TTFFromHours(hours []float64) *stats.Weighted {
 func ProbeTTFs(res *FilterResult) map[atlasdata.ProbeID]*stats.Weighted {
 	out := make(map[atlasdata.ProbeID]*stats.Weighted, len(res.Views))
 	for id, view := range res.Views {
-		out[id] = TTF(V4Durations(view.Entries))
+		out[id] = TTF(view.Durations())
 	}
 	return out
 }

@@ -47,37 +47,32 @@ const rotationActiveShare = 0.8
 // sessions straddling midnight and reconnect jitter.
 const ephemeralLifetime = 2 * simclock.Day
 
-// AnalyzeV6Probe computes IPv6 stats from one probe's raw connection
-// log (not the filtered view — IPv6 probes never reach the views).
-func AnalyzeV6Probe(entries []atlasdata.ConnLogEntry) V6ProbeStats {
-	var st V6ProbeStats
-	if len(entries) > 0 {
-		st.Probe = entries[0].Probe
-	}
-	type span struct{ first, last simclock.Time }
-	spans := map[string]*span{}
+// AnalyzeV6Probe computes IPv6 stats from probe's raw connection log,
+// as a Dataset stores it (not the filtered view — IPv6 probes never
+// reach the views). Addresses are told apart by their index in the
+// Dataset's V6Table, which equal literals share.
+func AnalyzeV6Probe(probe atlasdata.ProbeID, log []atlasdata.ConnLogSample) V6ProbeStats {
+	st := V6ProbeStats{Probe: probe}
+	type span struct{ first, last uint32 }
+	spans := map[uint32]*span{}
 	activeDays := map[int]bool{}
-	for _, e := range entries {
+	for _, e := range log {
 		if e.IsV4() {
 			continue
 		}
-		if s, ok := spans[e.V6Addr]; ok {
-			if e.Start.Before(s.first) {
-				s.first = e.Start
-			}
-			if e.End.After(s.last) {
-				s.last = e.End
-			}
+		if s, ok := spans[e.Addr]; ok {
+			s.first = min(s.first, e.Start)
+			s.last = max(s.last, e.End)
 		} else {
-			spans[e.V6Addr] = &span{first: e.Start, last: e.End}
+			spans[e.Addr] = &span{first: e.Start, last: e.End}
 		}
-		if d := e.Start.DayWithinStudy(); d >= 0 {
+		if d := e.StartTime().DayWithinStudy(); d >= 0 {
 			activeDays[d] = true
 		}
 	}
 	st.Addresses = len(spans)
 	for _, s := range spans {
-		if s.last.Sub(s.first) < ephemeralLifetime {
+		if simclock.Time(s.last).Sub(simclock.Time(s.first)) < ephemeralLifetime {
 			st.Ephemeral++
 		}
 	}
@@ -106,11 +101,10 @@ func AnalyzeV6(ds *atlasdata.Dataset) *V6Report {
 	rep := &V6Report{}
 	var addrs, ephemeral int
 	for _, id := range ds.ProbeIDs() {
-		st := AnalyzeV6Probe(ds.ConnLogs[id])
+		st := AnalyzeV6Probe(id, ds.ConnLogs[id])
 		if st.Addresses == 0 {
 			continue
 		}
-		st.Probe = id
 		rep.Probes = append(rep.Probes, st)
 		addrs += st.Addresses
 		ephemeral += st.Ephemeral

@@ -22,7 +22,7 @@ func TestAnalyzeV6ProbeRotating(t *testing.T) {
 	for d := 0; d < 30; d++ {
 		entries = append(entries, v6Entry(1, d, fmt.Sprintf("2001:db8::%d", d)))
 	}
-	st := AnalyzeV6Probe(entries)
+	st := AnalyzeV6Probe(1, storedLog(entries))
 	if st.Addresses != 30 || st.Ephemeral != 30 {
 		t.Errorf("stats = %+v, want 30 ephemeral addresses", st)
 	}
@@ -39,7 +39,7 @@ func TestAnalyzeV6ProbeStable(t *testing.T) {
 	for d := 0; d < 30; d++ {
 		entries = append(entries, v6Entry(1, d, "2001:db8::1"))
 	}
-	st := AnalyzeV6Probe(entries)
+	st := AnalyzeV6Probe(1, storedLog(entries))
 	if st.Addresses != 1 || st.Ephemeral != 0 || st.Rotating {
 		t.Errorf("stable probe stats = %+v", st)
 	}
@@ -49,7 +49,7 @@ func TestAnalyzeV6ProbeIgnoresV4(t *testing.T) {
 	entries := []atlasdata.ConnLogEntry{
 		v4e(1, simclock.StudyStart, simclock.StudyStart.Add(simclock.Hour), "10.0.0.1"),
 	}
-	if st := AnalyzeV6Probe(entries); st.Addresses != 0 {
+	if st := AnalyzeV6Probe(1, storedLog(entries)); st.Addresses != 0 {
 		t.Errorf("v4-only probe has v6 stats: %+v", st)
 	}
 }
@@ -63,7 +63,7 @@ func TestAnalyzeV6SpanningSession(t *testing.T) {
 		End:    simclock.StudyStart.Add(11*simclock.Day + 4*simclock.Hour),
 		Family: atlasdata.V6, V6Addr: "2001:db8::7",
 	}
-	st := AnalyzeV6Probe([]atlasdata.ConnLogEntry{e})
+	st := AnalyzeV6Probe(1, storedLog([]atlasdata.ConnLogEntry{e}))
 	if st.Ephemeral != 1 {
 		t.Errorf("midnight-spanning short-lived address not ephemeral: %+v", st)
 	}
@@ -71,7 +71,7 @@ func TestAnalyzeV6SpanningSession(t *testing.T) {
 	later := e
 	later.Start = e.Start.Add(7 * simclock.Day)
 	later.End = e.End.Add(7 * simclock.Day)
-	st = AnalyzeV6Probe([]atlasdata.ConnLogEntry{e, later})
+	st = AnalyzeV6Probe(1, storedLog([]atlasdata.ConnLogEntry{e, later}))
 	if st.Ephemeral != 0 {
 		t.Errorf("week-spanning address counted ephemeral: %+v", st)
 	}

@@ -92,33 +92,33 @@ func (a *Accountant) Handle(b []byte) ([]byte, error) {
 	return resp.Marshal()
 }
 
-// AccountConnLog replays one probe's IPv4 connection log into the
-// accountant as the ISP's Radius would have seen it: one session per
-// maximal run of connections sharing an address, Start at the run's
-// first connection and Stop at its last. This is the bridge that lets
-// the Maier-style ISP-side methodology run against the same world the
-// Atlas-side pipeline measures.
-func AccountConnLog(a *Accountant, user string, entries []atlasdata.ConnLogEntry) error {
+// AccountConnLog replays one probe's IPv4 connection log, as a Dataset
+// stores it, into the accountant as the ISP's Radius would have seen it:
+// one session per maximal run of connections sharing an address, Start
+// at the run's first connection and Stop at its last. This is the bridge
+// that lets the Maier-style ISP-side methodology run against the same
+// world the Atlas-side pipeline measures.
+func AccountConnLog(a *Accountant, user string, log []atlasdata.ConnLogSample) error {
 	i := 0
 	seq := 0
-	for i < len(entries) {
-		if !entries[i].IsV4() {
+	for i < len(log) {
+		if !log[i].IsV4() {
 			i++
 			continue
 		}
 		j := i
-		for j+1 < len(entries) && entries[j+1].IsV4() && entries[j+1].Addr == entries[i].Addr {
+		for j+1 < len(log) && log[j+1].IsV4() && log[j+1].Addr == log[i].Addr {
 			j++
 		}
-		start, end := entries[i].Start, entries[j].End
+		start, end, addr := log[i].StartTime(), log[j].EndTime(), log[i].V4Addr()
 		seq++
 		sid := fmt.Sprintf("%s-%d", user, seq)
 
-		startReq := NewAccountingRequest(a.ident(), AcctStart, user, sid, entries[i].Addr, start, 0)
+		startReq := NewAccountingRequest(a.ident(), AcctStart, user, sid, addr, start, 0)
 		if err := a.roundTrip(startReq); err != nil {
 			return err
 		}
-		stopReq := NewAccountingRequest(a.ident(), AcctStop, user, sid, entries[i].Addr, end, uint32(end.Sub(start)))
+		stopReq := NewAccountingRequest(a.ident(), AcctStop, user, sid, addr, end, uint32(end.Sub(start)))
 		if err := a.roundTrip(stopReq); err != nil {
 			return err
 		}

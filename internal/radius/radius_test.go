@@ -141,8 +141,12 @@ func TestAccountConnLog(t *testing.T) {
 		mk(1100, 2000, "10.0.0.1"), // same address: one session
 		mk(2100, 5000, "10.0.0.2"),
 	}
+	log, err := atlasdata.ConnLogSeries(1, entries, atlasdata.NewV6Interner(new(atlasdata.V6Table)))
+	if err != nil {
+		t.Fatal(err)
+	}
 	a := NewAccountant()
-	if err := AccountConnLog(a, "probe-1", entries); err != nil {
+	if err := AccountConnLog(a, "probe-1", log); err != nil {
 		t.Fatal(err)
 	}
 	done := a.Completed()

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"sort"
 
 	"dynaddr/internal/atlasdata"
 	"dynaddr/internal/dhcp"
@@ -231,9 +232,11 @@ type walker struct {
 	rnd      *rng.RNG
 	firmware []simclock.Time
 
-	conns  []atlasdata.ConnLogEntry
-	rounds []atlasdata.KRootSample  // the probe's, so stored without its ID
-	ups    []atlasdata.UptimeSample // the probe's, so stored without its ID
+	conns  []atlasdata.ConnLogSample // an IPv6 session's Addr indexes lits
+	lits   []string                  // the IPv6 sessions' literals, in emission order
+	v6     *atlasdata.V6Interner     // the dataset's
+	rounds []atlasdata.KRootSample   // the probe's, so stored without its ID
+	ups    []atlasdata.UptimeSample  // the probe's, so stored without its ID
 
 	lastBoot      simclock.Time
 	connectedSecs int64
@@ -289,17 +292,18 @@ func (w *walker) emitSession(start, end simclock.Time, fam sessionFamily, v4 ip4
 	if !start.Before(end) {
 		return
 	}
-	e := atlasdata.ConnLogEntry{Probe: w.spec.id, Start: start, End: end}
+	e := atlasdata.ConnLogSample{Start: uint32(start), End: uint32(end)}
 	switch fam {
 	case famV6:
 		e.Family = atlasdata.V6
-		e.V6Addr = w.v6Addr(start)
+		e.Addr = uint32(len(w.lits))
+		w.lits = append(w.lits, w.v6Addr(start))
 	case famFixedUplink:
 		e.Family = atlasdata.V4
-		e.Addr = w.spec.fixedAddr
+		e.Addr = uint32(w.spec.fixedAddr)
 	default:
 		e.Family = atlasdata.V4
-		e.Addr = v4
+		e.Addr = uint32(v4)
 	}
 	w.conns = append(w.conns, e)
 	w.connectedSecs += int64(end.Sub(start))
@@ -671,6 +675,14 @@ func (w *walker) flush(ds *atlasdata.Dataset) {
 		Version:       w.spec.version,
 		Tags:          w.spec.tags,
 		ConnectedDays: float64(w.connectedSecs) / 86400,
+	}
+	// The sessions' literals go to the dataset's table in time order, the
+	// order Load interns a saved world's in.
+	sort.Slice(w.conns, func(i, j int) bool { return w.conns[i].Start < w.conns[j].Start })
+	for i := range w.conns {
+		if c := &w.conns[i]; c.Family == atlasdata.V6 {
+			c.Addr = w.v6.Intern(w.lits[c.Addr])
+		}
 	}
 	ds.ConnLogs[w.spec.id] = w.conns
 	ds.KRoot[w.spec.id] = w.rounds

@@ -105,7 +105,7 @@ func TestGenerateCustomProfileMatrix(t *testing.T) {
 		if truth.ISP != "OnePrefix" {
 			continue
 		}
-		entries := w.Dataset.ConnLogs[id]
+		entries, _ := w.Dataset.ReadConnLogs(id)
 		for i := 1; i < len(entries); i++ {
 			if entries[i].Addr == entries[i-1].Addr {
 				same++

@@ -109,7 +109,7 @@ func TestGenerateTinyWorld(t *testing.T) {
 func TestDeterminism(t *testing.T) {
 	w1 := generate(t, tinyConfig(42))
 	w2 := generate(t, tinyConfig(42))
-	if !reflect.DeepEqual(w1.Dataset.ConnLogs, w2.Dataset.ConnLogs) {
+	if !reflect.DeepEqual(w1.Dataset.ConnLogs, w2.Dataset.ConnLogs) || !reflect.DeepEqual(w1.Dataset.V6, w2.Dataset.V6) {
 		t.Error("connection logs differ across identical runs")
 	}
 	if !reflect.DeepEqual(w1.Dataset.KRoot, w2.Dataset.KRoot) {
@@ -143,7 +143,7 @@ func TestPeriodicProbesRenumberDaily(t *testing.T) {
 			t.Errorf("probe %d in PeriodicNet changed only %d times", id, truth.V4AddressChanges)
 		}
 		// Check the dominant address duration is ~24h in the logs.
-		entries := w.Dataset.ConnLogs[id]
+		entries, _ := w.Dataset.ReadConnLogs(id)
 		var day, total int
 		for i := 1; i < len(entries); i++ {
 			if entries[i].Addr == entries[i-1].Addr {
@@ -170,7 +170,7 @@ func TestStaticProbesNeverChange(t *testing.T) {
 		if truth.V4AddressChanges != 0 {
 			t.Errorf("static probe %d changed %d times", id, truth.V4AddressChanges)
 		}
-		entries := w.Dataset.ConnLogs[id]
+		entries, _ := w.Dataset.ReadConnLogs(id)
 		for i := 1; i < len(entries); i++ {
 			if entries[i].Addr != entries[0].Addr {
 				t.Errorf("static probe %d has multiple addresses", id)
@@ -298,7 +298,7 @@ func TestSpecialCohortsAppear(t *testing.T) {
 	}
 	// Verify record shapes for each cohort.
 	for id, truth := range w.Truth.Probes {
-		entries := w.Dataset.ConnLogs[id]
+		entries, _ := w.Dataset.ReadConnLogs(id)
 		switch truth.Special {
 		case IPv6Only:
 			for _, e := range entries {
@@ -337,7 +337,7 @@ func TestMoverChangesAS(t *testing.T) {
 		if truth.Special != Mover {
 			continue
 		}
-		entries := w.Dataset.ConnLogs[id]
+		entries, _ := w.Dataset.ReadConnLogs(id)
 		var asns = map[uint32]bool{}
 		for _, e := range entries {
 			if !e.IsV4() {
@@ -358,7 +358,8 @@ func TestMoverChangesAS(t *testing.T) {
 
 func TestAllAddressesRoutable(t *testing.T) {
 	w := generate(t, tinyConfig(7))
-	for id, entries := range w.Dataset.ConnLogs {
+	for id := range w.Dataset.ConnLogs {
+		entries, _ := w.Dataset.ReadConnLogs(id)
 		for _, e := range entries {
 			if !e.IsV4() {
 				continue
@@ -389,7 +390,8 @@ func TestSyncAnchoredChangesLandInWindow(t *testing.T) {
 	cfg.Profiles = profiles
 	w := generate(t, cfg)
 	inWindow, total := 0, 0
-	for id, entries := range w.Dataset.ConnLogs {
+	for id := range w.Dataset.ConnLogs {
+		entries, _ := w.Dataset.ReadConnLogs(id)
 		_ = id
 		for i := 1; i < len(entries); i++ {
 			if entries[i].Addr == entries[i-1].Addr {
@@ -427,7 +429,7 @@ func TestConnectedDaysAccounting(t *testing.T) {
 	for id, meta := range w.Dataset.Probes {
 		var secs int64
 		for _, e := range w.Dataset.ConnLogs[id] {
-			secs += int64(e.End.Sub(e.Start))
+			secs += int64(e.End - e.Start)
 		}
 		if got, want := meta.ConnectedDays, float64(secs)/86400; got < want-0.01 || got > want+0.01 {
 			t.Errorf("probe %d ConnectedDays = %v, want %v", id, got, want)

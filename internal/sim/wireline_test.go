@@ -41,7 +41,7 @@ func TestWireWorldPeriodicSemantics(t *testing.T) {
 			if truth.V4AddressChanges < 200 {
 				t.Errorf("wire-mode periodic probe %d changed only %d times", id, truth.V4AddressChanges)
 			}
-			entries := w.Dataset.ConnLogs[id]
+			entries, _ := w.Dataset.ReadConnLogs(id)
 			day, total := 0, 0
 			for i := 1; i < len(entries); i++ {
 				if entries[i].Addr == entries[i-1].Addr {

@@ -123,6 +123,7 @@ func generateWorld(cfg Config, sink RecordSink) (*World, error) {
 	// (the paper found essentially one administrative renumbering event
 	// in 2015; see DESIGN.md).
 	ds := atlasdata.NewDataset()
+	v6 := atlasdata.NewV6Interner(&ds.V6)
 	table, err := pfx2as.NewTable(routeEntries)
 	if err != nil {
 		return nil, err
@@ -216,6 +217,7 @@ func generateWorld(cfg Config, sink RecordSink) (*World, error) {
 				pool:     st.pool,
 				rnd:      prnd.Split("walk"),
 				firmware: firmwareTimes,
+				v6:       v6,
 			}
 			pt, err := w.run(ds)
 			if err != nil {

@@ -47,10 +47,11 @@ func requireAnalysisEquals(t *testing.T, label string, got *liveanalysis.Result,
 // be checked against the batch oracle over exactly the records the
 // stream has consumed.
 type teeSink struct {
-	ing *stream.Ingester
-	ds  *atlasdata.Dataset
-	n   int
-	at  func(n int)
+	ing  *stream.Ingester
+	ds   *atlasdata.Dataset
+	lits *atlasdata.V6Interner // interns in ds.V6
+	n    int
+	at   func(n int)
 }
 
 func (s *teeSink) tick() { s.n++; s.at(s.n) }
@@ -68,7 +69,10 @@ func (s *teeSink) ConnLog(e atlasdata.ConnLogEntry) error {
 	if err := s.ing.ConnLog(e); err != nil {
 		return err
 	}
-	s.ds.ConnLogs[e.Probe] = append(s.ds.ConnLogs[e.Probe], e)
+	if s.lits == nil {
+		s.lits = atlasdata.NewV6Interner(&s.ds.V6)
+	}
+	s.ds.ConnLogs[e.Probe] = append(s.ds.ConnLogs[e.Probe], e.Sample(s.lits))
 	s.tick()
 	return nil
 }
@@ -366,17 +370,18 @@ func TestAnalysisEdgeProbes(t *testing.T) {
 
 	// Probe 1: one IPv4 address all year — never changed, no events.
 	ds.Probes[1] = atlasdata.ProbeMeta{ID: 1, Country: "DE", Version: atlasdata.V3, ConnectedDays: 200}
-	ds.ConnLogs[1] = []atlasdata.ConnLogEntry{
+	lits := atlasdata.NewV6Interner(&ds.V6)
+	ds.ConnLogs[1], _ = atlasdata.ConnLogSeries(1, []atlasdata.ConnLogEntry{
 		{Probe: 1, Start: base, End: base.Add(200 * simclock.Day), Family: atlasdata.V4, Addr: ip4.MustParseAddr("10.1.0.1")},
-	}
+	}, lits)
 
 	// Probe 2: exactly one change — analyzable, one churn bucket, zero
 	// closed interior durations.
 	ds.Probes[2] = atlasdata.ProbeMeta{ID: 2, Country: "DE", Version: atlasdata.V3, ConnectedDays: 120}
-	ds.ConnLogs[2] = []atlasdata.ConnLogEntry{
+	ds.ConnLogs[2], _ = atlasdata.ConnLogSeries(2, []atlasdata.ConnLogEntry{
 		{Probe: 2, Start: base, End: base.Add(60 * simclock.Day), Family: atlasdata.V4, Addr: ip4.MustParseAddr("10.2.0.1")},
 		{Probe: 2, Start: base.Add(60*simclock.Day + simclock.Minute), End: base.Add(120 * simclock.Day), Family: atlasdata.V4, Addr: ip4.MustParseAddr("10.2.0.2")},
-	}
+	}, lits)
 
 	// Probe 3: registered, silent.
 	ds.Probes[3] = atlasdata.ProbeMeta{ID: 3, Country: "FR", Version: atlasdata.V3, ConnectedDays: 100}

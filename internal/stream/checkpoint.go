@@ -207,8 +207,9 @@ func (s *shard) appendProbeState(dst []byte, ps *probeState, prev atlasdata.Prob
 	}
 	dst = binary.AppendUvarint(dst, uint64(m.FirstV4Addr))
 
-	dst = binary.AppendUvarint(dst, uint64(len(m.RunCount)))
-	for _, rc := range m.RunCount {
+	runs := m.RunCounts()
+	dst = binary.AppendUvarint(dst, uint64(len(runs)))
+	for _, rc := range runs {
 		dst = binary.AppendUvarint(dst, uint64(rc.Addr))
 		dst = binary.AppendUvarint(dst, uint64(rc.N))
 	}
