@@ -7,46 +7,17 @@ import (
 	"dynaddr/internal/stream"
 )
 
-// Stage names one node of the analysis DAG. Stages
-// passed to WithStages are expanded with their transitive dependencies,
-// so WithStages(StageFigures) runs filter, ttf, periodic and figures.
-type Stage = core.Stage
-
-// The analysis stages, for WithStages.
-const (
-	StageFilter     = core.StageFilter
-	StageTTF        = core.StageTTF
-	StagePeriodic   = core.StagePeriodic
-	StageOutage     = core.StageOutage
-	StagePac        = core.StagePac
-	StageLinkType   = core.StageLinkType
-	StagePrefix     = core.StagePrefix
-	StageFigures    = core.StageFigures
-	StageExtensions = core.StageExtensions
-)
-
-// Stages lists every analysis stage in canonical order.
-func Stages() []Stage {
-	out := make([]Stage, len(core.AllStages))
-	copy(out, core.AllStages)
-	return out
-}
-
-// ParseStages parses a comma-separated stage list ("" and "all" mean
-// every stage) — the format churnctl's -stages flag accepts.
-func ParseStages(s string) ([]Stage, error) { return core.ParseStages(s) }
-
 // RunMetrics describes how a report was computed: worker-pool size and
-// per-stage wall time and record counts. Filled by the Analyzer.
+// each step's wall time and record counts. Filled by the Analyzer.
 type RunMetrics = core.RunMetrics
 
-// StageMetric is one stage's entry in RunMetrics.
+// StageMetric is one step's entry in RunMetrics.
 type StageMetric = core.StageMetric
 
-// Analyzer runs the staged analysis pipeline over datasets. Construct
-// it with NewAnalyzer; the zero value is also valid and analyzes
-// everything with default options at GOMAXPROCS parallelism. An
-// Analyzer is immutable after construction and safe for concurrent use.
+// Analyzer runs the analysis pipeline over datasets. Construct it with
+// NewAnalyzer; the zero value is also valid and analyzes with default
+// options at GOMAXPROCS parallelism. An Analyzer is immutable after
+// construction and safe for concurrent use.
 //
 // The report an Analyzer produces is identical (ignoring
 // Report.Metrics) whatever the parallelism.
@@ -72,8 +43,8 @@ func NewAnalyzer(opts ...AnalyzerOption) *Analyzer {
 	return a
 }
 
-// WithTopASes sets how many ASes Figures 2, 7 and 8 include
-// (default 5).
+// WithTopASes sets how many ASes Figures 2, 7 and 8 include. Zero or
+// less means the default, 5.
 func WithTopASes(n int) AnalyzerOption {
 	return func(a *Analyzer) { a.cfg.Options.TopASes = n }
 }
@@ -95,28 +66,23 @@ func WithFigure9ASNs(asns ...uint32) AnalyzerOption {
 	return func(a *Analyzer) { a.cfg.Options.Figure9ASNs = asns }
 }
 
-// WithStages restricts the run to the given stages plus their
-// transitive dependencies. Report fields owned by unselected stages
-// stay zero. Default: all stages.
-func WithStages(stages ...Stage) AnalyzerOption {
-	return func(a *Analyzer) { a.cfg.Stages = stages }
-}
-
-// WithParallelism bounds the worker pool shared by all stages. Zero or
-// negative means GOMAXPROCS; one worker is the serial run.
+// WithParallelism bounds the analysis worker pool. Zero or negative
+// means GOMAXPROCS; one worker is the serial run.
 func WithParallelism(n int) AnalyzerOption {
 	return func(a *Analyzer) { a.cfg.Parallelism = n }
 }
 
-// Analyze runs the selected stages over a dataset. It fails only on
-// configuration errors (an unknown stage name).
+// Analyze computes a dataset's Report. It runs under
+// context.Background, and a run fails only when its context is
+// cancelled, so Analyze's error is always nil.
 func (a *Analyzer) Analyze(ds *Dataset) (*Report, error) {
 	return a.AnalyzeContext(context.Background(), ds)
 }
 
 // AnalyzeContext is Analyze under a context: cancellation is observed
-// at stage boundaries and between per-probe tasks, and the run returns
-// ctx.Err() without finishing the remaining stages.
+// between steps and between per-probe tasks, and the run returns
+// ctx.Err() without finishing the remaining steps. It fails only when
+// its context is cancelled.
 func (a *Analyzer) AnalyzeContext(ctx context.Context, ds *Dataset) (*Report, error) {
 	return core.Run(ctx, ds, a.cfg)
 }

@@ -93,30 +93,18 @@ func TestAnalyzerOptions(t *testing.T) {
 	}
 }
 
-func TestAnalyzerStages(t *testing.T) {
-	world, err := Generate(smallConfig(32))
+// TestAnalyzerNegativeTopASes: a TopASes of zero or less means the
+// default, for the batch figures as for the fold's.
+func TestAnalyzerNegativeTopASes(t *testing.T) {
+	world, err := Generate(smallConfig(21))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := NewAnalyzer(WithStages(StageTTF)).Analyze(world.Dataset)
+	rep, err := NewAnalyzer(WithTopASes(-1)).Analyze(world.Dataset)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Filter == nil {
-		t.Fatal("ttf's filter dependency did not run")
-	}
-	if rep.Outage != nil || rep.Table7All.Changes != 0 {
-		t.Fatal("unselected stages ran")
-	}
-	if _, err := NewAnalyzer(WithStages("bogus")).Analyze(world.Dataset); err == nil {
-		t.Fatal("unknown stage accepted")
-	}
-	if got := Stages(); len(got) == 0 || got[0] != StageFilter {
-		t.Fatalf("Stages() = %v", got)
-	}
-	if st, err := ParseStages("filter,prefix"); err != nil || len(st) != 2 {
-		t.Fatalf("ParseStages = %v, %v", st, err)
-	}
+	checkDigest(t, rep, goldenDigest(t, "seed21"))
 }
 
 func TestAnalyzerContextCancel(t *testing.T) {

@@ -323,7 +323,7 @@ func BenchmarkFigure9DurationBins(b *testing.B) {
 // BenchmarkAnalyzeParallel runs the whole analysis at several pool
 // sizes over the paper-scale world; workers=1 is the serial baseline
 // the others compare against (speedup needs real cores — a single-CPU
-// runner shows parity, not gains). The per-stage wall times land in
+// runner shows parity, not gains). The per-step wall times land in
 // Report.Metrics.
 func BenchmarkAnalyzeParallel(b *testing.B) {
 	w, _, _ := benchSetup(b)

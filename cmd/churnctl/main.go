@@ -4,12 +4,12 @@
 //
 // Usage:
 //
-//	churnctl -data DIR [-parallel N] [-stages LIST] [table1|table2|table5|table6|table7|fig1..fig9|linktype|admin|churn|metrics|all]
+//	churnctl -data DIR [-parallel N] [table1|table2|table5|table6|table7|fig1..fig9|linktype|admin|churn|metrics|all]
 //
 // With no artefact argument, churnctl prints a short summary. The
-// analysis runs as a staged DAG; -parallel bounds its
-// worker pool (default GOMAXPROCS) and -stages restricts the run to a
-// comma-separated stage subset plus dependencies (default all).
+// analysis always computes every table and figure; -parallel bounds its
+// worker pool (default GOMAXPROCS), and the metrics artefact prints each
+// step's wall time.
 //
 // When scraping with -url, the -retry-* flags tune per-fetch retries
 // and their jittered exponential backoff, and -allow-failures sets the
@@ -69,7 +69,6 @@ func main() {
 	csv := flag.Bool("csv", false, "emit CSV instead of aligned text")
 	svgDir := flag.String("svg", "", "also write every figure as SVG into this directory")
 	parallel := flag.Int("parallel", 0, "analysis worker-pool size (0 = GOMAXPROCS)")
-	stagesFlag := flag.String("stages", "", "comma-separated analysis stages to run (empty or \"all\" = every stage)")
 	retryMax := flag.Int("retry-max", 0, "scrape: retries per failed fetch (0 = default 2)")
 	retryBase := flag.Duration("retry-base", 0, "scrape: first backoff delay (0 = default 200ms)")
 	retryCap := flag.Duration("retry-cap", 0, "scrape: backoff delay ceiling (0 = default 5s)")
@@ -103,12 +102,10 @@ func main() {
 		return
 	}
 
-	stages, err := dynaddr.ParseStages(*stagesFlag)
-	if err != nil {
-		fatal(err)
-	}
-
-	var ds *dynaddr.Dataset
+	var (
+		ds  *dynaddr.Dataset
+		err error
+	)
 	switch {
 	case *data != "" && *url != "":
 		fmt.Fprintln(os.Stderr, "churnctl: -data and -url are mutually exclusive")
@@ -144,10 +141,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	rep, err := dynaddr.NewAnalyzer(
-		dynaddr.WithParallelism(*parallel),
-		dynaddr.WithStages(stages...),
-	).Analyze(ds)
+	rep, err := dynaddr.NewAnalyzer(dynaddr.WithParallelism(*parallel)).Analyze(ds)
 	if err != nil {
 		fatal(err)
 	}
@@ -430,7 +424,7 @@ func drilldown(ds *dynaddr.Dataset, rep *dynaddr.Report, names core.NameFunc, id
 	}
 }
 
-// renderMetrics tabulates a run's per-stage execution record.
+// renderMetrics tabulates a run's per-step execution record.
 func renderMetrics(m *dynaddr.RunMetrics) *tables.Table {
 	t := tables.New(fmt.Sprintf("Engine metrics (%d workers)", m.Parallelism),
 		"Stage", "Wall", "Records")

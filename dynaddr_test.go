@@ -17,7 +17,7 @@ func smallConfig(seed uint64) Config {
 	return cfg
 }
 
-// analyze runs every stage over ds with default options.
+// analyze runs the analysis over ds with default options.
 func analyze(t *testing.T, ds *Dataset) *Report {
 	t.Helper()
 	rep, err := NewAnalyzer().Analyze(ds)

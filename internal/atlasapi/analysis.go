@@ -15,8 +15,7 @@ import (
 )
 
 // analysisSummary is the JSON shape of /api/v1/analysis: the report's
-// headline numbers plus the run's metrics. Fields owned by
-// stages the request excluded stay at their zero values.
+// headline numbers plus the run's metrics, one entry per core.Run step.
 type analysisSummary struct {
 	GeoProbes     int              `json:"geo_probes"`
 	ASProbes      int              `json:"as_probes"`
@@ -32,13 +31,12 @@ type analysisSummary struct {
 
 // analysis runs core.Run over the served dataset under the
 // request's context, so a disconnecting client aborts the run at the
-// next stage or probe boundary instead of computing a report nobody
+// next step or probe boundary instead of computing a report nobody
 // will read.
 //
-//	GET /api/v1/analysis?parallel=4&stages=filter,outage
+//	GET /api/v1/analysis?parallel=4
 //
-// Both parameters are optional: parallel defaults to GOMAXPROCS,
-// stages to all (dependencies of the named stages join automatically).
+// parallel is optional and defaults to GOMAXPROCS.
 func (s *Server) analysis(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		http.Error(w, "GET only", http.StatusMethodNotAllowed)
@@ -54,11 +52,6 @@ func (s *Server) analysis(w http.ResponseWriter, r *http.Request) {
 		}
 		workers = n
 	}
-	stages, err := core.ParseStages(q.Get("stages"))
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
 	// An archive on disk is read into memory while requests use it.
 	ds, err := s.shared.acquire(r.Context(), s.src)
 	if err != nil {
@@ -69,10 +62,7 @@ func (s *Server) analysis(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer s.shared.release()
-	rep, err := core.Run(r.Context(), ds, core.Config{
-		Parallelism: workers,
-		Stages:      stages,
-	})
+	rep, err := core.Run(r.Context(), ds, core.Config{Parallelism: workers})
 	if err != nil {
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 			// The client is gone; there is nobody to answer.
@@ -84,21 +74,19 @@ func (s *Server) analysis(w http.ResponseWriter, r *http.Request) {
 	exportRunMetrics(s.metrics, rep.Metrics)
 
 	out := analysisSummary{
-		Table5Rows:   len(rep.Table5),
-		Table6Rows:   len(rep.Table6),
-		LinkTypeRows: len(rep.LinkTypes),
-		AdminEvents:  len(rep.AdminEvents),
-		ChurnMean:    rep.ChurnMean,
-		Metrics:      rep.Metrics,
+		GeoProbes:     len(rep.Filter.GeoProbes),
+		ASProbes:      len(rep.Filter.ASProbes),
+		Categories:    make(map[string]int, len(rep.Table2)),
+		Table5Rows:    len(rep.Table5),
+		Table6Rows:    len(rep.Table6),
+		Table7Changes: rep.Table7All.Changes,
+		LinkTypeRows:  len(rep.LinkTypes),
+		AdminEvents:   len(rep.AdminEvents),
+		ChurnMean:     rep.ChurnMean,
+		Metrics:       rep.Metrics,
 	}
-	out.Table7Changes = rep.Table7All.Changes
-	if rep.Filter != nil {
-		out.GeoProbes = len(rep.Filter.GeoProbes)
-		out.ASProbes = len(rep.Filter.ASProbes)
-		out.Categories = make(map[string]int, len(rep.Table2))
-		for cat, n := range rep.Table2 {
-			out.Categories[cat.String()] = n
-		}
+	for cat, n := range rep.Table2 {
+		out.Categories[cat.String()] = n
 	}
 	w.Header().Set("Content-Type", "application/json")
 	if err := json.NewEncoder(w).Encode(out); err != nil {
@@ -108,9 +96,9 @@ func (s *Server) analysis(w http.ResponseWriter, r *http.Request) {
 
 // exportRunMetrics publishes one analysis run's core.RunMetrics into
 // reg, so the numbers behind `churnctl metrics` and the /metrics
-// exposition are the same measurements. Stage wall time goes into a
-// per-stage histogram whose _sum is the cumulative seconds spent in the
-// stage and whose _count is the number of runs; a gauge carries the
+// exposition are the same measurements. Step wall time goes into a
+// per-step histogram whose _sum is the cumulative seconds spent in the
+// step and whose _count is the number of runs; a gauge carries the
 // latest run's parallelism. A nil reg (atlasd -metrics=false) is a
 // no-op.
 func exportRunMetrics(reg *obs.Registry, m *core.RunMetrics) {

@@ -5,10 +5,12 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"dynaddr/internal/core"
 	"dynaddr/internal/sim"
 )
 
@@ -47,33 +49,39 @@ func TestAnalysisEndpoint(t *testing.T) {
 	if out.Metrics == nil || out.Metrics.Parallelism != 2 {
 		t.Fatalf("metrics missing or wrong: %+v", out.Metrics)
 	}
-	if out.Metrics.Stage("filter") == nil {
-		t.Fatal("no filter stage metric")
+	if out.Metrics.Stage(core.StepDetect) == nil {
+		t.Fatal("no detect step metric")
 	}
 }
 
-func TestAnalysisEndpointStageSubset(t *testing.T) {
+// TestAnalysisEndpointIgnoresStages: stages is not a parameter of the
+// endpoint, so like any unknown query parameter it changes nothing.
+func TestAnalysisEndpointIgnoresStages(t *testing.T) {
 	world := analysisWorld(t)
 	srv := httptest.NewServer(NewServer(world.Dataset))
 	defer srv.Close()
 
-	resp, err := http.Get(srv.URL + "/api/v1/analysis?stages=filter")
-	if err != nil {
-		t.Fatal(err)
+	get := func(query string) analysisSummary {
+		t.Helper()
+		resp, err := http.Get(srv.URL + "/api/v1/analysis" + query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d", query, resp.StatusCode)
+		}
+		var out analysisSummary
+		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+			t.Fatal(err)
+		}
+		out.Metrics = nil
+		return out
 	}
-	defer resp.Body.Close()
-	var out analysisSummary
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		t.Fatal(err)
-	}
-	if out.GeoProbes == 0 {
-		t.Fatal("filter stage did not run")
-	}
-	if out.Table7Changes != 0 || out.ChurnMean != 0 {
-		t.Fatalf("unselected stages ran: %+v", out)
-	}
-	if n := len(out.Metrics.Stages); n != 1 {
-		t.Fatalf("%d stage metrics, want 1", n)
+	want := get("?parallel=1")
+	got := get("?parallel=1&stages=filter")
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("with stages=filter %+v, without %+v", got, want)
 	}
 }
 
@@ -82,7 +90,7 @@ func TestAnalysisEndpointErrors(t *testing.T) {
 	srv := httptest.NewServer(NewServer(world.Dataset))
 	defer srv.Close()
 
-	for _, q := range []string{"?stages=bogus", "?parallel=x", "?parallel=-1"} {
+	for _, q := range []string{"?parallel=x", "?parallel=-1"} {
 		resp, err := http.Get(srv.URL + "/api/v1/analysis" + q)
 		if err != nil {
 			t.Fatal(err)

@@ -69,7 +69,7 @@ func TestArchiveServesLoadBytes(t *testing.T) {
 		"/probes/0/connection-history/", "/probes/x/connection-history/", "/probes/99999999/connection-history/",
 		"/api/v1/measurements/kroot/-1/", "/api/v1/measurements/kroot/99999999/",
 		"/api/v1/measurements/uptime/abc/", "/api/v1/measurements/uptime/99999999/",
-		"/api/v1/analysis?parallel=-1", "/api/v1/analysis?stages=nope",
+		"/api/v1/analysis?parallel=-1",
 	}
 	for _, m := range loaded.Pfx2AS.Months() {
 		paths = append(paths, fmt.Sprintf("/caida/pfx2as/%06d.txt", int(m)))

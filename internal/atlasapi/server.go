@@ -20,7 +20,7 @@ import (
 //	GET /api/v1/measurements/kroot/{id}/       ping results (NDJSON)
 //	GET /api/v1/measurements/uptime/{id}/      uptime reports (NDJSON)
 //	GET /caida/pfx2as/{yyyymm}.txt             monthly pfx2as snapshot
-//	GET /api/v1/analysis                       staged analysis summary
+//	GET /api/v1/analysis                       analysis summary
 //
 // Server is an http.Handler; mount it on any mux or serve it directly.
 type Server struct {

@@ -2,60 +2,14 @@ package core
 
 import (
 	"sort"
-	"time"
 
 	"dynaddr/internal/atlasdata"
 	"dynaddr/internal/geo"
 	"dynaddr/internal/stats"
 )
 
-// This file holds the stage seams Run composes: each Build* function
-// computes one Report artefact from explicit inputs.
-
-// StageMetric records one stage's execution: wall time and how many
-// records (probes, for per-probe stages) it processed.
-type StageMetric struct {
-	Stage   string        `json:"stage"`
-	Wall    time.Duration `json:"wall_ns"`
-	Records int           `json:"records"`
-}
-
-// RunMetrics describes how a report was computed: the worker-pool size
-// and one entry per executed stage, in canonical stage order (AllStages).
-// Metrics are observability, not results — two reports over the same
-// dataset are considered equal regardless of Metrics.
-type RunMetrics struct {
-	Parallelism int           `json:"parallelism"`
-	Stages      []StageMetric `json:"stages"`
-}
-
-// Stage returns the metric for a named stage, or nil if it did not run.
-func (m *RunMetrics) Stage(name string) *StageMetric {
-	if m == nil {
-		return nil
-	}
-	for i := range m.Stages {
-		if m.Stages[i].Stage == name {
-			return &m.Stages[i]
-		}
-	}
-	return nil
-}
-
-// withDefaults returns a copy of o with zero fields replaced by the
-// paper's defaults (TopASes 5, Figure 3 "DE" at 3 years).
-func (o Options) withDefaults() Options {
-	if o.TopASes == 0 {
-		o.TopASes = 5
-	}
-	if o.Figure3Country == "" {
-		o.Figure3Country = "DE"
-	}
-	if o.Figure3MinYears == 0 {
-		o.Figure3MinYears = 3
-	}
-	return o
-}
+// This file holds the Build* seams: each computes one Report artefact
+// from explicit inputs.
 
 // BuildTable2 counts probes per filtering category, in Table 2 order.
 func BuildTable2(res *FilterResult) map[Category]int {
@@ -180,9 +134,8 @@ func BuildHourHists(res *FilterResult, byAS map[uint32][]atlasdata.ProbeID, tabl
 // BuildPacFiguresFrom builds Figures 7 and 8: P(ac|nw) and P(ac|pw)
 // ECDFs for the topASes ASes by probes that changed address and have at
 // least MinOutagesForPac network outages, from a stats map, a
-// changed-probe predicate and AS groups — the seam Run shares with the
-// streaming fold. ASes are ordered by that probe count descending, then
-// ASN.
+// changed-probe predicate and AS groups. ASes are ordered by that probe
+// count descending, then ASN.
 func BuildPacFiguresFrom(all map[atlasdata.ProbeID]ProbeOutageStats, hasChanges func(atlasdata.ProbeID) bool, byAS map[uint32][]atlasdata.ProbeID, topASes int) (fig7, fig8 []PacECDF) {
 	type pacSize struct {
 		asn uint32

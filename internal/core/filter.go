@@ -2,7 +2,6 @@ package core
 
 import (
 	"encoding/json"
-	"sort"
 
 	"dynaddr/internal/asdb"
 	"dynaddr/internal/atlasdata"
@@ -128,80 +127,69 @@ type FilterResult struct {
 // Count returns how many probes landed in a category.
 func (r *FilterResult) Count(c Category) int { return len(r.ByCategory[c]) }
 
-// Filter runs the paper's probe-filtering pipeline over a dataset.
+// Filter runs the paper's probe-filtering pipeline over a dataset: Run's
+// first two steps, one probe at a time.
 func Filter(ds *atlasdata.Dataset) *FilterResult {
 	ids := ds.ProbeIDs()
 	cats := make([]Category, len(ids))
-	views := make([]*ProbeView, len(ids))
+	var views []*ProbeView
 	for i, id := range ids {
-		cats[i], views[i], _ = classify(ds, ds.Probes[id])
+		if cats[i] = settle(ds, ds.Probes[id]); cats[i] == CatAnalyzable {
+			view, _, _ := analyzeProbe(ds, ds.Probes[id])
+			views = append(views, view)
+		}
 	}
-	return AssembleFilter(ids, cats, views)
+	return assembleFilter(ids, cats, views)
 }
 
-// AssembleFilter builds a FilterResult from per-probe classifications,
-// one slot per probe, listed in ascending probe-ID order (the order
-// ds.ProbeIDs returns). views[i] must be non-nil exactly when cats[i]
-// is CatAnalyzable. Splitting classification from assembly lets callers
-// classify probes on any schedule while the assembled result stays
-// identical to the sequential Filter.
-func AssembleFilter(ids []atlasdata.ProbeID, cats []Category, views []*ProbeView) *FilterResult {
+// assembleFilter builds a FilterResult from every probe's category, ids
+// in ascending probe-ID order (the order ds.ProbeIDs returns), and the
+// views of the analyzable ones in the same order.
+func assembleFilter(ids []atlasdata.ProbeID, cats []Category, views []*ProbeView) *FilterResult {
 	res := &FilterResult{
 		ByCategory: make(map[Category][]atlasdata.ProbeID),
-		Views:      make(map[atlasdata.ProbeID]*ProbeView),
+		Views:      make(map[atlasdata.ProbeID]*ProbeView, len(views)),
 	}
 	for i, id := range ids {
-		cat := cats[i]
-		res.ByCategory[cat] = append(res.ByCategory[cat], id)
-		if cat != CatAnalyzable {
-			continue
-		}
-		view := views[i]
+		res.ByCategory[cats[i]] = append(res.ByCategory[cats[i]], id)
+	}
+	for _, view := range views {
+		id := view.Meta.ID
 		res.Views[id] = view
 		res.GeoProbes = append(res.GeoProbes, id)
 		if !view.MultiAS {
 			res.ASProbes = append(res.ASProbes, id)
 		}
 	}
-	for c := range res.ByCategory {
-		ids := res.ByCategory[c]
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	}
 	return res
 }
 
-// classify returns where the Table 2 pipeline places a probe and, for
-// an analyzable probe, its view and frozen events. The category depends
-// on the connection log alone, so a machine fed only that log settles
-// it; the probe's whole record stream goes through Detect only when the
-// probe is analyzable. It reads the dataset without mutating it, so
-// distinct probes may be classified concurrently.
-func classify(ds *atlasdata.Dataset, meta atlasdata.ProbeMeta) (Category, *ProbeView, *detection) {
+// settle returns where the Table 2 pipeline places a probe. The category
+// depends on the connection log alone, so a machine fed only that log
+// settles it. It reads the dataset without mutating it, so distinct
+// probes may be settled concurrently.
+func settle(ds *atlasdata.Dataset, meta atlasdata.ProbeMeta) Category {
 	var log Machine
 	for _, e := range ds.ConnLogs[meta.ID] {
 		log.Conn(e.Entry(meta.ID, &ds.V6), nil, nil)
 	}
-	if cat := log.Category(meta); cat != CatAnalyzable {
-		return cat, nil, nil
-	}
-	// The view keeps the stripped log, its changes and their endpoint
-	// ASes, as the machine looks them up, for the analyses that need more
-	// than the machine's events. The machine's changes are the stripped
-	// log's V4Changes, in the same order.
-	entries := ds.ConnLogs[meta.ID]
-	if log.Stripped {
-		entries = entries[1:]
-	}
-	changes := V4Changes(meta.ID, entries)
-	asns := make([]EndpointASNs, 0, len(changes))
-	m := detect(ds, meta.ID, nil, &asns)
-	view := &ProbeView{Meta: meta, Entries: entries, Changes: changes, ASNs: asns, MultiAS: m.MultiAS, ASN: m.Home()}
-	return CatAnalyzable, view, &detection{events: m.Events(meta), ttf: m.TTF}
+	return log.Category(meta)
 }
 
-// detection is what Run keeps of an analyzable probe's machine for the
-// stages after the filter.
-type detection struct {
-	events ProbeEvents
-	ttf    stats.Weighted
+// analyzeProbe runs an analyzable probe's whole record stream through
+// Detect and returns its view, its frozen events and its TTF
+// distribution. The view keeps the stripped log, its changes and their
+// endpoint ASes, as the machine looks them up, for the analyses that
+// need more than the machine's events. The machine's changes are the
+// stripped log's V4Changes, in the same order. Like settle, it may run
+// concurrently for distinct probes.
+func analyzeProbe(ds *atlasdata.Dataset, meta atlasdata.ProbeMeta) (*ProbeView, ProbeEvents, stats.Weighted) {
+	var asns []EndpointASNs
+	m := detect(ds, meta.ID, nil, &asns)
+	entries := ds.ConnLogs[meta.ID]
+	if m.Stripped {
+		entries = entries[1:]
+	}
+	view := &ProbeView{Meta: meta, Entries: entries, Changes: V4Changes(meta.ID, entries), ASNs: asns, MultiAS: m.MultiAS, ASN: m.Home()}
+	return view, m.Events(meta), m.TTF
 }

@@ -3,8 +3,6 @@ package core
 import (
 	"fmt"
 	"sort"
-
-	"dynaddr/internal/atlasdata"
 )
 
 // The paper's §5.3 closes with: "We expect that this property can be
@@ -129,9 +127,4 @@ func LinkTypesByAS(oa *OutageAnalysis, res *FilterResult) []LinkTypeRow {
 		return rows[i].ASN < rows[j].ASN
 	})
 	return rows
-}
-
-// LinkTypeOf is a convenience for a single AS.
-func LinkTypeOf(oa *OutageAnalysis, res *FilterResult, ids []atlasdata.ProbeID) (LinkType, LinkEvidence) {
-	return InferLinkType(oa.DurationBins(res, ids))
 }

@@ -721,8 +721,8 @@ func (m *Machine) Home() asdb.ASN {
 }
 
 // ProbeEvents is one analyzable probe's event state, frozen: what the
-// outage, periodic and prefix analyses read of a probe. Run reads it
-// over a finished dataset; the live fold (liveanalysis.Compute) at a
+// outage, periodic and prefix analyses read of a probe. FoldEvents
+// reads it, in Run over a finished dataset and in the live analysis at a
 // snapshot barrier.
 type ProbeEvents struct {
 	Probe atlasdata.ProbeID

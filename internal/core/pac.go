@@ -56,39 +56,15 @@ type OutageAnalysis struct {
 }
 
 // AnalyzeOutages runs the full §5 pipeline over the analyzable probes:
-// detect network outages and reboots, find and filter firmware pushes,
-// detect power outages, associate everything with inter-connection gaps.
+// Detect finds each probe's network outages, reboots and gaps, then the
+// fold finds and filters firmware pushes, qualifies power outages and
+// classifies every gap.
 func AnalyzeOutages(ds *atlasdata.Dataset, res *FilterResult) *OutageAnalysis {
-	// Pass 1: reboots for every analyzable probe, to locate firmware
-	// pushes from the global daily spike profile.
-	events := make(map[atlasdata.ProbeID]ProbeEvents, len(res.Views))
-	reboots := make(map[atlasdata.ProbeID][]Reboot, len(res.Views))
-	for id, view := range res.Views {
-		ev := Detect(ds, id, nil).Events(view.Meta)
-		events[id], reboots[id] = ev, ev.Reboots
+	events := make([]ProbeEvents, len(res.GeoProbes))
+	for i, id := range res.GeoProbes {
+		events[i] = Detect(ds, id, nil).Events(res.Views[id].Meta)
 	}
-	oa := OutageScaffold(res, reboots)
-
-	// Pass 2: per-probe gap classification.
-	for id, ev := range events {
-		oa.Gaps[id], oa.Stats[id] = ev.Outages(oa.FirmwareDays, true)
-	}
-	return oa
-}
-
-// OutageScaffold builds an OutageAnalysis with the global state filled
-// in — the Figure 6 reboot series and the firmware push days — and
-// empty per-probe maps for callers to populate via Outages. The
-// firmware profile is global by nature (a push shows up as a
-// population-wide spike), so it must exist before any per-probe pass.
-func OutageScaffold(res *FilterResult, reboots map[atlasdata.ProbeID][]Reboot) *OutageAnalysis {
-	oa := &OutageAnalysis{
-		Gaps:  make(map[atlasdata.ProbeID][]Gap, len(res.Views)),
-		Stats: make(map[atlasdata.ProbeID]ProbeOutageStats, len(res.Views)),
-	}
-	oa.RebootsPerDay = RebootsPerDay(reboots)
-	oa.FirmwareDays = DetectFirmwareDays(oa.RebootsPerDay)
-	return oa
+	return FoldEvents(events, 0, true).Outage
 }
 
 // Outages runs pass 2 of the outage pipeline over one probe's events,
@@ -98,7 +74,6 @@ func OutageScaffold(res *FilterResult, reboots map[atlasdata.ProbeID][]Reboot) *
 // hardware: v1/v2 reboots during connection establishment poison the
 // inference (§5.1). With keep the classified gaps are returned too (the
 // batch Report holds them); the live fold needs only the statistics.
-// Run and the live fold share this pass.
 func (ev *ProbeEvents) Outages(firmwareDays []int, keep bool) ([]Gap, ProbeOutageStats) {
 	kept := FilterFirmwareReboots(ev.Reboots, firmwareDays)
 	c := gapClassifier{networks: ev.Networks, powers: PowerOutagesFrom(ev.Reboots, ev.RebootGaps, kept)}
@@ -141,9 +116,7 @@ func (oa *OutageAnalysis) PacSample(ids []atlasdata.ProbeID, power bool) *stats.
 	return PacSampleOver(oa.Stats, ids, power)
 }
 
-// PacSampleOver is PacSample over an explicit stats map — the seam
-// shared with the streaming fold, which computes its stats from
-// per-probe event state rather than an OutageAnalysis.
+// PacSampleOver is PacSample over an explicit stats map.
 func PacSampleOver(all map[atlasdata.ProbeID]ProbeOutageStats, ids []atlasdata.ProbeID, power bool) *stats.Sample {
 	var s stats.Sample
 	for _, id := range ids {
@@ -180,8 +153,8 @@ type ASOutageRow struct {
 // five probes whose P(ac|nw) exceeds 0.8 (§5.3).
 const Table6MinProbes = 5
 
-// OutagesRows computes Table 6 rows from a stats map over AS groups —
-// the seam shared by Run and the streaming fold. N counts the AS's
+// OutagesRows computes Table 6 rows from a stats map over AS groups.
+// N counts the AS's
 // probes with at least three outages of each kind; the row appears only
 // when at least Table6MinProbes of them have P(ac|nw) > 0.8 — which is
 // why the paper's table holds only heavy renumberers (all European).

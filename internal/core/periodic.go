@@ -141,10 +141,8 @@ const (
 )
 
 // PeriodicRowsOver aggregates a per-probe classification into Table 5
-// rows over AS groups — the seam shared by Run (groups from ByAS) and
-// the streaming fold (groups built from per-probe event state). A row
-// needs Table5MinProbes probes in the AS and Table5MinPeriodic of them
-// periodic at the row's duration. Rows are sorted by NPeriodic
+// rows over AS groups. A row needs Table5MinProbes probes in the AS and
+// Table5MinPeriodic of them periodic at the row's duration. Rows are sorted by NPeriodic
 // descending, then ASN, then D — the paper's presentation order.
 func PeriodicRowsOver(groups map[uint32][]atlasdata.ProbeID, perProbe map[atlasdata.ProbeID]PeriodicProbe) []ASPeriodicRow {
 	var rows []ASPeriodicRow
@@ -199,8 +197,7 @@ func PeriodicRowsOver(groups map[uint32][]atlasdata.ProbeID, perProbe map[atlasd
 }
 
 // PeriodicAllOver computes the Table 5 "All" summary row for one
-// duration d (hours) over a probe list: the AS-analyzable probes in Run,
-// the single-AS probes of per-probe event state in the streaming fold.
+// duration d (hours) over a probe list, the AS-analyzable probes.
 func PeriodicAllOver(ids []atlasdata.ProbeID, perProbe map[atlasdata.ProbeID]PeriodicProbe, d float64) ASPeriodicRow {
 	row := ASPeriodicRow{D: d, N: len(ids)}
 	var over50, over75, maxLe, harmonic int

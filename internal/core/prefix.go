@@ -48,9 +48,8 @@ func (r *PrefixChangeRow) Accumulate(o PrefixChangeRow) {
 	r.Unrouted += o.Unrouted
 }
 
-// PrefixAllOver computes the Table 7 summary row over a probe list:
-// the AS-analyzable probes in Run, the single-AS probes of per-probe
-// event state in the streaming fold.
+// PrefixAllOver computes the Table 7 summary row over a probe list, the
+// AS-analyzable probes.
 func PrefixAllOver(ids []atlasdata.ProbeID, perProbe map[atlasdata.ProbeID]PrefixChangeRow) PrefixChangeRow {
 	var row PrefixChangeRow
 	for _, id := range ids {
@@ -60,9 +59,8 @@ func PrefixAllOver(ids []atlasdata.ProbeID, perProbe map[atlasdata.ProbeID]Prefi
 }
 
 // PrefixRowsOver aggregates per-probe rows into per-AS Table 7 rows
-// over AS groups — the seam shared by Run and the streaming fold. Only
-// ASes with at least one change get a row; rows are sorted by change
-// count descending, then ASN.
+// over AS groups. Only ASes with at least one change get a row; rows
+// are sorted by change count descending, then ASN.
 func PrefixRowsOver(groups map[uint32][]atlasdata.ProbeID, perProbe map[atlasdata.ProbeID]PrefixChangeRow) []PrefixChangeRow {
 	var rows []PrefixChangeRow
 	for asn, ids := range groups {

@@ -93,7 +93,7 @@ type Report struct {
 	// pipeline filters out.
 	V6 *V6Report
 
-	// Metrics records how the report was computed (per-stage wall time
+	// Metrics records how the report was computed (per-step wall time
 	// and record counts). Run always fills it. Excluded from report
 	// equality — two reports over the same dataset are equal whatever
 	// schedule produced them.
@@ -102,7 +102,8 @@ type Report struct {
 
 // Options tune report generation.
 type Options struct {
-	// TopASes is how many ASes Figures 2, 7 and 8 include (default 5).
+	// TopASes is how many ASes Figures 2, 7 and 8 include; zero or less
+	// means DefaultTopASes.
 	TopASes int
 	// Figure3Country selects Figure 3's country (default "DE").
 	Figure3Country string

@@ -26,7 +26,7 @@ func testDataset(t *testing.T, seed uint64, scale float64) *sim.World {
 	return world
 }
 
-// runReport runs every stage over ds and fails the test on error.
+// runReport runs the analysis over ds and fails the test on error.
 func runReport(t *testing.T, ds *atlasdata.Dataset, cfg Config) *Report {
 	t.Helper()
 	rep, err := Run(context.Background(), ds, cfg)
@@ -98,54 +98,28 @@ func TestRunMatchesSequential(t *testing.T) {
 	}
 }
 
+// TestRunMetricsCoverStages: Report.Metrics lists Run's three steps in
+// run order, each with the probes it processed.
 func TestRunMetricsCoverStages(t *testing.T) {
 	world := testDataset(t, 12, 0.1)
 	rep := runReport(t, world.Dataset, Config{Parallelism: 2})
-	if got, want := len(rep.Metrics.Stages), len(AllStages); got != want {
-		t.Fatalf("metrics cover %d stages, want %d", got, want)
+	res := rep.Filter
+	want := []StageMetric{
+		{Stage: StepCategories, Records: len(world.Dataset.Probes)},
+		{Stage: StepDetect, Records: len(res.GeoProbes)},
+		{Stage: StepFold, Records: len(res.GeoProbes)},
 	}
-	for i, s := range AllStages {
-		m := rep.Metrics.Stages[i]
-		if m.Stage != string(s) {
-			t.Fatalf("stage %d = %q, want %q (canonical order)", i, m.Stage, s)
-		}
-		if m.Records == 0 {
-			t.Errorf("stage %q processed no records", m.Stage)
-		}
-	}
-	if rep.Metrics.Stage("filter") == nil || rep.Metrics.Stage("nope") != nil {
-		t.Fatal("Stage lookup broken")
-	}
-}
-
-func TestRunStageSubset(t *testing.T) {
-	world := testDataset(t, 13, 0.1)
-	rep := runReport(t, world.Dataset, Config{
-		Parallelism: 2,
-		Stages:      []Stage{StagePrefix},
-	})
-	// Prefix pulls in filter transitively; nothing else runs.
-	if rep.Filter == nil || rep.Table7All.Changes == 0 {
-		t.Fatal("selected stages did not run")
-	}
-	if rep.Outage != nil || rep.Figure1 != nil || rep.Table5 != nil {
-		t.Fatal("unselected stages ran")
-	}
-	want := []string{"filter", "prefix"}
 	if len(rep.Metrics.Stages) != len(want) {
-		t.Fatalf("metrics list %d stages, want %d", len(rep.Metrics.Stages), len(want))
+		t.Fatalf("metrics list %d steps, want %d", len(rep.Metrics.Stages), len(want))
 	}
-	for i, name := range want {
-		if rep.Metrics.Stages[i].Stage != name {
-			t.Fatalf("metrics[%d] = %q, want %q", i, rep.Metrics.Stages[i].Stage, name)
+	for i, w := range want {
+		m := rep.Metrics.Stages[i]
+		if m.Stage != w.Stage || m.Records != w.Records || m.Records == 0 {
+			t.Errorf("step %d = %q over %d, want %q over %d", i, m.Stage, m.Records, w.Stage, w.Records)
 		}
 	}
-}
-
-func TestRunUnknownStage(t *testing.T) {
-	world := testDataset(t, 13, 0.1)
-	if _, err := Run(context.Background(), world.Dataset, Config{Stages: []Stage{"bogus"}}); err == nil {
-		t.Fatal("unknown stage accepted")
+	if rep.Metrics.Stage(StepDetect) == nil || rep.Metrics.Stage("nope") != nil {
+		t.Fatal("Stage lookup broken")
 	}
 }
 
@@ -159,41 +133,5 @@ func TestRunCancelled(t *testing.T) {
 	}
 	if rep != nil {
 		t.Fatal("cancelled run returned a report")
-	}
-}
-
-func TestClosure(t *testing.T) {
-	got, err := Closure([]Stage{StageFigures})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []Stage{StageFilter, StageTTF, StagePeriodic, StageFigures}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("Closure(figures) = %v, want %v", got, want)
-	}
-	all, err := Closure(nil)
-	if err != nil || !reflect.DeepEqual(all, AllStages) {
-		t.Fatalf("Closure(nil) = %v, %v", all, err)
-	}
-	if _, err := Closure([]Stage{"bogus"}); err == nil {
-		t.Fatal("unknown stage accepted")
-	}
-}
-
-func TestParseStages(t *testing.T) {
-	got, err := ParseStages(" ttf, outage ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, []Stage{StageTTF, StageOutage}) {
-		t.Fatalf("ParseStages = %v", got)
-	}
-	for _, empty := range []string{"", "all"} {
-		if got, err := ParseStages(empty); err != nil || got != nil {
-			t.Fatalf("ParseStages(%q) = %v, %v", empty, got, err)
-		}
-	}
-	if _, err := ParseStages("filter,bogus"); err == nil {
-		t.Fatal("unknown stage accepted")
 	}
 }

@@ -3,22 +3,14 @@ package liveanalysis
 import (
 	"sort"
 
-	"dynaddr/internal/atlasdata"
 	"dynaddr/internal/core"
 )
 
 // Options parameterises the query-time fold.
 type Options struct {
 	// TopASes bounds Figures 7/8 to the N ASes with the most qualifying
-	// probes. Zero means 5, the paper's figure width.
+	// probes. Zero or less means 5, the paper's figure width.
 	TopASes int
-}
-
-func (o Options) withDefaults() Options {
-	if o.TopASes <= 0 {
-		o.TopASes = 5
-	}
-	return o
 }
 
 // Result is the live analysis answer: the paper's AS-level tables and
@@ -60,67 +52,26 @@ type Result struct {
 	Churn []ChurnWindow `json:"churn"`
 }
 
-// Compute runs the query-time fold: firmware-push detection over the
-// population, then per-probe power-outage qualification and gap
-// classification, then the AS aggregations — the batch pipeline's §4-§6
-// stages over event state instead of raw records. events must be sorted
-// by probe ID ascending (the order both the shard merge and FromBatch
-// produce), so group membership lists match the batch ordering exactly.
+// Compute runs the query-time fold: core.FoldEvents over the frozen
+// events, the batch pipeline's §4-§6 passes over event state instead of
+// raw records, plus the churn windows. events must be sorted by probe
+// ID ascending (the order both the shard merge and FromBatch produce),
+// so group membership lists match the batch ordering exactly.
 func Compute(events []core.ProbeEvents, churn map[int]core.PrefixChangeRow, opts Options) *Result {
-	opts = opts.withDefaults()
-	r := &Result{Probes: len(events)}
-
-	// AS groups over the single-AS probes, as core.ByAS forms them.
-	groups := make(map[uint32][]atlasdata.ProbeID)
-	var asProbes []atlasdata.ProbeID
-	for _, ev := range events {
-		if ev.MultiAS {
-			continue
-		}
-		asProbes = append(asProbes, ev.Probe)
-		if ev.ASN != 0 {
-			groups[ev.ASN] = append(groups[ev.ASN], ev.Probe)
-		}
+	f := core.FoldEvents(events, opts.TopASes, false)
+	r := &Result{
+		Probes:        len(events),
+		ASProbes:      len(f.ASProbes),
+		Table5:        f.Table5,
+		Table5All:     f.Table5All,
+		RebootsPerDay: f.Outage.RebootsPerDay,
+		FirmwareDays:  f.Outage.FirmwareDays,
+		Figure7:       f.Figure7,
+		Figure8:       f.Figure8,
+		Table6:        f.Table6,
+		Table7All:     f.Table7All,
+		Table7ByAS:    f.Table7ByAS,
 	}
-	r.ASProbes = len(asProbes)
-
-	// Pass 1 (global): the firmware profile needs every probe's reboots
-	// before any per-probe power qualification can run.
-	rebootsByProbe := make(map[atlasdata.ProbeID][]core.Reboot, len(events))
-	for _, ev := range events {
-		rebootsByProbe[ev.Probe] = ev.Reboots
-	}
-	r.RebootsPerDay = core.RebootsPerDay(rebootsByProbe)
-	r.FirmwareDays = core.DetectFirmwareDays(r.RebootsPerDay)
-
-	// Pass 2 (per probe): the outage pipeline's per-probe pass (the
-	// tallies only), periodic classification.
-	stats := make(map[atlasdata.ProbeID]core.ProbeOutageStats, len(events))
-	perProbe := make(map[atlasdata.ProbeID]core.PeriodicProbe)
-	prefixRows := make(map[atlasdata.ProbeID]core.PrefixChangeRow, len(events))
-	changed := make(map[atlasdata.ProbeID]bool, len(events))
-	for i := range events {
-		ev := &events[i]
-		_, stats[ev.Probe] = ev.Outages(r.FirmwareDays, false)
-		if pp, ok := core.ClassifyPeriodicHours(ev.Probe, ev.RawHours); ok {
-			perProbe[ev.Probe] = pp
-		}
-		prefixRows[ev.Probe] = ev.Prefix
-		changed[ev.Probe] = ev.HasChanges
-	}
-
-	// AS aggregation, through the same seams the batch Report uses.
-	r.Table5 = core.PeriodicRowsOver(groups, perProbe)
-	r.Table5All = []core.ASPeriodicRow{
-		core.PeriodicAllOver(asProbes, perProbe, 24),
-		core.PeriodicAllOver(asProbes, perProbe, 168),
-	}
-	hasChanges := func(id atlasdata.ProbeID) bool { return changed[id] }
-	r.Figure7, r.Figure8 = core.BuildPacFiguresFrom(stats, hasChanges, groups, opts.TopASes)
-	r.Table6 = core.OutagesRows(stats, groups)
-	r.Table7All = core.PrefixAllOver(asProbes, prefixRows)
-	r.Table7ByAS = core.PrefixRowsOver(groups, prefixRows)
-
 	for day, row := range churn {
 		r.Churn = append(r.Churn, ChurnWindow{Day: day, Row: row})
 	}

@@ -10,7 +10,9 @@
 // Everything that is retroactive or cross-probe — firmware-push
 // detection (a population-wide reboot spike reshapes every probe's
 // power-outage evidence), gap classification, AS aggregation, ECDFs —
-// runs only at query time in Compute, over frozen core.ProbeEvents.
+// runs only at query time in Compute, over frozen core.ProbeEvents,
+// through core.FoldEvents, the fold the batch core.Run also runs. This
+// package adds only the day-windowed churn series and the rendering.
 //
 // FromBatch runs core.Detect over a finished dataset and then the
 // same Compute.
